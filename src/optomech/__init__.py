@@ -47,6 +47,7 @@ from .duan import (
     duan_from_moments,
     min_over_window,
     regime_report,
+    window_minima,
 )
 from .oracle import (
     FockConfig,
@@ -99,6 +100,7 @@ __all__ = [
     "duan_bc",
     "duan_from_moments",
     "min_over_window",
+    "window_minima",
     "regime_report",
     # oracle
     "FockConfig",

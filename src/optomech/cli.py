@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,8 +47,8 @@ from .duan import (
     duan_bc_lower,
     duan_bc_values,
     duan_from_moments,
-    min_over_window,
     regime_report,
+    window_minima,
 )
 from .oracle import (
     FockConfig,
@@ -346,7 +345,6 @@ class RunConfig:
     command: str
     values: dict
     out: str | None = None
-    workers: int = 1
 
 
 @dataclass
@@ -393,7 +391,7 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def resolve_config(command, config_path=None, overrides=(), seed=None, out=None, workers=1) -> RunConfig:
+def resolve_config(command, config_path=None, overrides=(), seed=None, out=None) -> RunConfig:
     """Merge defaults, config file and --set overrides, then validate."""
     if command not in DEFAULTS:
         raise _CliError(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
@@ -420,9 +418,7 @@ def resolve_config(command, config_path=None, overrides=(), seed=None, out=None,
         values["seed"] = seed
 
     validated = {key: schema[key](values[key], repr(key)) for key in sorted(schema)}
-    if workers < 1:
-        raise _CliError(f"--workers must be at least 1, got {workers}")
-    return RunConfig(command=command, values=validated, out=out, workers=workers)
+    return RunConfig(command=command, values=validated, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -473,15 +469,6 @@ def _metadata(cfg: RunConfig, extra: dict | None = None) -> dict:
         md.update(extra)
     md["config_json"] = json.dumps(cfg.values, sort_keys=True, separators=(",", ":"))
     return md
-
-
-def _parallel_map(func, items, workers: int) -> list:
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [func(item) for item in items]
-    chunk = max(1, len(items) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, items, chunksize=chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -566,12 +553,9 @@ def run_fig3(cfg: RunConfig) -> ResultTable:
     return ResultTable(names, rows, _metadata(cfg, extra))
 
 
-def _min_duan_cell(args) -> float:
-    bipartition, alpha, beta, nbar, k, r_a, r_b, window = args
-    state = CVInitialState(alpha=alpha, beta=beta, nbar=nbar)
-    p = SystemParams.from_dimensionless(k=k, r_a=r_a, r_b=r_b)
-    _, d_star = min_over_window(bipartition, state, p, window)
-    return d_star
+def _minima_metadata(res) -> dict:
+    """Deterministic facts about a window_minima call, for the CSV metadata."""
+    return {"minimization_mode": res.mode, "refined_cells": str(int(res.refined.sum()))}
 
 
 def run_fig4a(cfg: RunConfig) -> ResultTable:
@@ -585,17 +569,15 @@ def run_fig4a(cfg: RunConfig) -> ResultTable:
     r_a = v["omega_a_rad_per_s"] / omega_m
     r_b = v["omega_b_rad_per_s"] / omega_m
     ks = np.arange(v["k_min"], v["k_max"] + 0.5 * v["k_step"], v["k_step"])
-    cells = [
-        ("AB", v["alpha"], v["beta"], thermal_occupation(T, omega_m), float(k), r_a, r_b, window)
-        for k in ks
-        for T in v["temperatures_K"]
-    ]
-    mins = _parallel_map(_min_duan_cell, cells, cfg.workers)
-    rows = [
-        (float(k), float(T), float(d))
-        for (k, T), d in zip(((k, T) for k in ks for T in v["temperatures_K"]), mins)
-    ]
-    extra = {"window_scaled": repr(window)}
+    temps = v["temperatures_K"]
+    nbars = [thermal_occupation(T, omega_m) for T in temps]
+    k_cells, t_cells = np.repeat(ks, len(temps)), np.tile(temps, ks.size)
+    res = window_minima(
+        "AB", window, r_a, r_b, alpha=v["alpha"], beta=v["beta"],
+        nbar=np.tile(nbars, ks.size), k=k_cells,
+    )
+    rows = [(float(k), float(T), float(d)) for k, T, d in zip(k_cells, t_cells, res.d_star)]
+    extra = {"window_scaled": repr(window), **_minima_metadata(res)}
     return ResultTable(["k", "temperature_K", "min_duan_ab"], rows, _metadata(cfg, extra))
 
 
@@ -613,17 +595,10 @@ def run_fig4b(cfg: RunConfig) -> ResultTable:
     nbar = thermal_occupation(v["temperature_K"], omega_m)
     alphas = np.arange(v["alpha_min"], v["alpha_max"] + 0.5 * v["alpha_step"], v["alpha_step"])
     betas = np.arange(v["beta_min"], v["beta_max"] + 0.5 * v["beta_step"], v["beta_step"])
-    cells = [
-        ("AB", float(a), float(b), nbar, v["k"], r_a, r_b, window)
-        for a in alphas
-        for b in betas
-    ]
-    mins = _parallel_map(_min_duan_cell, cells, cfg.workers)
-    rows = [
-        (float(a), float(b), float(d))
-        for (a, b), d in zip(((a, b) for a in alphas for b in betas), mins)
-    ]
-    extra = {"nbar": repr(nbar), "window_scaled": repr(window)}
+    a_cells, b_cells = np.repeat(alphas, betas.size), np.tile(betas, alphas.size)
+    res = window_minima("AB", window, r_a, r_b, alpha=a_cells, beta=b_cells, nbar=nbar, k=v["k"])
+    rows = [(float(a), float(b), float(d)) for a, b, d in zip(a_cells, b_cells, res.d_star)]
+    extra = {"nbar": repr(nbar), "window_scaled": repr(window), **_minima_metadata(res)}
     if v["k"] > 0:
         rep = regime_report(
             v["k"], SystemParams.from_dimensionless(v["k"], r_a, r_b), kappa
@@ -906,17 +881,15 @@ def _cmd_oracle_check(cfg: RunConfig) -> int:
 # generic sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_cell(args) -> float:
-    quantity, variable, x, fixed = args
+def _sweep_value(v: dict, x: float) -> float:
+    quantity = v["quantity"]
+    k = x if v["variable"] == "k" else v["k"]
+    t = x if v["variable"] == "t" else v["t_fixed"]
     if quantity in ("concurrence", "entropy"):
-        k = x if variable == "k" else fixed["k"]
-        t = x if variable == "t" else fixed["t_fixed"]
         return float(timeseries(quantity, k, np.array([t]))[0, 1])
     func = {"duan_ab": duan_ab, "duan_ac": duan_ac, "duan_bc": duan_bc}[quantity]
-    k = x if variable == "k" else fixed["k"]
-    t = x if variable == "t" else fixed["t_fixed"]
-    state = CVInitialState(alpha=fixed["alpha"], beta=fixed["beta"], nbar=fixed["nbar"])
-    params = SystemParams.from_dimensionless(k=k, r_a=fixed["r_a"], r_b=fixed["r_b"])
+    state = CVInitialState(alpha=v["alpha"], beta=v["beta"], nbar=v["nbar"])
+    params = SystemParams.from_dimensionless(k=k, r_a=v["r_a"], r_b=v["r_b"])
     return float(func(t, state, params).D)
 
 
@@ -927,10 +900,7 @@ def run_sweep(cfg: RunConfig) -> ResultTable:
     if v["quantity"].startswith("duan") and not (v["r_a"] > 0 and v["r_b"] > 0):
         raise _CliError("fields 'r_a' and 'r_b': must be positive for Duan sweeps")
     xs = np.linspace(v["start"], v["stop"], v["n_points"])
-    fixed = {key: v[key] for key in ("k", "alpha", "beta", "nbar", "r_a", "r_b", "t_fixed")}
-    cells = [(v["quantity"], v["variable"], float(x), fixed) for x in xs]
-    values = _parallel_map(_sweep_cell, cells, cfg.workers)
-    rows = [(float(x), float(y)) for x, y in zip(xs, values)]
+    rows = [(float(x), _sweep_value(v, float(x))) for x in xs]
     return ResultTable([v["variable"], v["quantity"]], rows, _metadata(cfg))
 
 
@@ -955,10 +925,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="override a single config field (repeatable; wins over --config)",
     )
     parser.add_argument("--out", metavar="PATH", help="output CSV path (default: stdout)")
-    parser.add_argument(
-        "--workers", type=int, default=os.cpu_count() or 1,
-        help="worker processes for sweep grids (default: all cores)",
-    )
     parser.add_argument("--seed", type=int, help="seed for randomized test-point sampling")
     return parser
 
@@ -982,7 +948,6 @@ def main(argv=None) -> int:
             overrides=args.overrides,
             seed=args.seed,
             out=args.out,
-            workers=args.workers,
         )
         if cfg.command == "design":
             return _cmd_design(cfg)

@@ -15,8 +15,8 @@ The optical carrier phases enter only through cos((r_a + r_b) t + ...)
 factors, which at realistic optical/mechanical frequency ratios oscillate
 ~1e9 times faster than the envelope. Closed-form lower envelopes over that
 fast phase are therefore provided alongside the pointwise expressions, and
-`min_over_window` switches to envelope minimization when a direct scan
-cannot resolve the carrier.
+`window_minima` (with `min_over_window` as its one-cell case) switches to
+envelope minimization when a direct scan cannot resolve the carrier.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core import SystemParams, big_b, eta
 from .oracle import ModePairMoments
@@ -44,7 +43,9 @@ __all__ = [
     "duan_ab_lower",
     "duan_ac_lower",
     "duan_bc_lower",
+    "WindowMinima",
     "min_over_window",
+    "window_minima",
     "regime_report",
 ]
 
@@ -119,104 +120,139 @@ def duan_from_moments(m: ModePairMoments, *, tol: float = 1e-9) -> float:
     )
 
 
-def _eta_sq(t):
-    return np.abs(eta(t)) ** 2
+@dataclass(frozen=True)
+class _Kernels:
+    """Time kernels of one time array, shared by every cell evaluated on it."""
+
+    t: np.ndarray
+    unit_b: np.ndarray  # B(t) at k = 1, so B(t) = k**2 unit_b
+    eta: np.ndarray
+    eta_sq: np.ndarray
 
 
-def _envelope_factor(t, k, total, nbar):
-    """exp(-2 (|a|^2+|b|^2) (1 - cos 2B) - k^2 |eta|^2 (2 nbar + 1))."""
-    twob = 2.0 * big_b(t, k)
-    return np.exp(-2.0 * total * (1.0 - np.cos(twob)) - k ** 2 * _eta_sq(t) * (2.0 * nbar + 1.0))
-
-
-def duan_ab_values(t, state: CVInitialState, p: SystemParams):
-    """Pointwise D_AB(t); t may be an array."""
+def _kernels(t) -> _Kernels:
     t = np.asarray(t, dtype=float)
-    k = p.k
-    total = state.alpha ** 2 + state.beta ** 2
-    cross = 2.0 * state.alpha * state.beta
-    phi = (p.r_a + p.r_b) * t
-    twob = 2.0 * big_b(t, k)
-    env = _envelope_factor(t, k, total, state.nbar)
+    eta_t = eta(t)
+    return _Kernels(t=t, unit_b=big_b(t, 1.0), eta=eta_t, eta_sq=np.abs(eta_t) ** 2)
+
+
+# The curve functions below take the kernels plus per-cell parameters that
+# broadcast against them: scalars for one cell, (cells, 1) columns against a
+# shared time grid, or (cells,) arrays against one time per cell.
+
+def _envelope_factor(kern, cos_twob, total, k, nbar):
+    """exp(-2 (|a|^2+|b|^2) (1 - cos 2B) - k^2 |eta|^2 (2 nbar + 1))."""
+    return np.exp(-2.0 * total * (1.0 - cos_twob) - k ** 2 * kern.eta_sq * (2.0 * nbar + 1.0))
+
+
+def _ab_values(kern, alpha, beta, nbar, k, r_a, r_b):
+    total = alpha ** 2 + beta ** 2
+    cross = 2.0 * alpha * beta
+    phi = (r_a + r_b) * kern.t
+    twob = 2.0 * (k ** 2 * kern.unit_b)
+    env = _envelope_factor(kern, np.cos(twob), total, k, nbar)
     return 1.0 + (total + cross * np.cos(phi)) - (total + cross * np.cos(phi + twob)) * env
 
 
-def duan_ab_lower(t, state: CVInitialState, p: SystemParams):
-    """Exact lower envelope of D_AB over the fast carrier phase (r_a + r_b) t."""
-    t = np.asarray(t, dtype=float)
-    k = p.k
-    total = state.alpha ** 2 + state.beta ** 2
-    twob = 2.0 * big_b(t, k)
-    env = _envelope_factor(t, k, total, state.nbar)
-    swing = np.abs(1.0 - env * np.exp(1j * twob))
-    return 1.0 + total * (1.0 - env) - 2.0 * abs(state.alpha * state.beta) * swing
+def _ab_lower(kern, alpha, beta, nbar, k, r_a, r_b):
+    total = alpha ** 2 + beta ** 2
+    twob = 2.0 * (k ** 2 * kern.unit_b)
+    cos_twob = np.cos(twob)
+    env = _envelope_factor(kern, cos_twob, total, k, nbar)
+    # |1 - env exp(2iB)| in real arithmetic: this line dominates the envelope
+    # scan, and complex temporaries made it several times slower
+    swing = np.sqrt((1.0 - env * cos_twob) ** 2 + (env * np.sin(twob)) ** 2)
+    return 1.0 + total * (1.0 - env) - 2.0 * np.abs(alpha * beta) * swing
 
 
-def _r_correlation(t, alpha, beta, nbar, k, r_fast):
+def _r_correlation(kern, alpha, beta, nbar, k, r_fast):
     """Connected <a c> correlation for the optical mode with amplitude alpha.
 
     r_fast is that mode's frequency ratio (r_a for mode A). The a <-> b
     relabeling enters through the argument order and the sign of k.
     """
-    t = np.asarray(t, dtype=float)
-    bt = big_b(t, abs(k))
+    bt = k ** 2 * kern.unit_b
     e_m = 1.0 - np.exp(-2j * bt)
     e_p = 1.0 - np.exp(+2j * bt)
     coherent_env = np.exp(-(alpha ** 2) * e_m - (beta ** 2) * e_p)
-    eta_t = eta(t)
-    thermal_env = np.exp(-(k ** 2) * np.abs(eta_t) ** 2 * (nbar + 0.5))
+    thermal_env = np.exp(-(k ** 2) * kern.eta_sq * (nbar + 0.5))
     bracket = (nbar + 1.0) - alpha ** 2 * e_m + beta ** 2 * e_p
     return (
         alpha
         * k
-        * eta_t
-        * np.exp(-1j * (r_fast * t + bt))
+        * kern.eta
+        * np.exp(-1j * (r_fast * kern.t + bt))
         * coherent_env
         * bracket
         * thermal_env
     )
 
 
-def _ac_base(t, alpha, beta, nbar, k):
+def _ac_base(kern, alpha, beta, nbar, k):
     """D_AC minus its 2 Re R term."""
     total = alpha ** 2 + beta ** 2
-    env = _envelope_factor(t, abs(k), total, nbar)
-    return 1.0 + alpha ** 2 + nbar + k ** 2 * _eta_sq(t) * total - (alpha ** 2) * env
+    env = _envelope_factor(kern, np.cos(2.0 * (k ** 2 * kern.unit_b)), total, k, nbar)
+    return 1.0 + alpha ** 2 + nbar + k ** 2 * kern.eta_sq * total - (alpha ** 2) * env
+
+
+def _ac_values(kern, alpha, beta, nbar, k, r_a, r_b):
+    r = _r_correlation(kern, alpha, beta, nbar, k, r_a)
+    return _ac_base(kern, alpha, beta, nbar, k) + 2.0 * r.real
+
+
+def _ac_lower(kern, alpha, beta, nbar, k, r_a, r_b):
+    r = _r_correlation(kern, alpha, beta, nbar, k, r_a)
+    return _ac_base(kern, alpha, beta, nbar, k) - 2.0 * np.abs(r)
+
+
+def _bc_values(kern, alpha, beta, nbar, k, r_a, r_b):
+    """D_BC via the a <-> b relabeling (alpha <-> beta, r_a <-> r_b, k -> -k)."""
+    return _ac_values(kern, beta, alpha, nbar, -k, r_b, r_a)
+
+
+def _bc_lower(kern, alpha, beta, nbar, k, r_a, r_b):
+    return _ac_lower(kern, beta, alpha, nbar, -k, r_b, r_a)
+
+
+_VALUES = {"AB": _ab_values, "AC": _ac_values, "BC": _bc_values}
+_LOWER = {"AB": _ab_lower, "AC": _ac_lower, "BC": _bc_lower}
+
+
+def _curve(func, t, state: CVInitialState, p: SystemParams):
+    return func(_kernels(t), state.alpha, state.beta, state.nbar, p.k, p.r_a, p.r_b)
+
+
+def duan_ab_values(t, state: CVInitialState, p: SystemParams):
+    """Pointwise D_AB(t); t may be an array."""
+    return _curve(_ab_values, t, state, p)
+
+
+def duan_ab_lower(t, state: CVInitialState, p: SystemParams):
+    """Exact lower envelope of D_AB over the fast carrier phase (r_a + r_b) t."""
+    return _curve(_ab_lower, t, state, p)
 
 
 def duan_ac_values(t, state: CVInitialState, p: SystemParams):
     """Pointwise D_AC(t); t may be an array."""
-    t = np.asarray(t, dtype=float)
-    r = _r_correlation(t, state.alpha, state.beta, state.nbar, p.k, p.r_a)
-    return _ac_base(t, state.alpha, state.beta, state.nbar, p.k) + 2.0 * r.real
+    return _curve(_ac_values, t, state, p)
 
 
 def duan_ac_lower(t, state: CVInitialState, p: SystemParams):
     """Lower envelope of D_AC over the fast carrier phase r_a t."""
-    t = np.asarray(t, dtype=float)
-    r = _r_correlation(t, state.alpha, state.beta, state.nbar, p.k, p.r_a)
-    return _ac_base(t, state.alpha, state.beta, state.nbar, p.k) - 2.0 * np.abs(r)
+    return _curve(_ac_lower, t, state, p)
 
 
 def duan_bc_values(t, state: CVInitialState, p: SystemParams):
     """Pointwise D_BC(t) via the a <-> b relabeling (alpha <-> beta, r_a <-> r_b, k -> -k)."""
-    t = np.asarray(t, dtype=float)
-    r = _r_correlation(t, state.beta, state.alpha, state.nbar, -p.k, p.r_b)
-    return _ac_base(t, state.beta, state.alpha, state.nbar, -p.k) + 2.0 * r.real
+    return _curve(_bc_values, t, state, p)
 
 
 def duan_bc_lower(t, state: CVInitialState, p: SystemParams):
-    t = np.asarray(t, dtype=float)
-    r = _r_correlation(t, state.beta, state.alpha, state.nbar, -p.k, p.r_b)
-    return _ac_base(t, state.beta, state.alpha, state.nbar, -p.k) - 2.0 * np.abs(r)
-
-
-_VALUE_FUNCS = {"AB": duan_ab_values, "AC": duan_ac_values, "BC": duan_bc_values}
-_LOWER_FUNCS = {"AB": duan_ab_lower, "AC": duan_ac_lower, "BC": duan_bc_lower}
+    return _curve(_bc_lower, t, state, p)
 
 
 def _record(bipartition, t, state, p) -> EPRRecord:
-    value = float(_VALUE_FUNCS[bipartition](float(t), state, p))
+    value = float(_curve(_VALUES[bipartition], float(t), state, p))
     return EPRRecord(t=float(t), bipartition=bipartition, D=value)
 
 
@@ -239,18 +275,185 @@ def duan_bc(t: float, state: CVInitialState, p: SystemParams) -> EPRRecord:
     return _record("BC", t, state, p)
 
 
-def _refine(func, t_grid, values):
-    """Golden-section refinement around the best grid point."""
-    best = int(np.argmin(values))
-    t_star, d_star = float(t_grid[best]), float(values[best])
-    if 0 < best < len(t_grid) - 1:
-        a, b, c = t_grid[best - 1], t_grid[best], t_grid[best + 1]
-        if values[best] < values[best - 1] and values[best] < values[best + 1]:
-            res = minimize_scalar(func, bracket=(a, b, c), method="golden",
-                                  options={"xtol": 1e-12})
-            if res.fun < d_star:
-                t_star, d_star = float(res.x), float(res.fun)
-    return t_star, d_star
+@dataclass(frozen=True)
+class WindowMinima:
+    """Per-cell witness minima over one window; see `window_minima`."""
+
+    t_star: np.ndarray
+    d_star: np.ndarray
+    #: "direct" or "envelope", with "auto" resolved
+    mode: str
+    #: True where the golden-section refinement beat the grid minimum
+    refined: np.ndarray
+
+
+#: float64 grid elements per temporary of the blocked scan (512 KiB); the
+#: block size sets the scan's peak memory
+_BLOCK_ELEMENTS = 2 ** 16
+#: relative bracket tolerance of the refinement, as scipy's golden xtol
+_XTOL = 1e-12
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _window_bounds(window) -> tuple[float, float]:
+    try:
+        t_min, t_max = (0.0, float(window)) if np.isscalar(window) else map(float, window)
+    except TypeError:
+        raise ValueError(f"window must be t_max or (t_min, t_max), got {window!r}")
+    if not (t_max > t_min >= 0.0):
+        raise ValueError(f"window must satisfy 0 <= t_min < t_max, got {(t_min, t_max)}")
+    return t_min, t_max
+
+
+def _scan_grid(t_min, t_max, fast, resolution, mode):
+    """The uniform scan grid of a window and the resolved mode."""
+    span = t_max - t_min
+    cycles = fast * span / (2.0 * math.pi)
+    if mode == "auto":
+        mode = "envelope" if cycles > 1e5 else "direct"
+    if mode == "direct":
+        max_step = math.pi / (8.0 * fast)
+        if resolution is not None and resolution > max_step:
+            raise ValueError(
+                f"direct-mode step {resolution:g} cannot resolve the carrier; "
+                f"need at most {max_step:g}"
+            )
+        step = resolution if resolution is not None else max_step
+        n_points = int(math.ceil(span / step)) + 1
+        if n_points > 20_000_000:
+            raise ValueError(
+                f"direct scan would need {n_points} points to resolve the carrier; "
+                "use mode='envelope'"
+            )
+        n_points = max(n_points, 65)
+    elif mode == "envelope":
+        step = resolution if resolution else span / 4000.0
+        n_points = max(int(math.ceil(span / step)) + 1, 65)
+        if n_points > 20_000_000:
+            raise ValueError(f"envelope grid of {n_points} points is too large")
+    else:
+        raise ValueError(f"mode must be 'auto', 'direct' or 'envelope', got {mode!r}")
+    return np.linspace(t_min, t_max, n_points), mode
+
+
+def _golden(func, lo, hi):
+    """Golden-section search on every bracket [lo, hi] at once.
+
+    All brackets take the same number of steps: enough that each final
+    bracket is at most _XTOL (|x1| + |x2|) wide, scipy's golden stopping
+    rule, or a few ulps of hi where that is finer than float spacing.
+    Returns the better of the two final interior points and its value.
+    """
+    target = np.maximum(2.0 * _XTOL * lo, 4.0 * np.finfo(float).eps * hi)
+    ratio = float(np.min(target / (hi - lo)))
+    steps = max(0, math.ceil(math.log(ratio) / math.log(_INV_GOLDEN))) + 1
+    x1 = hi - _INV_GOLDEN * (hi - lo)
+    x2 = lo + _INV_GOLDEN * (hi - lo)
+    f1, f2 = func(x1), func(x2)
+    for _ in range(steps):
+        left = f1 < f2  # a minimum lies in [lo, x2]
+        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
+        kept, f_kept = np.where(left, x1, x2), np.where(left, f1, f2)
+        new = np.where(left, hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo))
+        f_new = func(new)
+        x1, f1 = np.where(left, new, kept), np.where(left, f_new, f_kept)
+        x2, f2 = np.where(left, kept, new), np.where(left, f_kept, f_new)
+    first = f1 < f2
+    return np.where(first, x1, x2), np.where(first, f1, f2)
+
+
+def window_minima(
+    bipartition: str,
+    window,
+    r_a: float,
+    r_b: float,
+    *,
+    alpha,
+    beta,
+    nbar,
+    k,
+    resolution: float | None = None,
+    mode: str = "auto",
+) -> WindowMinima:
+    """Minimize one witness over a shared window for many cells at once.
+
+    Each cell is one (alpha, beta, nbar, k); the four broadcast together and
+    the results take their broadcast shape. The window, carrier ratios,
+    resolution and mode are shared, so every cell is scanned on one grid
+    (see `min_over_window` for the modes). Three steps:
+
+    - the time kernels of the grid are computed once per call;
+    - the cells are scanned in blocks of about 2**16 grid elements, which
+      bounds the scan's temporaries whatever the number of cells;
+    - every cell whose grid minimum is a strict interior local minimum is
+      refined by one golden-section search across those cells, on the
+      bracket of its two grid neighbours; the refined value replaces the
+      grid value only where it is lower.
+    """
+    if bipartition not in _VALUES:
+        raise ValueError(f"bipartition must be one of {sorted(_VALUES)}, got {bipartition!r}")
+    t_min, t_max = _window_bounds(window)
+    for name, ratio in (("r_a", r_a), ("r_b", r_b)):
+        if not (math.isfinite(ratio) and ratio > 0):
+            raise ValueError(f"{name} must be positive and finite, got {ratio!r}")
+    cells = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (alpha, beta, nbar, k)))
+    for name, cell in zip(("alpha", "beta", "nbar", "k"), cells):
+        if not np.all(np.isfinite(cell)):
+            raise ValueError(f"{name} must be finite in every cell")
+    for name, cell in (("nbar", cells[2]), ("k", cells[3])):
+        if np.any(cell < 0):
+            raise ValueError(f"{name} must be non-negative in every cell")
+    grid, mode = _scan_grid(t_min, t_max, r_a + r_b, resolution, mode)
+    func = (_LOWER if mode == "envelope" else _VALUES)[bipartition]
+
+    shape = cells[0].shape
+    cells = [cell.ravel() for cell in cells]
+    m, n = cells[0].size, grid.size
+    # a parameter shared by every cell stays a scalar, so the kernels that
+    # depend only on it are computed once per block instead of once per cell
+    params = [cell[0] if m and np.all(cell == cell[0]) else cell for cell in cells]
+    kern = _kernels(grid)
+    best = np.empty(m, dtype=np.intp)
+    d_grid = np.empty(m)
+    strict = np.zeros(m, dtype=bool)
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    for start in range(0, m, rows):
+        block = slice(start, min(start + rows, m))
+        size = block.stop - block.start
+        cols = [p if np.ndim(p) == 0 else p[block, None] for p in params]
+        values = np.broadcast_to(func(kern, *cols, r_a, r_b), (size, n))
+        i = np.argmin(values, axis=1)
+        at = np.arange(size)
+        d = values[at, i]
+        inner = (i > 0) & (i < n - 1)
+        strict[block] = (
+            inner
+            & (d < values[at, np.maximum(i - 1, 0)])
+            & (d < values[at, np.minimum(i + 1, n - 1)])
+        )
+        best[block] = i
+        d_grid[block] = d
+
+    t_star, d_star = grid[best], d_grid.copy()
+    refined = np.zeros(m, dtype=bool)
+    todo = np.flatnonzero(strict)
+    if todo.size:
+        sub = [p if np.ndim(p) == 0 else p[todo] for p in params]
+        t_ref, d_ref = _golden(
+            lambda t: func(_kernels(t), *sub, r_a, r_b),
+            grid[best[todo] - 1],
+            grid[best[todo] + 1],
+        )
+        better = d_ref < d_grid[todo]
+        won = todo[better]
+        t_star[won], d_star[won] = t_ref[better], d_ref[better]
+        refined[won] = True
+    return WindowMinima(
+        t_star=t_star.reshape(shape),
+        d_star=d_star.reshape(shape),
+        mode=mode,
+        refined=refined.reshape(shape),
+    )
 
 
 def min_over_window(
@@ -276,48 +479,21 @@ def min_over_window(
 
     mode="auto" picks "envelope" once the window holds more than 1e5 carrier
     cycles, where a direct scan is no longer feasible.
+
+    This is the one-cell case of `window_minima`, which scans many cells on
+    one grid and refines them in one batch: every cell whose grid minimum is
+    a strict interior local minimum gets a golden-section search on the
+    bracket of its two grid neighbours. All those searches step together, a
+    fixed number of times that narrows every bracket to 1e-12 relative to t
+    (scipy's golden xtol). A refined value replaces the grid value only when
+    it is lower.
     """
-    if bipartition not in _VALUE_FUNCS:
-        raise ValueError(f"bipartition must be one of {sorted(_VALUE_FUNCS)}, got {bipartition!r}")
-    try:
-        t_min, t_max = (0.0, float(window)) if np.isscalar(window) else map(float, window)
-    except TypeError:
-        raise ValueError(f"window must be t_max or (t_min, t_max), got {window!r}")
-    if not (t_max > t_min >= 0.0):
-        raise ValueError(f"window must satisfy 0 <= t_min < t_max, got {(t_min, t_max)}")
-    span = t_max - t_min
-    fast = p.r_a + p.r_b
-    cycles = fast * span / (2.0 * math.pi)
-    if mode == "auto":
-        mode = "envelope" if cycles > 1e5 else "direct"
-    if mode == "direct":
-        max_step = math.pi / (8.0 * fast) if fast > 0 else span / 64.0
-        if resolution is not None and resolution > max_step:
-            raise ValueError(
-                f"direct-mode step {resolution:g} cannot resolve the carrier; "
-                f"need at most {max_step:g}"
-            )
-        step = resolution if resolution is not None else max_step
-        n_points = int(math.ceil(span / step)) + 1
-        if n_points > 20_000_000:
-            raise ValueError(
-                f"direct scan would need {n_points} points to resolve the carrier; "
-                "use mode='envelope'"
-            )
-        n_points = max(n_points, 65)
-        grid = np.linspace(t_min, t_max, n_points)
-        func = _VALUE_FUNCS[bipartition]
-    elif mode == "envelope":
-        step = resolution if resolution else span / 4000.0
-        n_points = max(int(math.ceil(span / step)) + 1, 65)
-        if n_points > 20_000_000:
-            raise ValueError(f"envelope grid of {n_points} points is too large")
-        grid = np.linspace(t_min, t_max, n_points)
-        func = _LOWER_FUNCS[bipartition]
-    else:
-        raise ValueError(f"mode must be 'auto', 'direct' or 'envelope', got {mode!r}")
-    values = np.asarray(func(grid, state, p), dtype=float)
-    return _refine(lambda tt: float(func(tt, state, p)), grid, values)
+    res = window_minima(
+        bipartition, window, p.r_a, p.r_b,
+        alpha=state.alpha, beta=state.beta, nbar=state.nbar, k=p.k,
+        resolution=resolution, mode=mode,
+    )
+    return float(res.t_star), float(res.d_star)
 
 
 def regime_report(k: float, p: SystemParams, kappa: float) -> RegimeReport:

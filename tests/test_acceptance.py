@@ -265,7 +265,7 @@ def test_acceptance_8_property_suite():
     # tolerances (1e-10, 1e-8, 1e-8, 1e-8, 1e-12 respectively)
     table, exit_code = run_oracle_check(resolve_config("oracle-check"))
     if exit_code != 0:
-        bad = [row for row in table.rows if row[-1] != "pass"]
+        bad = [row for row in table.rows if row[-1] != "PASS"]
         failures.append(f"certification checks failed: {bad}")
     _report(8, failures)
 

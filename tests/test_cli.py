@@ -132,6 +132,31 @@ def test_cli_output_round_trips_through_metadata(tmp_path):
     assert out.read_bytes() == replay_out.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv, mode, cells",
+    [
+        (["fig4b", "--set", "alpha_step=0.5", "--set", "beta_step=0.5"], "envelope", 25),
+        (["fig4a", "--set", "k_step=0.25"], "envelope", 21),
+        (
+            ["fig4a", "--set", "k_step=0.25", "--set", "window_scaled=60.0",
+             "--set", "omega_a_rad_per_s=596902.6", "--set", "omega_b_rad_per_s=596902.6"],
+            "direct",
+            21,
+        ),
+    ],
+)
+def test_fig4_metadata_reports_minimization(tmp_path, argv, mode, cells):
+    code_a, out_a = _run_cli(argv, tmp_path, "a.csv")
+    code_b, out_b = _run_cli(argv, tmp_path, "b.csv")
+    assert code_a == code_b == 0
+    assert out_a.read_bytes() == out_b.read_bytes()
+    lines = out_a.read_text().splitlines()
+    meta = dict(line[2:].split(": ", 1) for line in lines if line.startswith("# "))
+    assert meta["minimization_mode"] == mode
+    assert 0 < int(meta["refined_cells"]) <= cells
+    assert len([line for line in lines if not line.startswith("#")]) == cells + 1
+
+
 def test_cli_csv_metadata_lines_use_crlf(tmp_path):
     _, out = _run_cli(["fig2", "--set", "n_points=60"], tmp_path, "run.csv")
     raw = out.read_bytes()

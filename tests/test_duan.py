@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 
 from optomech.core import SystemParams, thermal_occupation
 from optomech.duan import (
@@ -21,6 +22,7 @@ from optomech.duan import (
     duan_from_moments,
     min_over_window,
     regime_report,
+    window_minima,
 )
 
 TABLE_OMEGA_M = 2.0 * math.pi * 95e3
@@ -204,6 +206,106 @@ class TestMinOverWindow:
             min_over_window("AB", st0, _params(0.5), (-1.0, 1.0))
         with pytest.raises(ValueError, match="mode"):
             min_over_window("AB", st0, _params(0.5), 1.0, mode="grid")
+
+
+def _reference_minimum(func, state, p, window, mode):
+    """Per-cell reference for `window_minima`: the scalar minimizer it replaced.
+
+    Dense scan on the same grid rule, then scipy's golden section on the
+    bracket of the grid minimum's two neighbours when that minimum is a
+    strict interior one, kept only where it is lower.
+    """
+    t_min, t_max = window
+    span = t_max - t_min
+    step = math.pi / (8.0 * (p.r_a + p.r_b)) if mode == "direct" else span / 4000.0
+    grid = np.linspace(t_min, t_max, max(int(math.ceil(span / step)) + 1, 65))
+    values = np.asarray(func(grid, state, p), dtype=float)
+    best = int(np.argmin(values))
+    d_star = float(values[best])
+    if 0 < best < len(grid) - 1 and d_star < values[best - 1] and d_star < values[best + 1]:
+        res = minimize_scalar(
+            lambda tt: float(func(tt, state, p)),
+            bracket=tuple(grid[best - 1 : best + 2]),
+            method="golden",
+            options={"xtol": 1e-12},
+        )
+        d_star = min(d_star, float(res.fun))
+    return d_star
+
+
+_CURVES = {
+    ("AB", "direct"): duan_ab_values,
+    ("AC", "direct"): duan_ac_values,
+    ("BC", "direct"): duan_bc_values,
+    ("AB", "envelope"): duan_ab_lower,
+    ("AC", "envelope"): duan_ac_lower,
+    ("BC", "envelope"): duan_bc_lower,
+}
+# fig4b-like cells vary the amplitudes at one (k, nbar); 36 cells at 4001
+# envelope points span three scan blocks. fig4a-like cells vary k and nbar.
+_AMPLITUDES = np.linspace(0.1, 1.6, 6)
+_CELLS = {
+    "amplitudes": dict(
+        alpha=np.repeat(_AMPLITUDES, 6), beta=np.tile(_AMPLITUDES, 6), nbar=0.05, k=0.74
+    ),
+    "coupling": dict(
+        alpha=0.5, beta=0.6, nbar=np.tile([0.0, 0.3], 6), k=np.repeat(np.linspace(0.2, 1.45, 6), 2)
+    ),
+}
+_OPTICAL = SystemParams(omega_a=1e15, omega_b=1.2e15, omega_m=TABLE_OMEGA_M, g0=0.0)
+_WINDOWS = {
+    # optical carriers over one photon lifetime, and a carrier at the
+    # mechanical frequency that a direct scan resolves
+    "envelope": ((0.0, 9.353966), _OPTICAL.r_a, _OPTICAL.r_b),
+    "direct": ((0.5, 40.0), 1.0, 1.3),
+}
+
+
+@pytest.mark.parametrize("cells", sorted(_CELLS))
+@pytest.mark.parametrize("mode", sorted(_WINDOWS))
+@pytest.mark.parametrize("bipartition", ["AB", "AC", "BC"])
+def test_window_minima_matches_scalar_golden_reference(bipartition, mode, cells):
+    window, r_a, r_b = _WINDOWS[mode]
+    spec = _CELLS[cells]
+    res = window_minima(bipartition, window, r_a, r_b, mode=mode, **spec)
+    assert res.mode == mode
+    columns = np.broadcast_arrays(
+        *(np.asarray(spec[key], dtype=float) for key in ("alpha", "beta", "nbar", "k"))
+    )
+    assert res.d_star.shape == res.t_star.shape == res.refined.shape == columns[0].shape
+    assert res.refined.any()
+    for i, (alpha, beta, nbar, k) in enumerate(zip(*columns)):
+        state = CVInitialState(float(alpha), float(beta), float(nbar))
+        p = _params(float(k), r_a=r_a, r_b=r_b)
+        expected = _reference_minimum(_CURVES[bipartition, mode], state, p, window, mode)
+        assert abs(res.d_star[i] - expected) <= 1e-12, (i, res.d_star[i], expected)
+        assert window[0] <= res.t_star[i] <= window[1]
+        got = _CURVES[bipartition, mode](res.t_star[i], state, p)
+        assert got == pytest.approx(res.d_star[i], abs=1e-12)
+
+
+def test_window_minima_zero_amplitude_cells_stay_separable():
+    zeros = np.zeros(4)
+    others = np.array([0.0, 0.5, 1.0, 2.0])
+    res = window_minima(
+        "AB", (0.0, 9.353966), _OPTICAL.r_a, _OPTICAL.r_b,
+        alpha=np.concatenate([zeros, others]), beta=np.concatenate([others, zeros]),
+        nbar=TABLE_NBAR, k=0.74,
+    )
+    assert np.all(np.abs(res.d_star - 1.0) <= 1e-12)
+    assert not res.refined.any()
+
+
+def test_window_minima_validates_cells():
+    window, r_a, r_b = _WINDOWS["direct"]
+    with pytest.raises(ValueError, match="nbar"):
+        window_minima("AB", window, r_a, r_b, alpha=0.5, beta=0.5, nbar=[0.0, -0.1], k=0.5)
+    with pytest.raises(ValueError, match="k must"):
+        window_minima("AB", window, r_a, r_b, alpha=0.5, beta=0.5, nbar=0.0, k=[0.5, -0.5])
+    with pytest.raises(ValueError, match="alpha"):
+        window_minima("AB", window, r_a, r_b, alpha=[0.5, math.nan], beta=0.5, nbar=0.0, k=0.5)
+    with pytest.raises(ValueError, match="r_b"):
+        window_minima("AB", window, r_a, 0.0, alpha=0.5, beta=0.5, nbar=0.0, k=0.5)
 
 
 def test_envelope_mean_grows_with_temperature():
