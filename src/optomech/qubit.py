@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .core import big_b, eta, xi
 
@@ -103,19 +104,55 @@ def check_density_matrix(
     Returns the input on success, raises ValueError otherwise.
     """
     rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm_dev > herm_tol:
-        raise ValueError(f"matrix is not Hermitian within {herm_tol:g} (deviation {herm_dev:.3e})")
-    trace_dev = abs(complex(np.trace(rho)) - 1.0)
-    if trace_dev > trace_tol:
-        raise ValueError(f"trace deviates from 1 by {trace_dev:.3e}")
-    min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
-    if min_eig < eig_floor:
-        raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {min_eig:.3e})")
+    _checked_spectrum(rho, herm_tol=herm_tol, trace_tol=trace_tol, eig_floor=eig_floor)
     return rho
 
+
+def _checked_spectrum(
+    rho: np.ndarray,
+    *,
+    vectors: bool = False,
+    herm_tol: float = 1e-12,
+    trace_tol: float = 1e-12,
+    eig_floor: float = -1e-10,
+):
+    """Run the checks of `check_density_matrix` and return the spectrum.
+
+    The positivity check needs the eigenvalues of the Hermitian part anyway,
+    so the measures take them from here instead of diagonalizing twice.
+    Returns `_eigh` of the Hermitian part.
+    """
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+    rho_h = rho.conj().T
+    herm_dev = float(np.abs(rho - rho_h).max())
+    if herm_dev > herm_tol:
+        raise ValueError(f"matrix is not Hermitian within {herm_tol:g} (deviation {herm_dev:.3e})")
+    trace_dev = abs(complex(rho.trace()) - 1.0)
+    if trace_dev > trace_tol:
+        raise ValueError(f"trace deviates from 1 by {trace_dev:.3e}")
+    evals, evecs = _eigh(0.5 * (rho + rho_h), vectors)
+    min_eig = float(evals[0])
+    if min_eig < eig_floor:
+        raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {min_eig:.3e})")
+    return evals, evecs
+
+
+def _eigh(herm: np.ndarray, vectors: bool):
+    """Ascending eigenvalues (and eigenvectors if `vectors`) of a Hermitian matrix.
+
+    Calls zheevd on the lower triangle, the LAPACK driver behind
+    np.linalg.eigh and eigvalsh, directly: on 4x4 matrices numpy's wrapper
+    costs more than the decomposition. The eigenvector slot is a dummy
+    when `vectors` is false.
+    """
+    evals, evecs, info = lapack.zheevd(herm, compute_v=int(vectors), lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return evals, evecs
+
+
+_EPS = float(np.finfo(float).eps)
 
 _SY_SY = np.array(
     [
@@ -140,24 +177,22 @@ def concurrence(rho: np.ndarray) -> float:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"concurrence needs a 4x4 matrix, got shape {rho.shape}")
-    check_density_matrix(rho)
+    evals, evecs = _checked_spectrum(rho, vectors=True)
     rho_tilde = _SY_SY @ rho.conj() @ _SY_SY
-    evals, evecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-    if evals.min() >= -1e-12:
-        sqrt_rho = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
-        omega = np.linalg.eigvalsh(sqrt_rho @ rho_tilde @ sqrt_rho)
+    if evals[0] >= -1e-12:
+        sqrt_rho = (evecs * np.sqrt(evals.clip(0.0, None))) @ evecs.conj().T
+        omega = _eigh(sqrt_rho @ rho_tilde @ sqrt_rho, False)[0]
     else:
         omega = np.linalg.eigvals(rho @ rho_tilde).real
         if omega.min() < -1e-10:
             raise ValueError(f"spin-flipped spectrum has eigenvalue {omega.min():.3e} below -1e-10")
-    omega = np.asarray(omega).real
+    omega = omega.tolist()
     # eigenvalues below the eigensolver's resolution are zeros in disguise;
     # square-rooting them would inject O(sqrt(eps)) noise into the sum
-    floor = 64.0 * np.finfo(float).eps * max(float(omega.max()), 0.0)
-    lam = np.sqrt(np.where(omega > floor, omega, 0.0))
-    lam.sort()
-    value = lam[-1] - lam[:-1].sum()
-    return float(min(max(value, 0.0), 1.0))
+    floor = 64.0 * _EPS * max(max(omega), 0.0)
+    lam = sorted(math.sqrt(w) if w > floor else 0.0 for w in omega)
+    value = lam[-1] - sum(lam[:-1])
+    return min(max(value, 0.0), 1.0)
 
 
 def von_neumann_entropy(rho: np.ndarray, base=2) -> float:
@@ -166,15 +201,14 @@ def von_neumann_entropy(rho: np.ndarray, base=2) -> float:
     base=2 reports bits (default), base="e" or math.e reports nats.
     """
     rho = np.asarray(rho, dtype=complex)
-    check_density_matrix(rho)
+    p, _ = _checked_spectrum(rho)
     if base == 2:
         log_div = math.log(2.0)
     elif base == "e" or base == math.e:
         log_div = 1.0
     else:
         raise ValueError(f"base must be 2 or 'e', got {base!r}")
-    p = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    p = np.clip(p, 0.0, 1.0)
+    p = p.clip(0.0, 1.0)
     p = p[p > 0.0]
     return float(max(-(p * np.log(p)).sum() / log_div, 0.0))
 
