@@ -39,12 +39,9 @@ from .design import (
 )
 from .duan import (
     CVInitialState,
-    EPRRecord,
     RegimeReport,
-    duan_ab,
-    duan_ac,
-    duan_bc,
     duan_from_moments,
+    duan_values,
     min_over_window,
     regime_report,
     window_minima,
@@ -60,7 +57,6 @@ from .oracle import (
     partial_trace,
 )
 from .qubit import (
-    QubitJointState,
     concurrence,
     evolve_qubit_state,
     reduced_rho_ab,
@@ -85,7 +81,6 @@ __all__ = [
     "energy_eigenvalue",
     "energy_eigenvalue_scaled",
     # qubit
-    "QubitJointState",
     "evolve_qubit_state",
     "reduced_rho_ab",
     "concurrence",
@@ -93,12 +88,9 @@ __all__ = [
     "timeseries",
     # duan
     "CVInitialState",
-    "EPRRecord",
     "RegimeReport",
-    "duan_ab",
-    "duan_ac",
-    "duan_bc",
     "duan_from_moments",
+    "duan_values",
     "min_over_window",
     "window_minima",
     "regime_report",

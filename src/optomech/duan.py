@@ -31,18 +31,9 @@ from .oracle import ModePairMoments
 
 __all__ = [
     "CVInitialState",
-    "EPRRecord",
     "RegimeReport",
     "duan_from_moments",
-    "duan_ab",
-    "duan_ac",
-    "duan_bc",
-    "duan_ab_values",
-    "duan_ac_values",
-    "duan_bc_values",
-    "duan_ab_lower",
-    "duan_ac_lower",
-    "duan_bc_lower",
+    "duan_values",
     "WindowMinima",
     "min_over_window",
     "window_minima",
@@ -76,19 +67,6 @@ class CVInitialState:
                 )
         if self.nbar < 0:
             raise ValueError(f"nbar must be non-negative, got {self.nbar!r}")
-
-
-@dataclass(frozen=True)
-class EPRRecord:
-    """One witness evaluation: D < 1 flags entanglement across the bipartition."""
-
-    t: float
-    bipartition: str
-    D: float
-
-    @property
-    def entangled(self) -> bool:
-        return self.D < 1.0
 
 
 @dataclass(frozen=True)
@@ -218,61 +196,19 @@ _VALUES = {"AB": _ab_values, "AC": _ac_values, "BC": _bc_values}
 _LOWER = {"AB": _ab_lower, "AC": _ac_lower, "BC": _bc_lower}
 
 
-def _curve(func, t, state: CVInitialState, p: SystemParams):
-    return func(_kernels(t), state.alpha, state.beta, state.nbar, p.k, p.r_a, p.r_b)
+def duan_values(t, state: CVInitialState, p: SystemParams, pair: str, *, lower: bool = False):
+    """Witness D(t) across one bipartition; t may be an array and the result takes its shape.
 
-
-def duan_ab_values(t, state: CVInitialState, p: SystemParams):
-    """Pointwise D_AB(t); t may be an array."""
-    return _curve(_ab_values, t, state, p)
-
-
-def duan_ab_lower(t, state: CVInitialState, p: SystemParams):
-    """Exact lower envelope of D_AB over the fast carrier phase (r_a + r_b) t."""
-    return _curve(_ab_lower, t, state, p)
-
-
-def duan_ac_values(t, state: CVInitialState, p: SystemParams):
-    """Pointwise D_AC(t); t may be an array."""
-    return _curve(_ac_values, t, state, p)
-
-
-def duan_ac_lower(t, state: CVInitialState, p: SystemParams):
-    """Lower envelope of D_AC over the fast carrier phase r_a t."""
-    return _curve(_ac_lower, t, state, p)
-
-
-def duan_bc_values(t, state: CVInitialState, p: SystemParams):
-    """Pointwise D_BC(t) via the a <-> b relabeling (alpha <-> beta, r_a <-> r_b, k -> -k)."""
-    return _curve(_bc_values, t, state, p)
-
-
-def duan_bc_lower(t, state: CVInitialState, p: SystemParams):
-    return _curve(_bc_lower, t, state, p)
-
-
-def _record(bipartition, t, state, p) -> EPRRecord:
-    value = float(_curve(_VALUES[bipartition], float(t), state, p))
-    return EPRRecord(t=float(t), bipartition=bipartition, D=value)
-
-
-def duan_ab(t: float, state: CVInitialState, p: SystemParams) -> EPRRecord:
-    """Optical-optical witness at scaled time t."""
-    return _record("AB", t, state, p)
-
-
-def duan_ac(t: float, state: CVInitialState, p: SystemParams) -> EPRRecord:
-    """Optical-mechanical witness (mode A with the mechanics) at scaled time t."""
-    return _record("AC", t, state, p)
-
-
-def duan_bc(t: float, state: CVInitialState, p: SystemParams) -> EPRRecord:
-    """Optical-mechanical witness (mode B with the mechanics) at scaled time t.
-
-    Obtained from the AC form by relabeling the optical modes; kept separate
-    so the oracle certification exercises it independently.
+    pair is "AB" (the two optical modes), "AC" or "BC" (optical mode A or B
+    with the mechanics). BC is AC with the optical modes relabeled: alpha
+    <-> beta, r_a <-> r_b and k -> -k, since a photon in mode B kicks the
+    mirror the other way. lower=True gives the lower envelope over the fast
+    carrier phase instead: (r_a + r_b) t for AB, r_a t for AC, r_b t for BC.
     """
-    return _record("BC", t, state, p)
+    table = _LOWER if lower else _VALUES
+    if pair not in table:
+        raise ValueError(f"pair must be one of {sorted(table)}, got {pair!r}")
+    return table[pair](_kernels(t), state.alpha, state.beta, state.nbar, p.k, p.r_a, p.r_b)
 
 
 @dataclass(frozen=True)

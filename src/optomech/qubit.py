@@ -16,7 +16,6 @@ undisplaced with unit amplitude phase.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
@@ -24,7 +23,6 @@ from scipy.linalg import lapack
 from .core import big_b, eta, xi
 
 __all__ = [
-    "QubitJointState",
     "check_density_matrix",
     "evolve_qubit_state",
     "reduced_rho_ab",
@@ -37,44 +35,17 @@ __all__ = [
 BASIS_ORDER = ("00", "01", "10", "11")
 
 
-@dataclass(frozen=True)
-class QubitJointState:
-    """Four optical branch amplitudes and their mechanical displacements."""
+def evolve_qubit_state(t: float, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """Joint state at scaled time t for coupling k (interaction picture).
 
-    c_00: complex
-    c_01: complex
-    c_10: complex
-    c_11: complex
-    d_00: complex
-    d_01: complex
-    d_10: complex
-    d_11: complex
-    t: float
-
-    def amplitudes(self) -> np.ndarray:
-        return np.array([self.c_00, self.c_01, self.c_10, self.c_11])
-
-    def displacements(self) -> np.ndarray:
-        return np.array([self.d_00, self.d_01, self.d_10, self.d_11])
-
-
-def evolve_qubit_state(t: float, k: float) -> QubitJointState:
-    """Joint state at scaled time t for coupling k (interaction picture)."""
+    Returns (amplitudes, displacements): the optical branch amplitudes and
+    the mechanical coherent-state displacements, each indexed in BASIS_ORDER.
+    """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k!r}")
     phase = np.exp(-1j * complex(big_b(t, k)))
     disp = k * complex(xi(t))
-    return QubitJointState(
-        c_00=0.5,
-        c_01=0.5 * phase,
-        c_10=0.5 * phase,
-        c_11=0.5,
-        d_00=0.0,
-        d_01=-disp,
-        d_10=+disp,
-        d_11=0.0,
-        t=float(t),
-    )
+    return np.array([0.5, 0.5 * phase, 0.5 * phase, 0.5]), np.array([0.0, -disp, +disp, 0.0])
 
 
 def reduced_rho_ab(t: float, k: float) -> np.ndarray:
@@ -84,9 +55,7 @@ def reduced_rho_ab(t: float, k: float) -> np.ndarray:
     <b|a> = exp(-(|a|**2 + |b|**2)/2 + conj(b) a). The off-diagonal decay
     is governed by exp(C) with C = i B(t) - k**2 |eta(t)|**2 / 2.
     """
-    state = evolve_qubit_state(t, k)
-    c = state.amplitudes()
-    d = state.displacements()
+    c, d = evolve_qubit_state(t, k)
     mag2 = np.abs(d) ** 2
     overlap = np.exp(-0.5 * (mag2[:, None] + mag2[None, :]) + np.conj(d)[None, :] * d[:, None])
     return c[:, None] * np.conj(c)[None, :] * overlap

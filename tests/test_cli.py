@@ -116,19 +116,27 @@ def test_cli_writes_byte_identical_reruns(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
-def test_cli_output_round_trips_through_metadata(tmp_path):
-    code, out = _run_cli(["fig2", "--set", "n_points=80", "--set", "k=0.6"], tmp_path, "run.csv")
+@pytest.mark.parametrize(
+    "command, settings",
+    [
+        pytest.param("fig2", ("n_points=80", "k=0.6"), id="fig2"),
+        pytest.param("fig3", ("n_points=40", "alpha=0.3"), id="fig3"),
+        pytest.param("sweep", ("n_points=30", "quantity=duan_bc", "variable=k"), id="sweep"),
+    ],
+)
+def test_cli_output_round_trips_through_metadata(tmp_path, command, settings):
+    argv = [command, *(f"--set={item}" for item in settings)]
+    code, out = _run_cli(argv, tmp_path, "run.csv")
     assert code == 0
     config_line = next(
         line for line in out.read_text().splitlines() if line.startswith("# config_json: ")
     )
     recovered = json.loads(config_line[len("# config_json: ") :])
+    assert recovered == resolve_config(command, overrides=settings).values
     overrides = tuple(f"{key}={json.dumps(val)}" for key, val in recovered.items())
-    replay = resolve_config("fig2", overrides=overrides)
     _, replay_out = _run_cli(
-        ["fig2", *(f"--set={o}" for o in overrides)], tmp_path, "replay.csv"
+        [command, *(f"--set={o}" for o in overrides)], tmp_path, "replay.csv"
     )
-    assert replay.values["n_points"] == 80
     assert out.read_bytes() == replay_out.read_bytes()
 
 
@@ -167,6 +175,14 @@ def test_cli_csv_metadata_lines_use_crlf(tmp_path):
 
 def test_cli_rejects_unknown_field():
     assert main(["fig2", "--set", "bogus=1"]) == 1
+
+
+@pytest.mark.parametrize("command", ["fig2", "fig3", "fig4a", "fig4b", "design", "sweep"])
+@pytest.mark.parametrize("flag", [["--seed", "5"], ["--set", "seed=5"]], ids=["seed", "set"])
+def test_cli_rejects_seed_outside_oracle_check(capsys, command, flag):
+    # only oracle-check draws random points, so only it has a seed field
+    assert main([command, *flag]) == 1
+    assert "'seed'" in capsys.readouterr().err
 
 
 def test_cli_rejects_empty_design_grid():

@@ -10,16 +10,8 @@ from optomech.duan import (
     K_REGIME_BOUNDARY,
     CVInitialState,
     ModePairMoments,
-    duan_ab,
-    duan_ab_lower,
-    duan_ab_values,
-    duan_ac,
-    duan_ac_lower,
-    duan_ac_values,
-    duan_bc,
-    duan_bc_lower,
-    duan_bc_values,
     duan_from_moments,
+    duan_values,
     min_over_window,
     regime_report,
     window_minima,
@@ -71,16 +63,9 @@ class TestInitialState:
 def test_witness_floors_at_t_zero():
     p = _params(0.6, r_a=1.3, r_b=0.7)
     st0 = CVInitialState(0.4, 0.6, 0.25)
-    assert duan_ab(0.0, st0, p).D == 1.0
-    assert duan_ac(0.0, st0, p).D == 1.25
-    assert duan_bc(0.0, st0, p).D == 1.25
-
-
-def test_record_metadata():
-    rec = duan_ac(0.3, CVInitialState(0.5, 0.5, 0.0), _params(0.5))
-    assert rec.bipartition == "AC"
-    assert rec.t == 0.3
-    assert rec.entangled == (rec.D < 1.0)
+    assert duan_values(0.0, st0, p, "AB") == 1.0
+    assert duan_values(0.0, st0, p, "AC") == 1.25
+    assert duan_values(0.0, st0, p, "BC") == 1.25
 
 
 @given(st.floats(min_value=0.0, max_value=12.0 * math.pi, allow_nan=False))
@@ -88,20 +73,21 @@ def test_record_metadata():
 def test_k_zero_leaves_every_pair_uncorrelated(t):
     p = _params(0.0, r_a=2.0, r_b=1.5)
     st0 = CVInitialState(0.7, 0.3, 0.4)
-    assert abs(duan_ab(t, st0, p).D - 1.0) < 1e-12
-    assert abs(duan_ac(t, st0, p).D - 1.4) < 1e-12
-    assert abs(duan_bc(t, st0, p).D - 1.4) < 1e-12
+    assert abs(duan_values(t, st0, p, "AB") - 1.0) < 1e-12
+    assert abs(duan_values(t, st0, p, "AC") - 1.4) < 1e-12
+    assert abs(duan_values(t, st0, p, "BC") - 1.4) < 1e-12
 
 
 def test_values_functions_are_vectorized():
     p = _params(0.5, r_a=1.1, r_b=0.9)
     st0 = CVInitialState(0.5, 0.5, 0.1)
     t = np.linspace(0.0, 4.0 * math.pi, 50)
-    for values in (duan_ab_values, duan_ac_values, duan_bc_values):
-        out = np.asarray(values(t, st0, p))
-        assert out.shape == t.shape
-        assert np.all(np.isfinite(out))
-        assert out[0] == pytest.approx(values(float(t[0]), st0, p))
+    for pair in ("AB", "AC", "BC"):
+        for lower in (False, True):
+            out = np.asarray(duan_values(t, st0, p, pair, lower=lower))
+            assert out.shape == t.shape
+            assert np.all(np.isfinite(out))
+            assert out[0] == pytest.approx(duan_values(float(t[0]), st0, p, pair, lower=lower))
 
 
 @given(st.floats(min_value=0.05, max_value=6.0, allow_nan=False))
@@ -110,20 +96,17 @@ def test_lower_curves_bound_the_witness(r_a):
     p = _params(0.6, r_a=r_a, r_b=0.8)
     st0 = CVInitialState(0.5, 0.4, 0.2)
     t = np.linspace(0.05, 4.0 * math.pi, 120)
-    for values, lower in (
-        (duan_ab_values, duan_ab_lower),
-        (duan_ac_values, duan_ac_lower),
-        (duan_bc_values, duan_bc_lower),
-    ):
-        v = np.asarray(values(t, st0, p), dtype=float)
-        lo = np.asarray(lower(t, st0, p), dtype=float)
+    for pair in ("AB", "AC", "BC"):
+        v = np.asarray(duan_values(t, st0, p, pair), dtype=float)
+        lo = np.asarray(duan_values(t, st0, p, pair, lower=True), dtype=float)
         assert np.all(lo <= v + 1e-10)
 
 
 def test_ac_and_bc_differ_through_the_coupling_sign():
-    # a photon in mode A kicks the mirror opposite to a photon in mode B,
-    # so the two optical-mechanical witnesses are not related by a simple
-    # relabeling; certify each against the Fock oracle at an asymmetric point
+    # a photon in mode A kicks the mirror opposite to a photon in mode B, so
+    # BC is AC relabeled with k -> -k as well as alpha <-> beta and
+    # r_a <-> r_b; certify both against the Fock oracle at an asymmetric
+    # point, where the sign flip keeps them well apart
     from optomech.oracle import apply_evolution, build_initial_state, moments
 
     alpha, beta, nbar, k, t = 0.3, 0.8, 0.15, 0.7, 1.7
@@ -131,8 +114,8 @@ def test_ac_and_bc_differ_through_the_coupling_sign():
     state = build_initial_state("coherent_thermal", alpha=alpha, beta=beta, nbar=nbar, k=k)
     evolved = apply_evolution(state, t, k, p.r_a, p.r_b)
     st0 = CVInitialState(alpha, beta, nbar)
-    d_ac = duan_ac(t, st0, p).D
-    d_bc = duan_bc(t, st0, p).D
+    d_ac = duan_values(t, st0, p, "AC")
+    d_bc = duan_values(t, st0, p, "BC")
     assert d_ac == pytest.approx(duan_from_moments(moments(evolved, "AC")), rel=1e-6)
     assert d_bc == pytest.approx(duan_from_moments(moments(evolved, "BC")), rel=1e-6)
     assert abs(d_ac - d_bc) > 0.1
@@ -146,9 +129,9 @@ def test_oracle_agreement_spot_check():
     state = build_initial_state("coherent_thermal", alpha=alpha, beta=beta, nbar=nbar, k=k)
     evolved = apply_evolution(state, t, k, p.r_a, p.r_b)
     st0 = CVInitialState(alpha, beta, nbar)
-    for pair, closed in (("AB", duan_ab), ("AC", duan_ac), ("BC", duan_bc)):
+    for pair in ("AB", "AC", "BC"):
         reference = duan_from_moments(moments(evolved, pair))
-        assert closed(t, st0, p).D == pytest.approx(reference, rel=1e-6)
+        assert duan_values(t, st0, p, pair) == pytest.approx(reference, rel=1e-6)
 
 
 class TestMinOverWindow:
@@ -200,6 +183,8 @@ class TestMinOverWindow:
         st0 = CVInitialState(0.5, 0.5, 0.0)
         with pytest.raises(ValueError, match="bipartition"):
             min_over_window("AD", st0, _params(0.5), 1.0)
+        with pytest.raises(ValueError, match="pair"):
+            duan_values(1.0, st0, _params(0.5), "AD")
         with pytest.raises(ValueError, match="window"):
             min_over_window("AB", st0, _params(0.5), (2.0, 1.0))
         with pytest.raises(ValueError, match="window"):
@@ -208,23 +193,26 @@ class TestMinOverWindow:
             min_over_window("AB", st0, _params(0.5), 1.0, mode="grid")
 
 
-def _reference_minimum(func, state, p, window, mode):
+def _reference_minimum(bipartition, state, p, window, mode):
     """Per-cell reference for `window_minima`: the scalar minimizer it replaced.
 
     Dense scan on the same grid rule, then scipy's golden section on the
     bracket of the grid minimum's two neighbours when that minimum is a
     strict interior one, kept only where it is lower.
     """
+    def func(t):
+        return duan_values(t, state, p, bipartition, lower=mode == "envelope")
+
     t_min, t_max = window
     span = t_max - t_min
     step = math.pi / (8.0 * (p.r_a + p.r_b)) if mode == "direct" else span / 4000.0
     grid = np.linspace(t_min, t_max, max(int(math.ceil(span / step)) + 1, 65))
-    values = np.asarray(func(grid, state, p), dtype=float)
+    values = np.asarray(func(grid), dtype=float)
     best = int(np.argmin(values))
     d_star = float(values[best])
     if 0 < best < len(grid) - 1 and d_star < values[best - 1] and d_star < values[best + 1]:
         res = minimize_scalar(
-            lambda tt: float(func(tt, state, p)),
+            lambda tt: float(func(tt)),
             bracket=tuple(grid[best - 1 : best + 2]),
             method="golden",
             options={"xtol": 1e-12},
@@ -233,14 +221,6 @@ def _reference_minimum(func, state, p, window, mode):
     return d_star
 
 
-_CURVES = {
-    ("AB", "direct"): duan_ab_values,
-    ("AC", "direct"): duan_ac_values,
-    ("BC", "direct"): duan_bc_values,
-    ("AB", "envelope"): duan_ab_lower,
-    ("AC", "envelope"): duan_ac_lower,
-    ("BC", "envelope"): duan_bc_lower,
-}
 # fig4b-like cells vary the amplitudes at one (k, nbar); 36 cells at 4001
 # envelope points span three scan blocks. fig4a-like cells vary k and nbar.
 _AMPLITUDES = np.linspace(0.1, 1.6, 6)
@@ -277,10 +257,10 @@ def test_window_minima_matches_scalar_golden_reference(bipartition, mode, cells)
     for i, (alpha, beta, nbar, k) in enumerate(zip(*columns)):
         state = CVInitialState(float(alpha), float(beta), float(nbar))
         p = _params(float(k), r_a=r_a, r_b=r_b)
-        expected = _reference_minimum(_CURVES[bipartition, mode], state, p, window, mode)
+        expected = _reference_minimum(bipartition, state, p, window, mode)
         assert abs(res.d_star[i] - expected) <= 1e-12, (i, res.d_star[i], expected)
         assert window[0] <= res.t_star[i] <= window[1]
-        got = _CURVES[bipartition, mode](res.t_star[i], state, p)
+        got = duan_values(res.t_star[i], state, p, bipartition, lower=mode == "envelope")
         assert got == pytest.approx(res.d_star[i], abs=1e-12)
 
 
@@ -317,7 +297,7 @@ def test_envelope_mean_grows_with_temperature():
     means = []
     for T in (0.1e-6, 0.4e-6, 0.8e-6):
         st0 = CVInitialState(0.5, 0.5, thermal_occupation(T, TABLE_OMEGA_M))
-        means.append(float(np.mean(duan_ab_lower(t, st0, p))))
+        means.append(float(np.mean(duan_values(t, st0, p, "AB", lower=True))))
     assert means[0] < means[1] < means[2]
 
 

@@ -21,38 +21,41 @@ def test_basis_order():
 
 
 def test_initial_branch_state():
-    qs = evolve_qubit_state(0.0, 0.5)
-    assert qs.c_00 == qs.c_11 == 0.5
-    assert qs.c_01 == qs.c_10 == 0.5
-    assert qs.d_00 == qs.d_01 == qs.d_10 == qs.d_11 == 0.0
+    amps, disp = evolve_qubit_state(0.0, 0.5)
+    assert np.array_equal(amps, [0.5, 0.5, 0.5, 0.5])
+    assert np.array_equal(disp, [0.0, 0.0, 0.0, 0.0])
 
 
 def test_branch_displacements_track_photon_imbalance():
-    qs = evolve_qubit_state(math.pi, 0.5)
+    _, disp = evolve_qubit_state(math.pi, 0.5)
+    d_00, d_01, d_10, d_11 = disp
     # delta = n - m weights the mechanical kick: +-k*xi(t) for the
     # single-photon branches, none for the balanced ones
-    assert qs.d_10 == pytest.approx(0.5 * complex(xi(math.pi)), abs=1e-14)
-    assert qs.d_01 == pytest.approx(-0.5 * complex(xi(math.pi)), abs=1e-14)
-    assert qs.d_10 == pytest.approx(-1.0, abs=1e-12)
-    assert qs.d_00 == qs.d_11 == 0.0
+    assert d_10 == pytest.approx(0.5 * complex(xi(math.pi)), abs=1e-14)
+    assert d_01 == pytest.approx(-0.5 * complex(xi(math.pi)), abs=1e-14)
+    assert d_10 == pytest.approx(-1.0, abs=1e-12)
+    assert d_00 == d_11 == 0.0
 
 
 def test_branch_phases_at_pi():
-    qs = evolve_qubit_state(math.pi, 0.5)
+    amps, _ = evolve_qubit_state(math.pi, 0.5)
+    c_00, c_01, c_10, c_11 = amps
     # unbalanced branches pick up e^{-iB} with B(pi, 0.5) = -(pi - 0)/4
     expected = 0.5 * np.exp(0.25j * math.pi)
-    assert qs.c_01 == pytest.approx(expected, abs=1e-14)
-    assert qs.c_10 == pytest.approx(expected, abs=1e-14)
-    assert qs.c_00 == qs.c_11 == 0.5
+    assert c_01 == pytest.approx(expected, abs=1e-14)
+    assert c_10 == pytest.approx(expected, abs=1e-14)
+    assert c_00 == c_11 == 0.5
 
 
 def test_amplitudes_and_displacements_vectors():
-    qs = evolve_qubit_state(1.2, 0.7)
-    amps = qs.amplitudes()
-    disp = qs.displacements()
-    assert amps.shape == disp.shape == (4,)
-    assert amps[0] == qs.c_00 and amps[3] == qs.c_11
-    assert disp[1] == qs.d_01 and disp[2] == qs.d_10
+    amps, disp = evolve_qubit_state(1.2, 0.7)
+    assert amps.shape == disp.shape == (len(BASIS_ORDER),)
+    # balanced branches (00, 11) keep unit phase and an undisplaced mirror;
+    # the single-photon branches (01, 10) share a phase and kick oppositely
+    assert amps[0] == amps[3] == 0.5
+    assert amps[1] == amps[2]
+    assert disp[0] == disp[3] == 0.0
+    assert disp[2] == -disp[1] == 0.7 * complex(xi(1.2))
 
 
 def test_reduced_state_at_pi_frozen():
