@@ -48,7 +48,7 @@ from .oracle import (
     moments,
     partial_trace,
 )
-from .qubit import reduced_rho_ab, timeseries
+from .qubit import concurrence, reduced_rho_ab, von_neumann_entropy
 
 __all__ = ["main", "RunConfig", "ResultTable"]
 
@@ -371,11 +371,11 @@ def run_fig2(cfg: RunConfig) -> ResultTable:
     if not v["t_max"] > v["t_min"]:
         raise _CliError(f"field 't_max': must exceed t_min={v['t_min']}")
     grid = np.linspace(v["t_min"], v["t_max"], v["n_points"])
-    conc = timeseries("concurrence", v["k"], grid)
-    ent = timeseries("entropy", v["k"], grid)
+    # one stack of states serves both measures
+    rhos = reduced_rho_ab(grid, v["k"])
     rows = [
         (float(t), float(c), float(s))
-        for t, c, s in zip(grid, conc[:, 1], ent[:, 1])
+        for t, c, s in zip(grid, concurrence(rhos), von_neumann_entropy(rhos))
     ]
     return ResultTable(["t", "concurrence", "entropy"], rows, _metadata(cfg))
 
@@ -745,26 +745,31 @@ def _cmd_oracle_check(cfg: RunConfig) -> int:
 # generic sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_value(v: dict, x: float) -> float:
-    quantity = v["quantity"]
-    k = x if v["variable"] == "k" else v["k"]
-    t = x if v["variable"] == "t" else v["t_fixed"]
-    if quantity in ("concurrence", "entropy"):
-        return float(timeseries(quantity, k, np.array([t]))[0, 1])
+def _duan_sweep_value(v: dict, t: float, k: float) -> float:
     state = CVInitialState(alpha=v["alpha"], beta=v["beta"], nbar=v["nbar"])
     params = SystemParams.from_dimensionless(k=k, r_a=v["r_a"], r_b=v["r_b"])
-    return float(duan_values(t, state, params, quantity.removeprefix("duan_").upper()))
+    return float(duan_values(t, state, params, v["quantity"].removeprefix("duan_").upper()))
 
 
 def run_sweep(cfg: RunConfig) -> ResultTable:
     v = cfg.values
+    quantity = v["quantity"]
     if not v["stop"] > v["start"]:
         raise _CliError("field 'stop': must exceed start")
-    if v["quantity"].startswith("duan") and not (v["r_a"] > 0 and v["r_b"] > 0):
+    if quantity.startswith("duan") and not (v["r_a"] > 0 and v["r_b"] > 0):
         raise _CliError("fields 'r_a' and 'r_b': must be positive for Duan sweeps")
     xs = np.linspace(v["start"], v["stop"], v["n_points"])
-    rows = [(float(x), _sweep_value(v, float(x))) for x in xs]
-    return ResultTable([v["variable"], v["quantity"]], rows, _metadata(cfg))
+    ks = xs if v["variable"] == "k" else v["k"]
+    ts = xs if v["variable"] == "t" else v["t_fixed"]
+    if quantity in ("concurrence", "entropy"):
+        measure = concurrence if quantity == "concurrence" else von_neumann_entropy
+        values = measure(reduced_rho_ab(ts, ks)).tolist()
+    else:
+        values = [
+            _duan_sweep_value(v, float(t), float(k)) for t, k in np.broadcast(ts, ks)
+        ]
+    rows = list(zip(xs.tolist(), values))
+    return ResultTable([v["variable"], quantity], rows, _metadata(cfg))
 
 
 # ---------------------------------------------------------------------------

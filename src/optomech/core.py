@@ -119,9 +119,19 @@ def big_b(t, k):
 
 
 def xi(t):
-    """xi(t) = exp(i t) eta(t); identically equal to -conj(eta(t))."""
+    """xi(t) = exp(i t) eta(t); identically equal to -conj(eta(t)).
+
+    The product is written out in real arithmetic: numpy rounds a complex
+    multiply on arrays differently from one on scalars, and this form gives
+    the scalar path's bits for every element of an array.
+    """
     t = np.asarray(t, dtype=float)
-    return np.exp(1j * t) * (1.0 - np.exp(-1j * t))
+    e = np.exp(1j * t)
+    b = 1.0 - np.exp(-1j * t)
+    out = np.empty(t.shape, dtype=complex)
+    out.real = e.real * b.real - e.imag * b.imag
+    out.imag = e.real * b.imag + e.imag * b.real
+    return out[()]
 
 
 def thermal_occupation(

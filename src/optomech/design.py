@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import CODATA2018, PhysicalConstants, x_zpf
+from .core import CODATA2018, x_zpf
 from .duan import K_REGIME_BOUNDARY
 
 __all__ = [

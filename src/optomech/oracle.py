@@ -31,8 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
-from scipy.stats import poisson
+from scipy.special import eval_genlaguerre, gammaln, pdtrc, xlogy
 
 from .core import big_b, xi
 
@@ -83,17 +82,20 @@ def displacement_matrix(beta: complex, n_max: int) -> np.ndarray:
     return np.exp(log_mag) * phase_base ** diff * lag
 
 
+def _poisson_pmf(n: np.ndarray, lam: float) -> np.ndarray:
+    """P(Poisson(lam) = n), in log space as exp(n log lam - log n! - lam)."""
+    return np.exp(xlogy(n, lam) - gammaln(n + 1) - lam)
+
+
 def _poisson_tail_cutoff(lam: float, tol: float) -> int:
     """Smallest n with P(Poisson(lam) > n) < tol."""
     if lam <= 0 or tol >= 1:
         return 0
-    guess = poisson.isf(tol, lam)
-    # isf can go NaN in the far tail; start from a generous normal-tail bound
-    n = int(guess) if math.isfinite(guess) else int(lam + 10.0 * math.sqrt(lam) + 10.0)
-    n = max(n, 0)
-    while poisson.sf(n, lam) >= tol:
+    # start from a generous normal-tail bound and walk to the exact crossing
+    n = int(lam + 10.0 * math.sqrt(lam) + 10.0)
+    while pdtrc(n, lam) >= tol:
         n += 1
-    while n > 0 and poisson.sf(n - 1, lam) < tol:
+    while n > 0 and pdtrc(n - 1, lam) < tol:
         n -= 1
     return n
 
@@ -132,8 +134,8 @@ def _mechanical_cutoff(
     Returns (n_max_c, thermal_l_max).
     """
     l_max = _thermal_tail_cutoff(nbar, tol / 4.0)
-    pa = poisson.pmf(np.arange(n_max_a + 1), abs(alpha) ** 2)
-    pb = poisson.pmf(np.arange(n_max_b + 1), abs(beta) ** 2)
+    pa = _poisson_pmf(np.arange(n_max_a + 1), abs(alpha) ** 2)
+    pb = _poisson_pmf(np.arange(n_max_b + 1), abs(beta) ** 2)
     weight = np.outer(pa, pb)
     delta = np.arange(n_max_a + 1)[:, None] - np.arange(n_max_b + 1)[None, :]
     sqrt_l = math.sqrt(l_max)
@@ -289,7 +291,7 @@ def build_initial_state(kind: str, **params) -> TriModeState:
             (alpha, config.n_max_a, "n_max_a"),
             (beta, config.n_max_b, "n_max_b"),
         ):
-            tail = float(poisson.sf(n_max, abs(amp) ** 2)) if amp != 0 else 0.0
+            tail = float(pdtrc(n_max, abs(amp) ** 2)) if amp != 0 else 0.0
             if tail >= config.tolerance:
                 raise ValueError(
                     f"coherent tail mass {tail:.3e} beyond {label}={n_max} exceeds "

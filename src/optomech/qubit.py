@@ -11,6 +11,10 @@ Branch convention (pinned by the oracle regression tests): the 01 branch
 carries amplitude phase exp(-i B(t)) and mechanical displacement -k xi(t),
 the 10 branch exp(-i B(t)) and +k xi(t), the 00 and 11 branches stay
 undisplaced with unit amplitude phase.
+
+Every function here works on stacks: states are built for any broadcast
+shape of (t, k), and the checks and measures take any (..., 4, 4) stack,
+returning a float for a single matrix and an array for a stack.
 """
 
 from __future__ import annotations
@@ -18,9 +22,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import lapack
 
-from .core import big_b, eta, xi
+from .core import big_b, xi
 
 __all__ = [
     "check_density_matrix",
@@ -35,21 +38,28 @@ __all__ = [
 BASIS_ORDER = ("00", "01", "10", "11")
 
 
-def evolve_qubit_state(t: float, k: float) -> tuple[np.ndarray, np.ndarray]:
+def evolve_qubit_state(t, k) -> tuple[np.ndarray, np.ndarray]:
     """Joint state at scaled time t for coupling k (interaction picture).
 
-    Returns (amplitudes, displacements): the optical branch amplitudes and
-    the mechanical coherent-state displacements, each indexed in BASIS_ORDER.
+    t and k broadcast against each other. Returns (amplitudes,
+    displacements): the optical branch amplitudes and the mechanical
+    coherent-state displacements, each shaped (..., 4) and indexed in
+    BASIS_ORDER along the last axis.
     """
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k!r}")
-    phase = np.exp(-1j * complex(big_b(t, k)))
-    disp = k * complex(xi(t))
-    return np.array([0.5, 0.5 * phase, 0.5 * phase, 0.5]), np.array([0.0, -disp, +disp, 0.0])
+    t, k = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(k, dtype=float))
+    negative = k < 0
+    if negative.any():
+        raise ValueError(f"k must be non-negative, got {float(k[negative].flat[0])!r}")
+    phase = np.exp(-1j * big_b(t, k))
+    disp = k * xi(t)
+    half = np.full(t.shape, 0.5, dtype=complex)
+    zero = np.zeros(t.shape, dtype=complex)
+    amps = np.stack([half, 0.5 * phase, 0.5 * phase, half], axis=-1)
+    return amps, np.stack([zero, -disp, disp, zero], axis=-1)
 
 
-def reduced_rho_ab(t: float, k: float) -> np.ndarray:
-    """4x4 optical density matrix after tracing out the mechanics.
+def reduced_rho_ab(t, k) -> np.ndarray:
+    """Optical density matrices after tracing out the mechanics, shaped (..., 4, 4).
 
     Entry (i, j) is c_i conj(c_j) <d_j|d_i> with coherent-state overlaps
     <b|a> = exp(-(|a|**2 + |b|**2)/2 + conj(b) a). The off-diagonal decay
@@ -57,8 +67,29 @@ def reduced_rho_ab(t: float, k: float) -> np.ndarray:
     """
     c, d = evolve_qubit_state(t, k)
     mag2 = np.abs(d) ** 2
-    overlap = np.exp(-0.5 * (mag2[:, None] + mag2[None, :]) + np.conj(d)[None, :] * d[:, None])
-    return c[:, None] * np.conj(c)[None, :] * overlap
+    overlap = np.exp(
+        -0.5 * (mag2[..., :, None] + mag2[..., None, :])
+        + np.conj(d)[..., None, :] * d[..., :, None]
+    )
+    return c[..., :, None] * np.conj(c)[..., None, :] * overlap
+
+
+def _reject(bad: np.ndarray, values: np.ndarray, message: str) -> None:
+    """Raise ValueError for the first matrix flagged in `bad`.
+
+    `message` is formatted with that matrix's entry of `values`; in a stack
+    the error names the matrix's index.
+    """
+    if not bad.any():
+        return
+    index = tuple(int(i) for i in np.argwhere(bad)[0])
+    where = f"matrix {index[0] if len(index) == 1 else index} of the stack: " if index else ""
+    raise ValueError(where + message.format(values[index]))
+
+
+def _as_scalar(values: np.ndarray):
+    """A float for a single matrix's result, the array for a stack's."""
+    return float(values) if values.ndim == 0 else values
 
 
 def check_density_matrix(
@@ -70,7 +101,9 @@ def check_density_matrix(
 ) -> np.ndarray:
     """Validate Hermiticity, unit trace and positivity up to numerical noise.
 
-    Returns the input on success, raises ValueError otherwise.
+    Takes one square matrix or a stack of them (..., n, n). Returns the
+    input on success, raises ValueError otherwise, naming the first bad
+    matrix of a stack by its index.
     """
     rho = np.asarray(rho)
     _checked_spectrum(rho, herm_tol=herm_tol, trace_tol=trace_tol, eig_floor=eig_floor)
@@ -89,85 +122,72 @@ def _checked_spectrum(
 
     The positivity check needs the eigenvalues of the Hermitian part anyway,
     so the measures take them from here instead of diagonalizing twice.
-    Returns `_eigh` of the Hermitian part.
+    Returns the ascending eigenvalues of the Hermitian part, with the
+    eigenvectors if `vectors` (else None), from one call for the stack.
     """
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    rho_h = rho.conj().T
-    herm_dev = float(np.abs(rho - rho_h).max())
-    if herm_dev > herm_tol:
-        raise ValueError(f"matrix is not Hermitian within {herm_tol:g} (deviation {herm_dev:.3e})")
-    trace_dev = abs(complex(rho.trace()) - 1.0)
-    if trace_dev > trace_tol:
-        raise ValueError(f"trace deviates from 1 by {trace_dev:.3e}")
-    evals, evecs = _eigh(0.5 * (rho + rho_h), vectors)
-    min_eig = float(evals[0])
-    if min_eig < eig_floor:
-        raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {min_eig:.3e})")
-    return evals, evecs
-
-
-def _eigh(herm: np.ndarray, vectors: bool):
-    """Ascending eigenvalues (and eigenvectors if `vectors`) of a Hermitian matrix.
-
-    Calls zheevd on the lower triangle, the LAPACK driver behind
-    np.linalg.eigh and eigvalsh, directly: on 4x4 matrices numpy's wrapper
-    costs more than the decomposition. The eigenvector slot is a dummy
-    when `vectors` is false.
-    """
-    evals, evecs, info = lapack.zheevd(herm, compute_v=int(vectors), lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    rho_h = rho.conj().swapaxes(-1, -2)
+    herm_dev = np.abs(rho - rho_h).max(axis=(-2, -1))
+    _reject(
+        herm_dev > herm_tol,
+        herm_dev,
+        f"matrix is not Hermitian within {herm_tol:g} (deviation {{:.3e}})",
+    )
+    trace_dev = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
+    _reject(trace_dev > trace_tol, trace_dev, "trace deviates from 1 by {:.3e}")
+    herm = 0.5 * (rho + rho_h)
+    evals, evecs = np.linalg.eigh(herm) if vectors else (np.linalg.eigvalsh(herm), None)
+    min_eig = evals[..., 0]
+    _reject(
+        min_eig < eig_floor, min_eig, "matrix is not positive semidefinite (min eigenvalue {:.3e})"
+    )
     return evals, evecs
 
 
 _EPS = float(np.finfo(float).eps)
 
-_SY_SY = np.array(
-    [
-        [0, 0, 0, -1],
-        [0, 0, 1, 0],
-        [0, 1, 0, 0],
-        [-1, 0, 0, 0],
-    ],
-    dtype=complex,
-)
+#: (sy x sy) rho* (sy x sy) reverses both indices of rho* and flips the sign
+#: of each entry by s_i s_j with s = (-1, 1, 1, -1)
+_SPIN_FLIP_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
 
 
-def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence of a 4x4 two-qubit density matrix.
+def concurrence(rho: np.ndarray):
+    """Wootters concurrence of a 4x4 two-qubit density matrix or a stack of them.
 
     C = max(0, l1 - l2 - l3 - l4) with l_i the decreasing square roots of
     the eigenvalues of rho (sy x sy) rho* (sy x sy). Eigenvalues are taken
     from the Hermitian similar form sqrt(rho) rho~ sqrt(rho) when rho is
-    numerically positive semidefinite, with a general-eigensolver fallback
-    that clamps small negative real parts.
+    numerically positive semidefinite, with a general-eigensolver fallback,
+    run only on the matrices that need it, that clamps small negative real
+    parts. Returns a float for one matrix, an array for a stack.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"concurrence needs a 4x4 matrix, got shape {rho.shape}")
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"concurrence needs 4x4 matrices, got shape {rho.shape}")
     evals, evecs = _checked_spectrum(rho, vectors=True)
-    rho_tilde = _SY_SY @ rho.conj() @ _SY_SY
-    if evals[0] >= -1e-12:
-        sqrt_rho = (evecs * np.sqrt(evals.clip(0.0, None))) @ evecs.conj().T
-        omega = _eigh(sqrt_rho @ rho_tilde @ sqrt_rho, False)[0]
-    else:
-        omega = np.linalg.eigvals(rho @ rho_tilde).real
-        if omega.min() < -1e-10:
-            raise ValueError(f"spin-flipped spectrum has eigenvalue {omega.min():.3e} below -1e-10")
-    omega = omega.tolist()
+    rho_tilde = rho.conj()[..., ::-1, ::-1] * _SPIN_FLIP_SIGNS
+    root = np.sqrt(evals.clip(0.0, None))[..., None, :]
+    sqrt_rho = (evecs * root) @ evecs.conj().swapaxes(-1, -2)
+    omega = np.linalg.eigvalsh(sqrt_rho @ rho_tilde @ sqrt_rho)
+    general = evals[..., 0] < -1e-12
+    if general.any():
+        omega[general] = np.linalg.eigvals(rho[general] @ rho_tilde[general]).real
+        low = np.where(general, omega.min(axis=-1), 0.0)
+        _reject(low < -1e-10, low, "spin-flipped spectrum has eigenvalue {:.3e} below -1e-10")
     # eigenvalues below the eigensolver's resolution are zeros in disguise;
     # square-rooting them would inject O(sqrt(eps)) noise into the sum
-    floor = 64.0 * _EPS * max(max(omega), 0.0)
-    lam = sorted(math.sqrt(w) if w > floor else 0.0 for w in omega)
-    value = lam[-1] - sum(lam[:-1])
-    return min(max(value, 0.0), 1.0)
+    floor = 64.0 * _EPS * np.maximum(omega.max(axis=-1), 0.0)
+    lam = np.sort(np.sqrt(np.where(omega > floor[..., None], omega, 0.0)), axis=-1)
+    value = lam[..., 3] - lam[..., :3].sum(axis=-1)
+    return _as_scalar(np.where(value < 0.0, 0.0, np.where(value > 1.0, 1.0, value)))
 
 
-def von_neumann_entropy(rho: np.ndarray, base=2) -> float:
-    """Spectral entropy -sum p log p, 0 log 0 = 0.
+def von_neumann_entropy(rho: np.ndarray, base=2):
+    """Spectral entropy -sum p log p, 0 log 0 = 0, of one matrix or a stack.
 
     base=2 reports bits (default), base="e" or math.e reports nats.
+    Returns a float for one matrix, an array for a stack.
     """
     rho = np.asarray(rho, dtype=complex)
     p, _ = _checked_spectrum(rho)
@@ -178,8 +198,8 @@ def von_neumann_entropy(rho: np.ndarray, base=2) -> float:
     else:
         raise ValueError(f"base must be 2 or 'e', got {base!r}")
     p = p.clip(0.0, 1.0)
-    p = p[p > 0.0]
-    return float(max(-(p * np.log(p)).sum() / log_div, 0.0))
+    value = -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1) / log_div
+    return _as_scalar(np.where(value < 0.0, 0.0, value))
 
 
 def timeseries(measure: str, k: float, t_grid) -> np.ndarray:
@@ -200,8 +220,4 @@ def timeseries(measure: str, k: float, t_grid) -> np.ndarray:
         func = von_neumann_entropy
     else:
         raise ValueError(f"measure must be 'concurrence' or 'entropy', got {measure!r}")
-    out = np.empty((t_grid.size, 2))
-    for i, t in enumerate(t_grid):
-        out[i, 0] = t
-        out[i, 1] = func(reduced_rho_ab(t, k))
-    return out
+    return np.column_stack([t_grid, func(reduced_rho_ab(t_grid, k))])

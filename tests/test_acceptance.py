@@ -52,10 +52,10 @@ def test_acceptance_1_qubit_death_and_revival():
     start = time.perf_counter()
 
     grid = np.linspace(0.0, 8.0 * math.pi, 4000)
-    # one reduced state per grid point serves both measures
-    rhos = [reduced_rho_ab(float(t), 0.5) for t in grid]
-    conc = np.array([concurrence(r) for r in rhos])
-    ent = np.array([von_neumann_entropy(r) for r in rhos])
+    # one stack of reduced states serves both measures
+    rhos = reduced_rho_ab(grid, 0.5)
+    conc = concurrence(rhos)
+    ent = von_neumann_entropy(rhos)
 
     # death: a run of exact zeros strictly between positive lobes
     zero_runs = []

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,6 +241,25 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+def test_cli_import_leaves_out_scipy_stats_and_linalg():
+    # scipy.stats alone used to be most of the package's import time
+    import optomech
+
+    src = str(Path(optomech.__file__).resolve().parents[1])
+    code = (
+        "import sys, optomech.cli; "
+        "print([m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_error_text_goes_to_stderr(capsys):

@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from optomech.core import energy_eigenvalue_scaled, eta, xi
+from optomech.core import energy_eigenvalue_scaled, eta
 from optomech.oracle import (
     FockConfig,
     apply_evolution,

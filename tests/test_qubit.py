@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from optomech.core import xi
+from optomech.core import big_b, xi
 from optomech.qubit import (
     BASIS_ORDER,
     check_density_matrix,
@@ -189,3 +189,144 @@ def test_oracle_agreement_spot_check():
         rho_fock = partial_trace(evolved, "AB")
         rho_closed = reduced_rho_ab(t, 0.5)
         assert np.abs(rho_fock - rho_closed).max() < 1e-10
+
+
+# --- the batched path against the per-point algorithm it replaced ----------
+
+_SY_SY = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex)
+
+
+def _reference_rho(t: float, k: float) -> np.ndarray:
+    """One reduced state, built as the per-point path built it."""
+    phase = np.exp(-1j * complex(big_b(t, k)))
+    # xi as a complex product of numpy scalars
+    disp = k * complex(np.exp(1j * t) * (1.0 - np.exp(-1j * t)))
+    c = np.array([0.5, 0.5 * phase, 0.5 * phase, 0.5])
+    d = np.array([0.0, -disp, +disp, 0.0])
+    mag2 = np.abs(d) ** 2
+    overlap = np.exp(-0.5 * (mag2[:, None] + mag2[None, :]) + np.conj(d)[None, :] * d[:, None])
+    return c[:, None] * np.conj(c)[None, :] * overlap
+
+
+def _reference_concurrence(rho: np.ndarray) -> float:
+    evals, evecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+    rho_tilde = _SY_SY @ rho.conj() @ _SY_SY
+    if evals[0] >= -1e-12:
+        sqrt_rho = (evecs * np.sqrt(evals.clip(0.0, None))) @ evecs.conj().T
+        omega = np.linalg.eigvalsh(sqrt_rho @ rho_tilde @ sqrt_rho).tolist()
+    else:
+        omega = np.linalg.eigvals(rho @ rho_tilde).real.tolist()
+    floor = 64.0 * np.finfo(float).eps * max(max(omega), 0.0)
+    lam = sorted(math.sqrt(w) if w > floor else 0.0 for w in omega)
+    return min(max(lam[-1] - sum(lam[:-1]), 0.0), 1.0)
+
+
+def _reference_entropy(rho: np.ndarray) -> float:
+    p = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).clip(0.0, 1.0)
+    p = p[p > 0.0]
+    return float(max(-(p * np.log(p)).sum() / math.log(2.0), 0.0))
+
+
+def _assert_same_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def _assert_matches_reference(rhos, conc, ent, points):
+    ref = [_reference_rho(t, k) for t, k in points]
+    _assert_same_bits(rhos, np.array(ref))
+    _assert_same_bits(conc, np.array([_reference_concurrence(r) for r in ref]))
+    _assert_same_bits(ent, np.array([_reference_entropy(r) for r in ref]))
+
+
+@pytest.mark.parametrize("k", [0.0, 0.1, 0.5, 0.74, 2.0])
+def test_batched_time_series_matches_per_point_path(k):
+    grid = np.linspace(0.0, 8.0 * math.pi, 4000)
+    rhos = reduced_rho_ab(grid, k)
+    assert rhos.shape == (4000, 4, 4)
+    _assert_matches_reference(
+        rhos, concurrence(rhos), von_neumann_entropy(rhos), [(float(t), k) for t in grid]
+    )
+
+
+def test_batched_k_sweep_matches_per_point_path():
+    ks = np.linspace(0.0, 1.5, 500)
+    rhos = reduced_rho_ab(math.pi, ks)
+    assert rhos.shape == (500, 4, 4)
+    _assert_matches_reference(
+        rhos, concurrence(rhos), von_neumann_entropy(rhos), [(math.pi, float(k)) for k in ks]
+    )
+
+
+def test_stacks_broadcast_and_single_matrices_give_floats():
+    t = np.array([0.3, 1.0, math.pi])
+    k = np.array([[0.2], [0.5]])
+    amps, disp = evolve_qubit_state(t, k)
+    assert amps.shape == disp.shape == (2, 3, 4)
+    rhos = reduced_rho_ab(t, k)
+    assert rhos.shape == (2, 3, 4, 4)
+    conc = concurrence(rhos)
+    ent = von_neumann_entropy(rhos, base="e")
+    assert conc.shape == ent.shape == (2, 3)
+    for i in range(2):
+        for j in range(3):
+            rho = reduced_rho_ab(t[j], k[i, 0])
+            assert isinstance(concurrence(rho), float)
+            assert isinstance(von_neumann_entropy(rho), float)
+            assert concurrence(rho) == conc[i, j]
+            assert von_neumann_entropy(rho, base="e") == ent[i, j]
+    assert check_density_matrix(rhos) is rhos
+
+
+def test_concurrence_fallback_runs_only_on_matrices_that_need_it(monkeypatch):
+    bell = np.zeros(4)
+    bell[0] = bell[3] = 1.0 / math.sqrt(2.0)
+    # a slightly non-positive mixture: smallest eigenvalue -5e-11 on |10>
+    nearly = 0.8 * np.outer(bell, bell) + np.diag([0.0, 0.2 + 5e-11, -5e-11, 0.0])
+    assert np.linalg.eigvalsh(nearly)[0] == pytest.approx(-5e-11, rel=1e-6)
+    psd = reduced_rho_ab(math.pi, 0.5)
+    stack = np.stack([psd, nearly.astype(complex), psd])
+
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def spy(a):
+        calls.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    conc = concurrence(stack)
+    assert calls == [(1, 4, 4)]
+    expected = [_reference_concurrence(r) for r in stack]
+    _assert_same_bits(conc, np.array(expected))
+    # an X state: C = 2 (|rho_03| - sqrt(rho_11 rho_22)) = 0.8 up to the perturbation
+    assert conc[1] == pytest.approx(0.8, abs=1e-9)
+    assert [concurrence(r) for r in stack] == expected
+
+
+@pytest.mark.parametrize("func", [check_density_matrix, concurrence, von_neumann_entropy])
+def test_bad_matrix_in_a_stack_is_named_by_index(func):
+    good = reduced_rho_ab(np.linspace(0.1, 3.0, 5), 0.5)
+    for bad, reason in (
+        (good[2] * 2.0, "trace"),
+        (good[2] + np.diag([0.0, 0.0, 0.3j, -0.3j]) @ np.ones((4, 4)), "Hermitian"),
+        (np.diag([0.6, 0.6, -0.1, -0.1]).astype(complex), "positive semidefinite"),
+    ):
+        stack = good.copy()
+        stack[3] = bad
+        with pytest.raises(ValueError, match=f"matrix 3 of the stack: .*{reason}"):
+            func(stack)
+        grid = np.stack([good, stack])
+        with pytest.raises(ValueError, match=rf"matrix \(1, 3\) of the stack: .*{reason}"):
+            func(grid)
+
+
+@pytest.mark.parametrize("k", [-0.1, np.array([0.2, -0.3, 0.5])])
+def test_negative_coupling_is_rejected(k):
+    for func in (evolve_qubit_state, reduced_rho_ab):
+        with pytest.raises(ValueError, match="k must be non-negative"):
+            func(1.0, k)
+    with pytest.raises(ValueError, match="k must be non-negative, got -0.3"):
+        reduced_rho_ab(np.linspace(0.0, 1.0, 3), np.array([0.2, -0.3, 0.5]))
