@@ -423,16 +423,27 @@ def _minima_metadata(res) -> dict:
     return {"minimization_mode": res.mode, "refined_cells": str(int(res.refined.sum()))}
 
 
+def _witness_window(values: dict) -> tuple[float, float, float, float]:
+    """(window, kappa, r_a, r_b) for a witness-minimum grid.
+
+    The window is the photon lifetime in scaled time unless window_scaled
+    overrides it; r_a and r_b are the carriers over omega_m.
+    """
+    window, kappa = _scaled_window(values)
+    if values["window_scaled"] is not None:
+        window = values["window_scaled"]
+    omega_m = values["omega_m_rad_per_s"]
+    r_a = values["omega_a_rad_per_s"] / omega_m
+    r_b = values["omega_b_rad_per_s"] / omega_m
+    return window, kappa, r_a, r_b
+
+
 def run_fig4a(cfg: RunConfig) -> ResultTable:
     v = cfg.values
     if not v["k_max"] > v["k_min"]:
         raise _CliError("field 'k_max': must exceed k_min")
-    window, _ = _scaled_window(v)
-    if v["window_scaled"] is not None:
-        window = v["window_scaled"]
+    window, _, r_a, r_b = _witness_window(v)
     omega_m = v["omega_m_rad_per_s"]
-    r_a = v["omega_a_rad_per_s"] / omega_m
-    r_b = v["omega_b_rad_per_s"] / omega_m
     ks = np.arange(v["k_min"], v["k_max"] + 0.5 * v["k_step"], v["k_step"])
     temps = v["temperatures_K"]
     nbars = [thermal_occupation(T, omega_m) for T in temps]
@@ -451,12 +462,8 @@ def run_fig4b(cfg: RunConfig) -> ResultTable:
     for lo, hi in (("alpha_min", "alpha_max"), ("beta_min", "beta_max")):
         if not v[hi] > v[lo]:
             raise _CliError(f"field {hi!r}: must exceed {lo}")
-    window, kappa = _scaled_window(v)
-    if v["window_scaled"] is not None:
-        window = v["window_scaled"]
+    window, kappa, r_a, r_b = _witness_window(v)
     omega_m = v["omega_m_rad_per_s"]
-    r_a = v["omega_a_rad_per_s"] / omega_m
-    r_b = v["omega_b_rad_per_s"] / omega_m
     nbar = thermal_occupation(v["temperature_K"], omega_m)
     alphas = np.arange(v["alpha_min"], v["alpha_max"] + 0.5 * v["alpha_step"], v["alpha_step"])
     betas = np.arange(v["beta_min"], v["beta_max"] + 0.5 * v["beta_step"], v["beta_step"])
@@ -628,16 +635,15 @@ def _check_stationarity(rng) -> list:
     config = FockConfig(n_max_a=2, n_max_b=2, n_max_c=40, tolerance=1e-12)
     dev = 0.0
     for n0, m0, l0 in ((1, 0, 2), (0, 2, 0), (2, 1, 3)):
-        psi = np.zeros((3, 3, 41), dtype=complex)
-        psi[n0, m0, :] = displacement_matrix(k * (n0 - m0), 40)[:, l0] if n0 != m0 else 0.0
-        if n0 == m0:
-            psi[n0, m0, l0] = 1.0
-        state = TriModeState(np.array([1.0]), [psi], config)
+        psi = np.zeros((1, 3, 3, 41), dtype=complex)
+        # displacement_matrix(0, n) is exactly the identity, so n0 == m0 needs no case
+        psi[0, n0, m0, :] = displacement_matrix(k * (n0 - m0), 40)[:, l0]
+        state = TriModeState(np.array([1.0]), psi, config)
         energy = energy_eigenvalue_scaled(n0, m0, l0, k, r_a, r_b)
         for t in rng.uniform(0.0, 4.0 * math.pi, 3):
             evolved = apply_evolution(state, float(t), k, r_a, r_b)
             expected = np.exp(-1j * energy * float(t)) * psi
-            dev = max(dev, float(np.abs(evolved.vectors[0] - expected).max()))
+            dev = max(dev, float(np.abs(evolved.vectors - expected).max()))
     return [("oracle_eigenstate_stationarity", dev, 1e-8)]
 
 

@@ -370,10 +370,29 @@ class OptimizeResult:
 
 
 def _k_excluded(k: np.ndarray, halfwidth: float, n_max: int) -> np.ndarray:
-    """Boolean mask of couplings inside any inconclusive band around sqrt(n/2)."""
-    bad = np.zeros(np.shape(k), dtype=bool)
-    for n in range(1, n_max + 1):
-        bad |= np.abs(k - math.sqrt(n / 2.0)) <= halfwidth
+    """Boolean mask of couplings k >= 0 inside an inconclusive band.
+
+    The bands are |k - sqrt(n/2)| <= halfwidth for n = 1..n_max. sqrt(n/2)
+    grows with n, so the band nearest k is n = floor(2 k**2) or n + 1, each
+    clipped to 1..n_max; checking those two is exact for any halfwidth.
+    """
+    k = np.asarray(k, dtype=float)
+    if n_max < 1:
+        return np.zeros(k.shape, dtype=bool)
+    # in place throughout: the design grids hold about 250k couplings, and
+    # each extra temporary raised the search's peak memory
+    below = np.square(k)
+    below *= 2.0
+    np.floor(below, out=below)
+    above = below + 1.0
+    np.minimum(above, n_max, out=above)
+    np.clip(below, 1, n_max, out=below)
+    bad = np.zeros(k.shape, dtype=bool)
+    for band in (below, above):
+        band *= 0.5
+        np.sqrt(band, out=band)
+        band -= k  # the sign flip is exact, so |band| equals |k - sqrt(n/2)| bit for bit
+        bad |= np.abs(band, out=band) <= halfwidth
     return bad
 
 

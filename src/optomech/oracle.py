@@ -22,7 +22,9 @@ Mixed mechanical input states (thermal occupation nbar > 0) are represented
 as weighted ensembles of pure states over the initial mechanical Fock
 number, which is exact for every quantity reported here because the thermal
 state is diagonal in the number basis and all outputs are linear in the
-density matrix.
+density matrix. The ensemble is one array with a leading member axis; since
+rho = sum_w w |psi_w><psi_w| is the partial trace of the purification
+sqrt(w) psi over that axis, every output traces it like a fourth mode.
 """
 
 from __future__ import annotations
@@ -209,30 +211,23 @@ class FockConfig:
 class TriModeState:
     """State of modes A, B (optical) and C (mechanical) in the number basis.
 
-    Either a single pure amplitude tensor of shape
-    (n_max_a+1, n_max_b+1, n_max_c+1), or a statistical ensemble of such
-    tensors with fixed weights. Treated as immutable after construction.
+    A statistical ensemble of pure states with fixed weights: `vectors` has
+    shape (members, n_max_a+1, n_max_b+1, n_max_c+1) and `weights` has shape
+    (members,). A pure state is an ensemble of one. Treated as immutable
+    after construction.
     """
 
     weights: np.ndarray
-    vectors: list
+    vectors: np.ndarray
     config: FockConfig
 
     @property
-    def is_pure(self) -> bool:
-        return len(self.vectors) == 1
-
-    @property
     def shape(self) -> tuple:
-        return self.vectors[0].shape
+        """Shape of one member's amplitude tensor."""
+        return self.vectors.shape[1:]
 
     def trace(self) -> float:
-        return float(
-            sum(
-                w * float(np.vdot(v, v).real)
-                for w, v in zip(self.weights, self.vectors)
-            )
-        )
+        return _ladder_expectation(self, ()).real
 
 
 def _coherent_vector(alpha: complex, n_max: int) -> np.ndarray:
@@ -269,9 +264,11 @@ def build_initial_state(kind: str, **params) -> TriModeState:
             config = FockConfig.for_qubit(k, tolerance)
         if config.n_max_a < 1 or config.n_max_b < 1:
             raise ValueError("qubit state needs optical cutoffs of at least 1")
-        psi = np.zeros((config.n_max_a + 1, config.n_max_b + 1, config.n_max_c + 1), dtype=complex)
-        psi[0:2, 0:2, 0] = 0.5
-        return TriModeState(np.array([1.0]), [psi], config)
+        psi = np.zeros(
+            (1, config.n_max_a + 1, config.n_max_b + 1, config.n_max_c + 1), dtype=complex
+        )
+        psi[0, 0:2, 0:2, 0] = 0.5
+        return TriModeState(np.array([1.0]), psi, config)
 
     if kind == "coherent_thermal":
         alpha = complex(params.pop("alpha", 0.0))
@@ -312,13 +309,13 @@ def build_initial_state(kind: str, **params) -> TriModeState:
             q = nbar / (1.0 + nbar)
             weights = (1.0 - q) * q ** np.arange(l_max + 1)
             weights = weights / weights.sum()
-        vectors = []
-        for l0 in range(len(weights)):
-            psi = np.zeros(
-                (config.n_max_a + 1, config.n_max_b + 1, config.n_max_c + 1), dtype=complex
-            )
-            psi[:, :, l0] = optical
-            vectors.append(psi)
+        # member l0 starts in mechanical Fock state l0
+        l0 = np.arange(len(weights))
+        vectors = np.zeros(
+            (len(weights), config.n_max_a + 1, config.n_max_b + 1, config.n_max_c + 1),
+            dtype=complex,
+        )
+        vectors[l0, :, :, l0] = optical
         return TriModeState(weights, vectors, config)
 
     raise ValueError(f"unknown state kind {kind!r}")
@@ -350,8 +347,7 @@ def apply_evolution(
     if not interaction_picture:
         phase = phase * np.exp(-1j * t * (r_a * n + r_b * m))
     xi_t = complex(xi(t))
-    stacked = np.stack(state.vectors)
-    out = stacked * phase[None, :, :, None]
+    out = state.vectors * phase[:, :, None]
     if k != 0.0 and xi_t != 0.0:
         for d in range(1, int(np.abs(delta).max()) + 1):
             mat = displacement_matrix(k * d * xi_t, nc1 - 1)
@@ -361,8 +357,8 @@ def apply_evolution(
                 if mask.any():
                     out[:, mask, :] = out[:, mask, :] @ mat_t
     if not interaction_picture:
-        out = out * np.exp(-1j * t * np.arange(nc1))[None, None, None, :]
-    return TriModeState(state.weights.copy(), list(out), state.config)
+        out *= np.exp(-1j * t * np.arange(nc1))
+    return TriModeState(state.weights.copy(), out, state.config)
 
 
 def partial_trace(state: TriModeState, keep: str) -> np.ndarray:
@@ -375,32 +371,48 @@ def partial_trace(state: TriModeState, keep: str) -> np.ndarray:
     kept = "".join(sorted(set(keep.upper())))
     if not kept or any(mode not in _MODE_AXES for mode in kept):
         raise ValueError(f"keep must be a non-empty subset of 'ABC', got {keep!r}")
-    traced = [axis for mode, axis in _MODE_AXES.items() if mode not in kept]
-    kept_axes = [_MODE_AXES[mode] for mode in kept]
-    dims = state.shape
-    dim_keep = int(np.prod([dims[axis] for axis in kept_axes]))
+    dim_keep = int(np.prod([state.shape[_MODE_AXES[mode]] for mode in kept]))
     if dim_keep ** 2 > 4e8:
         raise ValueError(f"reduced matrix over {kept} would have dimension {dim_keep}")
-    rho = np.zeros((dim_keep, dim_keep), dtype=complex)
-    for w, psi in zip(state.weights, state.vectors):
-        if traced:
-            block = np.tensordot(psi, psi.conj(), axes=(traced, traced))
-        else:
-            block = np.multiply.outer(psi, psi.conj())
-            order = kept_axes + [axis + 3 for axis in kept_axes]
-            block = np.transpose(block, order)
-        rho += w * block.reshape(dim_keep, dim_keep)
-    return rho
+    # trace the purification sqrt(w) psi over the member axis and the dropped modes
+    traced = [0] + [axis + 1 for mode, axis in _MODE_AXES.items() if mode not in kept]
+    phi = np.sqrt(state.weights)[:, None, None, None] * state.vectors
+    return np.tensordot(phi, phi.conj(), axes=(traced, traced)).reshape(dim_keep, dim_keep)
 
 
-def _lower(psi: np.ndarray, axis: int) -> np.ndarray:
-    """Apply the annihilation operator along the given tensor axis."""
-    p = np.moveaxis(psi, axis, 0)
-    out = np.zeros_like(p)
-    dim = p.shape[0]
-    weights = np.sqrt(np.arange(1, dim, dtype=float)).reshape((-1,) + (1,) * (p.ndim - 1))
-    out[:-1] = p[1:] * weights
-    return np.moveaxis(out, 0, axis)
+def _mean_numbers(state: TriModeState) -> list:
+    """[<n_A>, <n_B>, <n_C>] from the occupation probabilities sum_w w |psi_w|**2."""
+    prob = np.abs(state.vectors)
+    prob *= prob
+    prob = np.tensordot(state.weights, prob, axes=1)
+    return [
+        float(prob.sum(axis=tuple(other for other in range(3) if other != axis)) @ np.arange(dim))
+        for axis, dim in enumerate(prob.shape)
+    ]
+
+
+def _ladder_expectation(state: TriModeState, axes: tuple, coeff=None) -> complex:
+    """sum_w w <psi_w| coeff a_1 a_2 ... |psi_w>, one annihilator per mode axis in axes.
+
+    Lowering along an axis pairs amplitude n with amplitude n+1 at weight
+    sqrt(n+1), so the expectation is one conjugated dot of shifted slices
+    of the ensemble, with no lowered copy of it. coeff broadcasts against
+    the shifted slice of one member. With no axes and no coeff this is the
+    trace of the density matrix.
+    """
+    psi = state.vectors
+    lo = [slice(None)] * psi.ndim
+    hi = [slice(None)] * psi.ndim
+    factor = state.weights[:, None, None, None]
+    for axis in axes:
+        lo[axis + 1] = slice(None, -1)
+        hi[axis + 1] = slice(1, None)
+        sqrt_n = np.sqrt(np.arange(1, psi.shape[axis + 1], dtype=float))
+        factor = factor * np.expand_dims(sqrt_n, [d for d in range(psi.ndim) if d != axis + 1])
+    ket = psi[tuple(hi)] * factor
+    if coeff is not None:
+        ket *= coeff
+    return complex(np.vecdot(psi[tuple(lo)], ket).sum())
 
 
 @dataclass(frozen=True)
@@ -420,22 +432,13 @@ def moments(state: TriModeState, mode_pair: str) -> ModePairMoments:
     if len(pair) != 2 or any(mode not in _MODE_AXES for mode in pair):
         raise ValueError(f"mode_pair must name two of A, B, C, got {mode_pair!r}")
     ax1, ax2 = _MODE_AXES[pair[0]], _MODE_AXES[pair[1]]
-    mean1 = mean2 = corr = 0.0 + 0.0j
-    occ1 = occ2 = 0.0
-    for w, psi in zip(state.weights, state.vectors):
-        low1 = _lower(psi, ax1)
-        low2 = _lower(psi, ax2)
-        mean1 += w * np.vdot(psi, low1)
-        mean2 += w * np.vdot(psi, low2)
-        occ1 += w * float(np.vdot(low1, low1).real)
-        occ2 += w * float(np.vdot(low2, low2).real)
-        corr += w * np.vdot(psi, _lower(low1, ax2))
+    occ = _mean_numbers(state)
     return ModePairMoments(
-        mean1=complex(mean1),
-        mean2=complex(mean2),
-        occ1=occ1,
-        occ2=occ2,
-        corr=complex(corr),
+        mean1=_ladder_expectation(state, (ax1,)),
+        mean2=_ladder_expectation(state, (ax2,)),
+        occ1=occ[ax1],
+        occ2=occ[ax2],
+        corr=_ladder_expectation(state, (ax1, ax2)),
     )
 
 
@@ -445,19 +448,9 @@ def hamiltonian_expectation(state: TriModeState, k: float, r_a: float, r_b: floa
     Used by the conservation tests; exact in the truncated basis as long as
     the state holds no appreciable weight at the cutoff boundary.
     """
-    na1, nb1, nc1 = state.shape
-    n = np.arange(na1, dtype=float)
-    m = np.arange(nb1, dtype=float)
-    l = np.arange(nc1, dtype=float)
-    delta = n[:, None, None] - m[None, :, None]
-    total = 0.0
-    for w, psi in zip(state.weights, state.vectors):
-        prob = np.abs(psi) ** 2
-        occ = (
-            r_a * float((prob.sum(axis=(1, 2)) * n).sum())
-            + r_b * float((prob.sum(axis=(0, 2)) * m).sum())
-            + float((prob.sum(axis=(0, 1)) * l).sum())
-        )
-        cross = np.vdot(psi, delta * _lower(psi, 2))
-        total += w * (occ - 2.0 * k * float(cross.real))
-    return total
+    n_a, n_b, n_c = _mean_numbers(state)
+    na1, nb1, _ = state.shape
+    delta = np.arange(na1)[:, None, None] - np.arange(nb1)[None, :, None]
+    # <(n_a - n_b)(c + c+)> = 2 Re <(n_a - n_b) c>
+    cross = _ladder_expectation(state, (2,), coeff=delta)
+    return r_a * n_a + r_b * n_b + n_c - 2.0 * k * cross.real

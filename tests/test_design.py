@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from optomech.design import (
@@ -18,6 +19,7 @@ from optomech.design import (
     optimize_design,
     proposed_atom_spec,
     proposed_geometry,
+    _k_excluded,
 )
 
 OMEGA_M = 2.0 * math.pi * 95e3
@@ -210,3 +212,29 @@ class TestOptimizeDesign:
         res = optimize_design(space)
         assert not res.feasible
         assert "exclusion band" in res.message
+
+
+def _k_excluded_by_band_loop(k, halfwidth, n_max):
+    """The per-band scan that the nearest-band arithmetic replaced."""
+    bad = np.zeros(np.shape(k), dtype=bool)
+    for n in range(1, n_max + 1):
+        bad |= np.abs(k - math.sqrt(n / 2.0)) <= halfwidth
+    return bad
+
+
+@pytest.mark.parametrize("halfwidth", [0.0, 0.02, 0.3, 1.0])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 5, 8, 11])
+def test_k_excluded_matches_band_loop(halfwidth, n_max):
+    rng = np.random.default_rng(1000 * n_max + int(100 * halfwidth))
+    centres = np.sqrt(np.arange(0, 14) / 2.0)
+    k = np.concatenate([
+        rng.uniform(0.0, 3.0, 300),
+        # on every band centre and edge, and one ulp either side of each edge
+        centres, centres + halfwidth, np.abs(centres - halfwidth),
+        np.nextafter(centres + halfwidth, np.inf), np.nextafter(centres + halfwidth, 0.0),
+        np.nextafter(np.abs(centres - halfwidth), np.inf),
+        np.nextafter(np.abs(centres - halfwidth), 0.0),
+    ])
+    for ks in (k, k[:300].reshape(20, 15)):
+        want = _k_excluded_by_band_loop(ks, halfwidth, n_max)
+        assert np.array_equal(_k_excluded(ks, halfwidth, n_max), want)

@@ -6,6 +6,7 @@ rest of the suite can lean on it as an independent oracle.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from optomech.core import energy_eigenvalue_scaled, eta
 from optomech.oracle import (
     FockConfig,
+    TriModeState,
     apply_evolution,
     build_initial_state,
     displacement_matrix,
@@ -156,9 +158,7 @@ def test_single_photon_drags_the_mirror():
     cfg = FockConfig(n_max_a=1, n_max_b=1, n_max_c=25)
     psi = np.zeros((2, 2, 26), dtype=complex)
     psi[1, 0, 0] = 1.0
-    from optomech.oracle import TriModeState
-
-    state = TriModeState(np.array([1.0]), [psi], cfg)
+    state = TriModeState(np.array([1.0]), psi[None], cfg)
     for t in (0.9, math.pi, 4.0):
         evolved = apply_evolution(state, t, 0.6, 0.0, 0.0)
         m = moments(evolved, "AC")
@@ -169,13 +169,11 @@ def test_single_photon_drags_the_mirror():
 def test_eigenstate_is_stationary():
     k, r_a, r_b = 0.5, 1.3, 0.8
     cfg = FockConfig(n_max_a=2, n_max_b=2, n_max_c=40)
-    from optomech.oracle import TriModeState
-
     n0, m0 = 1, 0
     delta = n0 - m0
     psi = np.zeros((3, 3, 41), dtype=complex)
     psi[n0, m0, :] = displacement_matrix(k * delta, 40)[:, 2]  # l = 2
-    state = TriModeState(np.array([1.0]), [psi], cfg)
+    state = TriModeState(np.array([1.0]), psi[None], cfg)
     t = 2.6
     evolved = apply_evolution(state, t, k, r_a, r_b)
     energy = energy_eigenvalue_scaled(n0, m0, 2, k, r_a, r_b)
@@ -245,3 +243,163 @@ def test_truncation_doubling_is_stable():
         results.append([duan_from_moments(moments(evolved, pair)) for pair in ("AB", "AC", "BC")])
     for a, b in zip(*results):
         assert abs(a - b) < 1e-8
+
+
+# Per-member reference: the loop over ensemble members that the
+# whole-ensemble oracle replaced, kept verbatim as the scalar path.
+
+
+def _ref_lower(psi, axis):
+    p = np.moveaxis(psi, axis, 0)
+    out = np.zeros_like(p)
+    dim = p.shape[0]
+    weights = np.sqrt(np.arange(1, dim, dtype=float)).reshape((-1,) + (1,) * (p.ndim - 1))
+    out[:-1] = p[1:] * weights
+    return np.moveaxis(out, 0, axis)
+
+
+def _ref_trace(state):
+    return float(sum(w * float(np.vdot(v, v).real) for w, v in zip(state.weights, state.vectors)))
+
+
+def _ref_partial_trace(state, keep):
+    axes = {"A": 0, "B": 1, "C": 2}
+    kept = "".join(sorted(set(keep)))
+    traced = [axis for mode, axis in axes.items() if mode not in kept]
+    kept_axes = [axes[mode] for mode in kept]
+    dim_keep = int(np.prod([state.shape[axis] for axis in kept_axes]))
+    rho = np.zeros((dim_keep, dim_keep), dtype=complex)
+    for w, psi in zip(state.weights, state.vectors):
+        if traced:
+            block = np.tensordot(psi, psi.conj(), axes=(traced, traced))
+        else:
+            block = np.multiply.outer(psi, psi.conj())
+            block = np.transpose(block, kept_axes + [axis + 3 for axis in kept_axes])
+        rho += w * block.reshape(dim_keep, dim_keep)
+    return rho
+
+
+def _ref_moments(state, pair):
+    ax1, ax2 = ("ABC".index(mode) for mode in pair)
+    mean1 = mean2 = corr = 0.0 + 0.0j
+    occ1 = occ2 = 0.0
+    for w, psi in zip(state.weights, state.vectors):
+        low1 = _ref_lower(psi, ax1)
+        low2 = _ref_lower(psi, ax2)
+        mean1 += w * np.vdot(psi, low1)
+        mean2 += w * np.vdot(psi, low2)
+        occ1 += w * float(np.vdot(low1, low1).real)
+        occ2 += w * float(np.vdot(low2, low2).real)
+        corr += w * np.vdot(psi, _ref_lower(low1, ax2))
+    return (mean1, mean2, occ1, occ2, corr)
+
+
+def _ref_hamiltonian_expectation(state, k, r_a, r_b):
+    na1, nb1, nc1 = state.shape
+    n = np.arange(na1, dtype=float)
+    m = np.arange(nb1, dtype=float)
+    l = np.arange(nc1, dtype=float)
+    delta = n[:, None, None] - m[None, :, None]
+    total = 0.0
+    for w, psi in zip(state.weights, state.vectors):
+        prob = np.abs(psi) ** 2
+        occ = (
+            r_a * float((prob.sum(axis=(1, 2)) * n).sum())
+            + r_b * float((prob.sum(axis=(0, 2)) * m).sum())
+            + float((prob.sum(axis=(0, 1)) * l).sum())
+        )
+        cross = np.vdot(psi, delta * _ref_lower(psi, 2))
+        total += w * (occ - 2.0 * k * float(cross.real))
+    return total
+
+
+# every whole-ensemble quantity matches the per-member loop to this
+# relative tolerance, taken against the largest magnitude in the compared
+# matrix or record
+_PIN_RTOL = 1e-13
+_PIN_K, _PIN_RA, _PIN_RB = 0.5, 1.3, 0.4
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    mixed = build_initial_state(
+        "coherent_thermal", alpha=0.5, beta=0.3, nbar=0.3, k=_PIN_K,
+        config=FockConfig(n_max_a=4, n_max_b=4, n_max_c=30, tolerance=1e-5),
+    )
+    single = build_initial_state("qubit", k=_PIN_K)
+    return {
+        name: apply_evolution(state, 2.1, _PIN_K, _PIN_RA, _PIN_RB)
+        for name, state in (("mixed", mixed), ("single", single))
+    }
+
+
+def _assert_pinned(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= _PIN_RTOL * np.abs(want).max()
+
+
+def test_pinned_states_are_what_the_cases_claim(pinned):
+    mixed, single = pinned["mixed"], pinned["single"]
+    assert mixed.vectors.ndim == 4 and mixed.vectors.shape[0] >= 5
+    assert mixed.vectors.shape[0] == len(mixed.weights)
+    assert mixed.shape == mixed.vectors.shape[1:]
+    assert single.vectors.shape[0] == 1
+
+
+@pytest.mark.parametrize("name", ["mixed", "single"])
+def test_trace_and_energy_match_per_member_loop(pinned, name):
+    state = pinned[name]
+    _assert_pinned(state.trace(), _ref_trace(state))
+    _assert_pinned(
+        hamiltonian_expectation(state, _PIN_K, _PIN_RA, _PIN_RB),
+        _ref_hamiltonian_expectation(state, _PIN_K, _PIN_RA, _PIN_RB),
+    )
+
+
+@pytest.mark.parametrize("name", ["mixed", "single"])
+@pytest.mark.parametrize("keep", ["AB", "AC", "BC", "C", "ABC"])
+def test_partial_trace_matches_per_member_loop(pinned, name, keep):
+    state = pinned[name]
+    _assert_pinned(partial_trace(state, keep), _ref_partial_trace(state, keep))
+
+
+@pytest.mark.parametrize("name", ["mixed", "single"])
+@pytest.mark.parametrize("pair", ["AB", "AC", "BC"])
+def test_moments_match_per_member_loop(pinned, name, pair):
+    state = pinned[name]
+    m = moments(state, pair)
+    # one record: the single-member <c> vanishes exactly, so only the
+    # record's own scale makes a relative tolerance meaningful
+    _assert_pinned([m.mean1, m.mean2, m.occ1, m.occ2, m.corr], _ref_moments(state, pair))
+
+
+def _peak_bytes(fn, *args):
+    """Largest traced allocation, in bytes, while fn runs (its result included)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ensemble_operations_stay_within_memory_bound():
+    # the largest ensemble of the default certification: the truncation-
+    # doubling state, 13 members of 17 x 17 x 303 amplitudes
+    alpha, beta, nbar, k, r_a, r_b = 0.5, 0.5, 0.2, 0.5, 1.5, 0.7
+    cfg = FockConfig.for_coherent_thermal(alpha, beta, nbar, k, 1e-9).doubled()
+    state = build_initial_state(
+        "coherent_thermal", alpha=alpha, beta=beta, nbar=nbar, k=k, config=cfg
+    )
+    evolved = apply_evolution(state, 2.0, k, r_a, r_b)
+    ensemble_bytes = len(evolved.weights) * math.prod(evolved.shape) * 16
+    bound = 2.5 * ensemble_bytes
+    peaks = {
+        "apply_evolution": _peak_bytes(apply_evolution, state, 2.0, k, r_a, r_b),
+        "hamiltonian_expectation": _peak_bytes(hamiltonian_expectation, evolved, k, r_a, r_b),
+    }
+    for pair in ("AB", "AC", "BC"):
+        peaks[f"moments {pair}"] = _peak_bytes(moments, evolved, pair)
+    over = {name: peak / ensemble_bytes for name, peak in peaks.items() if peak > bound}
+    assert not over, f"peak over 2.5x the ensemble's bytes: {over}"
