@@ -41,6 +41,7 @@ from .oracle import (
     FockConfig,
     TriModeState,
     _coherent_vector,
+    _displacement_columns,
     apply_evolution,
     build_initial_state,
     displacement_matrix,
@@ -636,8 +637,8 @@ def _check_stationarity(rng) -> list:
     dev = 0.0
     for n0, m0, l0 in ((1, 0, 2), (0, 2, 0), (2, 1, 3)):
         psi = np.zeros((1, 3, 3, 41), dtype=complex)
-        # displacement_matrix(0, n) is exactly the identity, so n0 == m0 needs no case
-        psi[0, n0, m0, :] = displacement_matrix(k * (n0 - m0), 40)[:, l0]
+        # D(0) is exactly the identity, so n0 == m0 needs no case
+        psi[0, n0, m0, :] = _displacement_columns(k * (n0 - m0), 41, l0 + 1)[:, l0]
         state = TriModeState(np.array([1.0]), psi, config)
         energy = energy_eigenvalue_scaled(n0, m0, l0, k, r_a, r_b)
         for t in rng.uniform(0.0, 4.0 * math.pi, 3):

@@ -3,10 +3,21 @@
 The evolution operator of the two-optical-mode plus mechanics system is
 applied in its exactly factored form: a photon-number conditioned Kerr
 phase, a conditional displacement of the mechanical mode, and free
-rotations. No Hamiltonian exponentiation is performed; displacement matrix
-elements are evaluated in closed form through associated Laguerre
-polynomials, so every matrix entry is exact irrespective of the cutoff and
-truncation error consists purely of the state's own tail mass.
+rotations. No Hamiltonian exponentiation is performed. Displacement matrix
+elements are the closed-form normalized Laguerre functions of Cahill &
+Glauber, Phys. Rev. 177, 1857 (1969), filled in by the three-term
+recurrence in polynomial degree. They do not depend on the cutoff, so
+truncation error is the state's own tail mass plus the recurrence's
+rounding. That rounding grows like n**2 * eps in the degree n and is
+largest at small |beta|. Against the closed form through scipy's
+eval_genlaguerre it stays below 1e-13 in the first 64 columns. At entry
+(350, 350) of a 351-level matrix it reaches 1.6e-12 at |beta| = 1e-6, and
+1.3e-12 against the exact value at |beta| = 0.01.
+
+The evolution builds only the columns of the displacement up to the
+highest mechanical level that holds a nonzero amplitude: the thermal
+cutoff for a coherent-thermal ensemble, the ground state alone for the
+qubit input.
 
 Sign convention (pinned by the regression tests against a dense matrix
 exponential): a photon-number branch (n, m) with difference delta = n - m
@@ -33,7 +44,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln, pdtrc, xlogy
+from scipy.special import gammaln, pdtrc, xlogy
 
 from .core import big_b, xi
 
@@ -52,36 +63,54 @@ __all__ = [
 _MODE_AXES = {"A": 0, "B": 1, "C": 2}
 
 
-def displacement_matrix(beta: complex, n_max: int) -> np.ndarray:
-    """Matrix elements <m|D(beta)|n> on the basis 0..n_max.
+def _displacement_columns(beta: complex, dim: int, n_cols: int) -> np.ndarray:
+    """Columns 0..n_cols-1 of <m|D(beta)|n> on the basis 0..dim-1, shape (dim, n_cols).
 
-    Closed form for m >= n:
-        sqrt(n!/m!) * beta**(m-n) * exp(-|beta|**2/2) * L_n^{(m-n)}(|beta|**2)
-    and the m < n entries follow from D(beta)^dag = D(-beta). The prefactor
-    is assembled in log space so far off-diagonal entries neither overflow
-    nor underflow before cancellation.
+    With x = |beta|**2 and u = beta/|beta|, every entry is a normalized
+    Laguerre function f_n^(a) = sqrt(n!/(n+a)!) x**(a/2) exp(-x/2) L_n^(a)(x)
+    times a phase (Cahill & Glauber 1969):
+
+        <m|D|n> = u**(m-n) f_n^(m-n)        for m >= n
+        <m|D|n> = (-conj(u))**(n-m) f_m^(n-m)  for m < n
+
+    The table f_n^(a) for degrees n < n_cols and all orders a < dim comes
+    from the three-term recurrence in degree, one vectorized step per n,
+
+        sqrt((n+1)(n+1+a)) f_{n+1} = (2n+1+a-x) f_n - sqrt(n(n+a)) f_{n-1},
+
+    started from f_0^(a), the Poisson amplitude sqrt(exp(-x) x**a / a!)
+    taken in log space. The cost is O(dim * n_cols). The recurrence in the
+    column index from D a+ = (a+ - conj(beta)) D is not used: it is unstable.
+    """
+    beta = complex(beta)
+    if beta == 0:
+        return np.eye(dim, n_cols, dtype=complex)
+    x = abs(beta) ** 2
+    order = np.arange(dim)
+    table = np.empty((n_cols, dim))
+    table[0] = np.exp(order * math.log(abs(beta)) - 0.5 * (x + gammaln(order + 1.0)))
+    if n_cols > 1:
+        table[1] = (1.0 + order - x) / np.sqrt(1.0 + order) * table[0]
+    for n in range(1, n_cols - 1):
+        table[n + 1] = (
+            (2 * n + 1 + order - x) * table[n] - np.sqrt(n * (n + order)) * table[n - 1]
+        ) / np.sqrt((n + 1) * (n + 1 + order))
+    row = order[:, None]
+    col = np.arange(n_cols)[None, :]
+    diff = np.abs(row - col)
+    unit = beta / abs(beta)
+    phase = np.where(row >= col, (unit ** order)[diff], ((-np.conj(unit)) ** order)[diff])
+    return phase * table[np.minimum(row, col), diff]
+
+
+def displacement_matrix(beta: complex, n_max: int) -> np.ndarray:
+    """Matrix elements <m|D(beta)|n> on the basis 0..n_max; see `_displacement_columns`.
+
+    beta = 0 gives exactly the identity.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    dim = n_max + 1
-    beta = complex(beta)
-    if beta == 0:
-        return np.eye(dim, dtype=complex)
-    idx = np.arange(dim)
-    row = idx[:, None]
-    col = idx[None, :]
-    kmin = np.minimum(row, col)
-    diff = np.abs(row - col)
-    x = abs(beta) ** 2
-    lag = eval_genlaguerre(kmin, diff, x)
-    log_mag = (
-        0.5 * (gammaln(kmin + 1) - gammaln(kmin + diff + 1))
-        + diff * math.log(abs(beta))
-        - 0.5 * x
-    )
-    unit = beta / abs(beta)
-    phase_base = np.where(row >= col, unit, -np.conj(unit))
-    return np.exp(log_mag) * phase_base ** diff * lag
+    return _displacement_columns(beta, n_max + 1, n_max + 1)
 
 
 def _poisson_pmf(n: np.ndarray, lam: float) -> np.ndarray:
@@ -349,13 +378,19 @@ def apply_evolution(
     xi_t = complex(xi(t))
     out = state.vectors * phase[:, :, None]
     if k != 0.0 and xi_t != 0.0:
+        # only the columns of D up to the highest mechanical index holding an
+        # exactly nonzero amplitude act on the state
+        occupied = np.flatnonzero(np.any(out, axis=(0, 1, 2)))
+        n_cols = int(occupied.max(initial=0)) + 1
+        l = np.arange(nc1)
+        sign = (-1.0) ** (l[None, :] - l[:n_cols, None])
         for d in range(1, int(np.abs(delta).max()) + 1):
-            mat = displacement_matrix(k * d * xi_t, nc1 - 1)
-            # D(-beta) is the adjoint of D(beta), so one build covers both signs
-            for dd, mat_t in ((d, mat.T), (-d, mat.conj())):
+            block = _displacement_columns(k * d * xi_t, nc1, n_cols).T
+            # D(-beta)[m, n] = (-1)**(m - n) D(beta)[m, n], so one build covers both signs
+            for dd, block_dd in ((d, block), (-d, block * sign)):
                 mask = delta == dd
                 if mask.any():
-                    out[:, mask, :] = out[:, mask, :] @ mat_t
+                    out[:, mask, :] = out[:, mask, :n_cols] @ block_dd
     if not interaction_picture:
         out *= np.exp(-1j * t * np.arange(nc1))
     return TriModeState(state.weights.copy(), out, state.config)

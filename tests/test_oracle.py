@@ -1,8 +1,9 @@
 """Checks for the brute-force Fock-basis reference implementation.
 
 The displacement matrix is validated against scipy's dense matrix
-exponential and against the closed-form action on coherent states, so the
-rest of the suite can lean on it as an independent oracle.
+exponential, against the closed-form action on coherent states and, column
+by column, against the eval_genlaguerre closed form, so the rest of the
+suite can lean on it as an independent oracle.
 """
 
 import math
@@ -13,10 +14,12 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from optomech.core import energy_eigenvalue_scaled, eta
+import optomech.oracle
+from optomech.core import big_b, energy_eigenvalue_scaled, eta, xi
 from optomech.oracle import (
     FockConfig,
     TriModeState,
+    _displacement_columns,
     apply_evolution,
     build_initial_state,
     displacement_matrix,
@@ -76,6 +79,141 @@ def test_displacement_acts_on_coherent_states(beta, gamma):
     got = displacement_matrix(beta, n_max) @ coherent(gamma)
     want = np.exp(1j * (beta * np.conj(gamma)).imag) * coherent(beta + gamma)
     assert np.abs(got - want).max() < 1e-9
+
+
+# Closed-form reference: every entry of the full matrix from scipy's
+# eval_genlaguerre, the builder the degree recurrence replaced, kept
+# verbatim as the independent check of it.
+
+
+def _ref_displacement_matrix(beta, n_max):
+    dim = n_max + 1
+    beta = complex(beta)
+    if beta == 0:
+        return np.eye(dim, dtype=complex)
+    idx = np.arange(dim)
+    row = idx[:, None]
+    col = idx[None, :]
+    kmin = np.minimum(row, col)
+    diff = np.abs(row - col)
+    x = abs(beta) ** 2
+    lag = scipy.special.eval_genlaguerre(kmin, diff, x)
+    log_mag = (
+        0.5 * (scipy.special.gammaln(kmin + 1) - scipy.special.gammaln(kmin + diff + 1))
+        + diff * math.log(abs(beta))
+        - 0.5 * x
+    )
+    unit = beta / abs(beta)
+    phase_base = np.where(row >= col, unit, -np.conj(unit))
+    return np.exp(log_mag) * phase_base ** diff * lag
+
+
+# the degree recurrence drifts like n**2 * eps at small |beta|: these bound
+# the largest absolute deviation from the reference, for builds of at most
+# 64 columns and for full-width builds up to 351 levels
+_COLUMNS_ATOL = 1e-13
+_FULL_WIDTH_ATOL = 5e-12
+
+
+@pytest.mark.parametrize("dim", [2, 5, 40, 151, 351])
+@pytest.mark.parametrize("magnitude", [1e-6, 1e-2, 0.5, 2.0, 16.0])
+def test_displacement_columns_match_closed_form(dim, magnitude):
+    for angle in (0.0, 0.7, -2.1, math.pi):
+        beta = magnitude * complex(math.cos(angle), math.sin(angle))
+        ref = _ref_displacement_matrix(beta, dim - 1)
+        for n_cols in sorted({1, min(25, dim), dim}):
+            got = _displacement_columns(beta, dim, n_cols)
+            assert got.shape == (dim, n_cols)
+            atol = _COLUMNS_ATOL if n_cols <= 64 else _FULL_WIDTH_ATOL
+            assert np.abs(got - ref[:, :n_cols]).max() <= atol, (beta, n_cols)
+        # the full matrix is the same builder at full width
+        np.testing.assert_array_equal(
+            displacement_matrix(beta, dim - 1), _displacement_columns(beta, dim, dim)
+        )
+
+
+def test_displacement_columns_at_zero_are_the_identity():
+    np.testing.assert_array_equal(_displacement_columns(0.0, 9, 4), np.eye(9, 4))
+    # |beta|**2 underflows to 0, and the log-space start still gives D ~ 1
+    tiny = _displacement_columns(1e-300, 9, 9)
+    np.testing.assert_allclose(tiny, np.eye(9), rtol=0, atol=1e-299)
+
+
+def _ref_apply_evolution(state, t, k, r_a, r_b):
+    """The full-matrix evolution: every member times D(k delta xi) on all columns."""
+    na1, nb1, nc1 = state.shape
+    n = np.arange(na1)[:, None]
+    m = np.arange(nb1)[None, :]
+    delta = n - m
+    phase = np.exp(-1j * float(big_b(t, k)) * delta.astype(float) ** 2)
+    phase = phase * np.exp(-1j * t * (r_a * n + r_b * m))
+    out = state.vectors * phase[:, :, None]
+    xi_t = complex(xi(t))
+    if k != 0.0 and xi_t != 0.0:
+        for d in range(1, int(np.abs(delta).max()) + 1):
+            mat = _ref_displacement_matrix(k * d * xi_t, nc1 - 1)
+            for dd, mat_t in ((d, mat.T), (-d, mat.conj())):
+                mask = delta == dd
+                out[:, mask, :] = out[:, mask, :] @ mat_t
+    return out * np.exp(-1j * t * np.arange(nc1))
+
+
+def _top_level_state():
+    # amplitude on the highest mechanical level nc1 - 1 and on the ground state
+    cfg = FockConfig(n_max_a=2, n_max_b=2, n_max_c=30)
+    psi = np.zeros((1, 3, 3, 31), dtype=complex)
+    psi[0, 2, 0, 30] = 0.6
+    psi[0, 0, 1, 0] = 0.8j
+    return TriModeState(np.array([1.0]), psi, cfg)
+
+
+def _stationary_state():
+    # a displaced Fock state: every mechanical level is occupied
+    cfg = FockConfig(n_max_a=2, n_max_b=2, n_max_c=40)
+    psi = np.zeros((1, 3, 3, 41), dtype=complex)
+    psi[0, 1, 0, :] = displacement_matrix(0.5, 40)[:, 2]
+    return TriModeState(np.array([1.0]), psi, cfg)
+
+
+_EDGE_STATES = {
+    # (state, k, columns the evolution must build)
+    "qubit": (lambda: build_initial_state("qubit", k=0.5), 0.5, 1),
+    "thermal": (
+        lambda: build_initial_state("coherent_thermal", alpha=0.4, beta=0.3, nbar=0.3, k=0.5),
+        0.5,
+        None,
+    ),
+    "top_level": (_top_level_state, 0.6, 31),
+    "full_support": (_stationary_state, 0.5, 41),
+    "k_zero": (
+        lambda: build_initial_state("coherent_thermal", alpha=0.5, beta=0.3, nbar=0.3, k=0.0),
+        0.0,
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_EDGE_STATES))
+def test_evolution_builds_only_occupied_columns(monkeypatch, name):
+    make, k, want_cols = _EDGE_STATES[name]
+    state = make()
+    if want_cols is None:
+        # a thermal member l0 starts in Fock state l0, so the members set the support
+        want_cols = len(state.weights)
+    built = []
+
+    def recording(beta, dim, n_cols):
+        built.append(n_cols)
+        return columns(beta, dim, n_cols)
+
+    columns = optomech.oracle._displacement_columns
+    monkeypatch.setattr(optomech.oracle, "_displacement_columns", recording)
+    t, r_a, r_b = 2.3, 1.1, 0.6
+    got = apply_evolution(state, t, k, r_a, r_b).vectors
+    assert set(built) == ({want_cols} if want_cols else set())
+    want = _ref_apply_evolution(state, t, k, r_a, r_b)
+    # largest deviation seen over these cases: 7.1e-16 (top_level)
+    assert np.abs(got - want).max() <= 1e-14
 
 
 def test_fock_config_validation():
