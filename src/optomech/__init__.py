@@ -42,7 +42,6 @@ from .duan import (
     RegimeReport,
     duan_from_moments,
     duan_values,
-    min_over_window,
     regime_report,
     window_minima,
 )
@@ -60,7 +59,6 @@ from .qubit import (
     concurrence,
     evolve_qubit_state,
     reduced_rho_ab,
-    timeseries,
     von_neumann_entropy,
 )
 
@@ -85,13 +83,11 @@ __all__ = [
     "reduced_rho_ab",
     "concurrence",
     "von_neumann_entropy",
-    "timeseries",
     # duan
     "CVInitialState",
     "RegimeReport",
     "duan_from_moments",
     "duan_values",
-    "min_over_window",
     "window_minima",
     "regime_report",
     # oracle

@@ -403,7 +403,7 @@ def run_fig3(cfg: RunConfig) -> ResultTable:
     rows = [tuple(map(float, row)) for row in np.column_stack([grid, *curves])]
     extra = {"nbar": repr(nbar), "window_scaled": repr(window)}
     if v["k"] > 0:
-        rep = regime_report(v["k"], p, kappa)
+        rep = regime_report(v["k"], omega_m, kappa)
         extra.update(
             regime=rep.regime,
             feasibility_condition=rep.feasibility_condition,
@@ -473,9 +473,7 @@ def run_fig4b(cfg: RunConfig) -> ResultTable:
     rows = [(float(a), float(b), float(d)) for a, b, d in zip(a_cells, b_cells, res.d_star)]
     extra = {"nbar": repr(nbar), "window_scaled": repr(window), **_minima_metadata(res)}
     if v["k"] > 0:
-        rep = regime_report(
-            v["k"], SystemParams.from_dimensionless(v["k"], r_a, r_b), kappa
-        )
+        rep = regime_report(v["k"], omega_m, kappa)
         extra.update(regime=rep.regime, feasibility_condition=rep.feasibility_condition)
     return ResultTable(["alpha", "beta", "min_duan_ab"], rows, _metadata(cfg, extra))
 
@@ -486,6 +484,10 @@ def run_design(cfg: RunConfig) -> tuple[ResultTable, dict]:
         raise _CliError("field 'L_max_m': must be >= L_min_m")
     if not v["N_max"] >= v["N_min"]:
         raise _CliError("field 'N_max': must be >= N_min")
+    names = [
+        "mirror_radius_m", "cavity_length_m", "atom_number", "trap_frequency_Hz",
+        "k", "ratio_at_eval_finesse", "min_finesse_for_unity_ratio",
+    ]
     rows = []
     optimized = []
     for radius in v["radii_m"]:
@@ -506,31 +508,19 @@ def run_design(cfg: RunConfig) -> tuple[ResultTable, dict]:
         result = optimize_design(space)
         if not result.feasible:
             raise _CliError(f"design search at mirror radius {radius} m: {result.message}")
-        report = result.report
-        rows.append(
-            (
-                float(radius),
-                float(result.L),
-                float(result.N),
-                float(result.omega_m / (2.0 * math.pi)),
-                float(result.k),
-                float(result.ratio),
-                float(report.min_finesse_for_unity_ratio),
-            )
-        )
-        optimized.append(
-            {
-                "mirror_radius_m": radius,
-                "cavity_length_m": result.L,
-                "atom_number": result.N,
-                "trap_frequency_Hz": result.omega_m / (2.0 * math.pi),
-                "k": result.k,
-                "g0_rad_per_s": report.g0,
-                "ratio_at_eval_finesse": result.ratio,
-                "min_finesse_for_unity_ratio": report.min_finesse_for_unity_ratio,
-                "n_evaluated": result.n_evaluated,
-            }
-        )
+        entry = {
+            "mirror_radius_m": radius,
+            "cavity_length_m": result.L,
+            "atom_number": result.N,
+            "trap_frequency_Hz": result.omega_m / (2.0 * math.pi),
+            "k": result.k,
+            "g0_rad_per_s": result.report.g0,
+            "ratio_at_eval_finesse": result.ratio,
+            "min_finesse_for_unity_ratio": result.report.min_finesse_for_unity_ratio,
+            "n_evaluated": result.n_evaluated,
+        }
+        optimized.append(entry)
+        rows.append(tuple(float(entry[name]) for name in names))
 
     prop = design_report(proposed_atom_spec(), proposed_geometry(v["report_finesse"]))
     heating = prop.heating
@@ -556,10 +546,6 @@ def run_design(cfg: RunConfig) -> tuple[ResultTable, dict]:
         },
         "optimized": optimized,
     }
-    names = [
-        "mirror_radius_m", "cavity_length_m", "atom_number", "trap_frequency_Hz",
-        "k", "ratio_at_eval_finesse", "min_finesse_for_unity_ratio",
-    ]
     table = ResultTable(names, rows, _metadata(cfg))
     return table, report_json
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import CODATA2018, x_zpf
-from .duan import K_REGIME_BOUNDARY
+from .duan import entanglement_period
 
 __all__ = [
     "CavityGeometry",
@@ -100,14 +100,12 @@ class CavityGeometry:
     @property
     def waist(self) -> float:
         """Gaussian mode waist sqrt((lambda/2pi) sqrt(L (2R - L)))."""
-        return math.sqrt(
-            (self.lambda_a / (2.0 * math.pi)) * math.sqrt(self.L * (2.0 * self.R_mirror - self.L))
-        )
+        return float(_waist(self.L, self.R_mirror, self.lambda_a))
 
     @property
     def mode_volume(self) -> float:
         """V_c = pi w**2 L."""
-        return math.pi * self.waist ** 2 * self.L
+        return float(_mode_volume(self.L, self.R_mirror, self.lambda_a))
 
 
 @dataclass(frozen=True)
@@ -197,9 +195,37 @@ class DesignReport:
     heating: HeatingBudget | None = None
 
 
+# The design formulas below are each written once. They take numpy arrays
+# of cavity lengths, so the optimizer's grid and the one-design report
+# evaluate the same expressions in the same order.
+
+def _waist(L, R_mirror, lambda_a):
+    return np.sqrt((lambda_a / (2.0 * math.pi)) * np.sqrt(L * (2.0 * R_mirror - L)))
+
+
+def _mode_volume(L, R_mirror, lambda_a):
+    return math.pi * _waist(L, R_mirror, lambda_a) ** 2 * L
+
+
+def _linewidth(L, finesse):
+    """kappa = nu_FSR / finesse = c / (2 L finesse) in 1/s."""
+    return CODATA2018.c / (2.0 * L) / finesse
+
+
+def _coupling(spec: AtomEnsembleSpec, L, R_mirror, lambda_a):
+    """Collective coupling g0 in rad/s of spec's ensemble in the cavity of each length L."""
+    hbar = CODATA2018.hbar
+    k_a = 2.0 * math.pi / lambda_a
+    omega_c = 2.0 * math.pi * CODATA2018.c / lambda_a
+    volume = _mode_volume(L, R_mirror, lambda_a)
+    alpha0_sq = spec.d ** 2 * omega_c / (2.0 * hbar * CODATA2018.epsilon_0 * volume)
+    x_zpf_collective = math.sqrt(hbar / (2.0 * spec.N * spec.m_atom * spec.omega_m))
+    return k_a * spec.N * (alpha0_sq / spec.Delta_ca) * x_zpf_collective
+
+
 def cavity_linewidth(geom: CavityGeometry) -> tuple[float, float]:
     """(kappa, photon lifetime): kappa = nu_FSR / finesse in 1/s, tau_p = 1/kappa."""
-    kappa = geom.nu_fsr / geom.finesse
+    kappa = float(_linewidth(geom.L, geom.finesse))
     return kappa, 1.0 / kappa
 
 
@@ -210,12 +236,7 @@ def atom_coupling(spec: AtomEnsembleSpec, geom: CavityGeometry) -> float:
     with alpha0**2 = d**2 omega_c / (2 hbar eps0 V_c) and the ensemble placed
     at the maximal-gradient point, sin(2 k_a z0) = 1.
     """
-    hbar = CODATA2018.hbar
-    k_a = 2.0 * math.pi / geom.lambda_a
-    omega_c = 2.0 * math.pi * CODATA2018.c / geom.lambda_a
-    alpha0_sq = spec.d ** 2 * omega_c / (2.0 * hbar * CODATA2018.epsilon_0 * geom.mode_volume)
-    x_zpf_collective = math.sqrt(hbar / (2.0 * spec.N * spec.m_atom * spec.omega_m))
-    return k_a * spec.N * (alpha0_sq / spec.Delta_ca) * x_zpf_collective
+    return float(_coupling(spec, geom.L, geom.R_mirror, geom.lambda_a))
 
 
 def nanoparticle_coupling(spec: NanoparticleSpec, omega_m: float) -> float:
@@ -229,21 +250,6 @@ def nanoparticle_coupling(spec: NanoparticleSpec, omega_m: float) -> float:
     omega_opt = CODATA2018.c * spec.k_i
     u0 = omega_opt * spec.polarizability / (2.0 * CODATA2018.epsilon_0 * spec.V_i)
     return u0 * spec.k_i * x_zpf(spec.m, omega_m)
-
-
-def entanglement_period(k: float, omega_m: float) -> float:
-    """Time to the first entanglement-envelope recurrence, in seconds.
-
-    pi/(omega_m k**2) below the regime boundary k = 1/sqrt 2, 2 pi/omega_m at
-    and above it.
-    """
-    if not (k > 0):
-        raise ValueError(f"k must be positive, got {k!r}")
-    if not (omega_m > 0):
-        raise ValueError(f"omega_m must be positive, got {omega_m!r}")
-    if k < K_REGIME_BOUNDARY:
-        return math.pi / (omega_m * k ** 2)
-    return 2.0 * math.pi / omega_m
 
 
 def heating_budget(
@@ -409,37 +415,23 @@ def optimize_design(search: DesignSearchSpace) -> OptimizeResult:
         return OptimizeResult(feasible=False, message="empty search grid")
 
     tmpl = search.atom_template
-    hbar = CODATA2018.hbar
     lam = RB87_D2_WAVELENGTH_M
-    k_a = 2.0 * math.pi / lam
-    omega_c = 2.0 * math.pi * CODATA2018.c / lam
-    # volume factor: V_c = (lam/2) L sqrt(L (2R - L))
-    vol = (lam / 2.0) * L_values * np.sqrt(L_values * (2.0 * search.R_mirror - L_values))
-    alpha0_sq = tmpl.d ** 2 * omega_c / (2.0 * hbar * CODATA2018.epsilon_0 * vol)
-    kappa = CODATA2018.c / (2.0 * L_values) / search.finesse_eval
+    kappa = _linewidth(L_values, search.finesse_eval)
 
     best = None
     candidates = []
     n_evaluated = 0
     for omega_m in search.omega_m_values:
-        # g0(L, N) = k_a N (alpha0^2/Delta) sqrt(hbar / 2 N m omega) separates
-        # into an L-dependent column and sqrt(N)
-        g0_per_sqrt_n = (
-            k_a
-            * (alpha0_sq / tmpl.Delta_ca)
-            * math.sqrt(hbar / (2.0 * tmpl.m_atom * omega_m))
-        )
+        # g0 is N atoms times a collective zero-point spread that falls as
+        # 1/sqrt(N), so it grows as sqrt(N) at fixed L and omega: the coupling
+        # at N = 1 for each length times sqrt(N) fills the (L, N) grid
+        g0_per_sqrt_n = _coupling(replace(tmpl, N=1.0, omega_m=omega_m), L_values, search.R_mirror, lam)
         k_grid = np.sqrt(N_values)[None, :] * (g0_per_sqrt_n / omega_m)[:, None]
         feasible = ~_k_excluded(k_grid, search.exclusion_halfwidth, search.exclusion_n_max)
         n_evaluated += k_grid.size
         if not feasible.any():
             continue
-        tau_e = np.where(
-            k_grid < K_REGIME_BOUNDARY,
-            math.pi / (omega_m * k_grid ** 2),
-            2.0 * math.pi / omega_m,
-        )
-        ratio = tau_e * kappa[:, None]
+        ratio = entanglement_period(k_grid, omega_m) * kappa[:, None]
         ratio_masked = np.where(feasible, ratio, np.inf)
         idx = np.unravel_index(np.argmin(ratio_masked), ratio_masked.shape)
         candidates.append((float(ratio_masked[idx]), omega_m, ratio_masked))

@@ -15,8 +15,8 @@ The optical carrier phases enter only through cos((r_a + r_b) t + ...)
 factors, which at realistic optical/mechanical frequency ratios oscillate
 ~1e9 times faster than the envelope. Closed-form lower envelopes over that
 fast phase are therefore provided alongside the pointwise expressions, and
-`window_minima` (with `min_over_window` as its one-cell case) switches to
-envelope minimization when a direct scan cannot resolve the carrier.
+`window_minima` switches to envelope minimization when a direct scan cannot
+resolve the carrier.
 """
 
 from __future__ import annotations
@@ -35,14 +35,35 @@ __all__ = [
     "duan_from_moments",
     "duan_values",
     "WindowMinima",
-    "min_over_window",
     "window_minima",
+    "entanglement_period",
     "regime_report",
 ]
 
 #: boundary between the low and high coupling regimes; the boundary itself
 #: is classified as high
 K_REGIME_BOUNDARY = 1.0 / math.sqrt(2.0)
+
+
+def _low_regime(k):
+    """True where k lies below K_REGIME_BOUNDARY; works elementwise on arrays."""
+    return k < K_REGIME_BOUNDARY
+
+
+def entanglement_period(k, omega_m):
+    """Time to the first entanglement-envelope recurrence.
+
+    pi/(omega_m k**2) below the regime boundary k = 1/sqrt 2, 2 pi/omega_m at
+    and above it. With omega_m = 1 this is the period in scaled time, with
+    omega_m in rad/s the period in seconds. k and omega_m broadcast together;
+    scalars give a float, arrays an array.
+    """
+    k, omega_m = np.asarray(k, dtype=float), np.asarray(omega_m, dtype=float)
+    for name, value in (("k", k), ("omega_m", omega_m)):
+        if not np.all(value > 0):
+            raise ValueError(f"{name} must be positive, got {float(value[~(value > 0)].flat[0])!r}")
+    period = np.where(_low_regime(k), math.pi / (omega_m * k ** 2), 2.0 * math.pi / omega_m)
+    return float(period) if period.ndim == 0 else period
 
 
 @dataclass(frozen=True)
@@ -314,17 +335,31 @@ def window_minima(
     """Minimize one witness over a shared window for many cells at once.
 
     Each cell is one (alpha, beta, nbar, k); the four broadcast together and
-    the results take their broadcast shape. The window, carrier ratios,
-    resolution and mode are shared, so every cell is scanned on one grid
-    (see `min_over_window` for the modes). Three steps:
+    the results take their broadcast shape, so scalars give one cell. The
+    window (t_max or a (t_min, t_max) pair in scaled time), carrier ratios,
+    resolution and mode are shared, so every cell is scanned on one grid.
+    Two modes:
+
+    - "direct": uniform scan of the pointwise expression with step at most
+      pi / (8 (r_a + r_b)) so the optical carrier cannot alias. Raises if
+      the resulting grid would be astronomically large.
+    - "envelope": scan of the closed-form lower envelope over the carrier
+      phase. The carrier completes ~(r_a + r_b) T / 2 pi cycles per window,
+      so the envelope minimum matches the true minimum to O(1 / cycles); at
+      optical carrier frequencies this error is ~1e-9.
+
+    mode="auto" picks "envelope" once the window holds more than 1e5 carrier
+    cycles, where a direct scan is no longer feasible. Three steps:
 
     - the time kernels of the grid are computed once per call;
     - the cells are scanned in blocks of about 2**16 grid elements, which
       bounds the scan's temporaries whatever the number of cells;
     - every cell whose grid minimum is a strict interior local minimum is
       refined by one golden-section search across those cells, on the
-      bracket of its two grid neighbours; the refined value replaces the
-      grid value only where it is lower.
+      bracket of its two grid neighbours. All those searches step together,
+      a fixed number of times that narrows every bracket to 1e-12 relative
+      to t (scipy's golden xtol). The refined value replaces the grid value
+      only where it is lower.
     """
     if bipartition not in _VALUES:
         raise ValueError(f"bipartition must be one of {sorted(_VALUES)}, got {bipartition!r}")
@@ -392,77 +427,37 @@ def window_minima(
     )
 
 
-def min_over_window(
-    bipartition: str,
-    state: CVInitialState,
-    p: SystemParams,
-    window,
-    resolution: float | None = None,
-    mode: str = "auto",
-):
-    """Minimize D over a scaled-time window; returns (t_star, d_star).
-
-    window is either t_max or a (t_min, t_max) pair. Two modes:
-
-    - "direct": uniform scan of the pointwise expression with step at most
-      pi / (8 (r_a + r_b)) so the optical carrier cannot alias, followed by
-      golden-section refinement. Raises if the resulting grid would be
-      astronomically large.
-    - "envelope": scan plus refinement of the closed-form lower envelope
-      over the carrier phase. The carrier completes ~(r_a + r_b) T / 2 pi
-      cycles per window, so the envelope minimum matches the true minimum
-      to O(1 / cycles); at optical carrier frequencies this error is ~1e-9.
-
-    mode="auto" picks "envelope" once the window holds more than 1e5 carrier
-    cycles, where a direct scan is no longer feasible.
-
-    This is the one-cell case of `window_minima`, which scans many cells on
-    one grid and refines them in one batch: every cell whose grid minimum is
-    a strict interior local minimum gets a golden-section search on the
-    bracket of its two grid neighbours. All those searches step together, a
-    fixed number of times that narrows every bracket to 1e-12 relative to t
-    (scipy's golden xtol). A refined value replaces the grid value only when
-    it is lower.
-    """
-    res = window_minima(
-        bipartition, window, p.r_a, p.r_b,
-        alpha=state.alpha, beta=state.beta, nbar=state.nbar, k=p.k,
-        resolution=resolution, mode=mode,
-    )
-    return float(res.t_star), float(res.d_star)
-
-
-def regime_report(k: float, p: SystemParams, kappa: float) -> RegimeReport:
+def regime_report(k: float, omega_m: float, kappa: float) -> RegimeReport:
     """Classify the coupling regime and report the matching feasibility ratio.
 
-    kappa is the photon decay rate in 1/s (the inverse photon lifetime).
-    Low regime (k < 1/sqrt 2): envelope period pi/k**2, feasibility needs
-    photon blockade g0**2/(omega_m kappa) >> 1. High regime (including the
-    boundary): period 2 pi, feasibility needs resolved sidebands
+    omega_m is the mechanical frequency in rad/s and kappa the photon decay
+    rate in 1/s (the inverse photon lifetime). Low regime (k < 1/sqrt 2):
+    feasibility needs photon blockade g0**2/(omega_m kappa) >> 1. High
+    regime (including the boundary): feasibility needs resolved sidebands
     omega_m >> kappa. Ratios compare angular rates, so kappa is multiplied
-    by 2 pi.
+    by 2 pi. The envelope period is `entanglement_period` in scaled time and
+    in seconds.
     """
-    if not (k > 0):
-        raise ValueError(f"k must be positive, got {k!r}")
+    # entanglement_period rejects k <= 0 and omega_m <= 0
+    period = entanglement_period(k, 1.0)
+    period_seconds = entanglement_period(k, omega_m)
     if not (kappa > 0):
         raise ValueError(f"kappa must be positive, got {kappa!r}")
     kappa_angular = 2.0 * math.pi * kappa
-    if k < K_REGIME_BOUNDARY:
+    if _low_regime(k):
         regime = "low"
-        period = math.pi / k ** 2
         condition = "photon_blockade"
-        g0 = k * p.omega_m
-        ratio = g0 ** 2 / (p.omega_m * kappa_angular)
+        g0 = k * omega_m
+        ratio = g0 ** 2 / (omega_m * kappa_angular)
     else:
         regime = "high"
-        period = 2.0 * math.pi
         condition = "resolved_sideband"
-        ratio = p.omega_m / kappa_angular
+        ratio = omega_m / kappa_angular
     return RegimeReport(
         k=k,
         regime=regime,
         envelope_period=period,
-        envelope_period_seconds=period / p.omega_m,
+        envelope_period_seconds=period_seconds,
         feasibility_condition=condition,
         feasibility_ratio=ratio,
     )

@@ -31,7 +31,6 @@ __all__ = [
     "reduced_rho_ab",
     "concurrence",
     "von_neumann_entropy",
-    "timeseries",
 ]
 
 #: basis order of the two-mode optical Hilbert space, used everywhere
@@ -201,23 +200,3 @@ def von_neumann_entropy(rho: np.ndarray, base=2):
     value = -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1) / log_div
     return _as_scalar(np.where(value < 0.0, 0.0, value))
 
-
-def timeseries(measure: str, k: float, t_grid) -> np.ndarray:
-    """Pointwise time series of "concurrence" or "entropy" over t_grid.
-
-    Returns an (N, 2) array of (t, value). The grid must be non-empty and
-    strictly increasing; values are computed independently per point, no
-    smoothing.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0:
-        raise ValueError("t_grid must be a non-empty 1-D array")
-    if t_grid.size > 1 and not np.all(np.diff(t_grid) > 0):
-        raise ValueError("t_grid must be strictly increasing")
-    if measure == "concurrence":
-        func = concurrence
-    elif measure == "entropy":
-        func = von_neumann_entropy
-    else:
-        raise ValueError(f"measure must be 'concurrence' or 'entropy', got {measure!r}")
-    return np.column_stack([t_grid, func(reduced_rho_ab(t_grid, k))])

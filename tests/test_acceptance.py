@@ -26,7 +26,7 @@ from optomech.design import (
     proposed_atom_spec,
     proposed_geometry,
 )
-from optomech.duan import CVInitialState, duan_from_moments, duan_values, min_over_window
+from optomech.duan import CVInitialState, duan_from_moments, duan_values, window_minima
 from optomech.oracle import apply_evolution, build_initial_state, moments, partial_trace
 from optomech.qubit import concurrence, reduced_rho_ab, von_neumann_entropy
 
@@ -159,8 +159,11 @@ def test_acceptance_4_cavity_numbers_and_minimum():
         failures.append(f"photon lifetime {tau_p:.4e} s outside [15.6, 15.7] us")
 
     p = SystemParams(omega_a=1e15, omega_b=1e15, omega_m=OMEGA_M, g0=0.74 * OMEGA_M)
-    st0 = CVInitialState(0.5, 0.5, thermal_occupation(0.8e-6, OMEGA_M))
-    _, d_min = min_over_window("AB", st0, p, (0.0, OMEGA_M * tau_p))
+    res = window_minima(
+        "AB", (0.0, OMEGA_M * tau_p), p.r_a, p.r_b,
+        alpha=0.5, beta=0.5, nbar=thermal_occupation(0.8e-6, OMEGA_M), k=p.k,
+    )
+    d_min = float(res.d_star)
     if abs(d_min - 0.8) > 0.05:
         failures.append(f"min D_AB over the photon lifetime is {d_min:.4f}, outside 0.8 +- 0.05")
     _report(4, failures)

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from optomech import duan
+from optomech.core import CODATA2018
 from optomech.design import (
     CALIBRATION_REFERENCE,
     DEFAULT_DETUNING_RAD_S,
+    RB87_D2_WAVELENGTH_M,
     AtomEnsembleSpec,
     CavityGeometry,
     DesignSearchSpace,
@@ -89,6 +92,30 @@ def test_entanglement_period_by_regime():
     assert entanglement_period(0.5, 2.0) == pytest.approx(math.pi / 0.5, rel=1e-12)
     with pytest.raises(ValueError):
         entanglement_period(0.0, 1.0)
+
+
+def test_entanglement_period_is_the_duan_rule():
+    # one regime rule: design re-exports the duan function itself
+    assert entanglement_period is duan.entanglement_period
+    assert isinstance(entanglement_period(0.5, 1.0), float)
+
+
+def test_entanglement_period_on_arrays_matches_each_element():
+    boundary = duan.K_REGIME_BOUNDARY
+    k = np.concatenate([
+        np.linspace(0.05, 2.0, 101),
+        [boundary, np.nextafter(boundary, 0.0), np.nextafter(boundary, 1.0)],
+    ])
+    omega_m = np.array([1.0, OMEGA_M, 2.0 * math.pi * 40e3])
+    grid = entanglement_period(k[None, :], omega_m[:, None])
+    assert grid.shape == (3, k.size)
+    for i, w in enumerate(omega_m):
+        for j, kj in enumerate(k):
+            assert grid[i, j] == entanglement_period(float(kj), float(w)), (w, kj)
+    with pytest.raises(ValueError, match="k must"):
+        entanglement_period(np.array([0.5, 0.0]), 1.0)
+    with pytest.raises(ValueError, match="omega_m"):
+        entanglement_period(0.5, np.array([1.0, -1.0]))
 
 
 class TestDesignReport:
@@ -212,6 +239,72 @@ class TestOptimizeDesign:
         res = optimize_design(space)
         assert not res.feasible
         assert "exclusion band" in res.message
+
+
+def _inline_grid_search(search):
+    """(L, N, omega_m, n_evaluated) by the grid search optimize_design used to inline.
+
+    Its own copies of the mode volume, coupling, linewidth and period
+    formulas, in their own operation order.
+    """
+    L_values = np.arange(search.L_min, search.L_max + 0.5 * search.L_step, search.L_step)
+    L_values = L_values[L_values < 2.0 * search.R_mirror]
+    N_values = np.arange(search.N_min, search.N_max + 0.5 * search.N_step, search.N_step)
+    tmpl = search.atom_template
+    hbar = CODATA2018.hbar
+    lam = RB87_D2_WAVELENGTH_M
+    k_a = 2.0 * math.pi / lam
+    omega_c = 2.0 * math.pi * CODATA2018.c / lam
+    vol = (lam / 2.0) * L_values * np.sqrt(L_values * (2.0 * search.R_mirror - L_values))
+    alpha0_sq = tmpl.d ** 2 * omega_c / (2.0 * hbar * CODATA2018.epsilon_0 * vol)
+    kappa = CODATA2018.c / (2.0 * L_values) / search.finesse_eval
+    best = None
+    candidates = []
+    n_evaluated = 0
+    for omega_m in search.omega_m_values:
+        g0_per_sqrt_n = (
+            k_a * (alpha0_sq / tmpl.Delta_ca) * math.sqrt(hbar / (2.0 * tmpl.m_atom * omega_m))
+        )
+        k_grid = np.sqrt(N_values)[None, :] * (g0_per_sqrt_n / omega_m)[:, None]
+        feasible = ~_k_excluded(k_grid, search.exclusion_halfwidth, search.exclusion_n_max)
+        n_evaluated += k_grid.size
+        if not feasible.any():
+            continue
+        tau_e = np.where(
+            k_grid < 1.0 / math.sqrt(2.0),
+            math.pi / (omega_m * k_grid ** 2),
+            2.0 * math.pi / omega_m,
+        )
+        ratio_masked = np.where(feasible, tau_e * kappa[:, None], np.inf)
+        candidates.append((omega_m, ratio_masked))
+        if best is None or ratio_masked.min() < best:
+            best = float(ratio_masked.min())
+    cutoff = best * (1.0 + search.plateau_rtol)
+    rows = []
+    for omega_m, ratio_masked in candidates:
+        for iL, iN in zip(*np.nonzero(ratio_masked <= cutoff)):
+            rows.append((float(L_values[iL]), float(N_values[iN]), float(omega_m)))
+    return (*min(rows), n_evaluated)
+
+
+# the default radii, then the design-search benchmark's radii and finesse
+# at its seeds 1-3
+_PINNED_SEARCHES = [(R, 5.8e5) for R in (0.01, 0.025, 0.05, 0.10)] + [
+    (R, F)
+    for radii, F in (
+        ((0.008605, 0.029534, 0.057185, 0.091478), 598174.0),
+        ((0.012302, 0.030663, 0.041272, 0.083819), 734200.0),
+        ((0.009071, 0.026123, 0.048324, 0.107176), 650288.0),
+    )
+    for R in radii
+]
+
+
+@pytest.mark.parametrize("R_mirror, finesse", _PINNED_SEARCHES)
+def test_optimizer_picks_what_the_inline_grid_search_picked(R_mirror, finesse):
+    search = DesignSearchSpace(R_mirror=R_mirror, finesse_eval=finesse)
+    res = optimize_design(search)
+    assert (res.L, res.N, res.omega_m, res.n_evaluated) == _inline_grid_search(search)
 
 
 def _k_excluded_by_band_loop(k, halfwidth, n_max):

@@ -12,7 +12,7 @@ from optomech.duan import (
     ModePairMoments,
     duan_from_moments,
     duan_values,
-    min_over_window,
+    entanglement_period,
     regime_report,
     window_minima,
 )
@@ -135,62 +135,69 @@ def test_oracle_agreement_spot_check():
 
 
 class TestMinOverWindow:
+    """`window_minima` on one cell: every cell parameter a scalar."""
+
+    _CELL = dict(alpha=0.5, beta=0.5, nbar=0.0)
+    _TABLE = SystemParams(omega_a=1e15, omega_b=1e15, omega_m=TABLE_OMEGA_M, g0=0.74 * TABLE_OMEGA_M)
+
     def test_k_zero_never_dips_below_threshold(self):
-        _, d = min_over_window("AB", CVInitialState(0.5, 0.5, 0.0), _params(0.0), 4.0 * math.pi)
-        assert d == pytest.approx(1.0, abs=1e-12)
+        res = window_minima("AB", 4.0 * math.pi, 1.0, 1.0, k=0.0, **self._CELL)
+        assert res.d_star.shape == ()
+        assert float(res.d_star) == pytest.approx(1.0, abs=1e-12)
 
     def test_table_operating_point_frozen(self):
-        p = SystemParams(omega_a=1e15, omega_b=1e15, omega_m=TABLE_OMEGA_M, g0=0.74 * TABLE_OMEGA_M)
-        st0 = CVInitialState(0.5, 0.5, TABLE_NBAR)
+        p = self._TABLE
         window = TABLE_OMEGA_M * 1.5670841192409183e-05  # one cavity photon lifetime
-        t_star, d_star = min_over_window("AB", st0, p, (0.0, window))
-        assert d_star == pytest.approx(0.7980434478774613, rel=1e-9)
-        assert t_star == pytest.approx(2.0 * math.pi, abs=1e-6)
+        res = window_minima(
+            "AB", (0.0, window), p.r_a, p.r_b, alpha=0.5, beta=0.5, nbar=TABLE_NBAR, k=p.k
+        )
+        assert float(res.d_star) == pytest.approx(0.7980434478774613, rel=1e-9)
+        assert float(res.t_star) == pytest.approx(2.0 * math.pi, abs=1e-6)
 
     def test_direct_and_envelope_modes_agree(self):
         # 75 carrier cycles across the window keeps the direct scan cheap
         # while the envelope refinement converges at O(1/cycles)
-        p = _params(0.6, r_a=18.75, r_b=18.75)
-        st0 = CVInitialState(0.5, 0.5, 0.01)
+        cell = dict(alpha=0.5, beta=0.5, nbar=0.01, k=0.6)
         window = (0.0, 4.0 * math.pi)
-        _, d_direct = min_over_window("AB", st0, p, window, mode="direct")
-        _, d_env = min_over_window("AB", st0, p, window, mode="envelope")
+        direct = window_minima("AB", window, 18.75, 18.75, mode="direct", **cell)
+        envelope = window_minima("AB", window, 18.75, 18.75, mode="envelope", **cell)
+        assert (direct.mode, envelope.mode) == ("direct", "envelope")
+        d_direct, d_env = float(direct.d_star), float(envelope.d_star)
         assert d_env <= d_direct + 1e-9
         assert abs(d_direct - d_env) < 5e-3
 
     def test_auto_switches_to_envelope_for_optical_carriers(self):
-        p = SystemParams(omega_a=1e15, omega_b=1e15, omega_m=TABLE_OMEGA_M, g0=0.74 * TABLE_OMEGA_M)
-        st0 = CVInitialState(0.5, 0.5, 0.0)
+        p = self._TABLE
         # ~5e9 carrier cycles in this window: a direct scan would need
         # more points than the hard cap allows, so auto must not pick it
-        t_star, d_star = min_over_window("AB", st0, p, (0.0, 9.0))
-        assert 0.0 <= t_star <= 9.0
-        assert d_star < 1.0
+        res = window_minima("AB", (0.0, 9.0), p.r_a, p.r_b, k=p.k, **self._CELL)
+        assert res.mode == "envelope"
+        assert 0.0 <= float(res.t_star) <= 9.0
+        assert float(res.d_star) < 1.0
 
     def test_coarse_direct_resolution_is_rejected(self):
-        p = _params(0.5, r_a=30.0, r_b=30.0)
         with pytest.raises(ValueError, match="cannot resolve the carrier"):
-            min_over_window(
-                "AB", CVInitialState(0.5, 0.5, 0.0), p, 4.0 * math.pi, resolution=0.1, mode="direct"
+            window_minima(
+                "AB", 4.0 * math.pi, 30.0, 30.0, k=0.5, resolution=0.1, mode="direct", **self._CELL
             )
 
     def test_direct_scan_size_guard(self):
-        p = SystemParams(omega_a=1e15, omega_b=1e15, omega_m=TABLE_OMEGA_M, g0=0.74 * TABLE_OMEGA_M)
+        p = self._TABLE
         with pytest.raises(ValueError, match="use mode='envelope'"):
-            min_over_window("AB", CVInitialState(0.5, 0.5, 0.0), p, 9.0, mode="direct")
+            window_minima("AB", 9.0, p.r_a, p.r_b, k=p.k, mode="direct", **self._CELL)
 
     def test_window_validation(self):
         st0 = CVInitialState(0.5, 0.5, 0.0)
         with pytest.raises(ValueError, match="bipartition"):
-            min_over_window("AD", st0, _params(0.5), 1.0)
+            window_minima("AD", 1.0, 1.0, 1.0, k=0.5, **self._CELL)
         with pytest.raises(ValueError, match="pair"):
             duan_values(1.0, st0, _params(0.5), "AD")
         with pytest.raises(ValueError, match="window"):
-            min_over_window("AB", st0, _params(0.5), (2.0, 1.0))
+            window_minima("AB", (2.0, 1.0), 1.0, 1.0, k=0.5, **self._CELL)
         with pytest.raises(ValueError, match="window"):
-            min_over_window("AB", st0, _params(0.5), (-1.0, 1.0))
+            window_minima("AB", (-1.0, 1.0), 1.0, 1.0, k=0.5, **self._CELL)
         with pytest.raises(ValueError, match="mode"):
-            min_over_window("AB", st0, _params(0.5), 1.0, mode="grid")
+            window_minima("AB", 1.0, 1.0, 1.0, k=0.5, mode="grid", **self._CELL)
 
 
 def _reference_minimum(bipartition, state, p, window, mode):
@@ -306,8 +313,7 @@ class TestRegimeReport:
         assert K_REGIME_BOUNDARY == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
 
     def test_high_coupling_operating_point(self):
-        p = SystemParams(omega_a=1e15, omega_b=1e15, omega_m=TABLE_OMEGA_M, g0=0.74 * TABLE_OMEGA_M)
-        rr = regime_report(0.74, p, 63812.78373776075)
+        rr = regime_report(0.74, TABLE_OMEGA_M, 63812.78373776075)
         assert rr.regime == "high"
         assert rr.feasibility_condition == "resolved_sideband"
         assert rr.envelope_period == pytest.approx(2.0 * math.pi, rel=1e-12)
@@ -315,22 +321,30 @@ class TestRegimeReport:
         assert rr.feasibility_ratio == pytest.approx(1.4887299132788725, rel=1e-9)
 
     def test_low_coupling_operating_point(self):
-        p = SystemParams(omega_a=1e15, omega_b=1e15, omega_m=TABLE_OMEGA_M, g0=0.25 * TABLE_OMEGA_M)
-        rr = regime_report(0.25, p, 63812.78373776075)
+        rr = regime_report(0.25, TABLE_OMEGA_M, 63812.78373776075)
         assert rr.regime == "low"
         assert rr.feasibility_condition == "photon_blockade"
         # below the boundary the slow beat sets the period: pi / k^2
         assert rr.envelope_period == pytest.approx(math.pi / 0.25**2, rel=1e-12)
 
     def test_boundary_belongs_to_high_regime(self):
-        p = _params(K_REGIME_BOUNDARY)
-        rr = regime_report(K_REGIME_BOUNDARY, p, 1.0)
+        rr = regime_report(K_REGIME_BOUNDARY, 1.0, 1.0)
         assert rr.regime == "high"
         assert rr.envelope_period == pytest.approx(2.0 * math.pi, rel=1e-12)
+        below = regime_report(np.nextafter(K_REGIME_BOUNDARY, 0.0), 1.0, 1.0)
+        assert below.regime == "low"
+
+    @pytest.mark.parametrize("k", [0.25, 0.7, K_REGIME_BOUNDARY, 0.74, 1.3])
+    @pytest.mark.parametrize("omega_m", [1.0, TABLE_OMEGA_M])
+    def test_periods_are_the_entanglement_period(self, k, omega_m):
+        rr = regime_report(k, omega_m, 63812.78373776075)
+        assert rr.envelope_period == entanglement_period(k, 1.0)
+        assert rr.envelope_period_seconds == entanglement_period(k, omega_m)
 
     def test_validation(self):
-        p = _params(0.5)
         with pytest.raises(ValueError):
-            regime_report(0.0, p, 1.0)
+            regime_report(0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            regime_report(0.5, p, -1.0)
+            regime_report(0.5, 1.0, -1.0)
+        with pytest.raises(ValueError, match="omega_m"):
+            regime_report(0.5, 0.0, 1.0)

@@ -11,7 +11,6 @@ from optomech.qubit import (
     concurrence,
     evolve_qubit_state,
     reduced_rho_ab,
-    timeseries,
     von_neumann_entropy,
 )
 
@@ -154,30 +153,22 @@ def test_reduced_state_is_physical(t, k):
 
 def test_k_zero_state_stays_separable():
     grid = np.linspace(0.0, 8.0 * math.pi, 200)
-    series = timeseries("concurrence", 0.0, grid)
-    assert np.all(series[:, 1] == 0.0)
+    rhos = reduced_rho_ab(grid, 0.0)
+    assert np.all(concurrence(rhos) == 0.0)
+    # the uncoupled modes stay in a pure product state
+    assert np.all(np.abs(von_neumann_entropy(rhos)) < 1e-9)
 
 
 def test_death_interval_contains_exact_zeros():
     # around t = 4*pi the k = 0.5 concurrence collapses to an exact-zero
     # plateau (split by a revival spike below 3e-9 at 4*pi itself)
     grid = np.linspace(0.0, 8.0 * math.pi, 4000)
-    c = timeseries("concurrence", 0.5, grid)[:, 1]
+    c = concurrence(reduced_rho_ab(grid, 0.5))
     near = (grid > 12.5) & (grid < 12.6)
     assert np.any(c[near] == 0.0)
     # lobes on both sides of the death window are well clear of zero
     assert c[(grid > 10.5) & (grid < 12.5)].max() > 0.05
     assert c[(grid > 12.6) & (grid < 14.6)].max() > 0.05
-
-
-def test_timeseries_validation():
-    with pytest.raises(ValueError):
-        timeseries("negativity", 0.5, [0.0, 1.0])
-    with pytest.raises(ValueError):
-        timeseries("concurrence", 0.5, [0.0, 2.0, 1.0])  # not increasing
-    out = timeseries("entropy", 0.5, [0.0, 1.0, 2.0])
-    assert out.shape == (3, 2)
-    np.testing.assert_array_equal(out[:, 0], [0.0, 1.0, 2.0])
 
 
 def test_oracle_agreement_spot_check():
