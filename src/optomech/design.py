@@ -95,7 +95,7 @@ class CavityGeometry:
     @property
     def nu_fsr(self) -> float:
         """Free spectral range c/2L in Hz."""
-        return CODATA2018.c / (2.0 * self.L)
+        return _free_spectral_range(self.L)
 
     @property
     def waist(self) -> float:
@@ -207,9 +207,14 @@ def _mode_volume(L, R_mirror, lambda_a):
     return math.pi * _waist(L, R_mirror, lambda_a) ** 2 * L
 
 
+def _free_spectral_range(L):
+    """nu_FSR = c / (2 L) in Hz."""
+    return CODATA2018.c / (2.0 * L)
+
+
 def _linewidth(L, finesse):
     """kappa = nu_FSR / finesse = c / (2 L finesse) in 1/s."""
-    return CODATA2018.c / (2.0 * L) / finesse
+    return _free_spectral_range(L) / finesse
 
 
 def _coupling(spec: AtomEnsembleSpec, L, R_mirror, lambda_a):

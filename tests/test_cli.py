@@ -243,14 +243,19 @@ def test_module_entry_point(tmp_path):
     assert out.exists()
 
 
-def test_cli_import_leaves_out_scipy_stats_and_linalg():
-    # scipy.stats alone used to be most of the package's import time
+def test_cli_import_leaves_out_scipy_stats_linalg_and_special():
+    # scipy.stats, then scipy.special, used to be most of the package's import
+    # time; an oracle-check run must not load them on first use either
     import optomech
 
     src = str(Path(optomech.__file__).resolve().parents[1])
     code = (
-        "import sys, optomech.cli; "
-        "print([m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules])"
+        "import sys, optomech.cli\n"
+        "unwanted = ('scipy.stats', 'scipy.linalg', 'scipy.special')\n"
+        "print([m for m in unwanted if m in sys.modules])\n"
+        "code = optomech.cli.main(['oracle-check', '--set', 'n_cv_points=1',\n"
+        "                          '--set', 'n_qubit_times=1'])\n"
+        "print(code, [m for m in unwanted if m in sys.modules])\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -259,7 +264,9 @@ def test_cli_import_leaves_out_scipy_stats_and_linalg():
         env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    lines = proc.stdout.strip().splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "0 []"
 
 
 def test_cli_error_text_goes_to_stderr(capsys):

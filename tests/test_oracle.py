@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
 import optomech.oracle
@@ -20,6 +21,10 @@ from optomech.oracle import (
     FockConfig,
     TriModeState,
     _displacement_columns,
+    _log_factorial,
+    _poisson_pmf,
+    _poisson_sf,
+    _poisson_tail_cutoff,
     apply_evolution,
     build_initial_state,
     displacement_matrix,
@@ -264,6 +269,114 @@ def test_thermal_tail_invariant_rejects_small_cutoff():
 def test_unknown_state_kind():
     with pytest.raises(ValueError, match="unknown state kind"):
         build_initial_state("squeezed")
+
+
+# ---------------------------------------------------------------------------
+# Log-factorials and Poisson tables, pinned to scipy.special (tests only)
+# ---------------------------------------------------------------------------
+
+
+def test_log_factorial_matches_gammaln():
+    n = np.arange(2049)
+    got = _log_factorial(2048)
+    assert got.shape == n.shape
+    # both are within 3 ulps of the exact value; largest gap seen: 5.0e-16
+    np.testing.assert_allclose(got, scipy.special.gammaln(n + 1.0), rtol=1e-15, atol=0)
+    assert got[0] == got[1] == 0.0
+    for n_max in (0, 1, 5, 64, 65):
+        np.testing.assert_array_equal(_log_factorial(n_max), got[: n_max + 1])
+
+
+#: relative tolerance of the pmf against scipy's formula; largest seen: 4.5e-13
+PMF_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-4, 1e-2, 0.3, 1.0, 2.5, 7.5, 20.0, 50.0, 100.0, 400.0])
+def test_poisson_pmf_matches_scipy_formula(lam):
+    n = np.arange(401)
+    want = np.exp(scipy.special.xlogy(n, lam) - scipy.special.gammaln(n + 1) - lam)
+    got = _poisson_pmf(400, lam)
+    normal = want > 1e-290
+    np.testing.assert_allclose(got[normal], want[normal], rtol=PMF_RTOL, atol=0)
+    assert np.all(got[~normal] < 1e-280)
+    if lam == 0:
+        # xlogy's meaning at lam = 0: the point mass at n = 0
+        np.testing.assert_array_equal(got, (n == 0).astype(float))
+
+
+@pytest.mark.parametrize("lam", [1e-4, 0.3, 1.0, 7.5, 50.0, 400.0, 1000.0])
+def test_poisson_survival_table_matches_pdtrc(lam):
+    sf = _poisson_sf(lam)
+    n = np.arange(len(sf))
+    want = scipy.special.pdtrc(n, lam)
+    normal = want > 1e-300
+    # largest deviation seen over these cases: 3.8e-12, at lam = 1000
+    np.testing.assert_allclose(sf[normal], want[normal], rtol=1e-11, atol=0)
+    assert np.all(np.diff(sf) <= 0)
+    # the table ends where the remaining mass is below double range
+    assert sf[-1] == 0.0
+    assert want[-1] < 1e-300
+
+
+def _pdtrc_walk_cutoff(lam: float, tol: float) -> int:
+    """The cutoff as computed before the survival table: a walk on scipy's pdtrc."""
+    if lam <= 0 or tol >= 1:
+        return 0
+    n = int(lam + 10.0 * math.sqrt(lam) + 10.0)
+    while scipy.special.pdtrc(n, lam) >= tol:
+        n += 1
+    while n > 0 and scipy.special.pdtrc(n - 1, lam) < tol:
+        n -= 1
+    return n
+
+
+def test_tail_cutoff_matches_the_pdtrc_walk():
+    # 100 x 60 = 6,000 (lam, tol) pairs; every one must agree exactly
+    lams = np.geomspace(1e-4, 1e3, 100)
+    tols = np.geomspace(1e-16, 0.999, 60)
+    disagree = [
+        (lam, tol)
+        for lam in lams
+        for tol in tols
+        if _poisson_tail_cutoff(lam, tol) != _pdtrc_walk_cutoff(lam, tol)
+    ]
+    assert disagree == []
+    assert _poisson_tail_cutoff(0.0, 1e-10) == 0
+    assert _poisson_tail_cutoff(3.0, 1.0) == 0
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("field", ["alpha", "beta", "nbar", "k"])
+def test_non_finite_coherent_thermal_inputs_name_the_field(field, bad):
+    params = {"alpha": 0.5, "beta": 0.3, "nbar": 0.2, "k": 0.4, field: bad}
+    match = f"{field} must be finite"
+    with pytest.raises(ValueError, match=match):
+        FockConfig.for_coherent_thermal(**params)
+    with pytest.raises(ValueError, match=match):
+        build_initial_state("coherent_thermal", **params)
+    with pytest.raises(ValueError, match=match):
+        build_initial_state("coherent_thermal", config=FockConfig(8, 8, 40), **params)
+
+
+@pytest.mark.parametrize("bad", [*NON_FINITE, complex(0.5, math.nan), complex(math.inf, 0.5)])
+def test_non_finite_complex_amplitude_names_the_field(bad):
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        FockConfig.for_coherent_thermal(bad, 0.3, 0.2, 0.4)
+    with pytest.raises(ValueError, match="beta must be finite"):
+        build_initial_state("coherent_thermal", alpha=0.5, beta=bad, nbar=0.2, k=0.4)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_qubit_coupling_names_the_field(bad):
+    with pytest.raises(ValueError, match="k must be finite"):
+        FockConfig.for_qubit(bad)
+    with pytest.raises(ValueError, match="k must be finite"):
+        build_initial_state("qubit", k=bad)
+    with pytest.raises(ValueError, match="k must be finite"):
+        build_initial_state("qubit", k=bad, config=FockConfig(1, 1, 8))
 
 
 def test_evolution_preserves_norm_and_energy():
