@@ -20,13 +20,11 @@ cutoff for a coherent-thermal ensemble, the ground state alone for the
 qubit input.
 
 The module needs only numpy and the standard library. Log-factorials come
-from math.lgamma, within 3 ulps of the exact value for n up to 5000, one
-cached table per power-of-two size. Poisson probabilities are
-exp(n log lam - log n! - lam), so their relative error is a few ulps of
-log n!: below 5e-13 for n <= 400. Poisson tails come from one survival
-table, the top-down sum of those probabilities, which agrees with scipy's
-pdtrc to 4e-12 relative wherever the tail exceeds 1e-300 (lam up to 1e3).
-Every Fock cutoff is the first index of that table below its budget.
+from math.lgamma (`_log_factorial`, within 3 ulps of exact), Poisson
+probabilities from them (`_poisson_pmf`, a few ulps of log n! relative),
+and Poisson tails from one survival table (`_poisson_sf`, within 4e-12
+relative of scipy's pdtrc). Every Fock cutoff is the first index of that
+table below its budget.
 
 Sign convention (pinned by the regression tests against a dense matrix
 exponential): a photon-number branch (n, m) with difference delta = n - m
@@ -131,7 +129,7 @@ def _log_factorial_table(size: int) -> np.ndarray:
 
 
 def _log_factorial(n_max: int) -> np.ndarray:
-    """log(k!) for k = 0..n_max, from math.lgamma, within 3 ulps of the exact value.
+    """log(k!) for k = 0..n_max from math.lgamma, within 3 ulps of exact (k <= 5000).
 
     The values come from one cached table per power-of-two size, so a hot
     path slices a table instead of calling lgamma once per element.
@@ -155,7 +153,7 @@ def _poisson_sf(lam: float) -> np.ndarray:
     """Survival table sf[n] = P(Poisson(lam) > n) for n = 0..N, with sf[N] = 0.
 
     The sum of the pmf is taken from the top down. N = lam + sqrt(1500 lam)
-    + 500 puts P(X >= N) below exp(-750) by the Bernstein bound, under the
+    + 500 puts P(X >= N) below exp(-749) by the Bernstein bound, under the
     smallest double, so every n >= N has a tail of 0 in double precision.
     Against scipy's pdtrc the table agrees to 4e-12 relative wherever the
     tail exceeds 1e-300, for lam up to 1e3.

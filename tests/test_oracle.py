@@ -361,7 +361,7 @@ def test_non_finite_coherent_thermal_inputs_name_the_field(field, bad):
         build_initial_state("coherent_thermal", config=FockConfig(8, 8, 40), **params)
 
 
-@pytest.mark.parametrize("bad", [*NON_FINITE, complex(0.5, math.nan), complex(math.inf, 0.5)])
+@pytest.mark.parametrize("bad", [complex(0.5, math.nan), complex(math.inf, 0.5)])
 def test_non_finite_complex_amplitude_names_the_field(bad):
     with pytest.raises(ValueError, match="alpha must be finite"):
         FockConfig.for_coherent_thermal(bad, 0.3, 0.2, 0.4)
