@@ -307,6 +307,8 @@ def resolve_config(command, config_path=None, overrides=(), seed=None, out=None)
 # ---------------------------------------------------------------------------
 
 def _format_cell(value) -> str:
+    if type(value) is float:  # nearly every cell, so tested first
+        return repr(value)
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value))
     if isinstance(value, (int, np.integer)):
@@ -421,7 +423,11 @@ def run_fig3(cfg: RunConfig) -> ResultTable:
 
 def _minima_metadata(res) -> dict:
     """Deterministic facts about a window_minima call, for the CSV metadata."""
-    return {"minimization_mode": res.mode, "refined_cells": str(int(res.refined.sum()))}
+    return {
+        "minimization_mode": res.mode,
+        "refined_cells": str(int(res.refined.sum())),
+        "scanned_cells": str(res.scanned_cells),
+    }
 
 
 def _witness_window(values: dict) -> tuple[float, float, float, float]:

@@ -22,7 +22,7 @@ resolve the carrier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -121,12 +121,33 @@ def duan_from_moments(m: ModePairMoments, *, tol: float = 1e-9) -> float:
 
 @dataclass(frozen=True)
 class _Kernels:
-    """Time kernels of one time array, shared by every cell evaluated on it."""
+    """Time kernels of one time array, shared by every cell evaluated on it.
+
+    The methods give the arrays that also depend on k and nbar. `coupled`
+    holds them once `_couple` has computed them for a (k, nbar) that every
+    cell shares; the methods then return the stored arrays and ignore their
+    arguments.
+    """
 
     t: np.ndarray
     unit_b: np.ndarray  # B(t) at k = 1, so B(t) = k**2 unit_b
     eta: np.ndarray
     eta_sq: np.ndarray
+    #: (2B, cos 2B, sin 2B, thermal exponent) of the shared (k, nbar), or None
+    coupled: tuple | None = None
+
+    def twob(self, k):
+        return 2.0 * (k ** 2 * self.unit_b) if self.coupled is None else self.coupled[0]
+
+    def cos_twob(self, twob):
+        return np.cos(twob) if self.coupled is None else self.coupled[1]
+
+    def sin_twob(self, twob):
+        return np.sin(twob) if self.coupled is None else self.coupled[2]
+
+    def thermal(self, k, nbar):
+        """k^2 |eta|^2 (2 nbar + 1), the thermal dephasing exponent."""
+        return k ** 2 * self.eta_sq * (2.0 * nbar + 1.0) if self.coupled is None else self.coupled[3]
 
 
 def _kernels(t) -> _Kernels:
@@ -135,32 +156,38 @@ def _kernels(t) -> _Kernels:
     return _Kernels(t=t, unit_b=big_b(t, 1.0), eta=eta_t, eta_sq=np.abs(eta_t) ** 2)
 
 
+def _couple(kern: _Kernels, k: float, nbar: float) -> _Kernels:
+    """kern with its (k, nbar) arrays computed once, for cells that all share k and nbar."""
+    twob = kern.twob(k)
+    return replace(kern, coupled=(twob, kern.cos_twob(twob), kern.sin_twob(twob), kern.thermal(k, nbar)))
+
+
 # The curve functions below take the kernels plus per-cell parameters that
 # broadcast against them: scalars for one cell, (cells, 1) columns against a
 # shared time grid, or (cells,) arrays against one time per cell.
 
 def _envelope_factor(kern, cos_twob, total, k, nbar):
     """exp(-2 (|a|^2+|b|^2) (1 - cos 2B) - k^2 |eta|^2 (2 nbar + 1))."""
-    return np.exp(-2.0 * total * (1.0 - cos_twob) - k ** 2 * kern.eta_sq * (2.0 * nbar + 1.0))
+    return np.exp(-2.0 * total * (1.0 - cos_twob) - kern.thermal(k, nbar))
 
 
 def _ab_values(kern, alpha, beta, nbar, k, r_a, r_b):
     total = alpha ** 2 + beta ** 2
     cross = 2.0 * alpha * beta
     phi = (r_a + r_b) * kern.t
-    twob = 2.0 * (k ** 2 * kern.unit_b)
-    env = _envelope_factor(kern, np.cos(twob), total, k, nbar)
+    twob = kern.twob(k)
+    env = _envelope_factor(kern, kern.cos_twob(twob), total, k, nbar)
     return 1.0 + (total + cross * np.cos(phi)) - (total + cross * np.cos(phi + twob)) * env
 
 
 def _ab_lower(kern, alpha, beta, nbar, k, r_a, r_b):
     total = alpha ** 2 + beta ** 2
-    twob = 2.0 * (k ** 2 * kern.unit_b)
-    cos_twob = np.cos(twob)
+    twob = kern.twob(k)
+    cos_twob = kern.cos_twob(twob)
     env = _envelope_factor(kern, cos_twob, total, k, nbar)
     # |1 - env exp(2iB)| in real arithmetic: this line dominates the envelope
     # scan, and complex temporaries made it several times slower
-    swing = np.sqrt((1.0 - env * cos_twob) ** 2 + (env * np.sin(twob)) ** 2)
+    swing = np.sqrt((1.0 - env * cos_twob) ** 2 + (env * kern.sin_twob(twob)) ** 2)
     return 1.0 + total * (1.0 - env) - 2.0 * np.abs(alpha * beta) * swing
 
 
@@ -190,7 +217,7 @@ def _r_correlation(kern, alpha, beta, nbar, k, r_fast):
 def _ac_base(kern, alpha, beta, nbar, k):
     """D_AC minus its 2 Re R term."""
     total = alpha ** 2 + beta ** 2
-    env = _envelope_factor(kern, np.cos(2.0 * (k ** 2 * kern.unit_b)), total, k, nbar)
+    env = _envelope_factor(kern, kern.cos_twob(kern.twob(k)), total, k, nbar)
     return 1.0 + alpha ** 2 + nbar + k ** 2 * kern.eta_sq * total - (alpha ** 2) * env
 
 
@@ -242,6 +269,8 @@ class WindowMinima:
     mode: str
     #: True where the golden-section refinement beat the grid minimum
     refined: np.ndarray
+    #: number of distinct cells scanned; see `window_minima`
+    scanned_cells: int
 
 
 #: float64 grid elements per temporary of the blocked scan (512 KiB); the
@@ -319,6 +348,17 @@ def _golden(func, lo, hi):
     return np.where(first, x1, x2), np.where(first, f1, f2)
 
 
+def _distinct_rows(columns):
+    """(first, inverse) of the rows of equal-length columns, compared bitwise.
+
+    first holds the first index of each distinct row, and inverse maps every
+    row to its position in first.
+    """
+    keys = np.stack(columns, axis=1).view(np.dtype((np.void, 8 * len(columns))))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
+
+
 def window_minima(
     bipartition: str,
     window,
@@ -349,17 +389,28 @@ def window_minima(
       optical carrier frequencies this error is ~1e-9.
 
     mode="auto" picks "envelope" once the window holds more than 1e5 carrier
-    cycles, where a direct scan is no longer feasible. Three steps:
+    cycles, where a direct scan is no longer feasible. resolution, when
+    given, is the grid step and must be positive and finite. Three steps:
 
-    - the time kernels of the grid are computed once per call;
-    - the cells are scanned in blocks of about 2**16 grid elements, which
-      bounds the scan's temporaries whatever the number of cells;
+    - the cells are reduced to distinct ones, and only those are scanned
+      and refined. D_AB depends on alpha and beta only through
+      alpha**2 + beta**2 and alpha beta, so for "AB" the cell (beta, alpha)
+      is the cell (alpha, beta); AC and BC merge only repeated cells.
+      `scanned_cells` counts the distinct cells;
+    - the time kernels of the grid are computed once per call, and so are
+      the arrays that depend only on k and nbar (cos 2B, sin 2B, the thermal
+      exponent) when every cell shares k and nbar. The distinct cells are
+      scanned in blocks of about 2**16 grid elements, which bounds the
+      scan's temporaries whatever the number of cells;
     - every cell whose grid minimum is a strict interior local minimum is
       refined by one golden-section search across those cells, on the
       bracket of its two grid neighbours. All those searches step together,
       a fixed number of times that narrows every bracket to 1e-12 relative
       to t (scipy's golden xtol). The refined value replaces the grid value
       only where it is lower.
+
+    Merging cells changes no bit of any result: the scan is elementwise, and
+    the refinement's common step count depends only on the distinct brackets.
     """
     if bipartition not in _VALUES:
         raise ValueError(f"bipartition must be one of {sorted(_VALUES)}, got {bipartition!r}")
@@ -367,6 +418,8 @@ def window_minima(
     for name, ratio in (("r_a", r_a), ("r_b", r_b)):
         if not (math.isfinite(ratio) and ratio > 0):
             raise ValueError(f"{name} must be positive and finite, got {ratio!r}")
+    if resolution is not None and not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"resolution must be positive and finite, got {resolution!r}")
     cells = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (alpha, beta, nbar, k)))
     for name, cell in zip(("alpha", "beta", "nbar", "k"), cells):
         if not np.all(np.isfinite(cell)):
@@ -379,11 +432,20 @@ def window_minima(
 
     shape = cells[0].shape
     cells = [cell.ravel() for cell in cells]
+    if bipartition == "AB":
+        # alpha**2 + beta**2, 2.0*alpha*beta and |alpha beta| are bitwise
+        # symmetric, so ordering each pair changes no result
+        cells[:2] = np.minimum(cells[0], cells[1]), np.maximum(cells[0], cells[1])
+    first, inverse = _distinct_rows(cells)
+    cells = [cell[first] for cell in cells]
     m, n = cells[0].size, grid.size
     # a parameter shared by every cell stays a scalar, so the kernels that
     # depend only on it are computed once per block instead of once per cell
     params = [cell[0] if m and np.all(cell == cell[0]) else cell for cell in cells]
     kern = _kernels(grid)
+    if np.ndim(params[2]) == np.ndim(params[3]) == 0:
+        # and with both nbar and k shared, once per call
+        kern = _couple(kern, params[3], params[2])
     best = np.empty(m, dtype=np.intp)
     d_grid = np.empty(m)
     strict = np.zeros(m, dtype=bool)
@@ -420,10 +482,11 @@ def window_minima(
         t_star[won], d_star[won] = t_ref[better], d_ref[better]
         refined[won] = True
     return WindowMinima(
-        t_star=t_star.reshape(shape),
-        d_star=d_star.reshape(shape),
+        t_star=t_star[inverse].reshape(shape),
+        d_star=d_star[inverse].reshape(shape),
         mode=mode,
-        refined=refined.reshape(shape),
+        refined=refined[inverse].reshape(shape),
+        scanned_cells=m,
     )
 
 

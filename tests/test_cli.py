@@ -167,6 +167,18 @@ def test_fig4_metadata_reports_minimization(tmp_path, argv, mode, cells):
     assert len([line for line in lines if not line.startswith("#")]) == cells + 1
 
 
+@pytest.mark.parametrize("command, scanned, rows", [("fig4b", 5151, 10201), ("fig4a", 180, 180)])
+def test_fig4_metadata_counts_scanned_cells(tmp_path, command, scanned, rows):
+    # fig4b's (alpha, beta) grid is symmetric, so D_AB's alpha <-> beta
+    # symmetry leaves 101 * 102 / 2 distinct cells; fig4a's cells all differ
+    code, out = _run_cli([command], tmp_path, "run.csv")
+    assert code == 0
+    lines = out.read_text().splitlines()
+    meta = dict(line[2:].split(": ", 1) for line in lines if line.startswith("# "))
+    assert int(meta["scanned_cells"]) == scanned
+    assert len([line for line in lines if not line.startswith("#")]) == rows + 1
+
+
 def test_cli_csv_metadata_lines_use_crlf(tmp_path):
     _, out = _run_cli(["fig2", "--set", "n_points=60"], tmp_path, "run.csv")
     raw = out.read_bytes()

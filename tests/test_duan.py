@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
+from optomech import duan as duan_module
 from optomech.core import SystemParams, thermal_occupation
 from optomech.duan import (
     K_REGIME_BOUNDARY,
@@ -269,6 +270,120 @@ def test_window_minima_matches_scalar_golden_reference(bipartition, mode, cells)
         assert window[0] <= res.t_star[i] <= window[1]
         got = duan_values(res.t_star[i], state, p, bipartition, lower=mode == "envelope")
         assert got == pytest.approx(res.d_star[i], abs=1e-12)
+
+
+_KEYS = ("alpha", "beta", "nbar", "k")
+# no cell is its own alpha <-> beta swap, so swapping gives new rows
+_BASE_CELLS = {
+    "shared": dict(alpha=[0.2, 0.5, 1.1, -0.7], beta=[0.9, 0.6, 0.3, 0.4], nbar=0.05, k=0.74),
+    "per_cell": dict(
+        alpha=[0.2, 0.5, 1.1, -0.7], beta=[0.9, 0.6, 0.3, 0.4],
+        nbar=[0.0, 0.3, 0.1, 0.2], k=[0.3, 0.74, 1.2, 0.6],
+    ),
+}
+
+
+def _cell_rows(spec):
+    return np.stack(np.broadcast_arrays(*(np.asarray(spec[key], dtype=float) for key in _KEYS)), axis=1)
+
+
+def _minima(bipartition, mode, rows, **kw):
+    window, r_a, r_b = _WINDOWS[mode]
+    return window_minima(bipartition, window, r_a, r_b, mode=mode, **dict(zip(_KEYS, rows.T)), **kw)
+
+
+@pytest.mark.parametrize("cells", sorted(_BASE_CELLS))
+@pytest.mark.parametrize("mode", sorted(_WINDOWS))
+@pytest.mark.parametrize("bipartition", ["AB", "AC", "BC"])
+def test_window_minima_merges_repeated_and_swapped_cells(bipartition, mode, cells):
+    base = _cell_rows(_BASE_CELLS[cells])
+    distinct = np.concatenate([base, base[:, [1, 0, 2, 3]]])
+    rng = np.random.default_rng(7)
+    index = rng.permutation(np.concatenate([np.arange(len(distinct)), rng.integers(0, len(distinct), 12)]))
+    ref = _minima(bipartition, mode, distinct)
+    res = _minima(bipartition, mode, distinct[index])
+    assert ref.refined.any()
+    for field in ("t_star", "d_star", "refined"):
+        assert np.array_equal(getattr(res, field), getattr(ref, field)[index]), field
+    # only D_AB is symmetric under alpha <-> beta
+    assert res.scanned_cells == ref.scanned_cells == (len(base) if bipartition == "AB" else len(distinct))
+
+
+@pytest.mark.parametrize("mode", sorted(_WINDOWS))
+def test_window_minima_ab_is_symmetric_in_the_amplitudes(mode):
+    alpha = np.array([0.3, -0.8, -0.2, 1.5, 0.0, -1.1])
+    beta = np.array([1.1, 0.4, -0.9, -1.5, 0.7, -0.6])
+    window, r_a, r_b = _WINDOWS[mode]
+    kw = dict(nbar=0.05, k=0.74)
+    res = window_minima("AB", window, r_a, r_b, mode=mode, alpha=alpha, beta=beta, **kw)
+    swapped = window_minima("AB", window, r_a, r_b, mode=mode, alpha=beta, beta=alpha, **kw)
+    for field in ("t_star", "d_star", "refined"):
+        assert np.array_equal(getattr(res, field), getattr(swapped, field)), field
+    # what makes merging (alpha, beta) with (beta, alpha) exact: the curves
+    # themselves are bitwise symmetric
+    t = np.linspace(*window, 997)
+    p = _params(0.74, r_a=r_a, r_b=r_b)
+    for a, b in zip(alpha, beta):
+        for lower in (False, True):
+            one = duan_values(t, CVInitialState(a, b, 0.05), p, "AB", lower=lower)
+            other = duan_values(t, CVInitialState(b, a, 0.05), p, "AB", lower=lower)
+            assert np.array_equal(one, other)
+
+
+@pytest.mark.parametrize("mode", sorted(_WINDOWS))
+@pytest.mark.parametrize("bipartition", ["AB", "AC", "BC"])
+def test_window_minima_of_no_cells(bipartition, mode):
+    res = _minima(bipartition, mode, np.empty((0, 4)))
+    assert res.t_star.shape == res.d_star.shape == res.refined.shape == (0,)
+    assert res.scanned_cells == 0
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_window_minima_builds_shared_k_kernels_once(monkeypatch, shared):
+    # with one amplitude at zero no cell is refined, so every kernel call
+    # below belongs to the scan of 100 cells in blocks of 16 rows
+    built = {"twob": 0, "thermal": 0}
+
+    def counting(name):
+        original = getattr(duan_module._Kernels, name)
+
+        def wrapper(self, *args):
+            if self.coupled is None:
+                built[name] += 1
+            return original(self, *args)
+        return wrapper
+
+    for name in built:
+        monkeypatch.setattr(duan_module._Kernels, name, counting(name))
+    window, r_a, r_b = _WINDOWS["envelope"]
+    k = 0.74 if shared else np.linspace(0.5, 1.0, 100)
+    res = window_minima(
+        "AB", window, r_a, r_b, alpha=0.0, beta=np.linspace(0.1, 2.0, 100), nbar=0.01, k=k
+    )
+    assert res.mode == "envelope" and res.scanned_cells == 100
+    assert not res.refined.any()
+    blocks = math.ceil(100 / (duan_module._BLOCK_ELEMENTS // 4001))
+    calls = 1 if shared else blocks
+    assert built == {"twob": calls, "thermal": calls}
+
+
+@pytest.mark.parametrize("mode", ["direct", "envelope", "auto"])
+@pytest.mark.parametrize("resolution", [-0.01, 0.0, math.nan, math.inf, -math.inf])
+def test_window_minima_rejects_bad_resolution(mode, resolution):
+    with pytest.raises(ValueError, match="resolution must be positive and finite"):
+        window_minima(
+            "AB", 4.0 * math.pi, 30.0, 30.0, alpha=0.5, beta=0.5, nbar=0.0, k=0.5,
+            resolution=resolution, mode=mode,
+        )
+
+
+def test_window_minima_resolution_none_is_the_default():
+    cell = dict(alpha=0.5, beta=0.5, nbar=0.0, k=0.5)
+    default = window_minima("AB", 4.0 * math.pi, 30.0, 30.0, mode="direct", **cell)
+    explicit = window_minima("AB", 4.0 * math.pi, 30.0, 30.0, mode="direct", resolution=None, **cell)
+    assert float(default.d_star) == float(explicit.d_star)
+    # the resolved minimum the step rule gives, which a negative step once skipped
+    assert float(default.d_star) == pytest.approx(0.8648, abs=5e-5)
 
 
 def test_window_minima_zero_amplitude_cells_stay_separable():
