@@ -552,7 +552,9 @@ def run_design(cfg: RunConfig) -> tuple[ResultTable, dict]:
         },
         "optimized": optimized,
     }
-    table = ResultTable(names, rows, _metadata(cfg))
+    # grid points each radius's search covered, as in the sidecar
+    n_evaluated = json.dumps([entry["n_evaluated"] for entry in optimized])
+    table = ResultTable(names, rows, _metadata(cfg, {"n_evaluated": n_evaluated}))
     return table, report_json
 
 

@@ -19,6 +19,7 @@ single anchor is prediction, not fit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -355,14 +356,37 @@ class DesignSearchSpace:
     )
 
     def __post_init__(self) -> None:
-        if not (self.R_mirror > 0):
-            raise ValueError(f"R_mirror must be positive, got {self.R_mirror!r}")
-        if not (0 < self.L_min <= self.L_max and self.L_step > 0):
-            raise ValueError("invalid L range")
-        if not (1 <= self.N_min <= self.N_max and self.N_step > 0):
-            raise ValueError("invalid N range")
-        if len(self.omega_m_values) == 0:
-            raise ValueError("omega_m_values must be non-empty")
+        def need(name, ok, want):
+            if not ok:
+                raise ValueError(f"{name} must be {want}, got {getattr(self, name)!r}")
+
+        # chained comparisons with math.inf also turn NaN away
+        for name in ("R_mirror", "L_min", "L_step", "N_step"):
+            need(name, 0 < getattr(self, name) < math.inf, "positive and finite")
+        for name in ("exclusion_halfwidth", "plateau_rtol"):
+            need(name, 0 <= getattr(self, name) < math.inf, "non-negative and finite")
+        need("L_max", self.L_min <= self.L_max < math.inf, "finite and >= L_min")
+        need("N_min", 1 <= self.N_min < math.inf, "finite and >= 1")
+        need("N_max", self.N_min <= self.N_max < math.inf, "finite and >= N_min")
+        need("finesse_eval", 1 < self.finesse_eval < math.inf, "finite and > 1")
+        omegas = np.asarray(self.omega_m_values, dtype=float)
+        need(
+            "omega_m_values",
+            omegas.ndim == 1 and omegas.size > 0 and bool(np.all((0 < omegas) & (omegas < math.inf))),
+            "a non-empty sequence of positive finite numbers",
+        )
+        need(
+            "exclusion_n_max",
+            isinstance(self.exclusion_n_max, numbers.Integral) and self.exclusion_n_max >= 0,
+            "a non-negative integer",
+        )
+        # the search takes the coupling k = g0/omega_m to be positive, which
+        # needs a positive detuning
+        if not self.atom_template.Delta_ca > 0:
+            raise ValueError(
+                f"atom_template.Delta_ca must be positive for the design search, "
+                f"got {self.atom_template.Delta_ca!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -380,85 +404,123 @@ class OptimizeResult:
     message: str = ""
 
 
-def _k_excluded(k: np.ndarray, halfwidth: float, n_max: int) -> np.ndarray:
-    """Boolean mask of couplings k >= 0 inside an inconclusive band.
+def _first_index(sqrt_n: np.ndarray, c: np.ndarray, k_turn, test) -> np.ndarray:
+    """Per row r, the first index j at which test holds for k = sqrt_n[j] * c[r].
 
-    The bands are |k - sqrt(n/2)| <= halfwidth for n = 1..n_max. sqrt(n/2)
-    grows with n, so the band nearest k is n = floor(2 k**2) or n + 1, each
-    clipped to 1..n_max; checking those two is exact for any halfwidth.
+    test(k, rows) gets the couplings of the rows selected by the boolean mask
+    rows and must turn from False to True once as k grows along each row;
+    k_turn is where it turns in real arithmetic. np.searchsorted on k_turn / c
+    puts each row within an index or two of the answer, and each row then
+    steps with test itself, so the result is the first index test accepts
+    bit for bit, or sqrt_n.size where it accepts none.
     """
-    k = np.asarray(k, dtype=float)
-    if n_max < 1:
-        return np.zeros(k.shape, dtype=bool)
-    # in place throughout: the design grids hold about 250k couplings, and
-    # each extra temporary raised the search's peak memory
-    below = np.square(k)
-    below *= 2.0
-    np.floor(below, out=below)
-    above = below + 1.0
-    np.minimum(above, n_max, out=above)
-    np.clip(below, 1, n_max, out=below)
-    bad = np.zeros(k.shape, dtype=bool)
-    for band in (below, above):
-        band *= 0.5
-        np.sqrt(band, out=band)
-        band -= k  # the sign flip is exact, so |band| equals |k - sqrt(n/2)| bit for bit
-        bad |= np.abs(band, out=band) <= halfwidth
-    return bad
+    j = np.searchsorted(sqrt_n, k_turn / c)
+    while True:  # back while the index below still passes
+        rows = j > 0
+        rows[rows] = test(sqrt_n[j[rows] - 1] * c[rows], rows)
+        if not rows.any():
+            break
+        j[rows] -= 1
+    while True:  # ahead while this index fails
+        rows = j < sqrt_n.size
+        rows[rows] = ~test(sqrt_n[j[rows]] * c[rows], rows)
+        if not rows.any():
+            break
+        j[rows] += 1
+    return j
+
+
+def _band_run(sqrt_n: np.ndarray, c: np.ndarray, centre: float, halfwidth: float):
+    """Per row, the index run [lo, hi) where |sqrt_n[j] * c - centre| <= halfwidth."""
+    lo = _first_index(sqrt_n, c, centre - halfwidth, lambda k, rows: k - centre >= -halfwidth)
+    hi = _first_index(sqrt_n, c, centre + halfwidth, lambda k, rows: k - centre > halfwidth)
+    return lo, hi
 
 
 def optimize_design(search: DesignSearchSpace) -> OptimizeResult:
     """Minimize tau_e/tau_p over (L, N, omega_m) at fixed mirror radius.
 
-    Exhaustive vectorized grid scan; the argmin does not depend on
-    finesse_eval because the objective scales as 1/finesse uniformly.
+    Returns the optimum of the full (omega_m, L, N) grid without visiting
+    it. Along each (omega_m, L) row the coupling k = sqrt(N) c with c > 0
+    never falls as N grows, so each exclusion band |k - sqrt(n/2)| <=
+    exclusion_halfwidth removes one contiguous run of N indices, and the
+    ratio entanglement_period(k, omega_m) * kappa never rises: pi/(omega_m
+    k**2) below the regime boundary, the constant 2 pi/omega_m at and above
+    it. A row's minimum is therefore its ratio at its last feasible N, and
+    its plateau hits start at the first feasible N at or after the first N
+    whose ratio is within the cutoff. Run bounds and that first N come from
+    np.searchsorted and are then settled with the grid's own predicates,
+    evaluated by the grid's own expressions at the same indices, so the
+    result equals the exhaustive scan's bit for bit. n_evaluated counts the
+    grid points covered. The argmin does not depend on finesse_eval because
+    the objective scales as 1/finesse uniformly.
     """
     L_values = np.arange(search.L_min, search.L_max + 0.5 * search.L_step, search.L_step)
     L_values = L_values[L_values < 2.0 * search.R_mirror]
     N_values = np.arange(search.N_min, search.N_max + 0.5 * search.N_step, search.N_step)
-    if L_values.size == 0 or N_values.size == 0:
+    if L_values.size == 0:
         return OptimizeResult(feasible=False, message="empty search grid")
 
     tmpl = search.atom_template
     lam = RB87_D2_WAVELENGTH_M
-    kappa = _linewidth(L_values, search.finesse_eval)
+    halfwidth = search.exclusion_halfwidth
+    omegas = np.asarray(search.omega_m_values, dtype=float)
+    n_evaluated = omegas.size * L_values.size * N_values.size
+    sqrt_n = np.sqrt(N_values)
+    # one row per (omega_m, L), omega-major. g0 is N atoms times a collective
+    # zero-point spread that falls as 1/sqrt(N), so k = sqrt(N) c along a row,
+    # with c the coupling over omega_m at N = 1
+    c = np.concatenate([
+        _coupling(replace(tmpl, N=1.0, omega_m=omega_m), L_values, search.R_mirror, lam) / omega_m
+        for omega_m in omegas
+    ])
+    omega = np.repeat(omegas, L_values.size)
+    L_index = np.tile(np.arange(L_values.size), omegas.size)
+    kappa = _linewidth(L_values, search.finesse_eval)[L_index]
 
-    best = None
-    candidates = []
-    n_evaluated = 0
-    for omega_m in search.omega_m_values:
-        # g0 is N atoms times a collective zero-point spread that falls as
-        # 1/sqrt(N), so it grows as sqrt(N) at fixed L and omega: the coupling
-        # at N = 1 for each length times sqrt(N) fills the (L, N) grid
-        g0_per_sqrt_n = _coupling(replace(tmpl, N=1.0, omega_m=omega_m), L_values, search.R_mirror, lam)
-        k_grid = np.sqrt(N_values)[None, :] * (g0_per_sqrt_n / omega_m)[:, None]
-        feasible = ~_k_excluded(k_grid, search.exclusion_halfwidth, search.exclusion_n_max)
-        n_evaluated += k_grid.size
-        if not feasible.any():
-            continue
-        ratio = entanglement_period(k_grid, omega_m) * kappa[:, None]
-        ratio_masked = np.where(feasible, ratio, np.inf)
-        idx = np.unravel_index(np.argmin(ratio_masked), ratio_masked.shape)
-        candidates.append((float(ratio_masked[idx]), omega_m, ratio_masked))
-        if best is None or ratio_masked[idx] < best:
-            best = float(ratio_masked[idx])
+    # bands above n_top lie beyond the largest coupling and exclude nothing
+    k_max = float(sqrt_n[-1] * c.max())
+    n_top = 0
+    while n_top < search.exclusion_n_max and k_max - math.sqrt((n_top + 1) / 2.0) >= -halfwidth:
+        n_top += 1
 
-    if best is None or not math.isfinite(best):
+    # the last feasible index of each row. lo and hi of the runs never fall
+    # as the band grows, so one pass from the top band down steps each row
+    # below every run it lands in; -1 marks a row with no feasible point
+    last = np.full(c.size, N_values.size - 1)
+    for n in range(n_top, 0, -1):
+        lo, hi = _band_run(sqrt_n, c, math.sqrt(n / 2.0), halfwidth)
+        inside = (lo <= last) & (last < hi)
+        last[inside] = lo[inside] - 1
+        if ((last < 0) | (last >= hi)).all():
+            break  # lower bands end lower still
+    rows = np.flatnonzero(last >= 0)
+    row_min = entanglement_period(sqrt_n[last[rows]] * c[rows], omega[rows]) * kappa[rows]
+    best = float(row_min.min()) if rows.size else math.inf
+    if not math.isfinite(best):
         return OptimizeResult(
             feasible=False,
             n_evaluated=n_evaluated,
             message="no feasible design: every coupling lands in an exclusion band",
         )
 
-    # collect near-ties across all omega blocks, then lexicographic (L, N, omega)
+    # near-ties across all rows, then the lexicographic minimum of (L, N, omega)
     cutoff = best * (1.0 + search.plateau_rtol)
-    rows = []
-    for _, omega_m, ratio_masked in candidates:
-        hit_L, hit_N = np.nonzero(ratio_masked <= cutoff)
-        for iL, iN in zip(hit_L, hit_N):
-            rows.append((float(L_values[iL]), float(N_values[iN]), float(omega_m)))
-    rows.sort()
-    L_opt, N_opt, omega_opt = rows[0]
+    rows = rows[row_min <= cutoff]
+    c, omega, kappa, L_index = c[rows], omega[rows], kappa[rows], L_index[rows]
+    first = _first_index(
+        sqrt_n, c, np.sqrt(math.pi * kappa / (omega * cutoff)),
+        lambda k, sel: entanglement_period(k, omega[sel]) * kappa[sel] <= cutoff,
+    )
+    # then up past every run it lands in, from the lowest band
+    for n in range(1, n_top + 1):
+        lo, hi = _band_run(sqrt_n, c, math.sqrt(n / 2.0), halfwidth)
+        inside = (lo <= first) & (first < hi)
+        first[inside] = hi[inside]
+        if (first < lo).all():
+            break  # higher bands start higher still
+    pick = np.lexsort((omega, N_values[first], L_values[L_index]))[0]
+    L_opt, N_opt, omega_opt = float(L_values[L_index[pick]]), float(N_values[first[pick]]), float(omega[pick])
 
     spec = replace(tmpl, N=N_opt, omega_m=omega_opt)
     geom = CavityGeometry(L=L_opt, R_mirror=search.R_mirror, finesse=search.finesse_eval, lambda_a=lam)

@@ -460,10 +460,19 @@ def partial_trace(state: TriModeState, keep: str) -> np.ndarray:
     dim_keep = int(np.prod([state.shape[_MODE_AXES[mode]] for mode in kept]))
     if dim_keep ** 2 > 4e8:
         raise ValueError(f"reduced matrix over {kept} would have dimension {dim_keep}")
-    # trace the purification sqrt(w) psi over the member axis and the dropped modes
+    # trace the purification sqrt(w) psi over the member axis and the dropped
+    # modes, a chunk of members at a time: a chunk's copies stay within the
+    # larger of one member and the result, and a result at least as large
+    # as the ensemble takes every member in one product, as one chunk
     traced = [0] + [axis + 1 for mode, axis in _MODE_AXES.items() if mode not in kept]
-    phi = np.sqrt(state.weights)[:, None, None, None] * state.vectors
-    return np.tensordot(phi, phi.conj(), axes=(traced, traced)).reshape(dim_keep, dim_keep)
+    chunk = max(1, dim_keep ** 2 // math.prod(state.shape))
+    rho = None
+    for start in range(0, len(state.weights), chunk):
+        members = slice(start, start + chunk)
+        phi = np.sqrt(state.weights[members])[:, None, None, None] * state.vectors[members]
+        block = np.tensordot(phi, phi.conj(), axes=(traced, traced)).reshape(dim_keep, dim_keep)
+        rho = block if rho is None else np.add(rho, block, out=rho)
+    return rho
 
 
 def _mean_numbers(state: TriModeState) -> list:

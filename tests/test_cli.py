@@ -216,6 +216,24 @@ def test_cli_design_writes_json_sidecar(tmp_path):
     assert payload["metadata"]["command"] == "design"
 
 
+def test_cli_design_metadata_counts_grid_points_per_radius(tmp_path):
+    argv = ["design", "--set", "radii_m=[0.01, 0.05]", "--set", "trap_frequencies_Hz=[40000.0, 95000.0]"]
+    code_a, out_a = _run_cli(argv, tmp_path, "a.csv")
+    code_b, out_b = _run_cli(argv, tmp_path, "b.csv")
+    assert code_a == code_b == 0
+    assert out_a.read_bytes() == out_b.read_bytes()
+    lines = out_a.read_text().splitlines()
+    meta = dict(line[2:].split(": ", 1) for line in lines if line.startswith("# "))
+    sidecar = json.loads(out_a.with_suffix(".json").read_text())
+    counts = [row["n_evaluated"] for row in sidecar["report"]["optimized"]]
+    # 526 lengths (all below 2 R), 481 atom numbers, 2 trap frequencies
+    assert json.loads(meta["n_evaluated"]) == counts == [2 * 526 * 481] * 2
+    assert sidecar["metadata"]["n_evaluated"] == meta["n_evaluated"]
+    header = next(line for line in lines if not line.startswith("#"))
+    assert header.split(",")[0] == "mirror_radius_m"
+    assert len([line for line in lines if not line.startswith("#")]) == 3
+
+
 def test_cli_sweep_runs(tmp_path):
     code, out = _run_cli(
         ["sweep", "--set", "n_points=40", "--set", "quantity=duan_ab", "--set", "variable=t"],

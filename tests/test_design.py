@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from optomech.design import (
     optimize_design,
     proposed_atom_spec,
     proposed_geometry,
-    _k_excluded,
+    _band_run,
 )
 
 OMEGA_M = 2.0 * math.pi * 95e3
@@ -241,11 +243,63 @@ class TestOptimizeDesign:
         assert "exclusion band" in res.message
 
 
-def _inline_grid_search(search):
-    """(L, N, omega_m, n_evaluated) by the grid search optimize_design used to inline.
+def test_optimizer_holds_no_grid_in_memory():
+    # one float (L, N) block of the default grid alone is 526 x 481 x 8 bytes,
+    # 1.9 MiB; the row reduction keeps a few arrays of one value per row
+    tracemalloc.start()
+    try:
+        optimize_design(DesignSearchSpace(R_mirror=0.05))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MiB"
 
-    Its own copies of the mode volume, coupling, linewidth and period
-    formulas, in their own operation order.
+
+_BAD_SEARCH_FIELDS = [
+    ("R_mirror", 0.0), ("R_mirror", -0.05), ("R_mirror", math.nan), ("R_mirror", math.inf),
+    ("L_min", 0.0), ("L_min", math.nan),
+    ("L_max", 100e-6), ("L_max", math.inf),
+    ("L_step", 0.0), ("L_step", -1e-6),
+    ("N_min", 0.5), ("N_min", math.nan),
+    ("N_max", 5.0e4), ("N_max", math.inf),
+    ("N_step", 0.0), ("N_step", math.nan),
+    ("omega_m_values", ()), ("omega_m_values", (OMEGA_M, 0.0)), ("omega_m_values", (-OMEGA_M,)),
+    ("omega_m_values", (math.nan,)), ("omega_m_values", (math.inf,)),
+    ("finesse_eval", 1.0), ("finesse_eval", 0.0), ("finesse_eval", math.inf),
+    ("exclusion_halfwidth", -0.01), ("exclusion_halfwidth", math.nan),
+    ("exclusion_n_max", -1), ("exclusion_n_max", 2.5),
+    ("plateau_rtol", -0.01), ("plateau_rtol", math.inf),
+    ("atom_template", AtomEnsembleSpec(N=1.0e5, Delta_ca=-DEFAULT_DETUNING_RAD_S)),
+]
+
+
+@pytest.mark.parametrize("name, value", _BAD_SEARCH_FIELDS)
+def test_search_space_rejects_bad_field_by_name(name, value):
+    with pytest.raises(ValueError, match=rf"^{name}\b"):
+        DesignSearchSpace(**{"R_mirror": 0.05, name: value})
+
+
+def test_search_space_accepts_its_boundary_values():
+    space = DesignSearchSpace(
+        R_mirror=0.05, L_max=200e-6, N_min=1.0, N_max=1.0, exclusion_halfwidth=0.0,
+        exclusion_n_max=0, plateau_rtol=0.0, omega_m_values=(1,),
+    )
+    assert optimize_design(space).feasible
+
+
+def _k_excluded_by_band_loop(k, halfwidth, n_max):
+    """The per-band scan: True where k lies in some band |k - sqrt(n/2)| <= halfwidth."""
+    bad = np.zeros(np.shape(k), dtype=bool)
+    for n in range(1, n_max + 1):
+        bad |= np.abs(k - math.sqrt(n / 2.0)) <= halfwidth
+    return bad
+
+
+def _inline_k_grids(search):
+    """(L_values, N_values, kappa, [(omega_m, k_grid), ...]) of the full search grid.
+
+    Its own copies of the mode volume, coupling and linewidth formulas, in
+    their own operation order.
     """
     L_values = np.arange(search.L_min, search.L_max + 0.5 * search.L_step, search.L_step)
     L_values = L_values[L_values < 2.0 * search.R_mirror]
@@ -258,15 +312,23 @@ def _inline_grid_search(search):
     vol = (lam / 2.0) * L_values * np.sqrt(L_values * (2.0 * search.R_mirror - L_values))
     alpha0_sq = tmpl.d ** 2 * omega_c / (2.0 * hbar * CODATA2018.epsilon_0 * vol)
     kappa = CODATA2018.c / (2.0 * L_values) / search.finesse_eval
-    best = None
-    candidates = []
-    n_evaluated = 0
+    grids = []
     for omega_m in search.omega_m_values:
         g0_per_sqrt_n = (
             k_a * (alpha0_sq / tmpl.Delta_ca) * math.sqrt(hbar / (2.0 * tmpl.m_atom * omega_m))
         )
-        k_grid = np.sqrt(N_values)[None, :] * (g0_per_sqrt_n / omega_m)[:, None]
-        feasible = ~_k_excluded(k_grid, search.exclusion_halfwidth, search.exclusion_n_max)
+        grids.append((omega_m, np.sqrt(N_values)[None, :] * (g0_per_sqrt_n / omega_m)[:, None]))
+    return L_values, N_values, kappa, grids
+
+
+def _inline_plateau(search):
+    """(n_evaluated, plateau hits (L, N, omega_m)) of an exhaustive scan of every grid point."""
+    L_values, N_values, kappa, grids = _inline_k_grids(search)
+    best = None
+    candidates = []
+    n_evaluated = 0
+    for omega_m, k_grid in grids:
+        feasible = ~_k_excluded_by_band_loop(k_grid, search.exclusion_halfwidth, search.exclusion_n_max)
         n_evaluated += k_grid.size
         if not feasible.any():
             continue
@@ -279,12 +341,26 @@ def _inline_grid_search(search):
         candidates.append((omega_m, ratio_masked))
         if best is None or ratio_masked.min() < best:
             best = float(ratio_masked.min())
-    cutoff = best * (1.0 + search.plateau_rtol)
-    rows = []
+    hits = []
     for omega_m, ratio_masked in candidates:
-        for iL, iN in zip(*np.nonzero(ratio_masked <= cutoff)):
-            rows.append((float(L_values[iL]), float(N_values[iN]), float(omega_m)))
-    return (*min(rows), n_evaluated)
+        for iL, iN in zip(*np.nonzero(ratio_masked <= best * (1.0 + search.plateau_rtol))):
+            hits.append((float(L_values[iL]), float(N_values[iN]), float(omega_m)))
+    return n_evaluated, hits
+
+
+def _inline_grid_search(search):
+    """(feasible, L, N, omega_m, n_evaluated, message) as the exhaustive scan finds them."""
+    n_evaluated, hits = _inline_plateau(search)
+    if n_evaluated == 0:
+        return (False, None, None, None, 0, "empty search grid")
+    if not hits:
+        return (False, None, None, None, n_evaluated,
+                "no feasible design: every coupling lands in an exclusion band")
+    return (True, *min(hits), n_evaluated, "")
+
+
+def _outcome(result):
+    return (result.feasible, result.L, result.N, result.omega_m, result.n_evaluated, result.message)
 
 
 # the default radii, then the design-search benchmark's radii and finesse
@@ -303,31 +379,82 @@ _PINNED_SEARCHES = [(R, 5.8e5) for R in (0.01, 0.025, 0.05, 0.10)] + [
 @pytest.mark.parametrize("R_mirror, finesse", _PINNED_SEARCHES)
 def test_optimizer_picks_what_the_inline_grid_search_picked(R_mirror, finesse):
     search = DesignSearchSpace(R_mirror=R_mirror, finesse_eval=finesse)
-    res = optimize_design(search)
-    assert (res.L, res.N, res.omega_m, res.n_evaluated) == _inline_grid_search(search)
+    assert _outcome(optimize_design(search)) == _inline_grid_search(search)
 
 
-def _k_excluded_by_band_loop(k, halfwidth, n_max):
-    """The per-band scan that the nearest-band arithmetic replaced."""
-    bad = np.zeros(np.shape(k), dtype=bool)
-    for n in range(1, n_max + 1):
-        bad |= np.abs(k - math.sqrt(n / 2.0)) <= halfwidth
-    return bad
+_KHZ = 2.0 * math.pi * 1e3
+# two trap frequencies and N >= 2e5 keep every coupling above the regime
+# boundary, so the ratio is flat along every row and rows tie in blocks
+_FLAT_ROWS = dict(omega_m_values=(40.0 * _KHZ, 42.0 * _KHZ), N_min=2.0e5)
+
+_EDGE_SEARCHES = {
+    "halfwidth-0": dict(exclusion_halfwidth=0.0),
+    "halfwidth-0.2-overlapping": dict(exclusion_halfwidth=0.2, exclusion_n_max=11),
+    "n_max-0": dict(exclusion_n_max=0),
+    "n_max-1": dict(exclusion_n_max=1),
+    "n_max-11": dict(exclusion_n_max=11),
+    "rtol-0": dict(plateau_rtol=0.0),
+    "rtol-0.05": dict(plateau_rtol=0.05),
+    "omega-unsorted-duplicated": dict(
+        omega_m_values=tuple(f * _KHZ for f in (95.0, 60.0, 95.0, 40.0, 75.0, 60.0))
+    ),
+    "flat-rows": dict(_FLAT_ROWS, exclusion_halfwidth=0.1),
+    "flat-rows-rtol-0": dict(_FLAT_ROWS, plateau_rtol=0.0),
+    "flat-rows-overlapping": dict(_FLAT_ROWS, exclusion_halfwidth=0.2, exclusion_n_max=11),
+    "single-point": dict(
+        L_min=810e-6, L_max=810e-6, N_min=568000.0, N_max=568000.0, omega_m_values=(95.0 * _KHZ,)
+    ),
+    "single-point-excluded": dict(
+        L_min=810e-6, L_max=810e-6, N_min=568000.0, N_max=568000.0,
+        omega_m_values=(95.0 * _KHZ,), exclusion_halfwidth=0.05,
+    ),
+    "all-excluded": dict(exclusion_halfwidth=50.0),
+    "empty-grid": dict(L_min=0.2, L_max=0.3),  # every length above 2 R_mirror
+}
+
+
+@pytest.mark.parametrize("settings", _EDGE_SEARCHES.values(), ids=_EDGE_SEARCHES.keys())
+def test_optimizer_matches_the_exhaustive_scan_on_edge_cases(settings):
+    search = DesignSearchSpace(**{"R_mirror": 0.05, **settings})
+    assert _outcome(optimize_design(search)) == _inline_grid_search(search)
+
+
+def test_edge_cases_are_what_their_names_claim():
+    flat = DesignSearchSpace(R_mirror=0.05, **_FLAT_ROWS)
+    _, _, _, grids = _inline_k_grids(flat)
+    assert min(k_grid.min() for _, k_grid in grids) > 1.0 / math.sqrt(2.0)
+    _, hits = _inline_plateau(replace(flat, exclusion_halfwidth=0.1))
+    rows = {(L, omega_m) for L, _, omega_m in hits}
+    assert len(rows) > 5 and len(hits) > 50 * len(rows)  # ties across and along rows
+    for name, feasible in (("single-point", True), ("single-point-excluded", False)):
+        point = DesignSearchSpace(R_mirror=0.05, **_EDGE_SEARCHES[name])
+        assert _inline_grid_search(point)[0] is feasible
 
 
 @pytest.mark.parametrize("halfwidth", [0.0, 0.02, 0.3, 1.0])
 @pytest.mark.parametrize("n_max", [0, 1, 2, 5, 8, 11])
 def test_k_excluded_matches_band_loop(halfwidth, n_max):
+    # the optimizer's per-band index runs mark exactly the couplings the
+    # band loop marks, on band centres and edges and one ulp either side
     rng = np.random.default_rng(1000 * n_max + int(100 * halfwidth))
     centres = np.sqrt(np.arange(0, 14) / 2.0)
-    k = np.concatenate([
+    k = np.unique(np.concatenate([
         rng.uniform(0.0, 3.0, 300),
-        # on every band centre and edge, and one ulp either side of each edge
         centres, centres + halfwidth, np.abs(centres - halfwidth),
         np.nextafter(centres + halfwidth, np.inf), np.nextafter(centres + halfwidth, 0.0),
         np.nextafter(np.abs(centres - halfwidth), np.inf),
         np.nextafter(np.abs(centres - halfwidth), 0.0),
-    ])
-    for ks in (k, k[:300].reshape(20, 15)):
-        want = _k_excluded_by_band_loop(ks, halfwidth, n_max)
-        assert np.array_equal(_k_excluded(ks, halfwidth, n_max), want)
+    ]))
+    k = k[k > 0]
+    c = np.array([1.0, 0.75, 1.3])
+    want = _k_excluded_by_band_loop(k[None, :] * c[:, None], halfwidth, n_max)
+    got = np.zeros(want.shape, dtype=bool)
+    index = np.arange(k.size)
+    for n in range(1, n_max + 1):
+        lo, hi = _band_run(k, c, math.sqrt(n / 2.0), halfwidth)
+        got |= (lo[:, None] <= index) & (index < hi[:, None])
+    assert np.array_equal(got, want)
+    # and the band loop itself is the scalar definition
+    for kj in k[::7]:
+        scalar = any(abs(kj - math.sqrt(n / 2.0)) <= halfwidth for n in range(1, n_max + 1))
+        assert _k_excluded_by_band_loop(kj, halfwidth, n_max) == scalar

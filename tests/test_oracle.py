@@ -652,5 +652,7 @@ def test_ensemble_operations_stay_within_memory_bound():
     }
     for pair in ("AB", "AC", "BC"):
         peaks[f"moments {pair}"] = _peak_bytes(moments, evolved, pair)
+    for keep in ("C", "AB"):
+        peaks[f"partial_trace {keep}"] = _peak_bytes(partial_trace, evolved, keep)
     over = {name: peak / ensemble_bytes for name, peak in peaks.items() if peak > bound}
     assert not over, f"peak over 2.5x the ensemble's bytes: {over}"
