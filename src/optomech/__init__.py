@@ -3,9 +3,9 @@
 Two cavity modes couple to one mechanical mode through a shared
 position-dependent frequency shift. The package provides the closed-form
 evolution of that system (core, qubit, duan), a truncated-Fock-space
-numerical oracle for cross-checking the closed forms (oracle), SI-unit
-experiment-design calculators (design), and a CSV-producing command line
-front end (cli).
+numerical oracle (oracle) and the certification of the closed forms
+against it (certify), SI-unit experiment-design calculators (design),
+and a CSV-producing command line front end (cli).
 """
 
 from .core import (

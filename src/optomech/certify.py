@@ -1,0 +1,152 @@
+"""Certification of the closed forms against the Fock-space oracle.
+
+A check passes when its deviation is below its tolerance.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .core import SystemParams, energy_eigenvalue_scaled
+from .duan import CVInitialState, duan_from_moments, duan_values
+from .oracle import (
+    FockConfig, TriModeState, _coherent_vector, apply_evolution, build_initial_state,
+    displacement_matrix, hamiltonian_expectation, moments, partial_trace,
+)
+from .qubit import reduced_rho_ab
+
+__all__ = ["run"]
+
+#: Fock tail budget of `_check_cv`'s states. Tail budgets bound dropped
+#: probability mass, not moments, so states sized at 1e-8 back a 1e-6 claim
+_CV_FOCK_TOLERANCE = 1e-8
+
+
+def _oracle_duan(cv: CVInitialState, t: float, k: float, r_a: float, r_b: float, **fock) -> dict:
+    """The oracle's witness per pair for input cv at time t; fock is the tolerance or config."""
+    state = build_initial_state(
+        "coherent_thermal", alpha=cv.alpha, beta=cv.beta, nbar=cv.nbar, k=k, **fock
+    )
+    evolved = apply_evolution(state, t, k, r_a, r_b)
+    return {pair: duan_from_moments(m) for pair, m in moments(evolved).items()}
+
+
+def _check_displacement(rng) -> list:
+    eye_dev = float(np.abs(displacement_matrix(0.0, 12) - np.eye(13)).max())
+    dev = 0.0
+    for _ in range(4):
+        b = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        g = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        lhs = displacement_matrix(b, 80) @ _coherent_vector(g, 80)
+        rhs = np.exp(1j * (b * np.conj(g)).imag) * _coherent_vector(b + g, 80)
+        dev = max(dev, float(np.abs(lhs - rhs).max()))
+    return [
+        ("displacement_identity_at_zero", eye_dev, 1e-15),
+        ("displacement_coherent_action", dev, 1e-10),
+    ]
+
+
+def _check_qubit(rng, n_times: int) -> list:
+    dev = 0.0
+    for k in (0.1, 0.5, 1.0):
+        state = build_initial_state("qubit", k=k, tolerance=1e-12)
+        for t in rng.uniform(0.0, 4.0 * math.pi, n_times):
+            rho = partial_trace(apply_evolution(state, float(t), k, 0.0, 0.0), "AB")
+            dev = max(dev, float(np.abs(rho - reduced_rho_ab(float(t), k)).max()))
+    return [("qubit_reduced_state_vs_oracle", dev, 1e-8)]
+
+
+def _check_conservation(rng) -> list:
+    state = build_initial_state(
+        "coherent_thermal", alpha=0.7, beta=0.4, nbar=0.3, k=0.6, tolerance=1e-10
+    )
+    trace0 = state.trace()
+    energy0 = hamiltonian_expectation(state, 0.6, 1.3, 0.8)
+    drift = energy_dev = 0.0
+    for t in rng.uniform(0.0, 4.0 * math.pi, 5):
+        evolved = apply_evolution(state, float(t), 0.6, 1.3, 0.8)
+        drift = max(drift, abs(evolved.trace() - trace0))
+        energy = hamiltonian_expectation(evolved, 0.6, 1.3, 0.8)
+        energy_dev = max(energy_dev, abs(energy - energy0) / max(abs(energy0), 1.0))
+    return [
+        ("oracle_norm_drift", drift, 1e-10),
+        ("oracle_energy_conservation_rel", energy_dev, 1e-8),
+    ]
+
+
+def _check_stationarity(rng) -> list:
+    k, r_a, r_b = 0.5, 1.3, 0.8
+    config = FockConfig(n_max_a=2, n_max_b=2, n_max_c=40, tolerance=1e-12)
+    dev = 0.0
+    for n0, m0, l0 in ((1, 0, 2), (0, 2, 0), (2, 1, 3)):
+        psi = np.zeros((1, 3, 3, 41), dtype=complex)
+        # D(0) is exactly the identity, so n0 == m0 needs no case
+        psi[0, n0, m0, :] = displacement_matrix(k * (n0 - m0), 40)[:, l0]
+        state = TriModeState(np.array([1.0]), psi, config)
+        energy = energy_eigenvalue_scaled(n0, m0, l0, k, r_a, r_b)
+        for t in rng.uniform(0.0, 4.0 * math.pi, 3):
+            evolved = apply_evolution(state, float(t), k, r_a, r_b)
+            expected = np.exp(-1j * energy * float(t)) * psi
+            dev = max(dev, float(np.abs(evolved.vectors - expected).max()))
+    return [("oracle_eigenstate_stationarity", dev, 1e-8)]
+
+
+def _check_cv(rng, n_points: int) -> list:
+    dev = 0.0
+    for _ in range(n_points):
+        alpha = float(rng.uniform(0.1, 1.0))
+        beta = float(rng.uniform(0.1, 1.0))
+        nbar = float(rng.uniform(0.0, 0.5))
+        k = float(rng.uniform(0.2, 1.0))
+        r_a = float(rng.uniform(0.0, 3.0))
+        r_b = float(rng.uniform(0.0, 3.0))
+        t = float(rng.uniform(0.3, 4.0 * math.pi))
+        cv = CVInitialState(alpha=alpha, beta=beta, nbar=nbar)
+        params = SystemParams.from_dimensionless(k=k, r_a=r_a, r_b=r_b)
+        oracle = _oracle_duan(cv, t, k, r_a, r_b, tolerance=_CV_FOCK_TOLERANCE)
+        for pair, d_oracle in oracle.items():
+            d_closed = float(duan_values(t, cv, params, pair))
+            dev = max(dev, abs(d_closed - d_oracle) / abs(d_oracle))
+    return [("cv_duan_vs_oracle_rel", dev, 1e-6)]
+
+
+def _check_k_zero(rng) -> list:
+    dev = 0.0
+    for _ in range(2):
+        alpha = float(rng.uniform(0.2, 0.8))
+        beta = float(rng.uniform(0.2, 0.8))
+        nbar = float(rng.uniform(0.0, 0.3))
+        r_a = float(rng.uniform(0.0, 2.0))
+        r_b = float(rng.uniform(0.0, 2.0))
+        t = float(rng.uniform(0.5, 4.0 * math.pi))
+        oracle = _oracle_duan(CVInitialState(alpha, beta, nbar), t, 0.0, r_a, r_b, tolerance=1e-15)
+        floors = {"AB": 1.0, "AC": 1.0 + nbar, "BC": 1.0 + nbar}
+        dev = max(dev, *(abs(oracle[pair] - floor) for pair, floor in floors.items()))
+    return [("k_zero_separability_floors", dev, 1e-12)]
+
+
+def _check_truncation_doubling(rng) -> list:
+    cv, k = CVInitialState(alpha=0.5, beta=0.5, nbar=0.2), 0.5
+    t = float(rng.uniform(1.0, 8.0))
+    # tail budgets bound dropped probability mass, not moments, so a run
+    # sized at 1e-9 is what backs a 1e-8 stability claim
+    base = FockConfig.for_coherent_thermal(cv.alpha, cv.beta, cv.nbar, k, 1e-9)
+    coarse, fine = (_oracle_duan(cv, t, k, 1.5, 0.7, config=c) for c in (base, base.doubled()))
+    dev = max(abs(coarse[pair] - fine[pair]) for pair in coarse)
+    return [("truncation_doubling_stability", dev, 1e-8)]
+
+
+def run(seed: int, n_qubit_times: int, n_cv_points: int) -> list:
+    """(name, max deviation, tolerance) per check, all points drawn from one rng seeded by seed."""
+    rng = np.random.default_rng(seed)
+    return [
+        *_check_displacement(rng),
+        *_check_qubit(rng, n_qubit_times),
+        *_check_conservation(rng),
+        *_check_stationarity(rng),
+        *_check_cv(rng, n_cv_points),
+        *_check_k_zero(rng),
+        *_check_truncation_doubling(rng),
+    ]

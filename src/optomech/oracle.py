@@ -69,6 +69,8 @@ __all__ = [
 ]
 
 _MODE_AXES = {"A": 0, "B": 1, "C": 2}
+#: largest reduced matrix `partial_trace` builds: 4096**2 complex entries are 256 MiB
+_MAX_DIM_KEEP = 4096
 
 
 def _displacement_columns(beta: complex, dim: int, n_cols: int) -> np.ndarray:
@@ -458,8 +460,8 @@ def partial_trace(state: TriModeState, keep: str) -> np.ndarray:
     if not kept or any(mode not in _MODE_AXES for mode in kept):
         raise ValueError(f"keep must be a non-empty subset of 'ABC', got {keep!r}")
     dim_keep = int(np.prod([state.shape[_MODE_AXES[mode]] for mode in kept]))
-    if dim_keep ** 2 > 4e8:
-        raise ValueError(f"reduced matrix over {kept} would have dimension {dim_keep}")
+    if dim_keep > _MAX_DIM_KEEP:
+        raise ValueError(f"keep {kept}: reduced dimension {dim_keep} exceeds {_MAX_DIM_KEEP}")
     # trace the purification sqrt(w) psi over the member axis and the dropped
     # modes, a chunk of members at a time: a chunk's copies stay within the
     # larger of one member and the result, and a result at least as large
@@ -521,20 +523,18 @@ class ModePairMoments:
     corr: complex
 
 
-def moments(state: TriModeState, mode_pair: str) -> ModePairMoments:
-    """Moments that feed the EPR variance kernel, for mode_pair in {AB, AC, BC}."""
-    pair = "".join(sorted(set(mode_pair.upper())))
-    if len(pair) != 2 or any(mode not in _MODE_AXES for mode in pair):
-        raise ValueError(f"mode_pair must name two of A, B, C, got {mode_pair!r}")
-    ax1, ax2 = _MODE_AXES[pair[0]], _MODE_AXES[pair[1]]
+def moments(state: TriModeState) -> dict:
+    """Moments that feed the EPR variance kernel, keyed by mode pair "AB", "AC", "BC".
+
+    One pass over |psi|**2 gives the three mean numbers; each <a> and each
+    pair correlation is one ladder expectation.
+    """
     occ = _mean_numbers(state)
-    return ModePairMoments(
-        mean1=_ladder_expectation(state, (ax1,)),
-        mean2=_ladder_expectation(state, (ax2,)),
-        occ1=occ[ax1],
-        occ2=occ[ax2],
-        corr=_ladder_expectation(state, (ax1, ax2)),
-    )
+    mean = [_ladder_expectation(state, (axis,)) for axis in range(3)]
+    return {
+        pair: ModePairMoments(mean[i], mean[j], occ[i], occ[j], _ladder_expectation(state, (i, j)))
+        for pair, (i, j) in (("AB", (0, 1)), ("AC", (0, 2)), ("BC", (1, 2)))
+    }
 
 
 def hamiltonian_expectation(state: TriModeState, k: float, r_a: float, r_b: float) -> float:

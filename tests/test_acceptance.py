@@ -137,8 +137,9 @@ def test_acceptance_3_cv_oracle_equivalence():
             "coherent_thermal", alpha=alpha, beta=beta, nbar=nbar, k=k, tolerance=1e-8
         )
         evolved = apply_evolution(state, t, k, r_a, r_b)
+        oracle = moments(evolved)
         for pair in ("AB", "AC", "BC"):
-            reference = duan_from_moments(moments(evolved, pair))
+            reference = duan_from_moments(oracle[pair])
             got = float(duan_values(t, st0, p, pair))
             rel = abs(got - reference) / max(abs(reference), 1e-12)
             worst = max(worst, rel)

@@ -21,6 +21,6 @@ def test_every_exported_name_resolves(module_name):
 
 
 def test_every_submodule_declares_its_exports():
-    assert {"cli", "core", "design", "duan", "oracle", "qubit"} <= set(_SUBMODULES)
+    assert {"certify", "cli", "core", "design", "duan", "oracle", "qubit"} <= set(_SUBMODULES)
     for name in _SUBMODULES:
         assert hasattr(importlib.import_module(f"optomech.{name}"), "__all__"), name

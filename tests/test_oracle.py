@@ -245,11 +245,11 @@ def test_coherent_thermal_state_construction():
     assert w.sum() == pytest.approx(1.0, abs=1e-14)
     # geometric thermal weights: ratio q = nbar / (1 + nbar)
     assert w[1] / w[0] == pytest.approx(0.25 / 1.25, rel=1e-12)
-    m = moments(state, "AB")
+    pairs = moments(state)
+    m, mc = pairs["AB"], pairs["AC"]
     assert m.mean1 == pytest.approx(0.6, abs=1e-8)
     assert m.occ1 == pytest.approx(0.36, abs=1e-8)
     assert m.corr == pytest.approx(-0.18, abs=1e-8)
-    mc = moments(state, "AC")
     assert mc.occ2 == pytest.approx(0.25, abs=1e-8)
     assert mc.mean2 == 0.0
 
@@ -412,7 +412,7 @@ def test_single_photon_drags_the_mirror():
     state = TriModeState(np.array([1.0]), psi[None], cfg)
     for t in (0.9, math.pi, 4.0):
         evolved = apply_evolution(state, t, 0.6, 0.0, 0.0)
-        m = moments(evolved, "AC")
+        m = moments(evolved)["AC"]
         assert m.mean2 == pytest.approx(0.6 * complex(eta(t)), abs=1e-10)
         assert m.occ2 == pytest.approx(0.36 * abs(eta(t)) ** 2, abs=1e-10)
 
@@ -465,19 +465,6 @@ def test_partial_trace_rejects_unknown_subsystem():
         partial_trace(state, "AD")
 
 
-def test_moments_pair_order_is_canonicalized():
-    state = build_initial_state("coherent_thermal", alpha=0.4, beta=-0.2, nbar=0.0)
-    assert moments(state, "CA") == moments(state, "AC")
-
-
-def test_moments_rejects_unknown_pair():
-    state = build_initial_state("qubit", k=0.5)
-    with pytest.raises(ValueError):
-        moments(state, "AD")
-    with pytest.raises(ValueError):
-        moments(state, "AA")
-
-
 def test_truncation_doubling_is_stable():
     from optomech.duan import duan_from_moments
 
@@ -491,7 +478,7 @@ def test_truncation_doubling_is_stable():
             "coherent_thermal", alpha=alpha, beta=beta, nbar=nbar, k=k, config=cfg
         )
         evolved = apply_evolution(state, 2.4, k, 1.5, 0.7)
-        results.append([duan_from_moments(moments(evolved, pair)) for pair in ("AB", "AC", "BC")])
+        results.append([duan_from_moments(m) for m in moments(evolved).values()])
     for a, b in zip(*results):
         assert abs(a - b) < 1e-8
 
@@ -615,11 +602,18 @@ def test_partial_trace_matches_per_member_loop(pinned, name, keep):
     _assert_pinned(partial_trace(state, keep), _ref_partial_trace(state, keep))
 
 
+@pytest.fixture(scope="module")
+def pinned_moments(pinned):
+    # one all-pairs call per state serves the three pair cases
+    return {name: moments(state) for name, state in pinned.items()}
+
+
 @pytest.mark.parametrize("name", ["mixed", "single"])
 @pytest.mark.parametrize("pair", ["AB", "AC", "BC"])
-def test_moments_match_per_member_loop(pinned, name, pair):
+def test_moments_match_per_member_loop(pinned, pinned_moments, name, pair):
     state = pinned[name]
-    m = moments(state, pair)
+    assert list(pinned_moments[name]) == ["AB", "AC", "BC"]
+    m = pinned_moments[name][pair]
     # one record: the single-member <c> vanishes exactly, so only the
     # record's own scale makes a relative tolerance meaningful
     _assert_pinned([m.mean1, m.mean2, m.occ1, m.occ2, m.corr], _ref_moments(state, pair))
@@ -650,9 +644,25 @@ def test_ensemble_operations_stay_within_memory_bound():
         "apply_evolution": _peak_bytes(apply_evolution, state, 2.0, k, r_a, r_b),
         "hamiltonian_expectation": _peak_bytes(hamiltonian_expectation, evolved, k, r_a, r_b),
     }
-    for pair in ("AB", "AC", "BC"):
-        peaks[f"moments {pair}"] = _peak_bytes(moments, evolved, pair)
+    peaks["moments"] = _peak_bytes(moments, evolved)
     for keep in ("C", "AB"):
         peaks[f"partial_trace {keep}"] = _peak_bytes(partial_trace, evolved, keep)
     over = {name: peak / ensemble_bytes for name, peak in peaks.items() if peak > bound}
     assert not over, f"peak over 2.5x the ensemble's bytes: {over}"
+
+
+def test_partial_trace_rejects_oversized_reduced_matrix():
+    # keep AC of the doubled certification ensemble, 13 members of
+    # 17 x 17 x 303 amplitudes, would be a 5151 x 5151 matrix (424 MB)
+    cfg = FockConfig.for_coherent_thermal(0.5, 0.5, 0.2, 0.5, 1e-9).doubled()
+    state = build_initial_state(
+        "coherent_thermal", alpha=0.5, beta=0.5, nbar=0.2, k=0.5, config=cfg
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="keep AC: reduced dimension 5151 exceeds 4096"):
+            partial_trace(state, "AC")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
