@@ -416,6 +416,7 @@ def _minima_metadata(res) -> dict:
         "minimization_mode": res.mode,
         "refined_cells": str(int(res.refined.sum())),
         "scanned_cells": str(res.scanned_cells),
+        "evaluated_points": str(res.evaluated_points),
     }
 
 
@@ -434,13 +435,32 @@ def _witness_window(values: dict) -> tuple[float, float, float, float]:
     return window, kappa, r_a, r_b
 
 
+#: most points one fig4a or fig4b axis may hold, ten times fig4b's default
+#: 101; the largest fig4b grid is then 1001 x 1001 cells
+_MAX_AXIS_POINTS = 1001
+
+
+def _axis(values: dict, name: str) -> np.ndarray:
+    """The name_min .. name_max grid in name_step steps, refused before it is allocated if too long."""
+    lo, hi, step = (values[f"{name}_{end}"] for end in ("min", "max", "step"))
+    # floor(span) + 1 points, which exceeds the cap exactly when span does not
+    # fall below it; a span that overflows to inf is refused the same way
+    span = (hi - lo) / step
+    if not span < _MAX_AXIS_POINTS:
+        raise _CliError(
+            f"fields '{name}_max' and '{name}_step': the {name} axis would hold {span + 1:.6g} "
+            f"points, more than {_MAX_AXIS_POINTS}"
+        )
+    return np.arange(lo, hi + 0.5 * step, step)
+
+
 def run_fig4a(cfg: RunConfig) -> ResultTable:
     v = cfg.values
     if not v["k_max"] > v["k_min"]:
         raise _CliError("field 'k_max': must exceed k_min")
     window, _, r_a, r_b = _witness_window(v)
     omega_m = v["omega_m_rad_per_s"]
-    ks = np.arange(v["k_min"], v["k_max"] + 0.5 * v["k_step"], v["k_step"])
+    ks = _axis(v, "k")
     temps = v["temperatures_K"]
     nbars = [thermal_occupation(T, omega_m) for T in temps]
     k_cells, t_cells = np.repeat(ks, len(temps)), np.tile(temps, ks.size)
@@ -461,8 +481,7 @@ def run_fig4b(cfg: RunConfig) -> ResultTable:
     window, kappa, r_a, r_b = _witness_window(v)
     omega_m = v["omega_m_rad_per_s"]
     nbar = thermal_occupation(v["temperature_K"], omega_m)
-    alphas = np.arange(v["alpha_min"], v["alpha_max"] + 0.5 * v["alpha_step"], v["alpha_step"])
-    betas = np.arange(v["beta_min"], v["beta_max"] + 0.5 * v["beta_step"], v["beta_step"])
+    alphas, betas = _axis(v, "alpha"), _axis(v, "beta")
     a_cells, b_cells = np.repeat(alphas, betas.size), np.tile(betas, alphas.size)
     res = window_minima("AB", window, r_a, r_b, alpha=a_cells, beta=b_cells, nbar=nbar, k=v["k"])
     rows = [(float(a), float(b), float(d)) for a, b, d in zip(a_cells, b_cells, res.d_star)]

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from optomech.cli import (
     main,
     run_fig2,
     run_fig3,
+    run_fig4b,
 )
 
 
@@ -180,6 +182,61 @@ def test_fig4_metadata_counts_scanned_cells(tmp_path, command, scanned, rows):
     meta = dict(line[2:].split(": ", 1) for line in lines if line.startswith("# "))
     assert int(meta["scanned_cells"]) == scanned
     assert len([line for line in lines if not line.startswith("#")]) == rows + 1
+    # fig4b's cells share k and nbar, so its scan runs on block bounds;
+    # fig4a's cells each have their own k and take the full scan
+    keys = list(meta)
+    assert keys[keys.index("scanned_cells") + 1] == "evaluated_points"
+    evaluated = int(meta["evaluated_points"])
+    if command == "fig4a":
+        assert evaluated == 180 * 4001
+    else:
+        assert 0 < evaluated <= 0.2 * 5151 * 4001
+
+
+@pytest.mark.parametrize(
+    "argv, fields",
+    [
+        (["fig4b", "--set", "alpha_step=1e-7"], ("'alpha_max'", "'alpha_step'")),
+        (["fig4a", "--set", "k_step=1e-12"], ("'k_max'", "'k_step'")),
+        (["fig4b", "--set", "alpha_max=1e300"], ("'alpha_max'", "'alpha_step'")),
+        (["fig4b", "--set", "beta_step=0.0019"], ("'beta_max'", "'beta_step'")),
+    ],
+)
+def test_cli_rejects_oversized_fig4_axes_before_allocating(capsys, argv, fields):
+    # each axis of these would hold 1,053 to 5e301 points; the refusal comes
+    # before any grid is built, so the run allocates almost nothing
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "more than 1001" in err and all(name in err for name in fields)
+    assert peak < 256 * 1024
+
+
+def test_fig4b_traced_peak_stays_below_the_full_scan():
+    # the full scan of fig4b's 5,151 distinct cells peaked at 3.3 MiB; the
+    # bounded scan's temporaries and survivor mask must not exceed that much
+    cfg = resolve_config("fig4b")
+    tracemalloc.start()
+    try:
+        run_fig4b(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 2 ** 20
+
+
+def test_fig4_axis_cap_admits_its_boundary():
+    from optomech.cli import _axis
+
+    assert _axis({"alpha_min": 0.0, "alpha_max": 2.0, "alpha_step": 0.002}, "alpha").size == 1001
+    assert _axis({"k_min": 0.5, "k_max": 0.5 + 1000 * 0.25, "k_step": 0.25}, "k").size == 1001
+    with pytest.raises(Exception, match="would hold 1002 points, more than 1001"):
+        _axis({"k_min": 0.5, "k_max": 0.5 + 1001 * 0.25, "k_step": 0.25}, "k")
 
 
 def test_cli_csv_metadata_lines_use_crlf(tmp_path):

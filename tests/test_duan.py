@@ -412,6 +412,245 @@ def test_window_minima_validates_cells():
         window_minima("AB", window, r_a, 0.0, alpha=0.5, beta=0.5, nbar=0.0, k=0.5)
 
 
+def _reference_envelope_scan(kern, alpha, beta, nbar, k, m, r_a, r_b):
+    """The full envelope D_AB scan the bounded one replaced, as a block loop.
+
+    _ab_lower on (rows, n) blocks of cells, then each row's argmin and the
+    strict-interior test against its two grid neighbours. Takes what
+    `_bounded_ab_scan` does and returns what it returns, plus the largest
+    excess of `_block_floor` over the minimum of the grid values it bounds.
+    """
+    n = kern.t.size
+    best, d_grid, strict = np.empty(m, dtype=np.intp), np.empty(m), np.zeros(m, dtype=bool)
+    bounds = duan_module._block_bounds(kern)
+    starts = np.arange(0, n, duan_module._SCAN_BLOCK)
+    excess = -np.inf
+    rows = max(1, 2 ** 16 // n)
+    for start in range(0, m, rows):
+        block = slice(start, min(start + rows, m))
+        size = block.stop - block.start
+        cols = [p if np.ndim(p) == 0 else p[block, None] for p in (alpha, beta)]
+        values = np.broadcast_to(duan_module._ab_lower(kern, *cols, nbar, k, r_a, r_b), (size, n))
+        floor = duan_module._block_floor(cols[0] ** 2 + cols[1] ** 2, 2.0 * np.abs(cols[0] * cols[1]), bounds)
+        excess = max(excess, float(np.max(floor - np.minimum.reduceat(values, starts, axis=1))))
+        i = np.argmin(values, axis=1)
+        at = np.arange(size)
+        d = values[at, i]
+        strict[block] = (
+            (i > 0) & (i < n - 1)
+            & (d < values[at, np.maximum(i - 1, 0)])
+            & (d < values[at, np.minimum(i + 1, n - 1)])
+        )
+        best[block], d_grid[block] = i, d
+    return best, d_grid, strict, m * n, excess
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _bounded_against_reference(monkeypatch, window, r_a, r_b, resolution=None, **cells):
+    """window_minima on the bounded scan, and on the reference scan of the same cells.
+
+    Returns both results and both scans ((best, d_grid, strict, evaluated)
+    per distinct cell), after checking that the bounded scan ran.
+    """
+    real = duan_module._bounded_ab_scan
+    scans = {}
+
+    def spy(*args):
+        scans["bounded"] = real(*args)
+        scans["reference"] = _reference_envelope_scan(*args)
+        return scans["bounded"]
+
+    kw = dict(mode="envelope", resolution=resolution, **cells)
+    monkeypatch.setattr(duan_module, "_bounded_ab_scan", spy)
+    res = window_minima("AB", window, r_a, r_b, **kw)
+    assert scans["bounded"] is not None
+    monkeypatch.setattr(duan_module, "_bounded_ab_scan", lambda *args: scans["reference"][:4])
+    ref = window_minima("AB", window, r_a, r_b, **kw)
+    return res, ref, scans["bounded"], scans["reference"]
+
+
+def _assert_bounded_scan_is_exact(res, ref, scan, ref_scan):
+    for name, got, want in zip(("best", "d_grid", "strict"), scan[:3], ref_scan[:3]):
+        assert _same_bits(got, want), name
+    for field in ("t_star", "d_star", "refined"):
+        assert _same_bits(getattr(res, field), getattr(ref, field)), field
+    assert res.evaluated_points == scan[3]
+    assert ref.evaluated_points == ref_scan[3]
+    # the block floors bound every computed grid value, with no slack used
+    assert ref_scan[4] <= 0.0
+
+
+# the fig4b temperatures of the witness-grid benchmark at seeds 0-9; the
+# first is fig4b's default
+_FIG4B_TEMPERATURES = [
+    8e-07, 8.6269e-07, 9.53045e-07, 5.89806e-07, 1.92849e-07,
+    7.67608e-07, 8.39759e-07, 2.35764e-07, 9.66066e-07, 4.35981e-07,
+]
+
+
+def _fig4b_cells(temperature_K):
+    """window, r_a, r_b and the cells of `optomech fig4b` at a temperature."""
+    from optomech import cli
+
+    v = cli.resolve_config("fig4b", overrides=(f"temperature_K={temperature_K!r}",)).values
+    window, _, r_a, r_b = cli._witness_window(v)
+    alphas, betas = cli._axis(v, "alpha"), cli._axis(v, "beta")
+    nbar = thermal_occupation(v["temperature_K"], v["omega_m_rad_per_s"])
+    cells = dict(
+        alpha=np.repeat(alphas, betas.size), beta=np.tile(betas, alphas.size), nbar=nbar, k=v["k"]
+    )
+    return window, r_a, r_b, cells
+
+
+def test_fig4b_default_temperature_is_the_first_benchmark_one():
+    from optomech.cli import FIELDS
+
+    assert FIELDS["fig4b"]["temperature_K"][0] == _FIG4B_TEMPERATURES[0]
+
+
+@pytest.mark.parametrize("temperature_K", _FIG4B_TEMPERATURES)
+def test_bounded_scan_is_bitwise_the_full_scan_on_fig4b(monkeypatch, temperature_K):
+    window, r_a, r_b, cells = _fig4b_cells(temperature_K)
+    res, ref, scan, ref_scan = _bounded_against_reference(monkeypatch, window, r_a, r_b, **cells)
+    _assert_bounded_scan_is_exact(res, ref, scan, ref_scan)
+    assert res.scanned_cells == 5151
+    assert ref.evaluated_points == 5151 * 4001
+    assert res.evaluated_points <= 0.2 * 5151 * 4001
+    assert res.refined.any() and scan[2].any()
+
+
+_RNG = np.random.default_rng(20260)
+_RANDOM_AMPLITUDES = dict(alpha=_RNG.uniform(-2.0, 2.0, 40), beta=_RNG.uniform(-2.0, 2.0, 40))
+_ENVELOPE = (0.0, 9.353966)
+_BOUNDED_CASES = {
+    # one amplitude zero: D_AB = 1 + T (1 - env) has no cross term
+    "flat": dict(
+        alpha=[0.0, 0.0, 0.7, 1.5, 0.0, -0.0], beta=[0.3, 1.2, 0.0, 0.0, 0.0, 2.0], nbar=0.01, k=0.74
+    ),
+    "equal": dict(alpha=np.linspace(0.05, 2.0, 12), beta=np.linspace(0.05, 2.0, 12), nbar=0.0, k=0.74),
+    "random-low-k": dict(**_RANDOM_AMPLITUDES, nbar=0.2, k=0.6),
+    "random-high-k": dict(**_RANDOM_AMPLITUDES, nbar=0.0, k=0.9),
+    "random-boundary-k": dict(**_RANDOM_AMPLITUDES, nbar=0.05, k=K_REGIME_BOUNDARY),
+    "random-k-0.05": dict(**_RANDOM_AMPLITUDES, nbar=0.05, k=0.05),
+    "random-k-0": dict(**_RANDOM_AMPLITUDES, nbar=0.05, k=0.0),
+    "t_min": dict(**_RANDOM_AMPLITUDES, nbar=0.01, k=0.74, window=(0.7, 9.353966)),
+    # 1,235 grid points: the last block holds 19 of 32
+    "grid-not-multiple": dict(**_RANDOM_AMPLITUDES, nbar=0.01, k=0.74, resolution=9.353966 / 1234),
+    "one-cell": dict(alpha=0.5, beta=0.7, nbar=0.01, k=0.74),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BOUNDED_CASES))
+def test_bounded_scan_is_bitwise_the_full_scan(monkeypatch, case):
+    spec = dict(_BOUNDED_CASES[case])
+    window = spec.pop("window", _ENVELOPE)
+    res, ref, scan, ref_scan = _bounded_against_reference(
+        monkeypatch, window, _OPTICAL.r_a, _OPTICAL.r_b, **spec
+    )
+    _assert_bounded_scan_is_exact(res, ref, scan, ref_scan)
+    n = len(duan_module._scan_grid(*window, _OPTICAL.r_a + _OPTICAL.r_b, spec.get("resolution"), "envelope")[0])
+    assert ref.evaluated_points == res.scanned_cells * n
+    if case == "grid-not-multiple":
+        assert n == 1235 and n % duan_module._SCAN_BLOCK
+    if case == "one-cell":
+        assert res.d_star.shape == () and res.scanned_cells == 1
+    if case == "random-k-0":
+        # D_AB = 1 everywhere, so every block survives: the scan computes
+        # every grid value once, plus two neighbours per cell
+        assert res.evaluated_points == res.scanned_cells * (n + 2)
+
+
+def _synthetic_kernels(cos, theta):
+    """Coupled kernels with the given cos 2B and thermal exponent, on 0 <= t <= 1."""
+    t = np.linspace(0.0, 1.0, cos.size)
+    coupled = (np.arccos(cos), cos, np.sqrt(1.0 - cos ** 2), theta)
+    return duan_module._Kernels(t=t, unit_b=t, eta=t.astype(complex), eta_sq=t, coupled=coupled)
+
+
+def _tie_across_blocks():
+    # every point of block 0 and point 70 of block 2 take the minimum, while
+    # block 2's wide ranges of cos 2B and theta give it the lowest floor, so
+    # the incumbent is point 70 and the answer point 0
+    cos, theta = np.full(96, 0.5), np.full(96, 0.3)
+    cos[32:64] = 0.2
+    cos[64:96], theta[64:96] = 0.0, 2.0
+    cos[66], theta[66] = 1.0, 5.0
+    cos[67], theta[67] = 0.0, 0.0
+    cos[70], theta[70] = 0.5, 0.3
+    return cos, theta, [0, 0], [False, False]
+
+
+def _plateau():
+    # points 40 and 41 share the minimum: 40 is the answer, and not a strict one
+    cos, theta = np.full(96, 0.2), np.full(96, 0.3)
+    cos[40:42] = 0.5
+    return cos, theta, [40, 40], [False, False]
+
+
+@pytest.mark.parametrize("layout", [_tie_across_blocks, _plateau], ids=lambda f: f.__name__[1:])
+def test_bounded_scan_on_equal_grid_values(layout):
+    # with beta = 0, D_AB = 1 + alpha**2 (1 - env) falls as env rises, so
+    # equal (cos 2B, theta) give bitwise equal values
+    cos, theta, best, strict = layout()
+    kern = _synthetic_kernels(cos, theta)
+    args = (kern, np.array([1.0, 0.6]), np.array([0.0, 0.0]), 0.0, 0.5, 2, 1.0, 1.0)
+    if layout is _tie_across_blocks:
+        floor = duan_module._block_floor(np.array([[1.0]]), np.array([[0.0]]), duan_module._block_bounds(kern))
+        assert np.argmin(floor) == 2
+    scan = duan_module._bounded_ab_scan(*args)
+    ref = _reference_envelope_scan(*args)
+    assert list(ref[0]) == best and list(ref[2]) == strict
+    for got, want in zip(scan[:3], ref[:3]):
+        assert _same_bits(got, want)
+
+
+def test_bounded_scan_skips_overflowing_inputs(monkeypatch):
+    # amplitudes whose squares overflow keep the full scan, whose argmin
+    # meets the NaN at t = 0 first
+    scans = []
+    real = duan_module._bounded_ab_scan
+    monkeypatch.setattr(duan_module, "_bounded_ab_scan", lambda *args: scans.append(real(*args)) or scans[-1])
+    with np.errstate(all="ignore"):
+        res = window_minima("AB", _ENVELOPE, _OPTICAL.r_a, _OPTICAL.r_b, alpha=[0.5, 1e200], beta=0.5,
+                            nbar=0.0, k=0.74, mode="envelope")
+    assert scans == [None]
+    assert res.evaluated_points == 2 * 4001
+    assert np.isnan(res.d_star[1]) and np.isfinite(res.d_star[0])
+
+
+def _oracle_envelope_ab(alpha, beta, nbar, k, t):
+    """D_AB's lower envelope over the carrier phase from the Fock oracle.
+
+    In the interaction picture the carrier phase drops out of every moment;
+    it would rotate <a b> - <a><b>, so its real part is replaced by minus its
+    modulus.
+    """
+    from optomech.oracle import apply_evolution, build_initial_state, moments
+
+    state = build_initial_state("coherent_thermal", alpha=alpha, beta=beta, nbar=nbar, k=k, tolerance=1e-10)
+    m = moments(apply_evolution(state, t, k, 1.0, 1.0, interaction_picture=True))["AB"]
+    return m.occ1 + m.occ2 - 2.0 * abs(m.corr - m.mean1 * m.mean2) - abs(m.mean1) ** 2 - abs(m.mean2) ** 2 + 1.0
+
+
+def test_fig4b_envelope_minima_agree_with_the_oracle():
+    # fig4b cells at its defaults, the last with one amplitude at zero; the
+    # largest deviation read 4.3e-10, at (0.91, 0.91), fig4b's argmin
+    window, r_a, r_b, cells = _fig4b_cells(_FIG4B_TEMPERATURES[0])
+    alpha = np.array([0.5, 1.0, 0.91, 0.3, 1.2, 1.0])
+    beta = np.array([0.5, 1.0, 0.91, 0.6, 0.8, 0.0])
+    res = window_minima("AB", window, r_a, r_b, alpha=alpha, beta=beta, nbar=cells["nbar"], k=cells["k"])
+    assert res.mode == "envelope"
+    assert list(res.refined) == [True] * 5 + [False]
+    assert np.all(res.d_star[:5] < 1.0) and res.d_star[5] == 1.0
+    for a, b, t, d in zip(alpha, beta, res.t_star, res.d_star):
+        oracle = _oracle_envelope_ab(float(a), float(b), cells["nbar"], cells["k"], float(t))
+        assert d == pytest.approx(oracle, rel=1e-6), (a, b, t)
+
+
 def test_envelope_mean_grows_with_temperature():
     # thermal dephasing exp(-k^2 |eta|^2 (2 nbar + 1)) weakens the dip
     # everywhere except the eta = 0 nodes, so the window-averaged envelope
