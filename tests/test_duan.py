@@ -453,8 +453,9 @@ def _same_bits(got, want):
 def _bounded_against_reference(monkeypatch, window, r_a, r_b, resolution=None, **cells):
     """window_minima on the bounded scan, and on the reference scan of the same cells.
 
-    Returns both results and both scans ((best, d_grid, strict, evaluated)
-    per distinct cell), after checking that the bounded scan ran.
+    Returns both results and both scans, (best, d_grid, strict, evaluated)
+    per distinct cell with the reference's floor excess appended, after
+    checking that the bounded scan ran.
     """
     real = duan_module._bounded_ab_scan
     scans = {}
