@@ -12,7 +12,6 @@ from .core import (
     CODATA2018,
     PhysicalConstants,
     SystemParams,
-    ThermalSpec,
     big_b,
     energy_eigenvalue,
     energy_eigenvalue_scaled,
@@ -70,7 +69,6 @@ __all__ = [
     "CODATA2018",
     "PhysicalConstants",
     "SystemParams",
-    "ThermalSpec",
     "eta",
     "big_b",
     "xi",

@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,12 +75,14 @@ def _number(*, minimum=None, exclusive_min=None):
     return check
 
 
-def _integer(minimum):
+def _integer(minimum, maximum=None):
     def check(value, label):
         if isinstance(value, bool) or not isinstance(value, int):
             raise _CliError(f"field {label}: expected an integer, got {value!r}")
         if value < minimum:
             raise _CliError(f"field {label}: must be >= {minimum}, got {value!r}")
+        if maximum is not None and value > maximum:
+            raise _CliError(f"field {label}: must be <= {maximum}, got {value!r}")
         return value
 
     return check
@@ -116,6 +118,9 @@ def _choice(*options):
 _ANY = _number()
 _POS = _number(exclusive_min=0.0)
 _NONNEG = _number(minimum=0.0)
+#: most points of a fig2, fig3 or sweep grid, 25 times fig2's default 4000
+_MAX_POINTS = 100_000
+_N_POINTS = _integer(2, _MAX_POINTS)
 
 # the operating-point fields shared by fig3, fig4a and fig4b
 _OPERATING_POINT = {
@@ -133,7 +138,7 @@ FIELDS: dict[str, dict[str, tuple]] = {
         "k": (0.5, _NONNEG),
         "t_min": (0.0, _NONNEG),
         "t_max": (8.0 * math.pi, _POS),
-        "n_points": (4000, _integer(2)),
+        "n_points": (4000, _N_POINTS),
     },
     "fig3": {
         "k": (0.74, _NONNEG),
@@ -143,7 +148,7 @@ FIELDS: dict[str, dict[str, tuple]] = {
         **_OPERATING_POINT,
         "t_min": (0.0, _NONNEG),
         "t_max": (None, _optional(_POS)),
-        "n_points": (2000, _integer(2)),
+        "n_points": (2000, _N_POINTS),
     },
     "fig4a": {
         "k_min": (0.025, _NONNEG),
@@ -197,7 +202,7 @@ FIELDS: dict[str, dict[str, tuple]] = {
         "variable": ("t", _choice("t", "k")),
         "start": (0.0, _NONNEG),
         "stop": (4.0 * math.pi, _POS),
-        "n_points": (500, _integer(2)),
+        "n_points": (500, _N_POINTS),
         "k": (0.5, _NONNEG),
         "alpha": (0.5, _ANY),
         "beta": (0.5, _ANY),
@@ -220,19 +225,22 @@ class RunConfig:
     out: str | None = None
 
 
-@dataclass
 class ResultTable:
-    """Rectangular numeric table plus the metadata needed to reproduce it."""
+    """Named columns of equal length plus the metadata needed to reproduce them.
 
-    columns: list
-    rows: list
-    metadata: dict = field(default_factory=dict)
+    Each column (an array or a list) is converted once to Python scalars, so
+    `rows` holds tuples of floats, ints, bools and strings only and a numpy
+    scalar's repr never reaches the CSV.
+    """
 
-    def __post_init__(self) -> None:
-        width = len(self.columns)
-        for i, row in enumerate(self.rows):
-            if len(row) != width:
-                raise ValueError(f"row {i} has {len(row)} cells, expected {width}")
+    def __init__(self, columns: dict, metadata: dict):
+        cells = [np.asarray(column).tolist() for column in columns.values()]
+        lengths = dict(zip(columns, map(len, cells)))
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"columns differ in length: {lengths}")
+        self.columns = list(columns)
+        self.rows = list(zip(*cells))
+        self.metadata = metadata
 
 
 def _parse_set_item(item: str) -> tuple[str, object]:
@@ -295,25 +303,13 @@ def resolve_config(command, config_path=None, overrides=(), seed=None, out=None)
 # output
 # ---------------------------------------------------------------------------
 
-def _format_cell(value) -> str:
-    if type(value) is float:  # nearly every cell, so tested first
-        return repr(value)
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _write_csv(stream, table: ResultTable) -> None:
     for key, value in table.metadata.items():
         stream.write(f"# {key}: {value}\r\n")
     writer = csv.writer(stream)
     writer.writerow(table.columns)
-    for row in table.rows:
-        writer.writerow([_format_cell(cell) for cell in row])
+    # csv writes a float as its repr, the shortest string that reads back the same double
+    writer.writerows(table.rows)
 
 
 def _emit(table: ResultTable, out: str | None) -> None:
@@ -365,11 +361,8 @@ def run_fig2(cfg: RunConfig) -> ResultTable:
     grid = np.linspace(v["t_min"], v["t_max"], v["n_points"])
     # one stack of states serves both measures
     rhos = reduced_rho_ab(grid, v["k"])
-    rows = [
-        (float(t), float(c), float(s))
-        for t, c, s in zip(grid, concurrence(rhos), von_neumann_entropy(rhos))
-    ]
-    return ResultTable(["t", "concurrence", "entropy"], rows, _metadata(cfg))
+    columns = {"t": grid, "concurrence": concurrence(rhos), "entropy": von_neumann_entropy(rhos)}
+    return ResultTable(columns, _metadata(cfg))
 
 
 def run_fig3(cfg: RunConfig) -> ResultTable:
@@ -388,10 +381,12 @@ def run_fig3(cfg: RunConfig) -> ResultTable:
     nbar = thermal_occupation(v["temperature_K"], omega_m)
     state = CVInitialState(alpha=v["alpha"], beta=v["beta"], nbar=nbar)
     grid = np.linspace(v["t_min"], t_max, v["n_points"])
-    curves = [duan_values(grid, state, p, pair) for pair in _PAIRS]
-    curves.append(np.ones_like(grid))  # the separability threshold
-    curves += [duan_values(grid, state, p, pair, lower=True) for pair in _PAIRS]
-    rows = [tuple(map(float, row)) for row in np.column_stack([grid, *curves])]
+    columns = {
+        "t": grid,
+        **{f"duan_{pair.lower()}": duan_values(grid, state, p, pair) for pair in _PAIRS},
+        "threshold": np.ones_like(grid),  # the separability threshold
+        **{f"duan_{pair.lower()}_lower": duan_values(grid, state, p, pair, lower=True) for pair in _PAIRS},
+    }
     extra = {"nbar": repr(nbar), "window_scaled": repr(window)}
     if v["k"] > 0:
         rep = regime_report(v["k"], omega_m, kappa)
@@ -401,13 +396,7 @@ def run_fig3(cfg: RunConfig) -> ResultTable:
             feasibility_ratio=repr(rep.feasibility_ratio),
             envelope_period_scaled=repr(rep.envelope_period),
         )
-    names = [
-        "t",
-        *(f"duan_{pair.lower()}" for pair in _PAIRS),
-        "threshold",
-        *(f"duan_{pair.lower()}_lower" for pair in _PAIRS),
-    ]
-    return ResultTable(names, rows, _metadata(cfg, extra))
+    return ResultTable(columns, _metadata(cfg, extra))
 
 
 def _minima_metadata(res) -> dict:
@@ -468,9 +457,9 @@ def run_fig4a(cfg: RunConfig) -> ResultTable:
         "AB", window, r_a, r_b, alpha=v["alpha"], beta=v["beta"],
         nbar=np.tile(nbars, ks.size), k=k_cells,
     )
-    rows = [(float(k), float(T), float(d)) for k, T, d in zip(k_cells, t_cells, res.d_star)]
+    columns = {"k": k_cells, "temperature_K": t_cells, "min_duan_ab": res.d_star}
     extra = {"window_scaled": repr(window), **_minima_metadata(res)}
-    return ResultTable(["k", "temperature_K", "min_duan_ab"], rows, _metadata(cfg, extra))
+    return ResultTable(columns, _metadata(cfg, extra))
 
 
 def run_fig4b(cfg: RunConfig) -> ResultTable:
@@ -484,12 +473,12 @@ def run_fig4b(cfg: RunConfig) -> ResultTable:
     alphas, betas = _axis(v, "alpha"), _axis(v, "beta")
     a_cells, b_cells = np.repeat(alphas, betas.size), np.tile(betas, alphas.size)
     res = window_minima("AB", window, r_a, r_b, alpha=a_cells, beta=b_cells, nbar=nbar, k=v["k"])
-    rows = [(float(a), float(b), float(d)) for a, b, d in zip(a_cells, b_cells, res.d_star)]
+    columns = {"alpha": a_cells, "beta": b_cells, "min_duan_ab": res.d_star}
     extra = {"nbar": repr(nbar), "window_scaled": repr(window), **_minima_metadata(res)}
     if v["k"] > 0:
         rep = regime_report(v["k"], omega_m, kappa)
         extra.update(regime=rep.regime, feasibility_condition=rep.feasibility_condition)
-    return ResultTable(["alpha", "beta", "min_duan_ab"], rows, _metadata(cfg, extra))
+    return ResultTable(columns, _metadata(cfg, extra))
 
 
 def run_design(cfg: RunConfig) -> tuple[ResultTable, dict]:
@@ -502,7 +491,6 @@ def run_design(cfg: RunConfig) -> tuple[ResultTable, dict]:
         "mirror_radius_m", "cavity_length_m", "atom_number", "trap_frequency_Hz",
         "k", "ratio_at_eval_finesse", "min_finesse_for_unity_ratio",
     ]
-    rows = []
     optimized = []
     for radius in v["radii_m"]:
         space = DesignSearchSpace(
@@ -534,7 +522,6 @@ def run_design(cfg: RunConfig) -> tuple[ResultTable, dict]:
             "n_evaluated": result.n_evaluated,
         }
         optimized.append(entry)
-        rows.append(tuple(float(entry[name]) for name in names))
 
     prop = design_report(proposed_atom_spec(), proposed_geometry(v["report_finesse"]))
     heating = prop.heating
@@ -562,7 +549,8 @@ def run_design(cfg: RunConfig) -> tuple[ResultTable, dict]:
     }
     # grid points each radius's search covered, as in the sidecar
     n_evaluated = json.dumps([entry["n_evaluated"] for entry in optimized])
-    table = ResultTable(names, rows, _metadata(cfg, {"n_evaluated": n_evaluated}))
+    columns = {name: [entry[name] for entry in optimized] for name in names}
+    table = ResultTable(columns, _metadata(cfg, {"n_evaluated": n_evaluated}))
     return table, report_json
 
 
@@ -587,21 +575,22 @@ def _cmd_design(cfg: RunConfig) -> int:
 
 def run_oracle_check(cfg: RunConfig) -> tuple[ResultTable, int]:
     v = cfg.values
-    rows = []
-    for name, deviation, tol in certify.run(v["seed"], v["n_qubit_times"], v["n_cv_points"]):
-        tol = tol if v["tolerance"] is None else v["tolerance"]
-        rows.append((name, float(deviation), float(tol), "PASS" if deviation < tol else "FAIL"))
-    failures = sum(row[3] == "FAIL" for row in rows)
-    extra = {"checks_failed": str(failures), "checks_total": str(len(rows))}
-    columns = ["check", "max_deviation", "tolerance", "status"]
-    return ResultTable(columns, rows, _metadata(cfg, extra)), (0 if failures == 0 else 2)
+    names, deviations, tols = zip(*certify.run(v["seed"], v["n_qubit_times"], v["n_cv_points"]))
+    if v["tolerance"] is not None:
+        tols = [v["tolerance"]] * len(names)
+    passed = np.less(deviations, tols)
+    failures = np.count_nonzero(~passed)
+    extra = {"checks_failed": str(failures), "checks_total": str(len(names))}
+    status = np.where(passed, "PASS", "FAIL")
+    columns = {"check": names, "max_deviation": deviations, "tolerance": tols, "status": status}
+    return ResultTable(columns, _metadata(cfg, extra)), (0 if failures == 0 else 2)
 
 
 def _cmd_oracle_check(cfg: RunConfig) -> int:
     table, code = run_oracle_check(cfg)
     for name, deviation, tol, status in table.rows:
         print(f"[{status}] {name}: max deviation {deviation:.3e} (tolerance {tol:.1e})")
-    failed = sum(1 for row in table.rows if row[3] == "FAIL")
+    failed = int(table.metadata["checks_failed"])
     print(f"oracle-check: {len(table.rows) - failed}/{len(table.rows)} checks passed")
     if cfg.out is not None:
         _emit(table, cfg.out)
@@ -615,7 +604,7 @@ def _cmd_oracle_check(cfg: RunConfig) -> int:
 def _duan_sweep_value(v: dict, t: float, k: float) -> float:
     state = CVInitialState(alpha=v["alpha"], beta=v["beta"], nbar=v["nbar"])
     params = SystemParams.from_dimensionless(k=k, r_a=v["r_a"], r_b=v["r_b"])
-    return float(duan_values(t, state, params, v["quantity"].removeprefix("duan_").upper()))
+    return duan_values(t, state, params, v["quantity"].removeprefix("duan_").upper())
 
 
 def run_sweep(cfg: RunConfig) -> ResultTable:
@@ -630,13 +619,11 @@ def run_sweep(cfg: RunConfig) -> ResultTable:
     ts = xs if v["variable"] == "t" else v["t_fixed"]
     if quantity in ("concurrence", "entropy"):
         measure = concurrence if quantity == "concurrence" else von_neumann_entropy
-        values = measure(reduced_rho_ab(ts, ks)).tolist()
+        values = measure(reduced_rho_ab(ts, ks))
     else:
-        values = [
-            _duan_sweep_value(v, float(t), float(k)) for t, k in np.broadcast(ts, ks)
-        ]
-    rows = list(zip(xs.tolist(), values))
-    return ResultTable([v["variable"], quantity], rows, _metadata(cfg))
+        points = zip(*(axis.tolist() for axis in np.broadcast_arrays(ts, ks)))
+        values = [_duan_sweep_value(v, t, k) for t, k in points]
+    return ResultTable({v["variable"]: xs, quantity: values}, _metadata(cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ __all__ = [
     "PhysicalConstants",
     "CODATA2018",
     "SystemParams",
-    "ThermalSpec",
     "eta",
     "big_b",
     "xi",
@@ -90,23 +89,6 @@ class SystemParams:
         return cls(omega_a=r_a, omega_b=r_b, omega_m=1.0, g0=k)
 
 
-@dataclass(frozen=True)
-class ThermalSpec:
-    """Mean thermal occupation of the mechanical mode."""
-
-    nbar: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.nbar) and self.nbar >= 0):
-            raise ValueError(f"nbar must be non-negative, got {self.nbar!r}")
-
-    @classmethod
-    def from_temperature(
-        cls, T: float, omega_m: float, constants: PhysicalConstants = CODATA2018
-    ) -> "ThermalSpec":
-        return cls(nbar=thermal_occupation(T, omega_m, constants))
-
-
 def eta(t):
     """eta(t) = 1 - exp(-i t).  Satisfies |eta(t)|**2 = 2(1 - cos t)."""
     return 1.0 - np.exp(-1j * np.asarray(t, dtype=float))
@@ -134,9 +116,7 @@ def xi(t):
     return out[()]
 
 
-def thermal_occupation(
-    T: float, omega_m: float, constants: PhysicalConstants = CODATA2018
-) -> float:
+def thermal_occupation(T: float, omega_m: float) -> float:
     """Bose-Einstein mean occupation 1/(exp(hbar omega_m / kB T) - 1).
 
     T is in kelvin, omega_m in rad/s. Raises on non-positive inputs.
@@ -146,18 +126,18 @@ def thermal_occupation(
         raise ValueError(f"temperature must be positive, got {T!r}")
     if not (omega_m > 0):
         raise ValueError(f"omega_m must be positive, got {omega_m!r}")
-    x = constants.hbar * omega_m / (constants.k_B * T)
+    x = CODATA2018.hbar * omega_m / (CODATA2018.k_B * T)
     with np.errstate(over="ignore"):
         return float(1.0 / np.expm1(x))
 
 
-def x_zpf(m: float, omega_m: float, constants: PhysicalConstants = CODATA2018) -> float:
+def x_zpf(m: float, omega_m: float) -> float:
     """Zero-point position spread sqrt(hbar / (2 m omega_m)) in meters."""
     if not (m > 0):
         raise ValueError(f"mass must be positive, got {m!r}")
     if not (omega_m > 0):
         raise ValueError(f"omega_m must be positive, got {omega_m!r}")
-    return math.sqrt(constants.hbar / (2.0 * m * omega_m))
+    return math.sqrt(CODATA2018.hbar / (2.0 * m * omega_m))
 
 
 def energy_eigenvalue_scaled(n: int, m: int, l: int, k: float, r_a: float, r_b: float) -> float:
@@ -167,9 +147,7 @@ def energy_eigenvalue_scaled(n: int, m: int, l: int, k: float, r_a: float, r_b: 
     return r_a * n + r_b * m + l - k ** 2 * (n - m) ** 2
 
 
-def energy_eigenvalue(
-    n: int, m: int, l: int, p: SystemParams, constants: PhysicalConstants = CODATA2018
-) -> float:
+def energy_eigenvalue(n: int, m: int, l: int, p: SystemParams) -> float:
     """Joint eigenenergy in joules.
 
     E = hbar (omega_a n + omega_b m + omega_m l) - hbar omega_m k**2 (n - m)**2.
@@ -177,4 +155,4 @@ def energy_eigenvalue(
     mechanical oscillator.
     """
     scaled = energy_eigenvalue_scaled(n, m, l, p.k, p.r_a, p.r_b)
-    return constants.hbar * p.omega_m * scaled
+    return CODATA2018.hbar * p.omega_m * scaled

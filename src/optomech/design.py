@@ -193,7 +193,7 @@ class DesignReport:
     tau_e: float
     ratio: float
     min_finesse_for_unity_ratio: float
-    heating: HeatingBudget | None = None
+    heating: HeatingBudget
 
 
 # The design formulas below are each written once. They take numpy arrays
@@ -295,7 +295,6 @@ def design_report(
     *,
     nbar_cav: float = 0.25,
     k_p: float | None = None,
-    with_heating: bool = True,
 ) -> DesignReport:
     """Assemble the derived feasibility quantities for one atom-ensemble design."""
     g0 = atom_coupling(spec, geom)
@@ -303,7 +302,7 @@ def design_report(
     kappa, tau_p = cavity_linewidth(geom)
     tau_e = entanglement_period(k, spec.omega_m)
     ratio = tau_e / tau_p
-    heating = heating_budget(spec, geom, nbar_cav, k_p) if with_heating else None
+    heating = heating_budget(spec, geom, nbar_cav, k_p)
     return DesignReport(
         g0=g0,
         k=k,

@@ -102,10 +102,14 @@ class RegimeReport:
     feasibility_ratio: float
 
 
-def duan_from_moments(m: ModePairMoments, *, tol: float = 1e-9) -> float:
+#: how far <n> may fall below |<a>|**2 before duan_from_moments rejects the moments
+_MOMENT_TOL = 1e-9
+
+
+def duan_from_moments(m: ModePairMoments) -> float:
     """Evaluate the witness from mode-pair moments (shared analytic/oracle kernel)."""
     for occ, mean, label in ((m.occ1, m.mean1, "1"), (m.occ2, m.mean2, "2")):
-        if occ < abs(mean) ** 2 - tol:
+        if occ < abs(mean) ** 2 - _MOMENT_TOL:
             raise ValueError(
                 f"inconsistent moments for mode {label}: <n>={occ!r} below |<a>|**2={abs(mean)**2!r}"
             )

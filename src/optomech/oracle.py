@@ -193,7 +193,7 @@ def _mechanical_cutoff(
     n_max_a: int,
     n_max_b: int,
     tol: float,
-) -> tuple[int, int]:
+) -> int:
     """Mechanical cutoff covering the conditional displacements.
 
     A branch with photon-number difference delta is displaced by at most
@@ -202,8 +202,6 @@ def _mechanical_cutoff(
     at lam = (2 k |delta| + sqrt(l_max))**2. Each |delta| gets a tail budget
     inversely weighted by its branch probability, which keeps the cutoff
     from being dictated by branches of negligible weight.
-
-    Returns (n_max_c, thermal_l_max).
     """
     l_max = _thermal_tail_cutoff(nbar, tol / 4.0)
     pa = _poisson_pmf(n_max_a, abs(alpha) ** 2)
@@ -224,7 +222,7 @@ def _mechanical_cutoff(
             continue
         lam = (2.0 * abs(k) * d + sqrt_l) ** 2
         n_c = max(n_c, _poisson_tail_cutoff(lam, budget) + 2)
-    return n_c, l_max
+    return n_c
 
 
 def _require_finite(**inputs) -> None:
@@ -273,8 +271,8 @@ class FockConfig:
         _require_finite(alpha=alpha, beta=beta, nbar=nbar, k=k)
         n_a = max(_poisson_tail_cutoff(abs(alpha) ** 2, tolerance / 4.0), 1)
         n_b = max(_poisson_tail_cutoff(abs(beta) ** 2, tolerance / 4.0), 1)
-        n_c, _ = _mechanical_cutoff(alpha, beta, nbar, k, n_a, n_b, tolerance)
-        return cls(n_max_a=n_a, n_max_b=n_b, n_max_c=max(n_c, 1), tolerance=tolerance)
+        n_c = _mechanical_cutoff(alpha, beta, nbar, k, n_a, n_b, tolerance)
+        return cls(n_max_a=n_a, n_max_b=n_b, n_max_c=n_c, tolerance=tolerance)
 
     def doubled(self) -> "FockConfig":
         """Convergence-study variant with all cutoffs doubled."""

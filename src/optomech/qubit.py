@@ -91,13 +91,14 @@ def _as_scalar(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
-def check_density_matrix(
-    rho: np.ndarray,
-    *,
-    herm_tol: float = 1e-12,
-    trace_tol: float = 1e-12,
-    eig_floor: float = -1e-10,
-) -> np.ndarray:
+#: how far a density matrix may be from Hermitian (largest entry of rho - rho^H)
+#: and its trace from 1, and how far below 0 its smallest eigenvalue may lie
+_HERM_TOL = 1e-12
+_TRACE_TOL = 1e-12
+_EIG_FLOOR = -1e-10
+
+
+def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate Hermiticity, unit trace and positivity up to numerical noise.
 
     Takes one square matrix or a stack of them (..., n, n). Returns the
@@ -105,18 +106,11 @@ def check_density_matrix(
     matrix of a stack by its index.
     """
     rho = np.asarray(rho)
-    _checked_spectrum(rho, herm_tol=herm_tol, trace_tol=trace_tol, eig_floor=eig_floor)
+    _checked_spectrum(rho)
     return rho
 
 
-def _checked_spectrum(
-    rho: np.ndarray,
-    *,
-    vectors: bool = False,
-    herm_tol: float = 1e-12,
-    trace_tol: float = 1e-12,
-    eig_floor: float = -1e-10,
-):
+def _checked_spectrum(rho: np.ndarray, *, vectors: bool = False):
     """Run the checks of `check_density_matrix` and return the spectrum.
 
     The positivity check needs the eigenvalues of the Hermitian part anyway,
@@ -129,17 +123,17 @@ def _checked_spectrum(
     rho_h = rho.conj().swapaxes(-1, -2)
     herm_dev = np.abs(rho - rho_h).max(axis=(-2, -1))
     _reject(
-        herm_dev > herm_tol,
+        herm_dev > _HERM_TOL,
         herm_dev,
-        f"matrix is not Hermitian within {herm_tol:g} (deviation {{:.3e}})",
+        f"matrix is not Hermitian within {_HERM_TOL:g} (deviation {{:.3e}})",
     )
     trace_dev = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
-    _reject(trace_dev > trace_tol, trace_dev, "trace deviates from 1 by {:.3e}")
+    _reject(trace_dev > _TRACE_TOL, trace_dev, "trace deviates from 1 by {:.3e}")
     herm = 0.5 * (rho + rho_h)
     evals, evecs = np.linalg.eigh(herm) if vectors else (np.linalg.eigvalsh(herm), None)
     min_eig = evals[..., 0]
     _reject(
-        min_eig < eig_floor, min_eig, "matrix is not positive semidefinite (min eigenvalue {:.3e})"
+        min_eig < _EIG_FLOOR, min_eig, "matrix is not positive semidefinite (min eigenvalue {:.3e})"
     )
     return evals, evecs
 
@@ -173,7 +167,9 @@ def concurrence(rho: np.ndarray):
     if general.any():
         omega[general] = np.linalg.eigvals(rho[general] @ rho_tilde[general]).real
         low = np.where(general, omega.min(axis=-1), 0.0)
-        _reject(low < -1e-10, low, "spin-flipped spectrum has eigenvalue {:.3e} below -1e-10")
+        _reject(
+            low < _EIG_FLOOR, low, f"spin-flipped spectrum has eigenvalue {{:.3e}} below {_EIG_FLOOR:g}"
+        )
     # eigenvalues below the eigensolver's resolution are zeros in disguise;
     # square-rooting them would inject O(sqrt(eps)) noise into the sum
     floor = 64.0 * _EPS * np.maximum(omega.max(axis=-1), 0.0)

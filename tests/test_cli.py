@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -9,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from optomech import cli
 from optomech.cli import (
     ResultTable,
-    _format_cell,
+    _write_csv,
     resolve_config,
     main,
     run_fig2,
@@ -69,17 +72,75 @@ class TestResolveConfig:
             resolve_config("fig2", overrides=("k=1" + "0" * 400,))
 
 
-def test_format_cell():
-    assert _format_cell(0.5) == "0.5"
+@pytest.mark.parametrize("command", ["fig2", "fig3", "sweep"])
+def test_n_points_cap_admits_its_boundary(command):
+    assert resolve_config(command, overrides=("n_points=100000",)).values["n_points"] == 100000
+    with pytest.raises(Exception, match="field 'n_points': must be <= 100000"):
+        resolve_config(command, overrides=("n_points=100001",))
+
+
+@pytest.mark.parametrize("command", ["fig2", "fig3", "sweep"])
+def test_cli_rejects_too_many_points_before_allocating(capsys, command):
+    # a 1e12-point grid would need terabytes; the refusal comes from the
+    # field's validator, before any grid is built
+    tracemalloc.start()
+    try:
+        code = main([command, "--set", f"n_points={10 ** 12}"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "field 'n_points': must be <= 100000" in capsys.readouterr().err
+    assert peak < 256 * 1024
+
+
+def test_csv_cells_are_python_scalars():
     # numpy scalars must not leak their repr wrapper into the CSV
-    assert _format_cell(np.float64(0.1)) == "0.1"
-    assert _format_cell(3) == "3"
-    assert _format_cell("label") == "label"
+    columns = {
+        "float": [np.float64(0.1)],
+        "int": [np.int64(3)],
+        "bool": np.array([True]),
+        "str": ["label"],
+        "plain": [0.5],
+    }
+    table = ResultTable(columns, metadata={})
+    assert [type(cell) for cell in table.rows[0]] == [float, int, bool, str, float]
+    stream = io.StringIO()
+    _write_csv(stream, table)
+    assert stream.getvalue() == "float,int,bool,str,plain\r\n0.1,3,True,label,0.5\r\n"
 
 
 def test_result_table_must_be_rectangular():
-    with pytest.raises(ValueError):
-        ResultTable(columns=("a", "b"), rows=[(1.0,)], metadata={})
+    with pytest.raises(ValueError, match="columns differ in length"):
+        ResultTable({"a": [1.0, 2.0], "b": np.zeros(3)}, metadata={})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["fig2", "--set", "n_points=300"], id="fig2"),
+        pytest.param(["fig3", "--set", "n_points=200"], id="fig3"),
+        pytest.param(["fig4b", "--set", "alpha_step=0.25", "--set", "beta_step=0.25"], id="fig4b"),
+    ],
+)
+def test_csv_cells_read_back_the_computed_doubles(tmp_path, monkeypatch, argv):
+    computed = {}
+
+    class RecordingTable(ResultTable):
+        def __init__(self, columns, metadata):
+            computed.update((name, np.array(column, dtype=float)) for name, column in columns.items())
+            super().__init__(columns, metadata)
+
+    monkeypatch.setattr(cli, "ResultTable", RecordingTable)
+    code, out = _run_cli(argv, tmp_path, "run.csv")
+    assert code == 0
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    header, *rows = csv.reader(lines)
+    assert header == list(computed)
+    assert not any(cell.startswith("np.") for row in rows for cell in row)
+    for name, column in zip(header, zip(*rows)):
+        read = np.array([float(cell) for cell in column])
+        assert np.array_equal(read.view(np.uint64), computed[name].view(np.uint64)), name
 
 
 def test_fig2_table_shape():
@@ -319,6 +380,8 @@ def test_cli_oracle_check_detects_corruption(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "[FAIL]" in captured.out
+    passed = captured.out.count("[PASS]")
+    assert f"oracle-check: {passed}/9 checks passed" in captured.out
 
 
 def test_module_entry_point(tmp_path):

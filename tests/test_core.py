@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from optomech.core import (
     CODATA2018,
     SystemParams,
-    ThermalSpec,
     big_b,
     energy_eigenvalue,
     energy_eigenvalue_scaled,
@@ -75,11 +74,6 @@ def test_thermal_occupation_deep_ground_state():
 def test_thermal_occupation_rejects_nonpositive(bad_T, bad_omega):
     with pytest.raises(ValueError):
         thermal_occupation(bad_T, bad_omega)
-
-
-def test_thermal_spec_from_temperature():
-    spec = ThermalSpec.from_temperature(0.8e-6, 2.0 * math.pi * 95e3)
-    assert spec.nbar == pytest.approx(0.003360227659763006, rel=1e-12)
 
 
 def test_x_zpf_frozen_values():
