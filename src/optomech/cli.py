@@ -132,6 +132,21 @@ _OPERATING_POINT = {
     "finesse": (_GEOMETRY.finesse, _number(exclusive_min=1.0)),
 }
 
+#: design field -> (DesignSearchSpace field, validator) of the search domain
+_SEARCH_FIELDS = {
+    "finesse_eval": ("finesse_eval", _number(exclusive_min=1.0)),
+    "L_min_m": ("L_min", _POS),
+    "L_max_m": ("L_max", _POS),
+    "L_step_m": ("L_step", _POS),
+    "N_min": ("N_min", _number(minimum=1.0)),
+    "N_max": ("N_max", _number(minimum=1.0)),
+    "N_step": ("N_step", _POS),
+    "trap_frequencies_Hz": ("trap_frequencies_Hz", _number_list(exclusive_min=0.0)),
+    "exclusion_halfwidth": ("exclusion_halfwidth", _NONNEG),
+    "exclusion_n_max": ("exclusion_n_max", _integer(0)),
+    "plateau_rtol": ("plateau_rtol", _NONNEG),
+}
+
 #: command -> field -> (default, validator)
 FIELDS: dict[str, dict[str, tuple]] = {
     "fig2": {
@@ -174,20 +189,12 @@ FIELDS: dict[str, dict[str, tuple]] = {
     },
     "design": {
         "radii_m": ([1.0e-2, 2.5e-2, 5.0e-2, 10.0e-2], _number_list(exclusive_min=0.0)),
-        "finesse_eval": (5.8e5, _number(exclusive_min=1.0)),
         "report_finesse": (_GEOMETRY.finesse, _number(exclusive_min=1.0)),
-        "L_min_m": (200.0e-6, _POS),
-        "L_max_m": (1250.0e-6, _POS),
-        "L_step_m": (2.0e-6, _POS),
-        "N_min": (1.0e5, _number(minimum=1.0)),
-        "N_max": (5.8e5, _number(minimum=1.0)),
-        "N_step": (1.0e3, _POS),
-        "trap_frequencies_Hz": (
-            [40.0e3 + 5.0e3 * i for i in range(12)], _number_list(exclusive_min=0.0)
-        ),
-        "exclusion_halfwidth": (0.02, _NONNEG),
-        "exclusion_n_max": (8, _integer(0)),
-        "plateau_rtol": (0.01, _NONNEG),
+        # the search defaults are DesignSearchSpace's own
+        **{
+            name: (getattr(DesignSearchSpace, attr), check)
+            for name, (attr, check) in _SEARCH_FIELDS.items()
+        },
     },
     "oracle-check": {
         "seed": (1234, _integer(0)),
@@ -491,33 +498,18 @@ def run_design(cfg: RunConfig) -> tuple[ResultTable, dict]:
         "mirror_radius_m", "cavity_length_m", "atom_number", "trap_frequency_Hz",
         "k", "ratio_at_eval_finesse", "min_finesse_for_unity_ratio",
     ]
+    search = {attr: v[name] for name, (attr, _) in _SEARCH_FIELDS.items()}
     optimized = []
     for radius in v["radii_m"]:
-        space = DesignSearchSpace(
-            R_mirror=radius,
-            L_min=v["L_min_m"],
-            L_max=v["L_max_m"],
-            L_step=v["L_step_m"],
-            N_min=v["N_min"],
-            N_max=v["N_max"],
-            N_step=v["N_step"],
-            omega_m_values=tuple(2.0 * math.pi * f for f in v["trap_frequencies_Hz"]),
-            finesse_eval=v["finesse_eval"],
-            exclusion_halfwidth=v["exclusion_halfwidth"],
-            exclusion_n_max=v["exclusion_n_max"],
-            plateau_rtol=v["plateau_rtol"],
-        )
-        result = optimize_design(space)
-        if not result.feasible:
-            raise _CliError(f"design search at mirror radius {radius} m: {result.message}")
+        result = optimize_design(DesignSearchSpace(R_mirror=radius, **search))
         entry = {
             "mirror_radius_m": radius,
             "cavity_length_m": result.L,
             "atom_number": result.N,
             "trap_frequency_Hz": result.omega_m / (2.0 * math.pi),
-            "k": result.k,
+            "k": result.report.k,
             "g0_rad_per_s": result.report.g0,
-            "ratio_at_eval_finesse": result.ratio,
+            "ratio_at_eval_finesse": result.report.ratio,
             "min_finesse_for_unity_ratio": result.report.min_finesse_for_unity_ratio,
             "n_evaluated": result.n_evaluated,
         }

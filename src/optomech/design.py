@@ -262,13 +262,11 @@ def heating_budget(
     spec: AtomEnsembleSpec,
     geom: CavityGeometry,
     nbar_cav: float = 0.25,
-    k_p: float | None = None,
 ) -> HeatingBudget:
     """Heating figures for the atomic ensemble; see HeatingBudget for the two groupings."""
     if nbar_cav < 0:
         raise ValueError(f"nbar_cav must be non-negative, got {nbar_cav!r}")
-    if k_p is None:
-        k_p = 2.0 * math.pi / geom.lambda_a
+    k_p = 2.0 * math.pi / geom.lambda_a
     g0 = atom_coupling(spec, geom)
     kappa, tau_p = cavity_linewidth(geom)
     kappa_angular = 2.0 * math.pi * kappa
@@ -294,7 +292,6 @@ def design_report(
     geom: CavityGeometry,
     *,
     nbar_cav: float = 0.25,
-    k_p: float | None = None,
 ) -> DesignReport:
     """Assemble the derived feasibility quantities for one atom-ensemble design."""
     g0 = atom_coupling(spec, geom)
@@ -302,7 +299,7 @@ def design_report(
     kappa, tau_p = cavity_linewidth(geom)
     tau_e = entanglement_period(k, spec.omega_m)
     ratio = tau_e / tau_p
-    heating = heating_budget(spec, geom, nbar_cav, k_p)
+    heating = heating_budget(spec, geom, nbar_cav)
     return DesignReport(
         g0=g0,
         k=k,
@@ -319,7 +316,7 @@ def design_report(
 
 def proposed_atom_spec() -> AtomEnsembleSpec:
     """The proposed ultracold-atom operating point."""
-    return AtomEnsembleSpec(N=5.43e5, omega_m=2.0 * math.pi * 95.0e3)
+    return AtomEnsembleSpec(N=5.43e5)
 
 
 def proposed_geometry(finesse: float = 3.0e6) -> CavityGeometry:
@@ -330,6 +327,9 @@ def proposed_geometry(finesse: float = 3.0e6) -> CavityGeometry:
 @dataclass(frozen=True)
 class DesignSearchSpace:
     """Grid-search domain for optimize_design. R_mirror is fixed per run.
+
+    Trap frequencies are ordinary frequencies in Hz; optimize_design searches
+    the angular frequencies 2 pi f.
 
     The coupling must avoid the bands |k - sqrt(n/2)| <= exclusion_halfwidth
     (n = 1..exclusion_n_max), where the optical witness becomes inconclusive.
@@ -345,7 +345,7 @@ class DesignSearchSpace:
     N_min: float = 1.0e5
     N_max: float = 5.8e5
     N_step: float = 1.0e3
-    omega_m_values: tuple = tuple(2.0 * math.pi * f for f in np.arange(40.0e3, 95.0e3 + 1.0, 5.0e3))
+    trap_frequencies_Hz: tuple = tuple(40.0e3 + 5.0e3 * i for i in range(12))
     finesse_eval: float = 5.8e5
     exclusion_halfwidth: float = 0.02
     exclusion_n_max: int = 8
@@ -368,10 +368,12 @@ class DesignSearchSpace:
         need("N_min", 1 <= self.N_min < math.inf, "finite and >= 1")
         need("N_max", self.N_min <= self.N_max < math.inf, "finite and >= N_min")
         need("finesse_eval", 1 < self.finesse_eval < math.inf, "finite and > 1")
-        omegas = np.asarray(self.omega_m_values, dtype=float)
+        # the search runs on 2 pi f, which must stay finite too
+        freqs = np.asarray(self.trap_frequencies_Hz, dtype=float)
         need(
-            "omega_m_values",
-            omegas.ndim == 1 and omegas.size > 0 and bool(np.all((0 < omegas) & (omegas < math.inf))),
+            "trap_frequencies_Hz",
+            freqs.ndim == 1 and freqs.size > 0
+            and all(0 < 2.0 * math.pi * f < math.inf for f in freqs.tolist()),
             "a non-empty sequence of positive finite numbers",
         )
         need(
@@ -390,17 +392,13 @@ class DesignSearchSpace:
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    """Outcome of optimize_design; feasible=False carries an explanation instead of a design."""
+    """The design optimize_design found, its report, and the grid points the search covered."""
 
-    feasible: bool
-    L: float | None = None
-    N: float | None = None
-    omega_m: float | None = None
-    k: float | None = None
-    ratio: float | None = None
-    report: DesignReport | None = None
-    n_evaluated: int = 0
-    message: str = ""
+    L: float
+    N: float
+    omega_m: float
+    report: DesignReport
+    n_evaluated: int
 
 
 def _first_index(sqrt_n: np.ndarray, c: np.ndarray, k_turn, test) -> np.ndarray:
@@ -453,17 +451,21 @@ def optimize_design(search: DesignSearchSpace) -> OptimizeResult:
     result equals the exhaustive scan's bit for bit. n_evaluated counts the
     grid points covered. The argmin does not depend on finesse_eval because
     the objective scales as 1/finesse uniformly.
+
+    Raises ValueError naming the mirror radius when no length fits below
+    2 R_mirror or every coupling lands in an exclusion band.
     """
+    where = f"design search at mirror radius {search.R_mirror} m"
     L_values = np.arange(search.L_min, search.L_max + 0.5 * search.L_step, search.L_step)
     L_values = L_values[L_values < 2.0 * search.R_mirror]
     N_values = np.arange(search.N_min, search.N_max + 0.5 * search.N_step, search.N_step)
     if L_values.size == 0:
-        return OptimizeResult(feasible=False, message="empty search grid")
+        raise ValueError(f"{where}: empty search grid")
 
     tmpl = search.atom_template
     lam = RB87_D2_WAVELENGTH_M
     halfwidth = search.exclusion_halfwidth
-    omegas = np.asarray(search.omega_m_values, dtype=float)
+    omegas = 2.0 * math.pi * np.asarray(search.trap_frequencies_Hz, dtype=float)
     n_evaluated = omegas.size * L_values.size * N_values.size
     sqrt_n = np.sqrt(N_values)
     # one row per (omega_m, L), omega-major. g0 is N atoms times a collective
@@ -497,11 +499,7 @@ def optimize_design(search: DesignSearchSpace) -> OptimizeResult:
     row_min = entanglement_period(sqrt_n[last[rows]] * c[rows], omega[rows]) * kappa[rows]
     best = float(row_min.min()) if rows.size else math.inf
     if not math.isfinite(best):
-        return OptimizeResult(
-            feasible=False,
-            n_evaluated=n_evaluated,
-            message="no feasible design: every coupling lands in an exclusion band",
-        )
+        raise ValueError(f"{where}: no feasible design: every coupling lands in an exclusion band")
 
     # near-ties across all rows, then the lexicographic minimum of (L, N, omega)
     cutoff = best * (1.0 + search.plateau_rtol)
@@ -524,14 +522,4 @@ def optimize_design(search: DesignSearchSpace) -> OptimizeResult:
     spec = replace(tmpl, N=N_opt, omega_m=omega_opt)
     geom = CavityGeometry(L=L_opt, R_mirror=search.R_mirror, finesse=search.finesse_eval, lambda_a=lam)
     report = design_report(spec, geom)
-    return OptimizeResult(
-        feasible=True,
-        L=L_opt,
-        N=N_opt,
-        omega_m=omega_opt,
-        k=report.k,
-        ratio=report.ratio,
-        report=report,
-        n_evaluated=n_evaluated,
-        message="",
-    )
+    return OptimizeResult(L=L_opt, N=N_opt, omega_m=omega_opt, report=report, n_evaluated=n_evaluated)

@@ -286,6 +286,9 @@ _BLOCK_ELEMENTS = 2 ** 16
 _SCAN_BLOCK = 32
 #: slack of the bounded scan's pruning test, relative to 1 + alpha**2 + beta**2
 _BOUND_MARGIN = 1e-9
+#: fewest and most points of a scan grid
+_MIN_SCAN_POINTS = 65
+_MAX_SCAN_POINTS = 20_000_000
 #: relative bracket tolerance of the refinement, as scipy's golden xtol
 _XTOL = 1e-12
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -315,21 +318,19 @@ def _scan_grid(t_min, t_max, fast, resolution, mode):
                 f"need at most {max_step:g}"
             )
         step = resolution if resolution is not None else max_step
-        n_points = int(math.ceil(span / step)) + 1
-        if n_points > 20_000_000:
+    elif mode == "envelope":
+        step = resolution if resolution is not None else span / 4000.0
+    else:
+        raise ValueError(f"mode must be 'auto', 'direct' or 'envelope', got {mode!r}")
+    n_points = int(math.ceil(span / step)) + 1
+    if n_points > _MAX_SCAN_POINTS:
+        if mode == "direct":
             raise ValueError(
                 f"direct scan would need {n_points} points to resolve the carrier; "
                 "use mode='envelope'"
             )
-        n_points = max(n_points, 65)
-    elif mode == "envelope":
-        step = resolution if resolution else span / 4000.0
-        n_points = max(int(math.ceil(span / step)) + 1, 65)
-        if n_points > 20_000_000:
-            raise ValueError(f"envelope grid of {n_points} points is too large")
-    else:
-        raise ValueError(f"mode must be 'auto', 'direct' or 'envelope', got {mode!r}")
-    return np.linspace(t_min, t_max, n_points), mode
+        raise ValueError(f"envelope grid of {n_points} points is too large")
+    return np.linspace(t_min, t_max, max(n_points, _MIN_SCAN_POINTS)), mode
 
 
 def _golden(func, lo, hi):

@@ -69,6 +69,8 @@ __all__ = [
 ]
 
 _MODE_AXES = {"A": 0, "B": 1, "C": 2}
+#: default Fock tail budget: the probability mass a truncation may drop
+_TAIL_TOLERANCE = 1e-10
 #: largest reduced matrix `partial_trace` builds: 4096**2 complex entries are 256 MiB
 _MAX_DIM_KEEP = 4096
 
@@ -239,7 +241,7 @@ class FockConfig:
     n_max_a: int
     n_max_b: int
     n_max_c: int
-    tolerance: float = 1e-10
+    tolerance: float = _TAIL_TOLERANCE
 
     def __post_init__(self) -> None:
         for name in ("n_max_a", "n_max_b", "n_max_c"):
@@ -249,7 +251,7 @@ class FockConfig:
             raise ValueError(f"tolerance must lie in (0, 1), got {self.tolerance!r}")
 
     @classmethod
-    def for_qubit(cls, k: float, tolerance: float = 1e-10) -> "FockConfig":
+    def for_qubit(cls, k: float, tolerance: float = _TAIL_TOLERANCE) -> "FockConfig":
         """Cutoffs for the vacuum/one-photon superposition input.
 
         Photon numbers are conserved, so the optical cutoffs stay at 1; the
@@ -266,7 +268,7 @@ class FockConfig:
         beta: complex,
         nbar: float,
         k: float,
-        tolerance: float = 1e-10,
+        tolerance: float = _TAIL_TOLERANCE,
     ) -> "FockConfig":
         _require_finite(alpha=alpha, beta=beta, nbar=nbar, k=k)
         n_a = max(_poisson_tail_cutoff(abs(alpha) ** 2, tolerance / 4.0), 1)
@@ -323,16 +325,18 @@ def build_initial_state(kind: str, **params) -> TriModeState:
     """Construct the initial tri-mode state.
 
     kind="qubit": ((|0> + |1>)/sqrt2) on each optical mode, mechanical
-    ground state. Accepts k (used to size the mechanical cutoff),
-    tolerance, and optionally a FockConfig via config=.
+    ground state. Accepts k (used to size the mechanical cutoff) and
+    either tolerance or a FockConfig via config=.
 
     kind="coherent_thermal": |alpha> x |beta> x thermal(nbar), the thermal
     mode as a weighted ensemble of Fock states with geometric weights,
     truncated below the tail tolerance and renormalized. Accepts alpha,
-    beta, nbar, k, tolerance, config=.
+    beta, nbar, k, and either tolerance or config=.
     """
     config = params.pop("config", None)
-    tolerance = params.pop("tolerance", config.tolerance if config else 1e-10)
+    if config is not None and "tolerance" in params:
+        raise ValueError("pass config or tolerance, not both: config carries its own tolerance")
+    tolerance = params.pop("tolerance", _TAIL_TOLERANCE)
     if kind == "qubit":
         k = params.pop("k", 0.0)
         if params:

@@ -206,9 +206,10 @@ def test_acceptance_6_optimizer_reproduces_reference_rows():
         0.10: (669e-6, 5.80e5, 2.47e6),
     }
     for radius, (L_ref, N_ref, F_ref) in targets.items():
-        res = optimize_design(DesignSearchSpace(R_mirror=radius))
-        if not res.feasible:
-            failures.append(f"R={radius}: {res.message}")
+        try:
+            res = optimize_design(DesignSearchSpace(R_mirror=radius))
+        except ValueError as exc:
+            failures.append(f"R={radius}: {exc}")
             continue
         for got, ref, label in (
             (res.L, L_ref, "L"),

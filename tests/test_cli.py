@@ -355,6 +355,47 @@ def test_cli_design_metadata_counts_grid_points_per_radius(tmp_path):
     assert len([line for line in lines if not line.startswith("#")]) == 3
 
 
+_WHERE = "design search at mirror radius"
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (
+            ["radii_m=[0.05]", "exclusion_halfwidth=50.0"],
+            f"{_WHERE} 0.05 m: no feasible design: every coupling lands in an exclusion band",
+        ),
+        # 2 x 0.0001 m is the default L_min, so no length fits
+        (["radii_m=[0.0001]"], f"{_WHERE} 0.0001 m: empty search grid"),
+    ],
+    ids=["all-excluded", "empty-grid"],
+)
+def test_cli_design_reports_an_infeasible_radius(capsys, overrides, message):
+    assert main(["design", *(arg for item in overrides for arg in ("--set", item))]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_design_defaults_are_the_published_search_domain():
+    # config_json records these; they come from DesignSearchSpace and must not drift
+    assert resolve_config("design").values == {
+        "radii_m": [1.0e-2, 2.5e-2, 5.0e-2, 10.0e-2],
+        "finesse_eval": 5.8e5,
+        "report_finesse": 3.0e6,
+        "L_min_m": 200.0e-6,
+        "L_max_m": 1250.0e-6,
+        "L_step_m": 2.0e-6,
+        "N_min": 1.0e5,
+        "N_max": 5.8e5,
+        "N_step": 1.0e3,
+        "trap_frequencies_Hz": [40.0e3 + 5.0e3 * i for i in range(12)],
+        "exclusion_halfwidth": 0.02,
+        "exclusion_n_max": 8,
+        "plateau_rtol": 0.01,
+    }
+
+
 def test_cli_sweep_runs(tmp_path):
     code, out = _run_cli(
         ["sweep", "--set", "n_points=40", "--set", "quantity=duan_ab", "--set", "variable=t"],
@@ -384,12 +425,19 @@ def test_cli_oracle_check_detects_corruption(tmp_path, capsys):
     assert f"oracle-check: {passed}/9 checks passed" in captured.out
 
 
+def _child_env() -> dict:
+    """The environment with the imported optomech's source tree first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "m.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "optomech", "fig2", "--set", "n_points=30", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert out.exists()
@@ -398,9 +446,6 @@ def test_module_entry_point(tmp_path):
 def test_cli_import_leaves_out_scipy_stats_linalg_and_special():
     # scipy.stats, then scipy.special, used to be most of the package's import
     # time; the package needs no scipy at all, on import or in an oracle-check run
-    import optomech
-
-    src = str(Path(optomech.__file__).resolve().parents[1])
     code = (
         "import sys, optomech.cli\n"
         "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
@@ -413,7 +458,7 @@ def test_cli_import_leaves_out_scipy_stats_linalg_and_special():
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().splitlines()

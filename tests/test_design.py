@@ -209,7 +209,6 @@ class TestOptimizeDesign:
     )
     def test_optimum_per_mirror_radius_frozen(self, R_mirror, L_expect, N_expect, min_finesse_expect):
         res = optimize_design(DesignSearchSpace(R_mirror=R_mirror))
-        assert res.feasible
         assert res.L == pytest.approx(L_expect, rel=1e-9)
         assert res.N == N_expect
         assert res.omega_m == pytest.approx(OMEGA_M, rel=1e-12)
@@ -217,7 +216,7 @@ class TestOptimizeDesign:
 
     def test_winning_coupling_avoids_exclusion_bands(self):
         res = optimize_design(DesignSearchSpace(R_mirror=0.05))
-        gaps = [abs(res.k - math.sqrt(n / 2.0)) for n in range(1, 9)]
+        gaps = [abs(res.report.k - math.sqrt(n / 2.0)) for n in range(1, 9)]
         assert min(gaps) > 0.02
 
     def test_single_point_grid_returns_that_point(self):
@@ -227,20 +226,25 @@ class TestOptimizeDesign:
             L_max=810e-6,
             N_min=568000.0,
             N_max=568000.0,
-            omega_m_values=(OMEGA_M,),
+            trap_frequencies_Hz=(95e3,),
         )
         res = optimize_design(space)
-        assert res.feasible
         assert res.n_evaluated == 1
         assert res.L == pytest.approx(810e-6, rel=1e-12)
-        assert res.k == pytest.approx(0.7272759329667948, rel=1e-9)
+        assert res.omega_m == OMEGA_M
+        assert res.report.k == pytest.approx(0.7272759329667948, rel=1e-9)
 
     def test_everything_excluded_reports_infeasible(self):
         # bands wide enough to swallow every coupling the grid can produce
         space = DesignSearchSpace(R_mirror=0.05, exclusion_halfwidth=50.0)
-        res = optimize_design(space)
-        assert not res.feasible
-        assert "exclusion band" in res.message
+        with pytest.raises(ValueError, match="exclusion band"):
+            optimize_design(space)
+
+    def test_empty_grid_raises_naming_the_radius(self):
+        # every length at or above 2 R_mirror leaves no cavity to search
+        space = DesignSearchSpace(R_mirror=1.0e-4, L_min=200e-6)
+        with pytest.raises(ValueError, match=r"^design search at mirror radius 0\.0001 m: empty search grid$"):
+            optimize_design(space)
 
 
 def test_optimizer_holds_no_grid_in_memory():
@@ -263,13 +267,15 @@ _BAD_SEARCH_FIELDS = [
     ("N_min", 0.5), ("N_min", math.nan),
     ("N_max", 5.0e4), ("N_max", math.inf),
     ("N_step", 0.0), ("N_step", math.nan),
-    ("omega_m_values", ()), ("omega_m_values", (OMEGA_M, 0.0)), ("omega_m_values", (-OMEGA_M,)),
-    ("omega_m_values", (math.nan,)), ("omega_m_values", (math.inf,)),
+    ("trap_frequencies_Hz", ()), ("trap_frequencies_Hz", (OMEGA_M, 0.0)),
+    ("trap_frequencies_Hz", (-OMEGA_M,)), ("trap_frequencies_Hz", (math.nan,)),
+    ("trap_frequencies_Hz", (math.inf,)),
     ("finesse_eval", 1.0), ("finesse_eval", 0.0), ("finesse_eval", math.inf),
     ("exclusion_halfwidth", -0.01), ("exclusion_halfwidth", math.nan),
     ("exclusion_n_max", -1), ("exclusion_n_max", 2.5),
     ("plateau_rtol", -0.01), ("plateau_rtol", math.inf),
     ("atom_template", AtomEnsembleSpec(N=1.0e5, Delta_ca=-DEFAULT_DETUNING_RAD_S)),
+    ("trap_frequencies_Hz", (1e308,)),  # finite in Hz, but 2 pi f overflows
 ]
 
 
@@ -282,9 +288,9 @@ def test_search_space_rejects_bad_field_by_name(name, value):
 def test_search_space_accepts_its_boundary_values():
     space = DesignSearchSpace(
         R_mirror=0.05, L_max=200e-6, N_min=1.0, N_max=1.0, exclusion_halfwidth=0.0,
-        exclusion_n_max=0, plateau_rtol=0.0, omega_m_values=(1,),
+        exclusion_n_max=0, plateau_rtol=0.0, trap_frequencies_Hz=(1,),
     )
-    assert optimize_design(space).feasible
+    assert optimize_design(space).n_evaluated == 1
 
 
 def _k_excluded_by_band_loop(k, halfwidth, n_max):
@@ -313,7 +319,7 @@ def _inline_k_grids(search):
     alpha0_sq = tmpl.d ** 2 * omega_c / (2.0 * hbar * CODATA2018.epsilon_0 * vol)
     kappa = CODATA2018.c / (2.0 * L_values) / search.finesse_eval
     grids = []
-    for omega_m in search.omega_m_values:
+    for omega_m in (2.0 * math.pi * f for f in search.trap_frequencies_Hz):
         g0_per_sqrt_n = (
             k_a * (alpha0_sq / tmpl.Delta_ca) * math.sqrt(hbar / (2.0 * tmpl.m_atom * omega_m))
         )
@@ -349,18 +355,23 @@ def _inline_plateau(search):
 
 
 def _inline_grid_search(search):
-    """(feasible, L, N, omega_m, n_evaluated, message) as the exhaustive scan finds them."""
+    """(L, N, omega_m, n_evaluated) as the exhaustive scan finds them, or why it finds none."""
     n_evaluated, hits = _inline_plateau(search)
+    where = f"design search at mirror radius {search.R_mirror} m"
     if n_evaluated == 0:
-        return (False, None, None, None, 0, "empty search grid")
+        return f"{where}: empty search grid"
     if not hits:
-        return (False, None, None, None, n_evaluated,
-                "no feasible design: every coupling lands in an exclusion band")
-    return (True, *min(hits), n_evaluated, "")
+        return f"{where}: no feasible design: every coupling lands in an exclusion band"
+    return (*min(hits), n_evaluated)
 
 
-def _outcome(result):
-    return (result.feasible, result.L, result.N, result.omega_m, result.n_evaluated, result.message)
+def _outcome(search):
+    """optimize_design's (L, N, omega_m, n_evaluated), or the message of the ValueError it raises."""
+    try:
+        result = optimize_design(search)
+    except ValueError as exc:
+        return str(exc)
+    return (result.L, result.N, result.omega_m, result.n_evaluated)
 
 
 # the default radii, then the design-search benchmark's radii and finesse
@@ -379,13 +390,12 @@ _PINNED_SEARCHES = [(R, 5.8e5) for R in (0.01, 0.025, 0.05, 0.10)] + [
 @pytest.mark.parametrize("R_mirror, finesse", _PINNED_SEARCHES)
 def test_optimizer_picks_what_the_inline_grid_search_picked(R_mirror, finesse):
     search = DesignSearchSpace(R_mirror=R_mirror, finesse_eval=finesse)
-    assert _outcome(optimize_design(search)) == _inline_grid_search(search)
+    assert _outcome(search) == _inline_grid_search(search)
 
 
-_KHZ = 2.0 * math.pi * 1e3
 # two trap frequencies and N >= 2e5 keep every coupling above the regime
 # boundary, so the ratio is flat along every row and rows tie in blocks
-_FLAT_ROWS = dict(omega_m_values=(40.0 * _KHZ, 42.0 * _KHZ), N_min=2.0e5)
+_FLAT_ROWS = dict(trap_frequencies_Hz=(40.0e3, 42.0e3), N_min=2.0e5)
 
 _EDGE_SEARCHES = {
     "halfwidth-0": dict(exclusion_halfwidth=0.0),
@@ -396,17 +406,17 @@ _EDGE_SEARCHES = {
     "rtol-0": dict(plateau_rtol=0.0),
     "rtol-0.05": dict(plateau_rtol=0.05),
     "omega-unsorted-duplicated": dict(
-        omega_m_values=tuple(f * _KHZ for f in (95.0, 60.0, 95.0, 40.0, 75.0, 60.0))
+        trap_frequencies_Hz=(95.0e3, 60.0e3, 95.0e3, 40.0e3, 75.0e3, 60.0e3)
     ),
     "flat-rows": dict(_FLAT_ROWS, exclusion_halfwidth=0.1),
     "flat-rows-rtol-0": dict(_FLAT_ROWS, plateau_rtol=0.0),
     "flat-rows-overlapping": dict(_FLAT_ROWS, exclusion_halfwidth=0.2, exclusion_n_max=11),
     "single-point": dict(
-        L_min=810e-6, L_max=810e-6, N_min=568000.0, N_max=568000.0, omega_m_values=(95.0 * _KHZ,)
+        L_min=810e-6, L_max=810e-6, N_min=568000.0, N_max=568000.0, trap_frequencies_Hz=(95.0e3,)
     ),
     "single-point-excluded": dict(
         L_min=810e-6, L_max=810e-6, N_min=568000.0, N_max=568000.0,
-        omega_m_values=(95.0 * _KHZ,), exclusion_halfwidth=0.05,
+        trap_frequencies_Hz=(95.0e3,), exclusion_halfwidth=0.05,
     ),
     "all-excluded": dict(exclusion_halfwidth=50.0),
     "empty-grid": dict(L_min=0.2, L_max=0.3),  # every length above 2 R_mirror
@@ -416,7 +426,7 @@ _EDGE_SEARCHES = {
 @pytest.mark.parametrize("settings", _EDGE_SEARCHES.values(), ids=_EDGE_SEARCHES.keys())
 def test_optimizer_matches_the_exhaustive_scan_on_edge_cases(settings):
     search = DesignSearchSpace(**{"R_mirror": 0.05, **settings})
-    assert _outcome(optimize_design(search)) == _inline_grid_search(search)
+    assert _outcome(search) == _inline_grid_search(search)
 
 
 def test_edge_cases_are_what_their_names_claim():
@@ -428,7 +438,7 @@ def test_edge_cases_are_what_their_names_claim():
     assert len(rows) > 5 and len(hits) > 50 * len(rows)  # ties across and along rows
     for name, feasible in (("single-point", True), ("single-point-excluded", False)):
         point = DesignSearchSpace(R_mirror=0.05, **_EDGE_SEARCHES[name])
-        assert _inline_grid_search(point)[0] is feasible
+        assert isinstance(_inline_grid_search(point), tuple) is feasible
 
 
 @pytest.mark.parametrize("halfwidth", [0.0, 0.02, 0.3, 1.0])

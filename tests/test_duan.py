@@ -189,6 +189,18 @@ class TestMinOverWindow:
         with pytest.raises(ValueError, match="use mode='envelope'"):
             window_minima("AB", 9.0, p.r_a, p.r_b, k=p.k, mode="direct", **self._CELL)
 
+    @pytest.mark.parametrize(
+        "mode, message", [("direct", "use mode='envelope'"), ("envelope", "too large")], ids=["direct", "envelope"]
+    )
+    def test_scan_grid_floor_and_cap(self, monkeypatch, mode, message):
+        # both modes share one 65-point floor and one 20,000,000-point cap;
+        # linspace is faked so the largest admitted grid is not allocated
+        monkeypatch.setattr(duan_module.np, "linspace", lambda lo, hi, n: n)
+        assert duan_module._scan_grid(0.0, 1.0, 1e-8, 1.0, mode) == (65, mode)
+        assert duan_module._scan_grid(0.0, 19_999_999.0, 1e-8, 1.0, mode) == (20_000_000, mode)
+        with pytest.raises(ValueError, match=message):
+            duan_module._scan_grid(0.0, 20_000_000.0, 1e-8, 1.0, mode)
+
     def test_window_validation(self):
         st0 = CVInitialState(0.5, 0.5, 0.0)
         with pytest.raises(ValueError, match="bipartition"):

@@ -230,6 +230,16 @@ def test_fock_config_validation():
     assert (doubled.n_max_a, doubled.n_max_b, doubled.n_max_c) == (4, 6, 10)
 
 
+@pytest.mark.parametrize(
+    "kind, params",
+    [("qubit", {"k": 0.5}), ("coherent_thermal", {"alpha": 0.5, "beta": 0.3, "nbar": 0.2, "k": 0.4})],
+)
+def test_initial_state_refuses_tolerance_beside_config(kind, params):
+    # config carries its own tail budget, so a second one would go unread
+    with pytest.raises(ValueError, match="^pass config or tolerance, not both"):
+        build_initial_state(kind, config=FockConfig(8, 8, 40), tolerance=1e-6, **params)
+
+
 def test_qubit_state_construction():
     state = build_initial_state("qubit", k=0.5)
     assert len(state.vectors) == 1
