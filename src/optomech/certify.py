@@ -59,9 +59,7 @@ def _check_qubit(rng, n_times: int) -> list:
 
 
 def _check_conservation(rng) -> list:
-    state = build_initial_state(
-        "coherent_thermal", alpha=0.7, beta=0.4, nbar=0.3, k=0.6, tolerance=1e-10
-    )
+    state = build_initial_state("coherent_thermal", alpha=0.7, beta=0.4, nbar=0.3, k=0.6)
     trace0 = state.trace()
     energy0 = hamiltonian_expectation(state, 0.6, 1.3, 0.8)
     drift = energy_dev = 0.0

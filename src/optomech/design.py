@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,12 +75,11 @@ CALIBRATION_REFERENCE = {
 
 @dataclass(frozen=True)
 class CavityGeometry:
-    """Symmetric two-mirror cavity: length, mirror curvature radius, finesse, wavelength."""
+    """Symmetric two-mirror cavity at the Rb-87 D2 wavelength: length, mirror curvature radius, finesse."""
 
     L: float
     R_mirror: float
     finesse: float
-    lambda_a: float = RB87_D2_WAVELENGTH_M
 
     def __post_init__(self) -> None:
         if not (0.0 < self.L < 2.0 * self.R_mirror):
@@ -90,8 +89,6 @@ class CavityGeometry:
             )
         if not (self.finesse > 1.0):
             raise ValueError(f"finesse must exceed 1, got {self.finesse!r}")
-        if not (self.lambda_a > 0.0):
-            raise ValueError(f"lambda_a must be positive, got {self.lambda_a!r}")
 
     @property
     def nu_fsr(self) -> float:
@@ -101,12 +98,12 @@ class CavityGeometry:
     @property
     def waist(self) -> float:
         """Gaussian mode waist sqrt((lambda/2pi) sqrt(L (2R - L)))."""
-        return float(_waist(self.L, self.R_mirror, self.lambda_a))
+        return float(_waist(self.L, self.R_mirror))
 
     @property
     def mode_volume(self) -> float:
         """V_c = pi w**2 L."""
-        return float(_mode_volume(self.L, self.R_mirror, self.lambda_a))
+        return float(_mode_volume(self.L, self.R_mirror))
 
 
 @dataclass(frozen=True)
@@ -200,12 +197,12 @@ class DesignReport:
 # of cavity lengths, so the optimizer's grid and the one-design report
 # evaluate the same expressions in the same order.
 
-def _waist(L, R_mirror, lambda_a):
-    return np.sqrt((lambda_a / (2.0 * math.pi)) * np.sqrt(L * (2.0 * R_mirror - L)))
+def _waist(L, R_mirror):
+    return np.sqrt((RB87_D2_WAVELENGTH_M / (2.0 * math.pi)) * np.sqrt(L * (2.0 * R_mirror - L)))
 
 
-def _mode_volume(L, R_mirror, lambda_a):
-    return math.pi * _waist(L, R_mirror, lambda_a) ** 2 * L
+def _mode_volume(L, R_mirror):
+    return math.pi * _waist(L, R_mirror) ** 2 * L
 
 
 def _free_spectral_range(L):
@@ -218,12 +215,12 @@ def _linewidth(L, finesse):
     return _free_spectral_range(L) / finesse
 
 
-def _coupling(spec: AtomEnsembleSpec, L, R_mirror, lambda_a):
+def _coupling(spec: AtomEnsembleSpec, L, R_mirror):
     """Collective coupling g0 in rad/s of spec's ensemble in the cavity of each length L."""
     hbar = CODATA2018.hbar
-    k_a = 2.0 * math.pi / lambda_a
-    omega_c = 2.0 * math.pi * CODATA2018.c / lambda_a
-    volume = _mode_volume(L, R_mirror, lambda_a)
+    k_a = 2.0 * math.pi / RB87_D2_WAVELENGTH_M
+    omega_c = 2.0 * math.pi * CODATA2018.c / RB87_D2_WAVELENGTH_M
+    volume = _mode_volume(L, R_mirror)
     alpha0_sq = spec.d ** 2 * omega_c / (2.0 * hbar * CODATA2018.epsilon_0 * volume)
     x_zpf_collective = math.sqrt(hbar / (2.0 * spec.N * spec.m_atom * spec.omega_m))
     return k_a * spec.N * (alpha0_sq / spec.Delta_ca) * x_zpf_collective
@@ -242,7 +239,7 @@ def atom_coupling(spec: AtomEnsembleSpec, geom: CavityGeometry) -> float:
     with alpha0**2 = d**2 omega_c / (2 hbar eps0 V_c) and the ensemble placed
     at the maximal-gradient point, sin(2 k_a z0) = 1.
     """
-    return float(_coupling(spec, geom.L, geom.R_mirror, geom.lambda_a))
+    return float(_coupling(spec, geom.L, geom.R_mirror))
 
 
 def nanoparticle_coupling(spec: NanoparticleSpec, omega_m: float) -> float:
@@ -266,7 +263,7 @@ def heating_budget(
     """Heating figures for the atomic ensemble; see HeatingBudget for the two groupings."""
     if nbar_cav < 0:
         raise ValueError(f"nbar_cav must be non-negative, got {nbar_cav!r}")
-    k_p = 2.0 * math.pi / geom.lambda_a
+    k_p = 2.0 * math.pi / RB87_D2_WAVELENGTH_M
     g0 = atom_coupling(spec, geom)
     kappa, tau_p = cavity_linewidth(geom)
     kappa_angular = 2.0 * math.pi * kappa
@@ -350,9 +347,6 @@ class DesignSearchSpace:
     exclusion_halfwidth: float = 0.02
     exclusion_n_max: int = 8
     plateau_rtol: float = 0.01
-    atom_template: AtomEnsembleSpec = field(
-        default_factory=lambda: AtomEnsembleSpec(N=1.0e5)
-    )
 
     def __post_init__(self) -> None:
         def need(name, ok, want):
@@ -381,13 +375,6 @@ class DesignSearchSpace:
             isinstance(self.exclusion_n_max, numbers.Integral) and self.exclusion_n_max >= 0,
             "a non-negative integer",
         )
-        # the search takes the coupling k = g0/omega_m to be positive, which
-        # needs a positive detuning
-        if not self.atom_template.Delta_ca > 0:
-            raise ValueError(
-                f"atom_template.Delta_ca must be positive for the design search, "
-                f"got {self.atom_template.Delta_ca!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -462,8 +449,6 @@ def optimize_design(search: DesignSearchSpace) -> OptimizeResult:
     if L_values.size == 0:
         raise ValueError(f"{where}: empty search grid")
 
-    tmpl = search.atom_template
-    lam = RB87_D2_WAVELENGTH_M
     halfwidth = search.exclusion_halfwidth
     omegas = 2.0 * math.pi * np.asarray(search.trap_frequencies_Hz, dtype=float)
     n_evaluated = omegas.size * L_values.size * N_values.size
@@ -472,7 +457,7 @@ def optimize_design(search: DesignSearchSpace) -> OptimizeResult:
     # zero-point spread that falls as 1/sqrt(N), so k = sqrt(N) c along a row,
     # with c the coupling over omega_m at N = 1
     c = np.concatenate([
-        _coupling(replace(tmpl, N=1.0, omega_m=omega_m), L_values, search.R_mirror, lam) / omega_m
+        _coupling(AtomEnsembleSpec(N=1.0, omega_m=omega_m), L_values, search.R_mirror) / omega_m
         for omega_m in omegas
     ])
     omega = np.repeat(omegas, L_values.size)
@@ -519,7 +504,7 @@ def optimize_design(search: DesignSearchSpace) -> OptimizeResult:
     pick = np.lexsort((omega, N_values[first], L_values[L_index]))[0]
     L_opt, N_opt, omega_opt = float(L_values[L_index[pick]]), float(N_values[first[pick]]), float(omega[pick])
 
-    spec = replace(tmpl, N=N_opt, omega_m=omega_opt)
-    geom = CavityGeometry(L=L_opt, R_mirror=search.R_mirror, finesse=search.finesse_eval, lambda_a=lam)
+    spec = AtomEnsembleSpec(N=N_opt, omega_m=omega_opt)
+    geom = CavityGeometry(L=L_opt, R_mirror=search.R_mirror, finesse=search.finesse_eval)
     report = design_report(spec, geom)
     return OptimizeResult(L=L_opt, N=N_opt, omega_m=omega_opt, report=report, n_evaluated=n_evaluated)

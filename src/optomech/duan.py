@@ -15,8 +15,8 @@ The optical carrier phases enter only through cos((r_a + r_b) t + ...)
 factors, which at realistic optical/mechanical frequency ratios oscillate
 ~1e9 times faster than the envelope. Closed-form lower envelopes over that
 fast phase are therefore provided alongside the pointwise expressions, and
-`window_minima` switches to envelope minimization when a direct scan cannot
-resolve the carrier.
+`window_minima` switches to envelope minimization once the window holds
+more than 1e5 carrier cycles.
 """
 
 from __future__ import annotations
@@ -269,7 +269,7 @@ class WindowMinima:
 
     t_star: np.ndarray
     d_star: np.ndarray
-    #: "direct" or "envelope", with "auto" resolved
+    #: "direct" or "envelope", as the window and the carriers select
     mode: str
     #: True where the golden-section refinement beat the grid minimum
     refined: np.ndarray
@@ -286,51 +286,26 @@ _BLOCK_ELEMENTS = 2 ** 16
 _SCAN_BLOCK = 32
 #: slack of the bounded scan's pruning test, relative to 1 + alpha**2 + beta**2
 _BOUND_MARGIN = 1e-9
-#: fewest and most points of a scan grid
+#: fewest points of a scan grid
 _MIN_SCAN_POINTS = 65
-_MAX_SCAN_POINTS = 20_000_000
 #: relative bracket tolerance of the refinement, as scipy's golden xtol
 _XTOL = 1e-12
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _window_bounds(window) -> tuple[float, float]:
-    try:
-        t_min, t_max = (0.0, float(window)) if np.isscalar(window) else map(float, window)
-    except TypeError:
-        raise ValueError(f"window must be t_max or (t_min, t_max), got {window!r}")
-    if not (t_max > t_min >= 0.0):
-        raise ValueError(f"window must satisfy 0 <= t_min < t_max, got {(t_min, t_max)}")
-    return t_min, t_max
+def _scan_grid(t_max, fast):
+    """The uniform scan grid of [0, t_max] and its mode for the carrier ratio sum fast.
 
-
-def _scan_grid(t_min, t_max, fast, resolution, mode):
-    """The uniform scan grid of a window and the resolved mode."""
-    span = t_max - t_min
-    cycles = fast * span / (2.0 * math.pi)
-    if mode == "auto":
-        mode = "envelope" if cycles > 1e5 else "direct"
-    if mode == "direct":
-        max_step = math.pi / (8.0 * fast)
-        if resolution is not None and resolution > max_step:
-            raise ValueError(
-                f"direct-mode step {resolution:g} cannot resolve the carrier; "
-                f"need at most {max_step:g}"
-            )
-        step = resolution if resolution is not None else max_step
-    elif mode == "envelope":
-        step = resolution if resolution is not None else span / 4000.0
+    "envelope" once the window holds more than 1e5 carrier cycles, with step
+    t_max / 4000; "direct" below that, with step pi / (8 fast) so the
+    carrier cannot alias, which caps the grid at 1.6e6 + 2 points.
+    """
+    if fast * t_max / (2.0 * math.pi) > 1e5:
+        mode, step = "envelope", t_max / 4000.0
     else:
-        raise ValueError(f"mode must be 'auto', 'direct' or 'envelope', got {mode!r}")
-    n_points = int(math.ceil(span / step)) + 1
-    if n_points > _MAX_SCAN_POINTS:
-        if mode == "direct":
-            raise ValueError(
-                f"direct scan would need {n_points} points to resolve the carrier; "
-                "use mode='envelope'"
-            )
-        raise ValueError(f"envelope grid of {n_points} points is too large")
-    return np.linspace(t_min, t_max, max(n_points, _MIN_SCAN_POINTS)), mode
+        mode, step = "direct", math.pi / (8.0 * fast)
+    n_points = int(math.ceil(t_max / step)) + 1
+    return np.linspace(0.0, t_max, max(n_points, _MIN_SCAN_POINTS)), mode
 
 
 def _golden(func, lo, hi):
@@ -526,28 +501,25 @@ def window_minima(
     beta,
     nbar,
     k,
-    resolution: float | None = None,
-    mode: str = "auto",
 ) -> WindowMinima:
     """Minimize one witness over a shared window for many cells at once.
 
     Each cell is one (alpha, beta, nbar, k); the four broadcast together and
     the results take their broadcast shape, so scalars give one cell. The
-    window (t_max or a (t_min, t_max) pair in scaled time), carrier ratios,
-    resolution and mode are shared, so every cell is scanned on one grid.
-    Two modes:
+    window [0, window] in scaled time and the carrier ratios are shared, so
+    every cell is scanned on one grid. The grid and the mode follow from the
+    window and the carriers:
 
-    - "direct": uniform scan of the pointwise expression with step at most
-      pi / (8 (r_a + r_b)) so the optical carrier cannot alias. Raises if
-      the resulting grid would be astronomically large.
-    - "envelope": scan of the closed-form lower envelope over the carrier
-      phase. The carrier completes ~(r_a + r_b) T / 2 pi cycles per window,
-      so the envelope minimum matches the true minimum to O(1 / cycles); at
-      optical carrier frequencies this error is ~1e-9.
+    - "direct", while the window holds at most 1e5 carrier cycles: uniform
+      scan of the pointwise expression with step pi / (8 (r_a + r_b)), so
+      the optical carrier cannot alias.
+    - "envelope", above that: scan of the closed-form lower envelope over
+      the carrier phase with step window / 4000. The carrier completes
+      ~(r_a + r_b) T / 2 pi cycles per window, so the envelope minimum
+      matches the true minimum to O(1 / cycles); at optical carrier
+      frequencies this error is ~1e-9.
 
-    mode="auto" picks "envelope" once the window holds more than 1e5 carrier
-    cycles, where a direct scan is no longer feasible. resolution, when
-    given, is the grid step and must be positive and finite. Three steps:
+    Either grid has at least 65 points. Three steps:
 
     - the cells are reduced to distinct ones, and only those are scanned
       and refined. D_AB depends on alpha and beta only through
@@ -605,12 +577,11 @@ def window_minima(
     """
     if bipartition not in _VALUES:
         raise ValueError(f"bipartition must be one of {sorted(_VALUES)}, got {bipartition!r}")
-    t_min, t_max = _window_bounds(window)
+    if not 0 < window < math.inf:
+        raise ValueError(f"window must be positive and finite, got {window!r}")
     for name, ratio in (("r_a", r_a), ("r_b", r_b)):
         if not (math.isfinite(ratio) and ratio > 0):
             raise ValueError(f"{name} must be positive and finite, got {ratio!r}")
-    if resolution is not None and not (math.isfinite(resolution) and resolution > 0):
-        raise ValueError(f"resolution must be positive and finite, got {resolution!r}")
     cells = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (alpha, beta, nbar, k)))
     for name, cell in zip(("alpha", "beta", "nbar", "k"), cells):
         if not np.all(np.isfinite(cell)):
@@ -618,7 +589,7 @@ def window_minima(
     for name, cell in (("nbar", cells[2]), ("k", cells[3])):
         if np.any(cell < 0):
             raise ValueError(f"{name} must be non-negative in every cell")
-    grid, mode = _scan_grid(t_min, t_max, r_a + r_b, resolution, mode)
+    grid, mode = _scan_grid(float(window), r_a + r_b)
     func = (_LOWER if mode == "envelope" else _VALUES)[bipartition]
 
     shape = cells[0].shape

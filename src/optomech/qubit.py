@@ -178,21 +178,14 @@ def concurrence(rho: np.ndarray):
     return _as_scalar(np.where(value < 0.0, 0.0, np.where(value > 1.0, 1.0, value)))
 
 
-def von_neumann_entropy(rho: np.ndarray, base=2):
-    """Spectral entropy -sum p log p, 0 log 0 = 0, of one matrix or a stack.
+def von_neumann_entropy(rho: np.ndarray):
+    """Spectral entropy -sum p log2 p in bits, 0 log 0 = 0, of one matrix or a stack.
 
-    base=2 reports bits (default), base="e" or math.e reports nats.
     Returns a float for one matrix, an array for a stack.
     """
     rho = np.asarray(rho, dtype=complex)
     p, _ = _checked_spectrum(rho)
-    if base == 2:
-        log_div = math.log(2.0)
-    elif base == "e" or base == math.e:
-        log_div = 1.0
-    else:
-        raise ValueError(f"base must be 2 or 'e', got {base!r}")
     p = p.clip(0.0, 1.0)
-    value = -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1) / log_div
+    value = -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1) / math.log(2.0)
     return _as_scalar(np.where(value < 0.0, 0.0, value))
 

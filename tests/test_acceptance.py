@@ -161,7 +161,7 @@ def test_acceptance_4_cavity_numbers_and_minimum():
 
     p = SystemParams(omega_a=1e15, omega_b=1e15, omega_m=OMEGA_M, g0=0.74 * OMEGA_M)
     res = window_minima(
-        "AB", (0.0, OMEGA_M * tau_p), p.r_a, p.r_b,
+        "AB", OMEGA_M * tau_p, p.r_a, p.r_b,
         alpha=0.5, beta=0.5, nbar=thermal_occupation(0.8e-6, OMEGA_M), k=p.k,
     )
     d_min = float(res.d_star)

@@ -274,7 +274,6 @@ _BAD_SEARCH_FIELDS = [
     ("exclusion_halfwidth", -0.01), ("exclusion_halfwidth", math.nan),
     ("exclusion_n_max", -1), ("exclusion_n_max", 2.5),
     ("plateau_rtol", -0.01), ("plateau_rtol", math.inf),
-    ("atom_template", AtomEnsembleSpec(N=1.0e5, Delta_ca=-DEFAULT_DETUNING_RAD_S)),
     ("trap_frequencies_Hz", (1e308,)),  # finite in Hz, but 2 pi f overflows
 ]
 
@@ -310,7 +309,7 @@ def _inline_k_grids(search):
     L_values = np.arange(search.L_min, search.L_max + 0.5 * search.L_step, search.L_step)
     L_values = L_values[L_values < 2.0 * search.R_mirror]
     N_values = np.arange(search.N_min, search.N_max + 0.5 * search.N_step, search.N_step)
-    tmpl = search.atom_template
+    tmpl = AtomEnsembleSpec(N=1.0e5)
     hbar = CODATA2018.hbar
     lam = RB87_D2_WAVELENGTH_M
     k_a = 2.0 * math.pi / lam

@@ -151,19 +151,23 @@ class TestMinOverWindow:
     def test_table_operating_point_frozen(self):
         p = self._TABLE
         window = TABLE_OMEGA_M * 1.5670841192409183e-05  # one cavity photon lifetime
-        res = window_minima(
-            "AB", (0.0, window), p.r_a, p.r_b, alpha=0.5, beta=0.5, nbar=TABLE_NBAR, k=p.k
-        )
+        res = window_minima("AB", window, p.r_a, p.r_b, alpha=0.5, beta=0.5, nbar=TABLE_NBAR, k=p.k)
+        assert res.mode == "envelope"
         assert float(res.d_star) == pytest.approx(0.7980434478774613, rel=1e-9)
         assert float(res.t_star) == pytest.approx(2.0 * math.pi, abs=1e-6)
+        # 120 carrier cycles: the minimum the direct step rule resolves
+        res = window_minima("AB", 4.0 * math.pi, 30.0, 30.0, k=0.5, **self._CELL)
+        assert res.mode == "direct"
+        assert float(res.d_star) == pytest.approx(0.8648, abs=5e-5)
 
     def test_direct_and_envelope_modes_agree(self):
-        # 75 carrier cycles across the window keeps the direct scan cheap
-        # while the envelope refinement converges at O(1/cycles)
+        # carriers just either side of the 1e5-cycle switch, so the window
+        # holds 99,996 and 100,004 cycles; the envelope refinement converges
+        # at O(1/cycles)
         cell = dict(alpha=0.5, beta=0.5, nbar=0.01, k=0.6)
-        window = (0.0, 4.0 * math.pi)
-        direct = window_minima("AB", window, 18.75, 18.75, mode="direct", **cell)
-        envelope = window_minima("AB", window, 18.75, 18.75, mode="envelope", **cell)
+        window = 4.0 * math.pi
+        direct = window_minima("AB", window, 24_999.0, 24_999.0, **cell)
+        envelope = window_minima("AB", window, 25_001.0, 25_001.0, **cell)
         assert (direct.mode, envelope.mode) == ("direct", "envelope")
         d_direct, d_env = float(direct.d_star), float(envelope.d_star)
         assert d_env <= d_direct + 1e-9
@@ -171,35 +175,37 @@ class TestMinOverWindow:
 
     def test_auto_switches_to_envelope_for_optical_carriers(self):
         p = self._TABLE
-        # ~5e9 carrier cycles in this window: a direct scan would need
-        # more points than the hard cap allows, so auto must not pick it
-        res = window_minima("AB", (0.0, 9.0), p.r_a, p.r_b, k=p.k, **self._CELL)
+        # ~5e9 carrier cycles in this window, far past the 1e5-cycle switch
+        res = window_minima("AB", 9.0, p.r_a, p.r_b, k=p.k, **self._CELL)
         assert res.mode == "envelope"
         assert 0.0 <= float(res.t_star) <= 9.0
         assert float(res.d_star) < 1.0
 
-    def test_coarse_direct_resolution_is_rejected(self):
-        with pytest.raises(ValueError, match="cannot resolve the carrier"):
-            window_minima(
-                "AB", 4.0 * math.pi, 30.0, 30.0, k=0.5, resolution=0.1, mode="direct", **self._CELL
-            )
-
-    def test_direct_scan_size_guard(self):
-        p = self._TABLE
-        with pytest.raises(ValueError, match="use mode='envelope'"):
-            window_minima("AB", 9.0, p.r_a, p.r_b, k=p.k, mode="direct", **self._CELL)
-
-    @pytest.mark.parametrize(
-        "mode, message", [("direct", "use mode='envelope'"), ("envelope", "too large")], ids=["direct", "envelope"]
-    )
-    def test_scan_grid_floor_and_cap(self, monkeypatch, mode, message):
-        # both modes share one 65-point floor and one 20,000,000-point cap;
-        # linspace is faked so the largest admitted grid is not allocated
+    @pytest.mark.parametrize("mode", ["direct", "envelope"])
+    def test_scan_grid_floor_and_cap(self, monkeypatch, mode):
+        # linspace is faked so the largest grids are not allocated
         monkeypatch.setattr(duan_module.np, "linspace", lambda lo, hi, n: n)
-        assert duan_module._scan_grid(0.0, 1.0, 1e-8, 1.0, mode) == (65, mode)
-        assert duan_module._scan_grid(0.0, 19_999_999.0, 1e-8, 1.0, mode) == (20_000_000, mode)
-        with pytest.raises(ValueError, match=message):
-            duan_module._scan_grid(0.0, 20_000_000.0, 1e-8, 1.0, mode)
+        p = self._TABLE
+        if mode == "direct":
+            assert duan_module._scan_grid(1.0, 1.0) == (65, "direct")
+        else:
+            assert duan_module._scan_grid(9.0, p.r_a + p.r_b) == (4002, "envelope")
+        for t_max in (1e-3, 1.0, 9.0, 4.0 * math.pi, 1e6):
+            # the largest carrier sum whose window holds at most 1e5 cycles
+            fast = 2.0 * math.pi * 1e5 / t_max
+            while fast * t_max / (2.0 * math.pi) > 1e5:
+                fast = math.nextafter(fast, 0.0)
+            while math.nextafter(fast, math.inf) * t_max / (2.0 * math.pi) <= 1e5:
+                fast = math.nextafter(fast, math.inf)
+            if mode == "envelope":
+                fast = math.nextafter(fast, math.inf)
+            n, got = duan_module._scan_grid(t_max, fast)
+            assert got == mode, t_max
+            if mode == "direct":
+                # 8 fast t_max / pi + 2 at most
+                assert 1_599_999 <= n <= 1_600_002, (t_max, n)
+            else:
+                assert 4001 <= n <= 4002, (t_max, n)
 
     def test_window_validation(self):
         st0 = CVInitialState(0.5, 0.5, 0.0)
@@ -207,12 +213,6 @@ class TestMinOverWindow:
             window_minima("AD", 1.0, 1.0, 1.0, k=0.5, **self._CELL)
         with pytest.raises(ValueError, match="pair"):
             duan_values(1.0, st0, _params(0.5), "AD")
-        with pytest.raises(ValueError, match="window"):
-            window_minima("AB", (2.0, 1.0), 1.0, 1.0, k=0.5, **self._CELL)
-        with pytest.raises(ValueError, match="window"):
-            window_minima("AB", (-1.0, 1.0), 1.0, 1.0, k=0.5, **self._CELL)
-        with pytest.raises(ValueError, match="mode"):
-            window_minima("AB", 1.0, 1.0, 1.0, k=0.5, mode="grid", **self._CELL)
 
 
 def _reference_minimum(bipartition, state, p, window, mode):
@@ -225,10 +225,8 @@ def _reference_minimum(bipartition, state, p, window, mode):
     def func(t):
         return duan_values(t, state, p, bipartition, lower=mode == "envelope")
 
-    t_min, t_max = window
-    span = t_max - t_min
-    step = math.pi / (8.0 * (p.r_a + p.r_b)) if mode == "direct" else span / 4000.0
-    grid = np.linspace(t_min, t_max, max(int(math.ceil(span / step)) + 1, 65))
+    step = math.pi / (8.0 * (p.r_a + p.r_b)) if mode == "direct" else window / 4000.0
+    grid = np.linspace(0.0, window, max(int(math.ceil(window / step)) + 1, 65))
     values = np.asarray(func(grid), dtype=float)
     best = int(np.argmin(values))
     d_star = float(values[best])
@@ -258,8 +256,8 @@ _OPTICAL = SystemParams(omega_a=1e15, omega_b=1.2e15, omega_m=TABLE_OMEGA_M, g0=
 _WINDOWS = {
     # optical carriers over one photon lifetime, and a carrier at the
     # mechanical frequency that a direct scan resolves
-    "envelope": ((0.0, 9.353966), _OPTICAL.r_a, _OPTICAL.r_b),
-    "direct": ((0.5, 40.0), 1.0, 1.3),
+    "envelope": (9.353966, _OPTICAL.r_a, _OPTICAL.r_b),
+    "direct": (40.0, 1.0, 1.3),
 }
 
 
@@ -269,7 +267,7 @@ _WINDOWS = {
 def test_window_minima_matches_scalar_golden_reference(bipartition, mode, cells):
     window, r_a, r_b = _WINDOWS[mode]
     spec = _CELLS[cells]
-    res = window_minima(bipartition, window, r_a, r_b, mode=mode, **spec)
+    res = window_minima(bipartition, window, r_a, r_b, **spec)
     assert res.mode == mode
     columns = np.broadcast_arrays(
         *(np.asarray(spec[key], dtype=float) for key in ("alpha", "beta", "nbar", "k"))
@@ -281,7 +279,7 @@ def test_window_minima_matches_scalar_golden_reference(bipartition, mode, cells)
         p = _params(float(k), r_a=r_a, r_b=r_b)
         expected = _reference_minimum(bipartition, state, p, window, mode)
         assert abs(res.d_star[i] - expected) <= 1e-12, (i, res.d_star[i], expected)
-        assert window[0] <= res.t_star[i] <= window[1]
+        assert 0.0 <= res.t_star[i] <= window
         got = duan_values(res.t_star[i], state, p, bipartition, lower=mode == "envelope")
         assert got == pytest.approx(res.d_star[i], abs=1e-12)
 
@@ -303,7 +301,9 @@ def _cell_rows(spec):
 
 def _minima(bipartition, mode, rows, **kw):
     window, r_a, r_b = _WINDOWS[mode]
-    return window_minima(bipartition, window, r_a, r_b, mode=mode, **dict(zip(_KEYS, rows.T)), **kw)
+    res = window_minima(bipartition, window, r_a, r_b, **dict(zip(_KEYS, rows.T)), **kw)
+    assert res.mode == mode
+    return res
 
 
 @pytest.mark.parametrize("cells", sorted(_BASE_CELLS))
@@ -329,13 +329,14 @@ def test_window_minima_ab_is_symmetric_in_the_amplitudes(mode):
     beta = np.array([1.1, 0.4, -0.9, -1.5, 0.7, -0.6])
     window, r_a, r_b = _WINDOWS[mode]
     kw = dict(nbar=0.05, k=0.74)
-    res = window_minima("AB", window, r_a, r_b, mode=mode, alpha=alpha, beta=beta, **kw)
-    swapped = window_minima("AB", window, r_a, r_b, mode=mode, alpha=beta, beta=alpha, **kw)
+    res = window_minima("AB", window, r_a, r_b, alpha=alpha, beta=beta, **kw)
+    swapped = window_minima("AB", window, r_a, r_b, alpha=beta, beta=alpha, **kw)
+    assert res.mode == mode
     for field in ("t_star", "d_star", "refined"):
         assert np.array_equal(getattr(res, field), getattr(swapped, field)), field
     # what makes merging (alpha, beta) with (beta, alpha) exact: the curves
     # themselves are bitwise symmetric
-    t = np.linspace(*window, 997)
+    t = np.linspace(0.0, window, 997)
     p = _params(0.74, r_a=r_a, r_b=r_b)
     for a, b in zip(alpha, beta):
         for lower in (False, True):
@@ -381,30 +382,17 @@ def test_window_minima_builds_shared_k_kernels_once(monkeypatch, shared):
     assert built == {"twob": calls, "thermal": calls}
 
 
-@pytest.mark.parametrize("mode", ["direct", "envelope", "auto"])
-@pytest.mark.parametrize("resolution", [-0.01, 0.0, math.nan, math.inf, -math.inf])
-def test_window_minima_rejects_bad_resolution(mode, resolution):
-    with pytest.raises(ValueError, match="resolution must be positive and finite"):
-        window_minima(
-            "AB", 4.0 * math.pi, 30.0, 30.0, alpha=0.5, beta=0.5, nbar=0.0, k=0.5,
-            resolution=resolution, mode=mode,
-        )
-
-
-def test_window_minima_resolution_none_is_the_default():
-    cell = dict(alpha=0.5, beta=0.5, nbar=0.0, k=0.5)
-    default = window_minima("AB", 4.0 * math.pi, 30.0, 30.0, mode="direct", **cell)
-    explicit = window_minima("AB", 4.0 * math.pi, 30.0, 30.0, mode="direct", resolution=None, **cell)
-    assert float(default.d_star) == float(explicit.d_star)
-    # the resolved minimum the step rule gives, which a negative step once skipped
-    assert float(default.d_star) == pytest.approx(0.8648, abs=5e-5)
+@pytest.mark.parametrize("window", [-0.01, 0.0, math.nan, math.inf, -math.inf])
+def test_window_minima_rejects_bad_window(window):
+    with pytest.raises(ValueError, match="window must be positive and finite"):
+        window_minima("AB", window, 30.0, 30.0, alpha=0.5, beta=0.5, nbar=0.0, k=0.5)
 
 
 def test_window_minima_zero_amplitude_cells_stay_separable():
     zeros = np.zeros(4)
     others = np.array([0.0, 0.5, 1.0, 2.0])
     res = window_minima(
-        "AB", (0.0, 9.353966), _OPTICAL.r_a, _OPTICAL.r_b,
+        "AB", 9.353966, _OPTICAL.r_a, _OPTICAL.r_b,
         alpha=np.concatenate([zeros, others]), beta=np.concatenate([others, zeros]),
         nbar=TABLE_NBAR, k=0.74,
     )
@@ -462,7 +450,7 @@ def _same_bits(got, want):
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def _bounded_against_reference(monkeypatch, window, r_a, r_b, resolution=None, **cells):
+def _bounded_against_reference(monkeypatch, window, r_a, r_b, **cells):
     """window_minima on the bounded scan, and on the reference scan of the same cells.
 
     Returns both results and both scans, (best, d_grid, strict, evaluated)
@@ -477,12 +465,11 @@ def _bounded_against_reference(monkeypatch, window, r_a, r_b, resolution=None, *
         scans["reference"] = _reference_envelope_scan(*args)
         return scans["bounded"]
 
-    kw = dict(mode="envelope", resolution=resolution, **cells)
     monkeypatch.setattr(duan_module, "_bounded_ab_scan", spy)
-    res = window_minima("AB", window, r_a, r_b, **kw)
+    res = window_minima("AB", window, r_a, r_b, **cells)
     assert scans["bounded"] is not None
     monkeypatch.setattr(duan_module, "_bounded_ab_scan", lambda *args: scans["reference"][:4])
-    ref = window_minima("AB", window, r_a, r_b, **kw)
+    ref = window_minima("AB", window, r_a, r_b, **cells)
     return res, ref, scans["bounded"], scans["reference"]
 
 
@@ -538,7 +525,7 @@ def test_bounded_scan_is_bitwise_the_full_scan_on_fig4b(monkeypatch, temperature
 
 _RNG = np.random.default_rng(20260)
 _RANDOM_AMPLITUDES = dict(alpha=_RNG.uniform(-2.0, 2.0, 40), beta=_RNG.uniform(-2.0, 2.0, 40))
-_ENVELOPE = (0.0, 9.353966)
+_ENVELOPE = 9.353966
 _BOUNDED_CASES = {
     # one amplitude zero: D_AB = 1 + T (1 - env) has no cross term
     "flat": dict(
@@ -550,25 +537,22 @@ _BOUNDED_CASES = {
     "random-boundary-k": dict(**_RANDOM_AMPLITUDES, nbar=0.05, k=K_REGIME_BOUNDARY),
     "random-k-0.05": dict(**_RANDOM_AMPLITUDES, nbar=0.05, k=0.05),
     "random-k-0": dict(**_RANDOM_AMPLITUDES, nbar=0.05, k=0.0),
-    "t_min": dict(**_RANDOM_AMPLITUDES, nbar=0.01, k=0.74, window=(0.7, 9.353966)),
-    # 1,235 grid points: the last block holds 19 of 32
-    "grid-not-multiple": dict(**_RANDOM_AMPLITUDES, nbar=0.01, k=0.74, resolution=9.353966 / 1234),
+    # the default 4,001 grid points: the last block holds 1 of 32
+    "grid-not-multiple": dict(**_RANDOM_AMPLITUDES, nbar=0.01, k=0.74),
     "one-cell": dict(alpha=0.5, beta=0.7, nbar=0.01, k=0.74),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BOUNDED_CASES))
 def test_bounded_scan_is_bitwise_the_full_scan(monkeypatch, case):
-    spec = dict(_BOUNDED_CASES[case])
-    window = spec.pop("window", _ENVELOPE)
     res, ref, scan, ref_scan = _bounded_against_reference(
-        monkeypatch, window, _OPTICAL.r_a, _OPTICAL.r_b, **spec
+        monkeypatch, _ENVELOPE, _OPTICAL.r_a, _OPTICAL.r_b, **_BOUNDED_CASES[case]
     )
     _assert_bounded_scan_is_exact(res, ref, scan, ref_scan)
-    n = len(duan_module._scan_grid(*window, _OPTICAL.r_a + _OPTICAL.r_b, spec.get("resolution"), "envelope")[0])
+    n = len(duan_module._scan_grid(_ENVELOPE, _OPTICAL.r_a + _OPTICAL.r_b)[0])
     assert ref.evaluated_points == res.scanned_cells * n
     if case == "grid-not-multiple":
-        assert n == 1235 and n % duan_module._SCAN_BLOCK
+        assert n == 125 * duan_module._SCAN_BLOCK + 1
     if case == "one-cell":
         assert res.d_star.shape == () and res.scanned_cells == 1
     if case == "random-k-0":
@@ -629,7 +613,7 @@ def test_bounded_scan_skips_overflowing_inputs(monkeypatch):
     monkeypatch.setattr(duan_module, "_bounded_ab_scan", lambda *args: scans.append(real(*args)) or scans[-1])
     with np.errstate(all="ignore"):
         res = window_minima("AB", _ENVELOPE, _OPTICAL.r_a, _OPTICAL.r_b, alpha=[0.5, 1e200], beta=0.5,
-                            nbar=0.0, k=0.74, mode="envelope")
+                            nbar=0.0, k=0.74)
     assert scans == [None]
     assert res.evaluated_points == 2 * 4001
     assert np.isnan(res.d_star[1]) and np.isfinite(res.d_star[0])

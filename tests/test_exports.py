@@ -1,4 +1,6 @@
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -24,3 +26,72 @@ def test_every_submodule_declares_its_exports():
     assert {"certify", "cli", "core", "design", "duan", "oracle", "qubit"} <= set(_SUBMODULES)
     for name in _SUBMODULES:
         assert hasattr(importlib.import_module(f"optomech.{name}"), "__all__"), name
+
+
+# every value a caller may set or leave at its default: the
+# defaulted parameters of public functions and methods and the defaulted
+# fields of public classes in src/optomech, as module.owner.name
+_SETTABLE_VALUES = [
+    "cli.RunConfig.out",
+    "cli.main.argv",
+    "cli.resolve_config.config_path",
+    "cli.resolve_config.out",
+    "cli.resolve_config.overrides",
+    "cli.resolve_config.seed",
+    "core.PhysicalConstants.c",
+    "core.PhysicalConstants.epsilon_0",
+    "core.PhysicalConstants.hbar",
+    "core.PhysicalConstants.k_B",
+    "design.AtomEnsembleSpec.Delta_ca",
+    "design.AtomEnsembleSpec.Gamma",
+    "design.AtomEnsembleSpec.T",
+    "design.AtomEnsembleSpec.d",
+    "design.AtomEnsembleSpec.m_atom",
+    "design.AtomEnsembleSpec.omega_m",
+    "design.DesignSearchSpace.L_max",
+    "design.DesignSearchSpace.L_min",
+    "design.DesignSearchSpace.L_step",
+    "design.DesignSearchSpace.N_max",
+    "design.DesignSearchSpace.N_min",
+    "design.DesignSearchSpace.N_step",
+    "design.DesignSearchSpace.exclusion_halfwidth",
+    "design.DesignSearchSpace.exclusion_n_max",
+    "design.DesignSearchSpace.finesse_eval",
+    "design.DesignSearchSpace.plateau_rtol",
+    "design.DesignSearchSpace.trap_frequencies_Hz",
+    "design.design_report.nbar_cav",
+    "design.heating_budget.nbar_cav",
+    "design.proposed_geometry.finesse",
+    "duan.CVInitialState.nbar",
+    "duan.duan_values.lower",
+    "oracle.FockConfig.for_coherent_thermal.tolerance",
+    "oracle.FockConfig.for_qubit.tolerance",
+    "oracle.FockConfig.tolerance",
+    "oracle.apply_evolution.interaction_picture",
+]
+
+
+def _defaulted_parameters(func, owner):
+    args = func.args
+    positional = args.posonlyargs + args.args
+    named = positional[len(positional) - len(args.defaults):]
+    named += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+    return [f"{owner}.{func.name}.{arg.arg}" for arg in named]
+
+
+def test_settable_public_values_are_the_listed_ones():
+    # a new option shows up here as a one-line diff
+    found = []
+    for path in pathlib.Path(optomech.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                found += _defaulted_parameters(node, path.stem)
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                owner = f"{path.stem}.{node.name}"
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and item.value is not None:
+                        found.append(f"{owner}.{item.target.id}")
+                    elif isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        found += _defaulted_parameters(item, owner)
+    assert sorted(found) == _SETTABLE_VALUES
+    assert len(_SETTABLE_VALUES) == 36

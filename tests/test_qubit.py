@@ -112,14 +112,9 @@ def test_entropy_frozen_values():
 
 def test_entropy_reference_states():
     assert von_neumann_entropy(np.eye(4) / 4.0) == pytest.approx(2.0, abs=1e-12)
-    assert von_neumann_entropy(np.eye(4) / 4.0, base=math.e) == pytest.approx(
-        math.log(4.0), abs=1e-12
-    )
     pure = np.zeros((4, 4))
     pure[2, 2] = 1.0
     assert von_neumann_entropy(pure) == 0.0
-    with pytest.raises(ValueError):
-        von_neumann_entropy(np.eye(4) / 4.0, base=1.0)
 
 
 def test_check_density_matrix_rejects_bad_input():
@@ -259,7 +254,7 @@ def test_stacks_broadcast_and_single_matrices_give_floats():
     rhos = reduced_rho_ab(t, k)
     assert rhos.shape == (2, 3, 4, 4)
     conc = concurrence(rhos)
-    ent = von_neumann_entropy(rhos, base="e")
+    ent = von_neumann_entropy(rhos)
     assert conc.shape == ent.shape == (2, 3)
     for i in range(2):
         for j in range(3):
@@ -267,7 +262,7 @@ def test_stacks_broadcast_and_single_matrices_give_floats():
             assert isinstance(concurrence(rho), float)
             assert isinstance(von_neumann_entropy(rho), float)
             assert concurrence(rho) == conc[i, j]
-            assert von_neumann_entropy(rho, base="e") == ent[i, j]
+            assert von_neumann_entropy(rho) == ent[i, j]
     assert check_density_matrix(rhos) is rhos
 
 
