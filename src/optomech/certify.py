@@ -26,10 +26,13 @@ _CV_FOCK_TOLERANCE = 1e-8
 
 def _oracle_duan(cv: CVInitialState, t: float, k: float, r_a: float, r_b: float, **fock) -> dict:
     """The oracle's witness per pair for input cv at time t; fock is the tolerance or config."""
-    state = build_initial_state(
-        "coherent_thermal", alpha=cv.alpha, beta=cv.beta, nbar=cv.nbar, k=k, **fock
+    # no name holds the initial ensemble, so it is freed before the moments run
+    evolved = apply_evolution(
+        build_initial_state(
+            "coherent_thermal", alpha=cv.alpha, beta=cv.beta, nbar=cv.nbar, k=k, **fock
+        ),
+        t, k, r_a, r_b,
     )
-    evolved = apply_evolution(state, t, k, r_a, r_b)
     return {pair: duan_from_moments(m) for pair, m in moments(evolved).items()}
 
 

@@ -19,6 +19,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -488,12 +489,20 @@ def run_fig4b(cfg: RunConfig) -> ResultTable:
     return ResultTable(columns, _metadata(cfg, extra))
 
 
+def _search_space(radius: float, search: dict) -> DesignSearchSpace:
+    """The search domain at one mirror radius; its ValueError names the CLI fields."""
+    try:
+        return DesignSearchSpace(R_mirror=radius, **search)
+    except ValueError as exc:
+        # "L_max must be finite and >= L_min, got ..." names DesignSearchSpace's fields
+        cli_name = {attr: name for name, (attr, _) in _SEARCH_FIELDS.items()}
+        text = re.sub(r"\w+", lambda word: cli_name.get(word[0], word[0]), str(exc))
+        field, _, rest = text.partition(" ")
+        raise _CliError(f"field {field!r}: {rest}") from None
+
+
 def run_design(cfg: RunConfig) -> tuple[ResultTable, dict]:
     v = cfg.values
-    if not v["L_max_m"] >= v["L_min_m"]:
-        raise _CliError("field 'L_max_m': must be >= L_min_m")
-    if not v["N_max"] >= v["N_min"]:
-        raise _CliError("field 'N_max': must be >= N_min")
     names = [
         "mirror_radius_m", "cavity_length_m", "atom_number", "trap_frequency_Hz",
         "k", "ratio_at_eval_finesse", "min_finesse_for_unity_ratio",
@@ -501,7 +510,7 @@ def run_design(cfg: RunConfig) -> tuple[ResultTable, dict]:
     search = {attr: v[name] for name, (attr, _) in _SEARCH_FIELDS.items()}
     optimized = []
     for radius in v["radii_m"]:
-        result = optimize_design(DesignSearchSpace(R_mirror=radius, **search))
+        result = optimize_design(_search_space(radius, search))
         entry = {
             "mirror_radius_m": radius,
             "cavity_length_m": result.L,
@@ -656,6 +665,9 @@ _TABLE_COMMANDS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    # the status a table command reaches before it writes; oracle-check's is
+    # set before the flush that sends its buffered report
+    code = 0
     try:
         args = parser.parse_args(argv)
         cfg = resolve_config(
@@ -666,15 +678,23 @@ def main(argv=None) -> int:
             out=args.out,
         )
         if cfg.command == "design":
-            return _cmd_design(cfg)
-        if cfg.command == "oracle-check":
-            return _cmd_oracle_check(cfg)
-        table = _TABLE_COMMANDS[cfg.command](cfg)
-        _emit(table, cfg.out)
-        return 0
+            code = _cmd_design(cfg)
+        elif cfg.command == "oracle-check":
+            code = _cmd_oracle_check(cfg)
+        else:
+            _emit(_TABLE_COMMANDS[cfg.command](cfg), cfg.out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`optomech fig4b | head -1`); what is
+        # still buffered goes to devnull, so the flush at exit raises nothing
+        # (the recipe of Python's signal module documentation)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     except (_CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

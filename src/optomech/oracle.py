@@ -43,6 +43,10 @@ state is diagonal in the number basis and all outputs are linear in the
 density matrix. The ensemble is one array with a leading member axis; since
 rho = sum_w w |psi_w><psi_w| is the partial trace of the purification
 sqrt(w) psi over that axis, every output traces it like a fourth mode.
+Every expectation (the trace, `moments`, `hamiltonian_expectation`) comes
+from one pass that walks that axis one member at a time and sums over it
+once at the end, so it copies at most one member besides a real table of
+|psi|**2.
 """
 
 from __future__ import annotations
@@ -306,7 +310,8 @@ class TriModeState:
         return self.vectors.shape[1:]
 
     def trace(self) -> float:
-        return _ladder_expectation(self, ()).real
+        (value,), _ = _expectations(self, [((), None)], occupations=False)
+        return value.real
 
 
 def _coherent_vector(alpha: complex, n_max: int) -> np.ndarray:
@@ -479,39 +484,54 @@ def partial_trace(state: TriModeState, keep: str) -> np.ndarray:
     return rho
 
 
-def _mean_numbers(state: TriModeState) -> list:
-    """[<n_A>, <n_B>, <n_C>] from the occupation probabilities sum_w w |psi_w|**2."""
-    prob = np.abs(state.vectors)
-    prob *= prob
+def _expectations(state: TriModeState, forms, *, occupations: bool) -> tuple[list, list]:
+    """Ladder expectations and mean numbers of the ensemble, one member at a time.
+
+    Each form (axes, coeff) asks for sum_w w <psi_w| coeff a_1 a_2 ... |psi_w>,
+    one annihilator per mode axis in axes, with coeff (or None) broadcasting
+    against the shifted slice of one member; the empty form is the trace.
+    Lowering along an axis pairs amplitude n with amplitude n+1 at weight
+    sqrt(n+1), so a form is one conjugated dot of shifted slices, with no
+    lowered copy. With occupations the pass also returns
+    [<n_A>, <n_B>, <n_C>] from the occupation probabilities sum_w w |psi_w|**2.
+
+    Besides the real |psi|**2 table, no temporary outgrows one member. Each
+    member's dots land in an array of the whole ensemble's reduced shape,
+    and the sums over members run once at the end, on those arrays, so the
+    results are bitwise those of whole-ensemble products.
+    """
+    psi = state.vectors
+    plans = []
+    for axes, coeff in forms:
+        lo = [slice(None)] * 3
+        hi = [slice(None)] * 3
+        factor = state.weights[:, None, None, None]
+        for axis in axes:
+            lo[axis] = slice(None, -1)
+            hi[axis] = slice(1, None)
+            sqrt_n = np.sqrt(np.arange(1, psi.shape[axis + 1], dtype=float))
+            factor = factor * np.expand_dims(sqrt_n, [d for d in range(4) if d != axis + 1])
+        dots = np.empty((len(psi), *psi[0][tuple(lo)].shape[:-1]), dtype=complex)
+        plans.append((tuple(lo), tuple(hi), factor, coeff, dots))
+    prob = np.empty(psi.shape) if occupations else None
+    for w, member in enumerate(psi):
+        if occupations:
+            np.abs(member, out=prob[w])
+            prob[w] *= prob[w]
+        for lo, hi, factor, coeff, dots in plans:
+            ket = member[hi] * factor[w]
+            if coeff is not None:
+                ket *= coeff
+            np.vecdot(member[lo], ket, out=dots[w])
+    values = [complex(dots.sum()) for *_, dots in plans]
+    if not occupations:
+        return values, []
     prob = np.tensordot(state.weights, prob, axes=1)
-    return [
+    numbers = [
         float(prob.sum(axis=tuple(other for other in range(3) if other != axis)) @ np.arange(dim))
         for axis, dim in enumerate(prob.shape)
     ]
-
-
-def _ladder_expectation(state: TriModeState, axes: tuple, coeff=None) -> complex:
-    """sum_w w <psi_w| coeff a_1 a_2 ... |psi_w>, one annihilator per mode axis in axes.
-
-    Lowering along an axis pairs amplitude n with amplitude n+1 at weight
-    sqrt(n+1), so the expectation is one conjugated dot of shifted slices
-    of the ensemble, with no lowered copy of it. coeff broadcasts against
-    the shifted slice of one member. With no axes and no coeff this is the
-    trace of the density matrix.
-    """
-    psi = state.vectors
-    lo = [slice(None)] * psi.ndim
-    hi = [slice(None)] * psi.ndim
-    factor = state.weights[:, None, None, None]
-    for axis in axes:
-        lo[axis + 1] = slice(None, -1)
-        hi[axis + 1] = slice(1, None)
-        sqrt_n = np.sqrt(np.arange(1, psi.shape[axis + 1], dtype=float))
-        factor = factor * np.expand_dims(sqrt_n, [d for d in range(psi.ndim) if d != axis + 1])
-    ket = psi[tuple(hi)] * factor
-    if coeff is not None:
-        ket *= coeff
-    return complex(np.vecdot(psi[tuple(lo)], ket).sum())
+    return values, numbers
 
 
 @dataclass(frozen=True)
@@ -528,14 +548,16 @@ class ModePairMoments:
 def moments(state: TriModeState) -> dict:
     """Moments that feed the EPR variance kernel, keyed by mode pair "AB", "AC", "BC".
 
-    One pass over |psi|**2 gives the three mean numbers; each <a> and each
-    pair correlation is one ladder expectation.
+    One pass over the members gives the three mean numbers, each <a> and
+    each pair correlation.
     """
-    occ = _mean_numbers(state)
-    mean = [_ladder_expectation(state, (axis,)) for axis in range(3)]
+    pairs = (("AB", (0, 1)), ("AC", (0, 2)), ("BC", (1, 2)))
+    forms = [((axis,), None) for axis in range(3)] + [(axes, None) for _, axes in pairs]
+    values, occ = _expectations(state, forms, occupations=True)
+    mean, corr = values[:3], values[3:]
     return {
-        pair: ModePairMoments(mean[i], mean[j], occ[i], occ[j], _ladder_expectation(state, (i, j)))
-        for pair, (i, j) in (("AB", (0, 1)), ("AC", (0, 2)), ("BC", (1, 2)))
+        pair: ModePairMoments(mean[i], mean[j], occ[i], occ[j], c)
+        for (pair, (i, j)), c in zip(pairs, corr)
     }
 
 
@@ -545,9 +567,8 @@ def hamiltonian_expectation(state: TriModeState, k: float, r_a: float, r_b: floa
     Used by the conservation tests; exact in the truncated basis as long as
     the state holds no appreciable weight at the cutoff boundary.
     """
-    n_a, n_b, n_c = _mean_numbers(state)
     na1, nb1, _ = state.shape
     delta = np.arange(na1)[:, None, None] - np.arange(nb1)[None, :, None]
     # <(n_a - n_b)(c + c+)> = 2 Re <(n_a - n_b) c>
-    cross = _ladder_expectation(state, (2,), coeff=delta)
+    (cross,), (n_a, n_b, n_c) = _expectations(state, [((2,), delta)], occupations=True)
     return r_a * n_a + r_b * n_b + n_c - 2.0 * k * cross.real

@@ -377,6 +377,22 @@ def test_cli_design_reports_an_infeasible_radius(capsys, overrides, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "item, message",
+    [
+        ("L_max_m=1e-4", "field 'L_max_m': must be finite and >= L_min_m, got 0.0001"),
+        ("N_max=5e4", "field 'N_max': must be finite and >= N_min, got 50000.0"),
+    ],
+    ids=["L_max_m", "N_max"],
+)
+def test_cli_design_reports_search_space_errors_by_field(capsys, item, message):
+    # DesignSearchSpace checks the orderings; the CLI only renames its fields
+    assert main(["design", "--set", item]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_design_defaults_are_the_published_search_domain():
     # config_json records these; they come from DesignSearchSpace and must not drift
     assert resolve_config("design").values == {
@@ -441,6 +457,26 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+def test_cli_stdout_closed_after_one_line_ends_quietly():
+    # `optomech fig4b | head -1`: the CSV (about 250 kB) outgrows the pipe
+    # buffer, so the writer meets a closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "optomech", "fig4b"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert first.startswith(b"# ")
+    assert err == b""
+    assert proc.returncode == 0
 
 
 def test_cli_import_leaves_out_scipy_stats_linalg_and_special():

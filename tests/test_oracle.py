@@ -16,6 +16,7 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 
 import optomech.oracle
+from optomech import certify
 from optomech.core import big_b, energy_eigenvalue_scaled, eta, xi
 from optomech.oracle import (
     FockConfig,
@@ -629,6 +630,68 @@ def test_moments_match_per_member_loop(pinned, pinned_moments, name, pair):
     _assert_pinned([m.mean1, m.mean2, m.occ1, m.occ2, m.corr], _ref_moments(state, pair))
 
 
+# The whole-ensemble products that the one-member-at-a-time pass replaced,
+# kept verbatim: the pass must reproduce them bit for bit.
+
+
+def _whole_ensemble_numbers(state):
+    prob = np.abs(state.vectors)
+    prob *= prob
+    prob = np.tensordot(state.weights, prob, axes=1)
+    return [
+        float(prob.sum(axis=tuple(other for other in range(3) if other != axis)) @ np.arange(dim))
+        for axis, dim in enumerate(prob.shape)
+    ]
+
+
+def _whole_ensemble_ladder(state, axes, coeff=None):
+    psi = state.vectors
+    lo = [slice(None)] * psi.ndim
+    hi = [slice(None)] * psi.ndim
+    factor = state.weights[:, None, None, None]
+    for axis in axes:
+        lo[axis + 1] = slice(None, -1)
+        hi[axis + 1] = slice(1, None)
+        sqrt_n = np.sqrt(np.arange(1, psi.shape[axis + 1], dtype=float))
+        factor = factor * np.expand_dims(sqrt_n, [d for d in range(psi.ndim) if d != axis + 1])
+    ket = psi[tuple(hi)] * factor
+    if coeff is not None:
+        ket *= coeff
+    return complex(np.vecdot(psi[tuple(lo)], ket).sum())
+
+
+def _doubled_certification_state():
+    """The truncation-doubling check's fine ensemble, 13 members of 17 x 17 x 303."""
+    alpha, beta, nbar, k = 0.5, 0.5, 0.2, 0.5
+    cfg = FockConfig.for_coherent_thermal(alpha, beta, nbar, k, 1e-9).doubled()
+    state = build_initial_state(
+        "coherent_thermal", alpha=alpha, beta=beta, nbar=nbar, k=k, config=cfg
+    )
+    return apply_evolution(state, 2.0, k, 1.5, 0.7)
+
+
+@pytest.mark.parametrize("name", ["mixed", "single", "doubled"])
+def test_expectations_are_bitwise_the_whole_ensemble_products(pinned, name):
+    state = _doubled_certification_state() if name == "doubled" else pinned[name]
+    na1, nb1, _ = state.shape
+    delta = np.arange(na1)[:, None, None] - np.arange(nb1)[None, :, None]
+    # trace, <a>, <b>, <c>, AB, AC, BC, and the energy's <(n_a - n_b) c>
+    axes = [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
+    forms = [(ax, None) for ax in axes] + [((2,), delta)]
+    want = [_whole_ensemble_ladder(state, ax, coeff) for ax, coeff in forms]
+    occ = _whole_ensemble_numbers(state)
+    assert optomech.oracle._expectations(state, forms, occupations=True) == (want, occ)
+    assert state.trace() == want[0].real
+    mean, corr, cross = want[1:4], want[4:7], want[7]
+    got = moments(state)
+    for (pair, (i, j)), c in zip((("AB", (0, 1)), ("AC", (0, 2)), ("BC", (1, 2))), corr):
+        m = got[pair]
+        assert (m.mean1, m.mean2, m.occ1, m.occ2, m.corr) == (mean[i], mean[j], occ[i], occ[j], c)
+    assert hamiltonian_expectation(state, _PIN_K, _PIN_RA, _PIN_RB) == (
+        _PIN_RA * occ[0] + _PIN_RB * occ[1] + occ[2] - 2.0 * _PIN_K * cross.real
+    )
+
+
 def _peak_bytes(fn, *args):
     """Largest traced allocation, in bytes, while fn runs (its result included)."""
     tracemalloc.start()
@@ -659,6 +722,31 @@ def test_ensemble_operations_stay_within_memory_bound():
         peaks[f"partial_trace {keep}"] = _peak_bytes(partial_trace, evolved, keep)
     over = {name: peak / ensemble_bytes for name, peak in peaks.items() if peak > bound}
     assert not over, f"peak over 2.5x the ensemble's bytes: {over}"
+
+
+def test_truncation_doubling_check_memory():
+    # the check's fine ensemble is the largest of the default certification;
+    # its initial ensemble is freed before the moments run, and the moments
+    # hold one real |psi|**2 table besides one member's temporaries
+    evolved = _doubled_certification_state()
+    ensemble_bytes = len(evolved.weights) * math.prod(evolved.shape) * 16
+    peaks = {
+        "_check_truncation_doubling": _peak_bytes(
+            certify._check_truncation_doubling, np.random.default_rng(1234)
+        ),
+        "moments": _peak_bytes(moments, evolved),
+        "hamiltonian_expectation": _peak_bytes(hamiltonian_expectation, evolved, 0.5, 1.5, 0.7),
+        "trace": _peak_bytes(evolved.trace),
+    }
+    bounds = {
+        "_check_truncation_doubling": 2.5,
+        "moments": 0.8,
+        "hamiltonian_expectation": 0.8,
+        "trace": 0.25,
+    }
+    ratios = {name: peak / ensemble_bytes for name, peak in peaks.items()}
+    over = {name: ratio for name, ratio in ratios.items() if ratio > bounds[name]}
+    assert not over, f"peaks over their bound, in units of the ensemble's bytes: {over}"
 
 
 def test_partial_trace_rejects_oversized_reduced_matrix():
