@@ -665,8 +665,9 @@ _TABLE_COMMANDS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    # the status a table command reaches before it writes; oracle-check's is
-    # set before the flush that sends its buffered report
+    # what a closed stdout returns: a table command fails, if at all, before
+    # it writes, and oracle-check's status is set before the flush that
+    # sends its buffered report
     code = 0
     try:
         args = parser.parse_args(argv)
