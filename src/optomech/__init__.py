@@ -56,7 +56,6 @@ from .oracle import (
 )
 from .qubit import (
     concurrence,
-    evolve_qubit_state,
     reduced_rho_ab,
     von_neumann_entropy,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "energy_eigenvalue",
     "energy_eigenvalue_scaled",
     # qubit
-    "evolve_qubit_state",
     "reduced_rho_ab",
     "concurrence",
     "von_neumann_entropy",

@@ -255,24 +255,22 @@ def nanoparticle_coupling(spec: NanoparticleSpec, omega_m: float) -> float:
     return u0 * spec.k_i * x_zpf(spec.m, omega_m)
 
 
-def heating_budget(
-    spec: AtomEnsembleSpec,
-    geom: CavityGeometry,
-    nbar_cav: float = 0.25,
-) -> HeatingBudget:
+#: mean intracavity photon number nbar_cav of the heating budget
+_NBAR_CAV = 0.25
+
+
+def heating_budget(spec: AtomEnsembleSpec, geom: CavityGeometry) -> HeatingBudget:
     """Heating figures for the atomic ensemble; see HeatingBudget for the two groupings."""
-    if nbar_cav < 0:
-        raise ValueError(f"nbar_cav must be non-negative, got {nbar_cav!r}")
     k_p = 2.0 * math.pi / RB87_D2_WAVELENGTH_M
     g0 = atom_coupling(spec, geom)
     kappa, tau_p = cavity_linewidth(geom)
     kappa_angular = 2.0 * math.pi * kappa
     recoil_like = (CODATA2018.hbar * k_p) ** 2 / spec.m_atom
-    r_fs = recoil_like * g0 ** 2 * nbar_cav * spec.Gamma / spec.Delta_ca
+    r_fs = recoil_like * g0 ** 2 * _NBAR_CAV * spec.Gamma / spec.Delta_ca
     backaction_gain = spec.N * g0 ** 2 / (4.0 * spec.Gamma * kappa_angular)
     r_c = backaction_gain * r_fs
     thermal_energy = CODATA2018.k_B * spec.T
-    r_fs_alt = recoil_like * (g0 / spec.Delta_ca) ** 2 * nbar_cav * spec.Gamma
+    r_fs_alt = recoil_like * (g0 / spec.Delta_ca) ** 2 * _NBAR_CAV * spec.Gamma
     r_c_alt = backaction_gain * r_fs_alt
     return HeatingBudget(
         r_fs=r_fs,
@@ -284,19 +282,14 @@ def heating_budget(
     )
 
 
-def design_report(
-    spec: AtomEnsembleSpec,
-    geom: CavityGeometry,
-    *,
-    nbar_cav: float = 0.25,
-) -> DesignReport:
+def design_report(spec: AtomEnsembleSpec, geom: CavityGeometry) -> DesignReport:
     """Assemble the derived feasibility quantities for one atom-ensemble design."""
     g0 = atom_coupling(spec, geom)
     k = g0 / spec.omega_m
     kappa, tau_p = cavity_linewidth(geom)
     tau_e = entanglement_period(k, spec.omega_m)
     ratio = tau_e / tau_p
-    heating = heating_budget(spec, geom, nbar_cav)
+    heating = heating_budget(spec, geom)
     return DesignReport(
         g0=g0,
         k=k,

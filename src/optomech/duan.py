@@ -22,7 +22,8 @@ more than 1e5 carrier cycles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,90 +124,79 @@ def duan_from_moments(m: ModePairMoments) -> float:
     )
 
 
-@dataclass(frozen=True)
-class _Kernels:
-    """Time kernels of one time array, shared by every cell evaluated on it.
+class _Kernels(NamedTuple):
+    """Time kernels of one time array, coupled to one (k, nbar).
 
-    The methods give the arrays that also depend on k and nbar. `coupled`
-    holds them once `_couple` has computed them for a (k, nbar) that every
-    cell shares; the methods then return the stored arrays and ignore their
-    arguments.
+    k and nbar are scalars shared by every cell, or (cells, 1) columns
+    against the times; the arrays that depend on them take the broadcast
+    shape. The curve functions read k, nbar and those arrays from here.
     """
 
     t: np.ndarray
-    unit_b: np.ndarray  # B(t) at k = 1, so B(t) = k**2 unit_b
+    unit_b: np.ndarray  # B(t) at k = 1
     eta: np.ndarray
     eta_sq: np.ndarray
-    #: (2B, cos 2B, sin 2B, thermal exponent) of the shared (k, nbar), or None
-    coupled: tuple | None = None
-
-    def twob(self, k):
-        return 2.0 * (k ** 2 * self.unit_b) if self.coupled is None else self.coupled[0]
-
-    def cos_twob(self, twob):
-        return np.cos(twob) if self.coupled is None else self.coupled[1]
-
-    def sin_twob(self, twob):
-        return np.sin(twob) if self.coupled is None else self.coupled[2]
-
-    def thermal(self, k, nbar):
-        """k^2 |eta|^2 (2 nbar + 1), the thermal dephasing exponent."""
-        return k ** 2 * self.eta_sq * (2.0 * nbar + 1.0) if self.coupled is None else self.coupled[3]
+    k: object
+    nbar: object
+    twob: np.ndarray  # 2 B(t) = 2 k**2 unit_b
+    cos_twob: np.ndarray
+    thermal: np.ndarray  # k^2 |eta|^2 (2 nbar + 1), the thermal dephasing exponent
 
 
-def _kernels(t) -> _Kernels:
+def _time_kernels(t) -> tuple:
+    """(t, B(t) at k = 1, eta(t), |eta(t)|**2): the kernels of a time array alone."""
     t = np.asarray(t, dtype=float)
     eta_t = eta(t)
-    return _Kernels(t=t, unit_b=big_b(t, 1.0), eta=eta_t, eta_sq=np.abs(eta_t) ** 2)
+    return t, big_b(t, 1.0), eta_t, np.abs(eta_t) ** 2
 
 
-def _couple(kern: _Kernels, k: float, nbar: float) -> _Kernels:
-    """kern with its (k, nbar) arrays computed once, for cells that all share k and nbar."""
-    twob = kern.twob(k)
-    return replace(kern, coupled=(twob, kern.cos_twob(twob), kern.sin_twob(twob), kern.thermal(k, nbar)))
+def _kernels(time, k, nbar) -> _Kernels:
+    """The time kernels `time` coupled to (k, nbar)."""
+    t, unit_b, eta_t, eta_sq = time
+    twob = 2.0 * (k ** 2 * unit_b)
+    thermal = k ** 2 * eta_sq * (2.0 * nbar + 1.0)
+    return _Kernels(t, unit_b, eta_t, eta_sq, k, nbar, twob, np.cos(twob), thermal)
 
 
-# The curve functions below take the kernels plus per-cell parameters that
+# The curve functions below take the kernels plus per-cell amplitudes that
 # broadcast against them: scalars for one cell, (cells, 1) columns against a
 # shared time grid, or (cells,) arrays against one time per cell.
 
-def _envelope_factor(kern, cos_twob, total, k, nbar):
+def _envelope_factor(kern, total):
     """exp(-2 (|a|^2+|b|^2) (1 - cos 2B) - k^2 |eta|^2 (2 nbar + 1))."""
-    return np.exp(-2.0 * total * (1.0 - cos_twob) - kern.thermal(k, nbar))
+    return np.exp(-2.0 * total * (1.0 - kern.cos_twob) - kern.thermal)
 
 
-def _ab_values(kern, alpha, beta, nbar, k, r_a, r_b):
+def _ab_values(kern, alpha, beta, r_a, r_b):
     total = alpha ** 2 + beta ** 2
     cross = 2.0 * alpha * beta
     phi = (r_a + r_b) * kern.t
-    twob = kern.twob(k)
-    env = _envelope_factor(kern, kern.cos_twob(twob), total, k, nbar)
-    return 1.0 + (total + cross * np.cos(phi)) - (total + cross * np.cos(phi + twob)) * env
+    env = _envelope_factor(kern, total)
+    return 1.0 + (total + cross * np.cos(phi)) - (total + cross * np.cos(phi + kern.twob)) * env
 
 
-def _ab_lower(kern, alpha, beta, nbar, k, r_a, r_b):
+def _ab_lower(kern, alpha, beta, r_a, r_b):
     total = alpha ** 2 + beta ** 2
-    twob = kern.twob(k)
-    cos_twob = kern.cos_twob(twob)
-    env = _envelope_factor(kern, cos_twob, total, k, nbar)
+    env = _envelope_factor(kern, total)
     # |1 - env exp(2iB)| in real arithmetic: this line dominates the envelope
     # scan, and complex temporaries made it several times slower
-    swing = np.sqrt((1.0 - env * cos_twob) ** 2 + (env * kern.sin_twob(twob)) ** 2)
+    swing = np.sqrt((1.0 - env * kern.cos_twob) ** 2 + (env * np.sin(kern.twob)) ** 2)
     return 1.0 + total * (1.0 - env) - 2.0 * np.abs(alpha * beta) * swing
 
 
-def _r_correlation(kern, alpha, beta, nbar, k, r_fast):
+def _r_correlation(kern, alpha, beta, k, r_fast):
     """Connected <a c> correlation for the optical mode with amplitude alpha.
 
-    r_fast is that mode's frequency ratio (r_a for mode A). The a <-> b
-    relabeling enters through the argument order and the sign of k.
+    r_fast is that mode's frequency ratio (r_a for mode A) and k its signed
+    coupling. The a <-> b relabeling enters through the argument order and
+    the sign of k.
     """
     bt = k ** 2 * kern.unit_b
     e_m = 1.0 - np.exp(-2j * bt)
     e_p = 1.0 - np.exp(+2j * bt)
     coherent_env = np.exp(-(alpha ** 2) * e_m - (beta ** 2) * e_p)
-    thermal_env = np.exp(-(k ** 2) * kern.eta_sq * (nbar + 0.5))
-    bracket = (nbar + 1.0) - alpha ** 2 * e_m + beta ** 2 * e_p
+    thermal_env = np.exp(-(k ** 2) * kern.eta_sq * (kern.nbar + 0.5))
+    bracket = (kern.nbar + 1.0) - alpha ** 2 * e_m + beta ** 2 * e_p
     return (
         alpha
         * k
@@ -218,30 +208,28 @@ def _r_correlation(kern, alpha, beta, nbar, k, r_fast):
     )
 
 
-def _ac_base(kern, alpha, beta, nbar, k):
+def _ac_base(kern, alpha, beta):
     """D_AC minus its 2 Re R term."""
     total = alpha ** 2 + beta ** 2
-    env = _envelope_factor(kern, kern.cos_twob(kern.twob(k)), total, k, nbar)
-    return 1.0 + alpha ** 2 + nbar + k ** 2 * kern.eta_sq * total - (alpha ** 2) * env
+    env = _envelope_factor(kern, total)
+    return 1.0 + alpha ** 2 + kern.nbar + kern.k ** 2 * kern.eta_sq * total - (alpha ** 2) * env
 
 
-def _ac_values(kern, alpha, beta, nbar, k, r_a, r_b):
-    r = _r_correlation(kern, alpha, beta, nbar, k, r_a)
-    return _ac_base(kern, alpha, beta, nbar, k) + 2.0 * r.real
+def _ac_values(kern, alpha, beta, r_a, r_b):
+    return _ac_base(kern, alpha, beta) + 2.0 * _r_correlation(kern, alpha, beta, kern.k, r_a).real
 
 
-def _ac_lower(kern, alpha, beta, nbar, k, r_a, r_b):
-    r = _r_correlation(kern, alpha, beta, nbar, k, r_a)
-    return _ac_base(kern, alpha, beta, nbar, k) - 2.0 * np.abs(r)
+def _ac_lower(kern, alpha, beta, r_a, r_b):
+    return _ac_base(kern, alpha, beta) - 2.0 * np.abs(_r_correlation(kern, alpha, beta, kern.k, r_a))
 
 
-def _bc_values(kern, alpha, beta, nbar, k, r_a, r_b):
+def _bc_values(kern, alpha, beta, r_a, r_b):
     """D_BC via the a <-> b relabeling (alpha <-> beta, r_a <-> r_b, k -> -k)."""
-    return _ac_values(kern, beta, alpha, nbar, -k, r_b, r_a)
+    return _ac_base(kern, beta, alpha) + 2.0 * _r_correlation(kern, beta, alpha, -kern.k, r_b).real
 
 
-def _bc_lower(kern, alpha, beta, nbar, k, r_a, r_b):
-    return _ac_lower(kern, beta, alpha, nbar, -k, r_b, r_a)
+def _bc_lower(kern, alpha, beta, r_a, r_b):
+    return _ac_base(kern, beta, alpha) - 2.0 * np.abs(_r_correlation(kern, beta, alpha, -kern.k, r_b))
 
 
 _VALUES = {"AB": _ab_values, "AC": _ac_values, "BC": _bc_values}
@@ -260,7 +248,8 @@ def duan_values(t, state: CVInitialState, p: SystemParams, pair: str, *, lower: 
     table = _LOWER if lower else _VALUES
     if pair not in table:
         raise ValueError(f"pair must be one of {sorted(table)}, got {pair!r}")
-    return table[pair](_kernels(t), state.alpha, state.beta, state.nbar, p.k, p.r_a, p.r_b)
+    kern = _kernels(_time_kernels(t), p.k, state.nbar)
+    return table[pair](kern, state.alpha, state.beta, p.r_a, p.r_b)
 
 
 @dataclass(frozen=True)
@@ -279,10 +268,11 @@ class WindowMinima:
     evaluated_points: int
 
 
-#: float64 grid elements per temporary of the blocked scan (512 KiB); the
-#: block size sets the scan's peak memory
-_BLOCK_ELEMENTS = 2 ** 16
-#: consecutive grid points per block of the bounded envelope scan
+#: most grid values per temporary of the scan (64 KiB of float64), which
+#: bounds the scan's memory whatever the grid; 2**14 (128 KiB, glibc's mmap
+#: threshold) took thousands of page faults per fig4a call, 2**13 none
+_TEMP_ELEMENTS = 2 ** 13
+#: consecutive grid points per block of a bounded scan; slabs hold whole blocks
 _SCAN_BLOCK = 32
 #: slack of the bounded scan's pruning test, relative to 1 + alpha**2 + beta**2
 _BOUND_MARGIN = 1e-9
@@ -345,61 +335,9 @@ def _distinct_rows(columns):
     return first, inverse
 
 
-def _take(kern: _Kernels, index) -> _Kernels:
-    """The coupled kern at the grid points a slice or an integer array selects."""
-    return _Kernels(
-        t=kern.t[index],
-        unit_b=kern.unit_b[index],
-        eta=kern.eta[index],
-        eta_sq=kern.eta_sq[index],
-        coupled=tuple(a[index] for a in kern.coupled),
-    )
-
-
 def _rows(param, index):
     """A cell parameter for the cells index selects; a shared scalar stays one."""
     return param if np.ndim(param) == 0 else param[index]
-
-
-def _strict(d, i, left, right, n):
-    """Whether each grid minimum d at index i lies strictly below both neighbours."""
-    return (i > 0) & (i < n - 1) & (d < left) & (d < right)
-
-
-def _full_scan(func, kern, params, m, r_a, r_b):
-    """(best, d_grid, strict) from every grid value, a block of cells at a time."""
-    n = kern.t.size
-    best = np.empty(m, dtype=np.intp)
-    d_grid = np.empty(m)
-    strict = np.zeros(m, dtype=bool)
-    rows = max(1, _BLOCK_ELEMENTS // n)
-    for start in range(0, m, rows):
-        block = slice(start, min(start + rows, m))
-        size = block.stop - block.start
-        cols = [_rows(p, (block, None)) for p in params]
-        values = np.broadcast_to(func(kern, *cols, r_a, r_b), (size, n))
-        i = np.argmin(values, axis=1)
-        at = np.arange(size)
-        d = values[at, i]
-        strict[block] = _strict(
-            d, i, values[at, np.maximum(i - 1, 0)], values[at, np.minimum(i + 1, n - 1)], n
-        )
-        best[block] = i
-        d_grid[block] = d
-    return best, d_grid, strict
-
-
-def _block_bounds(kern: _Kernels) -> tuple:
-    """(min cos 2B, max cos 2B, max |sin 2B|, min theta, max theta) per block of _SCAN_BLOCK points."""
-    _, cos_twob, sin_twob, thermal = kern.coupled
-    starts = np.arange(0, kern.t.size, _SCAN_BLOCK)
-    return (
-        np.minimum.reduceat(cos_twob, starts),
-        np.maximum.reduceat(cos_twob, starts),
-        np.maximum.reduceat(np.abs(sin_twob), starts),
-        np.minimum.reduceat(thermal, starts),
-        np.maximum.reduceat(thermal, starts),
-    )
 
 
 def _block_floor(total, cross, bounds):
@@ -416,78 +354,132 @@ def _block_floor(total, cross, bounds):
     return 1.0 + total * (1.0 - env_hi) - cross * np.sqrt(near ** 2 + (env_hi * s_hi) ** 2)
 
 
-def _bounded_ab_scan(kern, alpha, beta, nbar, k, m, r_a, r_b):
-    """(best, d_grid, strict, evaluated) of the envelope D_AB scan on block bounds.
+def _scan(func, grid, params, m, r_a, r_b):
+    """(best, d_grid, strict, evaluated): each cell's first grid minimum of func.
 
-    kern carries the arrays of the (k, nbar) every cell shares; see
-    `window_minima` for the method. Returns None where a bound or a grid
-    value could overflow, which the full scan then handles.
+    The grid is walked in slabs of consecutive points whose kernels are
+    built once; see `window_minima` for the method.
     """
-    n = kern.t.size
-    total = alpha ** 2 + beta ** 2
-    if not (np.all(np.isfinite(4.0 * total)) and all(np.all(np.isfinite(a)) for a in kern.coupled)):
-        return None
-    total = np.broadcast_to(total, (m,))
-    cross = np.broadcast_to(2.0 * np.abs(alpha * beta), (m,))
-    bounds = _block_bounds(kern)
-    blocks = bounds[0].size
-    best = np.empty(m, dtype=np.intp)
-    d_grid = np.empty(m)
+    alpha, beta, nbar, k = params
+    n = grid.size
+    shared = np.ndim(nbar) == np.ndim(k) == 0
+    bounded = shared and func is _ab_lower
+    # a slab's kernels are built once. A whole slab times a group of up to 8
+    # cells fills one temporary; a bounded scan folds 32-point blocks instead
+    slab = _TEMP_ELEMENTS // (1 if bounded else min(max(m, 1), 8)) // _SCAN_BLOCK * _SCAN_BLOCK
+    walk = ((start, _time_kernels(grid[start:start + slab])) for start in range(0, n, slab))
+    if shared:
+        walk = ((start, _kernels(time, k, nbar)) for start, time in walk)
+    best, d_grid = np.full(m, n, dtype=np.intp), np.full(m, np.inf)
+
+    def couple(time, cells):
+        """time coupled to the (k, nbar) of cells, one row per cell."""
+        return _kernels(time, _rows(k, (cells, None)), _rows(nbar, (cells, None)))
+
+    def values(kern, index):
+        """func on kern for the cells index selects: one row per cell for
+        (cells, None), one column per cell for cells."""
+        return func(kern, _rows(alpha, index), _rows(beta, index), r_a, r_b)
+
+    def fold(v, cells, index):
+        """Fold v, one row per cell, into the cells' minima.
+
+        index gives the grid index of each column: one row shared by the
+        cells, or one row per cell.
+        """
+        j = np.argmin(v, axis=1)
+        at = np.arange(cells.size)
+        d, i = v[at, j], (index[at, j] if index.ndim == 2 else index[j])
+        was = d_grid[cells]
+        # np.argmin's order: a NaN before any number, the earliest of equal values
+        won = (d < was) | ((d == was) & (i < best[cells])) | (np.isnan(d) & ~np.isnan(was))
+        d_grid[cells[won]], best[cells[won]] = d[won], i[won]
+
+    def gather(kern, points):
+        """kern at the slab points an index selects."""
+        return _Kernels(*(a[points] if isinstance(a, np.ndarray) else a for a in kern))
+
+    bounds = None
+    if bounded:
+        # the floors need every block's bounds before the first block is
+        # skipped, so the slabs are kept; an envelope grid fills one slab
+        walk = list(walk)
+        per_slab = []
+        for _, kern in walk:
+            starts = np.arange(0, kern.t.size, _SCAN_BLOCK)
+            cos_twob, sin_twob = kern.cos_twob, np.abs(np.sin(kern.twob))
+            per_slab.append((
+                np.minimum.reduceat(cos_twob, starts),
+                np.maximum.reduceat(cos_twob, starts),
+                np.maximum.reduceat(sin_twob, starts),
+                np.minimum.reduceat(kern.thermal, starts),
+                np.maximum.reduceat(kern.thermal, starts),
+            ))
+        bounds = tuple(np.concatenate(b) for b in zip(*per_slab))
+        total = alpha ** 2 + beta ** 2
+        if not (np.all(np.isfinite(4.0 * total)) and all(np.all(np.isfinite(b)) for b in bounds)):
+            bounds = None  # a bound or a grid value could overflow
+
+    if bounds is None:
+        rows = _TEMP_ELEMENTS // slab
+        for start, kern in walk:
+            index = np.arange(start, start + kern[0].size)
+            for lo in range(0, m, rows):
+                cells = np.arange(lo, min(lo + rows, m))
+                v = values(kern if shared else couple(kern, cells), (cells, None))
+                fold(v.reshape(cells.size, -1), cells, index)
+        evaluated = m * n
+    else:
+        total = np.broadcast_to(total, (m,))
+        cross = np.broadcast_to(2.0 * np.abs(alpha * beta), (m,))
+        blocks = bounds[0].size
+        evaluated = 2 * m
+        # floor rows and block folds fill one temporary, and so do the
+        # survivor masks of a group, one bit per cell and block
+        rows = max(1, _TEMP_ELEMENTS // max(blocks, _SCAN_BLOCK))
+        per_call = _TEMP_ELEMENTS // _SCAN_BLOCK
+        group = max(1, 8 * _TEMP_ELEMENTS // -(-blocks // 8))
+        for start in range(0, m, group):
+            members = np.arange(start, min(start + group, m))
+            keep = np.empty((members.size, -(-blocks // 8)), dtype=np.uint8)
+            for lo in range(0, members.size, rows):
+                cells = members[lo:lo + rows]
+                tot = total[cells, None]
+                floor = _block_floor(tot, cross[cells, None], bounds)
+                lowest = np.argmin(floor, axis=1)
+                # each cell's incumbent: the exact minimum of its lowest-bound
+                # block; blocks are evaluated one column per cell, so that the
+                # inner loops run across the cells
+                first = lowest * _SCAN_BLOCK
+                for begin, kern in walk:
+                    mine = (first >= begin) & (first < begin + kern.t.size)
+                    if mine.any():
+                        own = np.minimum(first[mine, None] - begin + np.arange(_SCAN_BLOCK), kern.t.size - 1)
+                        fold(values(gather(kern, own.T), cells[mine]).T, cells[mine], own + begin)
+                evaluated += int(np.minimum(_SCAN_BLOCK, n - first).sum())
+                survives = floor <= d_grid[cells, None] + _BOUND_MARGIN * (1.0 + tot)
+                survives[np.arange(cells.size), lowest] = False
+                keep[lo:lo + rows] = np.packbits(survives, axis=1)
+            for block in np.flatnonzero(np.unpackbits(np.bitwise_or.reduce(keep, axis=0))):
+                begin, kern = walk[block * _SCAN_BLOCK // slab]
+                points = slice(block * _SCAN_BLOCK - begin, block * _SCAN_BLOCK - begin + _SCAN_BLOCK)
+                part = gather(kern, (points, None))
+                index = np.arange(block * _SCAN_BLOCK, block * _SCAN_BLOCK + part.t.size)
+                cells = members[(keep[:, block >> 3] & (128 >> (block & 7))) != 0]
+                for lo in range(0, cells.size, per_call):
+                    sub = cells[lo:lo + per_call]
+                    fold(values(part, sub).reshape(index.size, -1).T, sub, index)
+                evaluated += cells.size * part.t.size
+
+    # both grid neighbours of each minimum, evaluated exactly
     strict = np.empty(m, dtype=bool)
-    evaluated = 0
-    # a float temporary holds at most a quarter of _BLOCK_ELEMENTS, and a
-    # group's survivor mask (one byte per cell and block) the bytes of one
-    # full-scan temporary, so together they stay below the full scan's peak
-    elements = _BLOCK_ELEMENTS // 4
-    per_call = elements // _SCAN_BLOCK
-    rows = max(1, elements // max(blocks, _SCAN_BLOCK))
-    group = max(1, 8 * _BLOCK_ELEMENTS // blocks)
-
-    def values(part, cells):
-        """_ab_lower on the grid points of part (rows), one column per cell."""
-        out = _ab_lower(part, _rows(alpha, cells), _rows(beta, cells), nbar, k, r_a, r_b)
-        return np.broadcast_to(out, (out.shape[0], cells.size))
-
-    def fold(block, cells):
-        """Scan one block for cells, keeping each cell's first minimum in (d_grid, best)."""
-        first = block * _SCAN_BLOCK
-        points = slice(first, first + _SCAN_BLOCK)
-        for lo in range(0, cells.size, per_call):
-            sub = cells[lo:lo + per_call]
-            v = values(_take(kern, (points, None)), sub)
-            j = np.argmin(v, axis=0)
-            v = v[j, np.arange(sub.size)]
-            j += first
-            won = (v < d_grid[sub]) | ((v == d_grid[sub]) & (j < best[sub]))
-            d_grid[sub[won]], best[sub[won]] = v[won], j[won]
-        return cells.size * min(_SCAN_BLOCK, n - first)
-
-    for start in range(0, m, group):
-        members = np.arange(start, min(start + group, m))
-        keep = np.empty((members.size, blocks), dtype=bool)
-        for lo in range(0, members.size, rows):
-            cells = members[lo:lo + rows]
-            tot = total[cells, None]
-            floor = _block_floor(tot, cross[cells, None], bounds)
-            lowest = np.argmin(floor, axis=1)
-            # each cell's incumbent: the exact minimum of its lowest-bound block
-            own = np.minimum(np.arange(_SCAN_BLOCK)[:, None] + lowest * _SCAN_BLOCK, n - 1)
-            v = values(_take(kern, own), cells)
-            j = np.argmin(v, axis=0)
-            at = np.arange(cells.size)
-            d_grid[cells], best[cells] = v[j, at], own[j, at]
-            evaluated += int(np.minimum(_SCAN_BLOCK, n - lowest * _SCAN_BLOCK).sum())
-            part = keep[lo:lo + rows]
-            np.less_equal(floor, d_grid[cells, None] + _BOUND_MARGIN * (1.0 + tot), out=part)
-            part[at, lowest] = False
-        for block in np.flatnonzero(keep.any(axis=0)):
-            evaluated += fold(block, members[keep[:, block]])
-    for start in range(0, m, per_call):
-        cells = np.arange(start, min(start + per_call, m))
+    for lo in range(0, m, _TEMP_ELEMENTS // 2):
+        cells = np.arange(lo, min(lo + _TEMP_ELEMENTS // 2, m))
         i = best[cells]
-        around = values(_take(kern, np.stack([np.maximum(i - 1, 0), np.minimum(i + 1, n - 1)])), cells)
-        evaluated += around.size
-        strict[cells] = _strict(d_grid[cells], i, around[0], around[1], n)
+        around = grid[np.clip(i[:, None] + np.array([-1, 1]), 0, n - 1)]
+        around = values(couple(_time_kernels(around), cells), (cells, None)).reshape(cells.size, 2)
+        d = d_grid[cells]
+        strict[cells] = (i > 0) & (i < n - 1) & (d < around[:, 0]) & (d < around[:, 1])
     return best, d_grid, strict, evaluated
 
 
@@ -526,11 +518,16 @@ def window_minima(
       alpha**2 + beta**2 and alpha beta, so for "AB" the cell (beta, alpha)
       is the cell (alpha, beta); AC and BC merge only repeated cells.
       `scanned_cells` counts the distinct cells;
-    - the time kernels of the grid are computed once per call, and so are
-      the arrays that depend only on k and nbar (cos 2B, sin 2B, the thermal
-      exponent) when every cell shares k and nbar. The distinct cells are
-      scanned in blocks of about 2**16 grid elements, which bounds the
-      scan's temporaries whatever the number of cells;
+    - one scan finds each cell's first grid minimum, in either mode, for
+      every bipartition and for shared or per-cell k and nbar. It walks the
+      grid in slabs of consecutive points, whole blocks of 32, and builds
+      each slab's time kernels once, and the arrays that depend only on k
+      and nbar (cos 2B, the thermal exponent) once per slab when every cell
+      shares k and nbar. Each cell keeps a running minimum with np.argmin's
+      rule: a NaN before any number, then the earliest of equal values. No
+      temporary holds more than _TEMP_ELEMENTS grid values, whatever the
+      grid or the number of cells. Both grid neighbours of each minimum are
+      then evaluated exactly for the strict-interior test;
     - every cell whose grid minimum is a strict interior local minimum is
       refined by one golden-section search across those cells, on the
       bracket of its two grid neighbours. All those searches step together,
@@ -538,21 +535,23 @@ def window_minima(
       to t (scipy's golden xtol). The refined value replaces the grid value
       only where it is lower.
 
-    Merging cells changes no bit of any result: the scan is elementwise, and
-    the refinement's common step count depends only on the distinct brackets.
+    Merging cells and cutting the grid change no bit of any result: the
+    scan is elementwise, and the refinement's common step count depends
+    only on the distinct brackets.
 
-    For "AB" in envelope mode with k and nbar shared by every cell (fig4b),
-    the scan runs on certified block bounds instead of every grid value:
+    Where a certified floor exists, the scan skips blocks of 32 points
+    instead of evaluating every grid value. Today that is "AB" in envelope
+    mode with k and nbar shared by every cell (fig4b):
 
-    - the grid is cut into blocks of 32 consecutive points. With
-      T = alpha**2 + beta**2 and S = (1 - env cos 2B)**2 + (env sin 2B)**2,
-      the envelope is D_AB = 1 + T (1 - env) - 2 |alpha beta| sqrt(S),
-      where env = exp(-2 T (1 - cos 2B) - theta) <= 1 rises with cos 2B and
-      falls with the thermal exponent theta. Over a block, D_AB is thus no
-      lower than the same expression with env at its block maximum in
-      T (1 - env) and in env |sin 2B|, |sin 2B| at its maximum, and
-      1 - env cos 2B at its maximum, which lies at the smallest cos 2B with
-      env at either end of its range;
+    - with T = alpha**2 + beta**2 and
+      S = (1 - env cos 2B)**2 + (env sin 2B)**2, the envelope is
+      D_AB = 1 + T (1 - env) - 2 |alpha beta| sqrt(S), where
+      env = exp(-2 T (1 - cos 2B) - theta) <= 1 rises with cos 2B and falls
+      with the thermal exponent theta. Over a block, D_AB is thus no lower
+      than the same expression with env at its block maximum in T (1 - env)
+      and in env |sin 2B|, |sin 2B| at its maximum, and 1 - env cos 2B at
+      its maximum, which lies at the smallest cos 2B with env at either end
+      of its range;
     - the bound is computed with `_ab_lower`'s own operations in the same
       order. Correctly rounded arithmetic and sqrt are monotone, so it also
       bounds every computed grid value of the block; it never uses
@@ -561,19 +560,15 @@ def window_minima(
       by a few 1e-15 (1 + T), about 1e6 times less than the margin below;
     - each cell's incumbent is the exact minimum of its lowest-bound block.
       A block whose bound exceeds incumbent + 1e-9 (1 + T) holds no grid
-      value at or below the cell's minimum and is skipped. The others are
-      evaluated grouped by block, as slices of the same kernel arrays
-      through `_ab_lower`, so every value is bitwise the full scan's, and
-      the earliest index among equal minima is kept. The strict-interior
-      test evaluates both grid neighbours of the minimum exactly.
+      value at or below the cell's minimum and is skipped; the others are
+      folded like any slab. Amplitudes or couplings large enough to
+      overflow a bound keep every block.
 
-    So t_star, d_star and refined are bitwise those of the full scan. At
-    fig4b's defaults the bounded scan computes about 14% of the grid.
+    So t_star, d_star and refined are bitwise those of a scan of every grid
+    value. At fig4b's defaults the scan computes about 14% of the grid.
     `evaluated_points` counts the grid values of D computed: cells times
-    grid points for the full scan; the incumbent blocks, surviving blocks
-    and two neighbours per cell for the bounded one. Per-cell k or nbar,
-    direct mode, AC and BC, and amplitudes or couplings large enough to
-    overflow a bound keep the full scan.
+    grid points without a floor; the incumbent blocks, surviving blocks and
+    two neighbours per cell with one.
     """
     if bipartition not in _VALUES:
         raise ValueError(f"bipartition must be one of {sorted(_VALUES)}, got {bipartition!r}")
@@ -600,32 +595,22 @@ def window_minima(
         cells[:2] = np.minimum(cells[0], cells[1]), np.maximum(cells[0], cells[1])
     first, inverse = _distinct_rows(cells)
     cells = [cell[first] for cell in cells]
-    m, n = cells[0].size, grid.size
+    m = cells[0].size
     # a parameter shared by every cell stays a scalar, so the kernels that
-    # depend only on it are computed once per block instead of once per cell
+    # depend only on it are computed once per slab instead of once per cell
     params = [cell[0] if m and np.all(cell == cell[0]) else cell for cell in cells]
-    kern = _kernels(grid)
-    if np.ndim(params[2]) == np.ndim(params[3]) == 0:
-        # and with both nbar and k shared, once per call
-        kern = _couple(kern, params[3], params[2])
-    scan = None
-    if kern.coupled is not None and mode == "envelope" and bipartition == "AB":
-        scan = _bounded_ab_scan(kern, *params, m, r_a, r_b)
-    if scan is None:
-        scan = (*_full_scan(func, kern, params, m, r_a, r_b), m * n)
-    best, d_grid, strict, evaluated = scan
-
-    t_star, d_star = grid[best], d_grid.copy()
+    best, d_star, strict, evaluated = _scan(func, grid, params, m, r_a, r_b)
+    t_star = grid[best]
     refined = np.zeros(m, dtype=bool)
     todo = np.flatnonzero(strict)
     if todo.size:
-        sub = [p if np.ndim(p) == 0 else p[todo] for p in params]
+        alpha, beta, nbar, k = (_rows(p, todo) for p in params)
         t_ref, d_ref = _golden(
-            lambda t: func(_kernels(t), *sub, r_a, r_b),
+            lambda t: func(_kernels(_time_kernels(t), k, nbar), alpha, beta, r_a, r_b),
             grid[best[todo] - 1],
             grid[best[todo] + 1],
         )
-        better = d_ref < d_grid[todo]
+        better = d_ref < d_star[todo]
         won = todo[better]
         t_star[won], d_star[won] = t_ref[better], d_ref[better]
         refined[won] = True

@@ -27,7 +27,6 @@ from .core import big_b, xi
 
 __all__ = [
     "check_density_matrix",
-    "evolve_qubit_state",
     "reduced_rho_ab",
     "concurrence",
     "von_neumann_entropy",
@@ -37,7 +36,7 @@ __all__ = [
 BASIS_ORDER = ("00", "01", "10", "11")
 
 
-def evolve_qubit_state(t, k) -> tuple[np.ndarray, np.ndarray]:
+def _evolve_qubit_state(t, k) -> tuple[np.ndarray, np.ndarray]:
     """Joint state at scaled time t for coupling k (interaction picture).
 
     t and k broadcast against each other. Returns (amplitudes,
@@ -64,7 +63,7 @@ def reduced_rho_ab(t, k) -> np.ndarray:
     <b|a> = exp(-(|a|**2 + |b|**2)/2 + conj(b) a). The off-diagonal decay
     is governed by exp(C) with C = i B(t) - k**2 |eta(t)|**2 / 2.
     """
-    c, d = evolve_qubit_state(t, k)
+    c, d = _evolve_qubit_state(t, k)
     mag2 = np.abs(d) ** 2
     overlap = np.exp(
         -0.5 * (mag2[..., :, None] + mag2[..., None, :])

@@ -167,12 +167,6 @@ class TestHeatingBudget:
         assert hb.energy_ratio == pytest.approx(117626.38007882715, rel=1e-9)
         assert hb.energy_ratio_alt == pytest.approx(5.795259401824266e-07, rel=1e-9)
 
-    def test_empty_cavity_does_not_heat(self):
-        hb = heating_budget(proposed_atom_spec(), proposed_geometry(), nbar_cav=0.0)
-        assert hb.r_c == 0.0
-        assert hb.r_fs == 0.0
-        assert hb.energy_ratio == 0.0
-
 
 class TestNanoparticle:
     def test_coupling_frozen(self):

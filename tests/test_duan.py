@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -355,21 +356,21 @@ def test_window_minima_of_no_cells(bipartition, mode):
 
 @pytest.mark.parametrize("shared", [True, False])
 def test_window_minima_builds_shared_k_kernels_once(monkeypatch, shared):
-    # with one amplitude at zero no cell is refined, so every kernel call
-    # below belongs to the scan of 100 cells in blocks of 16 rows
-    built = {"twob": 0, "thermal": 0}
+    # with one amplitude at zero no cell is refined, so every kernel below
+    # belongs to the scan of 100 cells on 4001 points, plus one build at the
+    # grid neighbours of the minima
+    built = {"_time_kernels": 0, "_kernels": 0}
 
     def counting(name):
-        original = getattr(duan_module._Kernels, name)
+        original = getattr(duan_module, name)
 
-        def wrapper(self, *args):
-            if self.coupled is None:
-                built[name] += 1
-            return original(self, *args)
+        def wrapper(*args):
+            built[name] += 1
+            return original(*args)
         return wrapper
 
     for name in built:
-        monkeypatch.setattr(duan_module._Kernels, name, counting(name))
+        monkeypatch.setattr(duan_module, name, counting(name))
     window, r_a, r_b = _WINDOWS["envelope"]
     k = 0.74 if shared else np.linspace(0.5, 1.0, 100)
     res = window_minima(
@@ -377,9 +378,17 @@ def test_window_minima_builds_shared_k_kernels_once(monkeypatch, shared):
     )
     assert res.mode == "envelope" and res.scanned_cells == 100
     assert not res.refined.any()
-    blocks = math.ceil(100 / (duan_module._BLOCK_ELEMENTS // 4001))
-    calls = 1 if shared else blocks
-    assert built == {"twob": calls, "thermal": calls}
+    budget = duan_module._TEMP_ELEMENTS
+    if shared:
+        # the bounded scan folds 32-point blocks, so one slab holds the grid
+        # and its (k, nbar) arrays are built once
+        slabs, couplings = math.ceil(4001 / budget), math.ceil(4001 / budget)
+    else:
+        # slabs of budget / 8 points, each coupled to groups of 8 cells
+        slabs = math.ceil(4001 / (budget // 8))
+        couplings = slabs * math.ceil(100 / 8)
+    assert slabs == (1 if shared else 4)
+    assert built == {"_time_kernels": slabs + 1, "_kernels": couplings + 1}
 
 
 @pytest.mark.parametrize("window", [-0.01, 0.0, math.nan, math.inf, -math.inf])
@@ -412,29 +421,56 @@ def test_window_minima_validates_cells():
         window_minima("AB", window, r_a, 0.0, alpha=0.5, beta=0.5, nbar=0.0, k=0.5)
 
 
-def _reference_envelope_scan(kern, alpha, beta, nbar, k, m, r_a, r_b):
-    """The full envelope D_AB scan the bounded one replaced, as a block loop.
+def _block_bounds(kern):
+    """(min cos 2B, max cos 2B, max |sin 2B|, min theta, max theta) per 32-point block."""
+    starts = np.arange(0, kern.t.size, duan_module._SCAN_BLOCK)
+    sin_twob = np.abs(np.sin(kern.twob))
+    return (
+        np.minimum.reduceat(kern.cos_twob, starts),
+        np.maximum.reduceat(kern.cos_twob, starts),
+        np.maximum.reduceat(sin_twob, starts),
+        np.minimum.reduceat(kern.thermal, starts),
+        np.maximum.reduceat(kern.thermal, starts),
+    )
 
-    _ab_lower on (rows, n) blocks of cells, then each row's argmin and the
-    strict-interior test against its two grid neighbours. Takes what
-    `_bounded_ab_scan` does and returns what it returns, plus the largest
-    excess of `_block_floor` over the minimum of the grid values it bounds.
+
+def _reference_scan(func, grid, params, m, r_a, r_b):
+    """Whole-grid reference for `duan._scan`: every kernel built on the whole grid at once.
+
+    func on (rows, n) blocks of cells, then each row's argmin and the
+    strict-interior test against its two grid neighbours. Takes what `_scan`
+    takes and returns what a full scan returns, then two more entries for an
+    envelope D_AB with shared k and nbar and finite bounds (else None): the
+    grid values a bounded scan evaluates (each cell's lowest-floor block,
+    the blocks whose floor is within the margin of that block's minimum, and
+    two neighbours), and the largest excess of `_block_floor` over the
+    minimum of the grid values it bounds.
     """
-    n = kern.t.size
-    best, d_grid, strict = np.empty(m, dtype=np.intp), np.empty(m), np.zeros(m, dtype=bool)
-    bounds = duan_module._block_bounds(kern)
+    alpha, beta, nbar, k = params
+    n = grid.size
+    time = duan_module._time_kernels(grid)
+    best, d_grid, strict = np.empty(m, dtype=np.intp), np.empty(m), np.empty(m, dtype=bool)
     starts = np.arange(0, n, duan_module._SCAN_BLOCK)
-    excess = -np.inf
+    sizes = np.diff(np.append(starts, n))
+    bounds = None
+    if func is duan_module._ab_lower and np.ndim(k) == np.ndim(nbar) == 0:
+        bounds = _block_bounds(duan_module._kernels(time, k, nbar))
+        finite = np.all(np.isfinite(4.0 * (np.asarray(alpha) ** 2 + np.asarray(beta) ** 2)))
+        if not (finite and all(np.all(np.isfinite(b)) for b in bounds)):
+            bounds = None
+    counted, excess = 2 * m, -np.inf
     rows = max(1, 2 ** 16 // n)
     for start in range(0, m, rows):
         block = slice(start, min(start + rows, m))
         size = block.stop - block.start
-        cols = [p if np.ndim(p) == 0 else p[block, None] for p in (alpha, beta)]
-        values = np.broadcast_to(duan_module._ab_lower(kern, *cols, nbar, k, r_a, r_b), (size, n))
-        floor = duan_module._block_floor(cols[0] ** 2 + cols[1] ** 2, 2.0 * np.abs(cols[0] * cols[1]), bounds)
-        excess = max(excess, float(np.max(floor - np.minimum.reduceat(values, starts, axis=1))))
-        i = np.argmin(values, axis=1)
         at = np.arange(size)
+
+        def col(p):
+            return p if np.ndim(p) == 0 else p[block, None]
+
+        kern = duan_module._kernels(time, col(k), col(nbar))
+        values = np.broadcast_to(func(kern, col(alpha), col(beta), r_a, r_b), (size, n))
+        i = np.argmin(values, axis=1)
         d = values[at, i]
         strict[block] = (
             (i > 0) & (i < n - 1)
@@ -442,7 +478,19 @@ def _reference_envelope_scan(kern, alpha, beta, nbar, k, m, r_a, r_b):
             & (d < values[at, np.minimum(i + 1, n - 1)])
         )
         best[block], d_grid[block] = i, d
-    return best, d_grid, strict, m * n, excess
+        if bounds is not None:
+            a, b = (np.broadcast_to(p, (m,))[block, None] for p in (alpha, beta))
+            total = a ** 2 + b ** 2
+            floor = duan_module._block_floor(total, 2.0 * np.abs(a * b), bounds)
+            minima = np.minimum.reduceat(values, starts, axis=1)
+            excess = max(excess, float(np.max(floor - minima)))
+            lowest = np.argmin(floor, axis=1)
+            survives = floor <= minima[at, lowest][:, None] + duan_module._BOUND_MARGIN * (1.0 + total)
+            survives[at, lowest] = True
+            counted += int((survives * sizes).sum())
+    if bounds is None:
+        return best, d_grid, strict, m * n, None, None
+    return best, d_grid, strict, m * n, counted, excess
 
 
 def _same_bits(got, want):
@@ -450,38 +498,47 @@ def _same_bits(got, want):
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def _bounded_against_reference(monkeypatch, window, r_a, r_b, **cells):
-    """window_minima on the bounded scan, and on the reference scan of the same cells.
+def _scan_against_reference(monkeypatch, bipartition, window, r_a, r_b, **cells):
+    """window_minima, and window_minima on the whole-grid reference scan of the same cells.
 
-    Returns both results and both scans, (best, d_grid, strict, evaluated)
-    per distinct cell with the reference's floor excess appended, after
-    checking that the bounded scan ran.
+    Returns both results and both scans: `_scan`'s (best, d_grid, strict,
+    evaluated) per distinct cell, and `_reference_scan`'s.
     """
-    real = duan_module._bounded_ab_scan
+    real = duan_module._scan
     scans = {}
 
     def spy(*args):
-        scans["bounded"] = real(*args)
-        scans["reference"] = _reference_envelope_scan(*args)
-        return scans["bounded"]
+        scans["scan"] = real(*args)
+        scans["reference"] = _reference_scan(*args)
+        return scans["scan"]
 
-    monkeypatch.setattr(duan_module, "_bounded_ab_scan", spy)
-    res = window_minima("AB", window, r_a, r_b, **cells)
-    assert scans["bounded"] is not None
-    monkeypatch.setattr(duan_module, "_bounded_ab_scan", lambda *args: scans["reference"][:4])
-    ref = window_minima("AB", window, r_a, r_b, **cells)
-    return res, ref, scans["bounded"], scans["reference"]
+    monkeypatch.setattr(duan_module, "_scan", spy)
+    res = window_minima(bipartition, window, r_a, r_b, **cells)
+    monkeypatch.setattr(duan_module, "_scan", lambda *args: scans["reference"][:4])
+    ref = window_minima(bipartition, window, r_a, r_b, **cells)
+    return res, ref, scans["scan"], scans["reference"]
 
 
-def _assert_bounded_scan_is_exact(res, ref, scan, ref_scan):
+def _assert_scan_is_exact(res, ref, scan, ref_scan):
     for name, got, want in zip(("best", "d_grid", "strict"), scan[:3], ref_scan[:3]):
         assert _same_bits(got, want), name
     for field in ("t_star", "d_star", "refined"):
         assert _same_bits(getattr(res, field), getattr(ref, field)), field
-    assert res.evaluated_points == scan[3]
     assert ref.evaluated_points == ref_scan[3]
-    # the block floors bound every computed grid value, with no slack used
-    assert ref_scan[4] <= 0.0
+    bounded = ref_scan[4] is not None
+    assert res.evaluated_points == scan[3] == (ref_scan[4] if bounded else ref_scan[3])
+    if bounded:
+        # the block floors bound every computed grid value, with no slack used
+        assert ref_scan[5] <= 0.0
+    return bounded
+
+
+def _bounded_against_reference(monkeypatch, window, r_a, r_b, **cells):
+    """The D_AB envelope minima on the bounded scan, checked bitwise against the reference."""
+    res, ref, scan, ref_scan = _scan_against_reference(monkeypatch, "AB", window, r_a, r_b, **cells)
+    assert res.mode == "envelope"
+    assert _assert_scan_is_exact(res, ref, scan, ref_scan), "the bounded scan did not run"
+    return res, ref, scan
 
 
 # the fig4b temperatures of the witness-grid benchmark at seeds 0-9; the
@@ -515,12 +572,20 @@ def test_fig4b_default_temperature_is_the_first_benchmark_one():
 @pytest.mark.parametrize("temperature_K", _FIG4B_TEMPERATURES)
 def test_bounded_scan_is_bitwise_the_full_scan_on_fig4b(monkeypatch, temperature_K):
     window, r_a, r_b, cells = _fig4b_cells(temperature_K)
-    res, ref, scan, ref_scan = _bounded_against_reference(monkeypatch, window, r_a, r_b, **cells)
-    _assert_bounded_scan_is_exact(res, ref, scan, ref_scan)
+    res, ref, scan = _bounded_against_reference(monkeypatch, window, r_a, r_b, **cells)
     assert res.scanned_cells == 5151
     assert ref.evaluated_points == 5151 * 4001
     assert res.evaluated_points <= 0.2 * 5151 * 4001
     assert res.refined.any() and scan[2].any()
+
+
+def test_bounded_scan_across_slabs_and_groups(monkeypatch):
+    # a budget of 2**10 cuts fig4b's grid into 4 slabs, its 5,151 cells into
+    # 11 groups of survivor masks and its block folds into 32 cells each
+    monkeypatch.setattr(duan_module, "_TEMP_ELEMENTS", 2 ** 10)
+    window, r_a, r_b, cells = _fig4b_cells(_FIG4B_TEMPERATURES[0])
+    res, _, _ = _bounded_against_reference(monkeypatch, window, r_a, r_b, **cells)
+    assert res.scanned_cells == 5151
 
 
 _RNG = np.random.default_rng(20260)
@@ -545,10 +610,9 @@ _BOUNDED_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_BOUNDED_CASES))
 def test_bounded_scan_is_bitwise_the_full_scan(monkeypatch, case):
-    res, ref, scan, ref_scan = _bounded_against_reference(
+    res, ref, _ = _bounded_against_reference(
         monkeypatch, _ENVELOPE, _OPTICAL.r_a, _OPTICAL.r_b, **_BOUNDED_CASES[case]
     )
-    _assert_bounded_scan_is_exact(res, ref, scan, ref_scan)
     n = len(duan_module._scan_grid(_ENVELOPE, _OPTICAL.r_a + _OPTICAL.r_b)[0])
     assert ref.evaluated_points == res.scanned_cells * n
     if case == "grid-not-multiple":
@@ -561,11 +625,53 @@ def test_bounded_scan_is_bitwise_the_full_scan(monkeypatch, case):
         assert res.evaluated_points == res.scanned_cells * (n + 2)
 
 
-def _synthetic_kernels(cos, theta):
-    """Coupled kernels with the given cos 2B and thermal exponent, on 0 <= t <= 1."""
-    t = np.linspace(0.0, 1.0, cos.size)
-    coupled = (np.arccos(cos), cos, np.sqrt(1.0 - cos ** 2), theta)
-    return duan_module._Kernels(t=t, unit_b=t, eta=t.astype(complex), eta_sq=t, coupled=coupled)
+@pytest.mark.parametrize("cells", sorted(_CELLS))
+@pytest.mark.parametrize("mode", sorted(_WINDOWS))
+@pytest.mark.parametrize("bipartition", ["AB", "AC", "BC"])
+def test_scan_is_bitwise_the_whole_grid_reference(monkeypatch, bipartition, mode, cells):
+    # a budget of 2**9 cuts every grid into slabs of 64 points for groups of
+    # 8 cells, or of 512 points for the bounded scan, so slab and group
+    # edges fall inside each grid
+    monkeypatch.setattr(duan_module, "_TEMP_ELEMENTS", 2 ** 9)
+    window, r_a, r_b = _WINDOWS[mode]
+    res, ref, scan, ref_scan = _scan_against_reference(monkeypatch, bipartition, window, r_a, r_b, **_CELLS[cells])
+    assert res.mode == mode and res.refined.any()
+    bounded = _assert_scan_is_exact(res, ref, scan, ref_scan)
+    # only the envelope D_AB with shared k and nbar has a certified floor
+    assert bounded == (bipartition == "AB" and mode == "envelope" and cells == "amplitudes")
+
+
+def test_near_switch_direct_scan_memory():
+    # one cell on the direct grid just below the 1e5-cycle switch: 1,599,937
+    # points, which the scan walks in slabs instead of building whole-grid
+    # kernels; the grid itself takes 12.2 MiB
+    tracemalloc.start()
+    try:
+        res = window_minima("AB", 4.0 * math.pi, 24_999.0, 24_999.0, alpha=0.5, beta=0.5, nbar=0.01, k=0.6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.mode == "direct" and res.evaluated_points == 1_599_937
+    assert float(res.t_star).hex() == "0x1.921ec4e36c718p+2"
+    assert float(res.d_star).hex() == "0x1.989fc5b049eb5p-1"
+    assert peak <= 32 * 2 ** 20
+
+
+def _synthetic_grid(monkeypatch, cos, theta):
+    """A grid on [0, 1] whose kernels at k = 0.5 and nbar = 0 have the given cos 2B and theta.
+
+    `_time_kernels` is replaced by a lookup of each grid point's entries:
+    2B = 2 (0.25 unit_b) = arccos(cos) and theta = 0.25 |eta|^2 exactly.
+    """
+    unit_b, eta_sq = 2.0 * np.arccos(cos), 4.0 * theta
+
+    def lookup(t):
+        t = np.asarray(t, dtype=float)
+        i = np.rint(t * (cos.size - 1)).astype(int)
+        return t, unit_b[i], t.astype(complex), eta_sq[i]
+
+    monkeypatch.setattr(duan_module, "_time_kernels", lookup)
+    return np.linspace(0.0, 1.0, cos.size)
 
 
 def _tie_across_blocks():
@@ -589,48 +695,56 @@ def _plateau():
 
 
 @pytest.mark.parametrize("layout", [_tie_across_blocks, _plateau], ids=lambda f: f.__name__[1:])
-def test_bounded_scan_on_equal_grid_values(layout):
+def test_bounded_scan_on_equal_grid_values(monkeypatch, layout):
     # with beta = 0, D_AB = 1 + alpha**2 (1 - env) falls as env rises, so
     # equal (cos 2B, theta) give bitwise equal values
     cos, theta, best, strict = layout()
-    kern = _synthetic_kernels(cos, theta)
-    args = (kern, np.array([1.0, 0.6]), np.array([0.0, 0.0]), 0.0, 0.5, 2, 1.0, 1.0)
+    grid = _synthetic_grid(monkeypatch, cos, theta)
+    args = (duan_module._ab_lower, grid, (np.array([1.0, 0.6]), np.array([0.0, 0.0]), 0.0, 0.5), 2, 1.0, 1.0)
     if layout is _tie_across_blocks:
-        floor = duan_module._block_floor(np.array([[1.0]]), np.array([[0.0]]), duan_module._block_bounds(kern))
-        assert np.argmin(floor) == 2
-    scan = duan_module._bounded_ab_scan(*args)
-    ref = _reference_envelope_scan(*args)
+        bounds = _block_bounds(duan_module._kernels(duan_module._time_kernels(grid), 0.5, 0.0))
+        assert np.argmin(duan_module._block_floor(np.array([[1.0]]), np.array([[0.0]]), bounds)) == 2
+    scan = duan_module._scan(*args)
+    ref = _reference_scan(*args)
     assert list(ref[0]) == best and list(ref[2]) == strict
     for got, want in zip(scan[:3], ref[:3]):
         assert _same_bits(got, want)
+    assert scan[3] == ref[4]
 
 
 def test_bounded_scan_skips_overflowing_inputs(monkeypatch):
     # amplitudes whose squares overflow keep the full scan, whose argmin
     # meets the NaN at t = 0 first
-    scans = []
-    real = duan_module._bounded_ab_scan
-    monkeypatch.setattr(duan_module, "_bounded_ab_scan", lambda *args: scans.append(real(*args)) or scans[-1])
+    floors = []
+    real = duan_module._block_floor
+    monkeypatch.setattr(duan_module, "_block_floor", lambda *args: floors.append(args) or real(*args))
     with np.errstate(all="ignore"):
-        res = window_minima("AB", _ENVELOPE, _OPTICAL.r_a, _OPTICAL.r_b, alpha=[0.5, 1e200], beta=0.5,
-                            nbar=0.0, k=0.74)
-    assert scans == [None]
+        res, ref, scan, ref_scan = _scan_against_reference(
+            monkeypatch, "AB", _ENVELOPE, _OPTICAL.r_a, _OPTICAL.r_b, alpha=[0.5, 1e200], beta=0.5, nbar=0.0, k=0.74
+        )
+        assert not _assert_scan_is_exact(res, ref, scan, ref_scan)
+    assert floors == []
     assert res.evaluated_points == 2 * 4001
     assert np.isnan(res.d_star[1]) and np.isfinite(res.d_star[0])
 
 
-def _oracle_envelope_ab(alpha, beta, nbar, k, t):
-    """D_AB's lower envelope over the carrier phase from the Fock oracle.
+def _oracle_envelope(pair, state, k, t):
+    """A pair's lower envelope over the carrier phase from the Fock oracle.
 
-    In the interaction picture the carrier phase drops out of every moment;
-    it would rotate <a b> - <a><b>, so its real part is replaced by minus its
-    modulus.
+    In the interaction picture the carrier and mechanical phases drop out of
+    every moment; they would rotate <a1 a2> - <a1><a2>, so its real part is
+    replaced by minus its modulus.
     """
-    from optomech.oracle import apply_evolution, build_initial_state, moments
+    from optomech.oracle import apply_evolution, moments
 
-    state = build_initial_state("coherent_thermal", alpha=alpha, beta=beta, nbar=nbar, k=k, tolerance=1e-10)
-    m = moments(apply_evolution(state, t, k, 1.0, 1.0, interaction_picture=True))["AB"]
+    m = moments(apply_evolution(state, t, k, 1.0, 1.0, interaction_picture=True))[pair]
     return m.occ1 + m.occ2 - 2.0 * abs(m.corr - m.mean1 * m.mean2) - abs(m.mean1) ** 2 - abs(m.mean2) ** 2 + 1.0
+
+
+def _oracle_state(alpha, beta, nbar, k):
+    from optomech.oracle import build_initial_state
+
+    return build_initial_state("coherent_thermal", alpha=alpha, beta=beta, nbar=nbar, k=k, tolerance=1e-10)
 
 
 def test_fig4b_envelope_minima_agree_with_the_oracle():
@@ -644,8 +758,29 @@ def test_fig4b_envelope_minima_agree_with_the_oracle():
     assert list(res.refined) == [True] * 5 + [False]
     assert np.all(res.d_star[:5] < 1.0) and res.d_star[5] == 1.0
     for a, b, t, d in zip(alpha, beta, res.t_star, res.d_star):
-        oracle = _oracle_envelope_ab(float(a), float(b), cells["nbar"], cells["k"], float(t))
+        state = _oracle_state(float(a), float(b), cells["nbar"], cells["k"])
+        oracle = _oracle_envelope("AB", state, cells["k"], float(t))
         assert d == pytest.approx(oracle, rel=1e-6), (a, b, t)
+
+
+def test_fig3_lower_envelopes_agree_with_the_oracle():
+    # the three _lower columns of `optomech fig3` at its defaults (k = 0.74,
+    # optical carriers, one photon lifetime) at 12 of its 2,000 times; the
+    # largest deviations read 2.9e-10 (AB) and 2.3e-9 (AC, BC) relative
+    from optomech import cli
+
+    cfg = cli.resolve_config("fig3")
+    v = cfg.values
+    table = cli.run_fig3(cfg)
+    assert v["k"] == 0.74 and v["omega_a_rad_per_s"] / v["omega_m_rad_per_s"] > 1e9
+    nbar = thermal_occupation(v["temperature_K"], v["omega_m_rad_per_s"])
+    state = _oracle_state(v["alpha"], v["beta"], nbar, v["k"])
+    rows = np.linspace(0, len(table.rows) - 1, 12).round().astype(int)
+    for pair in ("AB", "AC", "BC"):
+        t_col, d_col = table.columns.index("t"), table.columns.index(f"duan_{pair.lower()}_lower")
+        for row in rows:
+            t, d = table.rows[row][t_col], table.rows[row][d_col]
+            assert d == pytest.approx(_oracle_envelope(pair, state, v["k"], t), rel=1e-6), (pair, t)
 
 
 def test_envelope_mean_grows_with_temperature():

@@ -59,8 +59,6 @@ _SETTABLE_VALUES = [
     "design.DesignSearchSpace.finesse_eval",
     "design.DesignSearchSpace.plateau_rtol",
     "design.DesignSearchSpace.trap_frequencies_Hz",
-    "design.design_report.nbar_cav",
-    "design.heating_budget.nbar_cav",
     "design.proposed_geometry.finesse",
     "duan.CVInitialState.nbar",
     "duan.duan_values.lower",
@@ -94,4 +92,56 @@ def test_settable_public_values_are_the_listed_ones():
                     elif isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                         found += _defaulted_parameters(item, owner)
     assert sorted(found) == _SETTABLE_VALUES
-    assert len(_SETTABLE_VALUES) == 36
+    assert len(_SETTABLE_VALUES) == 34
+
+
+# every name `import optomech` exports; a new public name shows up here as a
+# one-line diff
+_PUBLIC_NAMES = [
+    "AtomEnsembleSpec",
+    "CODATA2018",
+    "CVInitialState",
+    "CavityGeometry",
+    "DesignReport",
+    "DesignSearchSpace",
+    "FockConfig",
+    "HeatingBudget",
+    "ModePairMoments",
+    "NanoparticleSpec",
+    "OptimizeResult",
+    "PhysicalConstants",
+    "RegimeReport",
+    "SystemParams",
+    "TriModeState",
+    "__version__",
+    "apply_evolution",
+    "atom_coupling",
+    "big_b",
+    "build_initial_state",
+    "cavity_linewidth",
+    "concurrence",
+    "design_report",
+    "displacement_matrix",
+    "duan_from_moments",
+    "duan_values",
+    "energy_eigenvalue",
+    "energy_eigenvalue_scaled",
+    "entanglement_period",
+    "eta",
+    "heating_budget",
+    "moments",
+    "nanoparticle_coupling",
+    "optimize_design",
+    "partial_trace",
+    "reduced_rho_ab",
+    "regime_report",
+    "thermal_occupation",
+    "von_neumann_entropy",
+    "window_minima",
+    "x_zpf",
+    "xi",
+]
+
+
+def test_public_names_are_the_listed_ones():
+    assert sorted(optomech.__all__) == _PUBLIC_NAMES

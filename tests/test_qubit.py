@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from optomech.core import big_b, xi
 from optomech.qubit import (
     BASIS_ORDER,
+    _evolve_qubit_state,
     check_density_matrix,
     concurrence,
-    evolve_qubit_state,
     reduced_rho_ab,
     von_neumann_entropy,
 )
@@ -20,13 +20,13 @@ def test_basis_order():
 
 
 def test_initial_branch_state():
-    amps, disp = evolve_qubit_state(0.0, 0.5)
+    amps, disp = _evolve_qubit_state(0.0, 0.5)
     assert np.array_equal(amps, [0.5, 0.5, 0.5, 0.5])
     assert np.array_equal(disp, [0.0, 0.0, 0.0, 0.0])
 
 
 def test_branch_displacements_track_photon_imbalance():
-    _, disp = evolve_qubit_state(math.pi, 0.5)
+    _, disp = _evolve_qubit_state(math.pi, 0.5)
     d_00, d_01, d_10, d_11 = disp
     # delta = n - m weights the mechanical kick: +-k*xi(t) for the
     # single-photon branches, none for the balanced ones
@@ -37,7 +37,7 @@ def test_branch_displacements_track_photon_imbalance():
 
 
 def test_branch_phases_at_pi():
-    amps, _ = evolve_qubit_state(math.pi, 0.5)
+    amps, _ = _evolve_qubit_state(math.pi, 0.5)
     c_00, c_01, c_10, c_11 = amps
     # unbalanced branches pick up e^{-iB} with B(pi, 0.5) = -(pi - 0)/4
     expected = 0.5 * np.exp(0.25j * math.pi)
@@ -47,7 +47,7 @@ def test_branch_phases_at_pi():
 
 
 def test_amplitudes_and_displacements_vectors():
-    amps, disp = evolve_qubit_state(1.2, 0.7)
+    amps, disp = _evolve_qubit_state(1.2, 0.7)
     assert amps.shape == disp.shape == (len(BASIS_ORDER),)
     # balanced branches (00, 11) keep unit phase and an undisplaced mirror;
     # the single-photon branches (01, 10) share a phase and kick oppositely
@@ -249,7 +249,7 @@ def test_batched_k_sweep_matches_per_point_path():
 def test_stacks_broadcast_and_single_matrices_give_floats():
     t = np.array([0.3, 1.0, math.pi])
     k = np.array([[0.2], [0.5]])
-    amps, disp = evolve_qubit_state(t, k)
+    amps, disp = _evolve_qubit_state(t, k)
     assert amps.shape == disp.shape == (2, 3, 4)
     rhos = reduced_rho_ab(t, k)
     assert rhos.shape == (2, 3, 4, 4)
@@ -311,7 +311,7 @@ def test_bad_matrix_in_a_stack_is_named_by_index(func):
 
 @pytest.mark.parametrize("k", [-0.1, np.array([0.2, -0.3, 0.5])])
 def test_negative_coupling_is_rejected(k):
-    for func in (evolve_qubit_state, reduced_rho_ab):
+    for func in (_evolve_qubit_state, reduced_rho_ab):
         with pytest.raises(ValueError, match="k must be non-negative"):
             func(1.0, k)
     with pytest.raises(ValueError, match="k must be non-negative, got -0.3"):
