@@ -381,19 +381,17 @@ def _scan(func, grid, params, m, r_a, r_b):
         (cells, None), one column per cell for cells."""
         return func(kern, _rows(alpha, index), _rows(beta, index), r_a, r_b)
 
-    def fold(v, cells, index):
-        """Fold v, one row per cell, into the cells' minima.
+    def fold(v, cells, first):
+        """Fold v, one column per cell, into the cells' minima.
 
-        index gives the grid index of each column: one row shared by the
-        cells, or one row per cell.
+        first is the grid index of each column's first row: one for every
+        cell, or one per cell.
         """
-        j = np.argmin(v, axis=1)
-        at = np.arange(cells.size)
-        d, i = v[at, j], (index[at, j] if index.ndim == 2 else index[j])
-        was = d_grid[cells]
+        j = np.argmin(v, axis=0)
+        d, i, was, at = v[j, np.arange(cells.size)], first + j, d_grid[cells], best[cells]
         # np.argmin's order: a NaN before any number, the earliest of equal values
-        won = (d < was) | ((d == was) & (i < best[cells])) | (np.isnan(d) & ~np.isnan(was))
-        d_grid[cells[won]], best[cells[won]] = d[won], i[won]
+        won = (d < was) | ((d == was) & (i < at)) | (np.isnan(d) & ~np.isnan(was))
+        d_grid[cells], best[cells] = np.where(won, d, was), np.where(won, i, at)
 
     def gather(kern, points):
         """kern at the slab points an index selects."""
@@ -423,11 +421,10 @@ def _scan(func, grid, params, m, r_a, r_b):
     if bounds is None:
         rows = _TEMP_ELEMENTS // slab
         for start, kern in walk:
-            index = np.arange(start, start + kern[0].size)
             for lo in range(0, m, rows):
                 cells = np.arange(lo, min(lo + rows, m))
                 v = values(kern if shared else couple(kern, cells), (cells, None))
-                fold(v.reshape(cells.size, -1), cells, index)
+                fold(v.reshape(cells.size, -1).T, cells, start)
         evaluated = m * n
     else:
         total = np.broadcast_to(total, (m,))
@@ -454,8 +451,8 @@ def _scan(func, grid, params, m, r_a, r_b):
                 for begin, kern in walk:
                     mine = (first >= begin) & (first < begin + kern.t.size)
                     if mine.any():
-                        own = np.minimum(first[mine, None] - begin + np.arange(_SCAN_BLOCK), kern.t.size - 1)
-                        fold(values(gather(kern, own.T), cells[mine]).T, cells[mine], own + begin)
+                        own = np.minimum(first[mine] - begin + np.arange(_SCAN_BLOCK)[:, None], kern.t.size - 1)
+                        fold(values(gather(kern, own), cells[mine]), cells[mine], first[mine])
                 evaluated += int(np.minimum(_SCAN_BLOCK, n - first).sum())
                 survives = floor <= d_grid[cells, None] + _BOUND_MARGIN * (1.0 + tot)
                 survives[np.arange(cells.size), lowest] = False
@@ -464,11 +461,10 @@ def _scan(func, grid, params, m, r_a, r_b):
                 begin, kern = walk[block * _SCAN_BLOCK // slab]
                 points = slice(block * _SCAN_BLOCK - begin, block * _SCAN_BLOCK - begin + _SCAN_BLOCK)
                 part = gather(kern, (points, None))
-                index = np.arange(block * _SCAN_BLOCK, block * _SCAN_BLOCK + part.t.size)
                 cells = members[(keep[:, block >> 3] & (128 >> (block & 7))) != 0]
                 for lo in range(0, cells.size, per_call):
                     sub = cells[lo:lo + per_call]
-                    fold(values(part, sub).reshape(index.size, -1).T, sub, index)
+                    fold(values(part, sub).reshape(part.t.size, -1), sub, block * _SCAN_BLOCK)
                 evaluated += cells.size * part.t.size
 
     # both grid neighbours of each minimum, evaluated exactly
