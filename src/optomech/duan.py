@@ -388,10 +388,11 @@ def _scan(func, grid, params, m, r_a, r_b):
         cell, or one per cell.
         """
         j = np.argmin(v, axis=0)
-        d, i, was, at = v[j, np.arange(cells.size)], first + j, d_grid[cells], best[cells]
+        d, i = v[j, np.arange(cells.size)], first + j
+        was_d, was_i = d_grid[cells], best[cells]
         # np.argmin's order: a NaN before any number, the earliest of equal values
-        won = (d < was) | ((d == was) & (i < at)) | (np.isnan(d) & ~np.isnan(was))
-        d_grid[cells], best[cells] = np.where(won, d, was), np.where(won, i, at)
+        won = (d < was_d) | ((d == was_d) & (i < was_i)) | (np.isnan(d) & ~np.isnan(was_d))
+        d_grid[cells], best[cells] = np.where(won, d, was_d), np.where(won, i, was_i)
 
     def gather(kern, points):
         """kern at the slab points an index selects."""
@@ -521,8 +522,8 @@ def window_minima(
       and nbar (cos 2B, the thermal exponent) once per slab when every cell
       shares k and nbar. Each cell keeps a running minimum with np.argmin's
       rule: a NaN before any number, then the earliest of equal values. No
-      temporary holds more than _TEMP_ELEMENTS grid values, whatever the
-      grid or the number of cells. Both grid neighbours of each minimum are
+      temporary of the scan holds more than _TEMP_ELEMENTS grid values,
+      whatever the grid or the number of cells. Both grid neighbours of each minimum are
       then evaluated exactly for the strict-interior test;
     - every cell whose grid minimum is a strict interior local minimum is
       refined by one golden-section search across those cells, on the

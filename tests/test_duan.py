@@ -382,7 +382,7 @@ def test_window_minima_builds_shared_k_kernels_once(monkeypatch, shared):
     if shared:
         # the bounded scan folds 32-point blocks, so one slab holds the grid
         # and its (k, nbar) arrays are built once
-        slabs, couplings = math.ceil(4001 / budget), math.ceil(4001 / budget)
+        slabs = couplings = math.ceil(4001 / budget)
     else:
         # slabs of budget / 8 points, each coupled to groups of 8 cells
         slabs = math.ceil(4001 / (budget // 8))
