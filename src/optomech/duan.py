@@ -523,8 +523,8 @@ def window_minima(
       shares k and nbar. Each cell keeps a running minimum with np.argmin's
       rule: a NaN before any number, then the earliest of equal values. No
       temporary of the scan holds more than _TEMP_ELEMENTS grid values,
-      whatever the grid or the number of cells. Both grid neighbours of each minimum are
-      then evaluated exactly for the strict-interior test;
+      whatever the grid or the number of cells. Both grid neighbours of
+      each minimum are then evaluated exactly for the strict-interior test;
     - every cell whose grid minimum is a strict interior local minimum is
       refined by one golden-section search across those cells, on the
       bracket of its two grid neighbours. All those searches step together,
