@@ -9,15 +9,11 @@ and a CSV-producing command line front end (cli).
 """
 
 from .core import (
-    CODATA2018,
-    PhysicalConstants,
     SystemParams,
     big_b,
-    energy_eigenvalue,
     energy_eigenvalue_scaled,
     eta,
     thermal_occupation,
-    x_zpf,
     xi,
 )
 from .design import (
@@ -26,14 +22,12 @@ from .design import (
     DesignReport,
     DesignSearchSpace,
     HeatingBudget,
-    NanoparticleSpec,
     OptimizeResult,
     atom_coupling,
     cavity_linewidth,
     design_report,
     entanglement_period,
     heating_budget,
-    nanoparticle_coupling,
     optimize_design,
 )
 from .duan import (
@@ -65,15 +59,11 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # core
-    "CODATA2018",
-    "PhysicalConstants",
     "SystemParams",
     "eta",
     "big_b",
     "xi",
     "thermal_occupation",
-    "x_zpf",
-    "energy_eigenvalue",
     "energy_eigenvalue_scaled",
     # qubit
     "reduced_rho_ab",
@@ -98,13 +88,11 @@ __all__ = [
     # design
     "CavityGeometry",
     "AtomEnsembleSpec",
-    "NanoparticleSpec",
     "HeatingBudget",
     "DesignReport",
     "DesignSearchSpace",
     "OptimizeResult",
     "atom_coupling",
-    "nanoparticle_coupling",
     "cavity_linewidth",
     "entanglement_period",
     "heating_budget",

@@ -19,7 +19,6 @@ import csv
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import dataclass
 
@@ -28,6 +27,7 @@ import numpy as np
 from . import __version__, certify
 from .core import SystemParams, thermal_occupation
 from .design import (
+    TEMPERATURE_K,
     CavityGeometry,
     DesignSearchSpace,
     cavity_linewidth,
@@ -133,19 +133,19 @@ _OPERATING_POINT = {
     "finesse": (_GEOMETRY.finesse, _number(exclusive_min=1.0)),
 }
 
-#: design field -> (DesignSearchSpace field, validator) of the search domain
+#: DesignSearchSpace field -> validator of the search domain
 _SEARCH_FIELDS = {
-    "finesse_eval": ("finesse_eval", _number(exclusive_min=1.0)),
-    "L_min_m": ("L_min", _POS),
-    "L_max_m": ("L_max", _POS),
-    "L_step_m": ("L_step", _POS),
-    "N_min": ("N_min", _number(minimum=1.0)),
-    "N_max": ("N_max", _number(minimum=1.0)),
-    "N_step": ("N_step", _POS),
-    "trap_frequencies_Hz": ("trap_frequencies_Hz", _number_list(exclusive_min=0.0)),
-    "exclusion_halfwidth": ("exclusion_halfwidth", _NONNEG),
-    "exclusion_n_max": ("exclusion_n_max", _integer(0)),
-    "plateau_rtol": ("plateau_rtol", _NONNEG),
+    "finesse_eval": _number(exclusive_min=1.0),
+    "L_min_m": _POS,
+    "L_max_m": _POS,
+    "L_step_m": _POS,
+    "N_min": _number(minimum=1.0),
+    "N_max": _number(minimum=1.0),
+    "N_step": _POS,
+    "trap_frequencies_Hz": _number_list(exclusive_min=0.0),
+    "exclusion_halfwidth": _NONNEG,
+    "exclusion_n_max": _integer(0),
+    "plateau_rtol": _NONNEG,
 }
 
 #: command -> field -> (default, validator)
@@ -160,7 +160,7 @@ FIELDS: dict[str, dict[str, tuple]] = {
         "k": (0.74, _NONNEG),
         "alpha": (0.5, _ANY),
         "beta": (0.5, _ANY),
-        "temperature_K": (_ATOMS.T, _POS),
+        "temperature_K": (TEMPERATURE_K, _POS),
         **_OPERATING_POINT,
         "t_min": (0.0, _NONNEG),
         "t_max": (None, _optional(_POS)),
@@ -184,7 +184,7 @@ FIELDS: dict[str, dict[str, tuple]] = {
         "beta_max": (2.0, _POS),
         "beta_step": (0.02, _POS),
         "k": (0.74, _NONNEG),
-        "temperature_K": (_ATOMS.T, _POS),
+        "temperature_K": (TEMPERATURE_K, _POS),
         **_OPERATING_POINT,
         "window_scaled": (None, _optional(_POS)),
     },
@@ -193,8 +193,8 @@ FIELDS: dict[str, dict[str, tuple]] = {
         "report_finesse": (_GEOMETRY.finesse, _number(exclusive_min=1.0)),
         # the search defaults are DesignSearchSpace's own
         **{
-            name: (getattr(DesignSearchSpace, attr), check)
-            for name, (attr, check) in _SEARCH_FIELDS.items()
+            name: (getattr(DesignSearchSpace, name), check)
+            for name, check in _SEARCH_FIELDS.items()
         },
     },
     "oracle-check": {
@@ -490,14 +490,12 @@ def run_fig4b(cfg: RunConfig) -> ResultTable:
 
 
 def _search_space(radius: float, search: dict) -> DesignSearchSpace:
-    """The search domain at one mirror radius; its ValueError names the CLI fields."""
+    """The search domain at one mirror radius; its ValueError names the field."""
     try:
         return DesignSearchSpace(R_mirror=radius, **search)
     except ValueError as exc:
-        # "L_max must be finite and >= L_min, got ..." names DesignSearchSpace's fields
-        cli_name = {attr: name for name, (attr, _) in _SEARCH_FIELDS.items()}
-        text = re.sub(r"\w+", lambda word: cli_name.get(word[0], word[0]), str(exc))
-        field, _, rest = text.partition(" ")
+        # "L_max_m must be finite and >= L_min_m, got ...": the field comes first
+        field, _, rest = str(exc).partition(" ")
         raise _CliError(f"field {field!r}: {rest}") from None
 
 
@@ -507,7 +505,7 @@ def run_design(cfg: RunConfig) -> tuple[ResultTable, dict]:
         "mirror_radius_m", "cavity_length_m", "atom_number", "trap_frequency_Hz",
         "k", "ratio_at_eval_finesse", "min_finesse_for_unity_ratio",
     ]
-    search = {attr: v[name] for name, (attr, _) in _SEARCH_FIELDS.items()}
+    search = {name: v[name] for name in _SEARCH_FIELDS}
     optimized = []
     for radius in v["radii_m"]:
         result = optimize_design(_search_space(radius, search))

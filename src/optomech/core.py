@@ -23,30 +23,23 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "PhysicalConstants",
-    "CODATA2018",
+    "HBAR",
+    "K_B",
+    "C_LIGHT",
+    "EPSILON_0",
     "SystemParams",
     "eta",
     "big_b",
     "xi",
     "thermal_occupation",
-    "x_zpf",
-    "energy_eigenvalue",
     "energy_eigenvalue_scaled",
 ]
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """SI constants, CODATA 2018 values."""
-
-    hbar: float = 1.054571817e-34        # J s
-    k_B: float = 1.380649e-23            # J / K
-    c: float = 299792458.0               # m / s
-    epsilon_0: float = 8.8541878128e-12  # F / m
-
-
-CODATA2018 = PhysicalConstants()
+# SI constants, CODATA 2018 values
+HBAR = 1.054571817e-34        # J s
+K_B = 1.380649e-23            # J / K
+C_LIGHT = 299792458.0         # m / s
+EPSILON_0 = 8.8541878128e-12  # F / m
 
 
 @dataclass(frozen=True)
@@ -126,18 +119,9 @@ def thermal_occupation(T: float, omega_m: float) -> float:
         raise ValueError(f"temperature must be positive, got {T!r}")
     if not (omega_m > 0):
         raise ValueError(f"omega_m must be positive, got {omega_m!r}")
-    x = CODATA2018.hbar * omega_m / (CODATA2018.k_B * T)
+    x = HBAR * omega_m / (K_B * T)
     with np.errstate(over="ignore"):
         return float(1.0 / np.expm1(x))
-
-
-def x_zpf(m: float, omega_m: float) -> float:
-    """Zero-point position spread sqrt(hbar / (2 m omega_m)) in meters."""
-    if not (m > 0):
-        raise ValueError(f"mass must be positive, got {m!r}")
-    if not (omega_m > 0):
-        raise ValueError(f"omega_m must be positive, got {omega_m!r}")
-    return math.sqrt(CODATA2018.hbar / (2.0 * m * omega_m))
 
 
 def energy_eigenvalue_scaled(n: int, m: int, l: int, k: float, r_a: float, r_b: float) -> float:
@@ -146,13 +130,3 @@ def energy_eigenvalue_scaled(n: int, m: int, l: int, k: float, r_a: float, r_b: 
         raise ValueError(f"quantum numbers must be non-negative, got {(n, m, l)}")
     return r_a * n + r_b * m + l - k ** 2 * (n - m) ** 2
 
-
-def energy_eigenvalue(n: int, m: int, l: int, p: SystemParams) -> float:
-    """Joint eigenenergy in joules.
-
-    E = hbar (omega_a n + omega_b m + omega_m l) - hbar omega_m k**2 (n - m)**2.
-    The last term is the photon-number conditioned shift of the displaced
-    mechanical oscillator.
-    """
-    scaled = energy_eigenvalue_scaled(n, m, l, p.k, p.r_a, p.r_b)
-    return CODATA2018.hbar * p.omega_m * scaled

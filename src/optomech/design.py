@@ -1,19 +1,17 @@
 """SI-unit feasibility calculators and a grid-search design optimizer.
 
-Two physical backends produce the bare coupling g0: a trapped ultracold
-atomic ensemble dispersively coupled to the two cavity modes, and a
-levitated dielectric nanoparticle. On top of those sit the cavity
+The bare coupling g0 comes from a trapped ultracold atomic ensemble
+dispersively coupled to the two cavity modes. On top of it sit the cavity
 linewidth/photon-lifetime calculator, the entanglement-period estimate,
 a heating budget, and a grid search that minimizes the ratio of
 entanglement period to photon lifetime over cavity length, atom number and
 trap frequency.
 
-Atomic constants that the coupling formula needs but that are not uniquely
-fixed by the physics (dipole moment, detuning) are explicit configuration
-inputs. Their defaults are for the 87Rb D2 line, with the detuning
-calibrated once against CALIBRATION_REFERENCE below so that the reference
-configuration reproduces its known coupling; everything downstream of that
-single anchor is prediction, not fit.
+An ensemble is its atom number and trap frequency; every other atomic
+input is a module constant for the 87Rb D2 line. The cavity-atom detuning
+is calibrated once against CALIBRATION_REFERENCE below so that the
+reference configuration reproduces its known coupling; everything
+downstream of that single anchor is prediction, not fit.
 """
 
 from __future__ import annotations
@@ -24,13 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CODATA2018, x_zpf
+from .core import C_LIGHT, EPSILON_0, HBAR, K_B
 from .duan import entanglement_period
 
 __all__ = [
     "CavityGeometry",
     "AtomEnsembleSpec",
-    "NanoparticleSpec",
     "HeatingBudget",
     "DesignReport",
     "DesignSearchSpace",
@@ -38,11 +35,12 @@ __all__ = [
     "RB87_MASS_KG",
     "RB87_D2_WAVELENGTH_M",
     "RB87_D2_DIPOLE_CM",
-    "DEFAULT_DETUNING_RAD_S",
+    "DETUNING_RAD_S",
+    "GAMMA_RAD_S",
+    "TEMPERATURE_K",
     "CALIBRATION_REFERENCE",
     "cavity_linewidth",
     "atom_coupling",
-    "nanoparticle_coupling",
     "entanglement_period",
     "heating_budget",
     "design_report",
@@ -59,9 +57,16 @@ RB87_D2_WAVELENGTH_M = 780.0e-9
 RB87_D2_DIPOLE_CM = 3.584e-29       # reduced dipole matrix element, 4.227 e*a0
 # Cavity-atom detuning, order 2*pi x 32 GHz. Fixed by requiring that
 # CALIBRATION_REFERENCE below reproduce k = 9.50; see that constant.
-DEFAULT_DETUNING_RAD_S = 2.0297e11
+DETUNING_RAD_S = 2.0297e11
+#: atomic decay rate Gamma of the heating budget
+GAMMA_RAD_S = 2.0 * math.pi * 1.0e3
+#: ensemble temperature T: the thermal energy of the heating budget, and
+#: the CLI's default temperature_K
+TEMPERATURE_K = 0.8e-6
+#: probe and cavity wavenumber 2 pi / lambda
+_WAVENUMBER = 2.0 * math.pi / RB87_D2_WAVELENGTH_M
 
-#: Reference ultracold-atom configuration used to pin the detuning default.
+#: Reference ultracold-atom configuration used to pin the detuning.
 #: With the constants above, atom_coupling reproduces k = g0/omega_m = 9.50
 #: here to better than 0.1%.
 CALIBRATION_REFERENCE = {
@@ -108,50 +113,16 @@ class CavityGeometry:
 
 @dataclass(frozen=True)
 class AtomEnsembleSpec:
-    """Trapped atomic ensemble: count, single-atom mass, trap frequency, optical constants."""
+    """Trapped 87Rb ensemble: atom count and trap frequency omega_m in rad/s."""
 
     N: float
-    m_atom: float = RB87_MASS_KG
     omega_m: float = 2.0 * math.pi * 95.0e3
-    Delta_ca: float = DEFAULT_DETUNING_RAD_S
-    d: float = RB87_D2_DIPOLE_CM
-    Gamma: float = 2.0 * math.pi * 1.0e3
-    T: float = 0.8e-6
 
     def __post_init__(self) -> None:
         if self.N < 1:
             raise ValueError(f"need at least one atom, got N={self.N!r}")
-        for name in ("m_atom", "omega_m", "d", "Gamma", "T"):
-            if not (getattr(self, name) > 0):
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        if self.Delta_ca == 0:
-            raise ValueError("Delta_ca must be non-zero")
-
-
-@dataclass(frozen=True)
-class NanoparticleSpec:
-    """Levitated dielectric sphere: radius, refractive index, mass, cavity mode volume, wavenumber."""
-
-    r: float
-    n_p: float
-    m: float
-    V_i: float
-    k_i: float
-
-    def __post_init__(self) -> None:
-        if not (self.r > 0):
-            raise ValueError(f"radius must be positive, got {self.r!r}")
-        if not (self.n_p > 1):
-            raise ValueError(f"refractive index must exceed 1, got {self.n_p!r}")
-        for name in ("m", "V_i", "k_i"):
-            if not (getattr(self, name) > 0):
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-
-    @property
-    def polarizability(self) -> float:
-        """Clausius-Mossotti polarizability 4 pi eps0 r**3 (n**2-1)/(n**2+2)."""
-        n2 = self.n_p ** 2
-        return 4.0 * math.pi * CODATA2018.epsilon_0 * self.r ** 3 * (n2 - 1.0) / (n2 + 2.0)
+        if not (self.omega_m > 0):
+            raise ValueError(f"omega_m must be positive, got {self.omega_m!r}")
 
 
 @dataclass(frozen=True)
@@ -207,7 +178,7 @@ def _mode_volume(L, R_mirror):
 
 def _free_spectral_range(L):
     """nu_FSR = c / (2 L) in Hz."""
-    return CODATA2018.c / (2.0 * L)
+    return C_LIGHT / (2.0 * L)
 
 
 def _linewidth(L, finesse):
@@ -217,13 +188,11 @@ def _linewidth(L, finesse):
 
 def _coupling(spec: AtomEnsembleSpec, L, R_mirror):
     """Collective coupling g0 in rad/s of spec's ensemble in the cavity of each length L."""
-    hbar = CODATA2018.hbar
-    k_a = 2.0 * math.pi / RB87_D2_WAVELENGTH_M
-    omega_c = 2.0 * math.pi * CODATA2018.c / RB87_D2_WAVELENGTH_M
+    omega_c = 2.0 * math.pi * C_LIGHT / RB87_D2_WAVELENGTH_M
     volume = _mode_volume(L, R_mirror)
-    alpha0_sq = spec.d ** 2 * omega_c / (2.0 * hbar * CODATA2018.epsilon_0 * volume)
-    x_zpf_collective = math.sqrt(hbar / (2.0 * spec.N * spec.m_atom * spec.omega_m))
-    return k_a * spec.N * (alpha0_sq / spec.Delta_ca) * x_zpf_collective
+    alpha0_sq = RB87_D2_DIPOLE_CM ** 2 * omega_c / (2.0 * HBAR * EPSILON_0 * volume)
+    x_zpf_collective = math.sqrt(HBAR / (2.0 * spec.N * RB87_MASS_KG * spec.omega_m))
+    return _WAVENUMBER * spec.N * (alpha0_sq / DETUNING_RAD_S) * x_zpf_collective
 
 
 def cavity_linewidth(geom: CavityGeometry) -> tuple[float, float]:
@@ -242,35 +211,21 @@ def atom_coupling(spec: AtomEnsembleSpec, geom: CavityGeometry) -> float:
     return float(_coupling(spec, geom.L, geom.R_mirror))
 
 
-def nanoparticle_coupling(spec: NanoparticleSpec, omega_m: float) -> float:
-    """Dispersive coupling g0 = U_0 k_i x_zpf for a levitated sphere, in rad/s.
-
-    U_0 = omega alpha_pol / (2 eps0 V_i) is the single-photon optical
-    potential depth, with omega = c k_i the optical frequency.
-    """
-    if not (omega_m > 0):
-        raise ValueError(f"omega_m must be positive, got {omega_m!r}")
-    omega_opt = CODATA2018.c * spec.k_i
-    u0 = omega_opt * spec.polarizability / (2.0 * CODATA2018.epsilon_0 * spec.V_i)
-    return u0 * spec.k_i * x_zpf(spec.m, omega_m)
-
-
 #: mean intracavity photon number nbar_cav of the heating budget
 _NBAR_CAV = 0.25
 
 
 def heating_budget(spec: AtomEnsembleSpec, geom: CavityGeometry) -> HeatingBudget:
     """Heating figures for the atomic ensemble; see HeatingBudget for the two groupings."""
-    k_p = 2.0 * math.pi / RB87_D2_WAVELENGTH_M
     g0 = atom_coupling(spec, geom)
     kappa, tau_p = cavity_linewidth(geom)
     kappa_angular = 2.0 * math.pi * kappa
-    recoil_like = (CODATA2018.hbar * k_p) ** 2 / spec.m_atom
-    r_fs = recoil_like * g0 ** 2 * _NBAR_CAV * spec.Gamma / spec.Delta_ca
-    backaction_gain = spec.N * g0 ** 2 / (4.0 * spec.Gamma * kappa_angular)
+    recoil_like = (HBAR * _WAVENUMBER) ** 2 / RB87_MASS_KG
+    r_fs = recoil_like * g0 ** 2 * _NBAR_CAV * GAMMA_RAD_S / DETUNING_RAD_S
+    backaction_gain = spec.N * g0 ** 2 / (4.0 * GAMMA_RAD_S * kappa_angular)
     r_c = backaction_gain * r_fs
-    thermal_energy = CODATA2018.k_B * spec.T
-    r_fs_alt = recoil_like * (g0 / spec.Delta_ca) ** 2 * _NBAR_CAV * spec.Gamma
+    thermal_energy = K_B * TEMPERATURE_K
+    r_fs_alt = recoil_like * (g0 / DETUNING_RAD_S) ** 2 * _NBAR_CAV * GAMMA_RAD_S
     r_c_alt = backaction_gain * r_fs_alt
     return HeatingBudget(
         r_fs=r_fs,
@@ -329,9 +284,9 @@ class DesignSearchSpace:
     """
 
     R_mirror: float
-    L_min: float = 200.0e-6
-    L_max: float = 1250.0e-6
-    L_step: float = 2.0e-6
+    L_min_m: float = 200.0e-6
+    L_max_m: float = 1250.0e-6
+    L_step_m: float = 2.0e-6
     N_min: float = 1.0e5
     N_max: float = 5.8e5
     N_step: float = 1.0e3
@@ -347,11 +302,11 @@ class DesignSearchSpace:
                 raise ValueError(f"{name} must be {want}, got {getattr(self, name)!r}")
 
         # chained comparisons with math.inf also turn NaN away
-        for name in ("R_mirror", "L_min", "L_step", "N_step"):
+        for name in ("R_mirror", "L_min_m", "L_step_m", "N_step"):
             need(name, 0 < getattr(self, name) < math.inf, "positive and finite")
         for name in ("exclusion_halfwidth", "plateau_rtol"):
             need(name, 0 <= getattr(self, name) < math.inf, "non-negative and finite")
-        need("L_max", self.L_min <= self.L_max < math.inf, "finite and >= L_min")
+        need("L_max_m", self.L_min_m <= self.L_max_m < math.inf, "finite and >= L_min_m")
         need("N_min", 1 <= self.N_min < math.inf, "finite and >= 1")
         need("N_max", self.N_min <= self.N_max < math.inf, "finite and >= N_min")
         need("finesse_eval", 1 < self.finesse_eval < math.inf, "finite and > 1")
@@ -436,7 +391,7 @@ def optimize_design(search: DesignSearchSpace) -> OptimizeResult:
     2 R_mirror or every coupling lands in an exclusion band.
     """
     where = f"design search at mirror radius {search.R_mirror} m"
-    L_values = np.arange(search.L_min, search.L_max + 0.5 * search.L_step, search.L_step)
+    L_values = np.arange(search.L_min_m, search.L_max_m + 0.5 * search.L_step_m, search.L_step_m)
     L_values = L_values[L_values < 2.0 * search.R_mirror]
     N_values = np.arange(search.N_min, search.N_max + 0.5 * search.N_step, search.N_step)
     if L_values.size == 0:

@@ -272,7 +272,7 @@ class WindowMinima:
 #: bounds the scan's memory whatever the grid; 2**14 (128 KiB, glibc's mmap
 #: threshold) took thousands of page faults per fig4a call, 2**13 none
 _TEMP_ELEMENTS = 2 ** 13
-#: consecutive grid points per block of a bounded scan; slabs hold whole blocks
+#: consecutive grid points per block of a bounded scan
 _SCAN_BLOCK = 32
 #: slack of the bounded scan's pruning test, relative to 1 + alpha**2 + beta**2
 _BOUND_MARGIN = 1e-9
@@ -357,19 +357,12 @@ def _block_floor(total, cross, bounds):
 def _scan(func, grid, params, m, r_a, r_b):
     """(best, d_grid, strict, evaluated): each cell's first grid minimum of func.
 
-    The grid is walked in slabs of consecutive points whose kernels are
-    built once; see `window_minima` for the method.
+    Kernels are built once per slab of consecutive points, or once for the
+    whole grid where a floor bounds the scan; see `window_minima`.
     """
     alpha, beta, nbar, k = params
     n = grid.size
     shared = np.ndim(nbar) == np.ndim(k) == 0
-    bounded = shared and func is _ab_lower
-    # a slab's kernels are built once. A whole slab times a group of up to 8
-    # cells fills one temporary; a bounded scan folds 32-point blocks instead
-    slab = _TEMP_ELEMENTS // (1 if bounded else min(max(m, 1), 8)) // _SCAN_BLOCK * _SCAN_BLOCK
-    walk = ((start, _time_kernels(grid[start:start + slab])) for start in range(0, n, slab))
-    if shared:
-        walk = ((start, _kernels(time, k, nbar)) for start, time in walk)
     best, d_grid = np.full(m, n, dtype=np.intp), np.full(m, np.inf)
 
     def couple(time, cells):
@@ -395,33 +388,36 @@ def _scan(func, grid, params, m, r_a, r_b):
         d_grid[cells], best[cells] = np.where(won, d, was_d), np.where(won, i, was_i)
 
     def gather(kern, points):
-        """kern at the slab points an index selects."""
+        """kern at the grid points an index selects."""
         return _Kernels(*(a[points] if isinstance(a, np.ndarray) else a for a in kern))
 
     bounds = None
-    if bounded:
-        # the floors need every block's bounds before the first block is
-        # skipped, so the slabs are kept; an envelope grid fills one slab
-        walk = list(walk)
-        per_slab = []
-        for _, kern in walk:
-            starts = np.arange(0, kern.t.size, _SCAN_BLOCK)
-            cos_twob, sin_twob = kern.cos_twob, np.abs(np.sin(kern.twob))
-            per_slab.append((
-                np.minimum.reduceat(cos_twob, starts),
-                np.maximum.reduceat(cos_twob, starts),
-                np.maximum.reduceat(sin_twob, starts),
-                np.minimum.reduceat(kern.thermal, starts),
-                np.maximum.reduceat(kern.thermal, starts),
-            ))
-        bounds = tuple(np.concatenate(b) for b in zip(*per_slab))
+    if shared and func is _ab_lower:
+        # only an envelope grid scans _ab_lower, and its at most 4,002 points
+        # fit one temporary, so its kernels and block bounds are built once
+        kern = _kernels(_time_kernels(grid), k, nbar)
+        starts = np.arange(0, n, _SCAN_BLOCK)
+        sin_twob = np.abs(np.sin(kern.twob))
+        bounds = (
+            np.minimum.reduceat(kern.cos_twob, starts),
+            np.maximum.reduceat(kern.cos_twob, starts),
+            np.maximum.reduceat(sin_twob, starts),
+            np.minimum.reduceat(kern.thermal, starts),
+            np.maximum.reduceat(kern.thermal, starts),
+        )
         total = alpha ** 2 + beta ** 2
         if not (np.all(np.isfinite(4.0 * total)) and all(np.all(np.isfinite(b)) for b in bounds)):
             bounds = None  # a bound or a grid value could overflow
 
     if bounds is None:
+        # a slab's kernels are built once, and a whole slab times a group of
+        # up to 8 cells fills one temporary
+        slab = _TEMP_ELEMENTS // min(max(m, 1), 8)
         rows = _TEMP_ELEMENTS // slab
-        for start, kern in walk:
+        for start in range(0, n, slab):
+            kern = _time_kernels(grid[start:start + slab])
+            if shared:
+                kern = _kernels(kern, k, nbar)
             for lo in range(0, m, rows):
                 cells = np.arange(lo, min(lo + rows, m))
                 v = values(kern if shared else couple(kern, cells), (cells, None))
@@ -449,19 +445,14 @@ def _scan(func, grid, params, m, r_a, r_b):
                 # block; blocks are evaluated one column per cell, so that the
                 # inner loops run across the cells
                 first = lowest * _SCAN_BLOCK
-                for begin, kern in walk:
-                    mine = (first >= begin) & (first < begin + kern.t.size)
-                    if mine.any():
-                        own = np.minimum(first[mine] - begin + np.arange(_SCAN_BLOCK)[:, None], kern.t.size - 1)
-                        fold(values(gather(kern, own), cells[mine]), cells[mine], first[mine])
+                own = np.minimum(first + np.arange(_SCAN_BLOCK)[:, None], n - 1)
+                fold(values(gather(kern, own), cells), cells, first)
                 evaluated += int(np.minimum(_SCAN_BLOCK, n - first).sum())
                 survives = floor <= d_grid[cells, None] + _BOUND_MARGIN * (1.0 + tot)
                 survives[np.arange(cells.size), lowest] = False
                 keep[lo:lo + rows] = np.packbits(survives, axis=1)
             for block in np.flatnonzero(np.unpackbits(np.bitwise_or.reduce(keep, axis=0))):
-                begin, kern = walk[block * _SCAN_BLOCK // slab]
-                points = slice(block * _SCAN_BLOCK - begin, block * _SCAN_BLOCK - begin + _SCAN_BLOCK)
-                part = gather(kern, (points, None))
+                part = gather(kern, (slice(block * _SCAN_BLOCK, (block + 1) * _SCAN_BLOCK), None))
                 cells = members[(keep[:, block >> 3] & (128 >> (block & 7))) != 0]
                 for lo in range(0, cells.size, per_call):
                     sub = cells[lo:lo + per_call]
@@ -517,10 +508,10 @@ def window_minima(
       `scanned_cells` counts the distinct cells;
     - one scan finds each cell's first grid minimum, in either mode, for
       every bipartition and for shared or per-cell k and nbar. It walks the
-      grid in slabs of consecutive points, whole blocks of 32, and builds
-      each slab's time kernels once, and the arrays that depend only on k
-      and nbar (cos 2B, the thermal exponent) once per slab when every cell
-      shares k and nbar. Each cell keeps a running minimum with np.argmin's
+      grid in slabs of consecutive points and builds each slab's time
+      kernels once, and the arrays that depend only on k and nbar (cos 2B,
+      the thermal exponent) once per slab when every cell shares k and
+      nbar. Each cell keeps a running minimum with np.argmin's
       rule: a NaN before any number, then the earliest of equal values. No
       temporary of the scan holds more than _TEMP_ELEMENTS grid values,
       whatever the grid or the number of cells. Both grid neighbours of
@@ -538,7 +529,9 @@ def window_minima(
 
     Where a certified floor exists, the scan skips blocks of 32 points
     instead of evaluating every grid value. Today that is "AB" in envelope
-    mode with k and nbar shared by every cell (fig4b):
+    mode with k and nbar shared by every cell (fig4b). An envelope grid
+    holds at most 4,002 points, within one temporary, so this scan builds
+    the kernels of the whole grid once:
 
     - with T = alpha**2 + beta**2 and
       S = (1 - env cos 2B)**2 + (env sin 2B)**2, the envelope is

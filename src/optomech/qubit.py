@@ -26,7 +26,6 @@ import numpy as np
 from .core import big_b, xi
 
 __all__ = [
-    "check_density_matrix",
     "reduced_rho_ab",
     "concurrence",
     "von_neumann_entropy",
@@ -97,25 +96,17 @@ _TRACE_TOL = 1e-12
 _EIG_FLOOR = -1e-10
 
 
-def check_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity up to numerical noise.
-
-    Takes one square matrix or a stack of them (..., n, n). Returns the
-    input on success, raises ValueError otherwise, naming the first bad
-    matrix of a stack by its index.
-    """
-    rho = np.asarray(rho)
-    _checked_spectrum(rho)
-    return rho
-
-
 def _checked_spectrum(rho: np.ndarray, *, vectors: bool = False):
-    """Run the checks of `check_density_matrix` and return the spectrum.
+    """Validate a density matrix and return its spectrum.
 
-    The positivity check needs the eigenvalues of the Hermitian part anyway,
-    so the measures take them from here instead of diagonalizing twice.
-    Returns the ascending eigenvalues of the Hermitian part, with the
-    eigenvectors if `vectors` (else None), from one call for the stack.
+    Takes one square matrix or a stack of them (..., n, n) and raises
+    ValueError unless each is Hermitian, of unit trace and positive
+    semidefinite up to numerical noise, naming the first bad matrix of a
+    stack by its index. The positivity check needs the eigenvalues of the
+    Hermitian part anyway, so the measures take them from here instead of
+    diagonalizing twice. Returns the ascending eigenvalues of the Hermitian
+    part, with the eigenvectors if `vectors` (else None), from one call for
+    the stack.
     """
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")

@@ -365,7 +365,7 @@ _WHERE = "design search at mirror radius"
             ["radii_m=[0.05]", "exclusion_halfwidth=50.0"],
             f"{_WHERE} 0.05 m: no feasible design: every coupling lands in an exclusion band",
         ),
-        # 2 x 0.0001 m is the default L_min, so no length fits
+        # 2 x 0.0001 m is the default L_min_m, so no length fits
         (["radii_m=[0.0001]"], f"{_WHERE} 0.0001 m: empty search grid"),
     ],
     ids=["all-excluded", "empty-grid"],

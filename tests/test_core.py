@@ -5,14 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from optomech.core import (
-    CODATA2018,
     SystemParams,
     big_b,
-    energy_eigenvalue,
     energy_eigenvalue_scaled,
     eta,
     thermal_occupation,
-    x_zpf,
     xi,
 )
 
@@ -76,30 +73,11 @@ def test_thermal_occupation_rejects_nonpositive(bad_T, bad_omega):
         thermal_occupation(bad_T, bad_omega)
 
 
-def test_x_zpf_frozen_values():
-    assert x_zpf(9.2153e-18, 2.0 * math.pi * 1e5) == pytest.approx(3.0177163047275433e-12, rel=1e-12)
-    # single Rb-87 atom in a 95 kHz trap
-    assert x_zpf(1.44316e-25, 2.0 * math.pi * 95e3) == pytest.approx(2.4740820832273364e-08, rel=1e-12)
-
-
-def test_x_zpf_scaling():
-    base = x_zpf(1e-20, 1e6)
-    assert x_zpf(4e-20, 1e6) == pytest.approx(base / 2.0, rel=1e-12)
-    assert x_zpf(1e-20, 4e6) == pytest.approx(base / 2.0, rel=1e-12)
-
-
 def test_energy_eigenvalue_scaled():
     # r_a*n + r_b*m + l - k^2 (n - m)^2
     assert energy_eigenvalue_scaled(1, 0, 2, 0.5, 1.3, 0.8) == pytest.approx(1.3 + 2.0 - 0.25)
     assert energy_eigenvalue_scaled(0, 2, 0, 0.5, 1.3, 0.8) == pytest.approx(1.6 - 1.0)
     assert energy_eigenvalue_scaled(2, 2, 3, 0.9, 0.4, 0.6) == pytest.approx(0.8 + 1.2 + 3.0)
-
-
-def test_energy_eigenvalue_joules():
-    omega_m = 2.0 * math.pi * 95e3
-    p = SystemParams(omega_a=2.0 * omega_m, omega_b=2.0 * omega_m, omega_m=omega_m, g0=0.5 * omega_m)
-    scaled = energy_eigenvalue_scaled(1, 1, 0, p.k, p.r_a, p.r_b)
-    assert energy_eigenvalue(1, 1, 0, p) == pytest.approx(CODATA2018.hbar * omega_m * scaled, rel=1e-14)
 
 
 def test_energy_eigenvalue_rejects_negative_quanta():

@@ -6,21 +6,21 @@ import numpy as np
 import pytest
 
 from optomech import duan
-from optomech.core import CODATA2018
+from optomech.core import C_LIGHT, EPSILON_0, HBAR
 from optomech.design import (
     CALIBRATION_REFERENCE,
-    DEFAULT_DETUNING_RAD_S,
+    DETUNING_RAD_S,
+    RB87_D2_DIPOLE_CM,
     RB87_D2_WAVELENGTH_M,
+    RB87_MASS_KG,
     AtomEnsembleSpec,
     CavityGeometry,
     DesignSearchSpace,
-    NanoparticleSpec,
     atom_coupling,
     cavity_linewidth,
     design_report,
     entanglement_period,
     heating_budget,
-    nanoparticle_coupling,
     optimize_design,
     proposed_atom_spec,
     proposed_geometry,
@@ -82,8 +82,6 @@ def test_atom_coupling_scaling_laws():
     base = atom_coupling(spec, geom)
     quadrupled = AtomEnsembleSpec(N=4.0 * spec.N, omega_m=spec.omega_m)
     assert atom_coupling(quadrupled, geom) == pytest.approx(2.0 * base, rel=1e-12)
-    detuned = AtomEnsembleSpec(N=spec.N, omega_m=spec.omega_m, Delta_ca=2.0 * DEFAULT_DETUNING_RAD_S)
-    assert atom_coupling(detuned, geom) == pytest.approx(base / 2.0, rel=1e-12)
 
 
 def test_entanglement_period_by_regime():
@@ -168,29 +166,6 @@ class TestHeatingBudget:
         assert hb.energy_ratio_alt == pytest.approx(5.795259401824266e-07, rel=1e-9)
 
 
-class TestNanoparticle:
-    def test_coupling_frozen(self):
-        spec = NanoparticleSpec(r=50e-9, n_p=1.45, m=1.1e-18, V_i=1e-15, k_i=2 * math.pi / 1064e-9)
-        assert nanoparticle_coupling(spec, 2.0 * math.pi * 1e5) == pytest.approx(
-            19273.202271052534, rel=1e-10
-        )
-
-    def test_index_matched_particle_does_not_couple(self):
-        spec = NanoparticleSpec(
-            r=50e-9, n_p=1.0 + 1e-12, m=1.1e-18, V_i=1e-15, k_i=2 * math.pi / 1064e-9
-        )
-        assert nanoparticle_coupling(spec, 2.0 * math.pi * 1e5) < 1e-6
-
-    def test_polarizability_scales_with_volume(self):
-        small = NanoparticleSpec(r=50e-9, n_p=1.45, m=1.1e-18, V_i=1e-15, k_i=2 * math.pi / 1064e-9)
-        large = NanoparticleSpec(r=100e-9, n_p=1.45, m=1.1e-18, V_i=1e-15, k_i=2 * math.pi / 1064e-9)
-        assert large.polarizability == pytest.approx(8.0 * small.polarizability, rel=1e-12)
-
-    def test_rejects_nonphysical_index(self):
-        with pytest.raises(ValueError):
-            NanoparticleSpec(r=50e-9, n_p=0.9, m=1.1e-18, V_i=1e-15, k_i=2 * math.pi / 1064e-9)
-
-
 class TestOptimizeDesign:
     @pytest.mark.parametrize(
         "R_mirror, L_expect, N_expect, min_finesse_expect",
@@ -216,8 +191,8 @@ class TestOptimizeDesign:
     def test_single_point_grid_returns_that_point(self):
         space = DesignSearchSpace(
             R_mirror=0.05,
-            L_min=810e-6,
-            L_max=810e-6,
+            L_min_m=810e-6,
+            L_max_m=810e-6,
             N_min=568000.0,
             N_max=568000.0,
             trap_frequencies_Hz=(95e3,),
@@ -236,7 +211,7 @@ class TestOptimizeDesign:
 
     def test_empty_grid_raises_naming_the_radius(self):
         # every length at or above 2 R_mirror leaves no cavity to search
-        space = DesignSearchSpace(R_mirror=1.0e-4, L_min=200e-6)
+        space = DesignSearchSpace(R_mirror=1.0e-4, L_min_m=200e-6)
         with pytest.raises(ValueError, match=r"^design search at mirror radius 0\.0001 m: empty search grid$"):
             optimize_design(space)
 
@@ -255,9 +230,9 @@ def test_optimizer_holds_no_grid_in_memory():
 
 _BAD_SEARCH_FIELDS = [
     ("R_mirror", 0.0), ("R_mirror", -0.05), ("R_mirror", math.nan), ("R_mirror", math.inf),
-    ("L_min", 0.0), ("L_min", math.nan),
-    ("L_max", 100e-6), ("L_max", math.inf),
-    ("L_step", 0.0), ("L_step", -1e-6),
+    ("L_min_m", 0.0), ("L_min_m", math.nan),
+    ("L_max_m", 100e-6), ("L_max_m", math.inf),
+    ("L_step_m", 0.0), ("L_step_m", -1e-6),
     ("N_min", 0.5), ("N_min", math.nan),
     ("N_max", 5.0e4), ("N_max", math.inf),
     ("N_step", 0.0), ("N_step", math.nan),
@@ -280,7 +255,7 @@ def test_search_space_rejects_bad_field_by_name(name, value):
 
 def test_search_space_accepts_its_boundary_values():
     space = DesignSearchSpace(
-        R_mirror=0.05, L_max=200e-6, N_min=1.0, N_max=1.0, exclusion_halfwidth=0.0,
+        R_mirror=0.05, L_max_m=200e-6, N_min=1.0, N_max=1.0, exclusion_halfwidth=0.0,
         exclusion_n_max=0, plateau_rtol=0.0, trap_frequencies_Hz=(1,),
     )
     assert optimize_design(space).n_evaluated == 1
@@ -300,21 +275,19 @@ def _inline_k_grids(search):
     Its own copies of the mode volume, coupling and linewidth formulas, in
     their own operation order.
     """
-    L_values = np.arange(search.L_min, search.L_max + 0.5 * search.L_step, search.L_step)
+    L_values = np.arange(search.L_min_m, search.L_max_m + 0.5 * search.L_step_m, search.L_step_m)
     L_values = L_values[L_values < 2.0 * search.R_mirror]
     N_values = np.arange(search.N_min, search.N_max + 0.5 * search.N_step, search.N_step)
-    tmpl = AtomEnsembleSpec(N=1.0e5)
-    hbar = CODATA2018.hbar
     lam = RB87_D2_WAVELENGTH_M
     k_a = 2.0 * math.pi / lam
-    omega_c = 2.0 * math.pi * CODATA2018.c / lam
+    omega_c = 2.0 * math.pi * C_LIGHT / lam
     vol = (lam / 2.0) * L_values * np.sqrt(L_values * (2.0 * search.R_mirror - L_values))
-    alpha0_sq = tmpl.d ** 2 * omega_c / (2.0 * hbar * CODATA2018.epsilon_0 * vol)
-    kappa = CODATA2018.c / (2.0 * L_values) / search.finesse_eval
+    alpha0_sq = RB87_D2_DIPOLE_CM ** 2 * omega_c / (2.0 * HBAR * EPSILON_0 * vol)
+    kappa = C_LIGHT / (2.0 * L_values) / search.finesse_eval
     grids = []
     for omega_m in (2.0 * math.pi * f for f in search.trap_frequencies_Hz):
         g0_per_sqrt_n = (
-            k_a * (alpha0_sq / tmpl.Delta_ca) * math.sqrt(hbar / (2.0 * tmpl.m_atom * omega_m))
+            k_a * (alpha0_sq / DETUNING_RAD_S) * math.sqrt(HBAR / (2.0 * RB87_MASS_KG * omega_m))
         )
         grids.append((omega_m, np.sqrt(N_values)[None, :] * (g0_per_sqrt_n / omega_m)[:, None]))
     return L_values, N_values, kappa, grids
@@ -405,14 +378,14 @@ _EDGE_SEARCHES = {
     "flat-rows-rtol-0": dict(_FLAT_ROWS, plateau_rtol=0.0),
     "flat-rows-overlapping": dict(_FLAT_ROWS, exclusion_halfwidth=0.2, exclusion_n_max=11),
     "single-point": dict(
-        L_min=810e-6, L_max=810e-6, N_min=568000.0, N_max=568000.0, trap_frequencies_Hz=(95.0e3,)
+        L_min_m=810e-6, L_max_m=810e-6, N_min=568000.0, N_max=568000.0, trap_frequencies_Hz=(95.0e3,)
     ),
     "single-point-excluded": dict(
-        L_min=810e-6, L_max=810e-6, N_min=568000.0, N_max=568000.0,
+        L_min_m=810e-6, L_max_m=810e-6, N_min=568000.0, N_max=568000.0,
         trap_frequencies_Hz=(95.0e3,), exclusion_halfwidth=0.05,
     ),
     "all-excluded": dict(exclusion_halfwidth=50.0),
-    "empty-grid": dict(L_min=0.2, L_max=0.3),  # every length above 2 R_mirror
+    "empty-grid": dict(L_min_m=0.2, L_max_m=0.3),  # every length above 2 R_mirror
 }
 
 

@@ -380,9 +380,8 @@ def test_window_minima_builds_shared_k_kernels_once(monkeypatch, shared):
     assert not res.refined.any()
     budget = duan_module._TEMP_ELEMENTS
     if shared:
-        # the bounded scan folds 32-point blocks, so one slab holds the grid
-        # and its (k, nbar) arrays are built once
-        slabs = couplings = math.ceil(4001 / budget)
+        # the bounded scan builds the kernels of the whole grid once
+        slabs = couplings = 1
     else:
         # slabs of budget / 8 points, each coupled to groups of 8 cells
         slabs = math.ceil(4001 / (budget // 8))
@@ -580,12 +579,33 @@ def test_bounded_scan_is_bitwise_the_full_scan_on_fig4b(monkeypatch, temperature
 
 
 def test_bounded_scan_across_slabs_and_groups(monkeypatch):
-    # a budget of 2**10 cuts fig4b's grid into 4 slabs, its 5,151 cells into
-    # 11 groups of survivor masks and its block folds into 32 cells each
+    # a budget of 2**10 cuts fig4b's 5,151 cells into 11 groups of survivor
+    # masks (10 of 512 cells, one of 31), their floors into chunks of 8 cells
+    # and their block folds into 32 cells each
     monkeypatch.setattr(duan_module, "_TEMP_ELEMENTS", 2 ** 10)
+    floors = []
+    real = duan_module._block_floor
+    monkeypatch.setattr(duan_module, "_block_floor", lambda *args: floors.append(args[0].size) or real(*args))
     window, r_a, r_b, cells = _fig4b_cells(_FIG4B_TEMPERATURES[0])
     res, _, _ = _bounded_against_reference(monkeypatch, window, r_a, r_b, **cells)
     assert res.scanned_cells == 5151
+    # the scan's floor chunks, then the reference's rows of 16 cells
+    assert floors == [8] * (10 * 64 + 3) + [7] + [16] * 321 + [15]
+
+
+def test_envelope_grid_fits_one_temporary():
+    # the bounded scan builds the kernels of the whole envelope grid at once,
+    # which keeps its temporaries within _TEMP_ELEMENTS only while no
+    # envelope grid is longer: a step of t_max / 4000 gives 4,001 points, or
+    # 4,002 where t_max / step rounds above 4000
+    rng = np.random.default_rng(22000)
+    sizes = set()
+    for window in 10.0 ** rng.uniform(-6.0, 12.0, 22_000):
+        grid, mode = duan_module._scan_grid(float(window), 1e18)
+        assert mode == "envelope"
+        sizes.add(grid.size)
+    assert sizes <= {4001, 4002}
+    assert 4002 <= duan_module._TEMP_ELEMENTS
 
 
 _RNG = np.random.default_rng(20260)
@@ -629,9 +649,10 @@ def test_bounded_scan_is_bitwise_the_full_scan(monkeypatch, case):
 @pytest.mark.parametrize("mode", sorted(_WINDOWS))
 @pytest.mark.parametrize("bipartition", ["AB", "AC", "BC"])
 def test_scan_is_bitwise_the_whole_grid_reference(monkeypatch, bipartition, mode, cells):
-    # a budget of 2**9 cuts every grid into slabs of 64 points for groups of
-    # 8 cells, or of 512 points for the bounded scan, so slab and group
-    # edges fall inside each grid
+    # a budget of 2**9 cuts every grid without a floor into slabs of 64
+    # points for groups of 8 cells, and the bounded scan's cells into small
+    # floor chunks and block folds, so slab and group edges fall inside each
+    # grid
     monkeypatch.setattr(duan_module, "_TEMP_ELEMENTS", 2 ** 9)
     window, r_a, r_b = _WINDOWS[mode]
     res, ref, scan, ref_scan = _scan_against_reference(monkeypatch, bipartition, window, r_a, r_b, **_CELLS[cells])

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from optomech.core import big_b, xi
 from optomech.qubit import (
     BASIS_ORDER,
+    _checked_spectrum,
     _evolve_qubit_state,
-    check_density_matrix,
     concurrence,
     reduced_rho_ab,
     von_neumann_entropy,
@@ -119,16 +119,18 @@ def test_entropy_reference_states():
 
 def test_check_density_matrix_rejects_bad_input():
     good = np.eye(4) / 4.0
-    check_density_matrix(good)
-    with pytest.raises(ValueError):
-        check_density_matrix(good * 2.0)  # trace 2
+    _checked_spectrum(good)
+    with pytest.raises(ValueError, match="trace"):
+        _checked_spectrum(good * 2.0)  # trace 2
     bad = good.astype(complex).copy()
     bad[0, 1] = 0.3j
-    with pytest.raises(ValueError):
-        check_density_matrix(bad)  # not Hermitian
+    with pytest.raises(ValueError, match="Hermitian"):
+        _checked_spectrum(bad)  # not Hermitian
     neg = np.diag([0.6, 0.6, -0.1, -0.1])
-    with pytest.raises(ValueError):
-        check_density_matrix(neg)
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        _checked_spectrum(neg)
+    with pytest.raises(ValueError, match="square"):
+        _checked_spectrum(np.ones((4, 3)) / 4.0)
 
 
 @given(
@@ -263,7 +265,8 @@ def test_stacks_broadcast_and_single_matrices_give_floats():
             assert isinstance(von_neumann_entropy(rho), float)
             assert concurrence(rho) == conc[i, j]
             assert von_neumann_entropy(rho) == ent[i, j]
-    assert check_density_matrix(rhos) is rhos
+    evals, _ = _checked_spectrum(rhos)
+    assert evals.shape == (2, 3, 4)
 
 
 def test_concurrence_fallback_runs_only_on_matrices_that_need_it(monkeypatch):
@@ -292,7 +295,7 @@ def test_concurrence_fallback_runs_only_on_matrices_that_need_it(monkeypatch):
     assert [concurrence(r) for r in stack] == expected
 
 
-@pytest.mark.parametrize("func", [check_density_matrix, concurrence, von_neumann_entropy])
+@pytest.mark.parametrize("func", [_checked_spectrum, concurrence, von_neumann_entropy])
 def test_bad_matrix_in_a_stack_is_named_by_index(func):
     good = reduced_rho_ab(np.linspace(0.1, 3.0, 5), 0.5)
     for bad, reason in (
