@@ -43,10 +43,11 @@ from .oracle import (
     ModePairMoments,
     TriModeState,
     apply_evolution,
-    build_initial_state,
+    coherent_thermal_state,
     displacement_matrix,
     moments,
     partial_trace,
+    qubit_state,
 )
 from .qubit import (
     concurrence,
@@ -81,7 +82,8 @@ __all__ = [
     "TriModeState",
     "ModePairMoments",
     "displacement_matrix",
-    "build_initial_state",
+    "qubit_state",
+    "coherent_thermal_state",
     "apply_evolution",
     "partial_trace",
     "moments",

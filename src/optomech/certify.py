@@ -12,8 +12,8 @@ import numpy as np
 from .core import SystemParams, energy_eigenvalue_scaled
 from .duan import CVInitialState, duan_from_moments, duan_values
 from .oracle import (
-    FockConfig, TriModeState, _coherent_vector, apply_evolution, build_initial_state,
-    displacement_matrix, hamiltonian_expectation, moments, partial_trace,
+    FockConfig, TriModeState, _coherent_vector, apply_evolution, coherent_thermal_state,
+    displacement_matrix, hamiltonian_expectation, moments, partial_trace, qubit_state,
 )
 from .qubit import reduced_rho_ab
 
@@ -22,16 +22,18 @@ __all__ = ["run"]
 #: Fock tail budget of `_check_cv`'s states. Tail budgets bound dropped
 #: probability mass, not moments, so states sized at 1e-8 back a 1e-6 claim
 _CV_FOCK_TOLERANCE = 1e-8
+#: random times per coupling of `_check_qubit`, and random points of `_check_cv`
+_N_QUBIT_TIMES = 6
+_N_CV_POINTS = 4
 
 
-def _oracle_duan(cv: CVInitialState, t: float, k: float, r_a: float, r_b: float, **fock) -> dict:
-    """The oracle's witness per pair for input cv at time t; fock is the tolerance or config."""
+def _oracle_duan(
+    cv: CVInitialState, t: float, k: float, r_a: float, r_b: float, config: FockConfig
+) -> dict:
+    """The oracle's witness per pair for input cv at time t, in the Fock space of config."""
     # no name holds the initial ensemble, so it is freed before the moments run
     evolved = apply_evolution(
-        build_initial_state(
-            "coherent_thermal", alpha=cv.alpha, beta=cv.beta, nbar=cv.nbar, k=k, **fock
-        ),
-        t, k, r_a, r_b,
+        coherent_thermal_state(cv.alpha, cv.beta, cv.nbar, config), t, k, r_a, r_b
     )
     return {pair: duan_from_moments(m) for pair, m in moments(evolved).items()}
 
@@ -51,18 +53,19 @@ def _check_displacement(rng) -> list:
     ]
 
 
-def _check_qubit(rng, n_times: int) -> list:
+def _check_qubit(rng) -> list:
     dev = 0.0
     for k in (0.1, 0.5, 1.0):
-        state = build_initial_state("qubit", k=k, tolerance=1e-12)
-        for t in rng.uniform(0.0, 4.0 * math.pi, n_times):
+        state = qubit_state(FockConfig.for_qubit(k, 1e-12))
+        for t in rng.uniform(0.0, 4.0 * math.pi, _N_QUBIT_TIMES):
             rho = partial_trace(apply_evolution(state, float(t), k, 0.0, 0.0), "AB")
             dev = max(dev, float(np.abs(rho - reduced_rho_ab(float(t), k)).max()))
     return [("qubit_reduced_state_vs_oracle", dev, 1e-8)]
 
 
 def _check_conservation(rng) -> list:
-    state = build_initial_state("coherent_thermal", alpha=0.7, beta=0.4, nbar=0.3, k=0.6)
+    config = FockConfig.for_coherent_thermal(0.7, 0.4, 0.3, 0.6)
+    state = coherent_thermal_state(0.7, 0.4, 0.3, config)
     trace0 = state.trace()
     energy0 = hamiltonian_expectation(state, 0.6, 1.3, 0.8)
     drift = energy_dev = 0.0
@@ -94,9 +97,9 @@ def _check_stationarity(rng) -> list:
     return [("oracle_eigenstate_stationarity", dev, 1e-8)]
 
 
-def _check_cv(rng, n_points: int) -> list:
+def _check_cv(rng) -> list:
     dev = 0.0
-    for _ in range(n_points):
+    for _ in range(_N_CV_POINTS):
         alpha = float(rng.uniform(0.1, 1.0))
         beta = float(rng.uniform(0.1, 1.0))
         nbar = float(rng.uniform(0.0, 0.5))
@@ -106,7 +109,8 @@ def _check_cv(rng, n_points: int) -> list:
         t = float(rng.uniform(0.3, 4.0 * math.pi))
         cv = CVInitialState(alpha=alpha, beta=beta, nbar=nbar)
         params = SystemParams.from_dimensionless(k=k, r_a=r_a, r_b=r_b)
-        oracle = _oracle_duan(cv, t, k, r_a, r_b, tolerance=_CV_FOCK_TOLERANCE)
+        config = FockConfig.for_coherent_thermal(alpha, beta, nbar, k, _CV_FOCK_TOLERANCE)
+        oracle = _oracle_duan(cv, t, k, r_a, r_b, config)
         for pair, d_oracle in oracle.items():
             d_closed = float(duan_values(t, cv, params, pair))
             dev = max(dev, abs(d_closed - d_oracle) / abs(d_oracle))
@@ -122,7 +126,8 @@ def _check_k_zero(rng) -> list:
         r_a = float(rng.uniform(0.0, 2.0))
         r_b = float(rng.uniform(0.0, 2.0))
         t = float(rng.uniform(0.5, 4.0 * math.pi))
-        oracle = _oracle_duan(CVInitialState(alpha, beta, nbar), t, 0.0, r_a, r_b, tolerance=1e-15)
+        config = FockConfig.for_coherent_thermal(alpha, beta, nbar, 0.0, 1e-15)
+        oracle = _oracle_duan(CVInitialState(alpha, beta, nbar), t, 0.0, r_a, r_b, config)
         floors = {"AB": 1.0, "AC": 1.0 + nbar, "BC": 1.0 + nbar}
         dev = max(dev, *(abs(oracle[pair] - floor) for pair, floor in floors.items()))
     return [("k_zero_separability_floors", dev, 1e-12)]
@@ -134,20 +139,20 @@ def _check_truncation_doubling(rng) -> list:
     # tail budgets bound dropped probability mass, not moments, so a run
     # sized at 1e-9 is what backs a 1e-8 stability claim
     base = FockConfig.for_coherent_thermal(cv.alpha, cv.beta, cv.nbar, k, 1e-9)
-    coarse, fine = (_oracle_duan(cv, t, k, 1.5, 0.7, config=c) for c in (base, base.doubled()))
+    coarse, fine = (_oracle_duan(cv, t, k, 1.5, 0.7, c) for c in (base, base.doubled()))
     dev = max(abs(coarse[pair] - fine[pair]) for pair in coarse)
     return [("truncation_doubling_stability", dev, 1e-8)]
 
 
-def run(seed: int, n_qubit_times: int, n_cv_points: int) -> list:
+def run(seed: int) -> list:
     """(name, max deviation, tolerance) per check, all points drawn from one rng seeded by seed."""
     rng = np.random.default_rng(seed)
     return [
         *_check_displacement(rng),
-        *_check_qubit(rng, n_qubit_times),
+        *_check_qubit(rng),
         *_check_conservation(rng),
         *_check_stationarity(rng),
-        *_check_cv(rng, n_cv_points),
+        *_check_cv(rng),
         *_check_k_zero(rng),
         *_check_truncation_doubling(rng),
     ]

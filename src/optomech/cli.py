@@ -199,9 +199,6 @@ FIELDS: dict[str, dict[str, tuple]] = {
     },
     "oracle-check": {
         "seed": (1234, _integer(0)),
-        "tolerance": (None, _optional(_POS)),
-        "n_qubit_times": (6, _integer(1)),
-        "n_cv_points": (4, _integer(1)),
     },
     "sweep": {
         "quantity": (
@@ -280,8 +277,8 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def resolve_config(command, config_path=None, overrides=(), seed=None, out=None) -> RunConfig:
-    """Merge defaults, config file, --set overrides and --seed, then validate."""
+def resolve_config(command, config_path=None, overrides=(), out=None) -> RunConfig:
+    """Merge defaults, config file and --set overrides, then validate."""
     if command not in FIELDS:
         raise _CliError(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
     fields = FIELDS[command]
@@ -300,8 +297,6 @@ def resolve_config(command, config_path=None, overrides=(), seed=None, out=None)
             assign(key, value, f"config file {config_path}")
     for item in overrides:
         assign(*_parse_set_item(item), f"--set {item!r}")
-    if seed is not None:
-        assign("seed", seed, "--seed")
 
     validated = {key: fields[key][1](values[key], repr(key)) for key in sorted(fields)}
     return RunConfig(command=command, values=validated, out=out)
@@ -573,10 +568,7 @@ def _cmd_design(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def run_oracle_check(cfg: RunConfig) -> tuple[ResultTable, int]:
-    v = cfg.values
-    names, deviations, tols = zip(*certify.run(v["seed"], v["n_qubit_times"], v["n_cv_points"]))
-    if v["tolerance"] is not None:
-        tols = [v["tolerance"]] * len(names)
+    names, deviations, tols = zip(*certify.run(cfg.values["seed"]))
     passed = np.less(deviations, tols)
     failures = np.count_nonzero(~passed)
     extra = {"checks_failed": str(failures), "checks_total": str(len(names))}
@@ -646,9 +638,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="override a single config field (repeatable; wins over --config)",
     )
     parser.add_argument("--out", metavar="PATH", help="output CSV path (default: stdout)")
-    parser.add_argument(
-        "--seed", type=int, help="seed for randomized test-point sampling (oracle-check only)"
-    )
     return parser
 
 
@@ -670,11 +659,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = resolve_config(
-            args.command,
-            config_path=args.config,
-            overrides=args.overrides,
-            seed=args.seed,
-            out=args.out,
+            args.command, config_path=args.config, overrides=args.overrides, out=args.out
         )
         if cfg.command == "design":
             code = _cmd_design(cfg)

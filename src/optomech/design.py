@@ -119,10 +119,11 @@ class AtomEnsembleSpec:
     omega_m: float = 2.0 * math.pi * 95.0e3
 
     def __post_init__(self) -> None:
-        if self.N < 1:
-            raise ValueError(f"need at least one atom, got N={self.N!r}")
-        if not (self.omega_m > 0):
-            raise ValueError(f"omega_m must be positive, got {self.omega_m!r}")
+        # chained comparisons with math.inf also turn NaN away
+        if not 1 <= self.N < math.inf:
+            raise ValueError(f"N must be finite and >= 1, got {self.N!r}")
+        if not 0 < self.omega_m < math.inf:
+            raise ValueError(f"omega_m must be positive and finite, got {self.omega_m!r}")
 
 
 @dataclass(frozen=True)

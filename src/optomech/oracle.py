@@ -65,7 +65,8 @@ __all__ = [
     "TriModeState",
     "ModePairMoments",
     "displacement_matrix",
-    "build_initial_state",
+    "qubit_state",
+    "coherent_thermal_state",
     "apply_evolution",
     "partial_trace",
     "moments",
@@ -326,88 +327,66 @@ def _coherent_vector(alpha: complex, n_max: int) -> np.ndarray:
     return mag * unit ** n
 
 
-def build_initial_state(kind: str, **params) -> TriModeState:
-    """Construct the initial tri-mode state.
+def qubit_state(config: FockConfig) -> TriModeState:
+    """((|0> + |1>)/sqrt2) on each optical mode, mechanical ground state.
 
-    kind="qubit": ((|0> + |1>)/sqrt2) on each optical mode, mechanical
-    ground state. Accepts k (used to size the mechanical cutoff) and
-    either tolerance or a FockConfig via config=.
-
-    kind="coherent_thermal": |alpha> x |beta> x thermal(nbar), the thermal
-    mode as a weighted ensemble of Fock states with geometric weights,
-    truncated below the tail tolerance and renormalized. Accepts alpha,
-    beta, nbar, k, and either tolerance or config=.
+    Size the config with `FockConfig.for_qubit(k)`.
     """
-    config = params.pop("config", None)
-    if config is not None and "tolerance" in params:
-        raise ValueError("pass config or tolerance, not both: config carries its own tolerance")
-    tolerance = params.pop("tolerance", _TAIL_TOLERANCE)
-    if kind == "qubit":
-        k = params.pop("k", 0.0)
-        if params:
-            raise ValueError(f"unexpected parameters for kind='qubit': {sorted(params)}")
-        _require_finite(k=k)
-        if config is None:
-            config = FockConfig.for_qubit(k, tolerance)
-        if config.n_max_a < 1 or config.n_max_b < 1:
-            raise ValueError("qubit state needs optical cutoffs of at least 1")
-        psi = np.zeros(
-            (1, config.n_max_a + 1, config.n_max_b + 1, config.n_max_c + 1), dtype=complex
-        )
-        psi[0, 0:2, 0:2, 0] = 0.5
-        return TriModeState(np.array([1.0]), psi, config)
+    psi = np.zeros(
+        (1, config.n_max_a + 1, config.n_max_b + 1, config.n_max_c + 1), dtype=complex
+    )
+    psi[0, 0:2, 0:2, 0] = 0.5
+    return TriModeState(np.array([1.0]), psi, config)
 
-    if kind == "coherent_thermal":
-        alpha = complex(params.pop("alpha", 0.0))
-        beta = complex(params.pop("beta", 0.0))
-        nbar = float(params.pop("nbar", 0.0))
-        k = params.pop("k", 0.0)
-        if params:
-            raise ValueError(
-                f"unexpected parameters for kind='coherent_thermal': {sorted(params)}"
-            )
-        _require_finite(alpha=alpha, beta=beta, nbar=nbar, k=k)
-        if nbar < 0:
-            raise ValueError(f"nbar must be non-negative, got {nbar!r}")
-        if config is None:
-            config = FockConfig.for_coherent_thermal(alpha, beta, nbar, k, tolerance)
-        # tail-mass invariants for the supplied cutoffs
-        for amp, n_max, label in (
-            (alpha, config.n_max_a, "n_max_a"),
-            (beta, config.n_max_b, "n_max_b"),
-        ):
-            sf = _poisson_sf(abs(amp) ** 2)
-            tail = float(sf[n_max]) if n_max < len(sf) else 0.0
-            if tail >= config.tolerance:
-                raise ValueError(
-                    f"coherent tail mass {tail:.3e} beyond {label}={n_max} exceeds "
-                    f"tolerance {config.tolerance:.1e}"
-                )
-        l_max = _thermal_tail_cutoff(nbar, config.tolerance / 4.0)
-        if l_max > config.n_max_c:
-            raise ValueError(
-                f"thermal tail needs mechanical cutoff {l_max}, "
-                f"config has n_max_c={config.n_max_c}"
-            )
-        amp_a = _coherent_vector(alpha, config.n_max_a)
-        amp_b = _coherent_vector(beta, config.n_max_b)
-        optical = np.multiply.outer(amp_a, amp_b)
-        if nbar == 0:
-            weights = np.array([1.0])
-        else:
-            q = nbar / (1.0 + nbar)
-            weights = (1.0 - q) * q ** np.arange(l_max + 1)
-            weights = weights / weights.sum()
-        # member l0 starts in mechanical Fock state l0
-        l0 = np.arange(len(weights))
-        vectors = np.zeros(
-            (len(weights), config.n_max_a + 1, config.n_max_b + 1, config.n_max_c + 1),
-            dtype=complex,
-        )
-        vectors[l0, :, :, l0] = optical
-        return TriModeState(weights, vectors, config)
 
-    raise ValueError(f"unknown state kind {kind!r}")
+def coherent_thermal_state(
+    alpha: complex, beta: complex, nbar: float, config: FockConfig
+) -> TriModeState:
+    """|alpha> x |beta> x thermal(nbar), sized by `FockConfig.for_coherent_thermal`.
+
+    The thermal mode is a weighted ensemble of Fock states with geometric
+    weights, truncated below the config's tail budget and renormalized. A
+    config too small for the inputs' tails is refused.
+    """
+    _require_finite(alpha=alpha, beta=beta, nbar=nbar)
+    alpha, beta, nbar = complex(alpha), complex(beta), float(nbar)
+    if nbar < 0:
+        raise ValueError(f"nbar must be non-negative, got {nbar!r}")
+    # tail-mass invariants for the supplied cutoffs
+    for amp, n_max, label in (
+        (alpha, config.n_max_a, "n_max_a"),
+        (beta, config.n_max_b, "n_max_b"),
+    ):
+        sf = _poisson_sf(abs(amp) ** 2)
+        tail = float(sf[n_max]) if n_max < len(sf) else 0.0
+        if tail >= config.tolerance:
+            raise ValueError(
+                f"coherent tail mass {tail:.3e} beyond {label}={n_max} exceeds "
+                f"tolerance {config.tolerance:.1e}"
+            )
+    l_max = _thermal_tail_cutoff(nbar, config.tolerance / 4.0)
+    if l_max > config.n_max_c:
+        raise ValueError(
+            f"thermal tail needs mechanical cutoff {l_max}, "
+            f"config has n_max_c={config.n_max_c}"
+        )
+    amp_a = _coherent_vector(alpha, config.n_max_a)
+    amp_b = _coherent_vector(beta, config.n_max_b)
+    optical = np.multiply.outer(amp_a, amp_b)
+    if nbar == 0:
+        weights = np.array([1.0])
+    else:
+        q = nbar / (1.0 + nbar)
+        weights = (1.0 - q) * q ** np.arange(l_max + 1)
+        weights = weights / weights.sum()
+    # member l0 starts in mechanical Fock state l0
+    l0 = np.arange(len(weights))
+    vectors = np.zeros(
+        (len(weights), config.n_max_a + 1, config.n_max_b + 1, config.n_max_c + 1),
+        dtype=complex,
+    )
+    vectors[l0, :, :, l0] = optical
+    return TriModeState(weights, vectors, config)
 
 
 def apply_evolution(

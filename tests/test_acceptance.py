@@ -27,7 +27,9 @@ from optomech.design import (
     proposed_geometry,
 )
 from optomech.duan import CVInitialState, duan_from_moments, duan_values, window_minima
-from optomech.oracle import apply_evolution, build_initial_state, moments, partial_trace
+from optomech.oracle import (
+    FockConfig, apply_evolution, coherent_thermal_state, moments, partial_trace, qubit_state,
+)
 from optomech.qubit import concurrence, reduced_rho_ab, von_neumann_entropy
 
 OMEGA_M = 2.0 * math.pi * 95e3
@@ -105,7 +107,7 @@ def test_acceptance_2_qubit_oracle_equivalence():
     rng = np.random.default_rng(2024)
     worst = 0.0
     for k in (0.1, 0.5, 1.0):
-        state = build_initial_state("qubit", k=k)
+        state = qubit_state(FockConfig.for_qubit(k))
         for t in rng.uniform(0.0, 4.0 * math.pi, size=50):
             evolved = apply_evolution(state, float(t), k, 0.0, 0.0)
             dev = np.abs(partial_trace(evolved, "AB") - reduced_rho_ab(float(t), k)).max()
@@ -133,9 +135,8 @@ def test_acceptance_3_cv_oracle_equivalence():
         t = float(rng.uniform(0.3, 4.0 * math.pi))
         p = SystemParams.from_dimensionless(k=k, r_a=r_a, r_b=r_b)
         st0 = CVInitialState(alpha, beta, nbar)
-        state = build_initial_state(
-            "coherent_thermal", alpha=alpha, beta=beta, nbar=nbar, k=k, tolerance=1e-8
-        )
+        config = FockConfig.for_coherent_thermal(alpha, beta, nbar, k, 1e-8)
+        state = coherent_thermal_state(alpha, beta, nbar, config)
         evolved = apply_evolution(state, t, k, r_a, r_b)
         oracle = moments(evolved)
         for pair in ("AB", "AC", "BC"):

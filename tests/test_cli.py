@@ -58,10 +58,6 @@ class TestResolveConfig:
         with pytest.raises(Exception, match="line"):
             resolve_config("fig2", config_path=str(path))
 
-    def test_seed_flag_wins(self):
-        cfg = resolve_config("oracle-check", overrides=("seed=7",), seed=99)
-        assert cfg.values["seed"] == 99
-
     def test_validation_rejects_wrong_types(self):
         with pytest.raises(Exception, match="n_points"):
             resolve_config("fig2", overrides=("n_points=12.5",))
@@ -315,9 +311,27 @@ def test_cli_rejects_unknown_field():
 @pytest.mark.parametrize("command", ["fig2", "fig3", "fig4a", "fig4b", "design", "sweep"])
 @pytest.mark.parametrize("flag", [["--seed", "5"], ["--set", "seed=5"]], ids=["seed", "set"])
 def test_cli_rejects_seed_outside_oracle_check(capsys, command, flag):
-    # only oracle-check draws random points, so only it has a seed field
+    # only oracle-check draws random points, so only it has a seed field, and
+    # `--set seed=N` is the one way to set it: no command takes a --seed flag
     assert main([command, *flag]) == 1
-    assert "'seed'" in capsys.readouterr().err
+    assert ("'seed'" if flag[0] == "--set" else "unrecognized arguments: --seed 5") in (
+        capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize("field", ["tolerance", "n_qubit_times", "n_cv_points"])
+def test_cli_oracle_check_rejects_a_config_with_a_removed_field(capsys, tmp_path, field):
+    # the certification's tolerances and point counts are fixed; a config
+    # file that still sets one fails loudly instead of being ignored
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"seed": 7, field: 1}))
+    assert main(["oracle-check", "--config", str(path)]) == 1
+    assert f"unknown field {field!r} for command 'oracle-check'" in capsys.readouterr().err
+
+
+def test_cli_oracle_check_rejects_the_seed_flag(capsys):
+    assert main(["oracle-check", "--seed", "5"]) == 1
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
 def test_cli_rejects_empty_design_grid():
@@ -431,14 +445,21 @@ def test_cli_sweep_requires_carrier_for_duan_quantities(capsys):
     assert "r_a" in captured.err
 
 
-def test_cli_oracle_check_detects_corruption(tmp_path, capsys):
-    # an absurd blanket tolerance must make the suite report failure
-    code = main(["oracle-check", "--set", "tolerance=1e-30"])
+def test_cli_oracle_check_detects_corruption(monkeypatch, capsys):
+    # one check pushed over its tolerance must make the suite report failure
+    run = cli.certify.run
+
+    def corrupted(seed):
+        (name, _, tolerance), *rest = run(seed)
+        return [(name, 10.0 * tolerance, tolerance), *rest]
+
+    monkeypatch.setattr(cli.certify, "run", corrupted)
+    code = main(["oracle-check"])
     captured = capsys.readouterr()
     assert code == 2
-    assert "[FAIL]" in captured.out
-    passed = captured.out.count("[PASS]")
-    assert f"oracle-check: {passed}/9 checks passed" in captured.out
+    assert "[FAIL] displacement_identity_at_zero: max deviation 1.000e-14" in captured.out
+    assert captured.out.count("[PASS]") == 8
+    assert "oracle-check: 8/9 checks passed" in captured.out
 
 
 def _child_env() -> dict:
@@ -486,8 +507,7 @@ def test_cli_import_leaves_out_scipy_stats_linalg_and_special():
         "import sys, optomech.cli\n"
         "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "print(loaded())\n"
-        "code = optomech.cli.main(['oracle-check', '--set', 'n_cv_points=1',\n"
-        "                          '--set', 'n_qubit_times=1'])\n"
+        "code = optomech.cli.main(['oracle-check'])\n"
         "print(code, loaded())\n"
     )
     proc = subprocess.run(

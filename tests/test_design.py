@@ -15,7 +15,10 @@ from optomech.design import (
     RB87_MASS_KG,
     AtomEnsembleSpec,
     CavityGeometry,
+    DesignReport,
     DesignSearchSpace,
+    HeatingBudget,
+    OptimizeResult,
     atom_coupling,
     cavity_linewidth,
     design_report,
@@ -166,6 +169,52 @@ class TestHeatingBudget:
         assert hb.energy_ratio_alt == pytest.approx(5.795259401824266e-07, rel=1e-9)
 
 
+def test_design_numbers_are_pinned_bitwise():
+    # every float of the proposed design, heating included, and of one
+    # optimum, compared with ==: a relative pin lets a change at the
+    # rounding level of any formula through
+    assert design_report(proposed_atom_spec(), proposed_geometry()) == DesignReport(
+        g0=446533.6801424146,
+        k=0.7480846573861115,
+        kappa=63812.78373776075,
+        tau_p=1.5670841192409183e-05,
+        tau_e=1.0526315789473684e-05,
+        ratio=0.6717135130290606,
+        min_finesse_for_unity_ratio=2015140.5390871817,
+        heating=HeatingBudget(
+            r_fs=7.716224204485233e-27,
+            r_c=8.29059484608232e-20,
+            energy_ratio=117626.38007882715,
+            r_fs_alt=3.8016574885378305e-38,
+            r_c_alt=4.0846405114461845e-31,
+            energy_ratio_alt=5.795259401824266e-07,
+        ),
+    )
+    assert optimize_design(DesignSearchSpace(R_mirror=5e-2)) == OptimizeResult(
+        L=0.0008099999999999983,
+        N=568000.0,
+        omega_m=596902.6041820607,
+        report=DesignReport(
+            g0=434112.89834681764,
+            k=0.7272759329667948,
+            kappa=319063.91868880444,
+            tau_p=3.13416823848183e-06,
+            tau_e=1.0526315789473684e-05,
+            ratio=3.35856756514531,
+            min_finesse_for_unity_ratio=1947969.1877842797,
+            heating=HeatingBudget(
+                r_fs=7.292925460706475e-27,
+                r_c=1.5493804335589958e-20,
+                energy_ratio=4396.500254758642,
+                r_fs_alt=3.5931051193311693e-38,
+                r_c_alt=7.633544038818523e-32,
+                energy_ratio_alt=2.1660837831988185e-08,
+            ),
+        ),
+        n_evaluated=3036072,
+    )
+
+
 class TestOptimizeDesign:
     @pytest.mark.parametrize(
         "R_mirror, L_expect, N_expect, min_finesse_expect",
@@ -245,6 +294,13 @@ _BAD_SEARCH_FIELDS = [
     ("plateau_rtol", -0.01), ("plateau_rtol", math.inf),
     ("trap_frequencies_Hz", (1e308,)),  # finite in Hz, but 2 pi f overflows
 ]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["N", "omega_m"])
+def test_atom_spec_rejects_non_finite_field_by_name(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        AtomEnsembleSpec(**{"N": 5.0e5, name: value})
 
 
 @pytest.mark.parametrize("name, value", _BAD_SEARCH_FIELDS)

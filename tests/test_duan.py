@@ -109,11 +109,11 @@ def test_ac_and_bc_differ_through_the_coupling_sign():
     # BC is AC relabeled with k -> -k as well as alpha <-> beta and
     # r_a <-> r_b; certify both against the Fock oracle at an asymmetric
     # point, where the sign flip keeps them well apart
-    from optomech.oracle import apply_evolution, build_initial_state, moments
+    from optomech.oracle import apply_evolution, moments
 
     alpha, beta, nbar, k, t = 0.3, 0.8, 0.15, 0.7, 1.7
     p = _params(k, r_a=1.4, r_b=0.6)
-    state = build_initial_state("coherent_thermal", alpha=alpha, beta=beta, nbar=nbar, k=k)
+    state = _oracle_state(alpha, beta, nbar, k)
     evolved = apply_evolution(state, t, k, p.r_a, p.r_b)
     st0 = CVInitialState(alpha, beta, nbar)
     d_ac = duan_values(t, st0, p, "AC")
@@ -125,11 +125,11 @@ def test_ac_and_bc_differ_through_the_coupling_sign():
 
 
 def test_oracle_agreement_spot_check():
-    from optomech.oracle import apply_evolution, build_initial_state, moments
+    from optomech.oracle import apply_evolution, moments
 
     alpha, beta, nbar, k, t = 0.5, 0.5, 0.1, 0.5, 2.0
     p = _params(k, r_a=1.0, r_b=0.5)
-    state = build_initial_state("coherent_thermal", alpha=alpha, beta=beta, nbar=nbar, k=k)
+    state = _oracle_state(alpha, beta, nbar, k)
     evolved = apply_evolution(state, t, k, p.r_a, p.r_b)
     st0 = CVInitialState(alpha, beta, nbar)
     oracle = moments(evolved)
@@ -763,9 +763,11 @@ def _oracle_envelope(pair, state, k, t):
 
 
 def _oracle_state(alpha, beta, nbar, k):
-    from optomech.oracle import build_initial_state
+    from optomech.oracle import FockConfig, coherent_thermal_state
 
-    return build_initial_state("coherent_thermal", alpha=alpha, beta=beta, nbar=nbar, k=k, tolerance=1e-10)
+    return coherent_thermal_state(
+        alpha, beta, nbar, FockConfig.for_coherent_thermal(alpha, beta, nbar, k, 1e-10)
+    )
 
 
 def test_fig4b_envelope_minima_agree_with_the_oracle():

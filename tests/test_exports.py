@@ -6,6 +6,7 @@ import pkgutil
 import pytest
 
 import optomech
+from optomech.cli import FIELDS
 
 # __main__ runs the command line on import
 _SUBMODULES = sorted(
@@ -37,7 +38,6 @@ _SETTABLE_VALUES = [
     "cli.resolve_config.config_path",
     "cli.resolve_config.out",
     "cli.resolve_config.overrides",
-    "cli.resolve_config.seed",
     "design.AtomEnsembleSpec.omega_m",
     "design.DesignSearchSpace.L_max_m",
     "design.DesignSearchSpace.L_min_m",
@@ -62,6 +62,9 @@ _SETTABLE_VALUES = [
 
 def _defaulted_parameters(func, owner):
     args = func.args
+    # *args or **kwargs would hide what a caller may pass from this ledger
+    for variadic in (args.vararg, args.kwarg):
+        assert variadic is None, f"{owner}.{func.name} is variadic in {variadic.arg}"
     positional = args.posonlyargs + args.args
     named = positional[len(positional) - len(args.defaults):]
     named += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
@@ -83,7 +86,7 @@ def test_settable_public_values_are_the_listed_ones():
                     elif isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                         found += _defaulted_parameters(item, owner)
     assert sorted(found) == _SETTABLE_VALUES
-    assert len(_SETTABLE_VALUES) == 25
+    assert len(_SETTABLE_VALUES) == 24
 
 
 # every name `import optomech` exports; a new public name shows up here as a
@@ -105,8 +108,8 @@ _PUBLIC_NAMES = [
     "apply_evolution",
     "atom_coupling",
     "big_b",
-    "build_initial_state",
     "cavity_linewidth",
+    "coherent_thermal_state",
     "concurrence",
     "design_report",
     "displacement_matrix",
@@ -119,6 +122,7 @@ _PUBLIC_NAMES = [
     "moments",
     "optimize_design",
     "partial_trace",
+    "qubit_state",
     "reduced_rho_ab",
     "regime_report",
     "thermal_occupation",
@@ -130,3 +134,87 @@ _PUBLIC_NAMES = [
 
 def test_public_names_are_the_listed_ones():
     assert sorted(optomech.__all__) == _PUBLIC_NAMES
+
+
+# every field of every command, as command.field; a new command line knob
+# shows up here as a one-line diff
+_CLI_FIELDS = [
+    "fig2.k",
+    "fig2.n_points",
+    "fig2.t_max",
+    "fig2.t_min",
+    "fig3.alpha",
+    "fig3.beta",
+    "fig3.cavity_length_m",
+    "fig3.finesse",
+    "fig3.k",
+    "fig3.mirror_radius_m",
+    "fig3.n_points",
+    "fig3.omega_a_rad_per_s",
+    "fig3.omega_b_rad_per_s",
+    "fig3.omega_m_rad_per_s",
+    "fig3.t_max",
+    "fig3.t_min",
+    "fig3.temperature_K",
+    "fig4a.alpha",
+    "fig4a.beta",
+    "fig4a.cavity_length_m",
+    "fig4a.finesse",
+    "fig4a.k_max",
+    "fig4a.k_min",
+    "fig4a.k_step",
+    "fig4a.mirror_radius_m",
+    "fig4a.omega_a_rad_per_s",
+    "fig4a.omega_b_rad_per_s",
+    "fig4a.omega_m_rad_per_s",
+    "fig4a.temperatures_K",
+    "fig4a.window_scaled",
+    "fig4b.alpha_max",
+    "fig4b.alpha_min",
+    "fig4b.alpha_step",
+    "fig4b.beta_max",
+    "fig4b.beta_min",
+    "fig4b.beta_step",
+    "fig4b.cavity_length_m",
+    "fig4b.finesse",
+    "fig4b.k",
+    "fig4b.mirror_radius_m",
+    "fig4b.omega_a_rad_per_s",
+    "fig4b.omega_b_rad_per_s",
+    "fig4b.omega_m_rad_per_s",
+    "fig4b.temperature_K",
+    "fig4b.window_scaled",
+    "design.L_max_m",
+    "design.L_min_m",
+    "design.L_step_m",
+    "design.N_max",
+    "design.N_min",
+    "design.N_step",
+    "design.exclusion_halfwidth",
+    "design.exclusion_n_max",
+    "design.finesse_eval",
+    "design.plateau_rtol",
+    "design.radii_m",
+    "design.report_finesse",
+    "design.trap_frequencies_Hz",
+    "oracle-check.seed",
+    "sweep.alpha",
+    "sweep.beta",
+    "sweep.k",
+    "sweep.n_points",
+    "sweep.nbar",
+    "sweep.quantity",
+    "sweep.r_a",
+    "sweep.r_b",
+    "sweep.start",
+    "sweep.stop",
+    "sweep.t_fixed",
+    "sweep.variable",
+]
+
+
+def test_cli_fields_are_the_listed_ones():
+    assert [f"{command}.{field}" for command in FIELDS for field in sorted(FIELDS[command])] == (
+        _CLI_FIELDS
+    )
+    assert len(_CLI_FIELDS) == 71

@@ -27,12 +27,20 @@ from optomech.oracle import (
     _poisson_sf,
     _poisson_tail_cutoff,
     apply_evolution,
-    build_initial_state,
+    coherent_thermal_state,
     displacement_matrix,
     hamiltonian_expectation,
     moments,
     partial_trace,
+    qubit_state,
 )
+
+
+def _thermal_state(alpha, beta, nbar, k):
+    """The coherent-thermal input in the Fock space that its inputs size."""
+    return coherent_thermal_state(
+        alpha, beta, nbar, FockConfig.for_coherent_thermal(alpha, beta, nbar, k)
+    )
 
 
 def test_displacement_identity_at_zero():
@@ -183,16 +191,16 @@ def _stationary_state():
 
 _EDGE_STATES = {
     # (state, k, columns the evolution must build)
-    "qubit": (lambda: build_initial_state("qubit", k=0.5), 0.5, 1),
+    "qubit": (lambda: qubit_state(FockConfig.for_qubit(0.5)), 0.5, 1),
     "thermal": (
-        lambda: build_initial_state("coherent_thermal", alpha=0.4, beta=0.3, nbar=0.3, k=0.5),
+        lambda: _thermal_state(0.4, 0.3, 0.3, 0.5),
         0.5,
         None,
     ),
     "top_level": (_top_level_state, 0.6, 31),
     "full_support": (_stationary_state, 0.5, 41),
     "k_zero": (
-        lambda: build_initial_state("coherent_thermal", alpha=0.5, beta=0.3, nbar=0.3, k=0.0),
+        lambda: _thermal_state(0.5, 0.3, 0.3, 0.0),
         0.0,
         0,
     ),
@@ -231,18 +239,8 @@ def test_fock_config_validation():
     assert (doubled.n_max_a, doubled.n_max_b, doubled.n_max_c) == (4, 6, 10)
 
 
-@pytest.mark.parametrize(
-    "kind, params",
-    [("qubit", {"k": 0.5}), ("coherent_thermal", {"alpha": 0.5, "beta": 0.3, "nbar": 0.2, "k": 0.4})],
-)
-def test_initial_state_refuses_tolerance_beside_config(kind, params):
-    # config carries its own tail budget, so a second one would go unread
-    with pytest.raises(ValueError, match="^pass config or tolerance, not both"):
-        build_initial_state(kind, config=FockConfig(8, 8, 40), tolerance=1e-6, **params)
-
-
 def test_qubit_state_construction():
-    state = build_initial_state("qubit", k=0.5)
+    state = qubit_state(FockConfig.for_qubit(0.5))
     assert len(state.vectors) == 1
     psi = state.vectors[0]
     assert psi[0, 0, 0] == 0.5
@@ -251,7 +249,7 @@ def test_qubit_state_construction():
 
 
 def test_coherent_thermal_state_construction():
-    state = build_initial_state("coherent_thermal", alpha=0.6, beta=-0.3, nbar=0.25)
+    state = _thermal_state(0.6, -0.3, 0.25, 0.0)
     w = np.asarray(state.weights)
     assert w.sum() == pytest.approx(1.0, abs=1e-14)
     # geometric thermal weights: ratio q = nbar / (1 + nbar)
@@ -267,19 +265,23 @@ def test_coherent_thermal_state_construction():
 
 def test_coherent_tail_invariant_rejects_small_cutoff():
     cfg = FockConfig(n_max_a=1, n_max_b=1, n_max_c=4)
-    with pytest.raises(ValueError, match="tail"):
-        build_initial_state("coherent_thermal", alpha=2.5, beta=0.0, nbar=0.0, config=cfg)
+    with pytest.raises(ValueError, match=r"^coherent tail mass .* beyond n_max_a=1 exceeds"):
+        coherent_thermal_state(2.5, 0.0, 0.0, cfg)
+    with pytest.raises(ValueError, match=r"^coherent tail mass .* beyond n_max_b=1 exceeds"):
+        coherent_thermal_state(0.0, 2.5, 0.0, cfg)
 
 
 def test_thermal_tail_invariant_rejects_small_cutoff():
     cfg = FockConfig(n_max_a=3, n_max_b=3, n_max_c=2)
-    with pytest.raises(ValueError, match="mechanical cutoff"):
-        build_initial_state("coherent_thermal", alpha=0.0, beta=0.0, nbar=0.8, config=cfg)
+    with pytest.raises(
+        ValueError, match=r"^thermal tail needs mechanical cutoff \d+, config has n_max_c=2$"
+    ):
+        coherent_thermal_state(0.0, 0.0, 0.8, cfg)
 
 
-def test_unknown_state_kind():
-    with pytest.raises(ValueError, match="unknown state kind"):
-        build_initial_state("squeezed")
+def test_coherent_thermal_state_rejects_negative_occupation():
+    with pytest.raises(ValueError, match="^nbar must be non-negative"):
+        coherent_thermal_state(0.5, 0.3, -0.1, FockConfig(8, 8, 40))
 
 
 # ---------------------------------------------------------------------------
@@ -363,35 +365,32 @@ NON_FINITE = [math.nan, math.inf, -math.inf]
 @pytest.mark.parametrize("field", ["alpha", "beta", "nbar", "k"])
 def test_non_finite_coherent_thermal_inputs_name_the_field(field, bad):
     params = {"alpha": 0.5, "beta": 0.3, "nbar": 0.2, "k": 0.4, field: bad}
-    match = f"{field} must be finite"
+    match = f"^{field} must be finite"
     with pytest.raises(ValueError, match=match):
         FockConfig.for_coherent_thermal(**params)
-    with pytest.raises(ValueError, match=match):
-        build_initial_state("coherent_thermal", **params)
-    with pytest.raises(ValueError, match=match):
-        build_initial_state("coherent_thermal", config=FockConfig(8, 8, 40), **params)
+    if field != "k":
+        # k only sizes the config, so the builder never sees it
+        del params["k"]
+        with pytest.raises(ValueError, match=match):
+            coherent_thermal_state(**params, config=FockConfig(8, 8, 40))
 
 
 @pytest.mark.parametrize("bad", [complex(0.5, math.nan), complex(math.inf, 0.5)])
 def test_non_finite_complex_amplitude_names_the_field(bad):
-    with pytest.raises(ValueError, match="alpha must be finite"):
+    with pytest.raises(ValueError, match="^alpha must be finite"):
         FockConfig.for_coherent_thermal(bad, 0.3, 0.2, 0.4)
-    with pytest.raises(ValueError, match="beta must be finite"):
-        build_initial_state("coherent_thermal", alpha=0.5, beta=bad, nbar=0.2, k=0.4)
+    with pytest.raises(ValueError, match="^beta must be finite"):
+        coherent_thermal_state(0.5, bad, 0.2, FockConfig(8, 8, 40))
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
 def test_non_finite_qubit_coupling_names_the_field(bad):
-    with pytest.raises(ValueError, match="k must be finite"):
+    with pytest.raises(ValueError, match="^k must be finite"):
         FockConfig.for_qubit(bad)
-    with pytest.raises(ValueError, match="k must be finite"):
-        build_initial_state("qubit", k=bad)
-    with pytest.raises(ValueError, match="k must be finite"):
-        build_initial_state("qubit", k=bad, config=FockConfig(1, 1, 8))
 
 
 def test_evolution_preserves_norm_and_energy():
-    state = build_initial_state("coherent_thermal", alpha=0.7, beta=0.4, nbar=0.3, k=0.6)
+    state = _thermal_state(0.7, 0.4, 0.3, 0.6)
     e0 = hamiltonian_expectation(state, 0.6, 1.3, 0.8)
     for t in (0.7, 2.0, 5.5, 11.0):
         evolved = apply_evolution(state, t, 0.6, 1.3, 0.8)
@@ -402,7 +401,7 @@ def test_evolution_preserves_norm_and_energy():
 
 
 def test_k_zero_evolution_is_phase_only():
-    state = build_initial_state("coherent_thermal", alpha=0.5, beta=0.2, nbar=0.0, k=0.0)
+    state = _thermal_state(0.5, 0.2, 0.0, 0.0)
     t, r_a, r_b = 1.7, 1.2, 0.4
     evolved = apply_evolution(state, t, 0.0, r_a, r_b)
     psi0 = state.vectors[0]
@@ -443,7 +442,7 @@ def test_eigenstate_is_stationary():
 
 
 def test_interaction_picture_strips_mechanical_rotation():
-    state = build_initial_state("coherent_thermal", alpha=0.4, beta=0.3, nbar=0.0, k=0.5)
+    state = _thermal_state(0.4, 0.3, 0.0, 0.5)
     t = 1.3
     lab = apply_evolution(state, t, 0.5, 0.0, 0.0)
     rot = apply_evolution(state, t, 0.5, 0.0, 0.0, interaction_picture=True)
@@ -454,7 +453,7 @@ def test_interaction_picture_strips_mechanical_rotation():
 
 
 def test_partial_trace_properties():
-    state = build_initial_state("coherent_thermal", alpha=0.5, beta=0.3, nbar=0.2, k=0.5)
+    state = _thermal_state(0.5, 0.3, 0.2, 0.5)
     evolved = apply_evolution(state, 2.1, 0.5, 1.1, 0.9)
     for keep in ("AB", "AC", "BC", "C"):
         rho = partial_trace(evolved, keep)
@@ -464,14 +463,14 @@ def test_partial_trace_properties():
 
 
 def test_partial_trace_of_initial_qubit_state():
-    state = build_initial_state("qubit", k=0.5)
+    state = qubit_state(FockConfig.for_qubit(0.5))
     rho_c = partial_trace(state, "C")
     assert rho_c[0, 0] == pytest.approx(1.0, abs=1e-14)
     assert np.abs(rho_c[1:, 1:]).max() < 1e-14
 
 
 def test_partial_trace_rejects_unknown_subsystem():
-    state = build_initial_state("qubit", k=0.5)
+    state = qubit_state(FockConfig.for_qubit(0.5))
     with pytest.raises(ValueError):
         partial_trace(state, "AD")
 
@@ -485,10 +484,7 @@ def test_truncation_doubling_is_stable():
     base = FockConfig.for_coherent_thermal(alpha, beta, nbar, k, 1e-9)
     results = []
     for cfg in (base, base.doubled()):
-        state = build_initial_state(
-            "coherent_thermal", alpha=alpha, beta=beta, nbar=nbar, k=k, config=cfg
-        )
-        evolved = apply_evolution(state, 2.4, k, 1.5, 0.7)
+        evolved = apply_evolution(coherent_thermal_state(alpha, beta, nbar, cfg), 2.4, k, 1.5, 0.7)
         results.append([duan_from_moments(m) for m in moments(evolved).values()])
     for a, b in zip(*results):
         assert abs(a - b) < 1e-8
@@ -571,11 +567,10 @@ _PIN_K, _PIN_RA, _PIN_RB = 0.5, 1.3, 0.4
 
 @pytest.fixture(scope="module")
 def pinned():
-    mixed = build_initial_state(
-        "coherent_thermal", alpha=0.5, beta=0.3, nbar=0.3, k=_PIN_K,
-        config=FockConfig(n_max_a=4, n_max_b=4, n_max_c=30, tolerance=1e-5),
+    mixed = coherent_thermal_state(
+        0.5, 0.3, 0.3, FockConfig(n_max_a=4, n_max_b=4, n_max_c=30, tolerance=1e-5)
     )
-    single = build_initial_state("qubit", k=_PIN_K)
+    single = qubit_state(FockConfig.for_qubit(_PIN_K))
     return {
         name: apply_evolution(state, 2.1, _PIN_K, _PIN_RA, _PIN_RB)
         for name, state in (("mixed", mixed), ("single", single))
@@ -664,9 +659,7 @@ def _doubled_certification_state():
     """The truncation-doubling check's fine ensemble, 13 members of 17 x 17 x 303."""
     alpha, beta, nbar, k = 0.5, 0.5, 0.2, 0.5
     cfg = FockConfig.for_coherent_thermal(alpha, beta, nbar, k, 1e-9).doubled()
-    state = build_initial_state(
-        "coherent_thermal", alpha=alpha, beta=beta, nbar=nbar, k=k, config=cfg
-    )
+    state = coherent_thermal_state(alpha, beta, nbar, cfg)
     return apply_evolution(state, 2.0, k, 1.5, 0.7)
 
 
@@ -707,9 +700,7 @@ def test_ensemble_operations_stay_within_memory_bound():
     # doubling state, 13 members of 17 x 17 x 303 amplitudes
     alpha, beta, nbar, k, r_a, r_b = 0.5, 0.5, 0.2, 0.5, 1.5, 0.7
     cfg = FockConfig.for_coherent_thermal(alpha, beta, nbar, k, 1e-9).doubled()
-    state = build_initial_state(
-        "coherent_thermal", alpha=alpha, beta=beta, nbar=nbar, k=k, config=cfg
-    )
+    state = coherent_thermal_state(alpha, beta, nbar, cfg)
     evolved = apply_evolution(state, 2.0, k, r_a, r_b)
     ensemble_bytes = len(evolved.weights) * math.prod(evolved.shape) * 16
     bound = 2.5 * ensemble_bytes
@@ -753,9 +744,7 @@ def test_partial_trace_rejects_oversized_reduced_matrix():
     # keep AC of the doubled certification ensemble, 13 members of
     # 17 x 17 x 303 amplitudes, would be a 5151 x 5151 matrix (424 MB)
     cfg = FockConfig.for_coherent_thermal(0.5, 0.5, 0.2, 0.5, 1e-9).doubled()
-    state = build_initial_state(
-        "coherent_thermal", alpha=0.5, beta=0.5, nbar=0.2, k=0.5, config=cfg
-    )
+    state = coherent_thermal_state(0.5, 0.5, 0.2, cfg)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="keep AC: reduced dimension 5151 exceeds 4096"):

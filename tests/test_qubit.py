@@ -169,10 +169,10 @@ def test_death_interval_contains_exact_zeros():
 
 
 def test_oracle_agreement_spot_check():
-    from optomech.oracle import apply_evolution, build_initial_state, partial_trace
+    from optomech.oracle import FockConfig, apply_evolution, partial_trace, qubit_state
 
     for t in (0.8, math.pi, 5.1):
-        state = build_initial_state("qubit", k=0.5)
+        state = qubit_state(FockConfig.for_qubit(0.5))
         evolved = apply_evolution(state, t, 0.5, 0.0, 0.0)
         rho_fock = partial_trace(evolved, "AB")
         rho_closed = reduced_rho_ab(t, 0.5)
