@@ -138,8 +138,9 @@ class _Kernels(NamedTuple):
     eta_sq: np.ndarray
     k: object
     nbar: object
-    twob: np.ndarray  # 2 B(t) = 2 k**2 unit_b
-    cos_twob: np.ndarray
+    cos_twob: np.ndarray  # cos 2B(t), 2B = 2 k**2 unit_b
+    sin_twob: object  # sin 2B, built for _ab_lower only
+    carrier: object  # cos((r_a + r_b) t + 2B), built for _ab_values only
     thermal: np.ndarray  # k^2 |eta|^2 (2 nbar + 1), the thermal dephasing exponent
 
 
@@ -150,12 +151,29 @@ def _time_kernels(t) -> tuple:
     return t, big_b(t, 1.0), eta_t, np.abs(eta_t) ** 2
 
 
-def _kernels(time, k, nbar) -> _Kernels:
-    """The time kernels `time` coupled to (k, nbar)."""
-    t, unit_b, eta_t, eta_sq = time
+def _coupling(time, k, func, fast) -> tuple:
+    """(cos 2B, sin 2B, carrier, k^2 |eta|^2): the kernels of `time` that depend on k alone.
+
+    sin 2B is built for `_ab_lower` and the carrier cos(fast t + 2B) for
+    `_ab_values`, the curves that read them, and is None for any other
+    func; fast is r_a + r_b.
+    """
+    t, unit_b, _, eta_sq = time
     twob = 2.0 * (k ** 2 * unit_b)
-    thermal = k ** 2 * eta_sq * (2.0 * nbar + 1.0)
-    return _Kernels(t, unit_b, eta_t, eta_sq, k, nbar, twob, np.cos(twob), thermal)
+    sin_twob = np.sin(twob) if func is _ab_lower else None
+    carrier = np.cos(fast * t + twob) if func is _ab_values else None
+    return np.cos(twob), sin_twob, carrier, k ** 2 * eta_sq
+
+
+def _couple(time, k, nbar, coupling) -> _Kernels:
+    """The kernels of `time` at (k, nbar), from `_coupling`'s arrays at that k."""
+    cos_twob, sin_twob, carrier, k_eta_sq = coupling
+    return _Kernels(*time, k, nbar, cos_twob, sin_twob, carrier, k_eta_sq * (2.0 * nbar + 1.0))
+
+
+def _kernels(time, k, nbar, func, fast) -> _Kernels:
+    """The time kernels `time` coupled to (k, nbar), for the curve func."""
+    return _couple(time, k, nbar, _coupling(time, k, func, fast))
 
 
 # The curve functions below take the kernels plus per-cell amplitudes that
@@ -170,9 +188,8 @@ def _envelope_factor(kern, total):
 def _ab_values(kern, alpha, beta, r_a, r_b):
     total = alpha ** 2 + beta ** 2
     cross = 2.0 * alpha * beta
-    phi = (r_a + r_b) * kern.t
     env = _envelope_factor(kern, total)
-    return 1.0 + (total + cross * np.cos(phi)) - (total + cross * np.cos(phi + kern.twob)) * env
+    return 1.0 + (total + cross * np.cos((r_a + r_b) * kern.t)) - (total + cross * kern.carrier) * env
 
 
 def _ab_lower(kern, alpha, beta, r_a, r_b):
@@ -180,7 +197,7 @@ def _ab_lower(kern, alpha, beta, r_a, r_b):
     env = _envelope_factor(kern, total)
     # |1 - env exp(2iB)| in real arithmetic: this line dominates the envelope
     # scan, and complex temporaries made it several times slower
-    swing = np.sqrt((1.0 - env * kern.cos_twob) ** 2 + (env * np.sin(kern.twob)) ** 2)
+    swing = np.sqrt((1.0 - env * kern.cos_twob) ** 2 + (env * kern.sin_twob) ** 2)
     return 1.0 + total * (1.0 - env) - 2.0 * np.abs(alpha * beta) * swing
 
 
@@ -248,8 +265,9 @@ def duan_values(t, state: CVInitialState, p: SystemParams, pair: str, *, lower: 
     table = _LOWER if lower else _VALUES
     if pair not in table:
         raise ValueError(f"pair must be one of {sorted(table)}, got {pair!r}")
-    kern = _kernels(_time_kernels(t), p.k, state.nbar)
-    return table[pair](kern, state.alpha, state.beta, p.r_a, p.r_b)
+    func = table[pair]
+    kern = _kernels(_time_kernels(t), p.k, state.nbar, func, p.r_a + p.r_b)
+    return func(kern, state.alpha, state.beta, p.r_a, p.r_b)
 
 
 @dataclass(frozen=True)
@@ -283,6 +301,27 @@ _XTOL = 1e-12
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+@dataclass(frozen=True)
+class _Grid:
+    """size uniform points on [0, t_max], read an index array at a time.
+
+    Point i is bitwise np.linspace(0, t_max, size)[i], so the scan builds a
+    slab's points when it needs them and never holds the whole grid.
+    """
+
+    t_max: float
+    size: int
+
+    def points(self, index):
+        """The grid points at an integer index array, in np.linspace's arithmetic."""
+        index = np.asarray(index)
+        div = self.size - 1
+        step = self.t_max / div
+        # np.linspace divides first where the step underflows to 0
+        t = (index / div * self.t_max if step == 0 else index * step) + 0.0
+        return np.where(index == div, self.t_max, t)
+
+
 def _scan_grid(t_max, fast):
     """The uniform scan grid of [0, t_max] and its mode for the carrier ratio sum fast.
 
@@ -295,7 +334,7 @@ def _scan_grid(t_max, fast):
     else:
         mode, step = "direct", math.pi / (8.0 * fast)
     n_points = int(math.ceil(t_max / step)) + 1
-    return np.linspace(0.0, t_max, max(n_points, _MIN_SCAN_POINTS)), mode
+    return _Grid(t_max, max(n_points, _MIN_SCAN_POINTS)), mode
 
 
 def _golden(func, lo, hi):
@@ -340,6 +379,38 @@ def _rows(param, index):
     return param if np.ndim(param) == 0 else param[index]
 
 
+def _k_batches(k, m, rows):
+    """The scan's cells in batches that share their k kernels: (k, groups) pairs.
+
+    A batch's k is its distinct k values as a column, or the shared scalar.
+    Its groups hold at most rows cells each, as (cells, local) with local
+    mapping each cell to its row of k, or None where the kernels need no
+    gather: one row for the batch, or one per cell. Cells come in order of
+    k. A batch holds whole classes of bitwise equal k, at most rows cells in
+    all, or one larger class whose groups share its row.
+    """
+    if np.ndim(k) == 0:
+        return [(k, [(np.arange(lo, min(lo + rows, m)), None) for lo in range(0, m, rows)])]
+    _, inverse = _distinct_rows([k])
+    order = np.lexsort((inverse, k))
+    classes = np.split(order, np.flatnonzero(np.diff(inverse[order])) + 1) if m else []
+    batches, members = [], []
+    for cls in classes + [None]:
+        if members and (cls is None or sum(map(len, members)) + cls.size > rows):
+            cells = np.concatenate(members)
+            local = None
+            if 1 < len(members) < cells.size:
+                local = np.repeat(np.arange(len(members)), [len(c) for c in members])
+            groups = [
+                (cells[lo:lo + rows], None if local is None else local[lo:lo + rows])
+                for lo in range(0, cells.size, rows)
+            ]
+            batches.append((k[[c[0] for c in members], None], groups))
+            members = []
+        members.append(cls)
+    return batches
+
+
 def _block_floor(total, cross, bounds):
     """Lower bound of `_ab_lower` over each block, for cells given as (cells, 1) columns.
 
@@ -357,17 +428,18 @@ def _block_floor(total, cross, bounds):
 def _scan(func, grid, params, m, r_a, r_b):
     """(best, d_grid, strict, evaluated): each cell's first grid minimum of func.
 
-    Kernels are built once per slab of consecutive points, or once for the
-    whole grid where a floor bounds the scan; see `window_minima`.
+    Kernels are built once per slab of consecutive points and distinct k,
+    or once for the whole grid where a floor bounds the scan; see
+    `window_minima`.
     """
     alpha, beta, nbar, k = params
-    n = grid.size
+    n, fast = grid.size, r_a + r_b
     shared = np.ndim(nbar) == np.ndim(k) == 0
     best, d_grid = np.full(m, n, dtype=np.intp), np.full(m, np.inf)
 
     def couple(time, cells):
         """time coupled to the (k, nbar) of cells, one row per cell."""
-        return _kernels(time, _rows(k, (cells, None)), _rows(nbar, (cells, None)))
+        return _kernels(time, _rows(k, (cells, None)), _rows(nbar, (cells, None)), func, fast)
 
     def values(kern, index):
         """func on kern for the cells index selects: one row per cell for
@@ -395,13 +467,12 @@ def _scan(func, grid, params, m, r_a, r_b):
     if shared and func is _ab_lower:
         # only an envelope grid scans _ab_lower, and its at most 4,002 points
         # fit one temporary, so its kernels and block bounds are built once
-        kern = _kernels(_time_kernels(grid), k, nbar)
+        kern = _kernels(_time_kernels(grid.points(np.arange(n))), k, nbar, func, fast)
         starts = np.arange(0, n, _SCAN_BLOCK)
-        sin_twob = np.abs(np.sin(kern.twob))
         bounds = (
             np.minimum.reduceat(kern.cos_twob, starts),
             np.maximum.reduceat(kern.cos_twob, starts),
-            np.maximum.reduceat(sin_twob, starts),
+            np.maximum.reduceat(np.abs(kern.sin_twob), starts),
             np.minimum.reduceat(kern.thermal, starts),
             np.maximum.reduceat(kern.thermal, starts),
         )
@@ -410,18 +481,20 @@ def _scan(func, grid, params, m, r_a, r_b):
             bounds = None  # a bound or a grid value could overflow
 
     if bounds is None:
-        # a slab's kernels are built once, and a whole slab times a group of
-        # up to 8 cells fills one temporary
+        # a whole slab times a group of up to 8 cells fills one temporary,
+        # and so does a slab times the distinct k of a batch; a slab's time
+        # kernels are built once, its k kernels once per batch
         slab = _TEMP_ELEMENTS // min(max(m, 1), 8)
         rows = _TEMP_ELEMENTS // slab
+        batches = _k_batches(k, m, rows)
         for start in range(0, n, slab):
-            kern = _time_kernels(grid[start:start + slab])
-            if shared:
-                kern = _kernels(kern, k, nbar)
-            for lo in range(0, m, rows):
-                cells = np.arange(lo, min(lo + rows, m))
-                v = values(kern if shared else couple(kern, cells), (cells, None))
-                fold(v.reshape(cells.size, -1).T, cells, start)
+            time = _time_kernels(grid.points(np.arange(start, min(start + slab, n))))
+            for k_rows, groups in batches:
+                coupling = _coupling(time, k_rows, func, fast)
+                for cells, local in groups:
+                    picked = coupling if local is None else [a if a is None else a[local] for a in coupling]
+                    kern = _couple(time, _rows(k, (cells, None)), _rows(nbar, (cells, None)), picked)
+                    fold(values(kern, (cells, None)).reshape(cells.size, -1).T, cells, start)
         evaluated = m * n
     else:
         total = np.broadcast_to(total, (m,))
@@ -464,7 +537,7 @@ def _scan(func, grid, params, m, r_a, r_b):
     for lo in range(0, m, _TEMP_ELEMENTS // 2):
         cells = np.arange(lo, min(lo + _TEMP_ELEMENTS // 2, m))
         i = best[cells]
-        around = grid[np.clip(i[:, None] + np.array([-1, 1]), 0, n - 1)]
+        around = grid.points(np.clip(i[:, None] + np.array([-1, 1]), 0, n - 1))
         around = values(couple(_time_kernels(around), cells), (cells, None)).reshape(cells.size, 2)
         d = d_grid[cells]
         strict[cells] = (i > 0) & (i < n - 1) & (d < around[:, 0]) & (d < around[:, 1])
@@ -508,14 +581,18 @@ def window_minima(
       `scanned_cells` counts the distinct cells;
     - one scan finds each cell's first grid minimum, in either mode, for
       every bipartition and for shared or per-cell k and nbar. It walks the
-      grid in slabs of consecutive points and builds each slab's time
-      kernels once, and the arrays that depend only on k and nbar (cos 2B,
-      the thermal exponent) once per slab when every cell shares k and
-      nbar. Each cell keeps a running minimum with np.argmin's
-      rule: a NaN before any number, then the earliest of equal values. No
-      temporary of the scan holds more than _TEMP_ELEMENTS grid values,
-      whatever the grid or the number of cells. Both grid neighbours of
-      each minimum are then evaluated exactly for the strict-interior test;
+      grid in slabs of consecutive points and builds each slab's points
+      and time kernels once. The arrays that depend only on t and k (cos
+      2B, sin 2B, k**2 |eta|**2 and the D_AB carrier
+      cos((r_a + r_b) t + 2B)) are built once per slab and distinct k,
+      distinct by bits: the cells are batched in order of k, each class of
+      equal k whole, and every cell of a class reads its row. Only the
+      thermal exponent and what follows from it is computed per cell. Each
+      cell keeps a running minimum with np.argmin's rule: a NaN before any
+      number, then the earliest of equal values. No temporary of the scan
+      holds more than _TEMP_ELEMENTS grid values, whatever the grid or the
+      number of cells. Both grid neighbours of each minimum are then
+      evaluated exactly for the strict-interior test;
     - every cell whose grid minimum is a strict interior local minimum is
       refined by one golden-section search across those cells, on the
       bracket of its two grid neighbours. All those searches step together,
@@ -523,9 +600,10 @@ def window_minima(
       to t (scipy's golden xtol). The refined value replaces the grid value
       only where it is lower.
 
-    Merging cells and cutting the grid change no bit of any result: the
-    scan is elementwise, and the refinement's common step count depends
-    only on the distinct brackets.
+    Merging cells, sharing k rows and cutting the grid change no bit of any
+    result: the scan is elementwise, each grid point is bitwise
+    np.linspace's, and the refinement's common step count depends only on
+    the distinct brackets.
 
     Where a certified floor exists, the scan skips blocks of 32 points
     instead of evaluating every grid value. Today that is "AB" in envelope
@@ -586,19 +664,20 @@ def window_minima(
     first, inverse = _distinct_rows(cells)
     cells = [cell[first] for cell in cells]
     m = cells[0].size
-    # a parameter shared by every cell stays a scalar, so the kernels that
-    # depend only on it are computed once per slab instead of once per cell
+    # a parameter shared by every cell stays a scalar: the kernels that
+    # depend on k alone are then built once per slab for all cells, and a
+    # shared (k, nbar) lets the envelope D_AB scan use its block floors
     params = [cell[0] if m and np.all(cell == cell[0]) else cell for cell in cells]
     best, d_star, strict, evaluated = _scan(func, grid, params, m, r_a, r_b)
-    t_star = grid[best]
+    t_star = grid.points(best)
     refined = np.zeros(m, dtype=bool)
     todo = np.flatnonzero(strict)
     if todo.size:
         alpha, beta, nbar, k = (_rows(p, todo) for p in params)
         t_ref, d_ref = _golden(
-            lambda t: func(_kernels(_time_kernels(t), k, nbar), alpha, beta, r_a, r_b),
-            grid[best[todo] - 1],
-            grid[best[todo] + 1],
+            lambda t: func(_kernels(_time_kernels(t), k, nbar, func, r_a + r_b), alpha, beta, r_a, r_b),
+            grid.points(best[todo] - 1),
+            grid.points(best[todo] + 1),
         )
         better = d_ref < d_star[todo]
         won = todo[better]

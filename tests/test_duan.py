@@ -183,14 +183,14 @@ class TestMinOverWindow:
         assert float(res.d_star) < 1.0
 
     @pytest.mark.parametrize("mode", ["direct", "envelope"])
-    def test_scan_grid_floor_and_cap(self, monkeypatch, mode):
-        # linspace is faked so the largest grids are not allocated
-        monkeypatch.setattr(duan_module.np, "linspace", lambda lo, hi, n: n)
+    def test_scan_grid_floor_and_cap(self, mode):
+        # a grid holds no points until the scan reads them, so the largest
+        # grids cost nothing here
         p = self._TABLE
         if mode == "direct":
-            assert duan_module._scan_grid(1.0, 1.0) == (65, "direct")
+            assert duan_module._scan_grid(1.0, 1.0) == (duan_module._Grid(1.0, 65), "direct")
         else:
-            assert duan_module._scan_grid(9.0, p.r_a + p.r_b) == (4002, "envelope")
+            assert duan_module._scan_grid(9.0, p.r_a + p.r_b) == (duan_module._Grid(9.0, 4002), "envelope")
         for t_max in (1e-3, 1.0, 9.0, 4.0 * math.pi, 1e6):
             # the largest carrier sum whose window holds at most 1e5 cycles
             fast = 2.0 * math.pi * 1e5 / t_max
@@ -200,7 +200,8 @@ class TestMinOverWindow:
                 fast = math.nextafter(fast, math.inf)
             if mode == "envelope":
                 fast = math.nextafter(fast, math.inf)
-            n, got = duan_module._scan_grid(t_max, fast)
+            grid, got = duan_module._scan_grid(t_max, fast)
+            n = grid.size
             assert got == mode, t_max
             if mode == "direct":
                 # 8 fast t_max / pi + 2 at most
@@ -354,23 +355,39 @@ def test_window_minima_of_no_cells(bipartition, mode):
     assert res.scanned_cells == 0
 
 
+def _kernel_builds(monkeypatch):
+    """Spy on the kernel builders.
+
+    Returns two lists that fill as the scan runs: the time shape of each
+    `_time_kernels` call, and the k values and time shape of each
+    `_coupling` call, which builds cos 2B on one row per k value it gets.
+    """
+    times, couplings = [], []
+    time_kernels, coupling = duan_module._time_kernels, duan_module._coupling
+
+    def spy_time(t):
+        times.append(np.shape(t))
+        return time_kernels(t)
+
+    def spy_coupling(time, k, func, fast):
+        couplings.append((np.ravel(k).tolist(), np.shape(time[0])))
+        return coupling(time, k, func, fast)
+
+    monkeypatch.setattr(duan_module, "_time_kernels", spy_time)
+    monkeypatch.setattr(duan_module, "_coupling", spy_coupling)
+    return times, couplings
+
+
+def _slab_sizes(n, slab):
+    return [min(slab, n - start) for start in range(0, n, slab)]
+
+
 @pytest.mark.parametrize("shared", [True, False])
 def test_window_minima_builds_shared_k_kernels_once(monkeypatch, shared):
     # with one amplitude at zero no cell is refined, so every kernel below
     # belongs to the scan of 100 cells on 4001 points, plus one build at the
-    # grid neighbours of the minima
-    built = {"_time_kernels": 0, "_kernels": 0}
-
-    def counting(name):
-        original = getattr(duan_module, name)
-
-        def wrapper(*args):
-            built[name] += 1
-            return original(*args)
-        return wrapper
-
-    for name in built:
-        monkeypatch.setattr(duan_module, name, counting(name))
+    # grid neighbours of the minima, one row per cell
+    times, couplings = _kernel_builds(monkeypatch)
     window, r_a, r_b = _WINDOWS["envelope"]
     k = 0.74 if shared else np.linspace(0.5, 1.0, 100)
     res = window_minima(
@@ -378,16 +395,44 @@ def test_window_minima_builds_shared_k_kernels_once(monkeypatch, shared):
     )
     assert res.mode == "envelope" and res.scanned_cells == 100
     assert not res.refined.any()
-    budget = duan_module._TEMP_ELEMENTS
     if shared:
-        # the bounded scan builds the kernels of the whole grid once
-        slabs = couplings = 1
-    else:
-        # slabs of budget / 8 points, each coupled to groups of 8 cells
-        slabs = math.ceil(4001 / (budget // 8))
-        couplings = slabs * math.ceil(100 / 8)
-    assert slabs == (1 if shared else 4)
-    assert built == {"_time_kernels": slabs + 1, "_kernels": couplings + 1}
+        # the bounded scan builds the kernels of the whole grid once, and a
+        # shared k stays one value
+        assert times == [(4001,), (100, 2)]
+        assert couplings == [([0.74], (4001,)), ([0.74], (100, 2))]
+        return
+    # slabs of budget / 8 points; every k is its own class, so each slab is
+    # coupled to 13 batches of at most 8 distinct k, in order of k
+    sizes = _slab_sizes(4001, duan_module._TEMP_ELEMENTS // 8)
+    assert len(sizes) == 4
+    assert times == [(size,) for size in sizes] + [(100, 2)]
+    batches = [k[lo:lo + 8].tolist() for lo in range(0, 100, 8)]
+    assert couplings[:-1] == [(ks, (size,)) for size in sizes for ks in batches]
+    assert len(couplings[-1][0]) == 100 and couplings[-1][1] == (100, 2)
+
+
+def test_window_minima_couples_each_slab_to_each_distinct_k_once(monkeypatch):
+    # fig4a's layout: k classes of cells that differ in nbar alone, here of
+    # 20 cells (more than one group of 8), 3, 3, 1, 1, 1 and 5 cells, given
+    # out of order of k
+    times, couplings = _kernel_builds(monkeypatch)
+    sizes = [20, 3, 3, 1, 1, 1, 5]
+    ks = np.array([0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1])
+    k = np.repeat(ks, sizes)
+    nbar = np.concatenate([np.linspace(0.0, 0.4, size) for size in sizes])
+    order = np.random.default_rng(5).permutation(k.size)
+    window, r_a, r_b = _WINDOWS["envelope"]
+    res = window_minima("AB", window, r_a, r_b, alpha=0.0, beta=0.7, nbar=nbar[order], k=k[order])
+    assert res.scanned_cells == 34 and not res.refined.any()
+    slabs = _slab_sizes(4001, duan_module._TEMP_ELEMENTS // 8)
+    assert times == [(size,) for size in slabs] + [(34, 2)]
+    # each slab builds cos 2B once per distinct k, in batches of whole
+    # classes of at most 8 cells, or of the one larger class
+    batches = [[0.5], [0.6, 0.7, 0.8, 0.9], [1.0, 1.1]]
+    assert couplings[:-1] == [(batch, (size,)) for size in slabs for batch in batches]
+    assert sorted(sum(batches, [])) == ks.tolist()
+    # the neighbours of the minima: one row per cell
+    assert len(couplings[-1][0]) == 34 and couplings[-1][1] == (34, 2)
 
 
 @pytest.mark.parametrize("window", [-0.01, 0.0, math.nan, math.inf, -math.inf])
@@ -420,14 +465,28 @@ def test_window_minima_validates_cells():
         window_minima("AB", window, r_a, 0.0, alpha=0.5, beta=0.5, nbar=0.0, k=0.5)
 
 
+def _per_cell_kernels(time, k, nbar, fast):
+    """The kernels of time coupled to each cell's own (k, nbar), with no k shared.
+
+    The reference coupling for `duan._coupling` and `duan._couple`: every
+    array that depends on k is built at the k of each row, in the curves'
+    own operation order; sin 2B and the carrier cos(fast t + 2B) are always
+    built.
+    """
+    t, unit_b, eta_t, eta_sq = time
+    twob = 2.0 * (k ** 2 * unit_b)
+    thermal = k ** 2 * eta_sq * (2.0 * nbar + 1.0)
+    carrier = np.cos(fast * t + twob)
+    return duan_module._Kernels(t, unit_b, eta_t, eta_sq, k, nbar, np.cos(twob), np.sin(twob), carrier, thermal)
+
+
 def _block_bounds(kern):
     """(min cos 2B, max cos 2B, max |sin 2B|, min theta, max theta) per 32-point block."""
     starts = np.arange(0, kern.t.size, duan_module._SCAN_BLOCK)
-    sin_twob = np.abs(np.sin(kern.twob))
     return (
         np.minimum.reduceat(kern.cos_twob, starts),
         np.maximum.reduceat(kern.cos_twob, starts),
-        np.maximum.reduceat(sin_twob, starts),
+        np.maximum.reduceat(np.abs(kern.sin_twob), starts),
         np.minimum.reduceat(kern.thermal, starts),
         np.maximum.reduceat(kern.thermal, starts),
     )
@@ -436,9 +495,11 @@ def _block_bounds(kern):
 def _reference_scan(func, grid, params, m, r_a, r_b):
     """Whole-grid reference for `duan._scan`: every kernel built on the whole grid at once.
 
-    func on (rows, n) blocks of cells, then each row's argmin and the
-    strict-interior test against its two grid neighbours. Takes what `_scan`
-    takes and returns what a full scan returns, then two more entries for an
+    The grid is np.linspace's, and the kernels are coupled to each cell's
+    own k (`_per_cell_kernels`). func on (rows, n) blocks of cells, then
+    each row's argmin and the strict-interior test against its two grid
+    neighbours. Takes what `_scan` takes and returns what a full scan
+    returns, then two more entries for an
     envelope D_AB with shared k and nbar and finite bounds (else None): the
     grid values a bounded scan evaluates (each cell's lowest-floor block,
     the blocks whose floor is within the margin of that block's minimum, and
@@ -447,13 +508,13 @@ def _reference_scan(func, grid, params, m, r_a, r_b):
     """
     alpha, beta, nbar, k = params
     n = grid.size
-    time = duan_module._time_kernels(grid)
+    time = duan_module._time_kernels(np.linspace(0.0, grid.t_max, n))
     best, d_grid, strict = np.empty(m, dtype=np.intp), np.empty(m), np.empty(m, dtype=bool)
     starts = np.arange(0, n, duan_module._SCAN_BLOCK)
     sizes = np.diff(np.append(starts, n))
     bounds = None
     if func is duan_module._ab_lower and np.ndim(k) == np.ndim(nbar) == 0:
-        bounds = _block_bounds(duan_module._kernels(time, k, nbar))
+        bounds = _block_bounds(_per_cell_kernels(time, k, nbar, r_a + r_b))
         finite = np.all(np.isfinite(4.0 * (np.asarray(alpha) ** 2 + np.asarray(beta) ** 2)))
         if not (finite and all(np.all(np.isfinite(b)) for b in bounds)):
             bounds = None
@@ -467,7 +528,7 @@ def _reference_scan(func, grid, params, m, r_a, r_b):
         def col(p):
             return p if np.ndim(p) == 0 else p[block, None]
 
-        kern = duan_module._kernels(time, col(k), col(nbar))
+        kern = _per_cell_kernels(time, col(k), col(nbar), r_a + r_b)
         values = np.broadcast_to(func(kern, col(alpha), col(beta), r_a, r_b), (size, n))
         i = np.argmin(values, axis=1)
         d = values[at, i]
@@ -593,6 +654,32 @@ def test_bounded_scan_across_slabs_and_groups(monkeypatch):
     assert floors == [8] * (10 * 64 + 3) + [7] + [16] * 321 + [15]
 
 
+@pytest.mark.parametrize(
+    "t_max", [5e-324, 1e-320, 3e-310, 1e-3, 4.0 * math.pi, 9.353966, 2000.0, 1e6, 1e300]
+)
+def test_grid_points_are_linspace_bitwise(t_max):
+    # the smallest windows make linspace's step underflow to 0, where it
+    # divides before it multiplies
+    for size in (65, 4001, 4002, 10_187):
+        grid = duan_module._Grid(t_max, size)
+        want = np.linspace(0.0, t_max, size)
+        assert grid.points(np.arange(size)).tobytes() == want.tobytes(), size
+        # a slab across an unaligned edge, and scattered points
+        assert grid.points(np.arange(37, size)).tobytes() == want[37:].tobytes()
+        index = np.array([[size - 1, 0], [1, size - 2]])
+        assert grid.points(index).tobytes() == want[index].tobytes()
+
+
+def test_near_switch_grid_points_are_linspace_bitwise():
+    grid, mode = duan_module._scan_grid(4.0 * math.pi, 2 * 24_999.0)
+    assert mode == "direct" and grid.size == 1_599_937
+    want = np.linspace(0.0, 4.0 * math.pi, grid.size)
+    slab = duan_module._TEMP_ELEMENTS
+    for start in range(0, grid.size, slab):
+        index = np.arange(start, min(start + slab, grid.size))
+        assert grid.points(index).tobytes() == want[index].tobytes(), start
+
+
 def test_envelope_grid_fits_one_temporary():
     # the bounded scan builds the kernels of the whole envelope grid at once,
     # which keeps its temporaries within _TEMP_ELEMENTS only while no
@@ -633,7 +720,7 @@ def test_bounded_scan_is_bitwise_the_full_scan(monkeypatch, case):
     res, ref, _ = _bounded_against_reference(
         monkeypatch, _ENVELOPE, _OPTICAL.r_a, _OPTICAL.r_b, **_BOUNDED_CASES[case]
     )
-    n = len(duan_module._scan_grid(_ENVELOPE, _OPTICAL.r_a + _OPTICAL.r_b)[0])
+    n = duan_module._scan_grid(_ENVELOPE, _OPTICAL.r_a + _OPTICAL.r_b)[0].size
     assert ref.evaluated_points == res.scanned_cells * n
     if case == "grid-not-multiple":
         assert n == 125 * duan_module._SCAN_BLOCK + 1
@@ -662,10 +749,101 @@ def test_scan_is_bitwise_the_whole_grid_reference(monkeypatch, bipartition, mode
     assert bounded == (bipartition == "AB" and mode == "envelope" and cells == "amplitudes")
 
 
+def _fig4a_cells(*overrides):
+    """window, r_a, r_b and the cells of `optomech fig4a` with the given overrides."""
+    from optomech import cli
+
+    v = cli.resolve_config("fig4a", overrides=overrides).values
+    window, _, r_a, r_b = cli._witness_window(v)
+    ks = cli._axis(v, "k")
+    nbars = [thermal_occupation(T, v["omega_m_rad_per_s"]) for T in v["temperatures_K"]]
+    cells = dict(
+        alpha=v["alpha"], beta=v["beta"], nbar=np.tile(nbars, ks.size), k=np.repeat(ks, len(nbars))
+    )
+    return window, r_a, r_b, cells
+
+
+# the fig4a (alpha, beta) of the witness-grid benchmark at seeds 0-9, the
+# first fig4a's default, and its direct-mode overrides (carriers at the
+# mechanical frequency)
+_FIG4A_AMPLITUDES = [
+    (0.5, 0.5), (0.552755, 0.451014), (0.41131, 0.416974), (0.473991, 0.520784),
+    (0.479212, 0.430994), (0.559039, 0.58849), (0.497007, 0.452324), (0.530187, 0.414487),
+    (0.425266, 0.540963), (0.427708, 0.573312),
+]
+_OMEGA_M = 2.0 * math.pi * 95.0e3
+_FIG4A_DIRECT = tuple(
+    f"{name}={_OMEGA_M!r}" for name in ("omega_m_rad_per_s", "omega_a_rad_per_s", "omega_b_rad_per_s")
+) + ("window_scaled=2000.0",)
+
+
+def test_fig4a_default_amplitudes_are_the_first_benchmark_ones():
+    from optomech.cli import FIELDS
+
+    assert (FIELDS["fig4a"]["alpha"][0], FIELDS["fig4a"]["beta"][0]) == _FIG4A_AMPLITUDES[0]
+
+
+@pytest.mark.parametrize("mode", ["envelope", "direct"])
+@pytest.mark.parametrize("seed", range(len(_FIG4A_AMPLITUDES)))
+def test_per_cell_scan_is_bitwise_the_reference_on_fig4a(monkeypatch, seed, mode):
+    # 60 k values times 3 temperatures: each k class is 3 cells
+    alpha, beta = _FIG4A_AMPLITUDES[seed]
+    overrides = (f"alpha={alpha!r}", f"beta={beta!r}") + (_FIG4A_DIRECT if mode == "direct" else ())
+    window, r_a, r_b, cells = _fig4a_cells(*overrides)
+    res, ref, scan, ref_scan = _scan_against_reference(monkeypatch, "AB", window, r_a, r_b, **cells)
+    assert res.mode == mode and res.scanned_cells == 180
+    assert not _assert_scan_is_exact(res, ref, scan, ref_scan)
+    assert res.refined.any()
+
+
+_PER_CELL_K = {
+    # one k class of 20 cells, more than a group of 8
+    "large-class": dict(
+        alpha=0.5, beta=0.6, nbar=np.tile(np.linspace(0.0, 0.5, 20), 3), k=np.repeat([0.3, 0.74, 1.2], 20)
+    ),
+    # k values one ulp apart, and 0.0 beside -0.0, each at two nbar
+    "ulp-and-signed-zero": dict(
+        alpha=0.5, beta=0.6, nbar=np.tile([0.0, 0.2], 6),
+        k=np.repeat([0.74, math.nextafter(0.74, 1.0), math.nextafter(0.74, 0.0), 0.0, -0.0, 0.3], 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("budget", [2 ** 9, 2 ** 13])
+@pytest.mark.parametrize("case", sorted(_PER_CELL_K))
+@pytest.mark.parametrize("mode", sorted(_WINDOWS))
+@pytest.mark.parametrize("bipartition", ["AB", "AC", "BC"])
+def test_per_cell_k_scan_is_bitwise_the_reference(monkeypatch, bipartition, mode, case, budget):
+    # at 2**9 the slabs hold 64 points, so slab edges fall inside the grid
+    monkeypatch.setattr(duan_module, "_TEMP_ELEMENTS", budget)
+    window, r_a, r_b = _WINDOWS[mode]
+    cells = _PER_CELL_K[case]
+    res, ref, scan, ref_scan = _scan_against_reference(monkeypatch, bipartition, window, r_a, r_b, **cells)
+    assert res.mode == mode and res.scanned_cells == cells["k"].size
+    assert not _assert_scan_is_exact(res, ref, scan, ref_scan)
+
+
+def test_k_batches_keep_bitwise_distinct_k_apart():
+    # 0.0 and -0.0 interleaved, and the other classes out of order
+    k = _PER_CELL_K["ulp-and-signed-zero"]["k"][[6, 8, 7, 9, 11, 0, 3, 10, 1, 4, 2, 5]]
+    batches = duan_module._k_batches(k, k.size, 8)
+    # each distinct k once, in order of k; 0.0 and -0.0 compare equal, so
+    # their bits order them
+    below, above = math.nextafter(0.74, 0.0), math.nextafter(0.74, 1.0)
+    rows = [[float(x).hex() for x in np.ravel(k_rows)] for k_rows, _ in batches]
+    assert rows == [[x.hex() for x in batch] for batch in ([0.0, -0.0, 0.3, below], [0.74, above])]
+    for k_rows, groups in batches:
+        for cells, local in groups:
+            assert cells.size <= 8
+            # local picks each cell's row, or the rows need no gather
+            got = np.broadcast_to(np.ravel(k_rows), cells.shape) if local is None else np.ravel(k_rows)[local]
+            assert got.tobytes() == k[cells].tobytes()
+
+
 def test_near_switch_direct_scan_memory():
     # one cell on the direct grid just below the 1e5-cycle switch: 1,599,937
-    # points, which the scan walks in slabs instead of building whole-grid
-    # kernels; the grid itself takes 12.2 MiB
+    # points, which the scan builds and walks slab by slab; the peak was
+    # 1.13 MiB, against 13.0 MiB while the grid was built whole
     tracemalloc.start()
     try:
         res = window_minima("AB", 4.0 * math.pi, 24_999.0, 24_999.0, alpha=0.5, beta=0.5, nbar=0.01, k=0.6)
@@ -675,7 +853,7 @@ def test_near_switch_direct_scan_memory():
     assert res.mode == "direct" and res.evaluated_points == 1_599_937
     assert float(res.t_star).hex() == "0x1.921ec4e36c718p+2"
     assert float(res.d_star).hex() == "0x1.989fc5b049eb5p-1"
-    assert peak <= 32 * 2 ** 20
+    assert peak <= 4 * 2 ** 20
 
 
 def _synthetic_grid(monkeypatch, cos, theta):
@@ -692,7 +870,7 @@ def _synthetic_grid(monkeypatch, cos, theta):
         return t, unit_b[i], t.astype(complex), eta_sq[i]
 
     monkeypatch.setattr(duan_module, "_time_kernels", lookup)
-    return np.linspace(0.0, 1.0, cos.size)
+    return duan_module._Grid(1.0, cos.size)
 
 
 def _tie_across_blocks():
@@ -723,7 +901,8 @@ def test_bounded_scan_on_equal_grid_values(monkeypatch, layout):
     grid = _synthetic_grid(monkeypatch, cos, theta)
     args = (duan_module._ab_lower, grid, (np.array([1.0, 0.6]), np.array([0.0, 0.0]), 0.0, 0.5), 2, 1.0, 1.0)
     if layout is _tie_across_blocks:
-        bounds = _block_bounds(duan_module._kernels(duan_module._time_kernels(grid), 0.5, 0.0))
+        time = duan_module._time_kernels(np.linspace(0.0, 1.0, grid.size))
+        bounds = _block_bounds(_per_cell_kernels(time, 0.5, 0.0, 2.0))
         assert np.argmin(duan_module._block_floor(np.array([[1.0]]), np.array([[0.0]]), bounds)) == 2
     scan = duan_module._scan(*args)
     ref = _reference_scan(*args)
