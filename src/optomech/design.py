@@ -270,6 +270,13 @@ def proposed_geometry(finesse: float = 3.0e6) -> CavityGeometry:
     return CavityGeometry(L=783.0e-6, R_mirror=5.0e-2, finesse=finesse)
 
 
+#: most points of a design search's L or N axis, about 200 times the
+#: defaults' 526 and 481; the search keeps a few arrays of one value per N
+#: and per (trap frequency, L) row, which peak at 121 MiB for an L axis
+#: this long at the 12 default trap frequencies
+_MAX_AXIS_POINTS = 100_000
+
+
 @dataclass(frozen=True)
 class DesignSearchSpace:
     """Grid-search domain for optimize_design. R_mirror is fixed per run.
@@ -281,7 +288,8 @@ class DesignSearchSpace:
     (n = 1..exclusion_n_max), where the optical witness becomes inconclusive.
     Because the objective is nearly flat along the feasibility frontier, all
     candidates within plateau_rtol of the best ratio are treated as ties and
-    the lexicographically smallest (L, N, omega_m) wins.
+    the lexicographically smallest (L, N, omega_m) wins. The L and N axes
+    may hold at most 100,000 points each.
     """
 
     R_mirror: float
@@ -311,6 +319,11 @@ class DesignSearchSpace:
         need("N_min", 1 <= self.N_min < math.inf, "finite and >= 1")
         need("N_max", self.N_min <= self.N_max < math.inf, "finite and >= N_min")
         need("finesse_eval", 1 < self.finesse_eval < math.inf, "finite and > 1")
+        # the length of optimize_design's np.arange, refused before it is built
+        for lo, hi, step in (("L_min_m", "L_max_m", "L_step_m"), ("N_min", "N_max", "N_step")):
+            points = (getattr(self, hi) + 0.5 * getattr(self, step) - getattr(self, lo)) / getattr(self, step)
+            want = f"large enough for at most {_MAX_AXIS_POINTS} points from {lo} to {hi}"
+            need(step, points <= _MAX_AXIS_POINTS, want)
         # the search runs on 2 pi f, which must stay finite too
         freqs = np.asarray(self.trap_frequencies_Hz, dtype=float)
         need(

@@ -140,6 +140,7 @@ class _Kernels(NamedTuple):
     nbar: object
     cos_twob: np.ndarray  # cos 2B(t), 2B = 2 k**2 unit_b
     sin_twob: object  # sin 2B, built for _ab_lower only
+    drive: object  # cos((r_a + r_b) t), built for _ab_values only
     carrier: object  # cos((r_a + r_b) t + 2B), built for _ab_values only
     thermal: np.ndarray  # k^2 |eta|^2 (2 nbar + 1), the thermal dephasing exponent
 
@@ -165,15 +166,20 @@ def _coupling(time, k, func, fast) -> tuple:
     return np.cos(twob), sin_twob, carrier, k ** 2 * eta_sq
 
 
-def _couple(time, k, nbar, coupling) -> _Kernels:
-    """The kernels of `time` at (k, nbar), from `_coupling`'s arrays at that k."""
+def _drive(t, func, fast):
+    """cos(fast t), the D_AB carrier at k = 0, for `_ab_values`; None for any other func."""
+    return np.cos(fast * t) if func is _ab_values else None
+
+
+def _couple(time, k, nbar, coupling, drive) -> _Kernels:
+    """The kernels of `time` at (k, nbar), from `_coupling`'s arrays at that k and `_drive`'s."""
     cos_twob, sin_twob, carrier, k_eta_sq = coupling
-    return _Kernels(*time, k, nbar, cos_twob, sin_twob, carrier, k_eta_sq * (2.0 * nbar + 1.0))
+    return _Kernels(*time, k, nbar, cos_twob, sin_twob, drive, carrier, k_eta_sq * (2.0 * nbar + 1.0))
 
 
 def _kernels(time, k, nbar, func, fast) -> _Kernels:
     """The time kernels `time` coupled to (k, nbar), for the curve func."""
-    return _couple(time, k, nbar, _coupling(time, k, func, fast))
+    return _couple(time, k, nbar, _coupling(time, k, func, fast), _drive(time[0], func, fast))
 
 
 # The curve functions below take the kernels plus per-cell amplitudes that
@@ -189,7 +195,7 @@ def _ab_values(kern, alpha, beta, r_a, r_b):
     total = alpha ** 2 + beta ** 2
     cross = 2.0 * alpha * beta
     env = _envelope_factor(kern, total)
-    return 1.0 + (total + cross * np.cos((r_a + r_b) * kern.t)) - (total + cross * kern.carrier) * env
+    return 1.0 + (total + cross * kern.drive) - (total + cross * kern.carrier) * env
 
 
 def _ab_lower(kern, alpha, beta, r_a, r_b):
@@ -294,6 +300,12 @@ _TEMP_ELEMENTS = 2 ** 13
 _SCAN_BLOCK = 32
 #: slack of the bounded scan's pruning test, relative to 1 + alpha**2 + beta**2
 _BOUND_MARGIN = 1e-9
+#: absolute error allowed to each computed cos 2B and sin 2B in the block
+#: bounds: numpy's cos and sin err by a few ulps, under 1e-15 in [-1, 1]
+_TRIG_ERROR = 1e-14
+#: largest |2B| / pi at which the block bounds look for the peaks of cos
+#: and |sin|; beyond it the bounds are [-1, 1]
+_MAX_TURNS = 2.0 ** 40
 #: fewest points of a scan grid
 _MIN_SCAN_POINTS = 65
 #: relative bracket tolerance of the refinement, as scipy's golden xtol
@@ -411,6 +423,36 @@ def _k_batches(k, m, rows):
     return batches
 
 
+def _trig_bounds(lo, hi):
+    """(min cos x, max cos x, max |sin x|) over the computed x in [lo, hi], elementwise.
+
+    lo <= hi are finite and broadcast together. Where [lo, hi] holds a peak
+    of cos or |sin|, that bound is +-1; elsewhere the function is monotone on
+    [lo, hi] and the bound is its value at an end. Each bound is then widened
+    by _TRIG_ERROR, which covers the rounding of cos and sin at the ends and
+    at every x inside. Peaks are looked for on x / pi, widened outward by
+    four times its relative rounding error so that none is missed; beyond
+    _MAX_TURNS every bound is +-1.
+    """
+    a, b = lo / math.pi, hi / math.pi
+    a, b = a - 4.0 * np.finfo(float).eps * np.abs(a), b + 4.0 * np.finfo(float).eps * np.abs(b)
+    # cos peaks at j pi, +1 for even j and -1 for odd; |sin| at (j + 1/2) pi
+    first, last = np.ceil(a), np.floor(b)
+    wide = ~(np.maximum(np.abs(a), np.abs(b)) <= _MAX_TURNS) | (first < last)
+    one = first == last
+    cos_a, cos_b = np.cos(lo), np.cos(hi)
+    c_lo = np.where(wide | (one & (first % 2 == 1)), -1.0, np.minimum(cos_a, cos_b)) - _TRIG_ERROR
+    c_hi = np.where(wide | (one & (first % 2 == 0)), 1.0, np.maximum(cos_a, cos_b)) + _TRIG_ERROR
+    half = wide | (np.ceil(a - 0.5) <= np.floor(b - 0.5))
+    s_hi = np.where(half, 1.0, np.maximum(np.abs(np.sin(lo)), np.abs(np.sin(hi)))) + _TRIG_ERROR
+    return c_lo, c_hi, s_hi
+
+
+def _gather(kern, index):
+    """kern at the grid points an index selects."""
+    return _Kernels(*(a[index] if isinstance(a, np.ndarray) else a for a in kern))
+
+
 def _block_floor(total, cross, bounds):
     """Lower bound of `_ab_lower` over each block, for cells given as (cells, 1) columns.
 
@@ -429,12 +471,11 @@ def _scan(func, grid, params, m, r_a, r_b):
     """(best, d_grid, strict, evaluated): each cell's first grid minimum of func.
 
     Kernels are built once per slab of consecutive points and distinct k,
-    or once for the whole grid where a floor bounds the scan; see
-    `window_minima`.
+    or, where block floors bound the scan, the time kernels once for the
+    whole grid; see `window_minima`.
     """
     alpha, beta, nbar, k = params
     n, fast = grid.size, r_a + r_b
-    shared = np.ndim(nbar) == np.ndim(k) == 0
     best, d_grid = np.full(m, n, dtype=np.intp), np.full(m, np.inf)
 
     def couple(time, cells):
@@ -459,78 +500,126 @@ def _scan(func, grid, params, m, r_a, r_b):
         won = (d < was_d) | ((d == was_d) & (i < was_i)) | (np.isnan(d) & ~np.isnan(was_d))
         d_grid[cells], best[cells] = np.where(won, d, was_d), np.where(won, i, was_i)
 
-    def gather(kern, points):
-        """kern at the grid points an index selects."""
-        return _Kernels(*(a[points] if isinstance(a, np.ndarray) else a for a in kern))
-
-    bounds = None
-    if shared and func is _ab_lower:
+    total = alpha ** 2 + beta ** 2
+    # a floor's env reaches at most exp(2 T _TRIG_ERROR), which amplitudes of
+    # about 1e7 or more could overflow; their cells, cells whose 2B or
+    # thermal exponent overflows, and any func but the envelope D_AB scan
+    # every grid value
+    bounded = func is _ab_lower and m > 0 and bool(np.all(_TRIG_ERROR * total < 1.0))
+    if bounded:
         # only an envelope grid scans _ab_lower, and its at most 4,002 points
-        # fit one temporary, so its kernels and block bounds are built once
-        kern = _kernels(_time_kernels(grid.points(np.arange(n))), k, nbar, func, fast)
+        # fit one temporary, so its time kernels and their block extremes
+        # are built once
+        time = _time_kernels(grid.points(np.arange(n)))
         starts = np.arange(0, n, _SCAN_BLOCK)
-        bounds = (
-            np.minimum.reduceat(kern.cos_twob, starts),
-            np.maximum.reduceat(kern.cos_twob, starts),
-            np.maximum.reduceat(np.abs(kern.sin_twob), starts),
-            np.minimum.reduceat(kern.thermal, starts),
-            np.maximum.reduceat(kern.thermal, starts),
+        u_lo, u_hi, e_lo, e_hi = (
+            op.reduceat(a, starts) for a in (time[1], time[3]) for op in (np.minimum, np.maximum)
         )
-        total = alpha ** 2 + beta ** 2
-        if not (np.all(np.isfinite(4.0 * total)) and all(np.all(np.isfinite(b)) for b in bounds)):
-            bounds = None  # a bound or a grid value could overflow
+        # 2B and the thermal exponent are products of non-negative factors,
+        # which round monotonically, so the largest k and nbar bound them all
+        k_sq = np.max(k) ** 2
+        bounded = np.isfinite(2.0 * (k_sq * np.max(np.abs(time[1])))) and np.isfinite(
+            k_sq * np.max(e_hi) * (2.0 * np.max(nbar) + 1.0)
+        )
 
-    if bounds is None:
-        # a whole slab times a group of up to 8 cells fills one temporary,
+    if not bounded:
+        batches = _k_batches(k, m, 8)
+        # a whole slab times the largest group of cells fills one temporary,
         # and so does a slab times the distinct k of a batch; a slab's time
-        # kernels are built once, its k kernels once per batch
-        slab = _TEMP_ELEMENTS // min(max(m, 1), 8)
-        rows = _TEMP_ELEMENTS // slab
-        batches = _k_batches(k, m, rows)
+        # kernels and drive are built once, its k kernels once per batch
+        slab = _TEMP_ELEMENTS // max([cells.size for _, groups in batches for cells, _ in groups], default=1)
         for start in range(0, n, slab):
             time = _time_kernels(grid.points(np.arange(start, min(start + slab, n))))
+            drive = _drive(time[0], func, fast)
             for k_rows, groups in batches:
                 coupling = _coupling(time, k_rows, func, fast)
                 for cells, local in groups:
                     picked = coupling if local is None else [a if a is None else a[local] for a in coupling]
-                    kern = _couple(time, _rows(k, (cells, None)), _rows(nbar, (cells, None)), picked)
+                    kern = _couple(time, _rows(k, (cells, None)), _rows(nbar, (cells, None)), picked, drive)
                     fold(values(kern, (cells, None)).reshape(cells.size, -1).T, cells, start)
         evaluated = m * n
     else:
         total = np.broadcast_to(total, (m,))
         cross = np.broadcast_to(2.0 * np.abs(alpha * beta), (m,))
-        blocks = bounds[0].size
+        blocks = starts.size
         evaluated = 2 * m
-        # floor rows and block folds fill one temporary, and so do the
-        # survivor masks of a group, one bit per cell and block
+        # floor rows fill one temporary, and so do the blocks of one call
         rows = max(1, _TEMP_ELEMENTS // max(blocks, _SCAN_BLOCK))
         per_call = _TEMP_ELEMENTS // _SCAN_BLOCK
-        group = max(1, 8 * _TEMP_ELEMENTS // -(-blocks // 8))
-        for start in range(0, m, group):
-            members = np.arange(start, min(start + group, m))
-            keep = np.empty((members.size, -(-blocks // 8)), dtype=np.uint8)
-            for lo in range(0, members.size, rows):
-                cells = members[lo:lo + rows]
-                tot = total[cells, None]
-                floor = _block_floor(tot, cross[cells, None], bounds)
-                lowest = np.argmin(floor, axis=1)
-                # each cell's incumbent: the exact minimum of its lowest-bound
-                # block; blocks are evaluated one column per cell, so that the
-                # inner loops run across the cells
-                first = lowest * _SCAN_BLOCK
-                own = np.minimum(first + np.arange(_SCAN_BLOCK)[:, None], n - 1)
-                fold(values(gather(kern, own), cells), cells, first)
-                evaluated += int(np.minimum(_SCAN_BLOCK, n - first).sum())
-                survives = floor <= d_grid[cells, None] + _BOUND_MARGIN * (1.0 + tot)
-                survives[np.arange(cells.size), lowest] = False
-                keep[lo:lo + rows] = np.packbits(survives, axis=1)
+        # with k and nbar shared, the kernels of the whole grid, read a block
+        # at a time; else the kernels are built only at the points each
+        # block evaluation reads
+        whole = _kernels(time, k, nbar, func, fast) if np.ndim(k) == np.ndim(nbar) == 0 else None
+        # survivor masks awaiting evaluation, one bit per cell and block, of
+        # at most one temporary's bytes
+        pending, masks = [], max(1, 8 * _TEMP_ELEMENTS // -(-blocks // 8) // rows)
+
+        def evaluate(cells, blocks):
+            """Fold func over the points of each (cell, block) pair.
+
+            A cell's pairs are consecutive; its first minimum over them is
+            folded, by np.argmin's order.
+            """
+            first = blocks * _SCAN_BLOCK
+            points = np.minimum(first + np.arange(_SCAN_BLOCK)[:, None], n - 1)
+            if whole is None:
+                picked = tuple(a[points] for a in time)
+                kern = _kernels(picked, _rows(k, cells), _rows(nbar, cells), func, fast)
+            else:
+                kern = _gather(whole, points)
+            v = values(kern, cells)
+            if np.any(cells[1:] == cells[:-1]):
+                j = np.argmin(v, axis=0)
+                d, i = v[j, np.arange(cells.size)], first + j
+                order = np.lexsort((i, d, ~np.isnan(d), cells))
+                pick = order[np.r_[True, cells[order[1:]] != cells[order[:-1]]]]
+                v, cells, first = d[None, pick], cells[pick], i[pick]
+            fold(v, cells, first)
+            return int(np.minimum(_SCAN_BLOCK, n - blocks * _SCAN_BLOCK).sum())
+
+        def flush():
+            """Evaluate the pending survivors a block at a time, across their cells."""
+            members = np.concatenate([cells for cells, _ in pending])
+            keep = np.concatenate([mask for _, mask in pending])
+            pending.clear()
+            count = 0
             for block in np.flatnonzero(np.unpackbits(np.bitwise_or.reduce(keep, axis=0))):
-                part = gather(kern, (slice(block * _SCAN_BLOCK, (block + 1) * _SCAN_BLOCK), None))
+                part = _gather(whole, (slice(block * _SCAN_BLOCK, (block + 1) * _SCAN_BLOCK), None))
                 cells = members[(keep[:, block >> 3] & (128 >> (block & 7))) != 0]
                 for lo in range(0, cells.size, per_call):
                     sub = cells[lo:lo + per_call]
                     fold(values(part, sub).reshape(part.t.size, -1), sub, block * _SCAN_BLOCK)
-                evaluated += cells.size * part.t.size
+                count += cells.size * part.t.size
+            return count
+
+        for k_rows, groups in _k_batches(k, m, rows):
+            # per distinct k and block, the bounds of cos 2B and |sin 2B| and
+            # the extremes of k**2 |eta|**2; times 2 nbar + 1 per cell, they
+            # give the thermal exponent's, in `_coupling`'s and `_couple`'s
+            # order: every factor is non-negative
+            k_sq = k_rows ** 2
+            per_k = (*_trig_bounds(2.0 * (k_sq * u_lo), 2.0 * (k_sq * u_hi)), k_sq * e_lo, k_sq * e_hi)
+            for cells, local in groups:
+                c_lo, c_hi, s_hi, th_lo, th_hi = per_k if local is None else [b[local] for b in per_k]
+                weight = 2.0 * _rows(nbar, (cells, None)) + 1.0
+                tot = total[cells, None]
+                bounds = (c_lo, c_hi, s_hi, th_lo * weight, th_hi * weight)
+                floor = _block_floor(tot, cross[cells, None], bounds)
+                # each cell's incumbent: the exact minimum of its lowest-bound block
+                lowest = np.argmin(floor, axis=1)
+                evaluated += evaluate(cells, lowest)
+                survives = floor <= d_grid[cells, None] + _BOUND_MARGIN * (1.0 + tot)
+                survives[np.arange(cells.size), lowest] = False
+                if whole is None:
+                    at, block = np.nonzero(survives)
+                    for lo in range(0, at.size, per_call):
+                        evaluated += evaluate(cells[at[lo:lo + per_call]], block[lo:lo + per_call])
+                else:
+                    pending.append((cells, np.packbits(survives, axis=1)))
+                    if len(pending) == masks:
+                        evaluated += flush()
+        if pending:
+            evaluated += flush()
 
     # both grid neighbours of each minimum, evaluated exactly
     strict = np.empty(m, dtype=bool)
@@ -580,15 +669,17 @@ def window_minima(
       is the cell (alpha, beta); AC and BC merge only repeated cells.
       `scanned_cells` counts the distinct cells;
     - one scan finds each cell's first grid minimum, in either mode, for
-      every bipartition and for shared or per-cell k and nbar. It walks the
-      grid in slabs of consecutive points and builds each slab's points
-      and time kernels once. The arrays that depend only on t and k (cos
+      every bipartition and for shared or per-cell k and nbar. Without
+      block floors (below) it walks the grid in slabs of consecutive points
+      and builds each slab's points, time kernels and D_AB carrier at k = 0,
+      cos((r_a + r_b) t), once. The arrays that depend only on t and k (cos
       2B, sin 2B, k**2 |eta|**2 and the D_AB carrier
       cos((r_a + r_b) t + 2B)) are built once per slab and distinct k,
       distinct by bits: the cells are batched in order of k, each class of
-      equal k whole, and every cell of a class reads its row. Only the
-      thermal exponent and what follows from it is computed per cell. Each
-      cell keeps a running minimum with np.argmin's rule: a NaN before any
+      equal k whole, and every cell of a class reads its row; a slab times
+      the largest batch of cells fills one temporary. Only the thermal
+      exponent and what follows from it is computed per cell. Each cell
+      keeps a running minimum with np.argmin's rule: a NaN before any
       number, then the earliest of equal values. No temporary of the scan
       holds more than _TEMP_ELEMENTS grid values, whatever the grid or the
       number of cells. Both grid neighbours of each minimum are then
@@ -606,37 +697,54 @@ def window_minima(
     the distinct brackets.
 
     Where a certified floor exists, the scan skips blocks of 32 points
-    instead of evaluating every grid value. Today that is "AB" in envelope
-    mode with k and nbar shared by every cell (fig4b). An envelope grid
-    holds at most 4,002 points, within one temporary, so this scan builds
-    the kernels of the whole grid once:
+    instead of evaluating every grid value: "AB" in envelope mode, with k
+    and nbar shared by every cell (fig4b) or each cell's own (fig4a). An
+    envelope grid holds at most 4,002 points, within one temporary, so the
+    scan builds the time kernels of the whole grid once, and their block
+    extremes:
 
     - with T = alpha**2 + beta**2 and
       S = (1 - env cos 2B)**2 + (env sin 2B)**2, the envelope is
       D_AB = 1 + T (1 - env) - 2 |alpha beta| sqrt(S), where
-      env = exp(-2 T (1 - cos 2B) - theta) <= 1 rises with cos 2B and falls
+      env = exp(-2 T (1 - cos 2B) - theta) rises with cos 2B and falls
       with the thermal exponent theta. Over a block, D_AB is thus no lower
       than the same expression with env at its block maximum in T (1 - env)
       and in env |sin 2B|, |sin 2B| at its maximum, and 1 - env cos 2B at
       its maximum, which lies at the smallest cos 2B with env at either end
       of its range;
-    - the bound is computed with `_ab_lower`'s own operations in the same
+    - theta = (k**2 |eta|**2) (2 nbar + 1) and 2B = 2 (k**2 B(t, 1)) are
+      products of non-negative factors, and correctly rounded products are
+      monotone. So each cell's block extremes of the computed theta are its
+      k**2 and 2 nbar + 1 times the block extremes of |eta|**2, and every
+      computed 2B of a block lies between the values at the block extremes
+      of B(t, 1). Per distinct k and block, cos 2B and |sin 2B| are then
+      bounded by their true extremes over that interval: +-1 where it holds
+      a peak, else their values at its ends. These are widened by 1e-14 for
+      the error of cos and sin, a few ulps; past 2**40 half-turns, where a
+      peak could be missed in rounding, the bounds are [-1, 1];
+    - the floor is computed with `_ab_lower`'s own operations in the same
       order. Correctly rounded arithmetic and sqrt are monotone, so it also
       bounds every computed grid value of the block; it never uses
       sin**2 + cos**2 = 1, which does not hold exactly in floats. Only exp
       is not guaranteed monotone; its error of a few ulps of env moves D_AB
-      by a few 1e-15 (1 + T), about 1e6 times less than the margin below;
-    - each cell's incumbent is the exact minimum of its lowest-bound block.
-      A block whose bound exceeds incumbent + 1e-9 (1 + T) holds no grid
+      by a few 1e-15 (1 + T), about 1e6 times less than the margin below,
+      and the 1e-14 allowance of cos and sin moves the floor by about
+      1e-14 T;
+    - each cell's incumbent is the exact minimum of its lowest-floor block.
+      A block whose floor exceeds incumbent + 1e-9 (1 + T) holds no grid
       value at or below the cell's minimum and is skipped; the others are
-      folded like any slab. Amplitudes or couplings large enough to
-      overflow a bound keep every block.
+      evaluated. With k and nbar shared they are read from kernels of the
+      whole grid built once and evaluated a block at a time across the
+      cells; else the k kernels are built only at the points of the
+      evaluated (cell, block) pairs, up to a temporary's worth per call.
+      Amplitudes of about 1e7 or more (T at least 1e14, 1 / _TRIG_ERROR),
+      or couplings large enough to overflow a bound, keep every block.
 
     So t_star, d_star and refined are bitwise those of a scan of every grid
-    value. At fig4b's defaults the scan computes about 14% of the grid.
-    `evaluated_points` counts the grid values of D computed: cells times
-    grid points without a floor; the incumbent blocks, surviving blocks and
-    two neighbours per cell with one.
+    value. At the defaults the scan computes about 14% of fig4b's grid and
+    4% of fig4a's. `evaluated_points` counts the grid values of D computed:
+    cells times grid points without a floor; the incumbent blocks,
+    surviving blocks and two neighbours per cell with one.
     """
     if bipartition not in _VALUES:
         raise ValueError(f"bipartition must be one of {sorted(_VALUES)}, got {bipartition!r}")

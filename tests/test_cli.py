@@ -19,6 +19,7 @@ from optomech.cli import (
     main,
     run_fig2,
     run_fig3,
+    run_fig4a,
     run_fig4b,
 )
 
@@ -104,6 +105,44 @@ def test_csv_cells_are_python_scalars():
     stream = io.StringIO()
     _write_csv(stream, table)
     assert stream.getvalue() == "float,int,bool,str,plain\r\n0.1,3,True,label,0.5\r\n"
+
+
+def _csv_writer_text(table):
+    """The CSV of table as csv.writer writes every row, after the metadata lines."""
+    stream = io.StringIO()
+    for key, value in table.metadata.items():
+        stream.write(f"# {key}: {value}\r\n")
+    writer = csv.writer(stream)
+    writer.writerow(table.columns)
+    writer.writerows(table.rows)
+    return stream.getvalue()
+
+
+@pytest.mark.parametrize("command", ["fig2", "fig3", "fig4a", "fig4b", "sweep", "design"])
+def test_csv_is_csv_writers_bytes_at_the_defaults(command):
+    cfg = resolve_config(command)
+    table = cli.run_design(cfg)[0] if command == "design" else cli._TABLE_COMMANDS[command](cfg)
+    stream = io.StringIO()
+    _write_csv(stream, table)
+    assert stream.getvalue() == _csv_writer_text(table)
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        # fields csv must quote: a delimiter, a quote, a line break
+        {"label": ["a,b", 'say "hi"', "two\nlines", "plain"], "value": [0.1, 2.0, -3.5, 4.0]},
+        # doubles whose repr differ though they compare equal, or that equal nothing
+        {"x, y": [0.0, -0.0, math.nan, -math.inf, 5e-324, 0.1, 0.1, 1e300], "z": [1.0] * 8},
+        {"empty": np.zeros(0), "also": np.zeros(0)},
+    ],
+    ids=["strings", "floats", "no-rows"],
+)
+def test_csv_is_csv_writers_bytes_on_edge_tables(columns):
+    table = ResultTable(columns, metadata={"note": "x"})
+    stream = io.StringIO()
+    _write_csv(stream, table)
+    assert stream.getvalue() == _csv_writer_text(table)
 
 
 def test_result_table_must_be_rectangular():
@@ -239,13 +278,13 @@ def test_fig4_metadata_counts_scanned_cells(tmp_path, command, scanned, rows):
     meta = dict(line[2:].split(": ", 1) for line in lines if line.startswith("# "))
     assert int(meta["scanned_cells"]) == scanned
     assert len([line for line in lines if not line.startswith("#")]) == rows + 1
-    # fig4b's cells share k and nbar, so its scan runs on block bounds;
-    # fig4a's cells each have their own k and take the full scan
+    # both scans run on block bounds: fig4b's cells share k and nbar, and
+    # fig4a's each have their own
     keys = list(meta)
     assert keys[keys.index("scanned_cells") + 1] == "evaluated_points"
     evaluated = int(meta["evaluated_points"])
     if command == "fig4a":
-        assert evaluated == 180 * 4001
+        assert 0 < evaluated <= 0.1 * 180 * 4001
     else:
         assert 0 < evaluated <= 0.2 * 5151 * 4001
 
@@ -285,6 +324,21 @@ def test_fig4b_traced_peak_stays_below_the_full_scan():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * 2 ** 20
+
+
+def test_fig4a_traced_peak_stays_within_a_few_dozen_temporaries():
+    # fig4a's cells each have their own k: the bounded scan holds the floors
+    # of 65 cells, their survivor pairs and 256 pairs' kernels at a time, a
+    # few dozen 64 KiB temporaries; it measured 1.5 MiB
+    cfg = resolve_config("fig4a")
+    run_fig4a(cfg)
+    tracemalloc.start()
+    try:
+        run_fig4a(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2 ** 20
 
 
 def test_fig4_axis_cap_admits_its_boundary():
@@ -405,6 +459,25 @@ def test_cli_design_reports_search_space_errors_by_field(capsys, item, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "item, field", [("L_step_m=1e-12", "L_step_m"), ("N_step=1e-6", "N_step")], ids=["L", "N"]
+)
+def test_cli_design_refuses_a_search_axis_before_building_it(capsys, item, field):
+    # these axes would take 7.8 GiB and 3.5 TiB; the refusal comes first
+    tracemalloc.start()
+    try:
+        code = main(["design", "--set", item])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: field '{field}': must be large enough for at most 100000 points")
+    assert "Traceback" not in captured.err
+    assert peak < 2 ** 20
 
 
 def test_design_defaults_are_the_published_search_domain():

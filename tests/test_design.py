@@ -293,6 +293,8 @@ _BAD_SEARCH_FIELDS = [
     ("exclusion_n_max", -1), ("exclusion_n_max", 2.5),
     ("plateau_rtol", -0.01), ("plateau_rtol", math.inf),
     ("trap_frequencies_Hz", (1e308,)),  # finite in Hz, but 2 pi f overflows
+    # axes of 1.05e9 and 4.8e11 points
+    ("L_step_m", 1e-12), ("N_step", 1e-6),
 ]
 
 
@@ -315,6 +317,12 @@ def test_search_space_accepts_its_boundary_values():
         exclusion_n_max=0, plateau_rtol=0.0, trap_frequencies_Hz=(1,),
     )
     assert optimize_design(space).n_evaluated == 1
+    # an N axis of 100,000 points, the most either axis may hold: np.arange
+    # runs to N_max + N_step / 2, here exactly 100,000 steps
+    widest = DesignSearchSpace(R_mirror=0.05, N_min=1.0, N_max=100_000.5, N_step=1.0)
+    assert optimize_design(widest).n_evaluated == 12 * 526 * 100_000
+    with pytest.raises(ValueError, match="^N_step must be large enough for at most 100000 points"):
+        replace(widest, N_max=100_001.0)
 
 
 def _k_excluded_by_band_loop(k, halfwidth, n_max):

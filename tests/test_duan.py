@@ -395,26 +395,31 @@ def test_window_minima_builds_shared_k_kernels_once(monkeypatch, shared):
     )
     assert res.mode == "envelope" and res.scanned_cells == 100
     assert not res.refined.any()
+    # the bounded scan builds the time kernels of the whole grid once
+    assert times == [(4001,), (100, 2)]
     if shared:
-        # the bounded scan builds the kernels of the whole grid once, and a
-        # shared k stays one value
-        assert times == [(4001,), (100, 2)]
+        # and the k kernels of the whole grid once, at the one shared k
         assert couplings == [([0.74], (4001,)), ([0.74], (100, 2))]
         return
-    # slabs of budget / 8 points; every k is its own class, so each slab is
-    # coupled to 13 batches of at most 8 distinct k, in order of k
-    sizes = _slab_sizes(4001, duan_module._TEMP_ELEMENTS // 8)
-    assert len(sizes) == 4
-    assert times == [(size,) for size in sizes] + [(100, 2)]
-    batches = [k[lo:lo + 8].tolist() for lo in range(0, 100, 8)]
-    assert couplings[:-1] == [(ks, (size,)) for size in sizes for ks in batches]
+    # with a k per cell, it builds the k kernels only at the 32 points of
+    # each evaluated (cell, block) pair, one k per pair, at most a
+    # temporary's worth of pairs per call
     assert len(couplings[-1][0]) == 100 and couplings[-1][1] == (100, 2)
+    pairs = 0
+    for ks, shape in couplings[:-1]:
+        assert shape == (duan_module._SCAN_BLOCK, len(ks))
+        assert len(ks) <= duan_module._TEMP_ELEMENTS // duan_module._SCAN_BLOCK
+        assert set(ks) <= set(k.tolist())
+        pairs += len(ks)
+    # each cell has at most one pair on the last block, which holds 1 point
+    assert 0 <= 32 * pairs - (res.evaluated_points - 2 * 100) <= 31 * 100
+    assert res.evaluated_points <= 0.1 * 100 * 4001
 
 
 def test_window_minima_couples_each_slab_to_each_distinct_k_once(monkeypatch):
-    # fig4a's layout: k classes of cells that differ in nbar alone, here of
-    # 20 cells (more than one group of 8), 3, 3, 1, 1, 1 and 5 cells, given
-    # out of order of k
+    # fig4a's layout on a witness without block floors (D_AC): k classes of
+    # cells that differ in nbar alone, here of 20 cells (more than one group
+    # of 8), 3, 3, 1, 1, 1 and 5 cells, given out of order of k
     times, couplings = _kernel_builds(monkeypatch)
     sizes = [20, 3, 3, 1, 1, 1, 5]
     ks = np.array([0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1])
@@ -422,7 +427,7 @@ def test_window_minima_couples_each_slab_to_each_distinct_k_once(monkeypatch):
     nbar = np.concatenate([np.linspace(0.0, 0.4, size) for size in sizes])
     order = np.random.default_rng(5).permutation(k.size)
     window, r_a, r_b = _WINDOWS["envelope"]
-    res = window_minima("AB", window, r_a, r_b, alpha=0.0, beta=0.7, nbar=nbar[order], k=k[order])
+    res = window_minima("AC", window, r_a, r_b, alpha=0.0, beta=0.7, nbar=nbar[order], k=k[order])
     assert res.scanned_cells == 34 and not res.refined.any()
     slabs = _slab_sizes(4001, duan_module._TEMP_ELEMENTS // 8)
     assert times == [(size,) for size in slabs] + [(34, 2)]
@@ -470,26 +475,40 @@ def _per_cell_kernels(time, k, nbar, fast):
 
     The reference coupling for `duan._coupling` and `duan._couple`: every
     array that depends on k is built at the k of each row, in the curves'
-    own operation order; sin 2B and the carrier cos(fast t + 2B) are always
-    built.
+    own operation order; sin 2B and both carriers, cos(fast t) and
+    cos(fast t + 2B), are always built.
     """
     t, unit_b, eta_t, eta_sq = time
     twob = 2.0 * (k ** 2 * unit_b)
     thermal = k ** 2 * eta_sq * (2.0 * nbar + 1.0)
-    carrier = np.cos(fast * t + twob)
-    return duan_module._Kernels(t, unit_b, eta_t, eta_sq, k, nbar, np.cos(twob), np.sin(twob), carrier, thermal)
-
-
-def _block_bounds(kern):
-    """(min cos 2B, max cos 2B, max |sin 2B|, min theta, max theta) per 32-point block."""
-    starts = np.arange(0, kern.t.size, duan_module._SCAN_BLOCK)
-    return (
-        np.minimum.reduceat(kern.cos_twob, starts),
-        np.maximum.reduceat(kern.cos_twob, starts),
-        np.maximum.reduceat(np.abs(kern.sin_twob), starts),
-        np.minimum.reduceat(kern.thermal, starts),
-        np.maximum.reduceat(kern.thermal, starts),
+    drive, carrier = np.cos(fast * t), np.cos(fast * t + twob)
+    return duan_module._Kernels(
+        t, unit_b, eta_t, eta_sq, k, nbar, np.cos(twob), np.sin(twob), drive, carrier, thermal
     )
+
+
+def _block_extremes(values):
+    """(min, max) of values over each 32-point block of its last axis."""
+    starts = np.arange(0, np.shape(values)[-1], duan_module._SCAN_BLOCK)
+    return np.minimum.reduceat(values, starts, axis=-1), np.maximum.reduceat(values, starts, axis=-1)
+
+
+def _block_bounds(time, kern):
+    """The bounded scan's (min cos 2B, max cos 2B, max |sin 2B|, min theta, max theta) per block.
+
+    kern holds the kernels of the whole grid time at one k per row, or at
+    one shared k. cos and sin are bounded by `duan._trig_bounds` on the
+    block extremes of 2B, the thermal exponent theta by its exact block
+    extremes. None where an argument of cos or a bound is not finite.
+    """
+    u_lo, u_hi = _block_extremes(time[1])
+    k_sq = np.asarray(kern.k) ** 2
+    lo, hi = 2.0 * (k_sq * u_lo), 2.0 * (k_sq * u_hi)
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        return None
+    thermal = np.broadcast_to(kern.thermal, np.broadcast_shapes(kern.cos_twob.shape, np.shape(kern.thermal)))
+    bounds = (*duan_module._trig_bounds(lo, hi), *_block_extremes(thermal))
+    return bounds if all(np.all(np.isfinite(b)) for b in bounds) else None
 
 
 def _reference_scan(func, grid, params, m, r_a, r_b):
@@ -499,25 +518,20 @@ def _reference_scan(func, grid, params, m, r_a, r_b):
     own k (`_per_cell_kernels`). func on (rows, n) blocks of cells, then
     each row's argmin and the strict-interior test against its two grid
     neighbours. Takes what `_scan` takes and returns what a full scan
-    returns, then two more entries for an
-    envelope D_AB with shared k and nbar and finite bounds (else None): the
+    returns, then two more entries for an envelope D_AB whose amplitudes
+    stay below about 1e7 and whose bounds are all finite (else None): the
     grid values a bounded scan evaluates (each cell's lowest-floor block,
-    the blocks whose floor is within the margin of that block's minimum, and
-    two neighbours), and the largest excess of `_block_floor` over the
+    the blocks whose floor is within the margin of that block's minimum,
+    and two neighbours), and the largest excess of `_block_floor` over the
     minimum of the grid values it bounds.
     """
     alpha, beta, nbar, k = params
     n = grid.size
     time = duan_module._time_kernels(np.linspace(0.0, grid.t_max, n))
     best, d_grid, strict = np.empty(m, dtype=np.intp), np.empty(m), np.empty(m, dtype=bool)
-    starts = np.arange(0, n, duan_module._SCAN_BLOCK)
-    sizes = np.diff(np.append(starts, n))
-    bounds = None
-    if func is duan_module._ab_lower and np.ndim(k) == np.ndim(nbar) == 0:
-        bounds = _block_bounds(_per_cell_kernels(time, k, nbar, r_a + r_b))
-        finite = np.all(np.isfinite(4.0 * (np.asarray(alpha) ** 2 + np.asarray(beta) ** 2)))
-        if not (finite and all(np.all(np.isfinite(b)) for b in bounds)):
-            bounds = None
+    sizes = np.diff(np.append(np.arange(0, n, duan_module._SCAN_BLOCK), n))
+    total = np.broadcast_to(np.asarray(alpha) ** 2 + np.asarray(beta) ** 2, (m,))
+    bounded = func is duan_module._ab_lower and np.all(duan_module._TRIG_ERROR * total < 1.0)
     counted, excess = 2 * m, -np.inf
     rows = max(1, 2 ** 16 // n)
     for start in range(0, m, rows):
@@ -538,17 +552,20 @@ def _reference_scan(func, grid, params, m, r_a, r_b):
             & (d < values[at, np.minimum(i + 1, n - 1)])
         )
         best[block], d_grid[block] = i, d
-        if bounds is not None:
-            a, b = (np.broadcast_to(p, (m,))[block, None] for p in (alpha, beta))
-            total = a ** 2 + b ** 2
-            floor = duan_module._block_floor(total, 2.0 * np.abs(a * b), bounds)
-            minima = np.minimum.reduceat(values, starts, axis=1)
-            excess = max(excess, float(np.max(floor - minima)))
-            lowest = np.argmin(floor, axis=1)
-            survives = floor <= minima[at, lowest][:, None] + duan_module._BOUND_MARGIN * (1.0 + total)
-            survives[at, lowest] = True
-            counted += int((survives * sizes).sum())
-    if bounds is None:
+        bounds = _block_bounds(time, kern) if bounded else None
+        if bounds is None:
+            bounded = False
+            continue
+        a, b = (np.broadcast_to(p, (m,))[block, None] for p in (alpha, beta))
+        tot = a ** 2 + b ** 2
+        floor = duan_module._block_floor(tot, 2.0 * np.abs(a * b), bounds)
+        minima = _block_extremes(values)[0]
+        excess = max(excess, float(np.max(floor - minima)))
+        lowest = np.argmin(floor, axis=1)
+        survives = floor <= minima[at, lowest][:, None] + duan_module._BOUND_MARGIN * (1.0 + tot)
+        survives[at, lowest] = True
+        counted += int((survives * sizes).sum())
+    if not bounded:
         return best, d_grid, strict, m * n, None, None
     return best, d_grid, strict, m * n, counted, excess
 
@@ -695,8 +712,27 @@ def test_envelope_grid_fits_one_temporary():
     assert 4002 <= duan_module._TEMP_ELEMENTS
 
 
+def _fig4a_cells(*overrides):
+    """window, r_a, r_b and the cells of `optomech fig4a` with the given overrides."""
+    from optomech import cli
+
+    v = cli.resolve_config("fig4a", overrides=overrides).values
+    window, _, r_a, r_b = cli._witness_window(v)
+    ks = cli._axis(v, "k")
+    nbars = [thermal_occupation(T, v["omega_m_rad_per_s"]) for T in v["temperatures_K"]]
+    cells = dict(
+        alpha=v["alpha"], beta=v["beta"], nbar=np.tile(nbars, ks.size), k=np.repeat(ks, len(nbars))
+    )
+    return window, r_a, r_b, cells
+
+
 _RNG = np.random.default_rng(20260)
 _RANDOM_AMPLITUDES = dict(alpha=_RNG.uniform(-2.0, 2.0, 40), beta=_RNG.uniform(-2.0, 2.0, 40))
+# 40 cells in five k classes, k = 0 and the regime boundary among them, each
+# class at several nbar
+_MIXED_K = dict(
+    k=np.resize([0.0, 0.3, K_REGIME_BOUNDARY, 0.74, 1.2], 40), nbar=np.resize([0.0, 0.05, 0.2], 40)
+)
 _ENVELOPE = 9.353966
 _BOUNDED_CASES = {
     # one amplitude zero: D_AB = 1 + T (1 - env) has no cross term
@@ -712,15 +748,31 @@ _BOUNDED_CASES = {
     # the default 4,001 grid points: the last block holds 1 of 32
     "grid-not-multiple": dict(**_RANDOM_AMPLITUDES, nbar=0.01, k=0.74),
     "one-cell": dict(alpha=0.5, beta=0.7, nbar=0.01, k=0.74),
+    # cells with their own k and nbar
+    "fig4a": _fig4a_cells()[3],
+    "mixed-k": dict(**_RANDOM_AMPLITUDES, **_MIXED_K),
+    "mixed-k-nbar-0": dict(**_RANDOM_AMPLITUDES, k=_MIXED_K["k"], nbar=0.0),
+    "mixed-nbar": dict(**_RANDOM_AMPLITUDES, k=0.74, nbar=_MIXED_K["nbar"]),
+    # windows whose 32-point blocks span many envelope periods, so cos 2B
+    # and sin 2B take their whole range in every block
+    **{
+        f"mixed-k-window-{window:.0e}": dict(**_RANDOM_AMPLITUDES, **_MIXED_K, window=window)
+        for window in (1e6, 1e9, 1e12)
+    },
+    # a budget of 2**10 takes the floors, incumbents and surviving blocks
+    # of 8 cells at a time, and 32 (cell, block) pairs per evaluation
+    "fig4a-budget-2**10": dict(_fig4a_cells()[3], budget=2 ** 10),
+    "mixed-k-budget-2**10": dict(**_RANDOM_AMPLITUDES, **_MIXED_K, budget=2 ** 10),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BOUNDED_CASES))
 def test_bounded_scan_is_bitwise_the_full_scan(monkeypatch, case):
-    res, ref, _ = _bounded_against_reference(
-        monkeypatch, _ENVELOPE, _OPTICAL.r_a, _OPTICAL.r_b, **_BOUNDED_CASES[case]
-    )
-    n = duan_module._scan_grid(_ENVELOPE, _OPTICAL.r_a + _OPTICAL.r_b)[0].size
+    cells = dict(_BOUNDED_CASES[case])
+    window = cells.pop("window", _ENVELOPE)
+    monkeypatch.setattr(duan_module, "_TEMP_ELEMENTS", cells.pop("budget", duan_module._TEMP_ELEMENTS))
+    res, ref, _ = _bounded_against_reference(monkeypatch, window, _OPTICAL.r_a, _OPTICAL.r_b, **cells)
+    n = duan_module._scan_grid(window, _OPTICAL.r_a + _OPTICAL.r_b)[0].size
     assert ref.evaluated_points == res.scanned_cells * n
     if case == "grid-not-multiple":
         assert n == 125 * duan_module._SCAN_BLOCK + 1
@@ -730,6 +782,28 @@ def test_bounded_scan_is_bitwise_the_full_scan(monkeypatch, case):
         # D_AB = 1 everywhere, so every block survives: the scan computes
         # every grid value once, plus two neighbours per cell
         assert res.evaluated_points == res.scanned_cells * (n + 2)
+
+
+def test_trig_bounds_contain_the_block_extremes():
+    # random k and windows from 1e-3 to 1e13: each bound holds every
+    # computed cos 2B and |sin 2B| of its block, at the block edges too
+    rng = np.random.default_rng(2121)
+    short = 0
+    for window in 10.0 ** rng.uniform(-3.0, 13.0, 40):
+        time = duan_module._time_kernels(np.linspace(0.0, window, 4001))
+        k = np.concatenate([[0.0, K_REGIME_BOUNDARY], rng.uniform(0.0, 3.0, 14)])[:, None]
+        twob = 2.0 * (k ** 2 * time[1])
+        u_lo, u_hi = _block_extremes(time[1])
+        c_lo, c_hi, s_hi = duan_module._trig_bounds(2.0 * (k ** 2 * u_lo), 2.0 * (k ** 2 * u_hi))
+        cos_lo, cos_hi = _block_extremes(np.cos(twob))
+        assert np.all(c_lo <= cos_lo) and np.all(cos_hi <= c_hi)
+        assert np.all(_block_extremes(np.abs(np.sin(twob)))[1] <= s_hi)
+        if window < 2.0:
+            # a block of a short window spans a small part of a period of
+            # cos 2B, and its bounds say so
+            assert np.all(c_hi - c_lo < 1.0)
+            short += 1
+    assert short == 8
 
 
 @pytest.mark.parametrize("cells", sorted(_CELLS))
@@ -745,22 +819,8 @@ def test_scan_is_bitwise_the_whole_grid_reference(monkeypatch, bipartition, mode
     res, ref, scan, ref_scan = _scan_against_reference(monkeypatch, bipartition, window, r_a, r_b, **_CELLS[cells])
     assert res.mode == mode and res.refined.any()
     bounded = _assert_scan_is_exact(res, ref, scan, ref_scan)
-    # only the envelope D_AB with shared k and nbar has a certified floor
-    assert bounded == (bipartition == "AB" and mode == "envelope" and cells == "amplitudes")
-
-
-def _fig4a_cells(*overrides):
-    """window, r_a, r_b and the cells of `optomech fig4a` with the given overrides."""
-    from optomech import cli
-
-    v = cli.resolve_config("fig4a", overrides=overrides).values
-    window, _, r_a, r_b = cli._witness_window(v)
-    ks = cli._axis(v, "k")
-    nbars = [thermal_occupation(T, v["omega_m_rad_per_s"]) for T in v["temperatures_K"]]
-    cells = dict(
-        alpha=v["alpha"], beta=v["beta"], nbar=np.tile(nbars, ks.size), k=np.repeat(ks, len(nbars))
-    )
-    return window, r_a, r_b, cells
+    # the envelope D_AB has a certified floor, with k and nbar shared or per cell
+    assert bounded == (bipartition == "AB" and mode == "envelope")
 
 
 # the fig4a (alpha, beta) of the witness-grid benchmark at seeds 0-9, the
@@ -792,8 +852,12 @@ def test_per_cell_scan_is_bitwise_the_reference_on_fig4a(monkeypatch, seed, mode
     window, r_a, r_b, cells = _fig4a_cells(*overrides)
     res, ref, scan, ref_scan = _scan_against_reference(monkeypatch, "AB", window, r_a, r_b, **cells)
     assert res.mode == mode and res.scanned_cells == 180
-    assert not _assert_scan_is_exact(res, ref, scan, ref_scan)
+    assert _assert_scan_is_exact(res, ref, scan, ref_scan) == (mode == "envelope")
     assert res.refined.any()
+    if mode == "envelope":
+        # 3.6-5.5% of the grid at these seeds, against every value without
+        # block floors
+        assert res.evaluated_points <= 0.1 * 180 * 4001
 
 
 _PER_CELL_K = {
@@ -820,7 +884,7 @@ def test_per_cell_k_scan_is_bitwise_the_reference(monkeypatch, bipartition, mode
     cells = _PER_CELL_K[case]
     res, ref, scan, ref_scan = _scan_against_reference(monkeypatch, bipartition, window, r_a, r_b, **cells)
     assert res.mode == mode and res.scanned_cells == cells["k"].size
-    assert not _assert_scan_is_exact(res, ref, scan, ref_scan)
+    assert _assert_scan_is_exact(res, ref, scan, ref_scan) == (bipartition == "AB" and mode == "envelope")
 
 
 def test_k_batches_keep_bitwise_distinct_k_apart():
@@ -886,6 +950,18 @@ def _tie_across_blocks():
     return cos, theta, [0, 0], [False, False]
 
 
+def _tie_among_survivors():
+    # points 5 and 40 share the minimum, in blocks 0 and 1, while block 3's
+    # wide ranges give it the lowest floor; both other blocks survive, and
+    # their first minimum is the answer
+    cos, theta = np.full(128, 0.2), np.full(128, 0.3)
+    cos[[5, 40]], theta[[5, 40]] = 0.9, 0.1
+    cos[96:], theta[96:] = 0.5, 2.0
+    cos[98], theta[98] = 1.0, 5.0
+    cos[99], theta[99] = 0.0, 0.0
+    return cos, theta, [5, 5], [True, True]
+
+
 def _plateau():
     # points 40 and 41 share the minimum: 40 is the answer, and not a strict one
     cos, theta = np.full(96, 0.2), np.full(96, 0.3)
@@ -893,39 +969,60 @@ def _plateau():
     return cos, theta, [40, 40], [False, False]
 
 
-@pytest.mark.parametrize("layout", [_tie_across_blocks, _plateau], ids=lambda f: f.__name__[1:])
+@pytest.mark.parametrize(
+    "layout", [_tie_across_blocks, _plateau, _tie_among_survivors], ids=lambda f: f.__name__[1:]
+)
 def test_bounded_scan_on_equal_grid_values(monkeypatch, layout):
     # with beta = 0, D_AB = 1 + alpha**2 (1 - env) falls as env rises, so
     # equal (cos 2B, theta) give bitwise equal values
     cos, theta, best, strict = layout()
     grid = _synthetic_grid(monkeypatch, cos, theta)
-    args = (duan_module._ab_lower, grid, (np.array([1.0, 0.6]), np.array([0.0, 0.0]), 0.0, 0.5), 2, 1.0, 1.0)
     if layout is _tie_across_blocks:
         time = duan_module._time_kernels(np.linspace(0.0, 1.0, grid.size))
-        bounds = _block_bounds(_per_cell_kernels(time, 0.5, 0.0, 2.0))
+        bounds = _block_bounds(time, _per_cell_kernels(time, 0.5, 0.0, 2.0))
         assert np.argmin(duan_module._block_floor(np.array([[1.0]]), np.array([[0.0]]), bounds)) == 2
-    scan = duan_module._scan(*args)
-    ref = _reference_scan(*args)
-    assert list(ref[0]) == best and list(ref[2]) == strict
-    for got, want in zip(scan[:3], ref[:3]):
-        assert _same_bits(got, want)
-    assert scan[3] == ref[4]
+    # k shared, read from the kernels of the whole grid, or one per cell,
+    # built at the points of each evaluated (cell, block) pair
+    for k in (0.5, np.array([0.5, 0.5])):
+        params = (np.array([1.0, 0.6]), np.array([0.0, 0.0]), 0.0, k)
+        args = (duan_module._ab_lower, grid, params, 2, 1.0, 1.0)
+        scan = duan_module._scan(*args)
+        ref = _reference_scan(*args)
+        assert list(ref[0]) == best and list(ref[2]) == strict
+        for got, want in zip(scan[:3], ref[:3]):
+            assert _same_bits(got, want)
+        assert scan[3] == ref[4]
 
 
-def test_bounded_scan_skips_overflowing_inputs(monkeypatch):
-    # amplitudes whose squares overflow keep the full scan, whose argmin
-    # meets the NaN at t = 0 first
+def _assert_keeps_every_block(monkeypatch, large, k):
+    """window_minima of the cells (0.5, 0.5) and (large, 0.5), with every grid value evaluated."""
     floors = []
     real = duan_module._block_floor
     monkeypatch.setattr(duan_module, "_block_floor", lambda *args: floors.append(args) or real(*args))
     with np.errstate(all="ignore"):
         res, ref, scan, ref_scan = _scan_against_reference(
-            monkeypatch, "AB", _ENVELOPE, _OPTICAL.r_a, _OPTICAL.r_b, alpha=[0.5, 1e200], beta=0.5, nbar=0.0, k=0.74
+            monkeypatch, "AB", _ENVELOPE, _OPTICAL.r_a, _OPTICAL.r_b,
+            alpha=[0.5, large], beta=0.5, nbar=0.0, k=k,
         )
         assert not _assert_scan_is_exact(res, ref, scan, ref_scan)
     assert floors == []
     assert res.evaluated_points == 2 * 4001
+    return res
+
+
+def test_bounded_scan_skips_overflowing_inputs(monkeypatch):
+    # amplitudes whose squares overflow keep the full scan, whose argmin
+    # meets the NaN at t = 0 first
+    res = _assert_keeps_every_block(monkeypatch, 1e200, 0.74)
     assert np.isnan(res.d_star[1]) and np.isfinite(res.d_star[0])
+
+
+@pytest.mark.parametrize("large, k", [(1e200, [0.6, 0.74]), (2e7, 0.74), (2e7, [0.6, 0.74])])
+def test_bounded_scan_keeps_every_block_of_large_amplitudes(monkeypatch, large, k):
+    # with k per cell too; and amplitudes of 2e7, whose D_AB is finite but
+    # above which exp(2 T _TRIG_ERROR) could overflow a floor
+    res = _assert_keeps_every_block(monkeypatch, large, k)
+    assert np.isfinite(res.d_star[0]) and np.isnan(res.d_star[1]) == (large == 1e200)
 
 
 def _oracle_envelope(pair, state, k, t):
