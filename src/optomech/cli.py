@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -247,9 +248,9 @@ class ResultTable:
         self.cells = cells
         self.metadata = metadata
 
-    @property
+    @functools.cached_property
     def rows(self) -> list:
-        """The table as one tuple per row."""
+        """The table as one tuple per row, built on first use."""
         return list(zip(*self.cells))
 
 
@@ -317,12 +318,6 @@ def resolve_config(command, config_path=None, overrides=(), out=None) -> RunConf
 _CSV_ROWS = 1024
 
 
-def _float_fields(column) -> list:
-    """float.__repr__ of each float of column, computed once per distinct double."""
-    doubles, inverse = np.unique(np.array(column, dtype=float).view(np.int64), return_inverse=True)
-    return np.array(list(map(float.__repr__, doubles.view(float).tolist())), dtype=object)[inverse].tolist()
-
-
 def _write_csv(stream, table: ResultTable) -> None:
     for key, value in table.metadata.items():
         stream.write(f"# {key}: {value}\r\n")
@@ -335,7 +330,7 @@ def _write_csv(stream, table: ResultTable) -> None:
     # field where it must
     if all(set(map(type, column)) <= {float} for column in table.cells):
         for lo in range(0, len(table.cells[0]) if table.cells else 0, _CSV_ROWS):
-            fields = [_float_fields(column[lo:lo + _CSV_ROWS]) for column in table.cells]
+            fields = [map(float.__repr__, column[lo:lo + _CSV_ROWS]) for column in table.cells]
             stream.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
     else:
         writer.writerows(table.rows)

@@ -509,16 +509,18 @@ def _scan(func, grid, params, m, r_a, r_b):
     if bounded:
         # only an envelope grid scans _ab_lower, and its at most 4,002 points
         # fit one temporary, so its time kernels and their block extremes
-        # are built once
-        time = _time_kernels(grid.points(np.arange(n)))
+        # are built once; _ab_lower never reads the complex eta, so it is
+        # not kept
+        t, unit_b, _, eta_sq = _time_kernels(grid.points(np.arange(n)))
+        time = (t, unit_b, None, eta_sq)
         starts = np.arange(0, n, _SCAN_BLOCK)
         u_lo, u_hi, e_lo, e_hi = (
-            op.reduceat(a, starts) for a in (time[1], time[3]) for op in (np.minimum, np.maximum)
+            op.reduceat(a, starts) for a in (unit_b, eta_sq) for op in (np.minimum, np.maximum)
         )
         # 2B and the thermal exponent are products of non-negative factors,
         # which round monotonically, so the largest k and nbar bound them all
         k_sq = np.max(k) ** 2
-        bounded = np.isfinite(2.0 * (k_sq * np.max(np.abs(time[1])))) and np.isfinite(
+        bounded = np.isfinite(2.0 * (k_sq * np.max(np.abs(unit_b)))) and np.isfinite(
             k_sq * np.max(e_hi) * (2.0 * np.max(nbar) + 1.0)
         )
 
@@ -543,38 +545,33 @@ def _scan(func, grid, params, m, r_a, r_b):
         cross = np.broadcast_to(2.0 * np.abs(alpha * beta), (m,))
         blocks = starts.size
         evaluated = 2 * m
-        # floor rows fill one temporary, and so do the blocks of one call
-        rows = max(1, _TEMP_ELEMENTS // max(blocks, _SCAN_BLOCK))
-        per_call = _TEMP_ELEMENTS // _SCAN_BLOCK
         # with k and nbar shared, the kernels of the whole grid, read a block
         # at a time; else the kernels are built only at the points each
-        # block evaluation reads
+        # (cell, block) pair evaluation reads
         whole = _kernels(time, k, nbar, func, fast) if np.ndim(k) == np.ndim(nbar) == 0 else None
+        # floor rows fill one temporary, and so do the blocks of one call;
+        # cells with their own k gather five rows of bounds each beside the
+        # floor's own temporaries, so they take a quarter as many rows
+        rows = max(1, _TEMP_ELEMENTS // max(blocks, _SCAN_BLOCK) // (1 if whole is not None else 4))
+        per_call = _TEMP_ELEMENTS // _SCAN_BLOCK
         # survivor masks awaiting evaluation, one bit per cell and block, of
         # at most one temporary's bytes
         pending, masks = [], max(1, 8 * _TEMP_ELEMENTS // -(-blocks // 8) // rows)
 
-        def evaluate(cells, blocks):
-            """Fold func over the points of each (cell, block) pair.
-
-            A cell's pairs are consecutive; its first minimum over them is
-            folded, by np.argmin's order.
-            """
+        def block_values(cells, blocks):
+            """(v, first): func over the points of each (cell, block) pair, one
+            column per pair, and the grid index of each column's first row."""
             first = blocks * _SCAN_BLOCK
             points = np.minimum(first + np.arange(_SCAN_BLOCK)[:, None], n - 1)
             if whole is None:
-                picked = tuple(a[points] for a in time)
+                picked = tuple(a if a is None else a[points] for a in time)
                 kern = _kernels(picked, _rows(k, cells), _rows(nbar, cells), func, fast)
             else:
                 kern = _gather(whole, points)
-            v = values(kern, cells)
-            if np.any(cells[1:] == cells[:-1]):
-                j = np.argmin(v, axis=0)
-                d, i = v[j, np.arange(cells.size)], first + j
-                order = np.lexsort((i, d, ~np.isnan(d), cells))
-                pick = order[np.r_[True, cells[order[1:]] != cells[order[:-1]]]]
-                v, cells, first = d[None, pick], cells[pick], i[pick]
-            fold(v, cells, first)
+            return values(kern, cells), first
+
+        def points_in(blocks):
+            """Grid points in the given blocks, counted with repeats."""
             return int(np.minimum(_SCAN_BLOCK, n - blocks * _SCAN_BLOCK).sum())
 
         def flush():
@@ -594,30 +591,48 @@ def _scan(func, grid, params, m, r_a, r_b):
 
         for k_rows, groups in _k_batches(k, m, rows):
             # per distinct k and block, the bounds of cos 2B and |sin 2B| and
-            # the extremes of k**2 |eta|**2; times 2 nbar + 1 per cell, they
-            # give the thermal exponent's, in `_coupling`'s and `_couple`'s
-            # order: every factor is non-negative
+            # the extremes of the thermal exponent (k**2 |eta|**2) (2 nbar + 1),
+            # in `_coupling`'s and `_couple`'s order: every factor is
+            # non-negative; a per-cell nbar's factor is applied per group
             k_sq = k_rows ** 2
-            per_k = (*_trig_bounds(2.0 * (k_sq * u_lo), 2.0 * (k_sq * u_hi)), k_sq * e_lo, k_sq * e_hi)
+            thermal = (k_sq * e_lo, k_sq * e_hi)
+            if np.ndim(nbar) == 0:
+                thermal = tuple(th * (2.0 * nbar + 1.0) for th in thermal)
+            per_k = (*_trig_bounds(2.0 * (k_sq * u_lo), 2.0 * (k_sq * u_hi)), *thermal)
             for cells, local in groups:
-                c_lo, c_hi, s_hi, th_lo, th_hi = per_k if local is None else [b[local] for b in per_k]
-                weight = 2.0 * _rows(nbar, (cells, None)) + 1.0
+                bounds = per_k if local is None else [b[local] for b in per_k]
+                if np.ndim(nbar):
+                    weight = 2.0 * nbar[cells, None] + 1.0
+                    bounds = (*bounds[:3], bounds[3] * weight, bounds[4] * weight)
                 tot = total[cells, None]
-                bounds = (c_lo, c_hi, s_hi, th_lo * weight, th_hi * weight)
                 floor = _block_floor(tot, cross[cells, None], bounds)
-                # each cell's incumbent: the exact minimum of its lowest-bound block
+                # each cell's incumbent: the exact minimum of its lowest-bound
+                # block, evaluated one column per cell so that the inner loops
+                # run across the cells
                 lowest = np.argmin(floor, axis=1)
-                evaluated += evaluate(cells, lowest)
+                v, first = block_values(cells, lowest)
+                fold(v, cells, first)
+                evaluated += points_in(lowest)
                 survives = floor <= d_grid[cells, None] + _BOUND_MARGIN * (1.0 + tot)
                 survives[np.arange(cells.size), lowest] = False
-                if whole is None:
-                    at, block = np.nonzero(survives)
-                    for lo in range(0, at.size, per_call):
-                        evaluated += evaluate(cells[at[lo:lo + per_call]], block[lo:lo + per_call])
-                else:
+                if whole is not None:
                     pending.append((cells, np.packbits(survives, axis=1)))
                     if len(pending) == masks:
                         evaluated += flush()
+                    continue
+                at, block = np.nonzero(survives)
+                for lo in range(0, at.size, per_call):
+                    pair_cells, pair_blocks = cells[at[lo:lo + per_call]], block[lo:lo + per_call]
+                    v, first = block_values(pair_cells, pair_blocks)
+                    # a cell may hold several pairs of a call; fold the one
+                    # np.argmin would pick: a NaN before any number, then the
+                    # lowest value, then the earliest point
+                    j = np.argmin(v, axis=0)
+                    d, i = v[j, np.arange(pair_cells.size)], first + j
+                    order = np.lexsort((i, d, ~np.isnan(d), pair_cells))
+                    pick = order[np.r_[True, pair_cells[order[1:]] != pair_cells[order[:-1]]]]
+                    fold(d[None, pick], pair_cells[pick], i[pick])
+                    evaluated += points_in(pair_blocks)
         if pending:
             evaluated += flush()
 
