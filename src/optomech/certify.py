@@ -1,11 +1,19 @@
 """Certification of the closed forms against the Fock-space oracle.
 
-A check passes when its deviation is below its tolerance.
+A check passes when its deviation is below its tolerance. The checks run with
+numpy's OpenBLAS on one thread: their products are too small to split, and a
+second thread only spin-waits between them, doubling CPU time without saving
+wall time. OpenBLAS splits a product by rows and columns, so each element
+keeps its own k-sum and the thread count changes no bit.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +33,51 @@ _CV_FOCK_TOLERANCE = 1e-8
 #: random times per coupling of `_check_qubit`, and random points of `_check_cv`
 _N_QUBIT_TIMES = 6
 _N_CV_POINTS = 4
+
+
+@functools.cache
+def _openblas() -> tuple:
+    """(get, set) of numpy's OpenBLAS thread count, one pair per library; () if none.
+
+    The wheel's copy sits in numpy.libs. Without one, every OpenBLAS mapped
+    into the process is taken, since scipy may map a copy of its own.
+    """
+    paths = sorted(Path(np.__file__).parent.parent.joinpath("numpy.libs").glob("*openblas*"))
+    if not paths:
+        try:
+            with open("/proc/self/maps", encoding="utf-8") as fh:
+                paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+        except OSError:
+            pass
+    pairs = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                pairs.append((get, put))
+                break
+    return tuple(pairs)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Numpy's OpenBLAS on one thread within the block; the caller's count after it."""
+    pairs = _openblas()
+    counts = [get() for get, _ in pairs]
+    for _, put in pairs:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(pairs, counts):
+            put(count)
 
 
 def _oracle_duan(
@@ -147,12 +200,13 @@ def _check_truncation_doubling(rng) -> list:
 def run(seed: int) -> list:
     """(name, max deviation, tolerance) per check, all points drawn from one rng seeded by seed."""
     rng = np.random.default_rng(seed)
-    return [
-        *_check_displacement(rng),
-        *_check_qubit(rng),
-        *_check_conservation(rng),
-        *_check_stationarity(rng),
-        *_check_cv(rng),
-        *_check_k_zero(rng),
-        *_check_truncation_doubling(rng),
-    ]
+    with _one_blas_thread():
+        return [
+            *_check_displacement(rng),
+            *_check_qubit(rng),
+            *_check_conservation(rng),
+            *_check_stationarity(rng),
+            *_check_cv(rng),
+            *_check_k_zero(rng),
+            *_check_truncation_doubling(rng),
+        ]

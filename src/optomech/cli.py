@@ -127,8 +127,8 @@ _N_POINTS = _integer(2, _MAX_POINTS)
 # the operating-point fields shared by fig3, fig4a and fig4b
 _OPERATING_POINT = {
     "omega_m_rad_per_s": (_ATOMS.omega_m, _POS),
-    "omega_a_rad_per_s": (_OPTICAL_OMEGA, _NONNEG),
-    "omega_b_rad_per_s": (_OPTICAL_OMEGA, _NONNEG),
+    "omega_a_rad_per_s": (_OPTICAL_OMEGA, _POS),
+    "omega_b_rad_per_s": (_OPTICAL_OMEGA, _POS),
     "cavity_length_m": (_GEOMETRY.L, _POS),
     "mirror_radius_m": (_GEOMETRY.R_mirror, _POS),
     "finesse": (_GEOMETRY.finesse, _number(exclusive_min=1.0)),

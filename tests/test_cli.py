@@ -481,6 +481,15 @@ def test_cli_design_refuses_a_search_axis_before_building_it(capsys, item, field
     assert peak < 2 ** 20
 
 
+@pytest.mark.parametrize("field", ["omega_a_rad_per_s", "omega_b_rad_per_s"])
+@pytest.mark.parametrize("command", ["fig3", "fig4a", "fig4b"])
+def test_cli_refuses_a_zero_optical_frequency_by_field(capsys, command, field):
+    assert main([command, "--set", f"{field}=0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: field '{field}': must be > 0.0, got 0.0\n"
+
+
 def test_design_defaults_are_the_published_search_domain():
     # config_json records these; they come from DesignSearchSpace and must not drift
     assert resolve_config("design").values == {
