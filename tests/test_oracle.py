@@ -757,8 +757,10 @@ def test_partial_trace_rejects_oversized_reduced_matrix():
     assert peak < 2**16
 
 
-def _caller_blas_threads(n: int):
-    """Numpy's OpenBLAS set to n threads as the caller's count; the earlier count after."""
+
+@pytest.fixture
+def blas_pairs():
+    """certify's (get, set) pairs, with numpy's OpenBLAS at 2 threads as the caller's count."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     if "openblas" not in blas["name"].lower():
         pytest.skip(f"numpy is linked to {blas['name']}, not OpenBLAS")
@@ -767,49 +769,40 @@ def _caller_blas_threads(n: int):
     assert pairs, "numpy is linked to OpenBLAS, but the certification does not find it"
     before = [get() for get, _ in pairs]
     for _, put in pairs:
-        put(n)
-    return pairs, before
+        put(2)
+    yield pairs
+    for (_, put), count in zip(pairs, before):
+        put(count)
 
 
-def test_certification_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
-    pairs, before = _caller_blas_threads(2)
+def test_certification_runs_on_one_blas_thread_and_restores_the_count(monkeypatch, blas_pairs):
     check = certify._check_displacement
     seen = []
 
     def spy(rng):
-        seen.append([get() for get, _ in pairs])
+        seen.append([get() for get, _ in blas_pairs])
         return check(rng)
 
     def failing(rng):
         spy(rng)
         raise RuntimeError("check failed")
 
-    try:
-        monkeypatch.setattr(certify, "_check_displacement", spy)
+    monkeypatch.setattr(certify, "_check_displacement", spy)
+    certify.run(1234)
+    after_return = [get() for get, _ in blas_pairs]
+    monkeypatch.setattr(certify, "_check_displacement", failing)
+    with pytest.raises(RuntimeError, match="check failed"):
         certify.run(1234)
-        after_return = [get() for get, _ in pairs]
-        monkeypatch.setattr(certify, "_check_displacement", failing)
-        with pytest.raises(RuntimeError, match="check failed"):
-            certify.run(1234)
-        after_raise = [get() for get, _ in pairs]
-    finally:
-        for (_, put), count in zip(pairs, before):
-            put(count)
-    assert seen == [[1] * len(pairs)] * 2
-    assert after_return == after_raise == [2] * len(pairs)
+    after_raise = [get() for get, _ in blas_pairs]
+    assert seen == [[1] * len(blas_pairs)] * 2
+    assert after_return == after_raise == [2] * len(blas_pairs)
 
 
-def test_certification_bits_do_not_depend_on_the_blas_thread_count(monkeypatch):
+def test_certification_bits_do_not_depend_on_the_blas_thread_count(monkeypatch, blas_pairs):
     # OpenBLAS splits a product by rows and columns, so each element keeps its k-sum
-    pairs, before = _caller_blas_threads(2)
     cfg = resolve_config("oracle-check", overrides=("seed=1234",))
-    try:
-        one_thread = run_oracle_check(cfg)
-        monkeypatch.setattr(certify, "_one_blas_thread", contextlib.nullcontext)
-        two_threads = run_oracle_check(cfg)
-    finally:
-        for (_, put), count in zip(pairs, before):
-            put(count)
-    (table, code), (other, other_code) = one_thread, two_threads
+    table, code = run_oracle_check(cfg)
+    monkeypatch.setattr(certify, "_one_blas_thread", contextlib.nullcontext)
+    other, other_code = run_oracle_check(cfg)
     assert code == other_code == 0
     assert repr(table.rows) == repr(other.rows) and table.metadata == other.metadata
