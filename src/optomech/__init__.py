@@ -9,7 +9,6 @@ and a CSV-producing command line front end (cli).
 """
 
 from .core import (
-    SystemParams,
     big_b,
     energy_eigenvalue_scaled,
     eta,
@@ -31,7 +30,6 @@ from .design import (
     optimize_design,
 )
 from .duan import (
-    CVInitialState,
     RegimeReport,
     duan_from_moments,
     duan_values,
@@ -60,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # core
-    "SystemParams",
     "eta",
     "big_b",
     "xi",
@@ -71,7 +68,6 @@ __all__ = [
     "concurrence",
     "von_neumann_entropy",
     # duan
-    "CVInitialState",
     "RegimeReport",
     "duan_from_moments",
     "duan_values",

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SystemParams, energy_eigenvalue_scaled
-from .duan import CVInitialState, duan_from_moments, duan_values
+from .core import energy_eigenvalue_scaled
+from .duan import duan_from_moments, duan_values
 from .oracle import (
     FockConfig, TriModeState, _coherent_vector, apply_evolution, coherent_thermal_state,
     displacement_matrix, hamiltonian_expectation, moments, partial_trace, qubit_state,
@@ -80,14 +80,13 @@ def _one_blas_thread():
             put(count)
 
 
-def _oracle_duan(
-    cv: CVInitialState, t: float, k: float, r_a: float, r_b: float, config: FockConfig
-) -> dict:
-    """The oracle's witness per pair for input cv at time t, in the Fock space of config."""
+def _oracle_duan(t: float, r_a: float, r_b: float, config: FockConfig, *, alpha, beta, nbar, k) -> dict:
+    """The oracle's witness per pair for one cell at time t, in the Fock space of config.
+
+    The cell's keywords and the carrier ratios are `duan_values`'s.
+    """
     # no name holds the initial ensemble, so it is freed before the moments run
-    evolved = apply_evolution(
-        coherent_thermal_state(cv.alpha, cv.beta, cv.nbar, config), t, k, r_a, r_b
-    )
+    evolved = apply_evolution(coherent_thermal_state(alpha, beta, nbar, config), t, k, r_a, r_b)
     return {pair: duan_from_moments(m) for pair, m in moments(evolved).items()}
 
 
@@ -153,19 +152,20 @@ def _check_stationarity(rng) -> list:
 def _check_cv(rng) -> list:
     dev = 0.0
     for _ in range(_N_CV_POINTS):
-        alpha = float(rng.uniform(0.1, 1.0))
-        beta = float(rng.uniform(0.1, 1.0))
-        nbar = float(rng.uniform(0.0, 0.5))
-        k = float(rng.uniform(0.2, 1.0))
+        # the draws keep their order (alpha, beta, nbar, k, r_a, r_b, t), which fixes each seed's points
+        cell = {
+            "alpha": float(rng.uniform(0.1, 1.0)),
+            "beta": float(rng.uniform(0.1, 1.0)),
+            "nbar": float(rng.uniform(0.0, 0.5)),
+            "k": float(rng.uniform(0.2, 1.0)),
+        }
         r_a = float(rng.uniform(0.0, 3.0))
         r_b = float(rng.uniform(0.0, 3.0))
         t = float(rng.uniform(0.3, 4.0 * math.pi))
-        cv = CVInitialState(alpha=alpha, beta=beta, nbar=nbar)
-        params = SystemParams.from_dimensionless(k=k, r_a=r_a, r_b=r_b)
-        config = FockConfig.for_coherent_thermal(alpha, beta, nbar, k, _CV_FOCK_TOLERANCE)
-        oracle = _oracle_duan(cv, t, k, r_a, r_b, config)
+        config = FockConfig.for_coherent_thermal(**cell, tolerance=_CV_FOCK_TOLERANCE)
+        oracle = _oracle_duan(t, r_a, r_b, config, **cell)
         for pair, d_oracle in oracle.items():
-            d_closed = float(duan_values(t, cv, params, pair))
+            d_closed = float(duan_values(t, pair, r_a, r_b, **cell))
             dev = max(dev, abs(d_closed - d_oracle) / abs(d_oracle))
     return [("cv_duan_vs_oracle_rel", dev, 1e-6)]
 
@@ -173,26 +173,29 @@ def _check_cv(rng) -> list:
 def _check_k_zero(rng) -> list:
     dev = 0.0
     for _ in range(2):
-        alpha = float(rng.uniform(0.2, 0.8))
-        beta = float(rng.uniform(0.2, 0.8))
-        nbar = float(rng.uniform(0.0, 0.3))
+        cell = {
+            "alpha": float(rng.uniform(0.2, 0.8)),
+            "beta": float(rng.uniform(0.2, 0.8)),
+            "nbar": float(rng.uniform(0.0, 0.3)),
+            "k": 0.0,
+        }
         r_a = float(rng.uniform(0.0, 2.0))
         r_b = float(rng.uniform(0.0, 2.0))
         t = float(rng.uniform(0.5, 4.0 * math.pi))
-        config = FockConfig.for_coherent_thermal(alpha, beta, nbar, 0.0, 1e-15)
-        oracle = _oracle_duan(CVInitialState(alpha, beta, nbar), t, 0.0, r_a, r_b, config)
-        floors = {"AB": 1.0, "AC": 1.0 + nbar, "BC": 1.0 + nbar}
+        config = FockConfig.for_coherent_thermal(**cell, tolerance=1e-15)
+        oracle = _oracle_duan(t, r_a, r_b, config, **cell)
+        floors = {"AB": 1.0, "AC": 1.0 + cell["nbar"], "BC": 1.0 + cell["nbar"]}
         dev = max(dev, *(abs(oracle[pair] - floor) for pair, floor in floors.items()))
     return [("k_zero_separability_floors", dev, 1e-12)]
 
 
 def _check_truncation_doubling(rng) -> list:
-    cv, k = CVInitialState(alpha=0.5, beta=0.5, nbar=0.2), 0.5
+    cell = {"alpha": 0.5, "beta": 0.5, "nbar": 0.2, "k": 0.5}
     t = float(rng.uniform(1.0, 8.0))
     # tail budgets bound dropped probability mass, not moments, so a run
     # sized at 1e-9 is what backs a 1e-8 stability claim
-    base = FockConfig.for_coherent_thermal(cv.alpha, cv.beta, cv.nbar, k, 1e-9)
-    coarse, fine = (_oracle_duan(cv, t, k, 1.5, 0.7, c) for c in (base, base.doubled()))
+    base = FockConfig.for_coherent_thermal(**cell, tolerance=1e-9)
+    coarse, fine = (_oracle_duan(t, 1.5, 0.7, c, **cell) for c in (base, base.doubled()))
     dev = max(abs(coarse[pair] - fine[pair]) for pair in coarse)
     return [("truncation_doubling_stability", dev, 1e-8)]
 

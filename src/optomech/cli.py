@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, certify
-from .core import SystemParams, thermal_occupation
+from .core import thermal_occupation
 from .design import (
     TEMPERATURE_K,
     CavityGeometry,
@@ -37,7 +37,7 @@ from .design import (
     proposed_atom_spec,
     proposed_geometry,
 )
-from .duan import CVInitialState, duan_values, regime_report, window_minima
+from .duan import duan_values, regime_report, window_minima
 from .qubit import concurrence, reduced_rho_ab, von_neumann_entropy
 
 __all__ = ["main", "RunConfig", "ResultTable"]
@@ -396,20 +396,20 @@ def run_fig3(cfg: RunConfig) -> ResultTable:
     if not t_max > v["t_min"]:
         raise _CliError(f"field 't_max': must exceed t_min={v['t_min']}")
     omega_m = v["omega_m_rad_per_s"]
-    p = SystemParams(
-        omega_a=v["omega_a_rad_per_s"],
-        omega_b=v["omega_b_rad_per_s"],
-        omega_m=omega_m,
-        g0=v["k"] * omega_m,
-    )
+    r_a, r_b = _carrier_ratios(v)
     nbar = thermal_occupation(v["temperature_K"], omega_m)
-    state = CVInitialState(alpha=v["alpha"], beta=v["beta"], nbar=nbar)
+    # k through g0 = k omega_m and back, as fig3 has always scaled it: the
+    # quotient differs from k in the last bit for some k (0.8992 among them)
+    cell = dict(alpha=v["alpha"], beta=v["beta"], nbar=nbar, k=(v["k"] * omega_m) / omega_m)
     grid = np.linspace(v["t_min"], t_max, v["n_points"])
     columns = {
         "t": grid,
-        **{f"duan_{pair.lower()}": duan_values(grid, state, p, pair) for pair in _PAIRS},
+        **{f"duan_{pair.lower()}": duan_values(grid, pair, r_a, r_b, **cell) for pair in _PAIRS},
         "threshold": np.ones_like(grid),  # the separability threshold
-        **{f"duan_{pair.lower()}_lower": duan_values(grid, state, p, pair, lower=True) for pair in _PAIRS},
+        **{
+            f"duan_{pair.lower()}_lower": duan_values(grid, pair, r_a, r_b, **cell, lower=True)
+            for pair in _PAIRS
+        },
     }
     extra = {"nbar": repr(nbar), "window_scaled": repr(window)}
     if v["k"] > 0:
@@ -433,19 +433,22 @@ def _minima_metadata(res) -> dict:
     }
 
 
+def _carrier_ratios(values: dict) -> tuple[float, float]:
+    """(r_a, r_b): the optical carriers over omega_m, the only place they are scaled."""
+    omega_m = values["omega_m_rad_per_s"]
+    return values["omega_a_rad_per_s"] / omega_m, values["omega_b_rad_per_s"] / omega_m
+
+
 def _witness_window(values: dict) -> tuple[float, float, float, float]:
     """(window, kappa, r_a, r_b) for a witness-minimum grid.
 
     The window is the photon lifetime in scaled time unless window_scaled
-    overrides it; r_a and r_b are the carriers over omega_m.
+    overrides it; r_a and r_b are `_carrier_ratios`.
     """
     window, kappa = _scaled_window(values)
     if values["window_scaled"] is not None:
         window = values["window_scaled"]
-    omega_m = values["omega_m_rad_per_s"]
-    r_a = values["omega_a_rad_per_s"] / omega_m
-    r_b = values["omega_b_rad_per_s"] / omega_m
-    return window, kappa, r_a, r_b
+    return window, kappa, *_carrier_ratios(values)
 
 
 #: most points one fig4a or fig4b axis may hold, ten times fig4b's default
@@ -613,12 +616,6 @@ def _cmd_oracle_check(cfg: RunConfig) -> int:
 # generic sweep
 # ---------------------------------------------------------------------------
 
-def _duan_sweep_value(v: dict, t: float, k: float) -> float:
-    state = CVInitialState(alpha=v["alpha"], beta=v["beta"], nbar=v["nbar"])
-    params = SystemParams.from_dimensionless(k=k, r_a=v["r_a"], r_b=v["r_b"])
-    return duan_values(t, state, params, v["quantity"].removeprefix("duan_").upper())
-
-
 def run_sweep(cfg: RunConfig) -> ResultTable:
     v = cfg.values
     quantity = v["quantity"]
@@ -633,8 +630,10 @@ def run_sweep(cfg: RunConfig) -> ResultTable:
         measure = concurrence if quantity == "concurrence" else von_neumann_entropy
         values = measure(reduced_rho_ab(ts, ks))
     else:
+        pair = quantity.removeprefix("duan_").upper()
+        state = dict(alpha=v["alpha"], beta=v["beta"], nbar=v["nbar"])
         points = zip(*(axis.tolist() for axis in np.broadcast_arrays(ts, ks)))
-        values = [_duan_sweep_value(v, t, k) for t, k in points]
+        values = [duan_values(t, pair, v["r_a"], v["r_b"], **state, k=k) for t, k in points]
     return ResultTable({v["variable"]: xs, quantity: values}, _metadata(cfg))
 
 

@@ -17,9 +17,6 @@ All three accept numpy arrays as well as scalars.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
@@ -27,7 +24,6 @@ __all__ = [
     "K_B",
     "C_LIGHT",
     "EPSILON_0",
-    "SystemParams",
     "eta",
     "big_b",
     "xi",
@@ -40,46 +36,6 @@ HBAR = 1.054571817e-34        # J s
 K_B = 1.380649e-23            # J / K
 C_LIGHT = 299792458.0         # m / s
 EPSILON_0 = 8.8541878128e-12  # F / m
-
-
-@dataclass(frozen=True)
-class SystemParams:
-    """Mode frequencies and the bare optomechanical coupling, all angular [rad/s].
-
-    Derived dimensionless numbers: k = g0/omega_m, r_a = omega_a/omega_m,
-    r_b = omega_b/omega_m. g0 = 0 is allowed so that uncoupled reference
-    cases can be represented.
-    """
-
-    omega_a: float
-    omega_b: float
-    omega_m: float
-    g0: float
-
-    def __post_init__(self) -> None:
-        for name in ("omega_a", "omega_b", "omega_m"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if not (math.isfinite(self.g0) and self.g0 >= 0):
-            raise ValueError(f"g0 must be non-negative and finite, got {self.g0!r}")
-
-    @property
-    def k(self) -> float:
-        return self.g0 / self.omega_m
-
-    @property
-    def r_a(self) -> float:
-        return self.omega_a / self.omega_m
-
-    @property
-    def r_b(self) -> float:
-        return self.omega_b / self.omega_m
-
-    @classmethod
-    def from_dimensionless(cls, k: float, r_a: float, r_b: float) -> "SystemParams":
-        """Build params with omega_m = 1 so scaled and physical time coincide."""
-        return cls(omega_a=r_a, omega_b=r_b, omega_m=1.0, g0=k)
 
 
 def eta(t):

@@ -27,11 +27,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SystemParams, big_b, eta
+from .core import big_b, eta
 from .oracle import ModePairMoments
 
 __all__ = [
-    "CVInitialState",
     "RegimeReport",
     "duan_from_moments",
     "duan_values",
@@ -65,30 +64,6 @@ def entanglement_period(k, omega_m):
             raise ValueError(f"{name} must be positive, got {float(value[~(value > 0)].flat[0])!r}")
     period = np.where(_low_regime(k), math.pi / (omega_m * k ** 2), 2.0 * math.pi / omega_m)
     return float(period) if period.ndim == 0 else period
-
-
-@dataclass(frozen=True)
-class CVInitialState:
-    """Coherent amplitudes of the optical modes and thermal occupation of the mechanics.
-
-    The analytic formulas assume real alpha and beta; complex amplitudes are
-    rejected by the closed-form path and must go through the Fock oracle.
-    """
-
-    alpha: float
-    beta: float
-    nbar: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta"):
-            value = getattr(self, name)
-            if isinstance(value, complex) or not math.isfinite(float(value)):
-                raise ValueError(
-                    f"{name} must be a finite real number for the analytic path "
-                    f"(complex amplitudes are supported by the Fock oracle only), got {value!r}"
-                )
-        if self.nbar < 0:
-            raise ValueError(f"nbar must be non-negative, got {self.nbar!r}")
 
 
 @dataclass(frozen=True)
@@ -259,21 +234,48 @@ _VALUES = {"AB": _ab_values, "AC": _ac_values, "BC": _bc_values}
 _LOWER = {"AB": _ab_lower, "AC": _ac_lower, "BC": _bc_lower}
 
 
-def duan_values(t, state: CVInitialState, p: SystemParams, pair: str, *, lower: bool = False):
-    """Witness D(t) across one bipartition; t may be an array and the result takes its shape.
+def _check_cell(bipartition, r_a, r_b, alpha, beta, nbar, k) -> None:
+    """Refuse, by field name, a witness cell the closed forms cannot evaluate.
 
-    pair is "AB" (the two optical modes), "AC" or "BC" (optical mode A or B
-    with the mechanics). BC is AC with the optical modes relabeled: alpha
-    <-> beta, r_a <-> r_b and k -> -k, since a photon in mode B kicks the
+    The cells are read through np.asarray but never replaced: the curves
+    compute with the caller's own values, since a Python float squares
+    through pow() and a 0-d array as x*x, which differ in the last bit for
+    some doubles.
+    """
+    if bipartition not in _VALUES:
+        raise ValueError(f"bipartition must be one of {sorted(_VALUES)}, got {bipartition!r}")
+    for name, ratio in (("r_a", r_a), ("r_b", r_b)):
+        if not (math.isfinite(ratio) and ratio > 0):
+            raise ValueError(f"{name} must be positive and finite, got {ratio!r}")
+    floors = {"alpha": -math.inf, "beta": -math.inf, "nbar": 0.0, "k": 0.0}
+    for (name, floor), value in zip(floors.items(), (alpha, beta, nbar, k)):
+        value = np.asarray(value)
+        if np.iscomplexobj(value):
+            raise ValueError(
+                f"{name} must be real for the analytic path "
+                "(complex amplitudes are supported by the Fock oracle only)"
+            )
+        bad = ~(np.isfinite(value) & (value >= floor))
+        if bad.any():
+            rule = "finite" if floor < 0 else "finite and non-negative"
+            raise ValueError(f"{name} must be {rule} in every cell, got {float(value[bad][0])!r}")
+
+
+def duan_values(t, bipartition: str, r_a: float, r_b: float, *, alpha, beta, nbar, k, lower: bool = False):
+    """Witness D(t) across one bipartition of one cell; t may be an array and the result takes its shape.
+
+    bipartition is "AB" (the two optical modes), "AC" or "BC" (optical mode
+    A or B with the mechanics), r_a and r_b the optical carriers over
+    omega_m, and the cell (alpha, beta, nbar, k) is `window_minima`'s, with
+    the same checks. BC is AC with the optical modes relabeled: alpha <->
+    beta, r_a <-> r_b and k -> -k, since a photon in mode B kicks the
     mirror the other way. lower=True gives the lower envelope over the fast
     carrier phase instead: (r_a + r_b) t for AB, r_a t for AC, r_b t for BC.
     """
-    table = _LOWER if lower else _VALUES
-    if pair not in table:
-        raise ValueError(f"pair must be one of {sorted(table)}, got {pair!r}")
-    func = table[pair]
-    kern = _kernels(_time_kernels(t), p.k, state.nbar, func, p.r_a + p.r_b)
-    return func(kern, state.alpha, state.beta, p.r_a, p.r_b)
+    _check_cell(bipartition, r_a, r_b, alpha, beta, nbar, k)
+    func = (_LOWER if lower else _VALUES)[bipartition]
+    kern = _kernels(_time_kernels(t), k, nbar, func, r_a + r_b)
+    return func(kern, alpha, beta, r_a, r_b)
 
 
 @dataclass(frozen=True)
@@ -761,20 +763,10 @@ def window_minima(
     cells times grid points without a floor; the incumbent blocks,
     surviving blocks and two neighbours per cell with one.
     """
-    if bipartition not in _VALUES:
-        raise ValueError(f"bipartition must be one of {sorted(_VALUES)}, got {bipartition!r}")
+    _check_cell(bipartition, r_a, r_b, alpha, beta, nbar, k)
     if not 0 < window < math.inf:
         raise ValueError(f"window must be positive and finite, got {window!r}")
-    for name, ratio in (("r_a", r_a), ("r_b", r_b)):
-        if not (math.isfinite(ratio) and ratio > 0):
-            raise ValueError(f"{name} must be positive and finite, got {ratio!r}")
     cells = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (alpha, beta, nbar, k)))
-    for name, cell in zip(("alpha", "beta", "nbar", "k"), cells):
-        if not np.all(np.isfinite(cell)):
-            raise ValueError(f"{name} must be finite in every cell")
-    for name, cell in (("nbar", cells[2]), ("k", cells[3])):
-        if np.any(cell < 0):
-            raise ValueError(f"{name} must be non-negative in every cell")
     grid, mode = _scan_grid(float(window), r_a + r_b)
     func = (_LOWER if mode == "envelope" else _VALUES)[bipartition]
 

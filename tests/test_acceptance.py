@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from optomech.cli import resolve_config, run_fig4a, run_fig4b, run_oracle_check
-from optomech.core import SystemParams, big_b, eta, thermal_occupation, xi
+from optomech.core import big_b, eta, thermal_occupation, xi
 from optomech.design import (
     CALIBRATION_REFERENCE,
     AtomEnsembleSpec,
@@ -26,7 +26,7 @@ from optomech.design import (
     proposed_atom_spec,
     proposed_geometry,
 )
-from optomech.duan import CVInitialState, duan_from_moments, duan_values, window_minima
+from optomech.duan import duan_from_moments, duan_values, window_minima
 from optomech.oracle import (
     FockConfig, apply_evolution, coherent_thermal_state, moments, partial_trace, qubit_state,
 )
@@ -133,15 +133,13 @@ def test_acceptance_3_cv_oracle_equivalence():
         r_a = float(rng.uniform(0.2, 3.0))
         r_b = float(rng.uniform(0.2, 3.0))
         t = float(rng.uniform(0.3, 4.0 * math.pi))
-        p = SystemParams.from_dimensionless(k=k, r_a=r_a, r_b=r_b)
-        st0 = CVInitialState(alpha, beta, nbar)
         config = FockConfig.for_coherent_thermal(alpha, beta, nbar, k, 1e-8)
         state = coherent_thermal_state(alpha, beta, nbar, config)
         evolved = apply_evolution(state, t, k, r_a, r_b)
         oracle = moments(evolved)
         for pair in ("AB", "AC", "BC"):
             reference = duan_from_moments(oracle[pair])
-            got = float(duan_values(t, st0, p, pair))
+            got = float(duan_values(t, pair, r_a, r_b, alpha=alpha, beta=beta, nbar=nbar, k=k))
             rel = abs(got - reference) / max(abs(reference), 1e-12)
             worst = max(worst, rel)
     if worst > 1e-6:
@@ -160,10 +158,11 @@ def test_acceptance_4_cavity_numbers_and_minimum():
     if not (15.6e-6 <= tau_p <= 15.7e-6):
         failures.append(f"photon lifetime {tau_p:.4e} s outside [15.6, 15.7] us")
 
-    p = SystemParams(omega_a=1e15, omega_b=1e15, omega_m=OMEGA_M, g0=0.74 * OMEGA_M)
+    # carriers of 1e15 rad/s, and k = 0.74 through g0 = k omega_m, as fig3 scales them
+    r = 1e15 / OMEGA_M
     res = window_minima(
-        "AB", OMEGA_M * tau_p, p.r_a, p.r_b,
-        alpha=0.5, beta=0.5, nbar=thermal_occupation(0.8e-6, OMEGA_M), k=p.k,
+        "AB", OMEGA_M * tau_p, r, r,
+        alpha=0.5, beta=0.5, nbar=thermal_occupation(0.8e-6, OMEGA_M), k=(0.74 * OMEGA_M) / OMEGA_M,
     )
     d_min = float(res.d_star)
     if abs(d_min - 0.8) > 0.05:

@@ -22,6 +22,8 @@ from optomech.cli import (
     run_fig4a,
     run_fig4b,
 )
+from optomech.core import thermal_occupation
+from optomech.duan import duan_values
 
 
 class TestResolveConfig:
@@ -203,6 +205,28 @@ def test_fig3_initial_row_floors():
     assert first["duan_ac"] == pytest.approx(1.003360227659763, rel=1e-12)
     assert first["duan_bc"] == pytest.approx(1.003360227659763, rel=1e-12)
     assert first["threshold"] == 1.0
+
+
+def test_fig3_scales_k_through_the_bare_coupling():
+    # fig3 passes k as (k omega_m) / omega_m, the coupling g0 over omega_m;
+    # at k = 0.8992 that quotient is not k, and k itself moves hundreds of
+    # the 2,000 values of each pair
+    cfg = resolve_config("fig3", overrides=("k=0.8992",))
+    v = cfg.values
+    omega_m = v["omega_m_rad_per_s"]
+    quotient = (0.8992 * omega_m) / omega_m
+    assert quotient != 0.8992
+    table = run_fig3(cfg)
+    grid = np.asarray(table.cells[table.columns.index("t")])
+    r_a, r_b = v["omega_a_rad_per_s"] / omega_m, v["omega_b_rad_per_s"] / omega_m
+    cell = dict(alpha=v["alpha"], beta=v["beta"], nbar=thermal_occupation(v["temperature_K"], omega_m))
+    for pair in ("AB", "AC", "BC"):
+        column = f"duan_{pair.lower()}"
+        for suffix, lower in (("", False), ("_lower", True)):
+            got = table.cells[table.columns.index(column + suffix)]
+            assert got == duan_values(grid, pair, r_a, r_b, **cell, k=quotient, lower=lower).tolist()
+        got = table.cells[table.columns.index(column)]
+        assert got != duan_values(grid, pair, r_a, r_b, **cell, k=0.8992).tolist()
 
 
 def _run_cli(argv, tmp_path, name):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from optomech.core import (
-    SystemParams,
     big_b,
     energy_eigenvalue_scaled,
     eta,
@@ -85,26 +84,3 @@ def test_energy_eigenvalue_rejects_negative_quanta():
         energy_eigenvalue_scaled(-1, 0, 0, 0.5, 1.0, 1.0)
     with pytest.raises(ValueError):
         energy_eigenvalue_scaled(0, 0, -2, 0.5, 1.0, 1.0)
-
-
-class TestSystemParams:
-    def test_dimensionless_ratios(self):
-        p = SystemParams(omega_a=3.0e5, omega_b=2.0e5, omega_m=1.0e5, g0=0.5e5)
-        assert p.k == pytest.approx(0.5)
-        assert p.r_a == pytest.approx(3.0)
-        assert p.r_b == pytest.approx(2.0)
-
-    def test_from_dimensionless_round_trip(self):
-        p = SystemParams.from_dimensionless(k=0.74, r_a=1.3, r_b=0.9)
-        assert p.omega_m == 1.0
-        assert p.k == pytest.approx(0.74)
-        assert p.r_a == pytest.approx(1.3)
-        assert p.r_b == pytest.approx(0.9)
-
-    def test_rejects_nonpositive_mechanical_frequency(self):
-        with pytest.raises(ValueError):
-            SystemParams(omega_a=1.0, omega_b=1.0, omega_m=0.0, g0=0.1)
-
-    def test_rejects_negative_coupling(self):
-        with pytest.raises(ValueError):
-            SystemParams(omega_a=1.0, omega_b=1.0, omega_m=1.0, g0=-0.1)

@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 
@@ -7,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from optomech import duan as duan_module
-from optomech.core import SystemParams, thermal_occupation
+from optomech.core import thermal_occupation
 from optomech.duan import (
     K_REGIME_BOUNDARY,
-    CVInitialState,
     ModePairMoments,
     duan_from_moments,
     duan_values,
@@ -21,10 +21,10 @@ from optomech.duan import (
 
 TABLE_OMEGA_M = 2.0 * math.pi * 95e3
 TABLE_NBAR = 0.003360227659763006  # 0.8 uK at 95 kHz
-
-
-def _params(k, r_a=1.0, r_b=1.0):
-    return SystemParams.from_dimensionless(k=k, r_a=r_a, r_b=r_b)
+# the table's operating point as fig3 scales it: carriers of 1e15 rad/s over
+# omega_m, and k = 0.74 through g0 = k omega_m and back
+TABLE_R = 1e15 / TABLE_OMEGA_M
+TABLE_K = (0.74 * TABLE_OMEGA_M) / TABLE_OMEGA_M
 
 
 class TestWitnessKernel:
@@ -52,55 +52,76 @@ class TestWitnessKernel:
             duan_from_moments(ModePairMoments(mean1=1.0, mean2=0.0, occ1=0.5, occ2=0.0, corr=0.0))
 
 
-class TestInitialState:
-    def test_rejects_complex_amplitudes(self):
-        with pytest.raises(ValueError, match="Fock oracle"):
-            CVInitialState(alpha=0.2 + 0.1j, beta=0.5, nbar=0.0)
+_GOOD_CELL = dict(bipartition="AB", r_a=1.0, r_b=1.0, alpha=0.5, beta=0.5, nbar=0.0, k=0.5)
 
-    def test_rejects_negative_occupation(self):
-        with pytest.raises(ValueError):
-            CVInitialState(alpha=0.5, beta=0.5, nbar=-0.01)
+
+@pytest.mark.parametrize("entry", ["duan_values", "window_minima"])
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("alpha", 0.2 + 0.1j, "alpha must be real .*Fock oracle only"),
+        ("beta", math.inf, "beta must be finite"),
+        ("nbar", -0.01, "nbar must be finite and non-negative"),
+        ("nbar", math.nan, "nbar must be finite and non-negative"),
+        ("k", -0.5, "k must be finite and non-negative"),
+        ("r_a", 0.0, "r_a must be positive and finite"),
+        ("bipartition", "AD", "bipartition must be one of"),
+    ],
+    ids=["complex-alpha", "inf-beta", "negative-nbar", "nan-nbar", "negative-k", "zero-r_a", "AD"],
+)
+def test_witness_cells_are_refused_by_field(entry, field, value, message):
+    # one check serves both entries; at a scalar cell nbar = nan once gave a
+    # silent nan, and k and r_a were refused as g0 and omega_a
+    cell = {**_GOOD_CELL, field: value}
+    head = (cell.pop("bipartition"), cell.pop("r_a"), cell.pop("r_b"))
+    with pytest.raises(ValueError, match=message):
+        if entry == "duan_values":
+            duan_values(1.0, *head, **cell)
+        else:
+            window_minima(head[0], 1.0, *head[1:], **cell)
+
+
+def test_duan_values_takes_the_time_first():
+    # the benchmark's tracer counts a duan_values call's points from its
+    # first positional argument
+    assert next(iter(inspect.signature(duan_values).parameters)) == "t"
 
 
 def test_witness_floors_at_t_zero():
-    p = _params(0.6, r_a=1.3, r_b=0.7)
-    st0 = CVInitialState(0.4, 0.6, 0.25)
-    assert duan_values(0.0, st0, p, "AB") == 1.0
-    assert duan_values(0.0, st0, p, "AC") == 1.25
-    assert duan_values(0.0, st0, p, "BC") == 1.25
+    cell = dict(alpha=0.4, beta=0.6, nbar=0.25, k=0.6)
+    assert duan_values(0.0, "AB", 1.3, 0.7, **cell) == 1.0
+    assert duan_values(0.0, "AC", 1.3, 0.7, **cell) == 1.25
+    assert duan_values(0.0, "BC", 1.3, 0.7, **cell) == 1.25
 
 
 @given(st.floats(min_value=0.0, max_value=12.0 * math.pi, allow_nan=False))
 @settings(max_examples=40, deadline=None)
 def test_k_zero_leaves_every_pair_uncorrelated(t):
-    p = _params(0.0, r_a=2.0, r_b=1.5)
-    st0 = CVInitialState(0.7, 0.3, 0.4)
-    assert abs(duan_values(t, st0, p, "AB") - 1.0) < 1e-12
-    assert abs(duan_values(t, st0, p, "AC") - 1.4) < 1e-12
-    assert abs(duan_values(t, st0, p, "BC") - 1.4) < 1e-12
+    cell = dict(alpha=0.7, beta=0.3, nbar=0.4, k=0.0)
+    assert abs(duan_values(t, "AB", 2.0, 1.5, **cell) - 1.0) < 1e-12
+    assert abs(duan_values(t, "AC", 2.0, 1.5, **cell) - 1.4) < 1e-12
+    assert abs(duan_values(t, "BC", 2.0, 1.5, **cell) - 1.4) < 1e-12
 
 
 def test_values_functions_are_vectorized():
-    p = _params(0.5, r_a=1.1, r_b=0.9)
-    st0 = CVInitialState(0.5, 0.5, 0.1)
+    cell = dict(alpha=0.5, beta=0.5, nbar=0.1, k=0.5)
     t = np.linspace(0.0, 4.0 * math.pi, 50)
     for pair in ("AB", "AC", "BC"):
         for lower in (False, True):
-            out = np.asarray(duan_values(t, st0, p, pair, lower=lower))
+            out = np.asarray(duan_values(t, pair, 1.1, 0.9, **cell, lower=lower))
             assert out.shape == t.shape
             assert np.all(np.isfinite(out))
-            assert out[0] == pytest.approx(duan_values(float(t[0]), st0, p, pair, lower=lower))
+            assert out[0] == pytest.approx(duan_values(float(t[0]), pair, 1.1, 0.9, **cell, lower=lower))
 
 
 @given(st.floats(min_value=0.05, max_value=6.0, allow_nan=False))
 @settings(max_examples=40, deadline=None)
 def test_lower_curves_bound_the_witness(r_a):
-    p = _params(0.6, r_a=r_a, r_b=0.8)
-    st0 = CVInitialState(0.5, 0.4, 0.2)
+    cell = dict(alpha=0.5, beta=0.4, nbar=0.2, k=0.6)
     t = np.linspace(0.05, 4.0 * math.pi, 120)
     for pair in ("AB", "AC", "BC"):
-        v = np.asarray(duan_values(t, st0, p, pair), dtype=float)
-        lo = np.asarray(duan_values(t, st0, p, pair, lower=True), dtype=float)
+        v = np.asarray(duan_values(t, pair, r_a, 0.8, **cell), dtype=float)
+        lo = np.asarray(duan_values(t, pair, r_a, 0.8, **cell, lower=True), dtype=float)
         assert np.all(lo <= v + 1e-10)
 
 
@@ -112,12 +133,12 @@ def test_ac_and_bc_differ_through_the_coupling_sign():
     from optomech.oracle import apply_evolution, moments
 
     alpha, beta, nbar, k, t = 0.3, 0.8, 0.15, 0.7, 1.7
-    p = _params(k, r_a=1.4, r_b=0.6)
+    r_a, r_b = 1.4, 0.6
     state = _oracle_state(alpha, beta, nbar, k)
-    evolved = apply_evolution(state, t, k, p.r_a, p.r_b)
-    st0 = CVInitialState(alpha, beta, nbar)
-    d_ac = duan_values(t, st0, p, "AC")
-    d_bc = duan_values(t, st0, p, "BC")
+    evolved = apply_evolution(state, t, k, r_a, r_b)
+    cell = dict(alpha=alpha, beta=beta, nbar=nbar, k=k)
+    d_ac = duan_values(t, "AC", r_a, r_b, **cell)
+    d_bc = duan_values(t, "BC", r_a, r_b, **cell)
     oracle = moments(evolved)
     assert d_ac == pytest.approx(duan_from_moments(oracle["AC"]), rel=1e-6)
     assert d_bc == pytest.approx(duan_from_moments(oracle["BC"]), rel=1e-6)
@@ -128,21 +149,20 @@ def test_oracle_agreement_spot_check():
     from optomech.oracle import apply_evolution, moments
 
     alpha, beta, nbar, k, t = 0.5, 0.5, 0.1, 0.5, 2.0
-    p = _params(k, r_a=1.0, r_b=0.5)
+    r_a, r_b = 1.0, 0.5
     state = _oracle_state(alpha, beta, nbar, k)
-    evolved = apply_evolution(state, t, k, p.r_a, p.r_b)
-    st0 = CVInitialState(alpha, beta, nbar)
+    evolved = apply_evolution(state, t, k, r_a, r_b)
     oracle = moments(evolved)
     for pair in ("AB", "AC", "BC"):
         reference = duan_from_moments(oracle[pair])
-        assert duan_values(t, st0, p, pair) == pytest.approx(reference, rel=1e-6)
+        got = duan_values(t, pair, r_a, r_b, alpha=alpha, beta=beta, nbar=nbar, k=k)
+        assert got == pytest.approx(reference, rel=1e-6)
 
 
 class TestMinOverWindow:
     """`window_minima` on one cell: every cell parameter a scalar."""
 
     _CELL = dict(alpha=0.5, beta=0.5, nbar=0.0)
-    _TABLE = SystemParams(omega_a=1e15, omega_b=1e15, omega_m=TABLE_OMEGA_M, g0=0.74 * TABLE_OMEGA_M)
 
     def test_k_zero_never_dips_below_threshold(self):
         res = window_minima("AB", 4.0 * math.pi, 1.0, 1.0, k=0.0, **self._CELL)
@@ -150,9 +170,8 @@ class TestMinOverWindow:
         assert float(res.d_star) == pytest.approx(1.0, abs=1e-12)
 
     def test_table_operating_point_frozen(self):
-        p = self._TABLE
         window = TABLE_OMEGA_M * 1.5670841192409183e-05  # one cavity photon lifetime
-        res = window_minima("AB", window, p.r_a, p.r_b, alpha=0.5, beta=0.5, nbar=TABLE_NBAR, k=p.k)
+        res = window_minima("AB", window, TABLE_R, TABLE_R, alpha=0.5, beta=0.5, nbar=TABLE_NBAR, k=TABLE_K)
         assert res.mode == "envelope"
         assert float(res.d_star) == pytest.approx(0.7980434478774613, rel=1e-9)
         assert float(res.t_star) == pytest.approx(2.0 * math.pi, abs=1e-6)
@@ -175,9 +194,8 @@ class TestMinOverWindow:
         assert abs(d_direct - d_env) < 5e-3
 
     def test_auto_switches_to_envelope_for_optical_carriers(self):
-        p = self._TABLE
         # ~5e9 carrier cycles in this window, far past the 1e5-cycle switch
-        res = window_minima("AB", 9.0, p.r_a, p.r_b, k=p.k, **self._CELL)
+        res = window_minima("AB", 9.0, TABLE_R, TABLE_R, k=TABLE_K, **self._CELL)
         assert res.mode == "envelope"
         assert 0.0 <= float(res.t_star) <= 9.0
         assert float(res.d_star) < 1.0
@@ -186,11 +204,10 @@ class TestMinOverWindow:
     def test_scan_grid_floor_and_cap(self, mode):
         # a grid holds no points until the scan reads them, so the largest
         # grids cost nothing here
-        p = self._TABLE
         if mode == "direct":
             assert duan_module._scan_grid(1.0, 1.0) == (duan_module._Grid(1.0, 65), "direct")
         else:
-            assert duan_module._scan_grid(9.0, p.r_a + p.r_b) == (duan_module._Grid(9.0, 4002), "envelope")
+            assert duan_module._scan_grid(9.0, TABLE_R + TABLE_R) == (duan_module._Grid(9.0, 4002), "envelope")
         for t_max in (1e-3, 1.0, 9.0, 4.0 * math.pi, 1e6):
             # the largest carrier sum whose window holds at most 1e5 cycles
             fast = 2.0 * math.pi * 1e5 / t_max
@@ -209,15 +226,8 @@ class TestMinOverWindow:
             else:
                 assert 4001 <= n <= 4002, (t_max, n)
 
-    def test_window_validation(self):
-        st0 = CVInitialState(0.5, 0.5, 0.0)
-        with pytest.raises(ValueError, match="bipartition"):
-            window_minima("AD", 1.0, 1.0, 1.0, k=0.5, **self._CELL)
-        with pytest.raises(ValueError, match="pair"):
-            duan_values(1.0, st0, _params(0.5), "AD")
 
-
-def _reference_minimum(bipartition, state, p, window, mode):
+def _reference_minimum(bipartition, r_a, r_b, cell, window, mode):
     """Per-cell reference for `window_minima`: the scalar minimizer it replaced.
 
     Dense scan on the same grid rule, then scipy's golden section on the
@@ -225,9 +235,9 @@ def _reference_minimum(bipartition, state, p, window, mode):
     strict interior one, kept only where it is lower.
     """
     def func(t):
-        return duan_values(t, state, p, bipartition, lower=mode == "envelope")
+        return duan_values(t, bipartition, r_a, r_b, **cell, lower=mode == "envelope")
 
-    step = math.pi / (8.0 * (p.r_a + p.r_b)) if mode == "direct" else window / 4000.0
+    step = math.pi / (8.0 * (r_a + r_b)) if mode == "direct" else window / 4000.0
     grid = np.linspace(0.0, window, max(int(math.ceil(window / step)) + 1, 65))
     values = np.asarray(func(grid), dtype=float)
     best = int(np.argmin(values))
@@ -254,11 +264,12 @@ _CELLS = {
         alpha=0.5, beta=0.6, nbar=np.tile([0.0, 0.3], 6), k=np.repeat(np.linspace(0.2, 1.45, 6), 2)
     ),
 }
-_OPTICAL = SystemParams(omega_a=1e15, omega_b=1.2e15, omega_m=TABLE_OMEGA_M, g0=0.0)
+#: carriers of 1e15 and 1.2e15 rad/s over the table's omega_m
+_OPTICAL_R = (1e15 / TABLE_OMEGA_M, 1.2e15 / TABLE_OMEGA_M)
 _WINDOWS = {
     # optical carriers over one photon lifetime, and a carrier at the
     # mechanical frequency that a direct scan resolves
-    "envelope": (9.353966, _OPTICAL.r_a, _OPTICAL.r_b),
+    "envelope": (9.353966, *_OPTICAL_R),
     "direct": (40.0, 1.0, 1.3),
 }
 
@@ -277,12 +288,11 @@ def test_window_minima_matches_scalar_golden_reference(bipartition, mode, cells)
     assert res.d_star.shape == res.t_star.shape == res.refined.shape == columns[0].shape
     assert res.refined.any()
     for i, (alpha, beta, nbar, k) in enumerate(zip(*columns)):
-        state = CVInitialState(float(alpha), float(beta), float(nbar))
-        p = _params(float(k), r_a=r_a, r_b=r_b)
-        expected = _reference_minimum(bipartition, state, p, window, mode)
+        cell = dict(alpha=float(alpha), beta=float(beta), nbar=float(nbar), k=float(k))
+        expected = _reference_minimum(bipartition, r_a, r_b, cell, window, mode)
         assert abs(res.d_star[i] - expected) <= 1e-12, (i, res.d_star[i], expected)
         assert 0.0 <= res.t_star[i] <= window
-        got = duan_values(res.t_star[i], state, p, bipartition, lower=mode == "envelope")
+        got = duan_values(res.t_star[i], bipartition, r_a, r_b, **cell, lower=mode == "envelope")
         assert got == pytest.approx(res.d_star[i], abs=1e-12)
 
 
@@ -339,11 +349,10 @@ def test_window_minima_ab_is_symmetric_in_the_amplitudes(mode):
     # what makes merging (alpha, beta) with (beta, alpha) exact: the curves
     # themselves are bitwise symmetric
     t = np.linspace(0.0, window, 997)
-    p = _params(0.74, r_a=r_a, r_b=r_b)
     for a, b in zip(alpha, beta):
         for lower in (False, True):
-            one = duan_values(t, CVInitialState(a, b, 0.05), p, "AB", lower=lower)
-            other = duan_values(t, CVInitialState(b, a, 0.05), p, "AB", lower=lower)
+            one = duan_values(t, "AB", r_a, r_b, alpha=a, beta=b, lower=lower, **kw)
+            other = duan_values(t, "AB", r_a, r_b, alpha=b, beta=a, lower=lower, **kw)
             assert np.array_equal(one, other)
 
 
@@ -450,7 +459,7 @@ def test_window_minima_zero_amplitude_cells_stay_separable():
     zeros = np.zeros(4)
     others = np.array([0.0, 0.5, 1.0, 2.0])
     res = window_minima(
-        "AB", 9.353966, _OPTICAL.r_a, _OPTICAL.r_b,
+        "AB", 9.353966, *_OPTICAL_R,
         alpha=np.concatenate([zeros, others]), beta=np.concatenate([others, zeros]),
         nbar=TABLE_NBAR, k=0.74,
     )
@@ -771,8 +780,8 @@ def test_bounded_scan_is_bitwise_the_full_scan(monkeypatch, case):
     cells = dict(_BOUNDED_CASES[case])
     window = cells.pop("window", _ENVELOPE)
     monkeypatch.setattr(duan_module, "_TEMP_ELEMENTS", cells.pop("budget", duan_module._TEMP_ELEMENTS))
-    res, ref, _ = _bounded_against_reference(monkeypatch, window, _OPTICAL.r_a, _OPTICAL.r_b, **cells)
-    n = duan_module._scan_grid(window, _OPTICAL.r_a + _OPTICAL.r_b)[0].size
+    res, ref, _ = _bounded_against_reference(monkeypatch, window, *_OPTICAL_R, **cells)
+    n = duan_module._scan_grid(window, sum(_OPTICAL_R))[0].size
     assert ref.evaluated_points == res.scanned_cells * n
     if case == "grid-not-multiple":
         assert n == 125 * duan_module._SCAN_BLOCK + 1
@@ -1001,7 +1010,7 @@ def _assert_keeps_every_block(monkeypatch, large, k):
     monkeypatch.setattr(duan_module, "_block_floor", lambda *args: floors.append(args) or real(*args))
     with np.errstate(all="ignore"):
         res, ref, scan, ref_scan = _scan_against_reference(
-            monkeypatch, "AB", _ENVELOPE, _OPTICAL.r_a, _OPTICAL.r_b,
+            monkeypatch, "AB", _ENVELOPE, *_OPTICAL_R,
             alpha=[0.5, large], beta=0.5, nbar=0.0, k=k,
         )
         assert not _assert_scan_is_exact(res, ref, scan, ref_scan)
@@ -1086,12 +1095,11 @@ def test_envelope_mean_grows_with_temperature():
     # thermal dephasing exp(-k^2 |eta|^2 (2 nbar + 1)) weakens the dip
     # everywhere except the eta = 0 nodes, so the window-averaged envelope
     # rises with temperature even though the global minimum does not move
-    p = SystemParams(omega_a=1e15, omega_b=1e15, omega_m=TABLE_OMEGA_M, g0=0.74 * TABLE_OMEGA_M)
     t = np.linspace(0.0, 9.353966, 2001)
     means = []
     for T in (0.1e-6, 0.4e-6, 0.8e-6):
-        st0 = CVInitialState(0.5, 0.5, thermal_occupation(T, TABLE_OMEGA_M))
-        means.append(float(np.mean(duan_values(t, st0, p, "AB", lower=True))))
+        cell = dict(alpha=0.5, beta=0.5, nbar=thermal_occupation(T, TABLE_OMEGA_M), k=TABLE_K)
+        means.append(float(np.mean(duan_values(t, "AB", TABLE_R, TABLE_R, **cell, lower=True))))
     assert means[0] < means[1] < means[2]
 
 

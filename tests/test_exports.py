@@ -51,7 +51,6 @@ _SETTABLE_VALUES = [
     "design.DesignSearchSpace.plateau_rtol",
     "design.DesignSearchSpace.trap_frequencies_Hz",
     "design.proposed_geometry.finesse",
-    "duan.CVInitialState.nbar",
     "duan.duan_values.lower",
     "oracle.FockConfig.for_coherent_thermal.tolerance",
     "oracle.FockConfig.for_qubit.tolerance",
@@ -86,14 +85,13 @@ def test_settable_public_values_are_the_listed_ones():
                     elif isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                         found += _defaulted_parameters(item, owner)
     assert sorted(found) == _SETTABLE_VALUES
-    assert len(_SETTABLE_VALUES) == 24
+    assert len(_SETTABLE_VALUES) == 23
 
 
 # every name `import optomech` exports; a new public name shows up here as a
 # one-line diff
 _PUBLIC_NAMES = [
     "AtomEnsembleSpec",
-    "CVInitialState",
     "CavityGeometry",
     "DesignReport",
     "DesignSearchSpace",
@@ -102,7 +100,6 @@ _PUBLIC_NAMES = [
     "ModePairMoments",
     "OptimizeResult",
     "RegimeReport",
-    "SystemParams",
     "TriModeState",
     "__version__",
     "apply_evolution",
