@@ -397,7 +397,7 @@ def run_fig3(cfg: RunConfig) -> ResultTable:
         raise _CliError(f"field 't_max': must exceed t_min={v['t_min']}")
     omega_m = v["omega_m_rad_per_s"]
     r_a, r_b = _carrier_ratios(v)
-    nbar = thermal_occupation(v["temperature_K"], omega_m)
+    nbar = _thermal_occupation(v["temperature_K"], omega_m, "temperature_K")
     # k through g0 = k omega_m and back, as fig3 has always scaled it: the
     # quotient differs from k in the last bit for some k (0.8992 among them)
     cell = dict(alpha=v["alpha"], beta=v["beta"], nbar=nbar, k=(v["k"] * omega_m) / omega_m)
@@ -434,9 +434,29 @@ def _minima_metadata(res) -> dict:
 
 
 def _carrier_ratios(values: dict) -> tuple[float, float]:
-    """(r_a, r_b): the optical carriers over omega_m, the only place they are scaled."""
+    """(r_a, r_b): the optical carriers over omega_m, the only place they are scaled.
+
+    A ratio that overflows or underflows to 0 is refused under its carrier's field.
+    """
     omega_m = values["omega_m_rad_per_s"]
-    return values["omega_a_rad_per_s"] / omega_m, values["omega_b_rad_per_s"] / omega_m
+    ratios = []
+    for field in ("omega_a_rad_per_s", "omega_b_rad_per_s"):
+        ratio = values[field] / omega_m
+        if not 0.0 < ratio < math.inf:
+            raise _CliError(
+                f"field {field!r}: {field} / omega_m_rad_per_s = {ratio!r} "
+                "must be positive and finite"
+            )
+        ratios.append(ratio)
+    return tuple(ratios)
+
+
+def _thermal_occupation(temperature: float, omega_m: float, field: str) -> float:
+    """`thermal_occupation`, with its refusal named by the temperature's field."""
+    try:
+        return thermal_occupation(temperature, omega_m)
+    except ValueError as exc:
+        raise _CliError(f"field {field!r}: {exc}") from None
 
 
 def _witness_window(values: dict) -> tuple[float, float, float, float]:
@@ -478,7 +498,7 @@ def run_fig4a(cfg: RunConfig) -> ResultTable:
     omega_m = v["omega_m_rad_per_s"]
     ks = _axis(v, "k")
     temps = v["temperatures_K"]
-    nbars = [thermal_occupation(T, omega_m) for T in temps]
+    nbars = [_thermal_occupation(T, omega_m, "temperatures_K") for T in temps]
     k_cells, t_cells = np.repeat(ks, len(temps)), np.tile(temps, ks.size)
     res = window_minima(
         "AB", window, r_a, r_b, alpha=v["alpha"], beta=v["beta"],
@@ -496,7 +516,7 @@ def run_fig4b(cfg: RunConfig) -> ResultTable:
             raise _CliError(f"field {hi!r}: must exceed {lo}")
     window, kappa, r_a, r_b = _witness_window(v)
     omega_m = v["omega_m_rad_per_s"]
-    nbar = thermal_occupation(v["temperature_K"], omega_m)
+    nbar = _thermal_occupation(v["temperature_K"], omega_m, "temperature_K")
     alphas, betas = _axis(v, "alpha"), _axis(v, "beta")
     a_cells, b_cells = np.repeat(alphas, betas.size), np.tile(betas, alphas.size)
     res = window_minima("AB", window, r_a, r_b, alpha=a_cells, beta=b_cells, nbar=nbar, k=v["k"])

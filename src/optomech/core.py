@@ -17,6 +17,8 @@ All three accept numpy arrays as well as scalars.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -68,7 +70,8 @@ def xi(t):
 def thermal_occupation(T: float, omega_m: float) -> float:
     """Bose-Einstein mean occupation 1/(exp(hbar omega_m / kB T) - 1).
 
-    T is in kelvin, omega_m in rad/s. Raises on non-positive inputs.
+    T is in kelvin, omega_m in rad/s. Raises on non-positive inputs, and
+    where hbar omega_m / (kB T) is so small that the occupation overflows.
     Very small T underflows cleanly to 0.0.
     """
     if not (T > 0):
@@ -76,8 +79,14 @@ def thermal_occupation(T: float, omega_m: float) -> float:
     if not (omega_m > 0):
         raise ValueError(f"omega_m must be positive, got {omega_m!r}")
     x = HBAR * omega_m / (K_B * T)
-    with np.errstate(over="ignore"):
-        return float(1.0 / np.expm1(x))
+    with np.errstate(over="ignore", divide="ignore"):
+        nbar = float(1.0 / np.expm1(x))
+    if nbar == math.inf:
+        raise ValueError(
+            f"the thermal occupation overflows: hbar omega_m / (k_B T) = {x!r} "
+            f"at T={T!r} K, omega_m={omega_m!r} rad/s"
+        )
+    return nbar
 
 
 def energy_eigenvalue_scaled(n: int, m: int, l: int, k: float, r_a: float, r_b: float) -> float:

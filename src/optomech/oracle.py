@@ -17,7 +17,7 @@ eval_genlaguerre it stays below 1e-13 in the first 64 columns. At entry
 The evolution builds only the columns of the displacement up to the
 highest mechanical level that holds a nonzero amplitude: the thermal
 cutoff for a coherent-thermal ensemble, the ground state alone for the
-qubit input.
+qubit input. The columns of every |delta| come from one recurrence.
 
 The module needs only numpy and the standard library. Log-factorials come
 from math.lgamma (`_log_factorial`, within 3 ulps of exact), Poisson
@@ -47,6 +47,12 @@ Every expectation (the trace, `moments`, `hamiltonian_expectation`) comes
 from one pass that walks that axis one member at a time and sums over it
 once at the end, so it copies at most one member besides a real table of
 |psi|**2.
+
+The certification never holds a coherent-thermal ensemble: a stream
+(`_coherent_thermal_stream`) builds its members a chunk of at most
+`_CHUNK_BYTES` at a time, evolves the chunk and hands it to the
+expectation pass, which drops it before the next is built. The chunks are
+bitwise the members of the whole state and of its evolution.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,10 +85,44 @@ _MODE_AXES = {"A": 0, "B": 1, "C": 2}
 _TAIL_TOLERANCE = 1e-10
 #: largest reduced matrix `partial_trace` builds: 4096**2 complex entries are 256 MiB
 _MAX_DIM_KEEP = 4096
+#: amplitude bytes a `_CoherentThermalStream` chunk holds; a larger member is a chunk of its own
+_CHUNK_BYTES = 2 * 2**20
 
 
-def _displacement_columns(beta: complex, dim: int, n_cols: int) -> np.ndarray:
-    """Columns 0..n_cols-1 of <m|D(beta)|n> on the basis 0..dim-1, shape (dim, n_cols).
+@functools.lru_cache(maxsize=16)
+def _recurrence_tables(dim: int, n_cols: int) -> tuple:
+    """The beta-independent arrays of `_displacement_blocks` on dim orders and n_cols degrees.
+
+    The recurrence's coefficients (order, 2n+1+order, sqrt(n(n+order)),
+    sqrt((n+1)(n+1+order)), sqrt(1+order)) and the gather indices of the
+    (dim, n_cols) result: min(m, n) and |m - n| everywhere, and the entries
+    with m < n with their n - m. The arrays are read-only, since the cache
+    hands the same ones to every caller; a certification pass uses about a
+    dozen shapes.
+    """
+    order = np.arange(dim)
+    n = np.arange(n_cols)[:, None]
+    row = order[:, None]
+    col = np.arange(n_cols)[None, :]
+    above = np.nonzero(row < col)
+    tables = (
+        order,
+        (2 * n + 1 + order).astype(float),
+        np.sqrt(n * (n + order)),
+        np.sqrt((n + 1) * (n + 1 + order)),
+        np.sqrt(1.0 + order),
+        np.minimum(row, col),
+        np.abs(row - col),
+        *above,
+        (col - row)[above],
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _displacement_blocks(betas, dim: int, n_cols: int) -> np.ndarray:
+    """Columns 0..n_cols-1 of <m|D(beta)|n> on the basis 0..dim-1, shape (len(betas), dim, n_cols).
 
     With x = |beta|**2 and u = beta/|beta|, every entry is a normalized
     Laguerre function f_n^(a) = sqrt(n!/(n+a)!) x**(a/2) exp(-x/2) L_n^(a)(x)
@@ -90,34 +131,53 @@ def _displacement_columns(beta: complex, dim: int, n_cols: int) -> np.ndarray:
         <m|D|n> = u**(m-n) f_n^(m-n)        for m >= n
         <m|D|n> = (-conj(u))**(n-m) f_m^(n-m)  for m < n
 
-    The table f_n^(a) for degrees n < n_cols and all orders a < dim comes
-    from the three-term recurrence in degree, one vectorized step per n,
+    The tables f_n^(a) of every beta, for degrees n < n_cols and all orders
+    a < dim, come from one three-term recurrence in degree, one vectorized
+    step per n over a (len(betas), dim) slice,
 
         sqrt((n+1)(n+1+a)) f_{n+1} = (2n+1+a-x) f_n - sqrt(n(n+a)) f_{n-1},
 
     started from f_0^(a), the Poisson amplitude sqrt(exp(-x) x**a / a!)
-    taken in log space. The cost is O(dim * n_cols). The recurrence in the
-    column index from D a+ = (a+ - conj(beta)) D is not used: it is unstable.
+    taken in log space. The cost is O(len(betas) * dim * n_cols). The
+    recurrence in the column index from D a+ = (a+ - conj(beta)) D is not
+    used: it is unstable. Each beta's x, log|beta| and u are Python complex
+    arithmetic, and every array operation is elementwise, so a block is
+    bitwise the same whatever the other betas. A beta of 0 gives exactly
+    the identity columns.
     """
-    beta = complex(beta)
-    if beta == 0:
-        return np.eye(dim, n_cols, dtype=complex)
-    x = abs(beta) ** 2
-    order = np.arange(dim)
-    table = np.empty((n_cols, dim))
-    table[0] = np.exp(order * math.log(abs(beta)) - 0.5 * (x + _log_factorial(dim - 1)))
+    betas = [complex(beta) for beta in betas]
+    if 0 in betas:
+        # the recurrence would start from log 0
+        blocks = np.array([np.eye(dim, n_cols, dtype=complex)] * len(betas))
+        live = [i for i, beta in enumerate(betas) if beta != 0]
+        if live:
+            blocks[live] = _displacement_blocks([betas[i] for i in live], dim, n_cols)
+        return blocks
+    order, linear, lower, upper, root_one, low, diff, above_m, above_n, above_diff = (
+        _recurrence_tables(dim, n_cols)
+    )
+    x = np.array([[abs(beta) ** 2] for beta in betas])
+    log_b = np.array([[math.log(abs(beta))] for beta in betas])
+    unit = np.array([[beta / abs(beta)] for beta in betas])
+    table = np.empty((n_cols, len(betas), dim))
+    table[0] = np.exp(order * log_b - 0.5 * (x + _log_factorial(dim - 1)))
     if n_cols > 1:
-        table[1] = (1.0 + order - x) / np.sqrt(1.0 + order) * table[0]
+        table[1] = (linear[0] - x) / root_one * table[0]
     for n in range(1, n_cols - 1):
-        table[n + 1] = (
-            (2 * n + 1 + order - x) * table[n] - np.sqrt(n * (n + order)) * table[n - 1]
-        ) / np.sqrt((n + 1) * (n + 1 + order))
-    row = order[:, None]
-    col = np.arange(n_cols)[None, :]
-    diff = np.abs(row - col)
-    unit = beta / abs(beta)
-    phase = np.where(row >= col, (unit ** order)[diff], ((-np.conj(unit)) ** order)[diff])
-    return phase * table[np.minimum(row, col), diff]
+        table[n + 1] = ((linear[n] - x) * table[n] - lower[n] * table[n - 1]) / upper[n]
+    phase = (unit ** order)[:, diff]
+    # above the diagonal n - m < n_cols
+    phase[:, above_m, above_n] = ((-np.conj(unit)) ** order[:n_cols])[:, above_diff]
+    phase *= table.transpose(1, 0, 2)[:, low, diff]
+    return phase
+
+
+def _displacement_columns(beta: complex, dim: int, n_cols: int) -> np.ndarray:
+    """Columns 0..n_cols-1 of <m|D(beta)|n> on the basis 0..dim-1, shape (dim, n_cols).
+
+    The one-beta case of `_displacement_blocks`.
+    """
+    return _displacement_blocks((beta,), dim, n_cols)[0]
 
 
 def displacement_matrix(beta: complex, n_max: int) -> np.ndarray:
@@ -314,6 +374,10 @@ class TriModeState:
         (value,), _ = _expectations(self, [((), None)], occupations=False)
         return value.real
 
+    def _member_chunks(self):
+        """The (first member, chunk) pairs a pass reads: the whole ensemble as one chunk."""
+        return ((0, self.vectors),)
+
 
 def _coherent_vector(alpha: complex, n_max: int) -> np.ndarray:
     """Number-basis amplitudes of |alpha> up to n_max (log-safe)."""
@@ -339,15 +403,10 @@ def qubit_state(config: FockConfig) -> TriModeState:
     return TriModeState(np.array([1.0]), psi, config)
 
 
-def coherent_thermal_state(
+def _coherent_thermal_parts(
     alpha: complex, beta: complex, nbar: float, config: FockConfig
-) -> TriModeState:
-    """|alpha> x |beta> x thermal(nbar), sized by `FockConfig.for_coherent_thermal`.
-
-    The thermal mode is a weighted ensemble of Fock states with geometric
-    weights, truncated below the config's tail budget and renormalized. A
-    config too small for the inputs' tails is refused.
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, optical amplitudes |alpha> x |beta>) of `coherent_thermal_state`, checked."""
     _require_finite(alpha=alpha, beta=beta, nbar=nbar)
     alpha, beta, nbar = complex(alpha), complex(beta), float(nbar)
     if nbar < 0:
@@ -379,14 +438,76 @@ def coherent_thermal_state(
         q = nbar / (1.0 + nbar)
         weights = (1.0 - q) * q ** np.arange(l_max + 1)
         weights = weights / weights.sum()
-    # member l0 starts in mechanical Fock state l0
-    l0 = np.arange(len(weights))
-    vectors = np.zeros(
-        (len(weights), config.n_max_a + 1, config.n_max_b + 1, config.n_max_c + 1),
-        dtype=complex,
-    )
-    vectors[l0, :, :, l0] = optical
-    return TriModeState(weights, vectors, config)
+    return weights, optical
+
+
+def _thermal_members(optical: np.ndarray, n_max_c: int, first: int, count: int) -> np.ndarray:
+    """Members first..first+count-1 of a coherent-thermal ensemble.
+
+    Member l0 is the optical amplitudes times mechanical Fock state l0.
+    """
+    members = np.zeros((count, *optical.shape, n_max_c + 1), dtype=complex)
+    l0 = np.arange(first, first + count)
+    members[l0 - first, :, :, l0] = optical
+    return members
+
+
+def coherent_thermal_state(
+    alpha: complex, beta: complex, nbar: float, config: FockConfig
+) -> TriModeState:
+    """|alpha> x |beta> x thermal(nbar), sized by `FockConfig.for_coherent_thermal`.
+
+    The thermal mode is a weighted ensemble of Fock states with geometric
+    weights, truncated below the config's tail budget and renormalized. A
+    config too small for the inputs' tails is refused.
+    """
+    weights, optical = _coherent_thermal_parts(alpha, beta, nbar, config)
+    return TriModeState(weights, _thermal_members(optical, config.n_max_c, 0, len(weights)), config)
+
+
+def _evolution(
+    shape: tuple, t: float, k: float, r_a: float, r_b: float, interaction_picture: bool, n_cols: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """`apply_evolution`'s unitary as a function that evolves a chunk of members in place.
+
+    shape is one member's; the phases and the displacement blocks are built
+    here, once for every chunk. n_cols is one past the highest occupied
+    mechanical level of the whole ensemble, and every chunk's products take
+    that many columns: the products run one member at a time, and with the
+    same inner dimension each member gets the bits it gets in the whole
+    ensemble (BLAS sums differently when that dimension changes).
+    """
+    na1, nb1, nc1 = shape
+    n = np.arange(na1)[:, None]
+    m = np.arange(nb1)[None, :]
+    delta = n - m
+    phase = np.exp(-1j * float(big_b(t, k)) * delta.astype(float) ** 2)
+    if not interaction_picture:
+        phase = phase * np.exp(-1j * t * (r_a * n + r_b * m))
+    phase = phase[:, :, None]
+    xi_t = complex(xi(t))
+    branches = []
+    if k != 0.0 and xi_t != 0.0:
+        l = np.arange(nc1)
+        sign = (-1.0) ** (l[None, :] - l[:n_cols, None])
+        betas = [k * d * xi_t for d in range(1, int(np.abs(delta).max()) + 1)]
+        for d, block in enumerate(_displacement_blocks(betas, nc1, n_cols), 1):
+            # D(-beta)[m, n] = (-1)**(m - n) D(beta)[m, n], so one build covers both signs
+            for dd, block_dd in ((d, block.T), (-d, block.T * sign)):
+                mask = delta == dd
+                if mask.any():
+                    branches.append((mask, block_dd))
+    rotation = None if interaction_picture else np.exp(-1j * t * np.arange(nc1))
+
+    def evolve(members: np.ndarray) -> np.ndarray:
+        members *= phase
+        for mask, block in branches:
+            members[:, mask, :] = members[:, mask, :n_cols] @ block
+        if rotation is not None:
+            members *= rotation
+        return members
+
+    return evolve
 
 
 def apply_evolution(
@@ -405,34 +526,65 @@ def apply_evolution(
     displacement D_C(k delta xi(t)), then (full picture only) the optical
     phases exp(-i (r_a n + r_b m) t) and the mechanical rotation
     exp(-i l t). With interaction_picture=True the last two factors are
-    omitted.
+    omitted. The whole ensemble is one chunk of `_evolution`.
     """
-    na1, nb1, nc1 = state.shape
-    n = np.arange(na1)[:, None]
-    m = np.arange(nb1)[None, :]
-    delta = n - m
-    phase = np.exp(-1j * float(big_b(t, k)) * delta.astype(float) ** 2)
-    if not interaction_picture:
-        phase = phase * np.exp(-1j * t * (r_a * n + r_b * m))
-    xi_t = complex(xi(t))
-    out = state.vectors * phase[:, :, None]
-    if k != 0.0 and xi_t != 0.0:
-        # only the columns of D up to the highest mechanical index holding an
-        # exactly nonzero amplitude act on the state
-        occupied = np.flatnonzero(np.any(out, axis=(0, 1, 2)))
-        n_cols = int(occupied.max(initial=0)) + 1
-        l = np.arange(nc1)
-        sign = (-1.0) ** (l[None, :] - l[:n_cols, None])
-        for d in range(1, int(np.abs(delta).max()) + 1):
-            block = _displacement_columns(k * d * xi_t, nc1, n_cols).T
-            # D(-beta)[m, n] = (-1)**(m - n) D(beta)[m, n], so one build covers both signs
-            for dd, block_dd in ((d, block), (-d, block * sign)):
-                mask = delta == dd
-                if mask.any():
-                    out[:, mask, :] = out[:, mask, :n_cols] @ block_dd
-    if not interaction_picture:
-        out *= np.exp(-1j * t * np.arange(nc1))
-    return TriModeState(state.weights.copy(), out, state.config)
+    # only the columns of D up to the highest mechanical index holding an
+    # exactly nonzero amplitude act on the state
+    occupied = np.flatnonzero(np.any(state.vectors, axis=(0, 1, 2)))
+    n_cols = int(occupied.max(initial=0)) + 1
+    evolve = _evolution(state.shape, t, k, r_a, r_b, interaction_picture, n_cols)
+    return TriModeState(state.weights.copy(), evolve(state.vectors.copy()), state.config)
+
+
+@dataclass(frozen=True)
+class _CoherentThermalStream:
+    """A coherent-thermal ensemble, evolved or not, built a member chunk at a time.
+
+    It has a `TriModeState`'s `weights` and `shape`, so `moments`,
+    `hamiltonian_expectation` and `_expectations` read it as they read a
+    state. Each pass builds the members again, at most `_CHUNK_BYTES` of
+    amplitudes (or one member) at a time, evolves them and drops them, so
+    the ensemble is never held. Every chunk is bitwise those members of
+    `coherent_thermal_state`, or of its `apply_evolution`.
+    """
+
+    weights: np.ndarray
+    optical: np.ndarray
+    n_max_c: int
+    evolve: Callable[[np.ndarray], np.ndarray] | None
+
+    @property
+    def shape(self) -> tuple:
+        """Shape of one member's amplitude tensor."""
+        return (*self.optical.shape, self.n_max_c + 1)
+
+    def _member_chunks(self):
+        size = max(1, _CHUNK_BYTES // (16 * math.prod(self.shape)))
+        for first in range(0, len(self.weights), size):
+            yield first, self._chunk(first, min(size, len(self.weights) - first))
+
+    def _chunk(self, first: int, count: int) -> np.ndarray:
+        # a method of its own, so that no suspended `_member_chunks` holds the initial members
+        members = _thermal_members(self.optical, self.n_max_c, first, count)
+        return members if self.evolve is None else self.evolve(members)
+
+
+def _coherent_thermal_stream(
+    alpha: complex, beta: complex, nbar: float, config: FockConfig, evolution: tuple | None = None
+) -> _CoherentThermalStream:
+    """`coherent_thermal_state(alpha, beta, nbar, config)` as a stream.
+
+    With evolution = (t, k, r_a, r_b) the stream is the state's
+    `apply_evolution(state, t, k, r_a, r_b)`.
+    """
+    weights, optical = _coherent_thermal_parts(alpha, beta, nbar, config)
+    evolve = None
+    if evolution is not None:
+        # the whole ensemble's occupied columns, as `apply_evolution` finds
+        # them: member l0 fills level l0 alone
+        n_cols = len(weights) if optical.any() else 1
+        evolve = _evolution((*optical.shape, config.n_max_c + 1), *evolution, False, n_cols)
+    return _CoherentThermalStream(weights, optical, config.n_max_c, evolve)
 
 
 def partial_trace(state: TriModeState, keep: str) -> np.ndarray:
@@ -463,9 +615,31 @@ def partial_trace(state: TriModeState, keep: str) -> np.ndarray:
     return rho
 
 
-def _expectations(state: TriModeState, forms, *, occupations: bool) -> tuple[list, list]:
+def _read_members(first: int, chunk: np.ndarray, weights: np.ndarray, plans: list, prob) -> None:
+    """One chunk's share of `_expectations`: each member's dots and |psi|**2."""
+    for lo, hi, scales, coeff, dots in plans:
+        factor = weights[first:first + len(chunk), None, None, None]
+        for scale in scales:
+            factor = factor * scale
+        for w, member in enumerate(chunk):
+            ket = member[hi] * factor[w]
+            if coeff is not None:
+                ket *= coeff
+            np.vecdot(member[lo], ket, out=dots[first + w])
+            # the next ket is made after this one is freed
+            del ket
+    if prob is not None:
+        for w, member in enumerate(chunk, first):
+            np.abs(member, out=prob[w])
+            prob[w] *= prob[w]
+
+
+def _expectations(state, forms, *, occupations: bool) -> tuple[list, list]:
     """Ladder expectations and mean numbers of the ensemble, one member at a time.
 
+    state is a `TriModeState` or a `_CoherentThermalStream`; the pass reads
+    its members from the (first member, chunk) pairs of its
+    `_member_chunks()`, and drops each chunk before the next is built.
     Each form (axes, coeff) asks for sum_w w <psi_w| coeff a_1 a_2 ... |psi_w>,
     one annihilator per mode axis in axes, with coeff (or None) broadcasting
     against the shifted slice of one member; the empty form is the trace.
@@ -474,38 +648,34 @@ def _expectations(state: TriModeState, forms, *, occupations: bool) -> tuple[lis
     lowered copy. With occupations the pass also returns
     [<n_A>, <n_B>, <n_C>] from the occupation probabilities sum_w w |psi_w|**2.
 
-    Besides the real |psi|**2 table, no temporary outgrows one member. Each
-    member's dots land in an array of the whole ensemble's reduced shape,
-    and the sums over members run once at the end, on those arrays, so the
-    results are bitwise those of whole-ensemble products.
+    Besides the real |psi|**2 table and the chunk, no temporary outgrows
+    one member. Each member's dots land in an array of the whole ensemble's
+    reduced shape, and the sums over members run once at the end, on those
+    arrays, so the results are bitwise those of whole-ensemble products.
     """
-    psi = state.vectors
+    weights, shape = state.weights, state.shape
     plans = []
     for axes, coeff in forms:
         lo = [slice(None)] * 3
         hi = [slice(None)] * 3
-        factor = state.weights[:, None, None, None]
+        scales = []
         for axis in axes:
             lo[axis] = slice(None, -1)
             hi[axis] = slice(1, None)
-            sqrt_n = np.sqrt(np.arange(1, psi.shape[axis + 1], dtype=float))
-            factor = factor * np.expand_dims(sqrt_n, [d for d in range(4) if d != axis + 1])
-        dots = np.empty((len(psi), *psi[0][tuple(lo)].shape[:-1]), dtype=complex)
-        plans.append((tuple(lo), tuple(hi), factor, coeff, dots))
-    prob = np.empty(psi.shape) if occupations else None
-    for w, member in enumerate(psi):
-        if occupations:
-            np.abs(member, out=prob[w])
-            prob[w] *= prob[w]
-        for lo, hi, factor, coeff, dots in plans:
-            ket = member[hi] * factor[w]
-            if coeff is not None:
-                ket *= coeff
-            np.vecdot(member[lo], ket, out=dots[w])
+            sqrt_n = np.sqrt(np.arange(1, shape[axis], dtype=float))
+            scales.append(np.expand_dims(sqrt_n, [d for d in range(4) if d != axis + 1]))
+        reduced = [size - (axis in axes) for axis, size in enumerate(shape[:-1])]
+        dots = np.empty((len(weights), *reduced), dtype=complex)
+        plans.append((tuple(lo), tuple(hi), scales, coeff, dots))
+    prob = np.empty((len(weights), *shape)) if occupations else None
+    for first, chunk in state._member_chunks():
+        _read_members(first, chunk, weights, plans, prob)
+        # the next chunk is built after this one is freed
+        del chunk
     values = [complex(dots.sum()) for *_, dots in plans]
     if not occupations:
         return values, []
-    prob = np.tensordot(state.weights, prob, axes=1)
+    prob = np.tensordot(weights, prob, axes=1)
     numbers = [
         float(prob.sum(axis=tuple(other for other in range(3) if other != axis)) @ np.arange(dim))
         for axis, dim in enumerate(prob.shape)
@@ -540,14 +710,21 @@ def moments(state: TriModeState) -> dict:
     }
 
 
+def _trace_and_energy(state, k: float, r_a: float, r_b: float) -> tuple[float, float]:
+    """(trace, `hamiltonian_expectation`) of a state or stream, from one pass over its members."""
+    na1, nb1, _ = state.shape
+    delta = np.arange(na1)[:, None, None] - np.arange(nb1)[None, :, None]
+    # <(n_a - n_b)(c + c+)> = 2 Re <(n_a - n_b) c>
+    (norm, cross), (n_a, n_b, n_c) = _expectations(
+        state, [((), None), ((2,), delta)], occupations=True
+    )
+    return norm.real, r_a * n_a + r_b * n_b + n_c - 2.0 * k * cross.real
+
+
 def hamiltonian_expectation(state: TriModeState, k: float, r_a: float, r_b: float) -> float:
     """<H>/(hbar omega_m) with H/(hbar omega_m) = r_a n_a + r_b n_b + n_c - k (n_a - n_b)(c + c+).
 
     Used by the conservation tests; exact in the truncated basis as long as
     the state holds no appreciable weight at the cutoff boundary.
     """
-    na1, nb1, _ = state.shape
-    delta = np.arange(na1)[:, None, None] - np.arange(nb1)[None, :, None]
-    # <(n_a - n_b)(c + c+)> = 2 Re <(n_a - n_b) c>
-    (cross,), (n_a, n_b, n_c) = _expectations(state, [((2,), delta)], occupations=True)
-    return r_a * n_a + r_b * n_b + n_c - 2.0 * k * cross.real
+    return _trace_and_energy(state, k, r_a, r_b)[1]

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -512,6 +513,36 @@ def test_cli_refuses_a_zero_optical_frequency_by_field(capsys, command, field):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: field '{field}': must be > 0.0, got 0.0\n"
+
+
+# a field tiny enough that every carrier ratio and hbar omega_m / (k_B T) underflows
+_TINY_OMEGAS = [f"{name}=1e-300" for name in ("omega_m_rad_per_s", "omega_a_rad_per_s", "omega_b_rad_per_s")]
+
+
+@pytest.mark.parametrize(
+    "command, overrides, field",
+    [
+        # the carrier ratio overflows to inf or underflows to 0
+        ("fig3", ["omega_m_rad_per_s=1e-300"], "omega_a_rad_per_s"),
+        ("fig4b", ["omega_a_rad_per_s=1e300", "omega_m_rad_per_s=1e-10"], "omega_a_rad_per_s"),
+        ("fig4a", ["omega_b_rad_per_s=1e-300", "omega_m_rad_per_s=1e300"], "omega_b_rad_per_s"),
+        # the thermal occupation overflows
+        ("fig3", [*_TINY_OMEGAS, "temperature_K=1e300"], "temperature_K"),
+        ("fig4b", [*_TINY_OMEGAS, "temperature_K=1e300"], "temperature_K"),
+        ("fig4a", [*_TINY_OMEGAS, "temperatures_K=[1e300]"], "temperatures_K"),
+    ],
+)
+def test_cli_refuses_an_overflowing_scaled_input_by_field(capsys, command, overrides, field):
+    argv = [command]
+    for item in overrides:
+        argv += ["--set", item]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: field '{field}': ")
+    assert captured.err.count("\n") == 1
 
 
 def test_design_defaults_are_the_published_search_domain():

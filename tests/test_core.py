@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,15 @@ def test_thermal_occupation_deep_ground_state():
 def test_thermal_occupation_rejects_nonpositive(bad_T, bad_omega):
     with pytest.raises(ValueError):
         thermal_occupation(bad_T, bad_omega)
+
+
+@pytest.mark.parametrize("T, omega", [(1e300, 1e-300), (1e-7, 1e-300), (1e19, 1e-280)])
+def test_thermal_occupation_refuses_an_overflowing_occupation(T, omega):
+    # hbar omega / k_B T underflows to 0, or to a value whose inverse overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="thermal occupation overflows"):
+            thermal_occupation(T, omega)
 
 
 def test_energy_eigenvalue_scaled():

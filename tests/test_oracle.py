@@ -23,6 +23,8 @@ from optomech.core import big_b, energy_eigenvalue_scaled, eta, xi
 from optomech.oracle import (
     FockConfig,
     TriModeState,
+    _coherent_thermal_stream,
+    _displacement_blocks,
     _displacement_columns,
     _log_factorial,
     _poisson_pmf,
@@ -36,6 +38,7 @@ from optomech.oracle import (
     partial_trace,
     qubit_state,
 )
+from optomech.duan import duan_from_moments
 
 
 def _thermal_state(alpha, beta, nbar, k):
@@ -155,6 +158,45 @@ def test_displacement_columns_at_zero_are_the_identity():
     np.testing.assert_allclose(tiny, np.eye(9), rtol=0, atol=1e-299)
 
 
+def _per_beta_columns(beta, dim, n_cols):
+    """The one-beta recurrence that `_displacement_blocks` replaced, kept verbatim."""
+    beta = complex(beta)
+    if beta == 0:
+        return np.eye(dim, n_cols, dtype=complex)
+    x = abs(beta) ** 2
+    order = np.arange(dim)
+    table = np.empty((n_cols, dim))
+    table[0] = np.exp(order * math.log(abs(beta)) - 0.5 * (x + _log_factorial(dim - 1)))
+    if n_cols > 1:
+        table[1] = (1.0 + order - x) / np.sqrt(1.0 + order) * table[0]
+    for n in range(1, n_cols - 1):
+        table[n + 1] = (
+            (2 * n + 1 + order - x) * table[n] - np.sqrt(n * (n + order)) * table[n - 1]
+        ) / np.sqrt((n + 1) * (n + 1 + order))
+    row = order[:, None]
+    col = np.arange(n_cols)[None, :]
+    diff = np.abs(row - col)
+    unit = beta / abs(beta)
+    phase = np.where(row >= col, (unit ** order)[diff], ((-np.conj(unit)) ** order)[diff])
+    return phase * table[np.minimum(row, col), diff]
+
+
+@pytest.mark.parametrize(
+    "dim, n_cols, n_betas",
+    [(292, 17, 17), (303, 13, 32), (152, 13, 16), (41, 41, 2), (351, 12, 20), (81, 81, 4), (9, 1, 3)],
+)
+def test_displacement_blocks_are_bitwise_the_per_beta_builds(dim, n_cols, n_betas):
+    # the evolution's betas k d xi(t) for d = 1..n_betas, one of them 0
+    k_xi = 0.6 * complex(xi(2.3))
+    betas = [k_xi * d for d in range(1, n_betas + 1)] + [0.0]
+    blocks = _displacement_blocks(betas, dim, n_cols)
+    assert blocks.shape == (len(betas), dim, n_cols)
+    for beta, block in zip(betas, blocks):
+        want = _per_beta_columns(beta, dim, n_cols).tobytes()
+        assert block.tobytes() == want
+        assert _displacement_columns(beta, dim, n_cols).tobytes() == want
+
+
 def _ref_apply_evolution(state, t, k, r_a, r_b):
     """The full-matrix evolution: every member times D(k delta xi) on all columns."""
     na1, nb1, nc1 = state.shape
@@ -218,12 +260,12 @@ def test_evolution_builds_only_occupied_columns(monkeypatch, name):
         want_cols = len(state.weights)
     built = []
 
-    def recording(beta, dim, n_cols):
+    def recording(betas, dim, n_cols):
         built.append(n_cols)
-        return columns(beta, dim, n_cols)
+        return blocks(betas, dim, n_cols)
 
-    columns = optomech.oracle._displacement_columns
-    monkeypatch.setattr(optomech.oracle, "_displacement_columns", recording)
+    blocks = optomech.oracle._displacement_blocks
+    monkeypatch.setattr(optomech.oracle, "_displacement_blocks", recording)
     t, r_a, r_b = 2.3, 1.1, 0.6
     got = apply_evolution(state, t, k, r_a, r_b).vectors
     assert set(built) == ({want_cols} if want_cols else set())
@@ -478,8 +520,6 @@ def test_partial_trace_rejects_unknown_subsystem():
 
 
 def test_truncation_doubling_is_stable():
-    from optomech.duan import duan_from_moments
-
     alpha, beta, nbar, k = 0.5, 0.5, 0.2, 0.5
     # the tail budget bounds dropped probability mass, not moments, so the
     # base run is sized at 1e-9 to back a 1e-8 claim on derived quantities
@@ -687,6 +727,71 @@ def test_expectations_are_bitwise_the_whole_ensemble_products(pinned, name):
     )
 
 
+def _streamed_members(stream):
+    """The bytes of a stream's members, chunk after chunk."""
+    chunks = list(stream._member_chunks())
+    assert [first for first, _ in chunks] == list(np.cumsum([0] + [len(c) for _, c in chunks[:-1]]))
+    return b"".join(chunk.tobytes() for _, chunk in chunks)
+
+
+def _oracle_duan_calls(monkeypatch, check, seed):
+    """(arguments, result) of every `_oracle_duan` call that check makes at seed."""
+    calls = []
+    oracle_duan = certify._oracle_duan
+
+    def spy(*args, **cell):
+        calls.append(((args, cell), oracle_duan(*args, **cell)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(certify, "_oracle_duan", spy)
+    check(np.random.default_rng(seed))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "check, seed",
+    [
+        (certify._check_cv, 1234),
+        (certify._check_cv, 86),
+        (certify._check_cv, 95),
+        (certify._check_k_zero, 1234),
+        (certify._check_truncation_doubling, 1234),
+    ],
+)
+def test_streamed_witness_is_bitwise_the_evolved_state(monkeypatch, check, seed):
+    # the coarse and the doubled ensemble, the CV draws and two k = 0 cells
+    calls = _oracle_duan_calls(monkeypatch, check, seed)
+    assert calls
+    for ((t, r_a, r_b, config), cell), streamed in calls:
+        k = cell["k"]
+        initial = coherent_thermal_state(cell["alpha"], cell["beta"], cell["nbar"], config)
+        evolved = apply_evolution(initial, t, k, r_a, r_b)
+        want = moments(evolved)
+        stream = _coherent_thermal_stream(
+            cell["alpha"], cell["beta"], cell["nbar"], config, (t, k, r_a, r_b)
+        )
+        assert _streamed_members(stream) == evolved.vectors.tobytes()
+        assert repr(moments(stream)) == repr(want)
+        assert repr(streamed) == repr({pair: duan_from_moments(m) for pair, m in want.items()})
+
+
+@pytest.mark.parametrize("t", [None, 0.0, 1.7, 9.4])
+def test_fused_conservation_pass_is_bitwise_trace_and_energy(t):
+    # the conservation check's cell; None is the initial state, t = 0 evolves it by the identity
+    cell, k, r_a, r_b = (0.7, 0.4, 0.3), 0.6, 1.3, 0.8
+    config = FockConfig.for_coherent_thermal(*cell, k)
+    state = coherent_thermal_state(*cell, config)
+    evolution = None if t is None else (t, k, r_a, r_b)
+    if evolution is not None:
+        state = apply_evolution(state, *evolution)
+    stream = _coherent_thermal_stream(*cell, config, evolution)
+    # a chunk holds several members, and several chunks make the ensemble
+    assert 1 < optomech.oracle._CHUNK_BYTES // (16 * math.prod(stream.shape)) < len(stream.weights)
+    assert _streamed_members(stream) == state.vectors.tobytes()
+    got = optomech.oracle._trace_and_energy(stream, k, r_a, r_b)
+    assert repr(got) == repr((state.trace(), hamiltonian_expectation(state, k, r_a, r_b)))
+
+
 def _peak_bytes(fn, *args):
     """Largest traced allocation, in bytes, while fn runs (its result included)."""
     tracemalloc.start()
@@ -718,21 +823,25 @@ def test_ensemble_operations_stay_within_memory_bound():
 
 
 def test_truncation_doubling_check_memory():
-    # the check's fine ensemble is the largest of the default certification;
-    # its initial ensemble is freed before the moments run, and the moments
-    # hold one real |psi|**2 table besides one member's temporaries
+    # the check's fine ensemble is the largest of the default certification.
+    # The checks stream it a member chunk at a time, so they hold the real
+    # |psi|**2 table (half the ensemble's bytes), the displacement blocks,
+    # one chunk and one member's temporaries; measured: 0.82x for the
+    # doubling check and 0.43x for conservation, whose own ensemble is 0.38x
     evolved = _doubled_certification_state()
     ensemble_bytes = len(evolved.weights) * math.prod(evolved.shape) * 16
     peaks = {
         "_check_truncation_doubling": _peak_bytes(
             certify._check_truncation_doubling, np.random.default_rng(1234)
         ),
+        "_check_conservation": _peak_bytes(certify._check_conservation, np.random.default_rng(1234)),
         "moments": _peak_bytes(moments, evolved),
         "hamiltonian_expectation": _peak_bytes(hamiltonian_expectation, evolved, 0.5, 1.5, 0.7),
         "trace": _peak_bytes(evolved.trace),
     }
     bounds = {
-        "_check_truncation_doubling": 2.5,
+        "_check_truncation_doubling": 0.9,
+        "_check_conservation": 0.5,
         "moments": 0.8,
         "hamiltonian_expectation": 0.8,
         "trace": 0.25,
