@@ -20,6 +20,7 @@ import optomech.oracle
 from optomech import certify
 from optomech.cli import resolve_config, run_oracle_check
 from optomech.core import big_b, energy_eigenvalue_scaled, eta, xi
+from optomech.duan import duan_from_moments
 from optomech.oracle import (
     FockConfig,
     TriModeState,
@@ -38,7 +39,6 @@ from optomech.oracle import (
     partial_trace,
     qubit_state,
 )
-from optomech.duan import duan_from_moments
 
 
 def _thermal_state(alpha, beta, nbar, k):
@@ -728,10 +728,12 @@ def test_expectations_are_bitwise_the_whole_ensemble_products(pinned, name):
 
 
 def _streamed_members(stream):
-    """The bytes of a stream's members, chunk after chunk."""
-    chunks = list(stream._member_chunks())
-    assert [first for first, _ in chunks] == list(np.cumsum([0] + [len(c) for _, c in chunks[:-1]]))
-    return b"".join(chunk.tobytes() for _, chunk in chunks)
+    """The bytes of a stream's members, chunk after chunk, each chunk at its first member."""
+    members = []
+    for first, chunk in stream._member_chunks():
+        assert first == len(members)
+        members.extend(chunk)
+    return np.array(members).tobytes()
 
 
 def _oracle_duan_calls(monkeypatch, check, seed):
@@ -740,8 +742,9 @@ def _oracle_duan_calls(monkeypatch, check, seed):
     oracle_duan = certify._oracle_duan
 
     def spy(*args, **cell):
-        calls.append(((args, cell), oracle_duan(*args, **cell)))
-        return calls[-1][1]
+        result = oracle_duan(*args, **cell)
+        calls.append((args, cell, result))
+        return result
 
     monkeypatch.setattr(certify, "_oracle_duan", spy)
     check(np.random.default_rng(seed))
@@ -762,7 +765,7 @@ def test_streamed_witness_is_bitwise_the_evolved_state(monkeypatch, check, seed)
     # the coarse and the doubled ensemble, the CV draws and two k = 0 cells
     calls = _oracle_duan_calls(monkeypatch, check, seed)
     assert calls
-    for ((t, r_a, r_b, config), cell), streamed in calls:
+    for (t, r_a, r_b, config), cell, streamed in calls:
         k = cell["k"]
         initial = coherent_thermal_state(cell["alpha"], cell["beta"], cell["nbar"], config)
         evolved = apply_evolution(initial, t, k, r_a, r_b)
