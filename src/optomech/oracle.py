@@ -89,38 +89,6 @@ _MAX_DIM_KEEP = 4096
 _CHUNK_BYTES = 2 * 2**20
 
 
-@functools.lru_cache(maxsize=16)
-def _recurrence_tables(dim: int, n_cols: int) -> tuple:
-    """The beta-independent arrays of `_displacement_blocks` on dim orders and n_cols degrees.
-
-    The recurrence's coefficients (order, 2n+1+order, sqrt(n(n+order)),
-    sqrt((n+1)(n+1+order)), sqrt(1+order)) and the gather indices of the
-    (dim, n_cols) result: min(m, n) and |m - n| everywhere, and the entries
-    with m < n with their n - m. The arrays are read-only, since the cache
-    hands the same ones to every caller; a certification pass uses about a
-    dozen shapes.
-    """
-    order = np.arange(dim)
-    n = np.arange(n_cols)[:, None]
-    row = order[:, None]
-    col = np.arange(n_cols)[None, :]
-    above = np.nonzero(row < col)
-    tables = (
-        order,
-        (2 * n + 1 + order).astype(float),
-        np.sqrt(n * (n + order)),
-        np.sqrt((n + 1) * (n + 1 + order)),
-        np.sqrt(1.0 + order),
-        np.minimum(row, col),
-        np.abs(row - col),
-        *above,
-        (col - row)[above],
-    )
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
 def _displacement_blocks(betas, dim: int, n_cols: int) -> np.ndarray:
     """Columns 0..n_cols-1 of <m|D(beta)|n> on the basis 0..dim-1, shape (len(betas), dim, n_cols).
 
@@ -153,22 +121,29 @@ def _displacement_blocks(betas, dim: int, n_cols: int) -> np.ndarray:
         if live:
             blocks[live] = _displacement_blocks([betas[i] for i in live], dim, n_cols)
         return blocks
-    order, linear, lower, upper, root_one, low, diff, above_m, above_n, above_diff = (
-        _recurrence_tables(dim, n_cols)
-    )
+    order = np.arange(dim)
+    # the coefficients of every step, (n_cols, dim) each
+    n = np.arange(n_cols)[:, None]
+    linear = (2 * n + 1 + order).astype(float)
+    lower = np.sqrt(n * (n + order))
+    upper = np.sqrt((n + 1) * (n + 1 + order))
     x = np.array([[abs(beta) ** 2] for beta in betas])
     log_b = np.array([[math.log(abs(beta))] for beta in betas])
     unit = np.array([[beta / abs(beta)] for beta in betas])
     table = np.empty((n_cols, len(betas), dim))
     table[0] = np.exp(order * log_b - 0.5 * (x + _log_factorial(dim - 1)))
     if n_cols > 1:
-        table[1] = (linear[0] - x) / root_one * table[0]
+        table[1] = (linear[0] - x) / upper[0] * table[0]
     for n in range(1, n_cols - 1):
         table[n + 1] = ((linear[n] - x) * table[n] - lower[n] * table[n - 1]) / upper[n]
+    row = order[:, None]
+    col = np.arange(n_cols)[None, :]
+    diff = np.abs(row - col)
     phase = (unit ** order)[:, diff]
     # above the diagonal n - m < n_cols
-    phase[:, above_m, above_n] = ((-np.conj(unit)) ** order[:n_cols])[:, above_diff]
-    phase *= table.transpose(1, 0, 2)[:, low, diff]
+    above_m, above_n = np.nonzero(row < col)
+    phase[:, above_m, above_n] = ((-np.conj(unit)) ** order[:n_cols])[:, above_n - above_m]
+    phase *= table.transpose(1, 0, 2)[:, np.minimum(row, col), diff]
     return phase
 
 

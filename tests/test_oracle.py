@@ -197,6 +197,19 @@ def test_displacement_blocks_are_bitwise_the_per_beta_builds(dim, n_cols, n_beta
         assert _displacement_columns(beta, dim, n_cols).tobytes() == want
 
 
+def test_displacement_matrix_keeps_nothing_after_it_returns():
+    # a 400-level build leaves its 2.56 MB result allocated and no table
+    # of the recurrence or its gathers
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        matrix = displacement_matrix(0.7 - 0.4j, 399)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept - matrix.nbytes < 2**16
+
+
 def _ref_apply_evolution(state, t, k, r_a, r_b):
     """The full-matrix evolution: every member times D(k delta xi) on all columns."""
     na1, nb1, nc1 = state.shape
@@ -829,8 +842,8 @@ def test_truncation_doubling_check_memory():
     # the check's fine ensemble is the largest of the default certification.
     # The checks stream it a member chunk at a time, so they hold the real
     # |psi|**2 table (half the ensemble's bytes), the displacement blocks,
-    # one chunk and one member's temporaries; measured: 0.82x for the
-    # doubling check and 0.43x for conservation, whose own ensemble is 0.38x
+    # one chunk and one member's temporaries; measured: 0.80x for the
+    # doubling check and 0.42x for conservation, whose own ensemble is 0.38x
     evolved = _doubled_certification_state()
     ensemble_bytes = len(evolved.weights) * math.prod(evolved.shape) * 16
     peaks = {
