@@ -20,8 +20,8 @@ import numpy as np
 from .core import energy_eigenvalue_scaled
 from .duan import duan_from_moments, duan_values
 from .oracle import (
-    FockConfig, TriModeState, _coherent_thermal_stream, _coherent_vector, _trace_and_energy,
-    apply_evolution, displacement_matrix, moments, partial_trace, qubit_state,
+    FockConfig, TriModeState, _coherent_vector, _trace_and_energy, apply_evolution,
+    coherent_thermal_state, displacement_matrix, moments, partial_trace, qubit_state,
 )
 from .qubit import reduced_rho_ab
 
@@ -83,10 +83,9 @@ def _one_blas_thread():
 def _oracle_duan(t: float, r_a: float, r_b: float, config: FockConfig, *, alpha, beta, nbar, k) -> dict:
     """The oracle's witness per pair for one cell at time t, in the Fock space of config.
 
-    The cell's keywords and the carrier ratios are `duan_values`'s. The
-    evolved ensemble is streamed a member chunk at a time, never held.
+    The cell's keywords and the carrier ratios are `duan_values`'s.
     """
-    evolved = _coherent_thermal_stream(alpha, beta, nbar, config, (t, k, r_a, r_b))
+    evolved = apply_evolution(coherent_thermal_state(alpha, beta, nbar, config), t, k, r_a, r_b)
     return {pair: duan_from_moments(m) for pair, m in moments(evolved).items()}
 
 
@@ -118,12 +117,12 @@ def _check_qubit(rng) -> list:
 def _check_conservation(rng) -> list:
     cell, k, r_a, r_b = (0.7, 0.4, 0.3), 0.6, 1.3, 0.8
     config = FockConfig.for_coherent_thermal(*cell, k)
-    # one streamed pass per time gives both the trace and the energy
-    trace0, energy0 = _trace_and_energy(_coherent_thermal_stream(*cell, config), k, r_a, r_b)
+    state = coherent_thermal_state(*cell, config)
+    # one pass over the members per time gives both the trace and the energy
+    trace0, energy0 = _trace_and_energy(state, k, r_a, r_b)
     drift = energy_dev = 0.0
     for t in rng.uniform(0.0, 4.0 * math.pi, 5):
-        evolved = _coherent_thermal_stream(*cell, config, (float(t), k, r_a, r_b))
-        trace, energy = _trace_and_energy(evolved, k, r_a, r_b)
+        trace, energy = _trace_and_energy(apply_evolution(state, float(t), k, r_a, r_b), k, r_a, r_b)
         drift = max(drift, abs(trace - trace0))
         energy_dev = max(energy_dev, abs(energy - energy0) / max(abs(energy0), 1.0))
     return [
@@ -140,7 +139,7 @@ def _check_stationarity(rng) -> list:
         psi = np.zeros((1, 3, 3, 41), dtype=complex)
         # D(0) is exactly the identity, so n0 == m0 needs no case
         psi[0, n0, m0, :] = displacement_matrix(k * (n0 - m0), 40)[:, l0]
-        state = TriModeState(np.array([1.0]), psi, config)
+        state = TriModeState.from_vectors(np.array([1.0]), psi, config)
         energy = energy_eigenvalue_scaled(n0, m0, l0, k, r_a, r_b)
         for t in rng.uniform(0.0, 4.0 * math.pi, 3):
             evolved = apply_evolution(state, float(t), k, r_a, r_b)

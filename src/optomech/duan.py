@@ -232,6 +232,11 @@ def _bc_lower(kern, alpha, beta, r_a, r_b):
 
 _VALUES = {"AB": _ab_values, "AC": _ac_values, "BC": _bc_values}
 _LOWER = {"AB": _ab_lower, "AC": _ac_lower, "BC": _bc_lower}
+#: largest |alpha| and |beta| a witness cell may hold. The AC and BC
+#: correlations grow like alpha**3, which here stays below 1e300; every
+#: output of the CLI at its defaults stays finite up to 1e113, and at 1e114
+#: a sweep of D_AC holds an inf
+_MAX_AMPLITUDE = 1e100
 
 
 def _check_cell(bipartition, r_a, r_b, alpha, beta, nbar, k) -> None:
@@ -247,17 +252,22 @@ def _check_cell(bipartition, r_a, r_b, alpha, beta, nbar, k) -> None:
     for name, ratio in (("r_a", r_a), ("r_b", r_b)):
         if not (math.isfinite(ratio) and ratio > 0):
             raise ValueError(f"{name} must be positive and finite, got {ratio!r}")
-    floors = {"alpha": -math.inf, "beta": -math.inf, "nbar": 0.0, "k": 0.0}
-    for (name, floor), value in zip(floors.items(), (alpha, beta, nbar, k)):
+    bounds = {
+        "alpha": (-_MAX_AMPLITUDE, _MAX_AMPLITUDE),
+        "beta": (-_MAX_AMPLITUDE, _MAX_AMPLITUDE),
+        "nbar": (0.0, math.inf),
+        "k": (0.0, math.inf),
+    }
+    for (name, (low, high)), value in zip(bounds.items(), (alpha, beta, nbar, k)):
         value = np.asarray(value)
         if np.iscomplexobj(value):
             raise ValueError(
                 f"{name} must be real for the analytic path "
                 "(complex amplitudes are supported by the Fock oracle only)"
             )
-        bad = ~(np.isfinite(value) & (value >= floor))
+        bad = ~(np.isfinite(value) & (value >= low) & (value <= high))
         if bad.any():
-            rule = "finite" if floor < 0 else "finite and non-negative"
+            rule = "finite and non-negative" if low == 0 else f"finite with magnitude at most {high:g}"
             raise ValueError(f"{name} must be {rule} in every cell, got {float(value[bad][0])!r}")
 
 

@@ -15,7 +15,7 @@ eval_genlaguerre it stays below 1e-13 in the first 64 columns. At entry
 1.3e-12 against the exact value at |beta| = 0.01.
 
 The evolution builds only the columns of the displacement up to the
-highest mechanical level that holds a nonzero amplitude: the thermal
+highest mechanical level the state may occupy (its `n_cols`): the thermal
 cutoff for a coherent-thermal ensemble, the ground state alone for the
 qubit input. The columns of every |delta| come from one recurrence.
 
@@ -40,19 +40,20 @@ Mixed mechanical input states (thermal occupation nbar > 0) are represented
 as weighted ensembles of pure states over the initial mechanical Fock
 number, which is exact for every quantity reported here because the thermal
 state is diagonal in the number basis and all outputs are linear in the
-density matrix. The ensemble is one array with a leading member axis; since
+density matrix. The ensemble has a leading member axis; since
 rho = sum_w w |psi_w><psi_w| is the partial trace of the purification
 sqrt(w) psi over that axis, every output traces it like a fourth mode.
-Every expectation (the trace, `moments`, `hamiltonian_expectation`) comes
-from one pass that walks that axis one member at a time and sums over it
-once at the end, so it copies at most one member besides a real table of
-|psi|**2.
 
-The certification never holds a coherent-thermal ensemble: a stream
-(`_coherent_thermal_stream`) builds its members a chunk of at most
-`_CHUNK_BYTES` at a time, evolves the chunk and hands it to the
-expectation pass, which drops it before the next is built. The chunks are
-bitwise the members of the whole state and of its evolution.
+A `TriModeState` does not hold its members: it builds them on demand.
+`coherent_thermal_state` places the optical amplitudes on mechanical level
+l0 of member l0, and `apply_evolution` builds its phases and displacement
+blocks once and evolves its parent's members in place as they are built.
+Every expectation (the trace, `moments`, `hamiltonian_expectation`) reads
+the members a chunk of at most `_CHUNK_BYTES` at a time, walks each chunk
+one member at a time and sums over the member axis once at the end, so it
+holds one chunk and one member's copies besides a real table of |psi|**2.
+The chunks are bitwise the members of `TriModeState.vectors`, which builds
+the whole ensemble as one chunk.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ _MODE_AXES = {"A": 0, "B": 1, "C": 2}
 _TAIL_TOLERANCE = 1e-10
 #: largest reduced matrix `partial_trace` builds: 4096**2 complex entries are 256 MiB
 _MAX_DIM_KEEP = 4096
-#: amplitude bytes a `_CoherentThermalStream` chunk holds; a larger member is a chunk of its own
+#: amplitude bytes a chunk of members holds; a larger member is a chunk of its own
 _CHUNK_BYTES = 2 * 2**20
 
 
@@ -326,32 +327,62 @@ class FockConfig:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TriModeState:
     """State of modes A, B (optical) and C (mechanical) in the number basis.
 
-    A statistical ensemble of pure states with fixed weights: `vectors` has
-    shape (members, n_max_a+1, n_max_b+1, n_max_c+1) and `weights` has shape
-    (members,). A pure state is an ensemble of one. Treated as immutable
-    after construction.
+    A statistical ensemble of pure states with fixed weights, of shape
+    (members,). `members(first, count)` builds members first..first+count-1
+    as a fresh complex array of shape (count, n_max_a+1, n_max_b+1,
+    n_max_c+1), which the caller may overwrite. n_cols is one past the
+    highest mechanical level any member may occupy; an evolution's products
+    take that many columns. A pure state is an ensemble of one. Build one
+    from explicit amplitudes with `from_vectors`.
     """
 
     weights: np.ndarray
-    vectors: np.ndarray
     config: FockConfig
+    members: Callable[[int, int], np.ndarray]
+    n_cols: int
+
+    @classmethod
+    def from_vectors(cls, weights, vectors, config: FockConfig) -> "TriModeState":
+        """The ensemble of members vectors[w] at weights[w]; complex vectors are not copied."""
+        weights = np.asarray(weights, dtype=float)
+        vectors = np.asarray(vectors, dtype=complex)
+        shape = (len(weights), config.n_max_a + 1, config.n_max_b + 1, config.n_max_c + 1)
+        if vectors.shape != shape:
+            raise ValueError(
+                f"vectors must have shape {shape} (weights and config), got {vectors.shape}"
+            )
+        # the highest mechanical level holding an exactly nonzero amplitude
+        occupied = np.flatnonzero(np.any(vectors, axis=(0, 1, 2)))
+        n_cols = int(occupied.max(initial=0)) + 1
+
+        def members(first: int, count: int) -> np.ndarray:
+            return vectors[first:first + count].copy()
+
+        return cls(weights, config, members, n_cols)
 
     @property
     def shape(self) -> tuple:
         """Shape of one member's amplitude tensor."""
-        return self.vectors.shape[1:]
+        return (self.config.n_max_a + 1, self.config.n_max_b + 1, self.config.n_max_c + 1)
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """Every member, built as one chunk."""
+        return self.members(0, len(self.weights))
 
     def trace(self) -> float:
         (value,), _ = _expectations(self, [((), None)], occupations=False)
         return value.real
 
     def _member_chunks(self):
-        """The (first member, chunk) pairs a pass reads: the whole ensemble as one chunk."""
-        return ((0, self.vectors),)
+        """The (first member, chunk) pairs a pass reads, each of `_CHUNK_BYTES` or one member."""
+        size = max(1, _CHUNK_BYTES // (16 * math.prod(self.shape)))
+        for first in range(0, len(self.weights), size):
+            yield first, self.members(first, min(size, len(self.weights) - first))
 
 
 def _coherent_vector(alpha: complex, n_max: int) -> np.ndarray:
@@ -375,13 +406,19 @@ def qubit_state(config: FockConfig) -> TriModeState:
         (1, config.n_max_a + 1, config.n_max_b + 1, config.n_max_c + 1), dtype=complex
     )
     psi[0, 0:2, 0:2, 0] = 0.5
-    return TriModeState(np.array([1.0]), psi, config)
+    return TriModeState.from_vectors(np.array([1.0]), psi, config)
 
 
-def _coherent_thermal_parts(
+def coherent_thermal_state(
     alpha: complex, beta: complex, nbar: float, config: FockConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """(weights, optical amplitudes |alpha> x |beta>) of `coherent_thermal_state`, checked."""
+) -> TriModeState:
+    """|alpha> x |beta> x thermal(nbar), sized by `FockConfig.for_coherent_thermal`.
+
+    The thermal mode is a weighted ensemble of Fock states with geometric
+    weights, truncated below the config's tail budget and renormalized:
+    member l0 is the optical amplitudes times mechanical Fock state l0. A
+    config too small for the inputs' tails is refused.
+    """
     _require_finite(alpha=alpha, beta=beta, nbar=nbar)
     alpha, beta, nbar = complex(alpha), complex(beta), float(nbar)
     if nbar < 0:
@@ -413,46 +450,45 @@ def _coherent_thermal_parts(
         q = nbar / (1.0 + nbar)
         weights = (1.0 - q) * q ** np.arange(l_max + 1)
         weights = weights / weights.sum()
-    return weights, optical
+
+    def members(first: int, count: int) -> np.ndarray:
+        out = np.zeros((count, *optical.shape, config.n_max_c + 1), dtype=complex)
+        l0 = np.arange(first, first + count)
+        out[l0 - first, :, :, l0] = optical
+        return out
+
+    # member l0 fills level l0 alone
+    return TriModeState(weights, config, members, len(weights) if optical.any() else 1)
 
 
-def _thermal_members(optical: np.ndarray, n_max_c: int, first: int, count: int) -> np.ndarray:
-    """Members first..first+count-1 of a coherent-thermal ensemble.
-
-    Member l0 is the optical amplitudes times mechanical Fock state l0.
-    """
-    members = np.zeros((count, *optical.shape, n_max_c + 1), dtype=complex)
-    l0 = np.arange(first, first + count)
-    members[l0 - first, :, :, l0] = optical
-    return members
-
-
-def coherent_thermal_state(
-    alpha: complex, beta: complex, nbar: float, config: FockConfig
+def apply_evolution(
+    state: TriModeState,
+    t: float,
+    k: float,
+    r_a: float,
+    r_b: float,
+    *,
+    interaction_picture: bool = False,
 ) -> TriModeState:
-    """|alpha> x |beta> x thermal(nbar), sized by `FockConfig.for_coherent_thermal`.
+    """Evolve by scaled time t under the factored unitary.
 
-    The thermal mode is a weighted ensemble of Fock states with geometric
-    weights, truncated below the config's tail budget and renormalized. A
-    config too small for the inputs' tails is refused.
+    Applied per photon-number branch (n, m), delta = n - m, in order: the
+    Kerr phase exp(-i B(t) delta**2), the conditional mechanical
+    displacement D_C(k delta xi(t)), then (full picture only) the optical
+    phases exp(-i (r_a n + r_b m) t) and the mechanical rotation
+    exp(-i l t). With interaction_picture=True the last two factors are
+    omitted.
+
+    The phases and the displacement blocks are built here, once; the
+    returned state evolves each chunk of the parent's members in place as
+    it is built, and may occupy every mechanical level. Every chunk's
+    products take the parent's n_cols columns: they run one member at a
+    time, and with the same inner dimension each member gets the bits it
+    gets in the whole ensemble (BLAS sums differently when that dimension
+    changes).
     """
-    weights, optical = _coherent_thermal_parts(alpha, beta, nbar, config)
-    return TriModeState(weights, _thermal_members(optical, config.n_max_c, 0, len(weights)), config)
-
-
-def _evolution(
-    shape: tuple, t: float, k: float, r_a: float, r_b: float, interaction_picture: bool, n_cols: int
-) -> Callable[[np.ndarray], np.ndarray]:
-    """`apply_evolution`'s unitary as a function that evolves a chunk of members in place.
-
-    shape is one member's; the phases and the displacement blocks are built
-    here, once for every chunk. n_cols is one past the highest occupied
-    mechanical level of the whole ensemble, and every chunk's products take
-    that many columns: the products run one member at a time, and with the
-    same inner dimension each member gets the bits it gets in the whole
-    ensemble (BLAS sums differently when that dimension changes).
-    """
-    na1, nb1, nc1 = shape
+    na1, nb1, nc1 = state.shape
+    n_cols = state.n_cols
     n = np.arange(na1)[:, None]
     m = np.arange(nb1)[None, :]
     delta = n - m
@@ -473,93 +509,18 @@ def _evolution(
                 if mask.any():
                     branches.append((mask, block_dd))
     rotation = None if interaction_picture else np.exp(-1j * t * np.arange(nc1))
+    parent = state.members
 
-    def evolve(members: np.ndarray) -> np.ndarray:
-        members *= phase
+    def members(first: int, count: int) -> np.ndarray:
+        chunk = parent(first, count)
+        chunk *= phase
         for mask, block in branches:
-            members[:, mask, :] = members[:, mask, :n_cols] @ block
+            chunk[:, mask, :] = chunk[:, mask, :n_cols] @ block
         if rotation is not None:
-            members *= rotation
-        return members
+            chunk *= rotation
+        return chunk
 
-    return evolve
-
-
-def apply_evolution(
-    state: TriModeState,
-    t: float,
-    k: float,
-    r_a: float,
-    r_b: float,
-    *,
-    interaction_picture: bool = False,
-) -> TriModeState:
-    """Evolve by scaled time t under the factored unitary.
-
-    Applied per photon-number branch (n, m), delta = n - m, in order: the
-    Kerr phase exp(-i B(t) delta**2), the conditional mechanical
-    displacement D_C(k delta xi(t)), then (full picture only) the optical
-    phases exp(-i (r_a n + r_b m) t) and the mechanical rotation
-    exp(-i l t). With interaction_picture=True the last two factors are
-    omitted. The whole ensemble is one chunk of `_evolution`.
-    """
-    # only the columns of D up to the highest mechanical index holding an
-    # exactly nonzero amplitude act on the state
-    occupied = np.flatnonzero(np.any(state.vectors, axis=(0, 1, 2)))
-    n_cols = int(occupied.max(initial=0)) + 1
-    evolve = _evolution(state.shape, t, k, r_a, r_b, interaction_picture, n_cols)
-    return TriModeState(state.weights.copy(), evolve(state.vectors.copy()), state.config)
-
-
-@dataclass(frozen=True)
-class _CoherentThermalStream:
-    """A coherent-thermal ensemble, evolved or not, built a member chunk at a time.
-
-    It has a `TriModeState`'s `weights` and `shape`, so `moments`,
-    `hamiltonian_expectation` and `_expectations` read it as they read a
-    state. Each pass builds the members again, at most `_CHUNK_BYTES` of
-    amplitudes (or one member) at a time, evolves them and drops them, so
-    the ensemble is never held. Every chunk is bitwise those members of
-    `coherent_thermal_state`, or of its `apply_evolution`.
-    """
-
-    weights: np.ndarray
-    optical: np.ndarray
-    n_max_c: int
-    evolve: Callable[[np.ndarray], np.ndarray] | None
-
-    @property
-    def shape(self) -> tuple:
-        """Shape of one member's amplitude tensor."""
-        return (*self.optical.shape, self.n_max_c + 1)
-
-    def _member_chunks(self):
-        size = max(1, _CHUNK_BYTES // (16 * math.prod(self.shape)))
-        for first in range(0, len(self.weights), size):
-            yield first, self._chunk(first, min(size, len(self.weights) - first))
-
-    def _chunk(self, first: int, count: int) -> np.ndarray:
-        # a method of its own, so that no suspended `_member_chunks` holds the initial members
-        members = _thermal_members(self.optical, self.n_max_c, first, count)
-        return members if self.evolve is None else self.evolve(members)
-
-
-def _coherent_thermal_stream(
-    alpha: complex, beta: complex, nbar: float, config: FockConfig, evolution: tuple | None = None
-) -> _CoherentThermalStream:
-    """`coherent_thermal_state(alpha, beta, nbar, config)` as a stream.
-
-    With evolution = (t, k, r_a, r_b) the stream is the state's
-    `apply_evolution(state, t, k, r_a, r_b)`.
-    """
-    weights, optical = _coherent_thermal_parts(alpha, beta, nbar, config)
-    evolve = None
-    if evolution is not None:
-        # the whole ensemble's occupied columns, as `apply_evolution` finds
-        # them: member l0 fills level l0 alone
-        n_cols = len(weights) if optical.any() else 1
-        evolve = _evolution((*optical.shape, config.n_max_c + 1), *evolution, False, n_cols)
-    return _CoherentThermalStream(weights, optical, config.n_max_c, evolve)
+    return TriModeState(state.weights, state.config, members, nc1)
 
 
 def partial_trace(state: TriModeState, keep: str) -> np.ndarray:
@@ -583,8 +544,8 @@ def partial_trace(state: TriModeState, keep: str) -> np.ndarray:
     chunk = max(1, dim_keep ** 2 // math.prod(state.shape))
     rho = None
     for start in range(0, len(state.weights), chunk):
-        members = slice(start, start + chunk)
-        phi = np.sqrt(state.weights[members])[:, None, None, None] * state.vectors[members]
+        phi = state.members(start, min(chunk, len(state.weights) - start))
+        phi *= np.sqrt(state.weights[start:start + chunk])[:, None, None, None]
         block = np.tensordot(phi, phi.conj(), axes=(traced, traced)).reshape(dim_keep, dim_keep)
         rho = block if rho is None else np.add(rho, block, out=rho)
     return rho
@@ -612,9 +573,9 @@ def _read_members(first: int, chunk: np.ndarray, weights: np.ndarray, plans: lis
 def _expectations(state, forms, *, occupations: bool) -> tuple[list, list]:
     """Ladder expectations and mean numbers of the ensemble, one member at a time.
 
-    state is a `TriModeState` or a `_CoherentThermalStream`; the pass reads
-    its members from the (first member, chunk) pairs of its
-    `_member_chunks()`, and drops each chunk before the next is built.
+    The pass reads the state's members from the (first member, chunk)
+    pairs of its `_member_chunks()`, and drops each chunk before the next
+    is built.
     Each form (axes, coeff) asks for sum_w w <psi_w| coeff a_1 a_2 ... |psi_w>,
     one annihilator per mode axis in axes, with coeff (or None) broadcasting
     against the shifted slice of one member; the empty form is the trace.
@@ -686,7 +647,7 @@ def moments(state: TriModeState) -> dict:
 
 
 def _trace_and_energy(state, k: float, r_a: float, r_b: float) -> tuple[float, float]:
-    """(trace, `hamiltonian_expectation`) of a state or stream, from one pass over its members."""
+    """(trace, `hamiltonian_expectation`) of a state, from one pass over its members."""
     na1, nb1, _ = state.shape
     delta = np.arange(na1)[:, None, None] - np.arange(nb1)[None, :, None]
     # <(n_a - n_b)(c + c+)> = 2 Re <(n_a - n_b) c>

@@ -545,6 +545,33 @@ def test_cli_refuses_an_overflowing_scaled_input_by_field(capsys, command, overr
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command, overrides, field",
+    [
+        # 1e200 squares to an OverflowError; 1e154 and 1e150 gave inf or NaN values
+        ("fig3", ["alpha=1e200"], "alpha"),
+        ("fig3", ["beta=1e154"], "beta"),
+        ("fig4a", ["alpha=1e154"], "alpha"),
+        ("fig4b", ["alpha_max=1e154", "alpha_step=1e153"], "alpha"),
+        ("sweep", ["quantity=duan_ab", "alpha=1e200"], "alpha"),
+        ("sweep", ["quantity=duan_ac", "alpha=1e154"], "alpha"),
+        ("sweep", ["quantity=duan_ac", "alpha=1e150"], "alpha"),
+        ("sweep", ["quantity=duan_bc", "beta=1e150"], "beta"),
+    ],
+)
+def test_cli_refuses_an_oversized_amplitude_by_field(capsys, command, overrides, field):
+    argv = [command]
+    for item in overrides:
+        argv += ["--set", item]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field} must be finite with magnitude at most 1e+100")
+    assert captured.err.count("\n") == 1
+
+
 def test_design_defaults_are_the_published_search_domain():
     # config_json records these; they come from DesignSearchSpace and must not drift
     assert resolve_config("design").values == {

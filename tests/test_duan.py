@@ -1,6 +1,7 @@
 import inspect
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -61,13 +62,17 @@ _GOOD_CELL = dict(bipartition="AB", r_a=1.0, r_b=1.0, alpha=0.5, beta=0.5, nbar=
     [
         ("alpha", 0.2 + 0.1j, "alpha must be real .*Fock oracle only"),
         ("beta", math.inf, "beta must be finite"),
+        ("alpha", -2e100, r"alpha must be finite with magnitude at most 1e\+100"),
         ("nbar", -0.01, "nbar must be finite and non-negative"),
         ("nbar", math.nan, "nbar must be finite and non-negative"),
         ("k", -0.5, "k must be finite and non-negative"),
         ("r_a", 0.0, "r_a must be positive and finite"),
         ("bipartition", "AD", "bipartition must be one of"),
     ],
-    ids=["complex-alpha", "inf-beta", "negative-nbar", "nan-nbar", "negative-k", "zero-r_a", "AD"],
+    ids=[
+        "complex-alpha", "inf-beta", "oversized-alpha", "negative-nbar", "nan-nbar", "negative-k",
+        "zero-r_a", "AD",
+    ],
 )
 def test_witness_cells_are_refused_by_field(entry, field, value, message):
     # one check serves both entries; at a scalar cell nbar = nan once gave a
@@ -79,6 +84,17 @@ def test_witness_cells_are_refused_by_field(entry, field, value, message):
             duan_values(1.0, *head, **cell)
         else:
             window_minima(head[0], 1.0, *head[1:], **cell)
+
+
+@pytest.mark.parametrize("bipartition", ["AB", "AC", "BC"])
+@pytest.mark.parametrize("lower", [False, True])
+def test_amplitude_bound_admits_its_boundary(bipartition, lower):
+    t = np.linspace(0.0, 4.0 * math.pi, 500)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha, beta in ((1e100, 0.5), (0.5, -1e100), (1e100, 1e100)):
+            d = duan_values(t, bipartition, 1.0, 1.0, alpha=alpha, beta=beta, nbar=0.0, k=0.5, lower=lower)
+            assert np.isfinite(d).all()
 
 
 def test_duan_values_takes_the_time_first():
@@ -1005,6 +1021,9 @@ def test_bounded_scan_on_equal_grid_values(monkeypatch, layout):
 
 def _assert_keeps_every_block(monkeypatch, large, k):
     """window_minima of the cells (0.5, 0.5) and (large, 0.5), with every grid value evaluated."""
+    if large > duan_module._MAX_AMPLITUDE:
+        # window_minima refuses such a cell; the scan's own guard is pinned behind that check
+        monkeypatch.setattr(duan_module, "_check_cell", lambda *args: None)
     floors = []
     real = duan_module._block_floor
     monkeypatch.setattr(duan_module, "_block_floor", lambda *args: floors.append(args) or real(*args))
@@ -1020,8 +1039,9 @@ def _assert_keeps_every_block(monkeypatch, large, k):
 
 
 def test_bounded_scan_skips_overflowing_inputs(monkeypatch):
-    # amplitudes whose squares overflow keep the full scan, whose argmin
-    # meets the NaN at t = 0 first
+    # amplitudes whose squares overflow (the cell check refuses them; the
+    # helper goes round it) keep the full scan, whose argmin meets the NaN
+    # at t = 0 first
     res = _assert_keeps_every_block(monkeypatch, 1e200, 0.74)
     assert np.isnan(res.d_star[1]) and np.isfinite(res.d_star[0])
 

@@ -6,9 +6,11 @@ by column, against the eval_genlaguerre closed form, so the rest of the
 suite can lean on it as an independent oracle.
 """
 
+import ast
 import contextlib
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,6 @@ from optomech.duan import duan_from_moments
 from optomech.oracle import (
     FockConfig,
     TriModeState,
-    _coherent_thermal_stream,
     _displacement_blocks,
     _displacement_columns,
     _log_factorial,
@@ -46,6 +47,21 @@ def _thermal_state(alpha, beta, nbar, k):
     return coherent_thermal_state(
         alpha, beta, nbar, FockConfig.for_coherent_thermal(alpha, beta, nbar, k)
     )
+
+
+def test_oracle_borrows_no_closed_form():
+    # the oracle certifies the analytic modules, so of the package it may
+    # import the time kernels alone: nothing of duan, qubit, certify, design or cli
+    tree = ast.parse(Path(optomech.oracle.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported |= {(module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {(alias.name, None) for alias in node.names}
+    package = {(m, name) for m, name in imported if m.startswith(".") or m.split(".")[0] == "optomech"}
+    assert package == {(".core", "big_b"), (".core", "xi")}
 
 
 def test_displacement_identity_at_zero():
@@ -235,7 +251,7 @@ def _top_level_state():
     psi = np.zeros((1, 3, 3, 31), dtype=complex)
     psi[0, 2, 0, 30] = 0.6
     psi[0, 0, 1, 0] = 0.8j
-    return TriModeState(np.array([1.0]), psi, cfg)
+    return TriModeState.from_vectors(np.array([1.0]), psi, cfg)
 
 
 def _stationary_state():
@@ -243,7 +259,7 @@ def _stationary_state():
     cfg = FockConfig(n_max_a=2, n_max_b=2, n_max_c=40)
     psi = np.zeros((1, 3, 3, 41), dtype=complex)
     psi[0, 1, 0, :] = displacement_matrix(0.5, 40)[:, 2]
-    return TriModeState(np.array([1.0]), psi, cfg)
+    return TriModeState.from_vectors(np.array([1.0]), psi, cfg)
 
 
 _EDGE_STATES = {
@@ -339,6 +355,21 @@ def test_thermal_tail_invariant_rejects_small_cutoff():
 def test_coherent_thermal_state_rejects_negative_occupation():
     with pytest.raises(ValueError, match="^nbar must be non-negative"):
         coherent_thermal_state(0.5, 0.3, -0.1, FockConfig(8, 8, 40))
+
+
+@pytest.mark.parametrize(
+    "weights, shape",
+    [
+        ([1.0], (2, 3, 3, 9)),  # one member too many
+        ([0.5, 0.5], (1, 3, 3, 9)),  # one member too few
+        ([1.0], (1, 3, 3, 8)),  # the mechanical cutoff disagrees with the config's
+        ([1.0], (3, 3, 9)),  # no member axis
+    ],
+)
+def test_from_vectors_refuses_a_shape_that_disagrees(weights, shape):
+    cfg = FockConfig(n_max_a=2, n_max_b=2, n_max_c=8)
+    with pytest.raises(ValueError, match=r"^vectors must have shape \(\d+, 3, 3, 9\)"):
+        TriModeState.from_vectors(np.array(weights), np.zeros(shape, dtype=complex), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +507,7 @@ def test_single_photon_drags_the_mirror():
     cfg = FockConfig(n_max_a=1, n_max_b=1, n_max_c=25)
     psi = np.zeros((2, 2, 26), dtype=complex)
     psi[1, 0, 0] = 1.0
-    state = TriModeState(np.array([1.0]), psi[None], cfg)
+    state = TriModeState.from_vectors(np.array([1.0]), psi[None], cfg)
     for t in (0.9, math.pi, 4.0):
         evolved = apply_evolution(state, t, 0.6, 0.0, 0.0)
         m = moments(evolved)["AC"]
@@ -491,7 +522,7 @@ def test_eigenstate_is_stationary():
     delta = n0 - m0
     psi = np.zeros((3, 3, 41), dtype=complex)
     psi[n0, m0, :] = displacement_matrix(k * delta, 40)[:, 2]  # l = 2
-    state = TriModeState(np.array([1.0]), psi[None], cfg)
+    state = TriModeState.from_vectors(np.array([1.0]), psi[None], cfg)
     t = 2.6
     evolved = apply_evolution(state, t, k, r_a, r_b)
     energy = energy_eigenvalue_scaled(n0, m0, 2, k, r_a, r_b)
@@ -507,6 +538,23 @@ def test_interaction_picture_strips_mechanical_rotation():
     nc = state.config.n_max_c + 1
     phases = np.exp(-1j * t * np.arange(nc))
     np.testing.assert_allclose(lab.vectors[0], rot.vectors[0] * phases[None, None, :], atol=1e-12)
+
+
+@pytest.mark.parametrize("cell, k", [((0.5, 0.3, 0.2), 0.5), ((0.7, 0.4, 0.3), 0.6)])
+def test_chained_evolutions_compose(cell, k):
+    # an evolved state may occupy every mechanical level, so the second
+    # evolution takes the full width; largest deviations seen: 5.1e-15 on
+    # the members, 1.6e-15 on the moments
+    t1, t2, r_a, r_b = 0.9, 1.7, 1.3, 0.8
+    state = coherent_thermal_state(*cell, FockConfig.for_coherent_thermal(*cell, k, 1e-12))
+    once = apply_evolution(state, t1 + t2, k, r_a, r_b)
+    twice = apply_evolution(apply_evolution(state, t1, k, r_a, r_b), t2, k, r_a, r_b)
+    assert twice.n_cols == state.shape[2] > state.n_cols
+    assert np.abs(twice.vectors - once.vectors).max() <= 1e-12
+    want, got = moments(once), moments(twice)
+    for pair, m in want.items():
+        fields = ("mean1", "mean2", "occ1", "occ2", "corr")
+        assert max(abs(getattr(got[pair], f) - getattr(m, f)) for f in fields) <= 1e-12
 
 
 def test_partial_trace_properties():
@@ -740,13 +788,25 @@ def test_expectations_are_bitwise_the_whole_ensemble_products(pinned, name):
     )
 
 
-def _streamed_members(stream):
-    """The bytes of a stream's members, chunk after chunk, each chunk at its first member."""
+def _chunked_members(state):
+    """The bytes of a state's members, chunk after chunk, each chunk at its first member."""
     members = []
-    for first, chunk in stream._member_chunks():
+    for first, chunk in state._member_chunks():
         assert first == len(members)
         members.extend(chunk)
     return np.array(members).tobytes()
+
+
+def _whole_ensemble_moments(state):
+    """`moments` of the state from the whole-ensemble products."""
+    mean = [_whole_ensemble_ladder(state, (axis,)) for axis in range(3)]
+    occ = _whole_ensemble_numbers(state)
+    return {
+        pair: optomech.oracle.ModePairMoments(
+            mean[i], mean[j], occ[i], occ[j], _whole_ensemble_ladder(state, (i, j))
+        )
+        for pair, (i, j) in (("AB", (0, 1)), ("AC", (0, 2)), ("BC", (1, 2)))
+    }
 
 
 def _oracle_duan_calls(monkeypatch, check, seed):
@@ -778,34 +838,34 @@ def test_streamed_witness_is_bitwise_the_evolved_state(monkeypatch, check, seed)
     # the coarse and the doubled ensemble, the CV draws and two k = 0 cells
     calls = _oracle_duan_calls(monkeypatch, check, seed)
     assert calls
-    for (t, r_a, r_b, config), cell, streamed in calls:
-        k = cell["k"]
+    for (t, r_a, r_b, config), cell, witness in calls:
         initial = coherent_thermal_state(cell["alpha"], cell["beta"], cell["nbar"], config)
-        evolved = apply_evolution(initial, t, k, r_a, r_b)
-        want = moments(evolved)
-        stream = _coherent_thermal_stream(
-            cell["alpha"], cell["beta"], cell["nbar"], config, (t, k, r_a, r_b)
-        )
-        assert _streamed_members(stream) == evolved.vectors.tobytes()
-        assert repr(moments(stream)) == repr(want)
-        assert repr(streamed) == repr({pair: duan_from_moments(m) for pair, m in want.items()})
+        evolved = apply_evolution(initial, t, cell["k"], r_a, r_b)
+        assert _chunked_members(evolved) == evolved.vectors.tobytes()
+        want = _whole_ensemble_moments(evolved)
+        assert repr(moments(evolved)) == repr(want)
+        assert repr(witness) == repr({pair: duan_from_moments(m) for pair, m in want.items()})
 
 
 @pytest.mark.parametrize("t", [None, 0.0, 1.7, 9.4])
 def test_fused_conservation_pass_is_bitwise_trace_and_energy(t):
     # the conservation check's cell; None is the initial state, t = 0 evolves it by the identity
     cell, k, r_a, r_b = (0.7, 0.4, 0.3), 0.6, 1.3, 0.8
-    config = FockConfig.for_coherent_thermal(*cell, k)
-    state = coherent_thermal_state(*cell, config)
-    evolution = None if t is None else (t, k, r_a, r_b)
-    if evolution is not None:
-        state = apply_evolution(state, *evolution)
-    stream = _coherent_thermal_stream(*cell, config, evolution)
+    state = coherent_thermal_state(*cell, FockConfig.for_coherent_thermal(*cell, k))
+    if t is not None:
+        state = apply_evolution(state, t, k, r_a, r_b)
     # a chunk holds several members, and several chunks make the ensemble
-    assert 1 < optomech.oracle._CHUNK_BYTES // (16 * math.prod(stream.shape)) < len(stream.weights)
-    assert _streamed_members(stream) == state.vectors.tobytes()
-    got = optomech.oracle._trace_and_energy(stream, k, r_a, r_b)
-    assert repr(got) == repr((state.trace(), hamiltonian_expectation(state, k, r_a, r_b)))
+    assert 1 < optomech.oracle._CHUNK_BYTES // (16 * math.prod(state.shape)) < len(state.weights)
+    assert _chunked_members(state) == state.vectors.tobytes()
+    na1, nb1, _ = state.shape
+    delta = np.arange(na1)[:, None, None] - np.arange(nb1)[None, :, None]
+    occ = _whole_ensemble_numbers(state)
+    cross = _whole_ensemble_ladder(state, (2,), delta)
+    want = (
+        _whole_ensemble_ladder(state, ()).real,
+        r_a * occ[0] + r_b * occ[1] + occ[2] - 2.0 * k * cross.real,
+    )
+    assert repr(optomech.oracle._trace_and_energy(state, k, r_a, r_b)) == repr(want)
 
 
 def _peak_bytes(fn, *args):
@@ -825,12 +885,17 @@ def test_ensemble_operations_stay_within_memory_bound():
     cfg = FockConfig.for_coherent_thermal(alpha, beta, nbar, k, 1e-9).doubled()
     state = coherent_thermal_state(alpha, beta, nbar, cfg)
     evolved = apply_evolution(state, 2.0, k, r_a, r_b)
-    ensemble_bytes = len(evolved.weights) * math.prod(evolved.shape) * 16
+    member_bytes = math.prod(evolved.shape) * 16
+    ensemble_bytes = len(evolved.weights) * member_bytes
+    # apply_evolution holds no member: it keeps a displacement block of
+    # state.n_cols columns for each sign of each delta (2.0 MB here) and
+    # builds them with at most one member's worth of temporaries; measured
+    # 0.68x that bound
+    na1, nb1, nc1 = evolved.shape
+    blocks_bytes = 2 * (max(na1, nb1) - 1) * nc1 * state.n_cols * 16
+    assert _peak_bytes(apply_evolution, state, 2.0, k, r_a, r_b) <= blocks_bytes + member_bytes
     bound = 2.5 * ensemble_bytes
-    peaks = {
-        "apply_evolution": _peak_bytes(apply_evolution, state, 2.0, k, r_a, r_b),
-        "hamiltonian_expectation": _peak_bytes(hamiltonian_expectation, evolved, k, r_a, r_b),
-    }
+    peaks = {"hamiltonian_expectation": _peak_bytes(hamiltonian_expectation, evolved, k, r_a, r_b)}
     peaks["moments"] = _peak_bytes(moments, evolved)
     for keep in ("C", "AB"):
         peaks[f"partial_trace {keep}"] = _peak_bytes(partial_trace, evolved, keep)
@@ -840,9 +905,9 @@ def test_ensemble_operations_stay_within_memory_bound():
 
 def test_truncation_doubling_check_memory():
     # the check's fine ensemble is the largest of the default certification.
-    # The checks stream it a member chunk at a time, so they hold the real
+    # The checks build it a member chunk at a time, so they hold the real
     # |psi|**2 table (half the ensemble's bytes), the displacement blocks,
-    # one chunk and one member's temporaries; measured: 0.80x for the
+    # one chunk and one member's temporaries; measured: 0.84x for the
     # doubling check and 0.42x for conservation, whose own ensemble is 0.38x
     evolved = _doubled_certification_state()
     ensemble_bytes = len(evolved.weights) * math.prod(evolved.shape) * 16
