@@ -37,7 +37,7 @@ from .design import (
     proposed_atom_spec,
     proposed_geometry,
 )
-from .duan import duan_values, regime_report, window_minima
+from .duan import _MAX_AMPLITUDE, _MAX_COUPLING, duan_values, regime_report, window_minima
 from .qubit import concurrence, reduced_rho_ab, von_neumann_entropy
 
 __all__ = ["main", "RunConfig", "ResultTable"]
@@ -58,7 +58,7 @@ class _CliError(Exception):
 # fields: default and validator of every configurable value
 # ---------------------------------------------------------------------------
 
-def _number(*, minimum=None, exclusive_min=None):
+def _number(*, minimum=None, exclusive_min=None, maximum=None):
     def check(value, label):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise _CliError(f"field {label}: expected a number, got {value!r}")
@@ -72,6 +72,8 @@ def _number(*, minimum=None, exclusive_min=None):
             raise _CliError(f"field {label}: must be >= {minimum}, got {value!r}")
         if exclusive_min is not None and value <= exclusive_min:
             raise _CliError(f"field {label}: must be > {exclusive_min}, got {value!r}")
+        if maximum is not None and value > maximum:
+            raise _CliError(f"field {label}: must be <= {maximum:g}, got {value!r}")
         return value
 
     return check
@@ -117,9 +119,11 @@ def _choice(*options):
     return check
 
 
-_ANY = _number()
 _POS = _number(exclusive_min=0.0)
 _NONNEG = _number(minimum=0.0)
+#: the witness cell's domain (`duan._check_cell`), checked by field name
+_AMPLITUDE = _number(minimum=-_MAX_AMPLITUDE, maximum=_MAX_AMPLITUDE)
+_COUPLING = _number(minimum=0.0, maximum=_MAX_COUPLING)
 #: most points of a fig2, fig3 or sweep grid, 25 times fig2's default 4000
 _MAX_POINTS = 100_000
 _N_POINTS = _integer(2, _MAX_POINTS)
@@ -152,15 +156,15 @@ _SEARCH_FIELDS = {
 #: command -> field -> (default, validator)
 FIELDS: dict[str, dict[str, tuple]] = {
     "fig2": {
-        "k": (0.5, _NONNEG),
+        "k": (0.5, _COUPLING),
         "t_min": (0.0, _NONNEG),
         "t_max": (8.0 * math.pi, _POS),
         "n_points": (4000, _N_POINTS),
     },
     "fig3": {
-        "k": (0.74, _NONNEG),
-        "alpha": (0.5, _ANY),
-        "beta": (0.5, _ANY),
+        "k": (0.74, _COUPLING),
+        "alpha": (0.5, _AMPLITUDE),
+        "beta": (0.5, _AMPLITUDE),
         "temperature_K": (TEMPERATURE_K, _POS),
         **_OPERATING_POINT,
         "t_min": (0.0, _NONNEG),
@@ -172,8 +176,8 @@ FIELDS: dict[str, dict[str, tuple]] = {
         "k_max": (1.5, _POS),
         "k_step": (0.025, _POS),
         "temperatures_K": ([1.0e-7, 4.0e-7, 8.0e-7], _number_list(exclusive_min=0.0)),
-        "alpha": (0.5, _ANY),
-        "beta": (0.5, _ANY),
+        "alpha": (0.5, _AMPLITUDE),
+        "beta": (0.5, _AMPLITUDE),
         **_OPERATING_POINT,
         "window_scaled": (None, _optional(_POS)),
     },
@@ -184,7 +188,7 @@ FIELDS: dict[str, dict[str, tuple]] = {
         "beta_min": (0.0, _NONNEG),
         "beta_max": (2.0, _POS),
         "beta_step": (0.02, _POS),
-        "k": (0.74, _NONNEG),
+        "k": (0.74, _COUPLING),
         "temperature_K": (TEMPERATURE_K, _POS),
         **_OPERATING_POINT,
         "window_scaled": (None, _optional(_POS)),
@@ -209,9 +213,9 @@ FIELDS: dict[str, dict[str, tuple]] = {
         "start": (0.0, _NONNEG),
         "stop": (4.0 * math.pi, _POS),
         "n_points": (500, _N_POINTS),
-        "k": (0.5, _NONNEG),
-        "alpha": (0.5, _ANY),
-        "beta": (0.5, _ANY),
+        "k": (0.5, _COUPLING),
+        "alpha": (0.5, _AMPLITUDE),
+        "beta": (0.5, _AMPLITUDE),
         "nbar": (0.0, _NONNEG),
         "r_a": (1.0, _NONNEG),
         "r_b": (1.0, _NONNEG),
@@ -476,8 +480,17 @@ def _witness_window(values: dict) -> tuple[float, float, float, float]:
 _MAX_AXIS_POINTS = 1001
 
 
+#: the largest value of each fig4a or fig4b axis, the witness cell's domain
+_AXIS_MAXIMA = {"alpha": _MAX_AMPLITUDE, "beta": _MAX_AMPLITUDE, "k": _MAX_COUPLING}
+
+
 def _axis(values: dict, name: str) -> np.ndarray:
-    """The name_min .. name_max grid in name_step steps, refused before it is allocated if too long."""
+    """The name_min .. name_max grid in name_step steps, refused before it is allocated if too long.
+
+    A grid that passes the axis's maximum in `_AXIS_MAXIMA` is refused too,
+    also where name_max does not but the last point, up to half a step
+    beyond it, does.
+    """
     lo, hi, step = (values[f"{name}_{end}"] for end in ("min", "max", "step"))
     # floor(span) + 1 points, which exceeds the cap exactly when span does not
     # fall below it; a span that overflows to inf is refused the same way
@@ -487,7 +500,16 @@ def _axis(values: dict, name: str) -> np.ndarray:
             f"fields '{name}_max' and '{name}_step': the {name} axis would hold {span + 1:.6g} "
             f"points, more than {_MAX_AXIS_POINTS}"
         )
-    return np.arange(lo, hi + 0.5 * step, step)
+    maximum = _AXIS_MAXIMA[name]
+    if hi > maximum:
+        raise _CliError(f"field '{name}_max': must be <= {maximum:g}, got {hi!r}")
+    axis = np.arange(lo, hi + 0.5 * step, step)
+    if axis[-1] > maximum:
+        raise _CliError(
+            f"fields '{name}_max' and '{name}_step': the {name} axis reaches {float(axis[-1])!r}, "
+            f"above {maximum:g}"
+        )
+    return axis
 
 
 def run_fig4a(cfg: RunConfig) -> ResultTable:
@@ -641,6 +663,8 @@ def run_sweep(cfg: RunConfig) -> ResultTable:
     quantity = v["quantity"]
     if not v["stop"] > v["start"]:
         raise _CliError("field 'stop': must exceed start")
+    if v["variable"] == "k" and v["stop"] > _MAX_COUPLING:
+        raise _CliError(f"field 'stop': a k sweep must stop at most {_MAX_COUPLING:g}, got {v['stop']!r}")
     if quantity.startswith("duan") and not (v["r_a"] > 0 and v["r_b"] > 0):
         raise _CliError("fields 'r_a' and 'r_b': must be positive for Duan sweeps")
     xs = np.linspace(v["start"], v["stop"], v["n_points"])

@@ -270,6 +270,12 @@ def proposed_geometry(finesse: float = 3.0e6) -> CavityGeometry:
     return CavityGeometry(L=783.0e-6, R_mirror=5.0e-2, finesse=finesse)
 
 
+#: the trap frequencies in Hz a design search may hold. The coupling scales
+#: as f**-1.5 and the heating figures as f**-2: at the default search every
+#: figure stays finite and nonzero from 1e-80 to 1e100 Hz, while 1e-300
+#: overflowed the heating budget and 1e150 divided by zero
+_TRAP_FREQUENCY_RANGE_HZ = (1e-50, 1e50)
+
 #: most points of a design search's L or N axis, about 200 times the
 #: defaults' 526 and 481; the search keeps a few arrays of one value per N
 #: and per (trap frequency, L) row, which peak at 121 MiB for an L axis
@@ -281,8 +287,8 @@ _MAX_AXIS_POINTS = 100_000
 class DesignSearchSpace:
     """Grid-search domain for optimize_design. R_mirror is fixed per run.
 
-    Trap frequencies are ordinary frequencies in Hz; optimize_design searches
-    the angular frequencies 2 pi f.
+    Trap frequencies are ordinary frequencies in Hz, each from 1e-50 to
+    1e50; optimize_design searches the angular frequencies 2 pi f.
 
     The coupling must avoid the bands |k - sqrt(n/2)| <= exclusion_halfwidth
     (n = 1..exclusion_n_max), where the optical witness becomes inconclusive.
@@ -324,13 +330,12 @@ class DesignSearchSpace:
             points = (getattr(self, hi) + 0.5 * getattr(self, step) - getattr(self, lo)) / getattr(self, step)
             want = f"large enough for at most {_MAX_AXIS_POINTS} points from {lo} to {hi}"
             need(step, points <= _MAX_AXIS_POINTS, want)
-        # the search runs on 2 pi f, which must stay finite too
         freqs = np.asarray(self.trap_frequencies_Hz, dtype=float)
+        low, high = _TRAP_FREQUENCY_RANGE_HZ
         need(
             "trap_frequencies_Hz",
-            freqs.ndim == 1 and freqs.size > 0
-            and all(0 < 2.0 * math.pi * f < math.inf for f in freqs.tolist()),
-            "a non-empty sequence of positive finite numbers",
+            freqs.ndim == 1 and freqs.size > 0 and all(low <= f <= high for f in freqs.tolist()),
+            f"a non-empty sequence of numbers from {low:g} to {high:g}",
         )
         need(
             "exclusion_n_max",

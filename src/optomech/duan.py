@@ -237,6 +237,10 @@ _LOWER = {"AB": _ab_lower, "AC": _ac_lower, "BC": _bc_lower}
 #: output of the CLI at its defaults stays finite up to 1e113, and at 1e114
 #: a sweep of D_AC holds an inf
 _MAX_AMPLITUDE = 1e100
+#: largest k a witness cell may hold. The kernels square it: 1e100 squares to
+#: 1e200, which leaves 1e108 of headroom for the times and occupations that
+#: k**2 multiplies, where 1e200 overflowed k**2 itself
+_MAX_COUPLING = 1e100
 
 
 def _check_cell(bipartition, r_a, r_b, alpha, beta, nbar, k) -> None:
@@ -256,7 +260,7 @@ def _check_cell(bipartition, r_a, r_b, alpha, beta, nbar, k) -> None:
         "alpha": (-_MAX_AMPLITUDE, _MAX_AMPLITUDE),
         "beta": (-_MAX_AMPLITUDE, _MAX_AMPLITUDE),
         "nbar": (0.0, math.inf),
-        "k": (0.0, math.inf),
+        "k": (0.0, _MAX_COUPLING),
     }
     for (name, (low, high)), value in zip(bounds.items(), (alpha, beta, nbar, k)):
         value = np.asarray(value)
@@ -267,7 +271,10 @@ def _check_cell(bipartition, r_a, r_b, alpha, beta, nbar, k) -> None:
             )
         bad = ~(np.isfinite(value) & (value >= low) & (value <= high))
         if bad.any():
-            rule = "finite and non-negative" if low == 0 else f"finite with magnitude at most {high:g}"
+            if low != 0:
+                rule = f"finite with magnitude at most {high:g}"
+            else:
+                rule = "finite and non-negative" + ("" if high == math.inf else f", at most {high:g}")
             raise ValueError(f"{name} must be {rule} in every cell, got {float(value[bad][0])!r}")
 
 

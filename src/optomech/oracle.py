@@ -46,8 +46,13 @@ sqrt(w) psi over that axis, every output traces it like a fourth mode.
 
 A `TriModeState` does not hold its members: it builds them on demand.
 `coherent_thermal_state` places the optical amplitudes on mechanical level
-l0 of member l0, and `apply_evolution` builds its phases and displacement
-blocks once and evolves its parent's members in place as they are built.
+l0 of member l0 and says so (`one_level`), and `apply_evolution` builds its
+phases and displacement blocks once and evolves its parent's members in
+place as they are built. A member on one level is displaced by a product of
+one column, its amplitude at that level times one row of the block, in
+place of the n_cols-wide product; `apply_evolution` says where the two
+differ in bits. An evolved state may occupy every level, so a chained
+evolution takes every column.
 Every expectation (the trace, `moments`, `hamiltonian_expectation`) reads
 the members a chunk of at most `_CHUNK_BYTES` at a time, walks each chunk
 one member at a time and sums over the member axis once at the end, so it
@@ -336,14 +341,17 @@ class TriModeState:
     as a fresh complex array of shape (count, n_max_a+1, n_max_b+1,
     n_max_c+1), which the caller may overwrite. n_cols is one past the
     highest mechanical level any member may occupy; an evolution's products
-    take that many columns. A pure state is an ensemble of one. Build one
-    from explicit amplitudes with `from_vectors`.
+    take that many columns. one_level says that member w occupies mechanical
+    level w alone, so an evolution's products take that one column. A pure
+    state is an ensemble of one. Build one from explicit amplitudes with
+    `from_vectors`.
     """
 
     weights: np.ndarray
     config: FockConfig
     members: Callable[[int, int], np.ndarray]
     n_cols: int
+    one_level: bool
 
     @classmethod
     def from_vectors(cls, weights, vectors, config: FockConfig) -> "TriModeState":
@@ -362,7 +370,7 @@ class TriModeState:
         def members(first: int, count: int) -> np.ndarray:
             return vectors[first:first + count].copy()
 
-        return cls(weights, config, members, n_cols)
+        return cls(weights, config, members, n_cols, False)
 
     @property
     def shape(self) -> tuple:
@@ -457,8 +465,7 @@ def coherent_thermal_state(
         out[l0 - first, :, :, l0] = optical
         return out
 
-    # member l0 fills level l0 alone
-    return TriModeState(weights, config, members, len(weights) if optical.any() else 1)
+    return TriModeState(weights, config, members, len(weights), True)
 
 
 def apply_evolution(
@@ -481,11 +488,20 @@ def apply_evolution(
 
     The phases and the displacement blocks are built here, once; the
     returned state evolves each chunk of the parent's members in place as
-    it is built, and may occupy every mechanical level. Every chunk's
-    products take the parent's n_cols columns: they run one member at a
-    time, and with the same inner dimension each member gets the bits it
-    gets in the whole ensemble (BLAS sums differently when that dimension
-    changes).
+    it is built, and may occupy every mechanical level. Each branch of a
+    chunk is one matmul, run one member at a time, so a member's bits do
+    not depend on the chunk it is built in. A parent's branch takes its
+    n_cols columns, except on a `one_level` parent, where member w takes
+    its amplitude at level w times row w of the branch's block: a product
+    of inner dimension 1, which numpy computes in its own loop as
+    ar br - ai bi and ar bi + ai br, each product rounded. OpenBLAS's zgemm
+    kernel rounds the same way, and the other n_cols - 1 terms of the wide
+    product are exact zeros, so the members keep the wide product's bits.
+    They do not in the last nc1 % 4 columns, which OpenBLAS computes with
+    another kernel, nor in the sign of some exact zeros; a test pins the
+    ensembles that stay bitwise. A one-row branch stays n_cols wide: numpy
+    sends it to gemv, which rounds differently. An elementwise product
+    would keep no bits, as numpy's complex multiply rounds differently too.
     """
     na1, nb1, nc1 = state.shape
     n_cols = state.n_cols
@@ -505,22 +521,30 @@ def apply_evolution(
         for d, block in enumerate(_displacement_blocks(betas, nc1, n_cols), 1):
             # D(-beta)[m, n] = (-1)**(m - n) D(beta)[m, n], so one build covers both signs
             for dd, block_dd in ((d, block.T), (-d, block.T * sign)):
-                mask = delta == dd
-                if mask.any():
-                    branches.append((mask, block_dd))
+                rows = np.count_nonzero(delta == dd)
+                if rows:
+                    # numpy sends a one-row product to BLAS's gemv, which rounds
+                    # differently, so such a branch stays n_cols wide
+                    branches.append((delta == dd, block_dd, state.one_level and rows > 1))
     rotation = None if interaction_picture else np.exp(-1j * t * np.arange(nc1))
     parent = state.members
 
     def members(first: int, count: int) -> np.ndarray:
         chunk = parent(first, count)
         chunk *= phase
-        for mask, block in branches:
-            chunk[:, mask, :] = chunk[:, mask, :n_cols] @ block
+        w = np.arange(count)
+        # (count, na1, nb1): member first + w's amplitudes at its level first + w
+        at_level = chunk[w, :, :, first + w] if state.one_level else None
+        for mask, block, one_column in branches:
+            if one_column:
+                chunk[:, mask, :] = at_level[:, mask, None] @ block[first:first + count, None, :]
+            else:
+                chunk[:, mask, :] = chunk[:, mask, :n_cols] @ block
         if rotation is not None:
             chunk *= rotation
         return chunk
 
-    return TriModeState(state.weights, state.config, members, nc1)
+    return TriModeState(state.weights, state.config, members, nc1, False)
 
 
 def partial_trace(state: TriModeState, keep: str) -> np.ndarray:
@@ -557,6 +581,8 @@ def _read_members(first: int, chunk: np.ndarray, weights: np.ndarray, plans: lis
         factor = weights[first:first + len(chunk), None, None, None]
         for scale in scales:
             factor = factor * scale
+        # the exact cast each complex product would otherwise buffer, made once
+        factor = factor.astype(complex)
         for w, member in enumerate(chunk):
             ket = member[hi] * factor[w]
             if coeff is not None:

@@ -552,11 +552,14 @@ def test_cli_refuses_an_overflowing_scaled_input_by_field(capsys, command, overr
         ("fig3", ["alpha=1e200"], "alpha"),
         ("fig3", ["beta=1e154"], "beta"),
         ("fig4a", ["alpha=1e154"], "alpha"),
-        ("fig4b", ["alpha_max=1e154", "alpha_step=1e153"], "alpha"),
+        # fig4b's refusal named the library's alpha, which fig4b has no field for
+        ("fig4b", ["alpha_max=1e154", "alpha_step=1e153"], "alpha_max"),
         ("sweep", ["quantity=duan_ab", "alpha=1e200"], "alpha"),
         ("sweep", ["quantity=duan_ac", "alpha=1e154"], "alpha"),
         ("sweep", ["quantity=duan_ac", "alpha=1e150"], "alpha"),
         ("sweep", ["quantity=duan_bc", "beta=1e150"], "beta"),
+        ("fig4b", ["beta_max=1e154", "beta_step=1e153"], "beta_max"),
+        ("fig4a", ["beta=-1e101"], "beta"),
     ],
 )
 def test_cli_refuses_an_oversized_amplitude_by_field(capsys, command, overrides, field):
@@ -568,8 +571,84 @@ def test_cli_refuses_an_oversized_amplitude_by_field(capsys, command, overrides,
         assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {field} must be finite with magnitude at most 1e+100")
+    assert captured.err.startswith(f"error: field '{field}': ")
+    assert "1e+100" in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, overrides, name",
+    [("fig4b", ["alpha_max=1e100", "alpha_step=6e99"], "alpha"), ("fig4a", ["k_max=1e100", "k_step=6e99"], "k")],
+)
+def test_cli_refuses_an_axis_that_passes_the_cell_domain(capsys, command, overrides, name):
+    # the last point, 1.2e100, passes name_max by part of a step
+    assert main([command, *(arg for item in overrides for arg in ("--set", item))]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: fields '{name}_max' and '{name}_step': the {name} axis reaches 1.2e+100, above 1e+100\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, overrides, field",
+    [
+        # k**2 overflowed: fig3 and a Duan sweep died with an OverflowError,
+        # fig2 and a concurrence sweep printed "Eigenvalues did not converge",
+        # and fig4a and fig4b wrote NaN minima
+        ("fig2", ["k=1e200"], "k"),
+        ("fig3", ["k=1e200"], "k"),
+        ("fig4b", ["k=1e101"], "k"),
+        ("fig4a", ["k_max=1e200", "k_step=1e199"], "k_max"),
+        ("sweep", ["k=1e200"], "k"),
+        ("sweep", ["quantity=duan_ac", "k=1e200"], "k"),
+        ("sweep", ["variable=k", "stop=1e200"], "stop"),
+        ("sweep", ["variable=k", "quantity=duan_bc", "stop=1e101"], "stop"),
+    ],
+)
+def test_cli_refuses_an_overflowing_coupling_by_field(capsys, command, overrides, field):
+    argv = [command]
+    for item in overrides:
+        argv += ["--set", item]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: field '{field}': ")
+    assert "1e+100" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["fig3", "fig4b", "sweep"])
+def test_cli_accepts_the_largest_coupling(command, tmp_path):
+    # k = 1e100 itself stays in the witness's domain, and its values stay finite
+    overrides = {
+        "fig3": ["k=1e100", "n_points=50"],
+        "fig4b": ["k=1e100", "alpha_step=0.5", "beta_step=0.5"],
+        "sweep": ["quantity=duan_ab", "k=1e100", "n_points=50"],
+    }[command]
+    code, out = _run_cli([command, *(arg for item in overrides for arg in ("--set", item))], tmp_path, "k.csv")
+    assert code == 0
+    rows = [line for line in out.read_text().splitlines() if not line.startswith("#")][1:]
+    assert rows and all(math.isfinite(float(value)) for row in rows for value in row.split(","))
+
+
+@pytest.mark.parametrize("frequencies", ["[1e-300]", "[40000.0, 1e300]"])
+def test_cli_design_refuses_a_trap_frequency_by_field(capsys, frequencies):
+    # 1e-300 Hz overflowed the heating budget's g0**2 after the whole search
+    tracemalloc.start()
+    try:
+        assert main(["design", "--set", f"trap_frequencies_Hz={frequencies}"]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: field 'trap_frequencies_Hz': ")
+    assert "Traceback" not in captured.err
+    # refused before the search builds a grid
+    assert peak < 2 ** 20
 
 
 def test_design_defaults_are_the_published_search_domain():

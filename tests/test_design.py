@@ -295,6 +295,8 @@ _BAD_SEARCH_FIELDS = [
     ("trap_frequencies_Hz", (1e308,)),  # finite in Hz, but 2 pi f overflows
     # axes of 1.05e9 and 4.8e11 points
     ("L_step_m", 1e-12), ("N_step", 1e-6),
+    # the heating budget's g0**2 overflowed at 1e-300 Hz, and 1e150 Hz divided by zero
+    ("trap_frequencies_Hz", (1e-300,)), ("trap_frequencies_Hz", (OMEGA_M, 1e150)),
 ]
 
 

@@ -68,10 +68,12 @@ _GOOD_CELL = dict(bipartition="AB", r_a=1.0, r_b=1.0, alpha=0.5, beta=0.5, nbar=
         ("k", -0.5, "k must be finite and non-negative"),
         ("r_a", 0.0, "r_a must be positive and finite"),
         ("bipartition", "AD", "bipartition must be one of"),
+        # 1e200 overflowed k**2 in the kernels
+        ("k", 2e100, r"k must be finite and non-negative, at most 1e\+100"),
     ],
     ids=[
         "complex-alpha", "inf-beta", "oversized-alpha", "negative-nbar", "nan-nbar", "negative-k",
-        "zero-r_a", "AD",
+        "zero-r_a", "AD", "oversized-k",
     ],
 )
 def test_witness_cells_are_refused_by_field(entry, field, value, message):

@@ -788,6 +788,98 @@ def test_expectations_are_bitwise_the_whole_ensemble_products(pinned, name):
     )
 
 
+def _wide_evolution(state, t, k, r_a, r_b):
+    """Every member of `apply_evolution(state, ...)`, each branch through the parent's n_cols columns.
+
+    The builder every state used before a state could say that each member
+    occupies one mechanical level.
+    """
+    na1, nb1, nc1 = state.shape
+    n_cols = state.n_cols
+    n = np.arange(na1)[:, None]
+    m = np.arange(nb1)[None, :]
+    delta = n - m
+    phase = np.exp(-1j * float(big_b(t, k)) * delta.astype(float) ** 2)
+    phase = phase * np.exp(-1j * t * (r_a * n + r_b * m))
+    chunk = state.vectors
+    chunk *= phase[:, :, None]
+    xi_t = complex(xi(t))
+    if k != 0.0 and xi_t != 0.0:
+        l = np.arange(nc1)
+        sign = (-1.0) ** (l[None, :] - l[:n_cols, None])
+        betas = [k * d * xi_t for d in range(1, int(np.abs(delta).max()) + 1)]
+        for d, block in enumerate(_displacement_blocks(betas, nc1, n_cols), 1):
+            for dd, block_dd in ((d, block.T), (-d, block.T * sign)):
+                mask = delta == dd
+                if mask.any():
+                    chunk[:, mask, :] = chunk[:, mask, :n_cols] @ block_dd
+    chunk *= np.exp(-1j * t * np.arange(nc1))
+    return chunk
+
+
+def _certification_evolutions(monkeypatch, check, seed):
+    """(initial state, t, k, r_a, r_b) of every evolution that check witnesses at seed."""
+    return [
+        (coherent_thermal_state(cell["alpha"], cell["beta"], cell["nbar"], config), t, cell["k"], r_a, r_b)
+        for (t, r_a, r_b, config), cell, _ in _oracle_duan_calls(monkeypatch, check, seed)
+    ]
+
+
+_CONSERVATION_CELL = (0.7, 0.4, 0.3)
+
+
+@pytest.mark.parametrize("t", [0.3, 1.7, 5.2, 11.0])
+def test_one_level_evolution_is_bitwise_the_wide_build_on_the_conservation_ensemble(t):
+    # 17 members of 11 x 8 x 292 amplitudes; the one-row branches (0, 7) and
+    # (10, 0) stay wide, and numpy's gemv rounds them differently
+    k, r_a, r_b = 0.6, 1.3, 0.8
+    state = coherent_thermal_state(*_CONSERVATION_CELL, FockConfig.for_coherent_thermal(*_CONSERVATION_CELL, k))
+    assert state.one_level and state.n_cols == len(state.weights) == 17
+    got = apply_evolution(state, t, k, r_a, r_b).vectors
+    assert got.tobytes() == _wide_evolution(state, t, k, r_a, r_b).tobytes()
+
+
+@pytest.mark.parametrize(
+    "check, calls",
+    [(certify._check_k_zero, 2), (certify._check_truncation_doubling, 2), (certify._check_cv, 4)],
+    ids=["k-zero", "truncation-doubling", "cv"],
+)
+def test_one_level_evolution_keeps_the_wide_build_where_the_witness_reads_it(monkeypatch, check, calls):
+    # at seed 1234: two k = 0 cells, the coarse (13 x 9 x 9 x 152) and the
+    # doubled (13 x 17 x 17 x 303) doubling ensemble, and four CV draws
+    evolutions = _certification_evolutions(monkeypatch, check, 1234)
+    assert len(evolutions) == calls
+    for state, t, k, r_a, r_b in evolutions:
+        got = apply_evolution(state, t, k, r_a, r_b)
+        want = _wide_evolution(state, t, k, r_a, r_b)
+        members = got.vectors
+        nc1 = state.shape[2]
+        if k == 0.0 or nc1 % 4 == 0:
+            assert members.tobytes() == want.tobytes()
+        else:
+            # OpenBLAS builds the last nc1 % 4 columns of the wide product with
+            # another kernel, whose rounding the one-column product does not
+            # share: those levels differ by rounding, the others only in the
+            # sign of some zeros
+            edge = nc1 - nc1 % 4
+            assert np.array_equal(members[..., :edge], want[..., :edge])
+            slack = 4 * np.finfo(float).eps * np.abs(want[..., edge:]) + 1e-300
+            assert (np.abs(members[..., edge:] - want[..., edge:]) <= slack).all()
+        wide = TriModeState.from_vectors(state.weights, want, state.config)
+        assert repr(moments(got)) == repr(moments(wide))
+
+
+def test_only_a_coherent_thermal_state_is_on_one_level():
+    cell, k = (0.5, 0.3, 0.2), 0.5
+    state = coherent_thermal_state(*cell, FockConfig.for_coherent_thermal(*cell, k, 1e-12))
+    evolved = apply_evolution(state, 0.9, k, 1.3, 0.8)
+    assert state.one_level
+    assert not evolved.one_level
+    assert not apply_evolution(evolved, 1.7, k, 1.3, 0.8).one_level
+    assert not TriModeState.from_vectors(state.weights, state.vectors, state.config).one_level
+    assert not qubit_state(FockConfig.for_qubit(k)).one_level
+
+
 def _chunked_members(state):
     """The bytes of a state's members, chunk after chunk, each chunk at its first member."""
     members = []
