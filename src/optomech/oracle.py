@@ -342,9 +342,9 @@ class TriModeState:
     n_max_c+1), which the caller may overwrite. n_cols is one past the
     highest mechanical level any member may occupy; an evolution's products
     take that many columns. one_level says that member w occupies mechanical
-    level w alone, so an evolution's products take that one column. A pure
-    state is an ensemble of one. Build one from explicit amplitudes with
-    `from_vectors`.
+    level w alone, so an evolution's products of more than one row take
+    that one column. A pure state is an ensemble of one. Build one from
+    explicit amplitudes with `from_vectors`.
     """
 
     weights: np.ndarray
@@ -521,11 +521,10 @@ def apply_evolution(
         for d, block in enumerate(_displacement_blocks(betas, nc1, n_cols), 1):
             # D(-beta)[m, n] = (-1)**(m - n) D(beta)[m, n], so one build covers both signs
             for dd, block_dd in ((d, block.T), (-d, block.T * sign)):
-                rows = np.count_nonzero(delta == dd)
+                mask = delta == dd
+                rows = np.count_nonzero(mask)
                 if rows:
-                    # numpy sends a one-row product to BLAS's gemv, which rounds
-                    # differently, so such a branch stays n_cols wide
-                    branches.append((delta == dd, block_dd, state.one_level and rows > 1))
+                    branches.append((mask, block_dd, state.one_level and rows > 1))
     rotation = None if interaction_picture else np.exp(-1j * t * np.arange(nc1))
     parent = state.members
 
