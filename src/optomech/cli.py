@@ -373,13 +373,35 @@ def _metadata(cfg: RunConfig, extra: dict | None = None) -> dict:
 
 def _scaled_window(values: dict) -> tuple[float, float]:
     """(window in scaled time, kappa in 1/s) from the cavity geometry fields."""
-    geom = CavityGeometry(
-        L=values["cavity_length_m"],
-        R_mirror=values["mirror_radius_m"],
-        finesse=values["finesse"],
-    )
+    try:
+        geom = CavityGeometry(
+            L=values["cavity_length_m"],
+            R_mirror=values["mirror_radius_m"],
+            finesse=values["finesse"],
+        )
+    except ValueError as exc:
+        # the finesse field is checked by its validator, so only L < 2 R_mirror fails here
+        raise _CliError(f"fields 'cavity_length_m' and 'mirror_radius_m': {exc}") from None
     kappa, tau_p = cavity_linewidth(geom)
     return values["omega_m_rad_per_s"] * tau_p, kappa
+
+
+def _check_phases(t: float, k: float, fast: float, t_field: str, k_field: str | None = None) -> None:
+    """Refuse, by field name, a largest time t at which a phase of the witness overflows.
+
+    The carrier phase fast t, fast = r_a + r_b, is refused under t_field,
+    and 2 k**2 t, formed in `duan._coupling`'s order, under t_field and,
+    where k is swept, k_field. Where both are finite, every phase of the
+    closed forms is.
+    """
+    if not math.isfinite(fast * t):
+        raise _CliError(
+            f"field {t_field!r}: the carrier phase (r_a + r_b) t overflows at t = {t!r}, "
+            f"r_a + r_b = {fast!r}"
+        )
+    if not math.isfinite(2.0 * (k ** 2 * t)):
+        fields = f"field {t_field!r}" if k_field is None else f"fields {t_field!r} and {k_field!r}"
+        raise _CliError(f"{fields}: the coupling phase 2 k**2 t overflows at t = {t!r}, k = {k!r}")
 
 
 def run_fig2(cfg: RunConfig) -> ResultTable:
@@ -405,6 +427,7 @@ def run_fig3(cfg: RunConfig) -> ResultTable:
     # k through g0 = k omega_m and back, as fig3 has always scaled it: the
     # quotient differs from k in the last bit for some k (0.8992 among them)
     cell = dict(alpha=v["alpha"], beta=v["beta"], nbar=nbar, k=(v["k"] * omega_m) / omega_m)
+    _check_phases(t_max, cell["k"], r_a + r_b, "t_max")
     grid = np.linspace(v["t_min"], t_max, v["n_points"])
     columns = {
         "t": grid,
@@ -665,8 +688,13 @@ def run_sweep(cfg: RunConfig) -> ResultTable:
         raise _CliError("field 'stop': must exceed start")
     if v["variable"] == "k" and v["stop"] > _MAX_COUPLING:
         raise _CliError(f"field 'stop': a k sweep must stop at most {_MAX_COUPLING:g}, got {v['stop']!r}")
-    if quantity.startswith("duan") and not (v["r_a"] > 0 and v["r_b"] > 0):
-        raise _CliError("fields 'r_a' and 'r_b': must be positive for Duan sweeps")
+    if quantity.startswith("duan"):
+        if not (v["r_a"] > 0 and v["r_b"] > 0):
+            raise _CliError("fields 'r_a' and 'r_b': must be positive for Duan sweeps")
+        if v["variable"] == "t":
+            _check_phases(v["stop"], v["k"], v["r_a"] + v["r_b"], "stop")
+        else:
+            _check_phases(v["t_fixed"], v["stop"], v["r_a"] + v["r_b"], "t_fixed", "stop")
     xs = np.linspace(v["start"], v["stop"], v["n_points"])
     ks = xs if v["variable"] == "k" else v["k"]
     ts = xs if v["variable"] == "t" else v["t_fixed"]

@@ -423,7 +423,9 @@ def _k_batches(k, m, rows):
     if np.ndim(k) == 0:
         return [(k, [(np.arange(lo, min(lo + rows, m)), None) for lo in range(0, m, rows)])]
     _, inverse = _distinct_rows([k])
-    order = np.lexsort((inverse, k))
+    # in order of k, and of the class of bits where k compare equal (0.0, -0.0)
+    order = np.argsort(inverse, kind="stable")
+    order = order[np.argsort(k[order], kind="stable")]
     classes = np.split(order, np.flatnonzero(np.diff(inverse[order])) + 1) if m else []
     batches, members = [], []
     for cls in classes + [None]:
@@ -565,8 +567,8 @@ def _scan(func, grid, params, m, r_a, r_b):
         blocks = starts.size
         evaluated = 2 * m
         # with k and nbar shared, the kernels of the whole grid, read a block
-        # at a time; else the kernels are built only at the points each
-        # (cell, block) pair evaluation reads
+        # at a time; else `kernels_at` builds them only at the points each
+        # evaluation reads
         whole = _kernels(time, k, nbar, func, fast) if np.ndim(k) == np.ndim(nbar) == 0 else None
         # floor rows fill one temporary, and so do the blocks of one call;
         # cells with their own k gather five rows of bounds each beside the
@@ -577,21 +579,12 @@ def _scan(func, grid, params, m, r_a, r_b):
         # at most one temporary's bytes
         pending, masks = [], max(1, 8 * _TEMP_ELEMENTS // -(-blocks // 8) // rows)
 
-        def block_values(cells, blocks):
-            """(v, first): func over the points of each (cell, block) pair, one
-            column per pair, and the grid index of each column's first row."""
-            first = blocks * _SCAN_BLOCK
-            points = np.minimum(first + np.arange(_SCAN_BLOCK)[:, None], n - 1)
-            if whole is None:
-                picked = tuple(a if a is None else a[points] for a in time)
-                kern = _kernels(picked, _rows(k, cells), _rows(nbar, cells), func, fast)
-            else:
-                kern = _gather(whole, points)
-            return values(kern, cells), first
-
-        def points_in(blocks):
-            """Grid points in the given blocks, counted with repeats."""
-            return int(np.minimum(_SCAN_BLOCK, n - blocks * _SCAN_BLOCK).sum())
+        def kernels_at(index, cells):
+            """The kernels at the grid points index selects, for cells that broadcast against them."""
+            if whole is not None:
+                return _gather(whole, index)
+            picked = tuple(a if a is None else a[index] for a in time)
+            return _kernels(picked, _rows(k, cells), _rows(nbar, cells), func, fast)
 
         def flush():
             """Evaluate the pending survivors a block at a time, across their cells."""
@@ -600,12 +593,12 @@ def _scan(func, grid, params, m, r_a, r_b):
             pending.clear()
             count = 0
             for block in np.flatnonzero(np.unpackbits(np.bitwise_or.reduce(keep, axis=0))):
-                part = _gather(whole, (slice(block * _SCAN_BLOCK, (block + 1) * _SCAN_BLOCK), None))
+                span = (slice(block * _SCAN_BLOCK, (block + 1) * _SCAN_BLOCK), None)
                 cells = members[(keep[:, block >> 3] & (128 >> (block & 7))) != 0]
                 for lo in range(0, cells.size, per_call):
                     sub = cells[lo:lo + per_call]
-                    fold(values(part, sub).reshape(part.t.size, -1), sub, block * _SCAN_BLOCK)
-                count += cells.size * part.t.size
+                    fold(values(kernels_at(span, sub), sub).reshape(-1, sub.size), sub, block * _SCAN_BLOCK)
+                count += cells.size * min(_SCAN_BLOCK, n - block * _SCAN_BLOCK)
             return count
 
         for k_rows, groups in _k_batches(k, m, rows):
@@ -629,29 +622,15 @@ def _scan(func, grid, params, m, r_a, r_b):
                 # block, evaluated one column per cell so that the inner loops
                 # run across the cells
                 lowest = np.argmin(floor, axis=1)
-                v, first = block_values(cells, lowest)
-                fold(v, cells, first)
-                evaluated += points_in(lowest)
+                first = lowest * _SCAN_BLOCK
+                points = np.minimum(first + np.arange(_SCAN_BLOCK)[:, None], n - 1)
+                fold(values(kernels_at(points, cells), cells), cells, first)
+                evaluated += int(np.minimum(_SCAN_BLOCK, n - first).sum())
                 survives = floor <= d_grid[cells, None] + _BOUND_MARGIN * (1.0 + tot)
                 survives[np.arange(cells.size), lowest] = False
-                if whole is not None:
-                    pending.append((cells, np.packbits(survives, axis=1)))
-                    if len(pending) == masks:
-                        evaluated += flush()
-                    continue
-                at, block = np.nonzero(survives)
-                for lo in range(0, at.size, per_call):
-                    pair_cells, pair_blocks = cells[at[lo:lo + per_call]], block[lo:lo + per_call]
-                    v, first = block_values(pair_cells, pair_blocks)
-                    # a cell may hold several pairs of a call; fold the one
-                    # np.argmin would pick: a NaN before any number, then the
-                    # lowest value, then the earliest point
-                    j = np.argmin(v, axis=0)
-                    d, i = v[j, np.arange(pair_cells.size)], first + j
-                    order = np.lexsort((i, d, ~np.isnan(d), pair_cells))
-                    pick = order[np.r_[True, pair_cells[order[1:]] != pair_cells[order[:-1]]]]
-                    fold(d[None, pick], pair_cells[pick], i[pick])
-                    evaluated += points_in(pair_blocks)
+                pending.append((cells, np.packbits(survives, axis=1)))
+                if len(pending) == masks:
+                    evaluated += flush()
         if pending:
             evaluated += flush()
 
@@ -767,10 +746,12 @@ def window_minima(
     - each cell's incumbent is the exact minimum of its lowest-floor block.
       A block whose floor exceeds incumbent + 1e-9 (1 + T) holds no grid
       value at or below the cell's minimum and is skipped; the others are
-      evaluated. With k and nbar shared they are read from kernels of the
-      whole grid built once and evaluated a block at a time across the
-      cells; else the k kernels are built only at the points of the
-      evaluated (cell, block) pairs, up to a temporary's worth per call.
+      marked, a bit per cell and block, and evaluated a block at a time
+      across the cells that keep it, up to a temporary's worth per call,
+      whether k is shared or each cell's own. The incumbents and the
+      survivors read their kernels from kernels of the whole grid built
+      once where k and nbar are shared; else the kernels are built only
+      at the points evaluated.
       Amplitudes of about 1e7 or more (T at least 1e14, 1 / _TRIG_ERROR),
       or couplings large enough to overflow a bound, keep every block.
 

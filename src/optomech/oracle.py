@@ -497,11 +497,11 @@ def apply_evolution(
     ar br - ai bi and ar bi + ai br, each product rounded. OpenBLAS's zgemm
     kernel rounds the same way, and the other n_cols - 1 terms of the wide
     product are exact zeros, so the members keep the wide product's bits.
-    They do not in the last nc1 % 4 columns, which OpenBLAS computes with
-    another kernel, nor in the sign of some exact zeros; a test pins the
-    ensembles that stay bitwise. A one-row branch stays n_cols wide: numpy
-    sends it to gemv, which rounds differently. An elementwise product
-    would keep no bits, as numpy's complex multiply rounds differently too.
+    They differ by rounding in the last nc1 % 4 columns, which OpenBLAS
+    computes with another kernel, and in branches of one row, and elsewhere
+    in the sign of some exact zeros; a test pins where the members stay
+    bitwise. An elementwise product would keep no bits, as numpy's complex
+    multiply rounds differently too.
     """
     na1, nb1, nc1 = state.shape
     n_cols = state.n_cols
@@ -522,9 +522,8 @@ def apply_evolution(
             # D(-beta)[m, n] = (-1)**(m - n) D(beta)[m, n], so one build covers both signs
             for dd, block_dd in ((d, block.T), (-d, block.T * sign)):
                 mask = delta == dd
-                rows = np.count_nonzero(mask)
-                if rows:
-                    branches.append((mask, block_dd, state.one_level and rows > 1))
+                if mask.any():
+                    branches.append((mask, block_dd))
     rotation = None if interaction_picture else np.exp(-1j * t * np.arange(nc1))
     parent = state.members
 
@@ -534,8 +533,8 @@ def apply_evolution(
         w = np.arange(count)
         # (count, na1, nb1): member first + w's amplitudes at its level first + w
         at_level = chunk[w, :, :, first + w] if state.one_level else None
-        for mask, block, one_column in branches:
-            if one_column:
+        for mask, block in branches:
+            if state.one_level:
                 chunk[:, mask, :] = at_level[:, mask, None] @ block[first:first + count, None, :]
             else:
                 chunk[:, mask, :] = chunk[:, mask, :n_cols] @ block

@@ -634,6 +634,61 @@ def test_cli_accepts_the_largest_coupling(command, tmp_path):
     assert rows and all(math.isfinite(float(value)) for row in rows for value in row.split(","))
 
 
+@pytest.mark.parametrize(
+    "command, override",
+    [("fig3", "cavity_length_m=1"), ("fig4a", "mirror_radius_m=1e-9"), ("fig4b", "mirror_radius_m=1e-9")],
+)
+def test_cli_refuses_a_cavity_without_a_real_waist_by_field(capsys, command, override):
+    # the geometry's refusal named L and R_mirror, which no command has a field for
+    assert main([command, "--set", override]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: fields 'cavity_length_m' and 'mirror_radius_m': need 0 < L < 2 R_mirror for a real waist"
+    )
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, overrides, fields",
+    [
+        # each wrote inf and NaN values and exited 0
+        ("fig3", ["t_max=1e300"], "field 't_max'"),
+        ("fig3", ["t_max=5.371e298"], "field 't_max'"),
+        ("fig3", ["k=1e50", "t_max=1e209"], "field 't_max'"),
+        ("sweep", ["quantity=duan_ac", "r_a=1e10", "stop=1e300"], "field 'stop'"),
+        ("sweep", ["quantity=duan_ac", "k=1e100", "stop=1e110"], "field 'stop'"),
+        ("sweep", ["quantity=duan_ab", "variable=k", "t_fixed=1e308"], "field 't_fixed'"),
+        ("sweep", ["quantity=duan_bc", "variable=k", "stop=1e100", "t_fixed=1e200"], "fields 't_fixed' and 'stop'"),
+    ],
+)
+def test_cli_refuses_an_overflowing_phase_by_field(capsys, command, overrides, fields):
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, *(arg for item in overrides for arg in ("--set", item))]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {fields}: the ")
+    assert " overflows at t = " in captured.err
+    assert captured.err.count("\n") == 1
+    # refused before the grid is built
+    assert peak < 2 ** 20
+
+
+def test_cli_fig3_keeps_the_largest_time_whose_phases_are_finite(tmp_path):
+    # the carrier phase (r_a + r_b) t at fig3's defaults overflows between
+    # 5.365e298 and 5.371e298; the other side is pinned with the refusals
+    code, out = _run_cli(["fig3", "--set", "t_max=5.365e298", "--set", "n_points=50"], tmp_path, "t.csv")
+    assert code == 0
+    rows = [line for line in out.read_text().splitlines() if not line.startswith("#")][1:]
+    assert rows and all(math.isfinite(float(value)) for row in rows for value in row.split(","))
+
+
 @pytest.mark.parametrize("frequencies", ["[1e-300]", "[40000.0, 1e300]"])
 def test_cli_design_refuses_a_trap_frequency_by_field(capsys, frequencies):
     # 1e-300 Hz overflowed the heating budget's g0**2 after the whole search

@@ -830,13 +830,23 @@ _CONSERVATION_CELL = (0.7, 0.4, 0.3)
 
 @pytest.mark.parametrize("t", [0.3, 1.7, 5.2, 11.0])
 def test_one_level_evolution_is_bitwise_the_wide_build_on_the_conservation_ensemble(t):
-    # 17 members of 11 x 8 x 292 amplitudes; the one-row branches (0, 7) and
-    # (10, 0) stay wide, and numpy's gemv rounds them differently
+    # 17 members of 11 x 8 x 292 amplitudes; the wide build rounds the
+    # one-row branches (0, 7) and (10, 0) differently, so there the two
+    # agree to rounding, and everywhere else bit for bit
     k, r_a, r_b = 0.6, 1.3, 0.8
     state = coherent_thermal_state(*_CONSERVATION_CELL, FockConfig.for_coherent_thermal(*_CONSERVATION_CELL, k))
     assert state.one_level and state.n_cols == len(state.weights) == 17
-    got = apply_evolution(state, t, k, r_a, r_b).vectors
-    assert got.tobytes() == _wide_evolution(state, t, k, r_a, r_b).tobytes()
+    got = apply_evolution(state, t, k, r_a, r_b)
+    members, want = got.vectors, _wide_evolution(state, t, k, r_a, r_b)
+    na1, nb1, _ = state.shape
+    delta = np.subtract.outer(np.arange(na1), np.arange(nb1))
+    one_row = np.isin(delta, [d for d in np.unique(delta) if np.count_nonzero(delta == d) == 1])
+    assert np.array_equal(np.argwhere(one_row), [[0, nb1 - 1], [na1 - 1, 0]])
+    assert members[:, ~one_row].tobytes() == want[:, ~one_row].tobytes()
+    slack = 4 * np.finfo(float).eps * np.abs(want[:, one_row]) + 1e-300
+    assert (np.abs(members[:, one_row] - want[:, one_row]) <= slack).all()
+    wide = TriModeState.from_vectors(state.weights, want, state.config)
+    assert repr(moments(got)) == repr(moments(wide))
 
 
 @pytest.mark.parametrize(
