@@ -52,6 +52,8 @@ EXTRA = [
     ("refuse-sweep-duan-ac-k-stop", "sweep", ("quantity=duan_ac", "k=1e100", "stop=1e110")),
     ("refuse-fig3-alpha", "fig3", ("alpha=1e101",)),
     ("refuse-fig4a-k-max", "fig4a", ("k_max=1e101",)),
+    ("refuse-fig4b-k-window", "fig4b", ("k=1e100", "window_scaled=1e300", "alpha_step=0.5", "beta_step=0.5")),
+    ("refuse-fig4a-k-max-window", "fig4a", ("k_max=1e100", "k_step=1e99", "window_scaled=1e300")),
 ]
 
 

@@ -37,7 +37,7 @@ from .design import (
     proposed_atom_spec,
     proposed_geometry,
 )
-from .duan import _MAX_AMPLITUDE, _MAX_COUPLING, duan_values, regime_report, window_minima
+from .duan import _MAX_AMPLITUDE, _MAX_COUPLING, _scan_grid, duan_values, regime_report, window_minima
 from .qubit import concurrence, reduced_rho_ab, von_neumann_entropy
 
 __all__ = ["main", "RunConfig", "ResultTable"]
@@ -386,21 +386,31 @@ def _scaled_window(values: dict) -> tuple[float, float]:
     return values["omega_m_rad_per_s"] * tau_p, kappa
 
 
-def _check_phases(t: float, k: float, fast: float, t_field: str, k_field: str | None = None) -> None:
+def _fields(names: tuple[str, ...]) -> str:
+    """"field 'a'" for one name, "fields 'a', 'b' and 'c'" for more."""
+    quoted = [repr(name) for name in names]
+    if len(quoted) == 1:
+        return f"field {quoted[0]}"
+    return f"fields {', '.join(quoted[:-1])} and {quoted[-1]}"
+
+
+def _check_phases(
+    t: float, k: float, fast: float | None, t_fields: tuple[str, ...], k_field: str | None = None
+) -> None:
     """Refuse, by field name, a largest time t at which a phase of the witness overflows.
 
-    The carrier phase fast t, fast = r_a + r_b, is refused under t_field,
-    and 2 k**2 t, formed in `duan._coupling`'s order, under t_field and,
-    where k is swept, k_field. Where both are finite, every phase of the
-    closed forms is.
+    The carrier phase fast t, fast = r_a + r_b, is refused under t_fields
+    (unless fast is None: the witness never forms it), and 2 k**2 t, formed
+    in `duan._coupling`'s order, under t_fields and, where k is swept,
+    k_field. Where both are finite, every phase of the closed forms is.
     """
-    if not math.isfinite(fast * t):
+    if fast is not None and not math.isfinite(fast * t):
         raise _CliError(
-            f"field {t_field!r}: the carrier phase (r_a + r_b) t overflows at t = {t!r}, "
+            f"{_fields(t_fields)}: the carrier phase (r_a + r_b) t overflows at t = {t!r}, "
             f"r_a + r_b = {fast!r}"
         )
     if not math.isfinite(2.0 * (k ** 2 * t)):
-        fields = f"field {t_field!r}" if k_field is None else f"fields {t_field!r} and {k_field!r}"
+        fields = _fields(t_fields + (() if k_field is None else (k_field,)))
         raise _CliError(f"{fields}: the coupling phase 2 k**2 t overflows at t = {t!r}, k = {k!r}")
 
 
@@ -427,7 +437,7 @@ def run_fig3(cfg: RunConfig) -> ResultTable:
     # k through g0 = k omega_m and back, as fig3 has always scaled it: the
     # quotient differs from k in the last bit for some k (0.8992 among them)
     cell = dict(alpha=v["alpha"], beta=v["beta"], nbar=nbar, k=(v["k"] * omega_m) / omega_m)
-    _check_phases(t_max, cell["k"], r_a + r_b, "t_max")
+    _check_phases(t_max, cell["k"], r_a + r_b, ("t_max",))
     grid = np.linspace(v["t_min"], t_max, v["n_points"])
     columns = {
         "t": grid,
@@ -498,6 +508,22 @@ def _witness_window(values: dict) -> tuple[float, float, float, float]:
     return window, kappa, *_carrier_ratios(values)
 
 
+def _check_window_phases(values: dict, window: float, fast: float, k: float, k_field: str) -> None:
+    """`_check_phases` on a witness-minimum window at its largest k.
+
+    The window is named by window_scaled, or where it defaults by the
+    fields of omega_m times the photon lifetime. An envelope scan never
+    forms the carrier phase (r_a + r_b) t, so that phase is checked only
+    where the window selects direct mode.
+    """
+    if values["window_scaled"] is not None:
+        t_fields = ("window_scaled",)
+    else:
+        t_fields = ("omega_m_rad_per_s", "cavity_length_m", "finesse")
+    direct = _scan_grid(window, fast)[1] == "direct"
+    _check_phases(window, k, fast if direct else None, t_fields, k_field)
+
+
 #: most points one fig4a or fig4b axis may hold, ten times fig4b's default
 #: 101; the largest fig4b grid is then 1001 x 1001 cells
 _MAX_AXIS_POINTS = 1001
@@ -542,6 +568,7 @@ def run_fig4a(cfg: RunConfig) -> ResultTable:
     window, _, r_a, r_b = _witness_window(v)
     omega_m = v["omega_m_rad_per_s"]
     ks = _axis(v, "k")
+    _check_window_phases(v, window, r_a + r_b, float(ks[-1]), "k_max")
     temps = v["temperatures_K"]
     nbars = [_thermal_occupation(T, omega_m, "temperatures_K") for T in temps]
     k_cells, t_cells = np.repeat(ks, len(temps)), np.tile(temps, ks.size)
@@ -560,6 +587,7 @@ def run_fig4b(cfg: RunConfig) -> ResultTable:
         if not v[hi] > v[lo]:
             raise _CliError(f"field {hi!r}: must exceed {lo}")
     window, kappa, r_a, r_b = _witness_window(v)
+    _check_window_phases(v, window, r_a + r_b, v["k"], "k")
     omega_m = v["omega_m_rad_per_s"]
     nbar = _thermal_occupation(v["temperature_K"], omega_m, "temperature_K")
     alphas, betas = _axis(v, "alpha"), _axis(v, "beta")
@@ -692,9 +720,9 @@ def run_sweep(cfg: RunConfig) -> ResultTable:
         if not (v["r_a"] > 0 and v["r_b"] > 0):
             raise _CliError("fields 'r_a' and 'r_b': must be positive for Duan sweeps")
         if v["variable"] == "t":
-            _check_phases(v["stop"], v["k"], v["r_a"] + v["r_b"], "stop")
+            _check_phases(v["stop"], v["k"], v["r_a"] + v["r_b"], ("stop",))
         else:
-            _check_phases(v["t_fixed"], v["stop"], v["r_a"] + v["r_b"], "t_fixed", "stop")
+            _check_phases(v["t_fixed"], v["stop"], v["r_a"] + v["r_b"], ("t_fixed",), "stop")
     xs = np.linspace(v["start"], v["stop"], v["n_points"])
     ks = xs if v["variable"] == "k" else v["k"]
     ts = xs if v["variable"] == "t" else v["t_fixed"]

@@ -317,6 +317,9 @@ class WindowMinima:
 _TEMP_ELEMENTS = 2 ** 13
 #: consecutive grid points per block of a bounded scan
 _SCAN_BLOCK = 32
+#: consecutive grid points per sub-block, the second level of a bounded scan
+#: whose k and nbar every cell shares
+_SUB_BLOCK = 8
 #: slack of the bounded scan's pruning test, relative to 1 + alpha**2 + beta**2
 _BOUND_MARGIN = 1e-9
 #: absolute error allowed to each computed cos 2B and sin 2B in the block
@@ -534,10 +537,13 @@ def _scan(func, grid, params, m, r_a, r_b):
         # not kept
         t, unit_b, _, eta_sq = _time_kernels(grid.points(np.arange(n)))
         time = (t, unit_b, None, eta_sq)
-        starts = np.arange(0, n, _SCAN_BLOCK)
-        u_lo, u_hi, e_lo, e_hi = (
-            op.reduceat(a, starts) for a in (unit_b, eta_sq) for op in (np.minimum, np.maximum)
-        )
+
+        def extremes(stride):
+            """(min, max) of B(t, 1), then of |eta|**2, over blocks of stride points."""
+            starts = np.arange(0, n, stride)
+            return [op.reduceat(a, starts) for a in (unit_b, eta_sq) for op in (np.minimum, np.maximum)]
+
+        u_lo, u_hi, e_lo, e_hi = extremes(_SCAN_BLOCK)
         # 2B and the thermal exponent are products of non-negative factors,
         # which round monotonically, so the largest k and nbar bound them all
         k_sq = np.max(k) ** 2
@@ -564,12 +570,30 @@ def _scan(func, grid, params, m, r_a, r_b):
     else:
         total = np.broadcast_to(total, (m,))
         cross = np.broadcast_to(2.0 * np.abs(alpha * beta), (m,))
-        blocks = starts.size
+        blocks = u_lo.size
         evaluated = 2 * m
+
+        def bounds_of(k_rows, u_lo, u_hi, e_lo, e_hi):
+            """Per distinct k and block, the bounds of cos 2B and |sin 2B| and
+            the extremes of the thermal exponent (k**2 |eta|**2) (2 nbar + 1),
+            in `_coupling`'s and `_couple`'s order: every factor is
+            non-negative; a per-cell nbar's factor is left to the caller."""
+            k_sq = k_rows ** 2
+            thermal = (k_sq * e_lo, k_sq * e_hi)
+            if np.ndim(nbar) == 0:
+                thermal = tuple(th * (2.0 * nbar + 1.0) for th in thermal)
+            return (*_trig_bounds(2.0 * (k_sq * u_lo), 2.0 * (k_sq * u_hi)), *thermal)
+
         # with k and nbar shared, the kernels of the whole grid, read a block
-        # at a time; else `kernels_at` builds them only at the points each
-        # evaluation reads
-        whole = _kernels(time, k, nbar, func, fast) if np.ndim(k) == np.ndim(nbar) == 0 else None
+        # at a time, and the bounds of its sub-blocks; else `kernels_at`
+        # builds the kernels only at the points each evaluation reads
+        whole = sub_bounds = None
+        if np.ndim(k) == np.ndim(nbar) == 0:
+            whole = _kernels(time, k, nbar, func, fast)
+            sub_bounds = bounds_of(k, *extremes(_SUB_BLOCK))
+        # sub-floor rows of one block fill one temporary
+        per_block = _SCAN_BLOCK // _SUB_BLOCK
+        sub_rows = _TEMP_ELEMENTS // per_block
         # floor rows fill one temporary, and so do the blocks of one call;
         # cells with their own k gather five rows of bounds each beside the
         # floor's own temporaries, so they take a quarter as many rows
@@ -586,6 +610,17 @@ def _scan(func, grid, params, m, r_a, r_b):
             picked = tuple(a if a is None else a[index] for a in time)
             return _kernels(picked, _rows(k, cells), _rows(nbar, cells), func, fast)
 
+        def sub_survivors(cells, block):
+            """The cells of which a sub-block of block may hold a value at or below the running minimum."""
+            # the last block's missing sub-blocks are not there to keep a cell
+            parts = [b[block * per_block:(block + 1) * per_block] for b in sub_bounds]
+            kept = []
+            for lo in range(0, cells.size, sub_rows):
+                c = cells[lo:lo + sub_rows, None]
+                floor = _block_floor(total[c], cross[c], parts)
+                kept.append(c[np.any(floor <= d_grid[c] + _BOUND_MARGIN * (1.0 + total[c]), axis=1), 0])
+            return np.concatenate(kept)
+
         def flush():
             """Evaluate the pending survivors a block at a time, across their cells."""
             members = np.concatenate([cells for cells, _ in pending])
@@ -595,6 +630,8 @@ def _scan(func, grid, params, m, r_a, r_b):
             for block in np.flatnonzero(np.unpackbits(np.bitwise_or.reduce(keep, axis=0))):
                 span = (slice(block * _SCAN_BLOCK, (block + 1) * _SCAN_BLOCK), None)
                 cells = members[(keep[:, block >> 3] & (128 >> (block & 7))) != 0]
+                if sub_bounds is not None:
+                    cells = sub_survivors(cells, block)
                 for lo in range(0, cells.size, per_call):
                     sub = cells[lo:lo + per_call]
                     fold(values(kernels_at(span, sub), sub).reshape(-1, sub.size), sub, block * _SCAN_BLOCK)
@@ -602,15 +639,8 @@ def _scan(func, grid, params, m, r_a, r_b):
             return count
 
         for k_rows, groups in _k_batches(k, m, rows):
-            # per distinct k and block, the bounds of cos 2B and |sin 2B| and
-            # the extremes of the thermal exponent (k**2 |eta|**2) (2 nbar + 1),
-            # in `_coupling`'s and `_couple`'s order: every factor is
-            # non-negative; a per-cell nbar's factor is applied per group
-            k_sq = k_rows ** 2
-            thermal = (k_sq * e_lo, k_sq * e_hi)
-            if np.ndim(nbar) == 0:
-                thermal = tuple(th * (2.0 * nbar + 1.0) for th in thermal)
-            per_k = (*_trig_bounds(2.0 * (k_sq * u_lo), 2.0 * (k_sq * u_hi)), *thermal)
+            # a per-cell nbar's factor is applied per group
+            per_k = bounds_of(k_rows, u_lo, u_hi, e_lo, e_hi)
             for cells, local in groups:
                 bounds = per_k if local is None else [b[local] for b in per_k]
                 if np.ndim(nbar):
@@ -753,13 +783,26 @@ def window_minima(
       once where k and nbar are shared; else the kernels are built only
       at the points evaluated.
       Amplitudes of about 1e7 or more (T at least 1e14, 1 / _TRIG_ERROR),
-      or couplings large enough to overflow a bound, keep every block.
+      or couplings large enough to overflow a bound, keep every block;
+    - where k and nbar are shared, the bounds of 8-point sub-blocks are
+      built once too, by the same steps. Just before a marked block is
+      evaluated, each of its cells takes the floors of the block's
+      sub-blocks (the last block's missing ones take no part), a
+      temporary's worth at a time, and drops the block where all of them
+      exceed the cell's running minimum + 1e-9 (1 + T). A sub-floor is
+      `_ab_lower`'s own operations on sub-block extremes, so the argument
+      above carries over unchanged, and the running minimum is a computed
+      grid value, never below the final one. A cell with its own k keeps
+      one level: its sub-bounds would take `_trig_bounds` once per group
+      of cells rather than once.
 
     So t_star, d_star and refined are bitwise those of a scan of every grid
-    value. At the defaults the scan computes about 14% of fig4b's grid and
+    value. At the defaults the scan computes about 6.4% of fig4b's grid and
     4% of fig4a's. `evaluated_points` counts the grid values of D computed:
     cells times grid points without a floor; the incumbent blocks,
-    surviving blocks and two neighbours per cell with one.
+    surviving blocks and two neighbours per cell with one. With two levels
+    the count depends on the order in which the running minima fall; it
+    is the same on every run.
     """
     _check_cell(bipartition, r_a, r_b, alpha, beta, nbar, k)
     if not 0 < window < math.inf:

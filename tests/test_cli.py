@@ -660,6 +660,20 @@ def test_cli_refuses_a_cavity_without_a_real_waist_by_field(capsys, command, ove
         ("sweep", ["quantity=duan_ac", "k=1e100", "stop=1e110"], "field 'stop'"),
         ("sweep", ["quantity=duan_ab", "variable=k", "t_fixed=1e308"], "field 't_fixed'"),
         ("sweep", ["quantity=duan_bc", "variable=k", "stop=1e100", "t_fixed=1e200"], "fields 't_fixed' and 'stop'"),
+        # each wrote NaN minima and exited 0; the window is named, or the
+        # fields it follows from where it defaults, with the largest k
+        (
+            "fig4b",
+            ["k=1e100", "window_scaled=1e300", "alpha_step=0.5", "beta_step=0.5"],
+            "fields 'window_scaled' and 'k'",
+        ),
+        ("fig4b", ["k=1e100", "window_scaled=9e107"], "fields 'window_scaled' and 'k'"),
+        (
+            "fig4b",
+            ["k=1e100", "finesse=1e200"],
+            "fields 'omega_m_rad_per_s', 'cavity_length_m', 'finesse' and 'k'",
+        ),
+        ("fig4a", ["k_max=1e100", "k_step=1e99", "window_scaled=1e300"], "fields 'window_scaled' and 'k_max'"),
     ],
 )
 def test_cli_refuses_an_overflowing_phase_by_field(capsys, command, overrides, fields):
@@ -678,6 +692,25 @@ def test_cli_refuses_an_overflowing_phase_by_field(capsys, command, overrides, f
     assert captured.err.count("\n") == 1
     # refused before the grid is built
     assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("fig4b", ["k=1e100", "window_scaled=8.9e107", "alpha_step=0.5", "beta_step=0.5"]),
+        ("fig4a", ["k_max=1e100", "k_step=1e99", "window_scaled=8.9e107"]),
+    ],
+)
+def test_cli_fig4_keeps_the_largest_window_whose_coupling_phase_is_finite(command, overrides, tmp_path):
+    # at k = 1e100 the coupling phase 2 k**2 t overflows between window
+    # 8.9e107 and 9e107; the other side is pinned with the refusals
+    argv = [command, *(arg for item in overrides for arg in ("--set", item))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = _run_cli(argv, tmp_path, "w.csv")
+    assert code == 0
+    rows = [line for line in out.read_text().splitlines() if not line.startswith("#")][1:]
+    assert rows and all(math.isfinite(float(value)) for row in rows for value in row.split(","))
 
 
 def test_cli_fig3_keeps_the_largest_time_whose_phases_are_finite(tmp_path):

@@ -514,27 +514,28 @@ def _per_cell_kernels(time, k, nbar, fast):
     )
 
 
-def _block_extremes(values):
-    """(min, max) of values over each 32-point block of its last axis."""
-    starts = np.arange(0, np.shape(values)[-1], duan_module._SCAN_BLOCK)
+def _block_extremes(values, size=duan_module._SCAN_BLOCK):
+    """(min, max) of values over each block of size points of its last axis."""
+    starts = np.arange(0, np.shape(values)[-1], size)
     return np.minimum.reduceat(values, starts, axis=-1), np.maximum.reduceat(values, starts, axis=-1)
 
 
-def _block_bounds(time, kern):
+def _block_bounds(time, kern, size=duan_module._SCAN_BLOCK):
     """The bounded scan's (min cos 2B, max cos 2B, max |sin 2B|, min theta, max theta) per block.
 
     kern holds the kernels of the whole grid time at one k per row, or at
-    one shared k. cos and sin are bounded by `duan._trig_bounds` on the
-    block extremes of 2B, the thermal exponent theta by its exact block
-    extremes. None where an argument of cos or a bound is not finite.
+    one shared k; the blocks hold size points. cos and sin are bounded by
+    `duan._trig_bounds` on the block extremes of 2B, the thermal exponent
+    theta by its exact block extremes. None where an argument of cos or a
+    bound is not finite.
     """
-    u_lo, u_hi = _block_extremes(time[1])
+    u_lo, u_hi = _block_extremes(time[1], size)
     k_sq = np.asarray(kern.k) ** 2
     lo, hi = 2.0 * (k_sq * u_lo), 2.0 * (k_sq * u_hi)
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         return None
     thermal = np.broadcast_to(kern.thermal, np.broadcast_shapes(kern.cos_twob.shape, np.shape(kern.thermal)))
-    bounds = (*duan_module._trig_bounds(lo, hi), *_block_extremes(thermal))
+    bounds = (*duan_module._trig_bounds(lo, hi), *_block_extremes(thermal, size))
     return bounds if all(np.all(np.isfinite(b)) for b in bounds) else None
 
 
@@ -546,20 +547,31 @@ def _reference_scan(func, grid, params, m, r_a, r_b):
     each row's argmin and the strict-interior test against its two grid
     neighbours. Takes what `_scan` takes and returns what a full scan
     returns, then two more entries for an envelope D_AB whose amplitudes
-    stay below about 1e7 and whose bounds are all finite (else None): the
-    grid values a bounded scan evaluates (each cell's lowest-floor block,
-    the blocks whose floor is within the margin of that block's minimum,
-    and two neighbours), and the largest excess of `_block_floor` over the
-    minimum of the grid values it bounds.
+    stay below about 1e7 and whose bounds are all finite (else None):
+
+    - the (lower, upper) bounds of the grid values a bounded scan
+      evaluates. Both count each cell's lowest-floor block and two
+      neighbours. upper adds the blocks whose floor is within the margin of
+      that block's minimum. Where k and nbar are shared, the scan drops a
+      block whose 8-point sub-floors all exceed the cell's running minimum
+      plus the margin, and that minimum falls in an order of blocks that
+      this reference does not follow: lower adds only the blocks holding a
+      sub-floor within the margin of the cell's final minimum. With k or
+      nbar per cell, lower is upper;
+    - the largest excess of `_block_floor`, on the 32-point blocks and on
+      the 8-point sub-blocks, over the minimum of the grid values it bounds.
     """
     alpha, beta, nbar, k = params
     n = grid.size
     time = duan_module._time_kernels(np.linspace(0.0, grid.t_max, n))
     best, d_grid, strict = np.empty(m, dtype=np.intp), np.empty(m), np.empty(m, dtype=bool)
     sizes = np.diff(np.append(np.arange(0, n, duan_module._SCAN_BLOCK), n))
+    per_block = duan_module._SCAN_BLOCK // duan_module._SUB_BLOCK
     total = np.broadcast_to(np.asarray(alpha) ** 2 + np.asarray(beta) ** 2, (m,))
     bounded = func is duan_module._ab_lower and np.all(duan_module._TRIG_ERROR * total < 1.0)
-    counted, excess = 2 * m, -np.inf
+    shared = np.ndim(k) == np.ndim(nbar) == 0
+    lower = upper = 2 * m
+    excess = -np.inf
     rows = max(1, 2 ** 16 // n)
     for start in range(0, m, rows):
         block = slice(start, min(start + rows, m))
@@ -579,22 +591,32 @@ def _reference_scan(func, grid, params, m, r_a, r_b):
             & (d < values[at, np.minimum(i + 1, n - 1)])
         )
         best[block], d_grid[block] = i, d
-        bounds = _block_bounds(time, kern) if bounded else None
-        if bounds is None:
+        bounds = [_block_bounds(time, kern, s) if bounded else None for s in (duan_module._SCAN_BLOCK, duan_module._SUB_BLOCK)]
+        if bounds[0] is None or bounds[1] is None:
             bounded = False
             continue
         a, b = (np.broadcast_to(p, (m,))[block, None] for p in (alpha, beta))
         tot = a ** 2 + b ** 2
-        floor = duan_module._block_floor(tot, 2.0 * np.abs(a * b), bounds)
+        margin = duan_module._BOUND_MARGIN * (1.0 + tot)
+        floor, sub_floor = (duan_module._block_floor(tot, 2.0 * np.abs(a * b), bound) for bound in bounds)
         minima = _block_extremes(values)[0]
-        excess = max(excess, float(np.max(floor - minima)))
+        excess = max(
+            excess,
+            float(np.max(floor - minima)),
+            float(np.max(sub_floor - _block_extremes(values, duan_module._SUB_BLOCK)[0])),
+        )
         lowest = np.argmin(floor, axis=1)
-        survives = floor <= minima[at, lowest][:, None] + duan_module._BOUND_MARGIN * (1.0 + tot)
+        survives = floor <= minima[at, lowest][:, None] + margin
         survives[at, lowest] = True
-        counted += int((survives * sizes).sum())
+        upper += int((survives * sizes).sum())
+        if shared:
+            reach = sub_floor <= d[:, None] + margin
+            survives = np.logical_or.reduceat(reach, np.arange(0, reach.shape[1], per_block), axis=1)
+            survives[at, lowest] = True
+        lower += int((survives * sizes).sum())
     if not bounded:
         return best, d_grid, strict, m * n, None, None
-    return best, d_grid, strict, m * n, counted, excess
+    return best, d_grid, strict, m * n, (lower, upper), excess
 
 
 def _same_bits(got, want):
@@ -606,13 +628,17 @@ def _scan_against_reference(monkeypatch, bipartition, window, r_a, r_b, **cells)
     """window_minima, and window_minima on the whole-grid reference scan of the same cells.
 
     Returns both results and both scans: `_scan`'s (best, d_grid, strict,
-    evaluated) per distinct cell, and `_reference_scan`'s.
+    evaluated) per distinct cell, and `_reference_scan`'s. The scan runs
+    twice, and its reruns agree to the bit and the count.
     """
     real = duan_module._scan
     scans = {}
 
     def spy(*args):
         scans["scan"] = real(*args)
+        rerun = real(*args)
+        assert all(_same_bits(got, want) for got, want in zip(rerun[:3], scans["scan"][:3]))
+        assert rerun[3] == scans["scan"][3]
         scans["reference"] = _reference_scan(*args)
         return scans["scan"]
 
@@ -630,10 +656,15 @@ def _assert_scan_is_exact(res, ref, scan, ref_scan):
         assert _same_bits(getattr(res, field), getattr(ref, field)), field
     assert ref.evaluated_points == ref_scan[3]
     bounded = ref_scan[4] is not None
-    assert res.evaluated_points == scan[3] == (ref_scan[4] if bounded else ref_scan[3])
+    assert res.evaluated_points == scan[3]
     if bounded:
-        # the block floors bound every computed grid value, with no slack used
+        lower, upper = ref_scan[4]
+        assert lower <= scan[3] <= upper
+        # the block and sub-block floors bound every computed grid value,
+        # with no slack used
         assert ref_scan[5] <= 0.0
+    else:
+        assert scan[3] == ref_scan[3]
     return bounded
 
 
@@ -679,23 +710,44 @@ def test_bounded_scan_is_bitwise_the_full_scan_on_fig4b(monkeypatch, temperature
     res, ref, scan = _bounded_against_reference(monkeypatch, window, r_a, r_b, **cells)
     assert res.scanned_cells == 5151
     assert ref.evaluated_points == 5151 * 4001
-    assert res.evaluated_points <= 0.2 * 5151 * 4001
+    assert res.evaluated_points <= 0.08 * 5151 * 4001
     assert res.refined.any() and scan[2].any()
 
 
 def test_bounded_scan_across_slabs_and_groups(monkeypatch):
     # a budget of 2**10 cuts fig4b's 5,151 cells into 11 groups of survivor
-    # masks (10 of 512 cells, one of 31), their floors into chunks of 8 cells
+    # masks (10 of 512 cells, one of 31), their floors into chunks of 8
+    # cells, the sub-floors of a surviving block into chunks of 256 cells
     # and their block folds into 32 cells each
     monkeypatch.setattr(duan_module, "_TEMP_ELEMENTS", 2 ** 10)
     floors = []
     real = duan_module._block_floor
-    monkeypatch.setattr(duan_module, "_block_floor", lambda *args: floors.append(args[0].size) or real(*args))
+
+    def spy(*args):
+        floor = real(*args)
+        floors.append((args[0].size, np.size(args[2][0]), floor.size))
+        return floor
+
+    monkeypatch.setattr(duan_module, "_block_floor", spy)
     window, r_a, r_b, cells = _fig4b_cells(_FIG4B_TEMPERATURES[0])
     res, _, _ = _bounded_against_reference(monkeypatch, window, r_a, r_b, **cells)
     assert res.scanned_cells == 5151
-    # the scan's floor chunks, then the reference's rows of 16 cells
-    assert floors == [8] * (10 * 64 + 3) + [7] + [16] * 321 + [15]
+    # the scan's calls twice, then the reference's rows of 16 cells, each on
+    # the 126 blocks and the 501 sub-blocks of the grid
+    ref = floors[-2 * 322:]
+    assert ref == [(16, blocks, 16 * blocks) for _ in range(321) for blocks in (126, 501)] + [
+        (15, 126, 15 * 126), (15, 501, 15 * 501)
+    ]
+    scan = floors[:-2 * 322]
+    assert scan[:len(scan) // 2] == scan[len(scan) // 2:]
+    scan = scan[:len(scan) // 2]
+    assert [c for c, blocks, _ in scan if blocks == 126] == [8] * (10 * 64 + 3) + [7]
+    # the sub-floors of one surviving block: its four sub-blocks, or the one
+    # of the last block, which holds 1 point, for at most 256 cells at once
+    sub = [(c, blocks, size) for c, blocks, size in scan if blocks != 126]
+    assert {blocks for _, blocks, _ in sub} == {1, 4}
+    assert all(size == c * blocks <= duan_module._TEMP_ELEMENTS for c, blocks, size in sub)
+    assert max(c for c, _, _ in sub) == duan_module._TEMP_ELEMENTS // 4
 
 
 @pytest.mark.parametrize(
@@ -989,6 +1041,19 @@ def _tie_among_survivors():
     return cos, theta, [5, 5], [True, True]
 
 
+def _tie_across_sub_blocks():
+    # points 3 and 13 share the minimum, in sub-blocks 0 and 1 of block 0,
+    # while block 2's wide ranges give it the lowest floor; the first is
+    # the answer, and with k shared block 1 falls to its sub-floors once
+    # block 0's minimum is known
+    cos, theta = np.full(96, 0.2), np.full(96, 0.3)
+    cos[[3, 13]], theta[[3, 13]] = 0.9, 0.1
+    cos[64:], theta[64:] = 0.5, 2.0
+    cos[66], theta[66] = 1.0, 5.0
+    cos[67], theta[67] = 0.0, 0.0
+    return cos, theta, [3, 3], [True, True]
+
+
 def _plateau():
     # points 40 and 41 share the minimum: 40 is the answer, and not a strict one
     cos, theta = np.full(96, 0.2), np.full(96, 0.3)
@@ -997,7 +1062,9 @@ def _plateau():
 
 
 @pytest.mark.parametrize(
-    "layout", [_tie_across_blocks, _plateau, _tie_among_survivors], ids=lambda f: f.__name__[1:]
+    "layout",
+    [_tie_across_blocks, _plateau, _tie_among_survivors, _tie_across_sub_blocks],
+    ids=lambda f: f.__name__[1:],
 )
 def test_bounded_scan_on_equal_grid_values(monkeypatch, layout):
     # with beta = 0, D_AB = 1 + alpha**2 (1 - env) falls as env rises, so
@@ -1018,7 +1085,49 @@ def test_bounded_scan_on_equal_grid_values(monkeypatch, layout):
         assert list(ref[0]) == best and list(ref[2]) == strict
         for got, want in zip(scan[:3], ref[:3]):
             assert _same_bits(got, want)
-        assert scan[3] == ref[4]
+        lower, upper = ref[4]
+        assert lower <= scan[3] <= upper
+        if np.ndim(k):
+            # the second level runs only where k and nbar are shared
+            assert scan[3] == lower == upper
+        elif layout is _tie_across_sub_blocks:
+            # block 0 then block 2 per cell, and the neighbours; block 1
+            # survives the first level for the cell at alpha = 1.0
+            assert scan[3] == lower == 2 * (64 + 2) < upper
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        # every value is exactly 1, so every block and sub-block survives
+        dict(alpha=np.linspace(0.05, 2.0, 12), beta=np.linspace(0.05, 2.0, 12), nbar=0.05, k=0.0),
+        dict(**_RANDOM_AMPLITUDES, nbar=0.01, k=0.74),
+    ],
+    ids=["k-0-equal", "random"],
+)
+def test_second_level_reads_only_the_sub_blocks_of_the_grid(monkeypatch, cells):
+    # 4,001 points: the last block holds 1 point, so 1 sub-block, and its
+    # three missing sub-blocks must keep no cell
+    sub_blocks = []
+    real = duan_module._block_floor
+
+    def spy(*args):
+        if np.size(args[2][0]) <= duan_module._SCAN_BLOCK // duan_module._SUB_BLOCK:
+            sub_blocks.append(np.size(args[2][0]))
+        return real(*args)
+
+    monkeypatch.setattr(duan_module, "_block_floor", spy)
+    res, ref, scan, ref_scan = _scan_against_reference(monkeypatch, "AB", _ENVELOPE, *_OPTICAL_R, **cells)
+    assert _assert_scan_is_exact(res, ref, scan, ref_scan)
+    n = duan_module._scan_grid(_ENVELOPE, sum(_OPTICAL_R))[0].size
+    assert n == 125 * duan_module._SCAN_BLOCK + 1
+    assert set(sub_blocks) <= {1, 4}
+    if cells["k"] == 0.0:
+        assert np.all(res.d_star == 1.0) and not res.refined.any()
+        # each cell keeps every block, the 1-point one through its one
+        # sub-block, and the bounds meet
+        assert 1 in sub_blocks
+        assert res.evaluated_points == ref_scan[4][0] == ref_scan[4][1] == res.scanned_cells * (n + 2)
 
 
 def _assert_keeps_every_block(monkeypatch, large, k):
