@@ -54,6 +54,10 @@ EXTRA = [
     ("refuse-fig4a-k-max", "fig4a", ("k_max=1e101",)),
     ("refuse-fig4b-k-window", "fig4b", ("k=1e100", "window_scaled=1e300", "alpha_step=0.5", "beta_step=0.5")),
     ("refuse-fig4a-k-max-window", "fig4a", ("k_max=1e100", "k_step=1e99", "window_scaled=1e300")),
+    ("refuse-fig2-k", "fig2", ("k=50",)),
+    ("refuse-sweep-k-stop", "sweep", ("variable=k", "stop=50")),
+    ("refuse-fig3-k-period", "fig3", ("k=1e-300",)),
+    ("refuse-fig4b-k-period", "fig4b", ("k=1e-300",)),
 ]
 
 

@@ -37,7 +37,15 @@ from .design import (
     proposed_atom_spec,
     proposed_geometry,
 )
-from .duan import _MAX_AMPLITUDE, _MAX_COUPLING, _scan_grid, duan_values, regime_report, window_minima
+from .duan import (
+    _MAX_AMPLITUDE,
+    _MAX_COUPLING,
+    _scan_grid,
+    duan_values,
+    entanglement_period,
+    regime_report,
+    window_minima,
+)
 from .qubit import concurrence, reduced_rho_ab, von_neumann_entropy
 
 __all__ = ["main", "RunConfig", "ResultTable"]
@@ -50,10 +58,6 @@ _GEOMETRY = proposed_geometry()
 _ATOMS = proposed_atom_spec()
 
 
-class _CliError(Exception):
-    """Configuration or usage problem; maps to exit code 1."""
-
-
 # ---------------------------------------------------------------------------
 # fields: default and validator of every configurable value
 # ---------------------------------------------------------------------------
@@ -61,19 +65,19 @@ class _CliError(Exception):
 def _number(*, minimum=None, exclusive_min=None, maximum=None):
     def check(value, label):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise _CliError(f"field {label}: expected a number, got {value!r}")
+            raise ValueError(f"field {label}: expected a number, got {value!r}")
         try:
             value = float(value)
         except OverflowError:  # an integer beyond the float range
             value = math.inf
         if not math.isfinite(value):
-            raise _CliError(f"field {label}: must be finite, got {value!r}")
+            raise ValueError(f"field {label}: must be finite, got {value!r}")
         if minimum is not None and value < minimum:
-            raise _CliError(f"field {label}: must be >= {minimum}, got {value!r}")
+            raise ValueError(f"field {label}: must be >= {minimum}, got {value!r}")
         if exclusive_min is not None and value <= exclusive_min:
-            raise _CliError(f"field {label}: must be > {exclusive_min}, got {value!r}")
+            raise ValueError(f"field {label}: must be > {exclusive_min}, got {value!r}")
         if maximum is not None and value > maximum:
-            raise _CliError(f"field {label}: must be <= {maximum:g}, got {value!r}")
+            raise ValueError(f"field {label}: must be <= {maximum:g}, got {value!r}")
         return value
 
     return check
@@ -82,11 +86,11 @@ def _number(*, minimum=None, exclusive_min=None, maximum=None):
 def _integer(minimum, maximum=None):
     def check(value, label):
         if isinstance(value, bool) or not isinstance(value, int):
-            raise _CliError(f"field {label}: expected an integer, got {value!r}")
+            raise ValueError(f"field {label}: expected an integer, got {value!r}")
         if value < minimum:
-            raise _CliError(f"field {label}: must be >= {minimum}, got {value!r}")
+            raise ValueError(f"field {label}: must be >= {minimum}, got {value!r}")
         if maximum is not None and value > maximum:
-            raise _CliError(f"field {label}: must be <= {maximum}, got {value!r}")
+            raise ValueError(f"field {label}: must be <= {maximum}, got {value!r}")
         return value
 
     return check
@@ -97,7 +101,7 @@ def _number_list(*, exclusive_min=None):
 
     def check(value, label):
         if not isinstance(value, (list, tuple)) or len(value) == 0:
-            raise _CliError(f"field {label}: expected a non-empty list, got {value!r}")
+            raise ValueError(f"field {label}: expected a non-empty list, got {value!r}")
         return [item(v, f"{label}[{i}]") for i, v in enumerate(value)]
 
     return check
@@ -113,7 +117,7 @@ def _optional(inner):
 def _choice(*options):
     def check(value, label):
         if value not in options:
-            raise _CliError(f"field {label}: must be one of {sorted(options)}, got {value!r}")
+            raise ValueError(f"field {label}: must be one of {sorted(options)}, got {value!r}")
         return value
 
     return check
@@ -124,6 +128,12 @@ _NONNEG = _number(minimum=0.0)
 #: the witness cell's domain (`duan._check_cell`), checked by field name
 _AMPLITUDE = _number(minimum=-_MAX_AMPLITUDE, maximum=_MAX_AMPLITUDE)
 _COUPLING = _number(minimum=0.0, maximum=_MAX_COUPLING)
+#: largest k of fig2 and the qubit sweeps. The diagonal overlaps of
+#: `reduced_rho_ab` round away from 1 by about eps |k xi|**2, so the trace
+#: error grows like k**2: at most 4.5e-13 at k = 20 (measured up to 100,000
+#: points and t = 1e6), and past the density-matrix checks' 1e-12 from
+#: about k = 32.5
+_MAX_QUBIT_COUPLING = 20.0
 #: most points of a fig2, fig3 or sweep grid, 25 times fig2's default 4000
 _MAX_POINTS = 100_000
 _N_POINTS = _integer(2, _MAX_POINTS)
@@ -260,11 +270,11 @@ class ResultTable:
 
 def _parse_set_item(item: str) -> tuple[str, object]:
     if "=" not in item:
-        raise _CliError(f"--set {item!r}: expected KEY=VALUE")
+        raise ValueError(f"--set {item!r}: expected KEY=VALUE")
     key, raw = item.split("=", 1)
     key = key.strip()
     if not key:
-        raise _CliError(f"--set {item!r}: empty key")
+        raise ValueError(f"--set {item!r}: empty key")
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
@@ -277,26 +287,26 @@ def _load_config_file(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise _CliError(f"config file {path}: {exc}")
+        raise ValueError(f"config file {path}: {exc}")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _CliError(f"config file {path}, line {exc.lineno} column {exc.colno}: {exc.msg}")
+        raise ValueError(f"config file {path}, line {exc.lineno} column {exc.colno}: {exc.msg}")
     if not isinstance(data, dict):
-        raise _CliError(f"config file {path}: top level must be a JSON object")
+        raise ValueError(f"config file {path}: top level must be a JSON object")
     return data
 
 
 def resolve_config(command, config_path=None, overrides=(), out=None) -> RunConfig:
     """Merge defaults, config file and --set overrides, then validate."""
     if command not in FIELDS:
-        raise _CliError(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
+        raise ValueError(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
     fields = FIELDS[command]
     values = {key: default for key, (default, _) in fields.items()}
 
     def assign(key, value, source):
         if key not in fields:
-            raise _CliError(
+            raise ValueError(
                 f"{source}: unknown field {key!r} for command {command!r} "
                 f"(known: {', '.join(sorted(fields))})"
             )
@@ -348,7 +358,7 @@ def _emit(table: ResultTable, out: str | None) -> None:
         with open(out, "w", newline="", encoding="utf-8") as fh:
             _write_csv(fh, table)
     except OSError as exc:
-        raise _CliError(f"cannot write {out}: {exc}")
+        raise ValueError(f"cannot write {out}: {exc}")
 
 
 def _metadata(cfg: RunConfig, extra: dict | None = None) -> dict:
@@ -381,7 +391,7 @@ def _scaled_window(values: dict) -> tuple[float, float]:
         )
     except ValueError as exc:
         # the finesse field is checked by its validator, so only L < 2 R_mirror fails here
-        raise _CliError(f"fields 'cavity_length_m' and 'mirror_radius_m': {exc}") from None
+        raise ValueError(f"fields 'cavity_length_m' and 'mirror_radius_m': {exc}") from None
     kappa, tau_p = cavity_linewidth(geom)
     return values["omega_m_rad_per_s"] * tau_p, kappa
 
@@ -405,19 +415,38 @@ def _check_phases(
     k_field. Where both are finite, every phase of the closed forms is.
     """
     if fast is not None and not math.isfinite(fast * t):
-        raise _CliError(
+        raise ValueError(
             f"{_fields(t_fields)}: the carrier phase (r_a + r_b) t overflows at t = {t!r}, "
             f"r_a + r_b = {fast!r}"
         )
     if not math.isfinite(2.0 * (k ** 2 * t)):
         fields = _fields(t_fields + (() if k_field is None else (k_field,)))
-        raise _CliError(f"{fields}: the coupling phase 2 k**2 t overflows at t = {t!r}, k = {k!r}")
+        raise ValueError(f"{fields}: the coupling phase 2 k**2 t overflows at t = {t!r}, k = {k!r}")
+
+
+def _check_qubit_coupling(k: float, field: str) -> None:
+    """Refuse, under field, a k above `_MAX_QUBIT_COUPLING`."""
+    if k > _MAX_QUBIT_COUPLING:
+        raise ValueError(
+            f"field {field!r}: the qubit measures need k <= {_MAX_QUBIT_COUPLING:g}, got {k!r}"
+        )
+
+
+def _check_regime_period(k: float) -> None:
+    """Refuse, as field 'k', a positive k whose regime period pi / k**2 overflows."""
+    if k > 0:
+        # the period regime_report takes, whose k**2 may underflow to 0
+        with np.errstate(divide="ignore", over="ignore"):
+            period = entanglement_period(k, 1.0)
+        if not math.isfinite(period):
+            raise ValueError(f"field 'k': the regime period pi / k**2 overflows at k = {k!r}")
 
 
 def run_fig2(cfg: RunConfig) -> ResultTable:
     v = cfg.values
+    _check_qubit_coupling(v["k"], "k")
     if not v["t_max"] > v["t_min"]:
-        raise _CliError(f"field 't_max': must exceed t_min={v['t_min']}")
+        raise ValueError(f"field 't_max': must exceed t_min={v['t_min']}")
     grid = np.linspace(v["t_min"], v["t_max"], v["n_points"])
     # one stack of states serves both measures
     rhos = reduced_rho_ab(grid, v["k"])
@@ -427,10 +456,11 @@ def run_fig2(cfg: RunConfig) -> ResultTable:
 
 def run_fig3(cfg: RunConfig) -> ResultTable:
     v = cfg.values
+    _check_regime_period(v["k"])
     window, kappa = _scaled_window(v)
     t_max = v["t_max"] if v["t_max"] is not None else window
     if not t_max > v["t_min"]:
-        raise _CliError(f"field 't_max': must exceed t_min={v['t_min']}")
+        raise ValueError(f"field 't_max': must exceed t_min={v['t_min']}")
     omega_m = v["omega_m_rad_per_s"]
     r_a, r_b = _carrier_ratios(v)
     nbar = _thermal_occupation(v["temperature_K"], omega_m, "temperature_K")
@@ -480,7 +510,7 @@ def _carrier_ratios(values: dict) -> tuple[float, float]:
     for field in ("omega_a_rad_per_s", "omega_b_rad_per_s"):
         ratio = values[field] / omega_m
         if not 0.0 < ratio < math.inf:
-            raise _CliError(
+            raise ValueError(
                 f"field {field!r}: {field} / omega_m_rad_per_s = {ratio!r} "
                 "must be positive and finite"
             )
@@ -493,7 +523,7 @@ def _thermal_occupation(temperature: float, omega_m: float, field: str) -> float
     try:
         return thermal_occupation(temperature, omega_m)
     except ValueError as exc:
-        raise _CliError(f"field {field!r}: {exc}") from None
+        raise ValueError(f"field {field!r}: {exc}") from None
 
 
 def _witness_window(values: dict) -> tuple[float, float, float, float]:
@@ -545,16 +575,16 @@ def _axis(values: dict, name: str) -> np.ndarray:
     # fall below it; a span that overflows to inf is refused the same way
     span = (hi - lo) / step
     if not span < _MAX_AXIS_POINTS:
-        raise _CliError(
+        raise ValueError(
             f"fields '{name}_max' and '{name}_step': the {name} axis would hold {span + 1:.6g} "
             f"points, more than {_MAX_AXIS_POINTS}"
         )
     maximum = _AXIS_MAXIMA[name]
     if hi > maximum:
-        raise _CliError(f"field '{name}_max': must be <= {maximum:g}, got {hi!r}")
+        raise ValueError(f"field '{name}_max': must be <= {maximum:g}, got {hi!r}")
     axis = np.arange(lo, hi + 0.5 * step, step)
     if axis[-1] > maximum:
-        raise _CliError(
+        raise ValueError(
             f"fields '{name}_max' and '{name}_step': the {name} axis reaches {float(axis[-1])!r}, "
             f"above {maximum:g}"
         )
@@ -564,7 +594,7 @@ def _axis(values: dict, name: str) -> np.ndarray:
 def run_fig4a(cfg: RunConfig) -> ResultTable:
     v = cfg.values
     if not v["k_max"] > v["k_min"]:
-        raise _CliError("field 'k_max': must exceed k_min")
+        raise ValueError("field 'k_max': must exceed k_min")
     window, _, r_a, r_b = _witness_window(v)
     omega_m = v["omega_m_rad_per_s"]
     ks = _axis(v, "k")
@@ -585,7 +615,8 @@ def run_fig4b(cfg: RunConfig) -> ResultTable:
     v = cfg.values
     for lo, hi in (("alpha_min", "alpha_max"), ("beta_min", "beta_max")):
         if not v[hi] > v[lo]:
-            raise _CliError(f"field {hi!r}: must exceed {lo}")
+            raise ValueError(f"field {hi!r}: must exceed {lo}")
+    _check_regime_period(v["k"])
     window, kappa, r_a, r_b = _witness_window(v)
     _check_window_phases(v, window, r_a + r_b, v["k"], "k")
     omega_m = v["omega_m_rad_per_s"]
@@ -601,16 +632,6 @@ def run_fig4b(cfg: RunConfig) -> ResultTable:
     return ResultTable(columns, _metadata(cfg, extra))
 
 
-def _search_space(radius: float, search: dict) -> DesignSearchSpace:
-    """The search domain at one mirror radius; its ValueError names the field."""
-    try:
-        return DesignSearchSpace(R_mirror=radius, **search)
-    except ValueError as exc:
-        # "L_max_m must be finite and >= L_min_m, got ...": the field comes first
-        field, _, rest = str(exc).partition(" ")
-        raise _CliError(f"field {field!r}: {rest}") from None
-
-
 def run_design(cfg: RunConfig) -> tuple[ResultTable, dict]:
     v = cfg.values
     names = [
@@ -620,7 +641,7 @@ def run_design(cfg: RunConfig) -> tuple[ResultTable, dict]:
     search = {name: v[name] for name in _SEARCH_FIELDS}
     optimized = []
     for radius in v["radii_m"]:
-        result = optimize_design(_search_space(radius, search))
+        result = optimize_design(DesignSearchSpace(R_mirror=radius, **search))
         entry = {
             "mirror_radius_m": radius,
             "cavity_length_m": result.L,
@@ -676,7 +697,7 @@ def _cmd_design(cfg: RunConfig) -> int:
                 json.dump(payload, fh, indent=2, sort_keys=True)
                 fh.write("\n")
         except OSError as exc:
-            raise _CliError(f"cannot write {json_path}: {exc}")
+            raise ValueError(f"cannot write {json_path}: {exc}")
     return 0
 
 
@@ -713,16 +734,20 @@ def run_sweep(cfg: RunConfig) -> ResultTable:
     v = cfg.values
     quantity = v["quantity"]
     if not v["stop"] > v["start"]:
-        raise _CliError("field 'stop': must exceed start")
+        raise ValueError("field 'stop': must exceed start")
     if v["variable"] == "k" and v["stop"] > _MAX_COUPLING:
-        raise _CliError(f"field 'stop': a k sweep must stop at most {_MAX_COUPLING:g}, got {v['stop']!r}")
+        raise ValueError(f"field 'stop': a k sweep must stop at most {_MAX_COUPLING:g}, got {v['stop']!r}")
     if quantity.startswith("duan"):
         if not (v["r_a"] > 0 and v["r_b"] > 0):
-            raise _CliError("fields 'r_a' and 'r_b': must be positive for Duan sweeps")
+            raise ValueError("fields 'r_a' and 'r_b': must be positive for Duan sweeps")
         if v["variable"] == "t":
             _check_phases(v["stop"], v["k"], v["r_a"] + v["r_b"], ("stop",))
         else:
             _check_phases(v["t_fixed"], v["stop"], v["r_a"] + v["r_b"], ("t_fixed",), "stop")
+    elif v["variable"] == "k":
+        _check_qubit_coupling(v["stop"], "stop")
+    else:
+        _check_qubit_coupling(v["k"], "k")
     xs = np.linspace(v["start"], v["stop"], v["n_points"])
     ks = xs if v["variable"] == "k" else v["k"]
     ts = xs if v["variable"] == "t" else v["t_fixed"]
@@ -743,7 +768,7 @@ def run_sweep(cfg: RunConfig) -> ResultTable:
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
-        raise _CliError(message)
+        raise ValueError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -795,7 +820,7 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-    except (_CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code

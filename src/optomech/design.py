@@ -95,21 +95,6 @@ class CavityGeometry:
         if not (self.finesse > 1.0):
             raise ValueError(f"finesse must exceed 1, got {self.finesse!r}")
 
-    @property
-    def nu_fsr(self) -> float:
-        """Free spectral range c/2L in Hz."""
-        return _free_spectral_range(self.L)
-
-    @property
-    def waist(self) -> float:
-        """Gaussian mode waist sqrt((lambda/2pi) sqrt(L (2R - L)))."""
-        return float(_waist(self.L, self.R_mirror))
-
-    @property
-    def mode_volume(self) -> float:
-        """V_c = pi w**2 L."""
-        return float(_mode_volume(self.L, self.R_mirror))
-
 
 @dataclass(frozen=True)
 class AtomEnsembleSpec:
@@ -170,21 +155,18 @@ class DesignReport:
 # evaluate the same expressions in the same order.
 
 def _waist(L, R_mirror):
+    """Gaussian mode waist sqrt((lambda/2pi) sqrt(L (2R - L)))."""
     return np.sqrt((RB87_D2_WAVELENGTH_M / (2.0 * math.pi)) * np.sqrt(L * (2.0 * R_mirror - L)))
 
 
 def _mode_volume(L, R_mirror):
+    """V_c = pi w**2 L."""
     return math.pi * _waist(L, R_mirror) ** 2 * L
-
-
-def _free_spectral_range(L):
-    """nu_FSR = c / (2 L) in Hz."""
-    return C_LIGHT / (2.0 * L)
 
 
 def _linewidth(L, finesse):
     """kappa = nu_FSR / finesse = c / (2 L finesse) in 1/s."""
-    return _free_spectral_range(L) / finesse
+    return C_LIGHT / (2.0 * L) / finesse
 
 
 def _coupling(spec: AtomEnsembleSpec, L, R_mirror):
@@ -314,7 +296,7 @@ class DesignSearchSpace:
     def __post_init__(self) -> None:
         def need(name, ok, want):
             if not ok:
-                raise ValueError(f"{name} must be {want}, got {getattr(self, name)!r}")
+                raise ValueError(f"field {name!r}: must be {want}, got {getattr(self, name)!r}")
 
         # chained comparisons with math.inf also turn NaN away
         for name in ("R_mirror", "L_min_m", "L_step_m", "N_step"):

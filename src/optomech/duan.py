@@ -28,7 +28,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import big_b, eta
-from .oracle import ModePairMoments
 
 __all__ = [
     "RegimeReport",
@@ -83,7 +82,7 @@ _MOMENT_TOL = 1e-9
 
 
 def duan_from_moments(m: ModePairMoments) -> float:
-    """Evaluate the witness from mode-pair moments (shared analytic/oracle kernel)."""
+    """Evaluate the witness from an `oracle.ModePairMoments` (shared analytic/oracle kernel)."""
     for occ, mean, label in ((m.occ1, m.mean1, "1"), (m.occ2, m.mean2, "2")):
         if occ < abs(mean) ** 2 - _MOMENT_TOL:
             raise ValueError(

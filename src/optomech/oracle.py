@@ -53,10 +53,10 @@ one column, its amplitude at that level times one row of the block, in
 place of the n_cols-wide product; `apply_evolution` says where the two
 differ in bits. An evolved state may occupy every level, so a chained
 evolution takes every column.
-Every expectation (the trace, `moments`, `hamiltonian_expectation`) reads
-the members a chunk of at most `_CHUNK_BYTES` at a time, walks each chunk
-one member at a time and sums over the member axis once at the end, so it
-holds one chunk and one member's copies besides a real table of |psi|**2.
+Every expectation (`moments`, `_trace_and_energy`) reads the members a
+chunk of at most `_CHUNK_BYTES` at a time, walks each chunk one member at a
+time and sums over the member axis once at the end, so it holds one chunk
+and one member's copies besides a real table of |psi|**2.
 The chunks are bitwise the members of `TriModeState.vectors`, which builds
 the whole ensemble as one chunk.
 """
@@ -83,7 +83,6 @@ __all__ = [
     "apply_evolution",
     "partial_trace",
     "moments",
-    "hamiltonian_expectation",
 ]
 
 _MODE_AXES = {"A": 0, "B": 1, "C": 2}
@@ -153,22 +152,14 @@ def _displacement_blocks(betas, dim: int, n_cols: int) -> np.ndarray:
     return phase
 
 
-def _displacement_columns(beta: complex, dim: int, n_cols: int) -> np.ndarray:
-    """Columns 0..n_cols-1 of <m|D(beta)|n> on the basis 0..dim-1, shape (dim, n_cols).
-
-    The one-beta case of `_displacement_blocks`.
-    """
-    return _displacement_blocks((beta,), dim, n_cols)[0]
-
-
 def displacement_matrix(beta: complex, n_max: int) -> np.ndarray:
-    """Matrix elements <m|D(beta)|n> on the basis 0..n_max; see `_displacement_columns`.
+    """Matrix elements <m|D(beta)|n> on the basis 0..n_max; see `_displacement_blocks`.
 
     beta = 0 gives exactly the identity.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    return _displacement_columns(beta, n_max + 1, n_max + 1)
+    return _displacement_blocks((beta,), n_max + 1, n_max + 1)[0]
 
 
 @functools.cache
@@ -382,10 +373,6 @@ class TriModeState:
         """Every member, built as one chunk."""
         return self.members(0, len(self.weights))
 
-    def trace(self) -> float:
-        (value,), _ = _expectations(self, [((), None)], occupations=False)
-        return value.real
-
     def _member_chunks(self):
         """The (first member, chunk) pairs a pass reads, each of `_CHUNK_BYTES` or one member."""
         size = max(1, _CHUNK_BYTES // (16 * math.prod(self.shape)))
@@ -588,13 +575,12 @@ def _read_members(first: int, chunk: np.ndarray, weights: np.ndarray, plans: lis
             np.vecdot(member[lo], ket, out=dots[first + w])
             # the next ket is made after this one is freed
             del ket
-    if prob is not None:
-        for w, member in enumerate(chunk, first):
-            np.abs(member, out=prob[w])
-            prob[w] *= prob[w]
+    for w, member in enumerate(chunk, first):
+        np.abs(member, out=prob[w])
+        prob[w] *= prob[w]
 
 
-def _expectations(state, forms, *, occupations: bool) -> tuple[list, list]:
+def _expectations(state, forms) -> tuple[list, list]:
     """Ladder expectations and mean numbers of the ensemble, one member at a time.
 
     The pass reads the state's members from the (first member, chunk)
@@ -605,8 +591,8 @@ def _expectations(state, forms, *, occupations: bool) -> tuple[list, list]:
     against the shifted slice of one member; the empty form is the trace.
     Lowering along an axis pairs amplitude n with amplitude n+1 at weight
     sqrt(n+1), so a form is one conjugated dot of shifted slices, with no
-    lowered copy. With occupations the pass also returns
-    [<n_A>, <n_B>, <n_C>] from the occupation probabilities sum_w w |psi_w|**2.
+    lowered copy. The pass also returns [<n_A>, <n_B>, <n_C>] from the
+    occupation probabilities sum_w w |psi_w|**2.
 
     Besides the real |psi|**2 table and the chunk, no temporary outgrows
     one member. Each member's dots land in an array of the whole ensemble's
@@ -627,14 +613,12 @@ def _expectations(state, forms, *, occupations: bool) -> tuple[list, list]:
         reduced = [size - (axis in axes) for axis, size in enumerate(shape[:-1])]
         dots = np.empty((len(weights), *reduced), dtype=complex)
         plans.append((tuple(lo), tuple(hi), scales, coeff, dots))
-    prob = np.empty((len(weights), *shape)) if occupations else None
+    prob = np.empty((len(weights), *shape))
     for first, chunk in state._member_chunks():
         _read_members(first, chunk, weights, plans, prob)
         # the next chunk is built after this one is freed
         del chunk
     values = [complex(dots.sum()) for *_, dots in plans]
-    if not occupations:
-        return values, []
     prob = np.tensordot(weights, prob, axes=1)
     numbers = [
         float(prob.sum(axis=tuple(other for other in range(3) if other != axis)) @ np.arange(dim))
@@ -662,7 +646,7 @@ def moments(state: TriModeState) -> dict:
     """
     pairs = (("AB", (0, 1)), ("AC", (0, 2)), ("BC", (1, 2)))
     forms = [((axis,), None) for axis in range(3)] + [(axes, None) for _, axes in pairs]
-    values, occ = _expectations(state, forms, occupations=True)
+    values, occ = _expectations(state, forms)
     mean, corr = values[:3], values[3:]
     return {
         pair: ModePairMoments(mean[i], mean[j], occ[i], occ[j], c)
@@ -671,20 +655,14 @@ def moments(state: TriModeState) -> dict:
 
 
 def _trace_and_energy(state, k: float, r_a: float, r_b: float) -> tuple[float, float]:
-    """(trace, `hamiltonian_expectation`) of a state, from one pass over its members."""
+    """(trace, <H>/(hbar omega_m)) of a state, from one pass over its members.
+
+    H/(hbar omega_m) = r_a n_a + r_b n_b + n_c - k (n_a - n_b)(c + c+). The
+    energy is exact in the truncated basis as long as the state holds no
+    appreciable weight at the cutoff boundary.
+    """
     na1, nb1, _ = state.shape
     delta = np.arange(na1)[:, None, None] - np.arange(nb1)[None, :, None]
     # <(n_a - n_b)(c + c+)> = 2 Re <(n_a - n_b) c>
-    (norm, cross), (n_a, n_b, n_c) = _expectations(
-        state, [((), None), ((2,), delta)], occupations=True
-    )
+    (norm, cross), (n_a, n_b, n_c) = _expectations(state, [((), None), ((2,), delta)])
     return norm.real, r_a * n_a + r_b * n_b + n_c - 2.0 * k * cross.real
-
-
-def hamiltonian_expectation(state: TriModeState, k: float, r_a: float, r_b: float) -> float:
-    """<H>/(hbar omega_m) with H/(hbar omega_m) = r_a n_a + r_b n_b + n_c - k (n_a - n_b)(c + c+).
-
-    Used by the conservation tests; exact in the truncated basis as long as
-    the state holds no appreciable weight at the cutoff boundary.
-    """
-    return _trace_and_energy(state, k, r_a, r_b)[1]

@@ -480,7 +480,7 @@ def test_cli_design_reports_an_infeasible_radius(capsys, overrides, message):
     ids=["L_max_m", "N_max"],
 )
 def test_cli_design_reports_search_space_errors_by_field(capsys, item, message):
-    # DesignSearchSpace checks the orderings; the CLI only renames its fields
+    # DesignSearchSpace checks the orderings and names the field
     assert main(["design", "--set", item]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -720,6 +720,86 @@ def test_cli_fig3_keeps_the_largest_time_whose_phases_are_finite(tmp_path):
     assert code == 0
     rows = [line for line in out.read_text().splitlines() if not line.startswith("#")][1:]
     assert rows and all(math.isfinite(float(value)) for row in rows for value in row.split(","))
+
+
+#: qubit runs, each with the field that sets its largest k
+_QUBIT_COUPLING_RUNS = [
+    ("fig2", [], "k"),
+    ("sweep", [], "k"),
+    ("sweep", ["quantity=entropy"], "k"),
+    ("sweep", ["variable=k"], "stop"),
+    ("sweep", ["variable=k", "quantity=entropy", "t_fixed=2.0"], "stop"),
+]
+
+
+def _argv(command, overrides):
+    return [command, *(arg for item in overrides for arg in ("--set", item))]
+
+
+@pytest.mark.parametrize("command, overrides, field", _QUBIT_COUPLING_RUNS)
+def test_cli_refuses_a_qubit_coupling_past_its_checks_by_field(capsys, command, overrides, field):
+    # fig2 at k = 50 failed its own density-matrix check ("matrix 298 of
+    # the stack: trace deviates from 1 by 1.367e-12"), which names no field
+    above = repr(math.nextafter(20.0, math.inf))
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(_argv(command, [*overrides, f"{field}={above}"])) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: field '{field}': the qubit measures need k <= 20, got {above}\n"
+    # refused before the grid is built
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("command, overrides, field", _QUBIT_COUPLING_RUNS)
+def test_cli_keeps_the_largest_qubit_coupling(command, overrides, field, tmp_path):
+    # k = 20 passes the density-matrix checks on the default grids
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = _run_cli(_argv(command, [*overrides, f"{field}=20"]), tmp_path, "q.csv")
+    assert code == 0
+    rows = [line for line in out.read_text().splitlines() if not line.startswith("#")][1:]
+    assert rows and all(math.isfinite(float(value)) for row in rows for value in row.split(","))
+
+
+@pytest.mark.parametrize("command", ["fig3", "fig4b"])
+@pytest.mark.parametrize("k", ["1e-300", "1.32e-154"])
+def test_cli_refuses_a_coupling_whose_regime_period_overflows(capsys, command, k):
+    # fig3 at k = 1e-300 warned of a division by zero and wrote
+    # "envelope_period_scaled: inf"; pi / k**2 overflows from k = 1.32e-154 down
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--set", f"k={k}"]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: field 'k': the regime period pi / k**2 overflows at k = {k}\n"
+    # refused before the grid is built
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize(
+    "command, overrides", [("fig3", ["n_points=50"]), ("fig4b", ["alpha_step=0.5", "beta_step=0.5"])]
+)
+def test_cli_keeps_the_smallest_coupling_whose_regime_period_is_finite(command, overrides, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = _run_cli(_argv(command, ["k=1.33e-154", *overrides]), tmp_path, "p.csv")
+    assert code == 0
+    text = out.read_text()
+    rows = [line for line in text.splitlines() if not line.startswith("#")][1:]
+    assert rows and all(math.isfinite(float(value)) for row in rows for value in row.split(","))
+    if command == "fig3":
+        assert "# envelope_period_scaled: 1.77" in text
 
 
 @pytest.mark.parametrize("frequencies", ["[1e-300]", "[40000.0, 1e300]"])

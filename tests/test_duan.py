@@ -12,13 +12,13 @@ from optomech import duan as duan_module
 from optomech.core import thermal_occupation
 from optomech.duan import (
     K_REGIME_BOUNDARY,
-    ModePairMoments,
     duan_from_moments,
     duan_values,
     entanglement_period,
     regime_report,
     window_minima,
 )
+from optomech.oracle import ModePairMoments
 
 TABLE_OMEGA_M = 2.0 * math.pi * 95e3
 TABLE_NBAR = 0.003360227659763006  # 0.8 uK at 95 kHz

@@ -8,6 +8,7 @@ suite can lean on it as an independent oracle.
 
 import ast
 import contextlib
+import importlib
 import math
 import tracemalloc
 from pathlib import Path
@@ -27,15 +28,14 @@ from optomech.oracle import (
     FockConfig,
     TriModeState,
     _displacement_blocks,
-    _displacement_columns,
     _log_factorial,
     _poisson_pmf,
     _poisson_sf,
     _poisson_tail_cutoff,
+    _trace_and_energy,
     apply_evolution,
     coherent_thermal_state,
     displacement_matrix,
-    hamiltonian_expectation,
     moments,
     partial_trace,
     qubit_state,
@@ -49,19 +49,33 @@ def _thermal_state(alpha, beta, nbar, k):
     )
 
 
-def test_oracle_borrows_no_closed_form():
-    # the oracle certifies the analytic modules, so of the package it may
-    # import the time kernels alone: nothing of duan, qubit, certify, design or cli
-    tree = ast.parse(Path(optomech.oracle.__file__).read_text(encoding="utf-8"))
+def _package_imports(module) -> set:
+    """(source, name) of every import of the package in module's source file."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            module = "." * node.level + (node.module or "")
-            imported |= {(module, alias.name) for alias in node.names}
+            source = "." * node.level + (node.module or "")
+            imported |= {(source, alias.name) for alias in node.names}
         elif isinstance(node, ast.Import):
             imported |= {(alias.name, None) for alias in node.names}
-    package = {(m, name) for m, name in imported if m.startswith(".") or m.split(".")[0] == "optomech"}
-    assert package == {(".core", "big_b"), (".core", "xi")}
+    return {(m, name) for m, name in imported if m.startswith(".") or m.split(".")[0] == "optomech"}
+
+
+def test_oracle_borrows_no_closed_form():
+    # the oracle certifies the analytic modules, so of the package it may
+    # import the time kernels alone: nothing of duan, qubit, certify, design or cli
+    assert _package_imports(optomech.oracle) == {(".core", "big_b"), (".core", "xi")}
+
+
+@pytest.mark.parametrize("name", ["core", "qubit", "duan", "design"])
+def test_analytic_modules_import_nothing_of_the_oracle(name):
+    # the analytic route never leans on what certifies it, nor on the front end
+    for source, imported in _package_imports(importlib.import_module(f"optomech.{name}")):
+        modules = set(source.lstrip(".").split("."))
+        if source in (".", "optomech"):  # from . import oracle
+            modules.add(imported)
+        assert not modules & {"oracle", "certify", "cli"}, (name, source, imported)
 
 
 def test_displacement_identity_at_zero():
@@ -157,20 +171,20 @@ def test_displacement_columns_match_closed_form(dim, magnitude):
         beta = magnitude * complex(math.cos(angle), math.sin(angle))
         ref = _ref_displacement_matrix(beta, dim - 1)
         for n_cols in sorted({1, min(25, dim), dim}):
-            got = _displacement_columns(beta, dim, n_cols)
+            got = _displacement_blocks((beta,), dim, n_cols)[0]
             assert got.shape == (dim, n_cols)
             atol = _COLUMNS_ATOL if n_cols <= 64 else _FULL_WIDTH_ATOL
             assert np.abs(got - ref[:, :n_cols]).max() <= atol, (beta, n_cols)
         # the full matrix is the same builder at full width
         np.testing.assert_array_equal(
-            displacement_matrix(beta, dim - 1), _displacement_columns(beta, dim, dim)
+            displacement_matrix(beta, dim - 1), _displacement_blocks((beta,), dim, dim)[0]
         )
 
 
 def test_displacement_columns_at_zero_are_the_identity():
-    np.testing.assert_array_equal(_displacement_columns(0.0, 9, 4), np.eye(9, 4))
+    np.testing.assert_array_equal(_displacement_blocks((0.0,), 9, 4)[0], np.eye(9, 4))
     # |beta|**2 underflows to 0, and the log-space start still gives D ~ 1
-    tiny = _displacement_columns(1e-300, 9, 9)
+    tiny = _displacement_blocks((1e-300,), 9, 9)[0]
     np.testing.assert_allclose(tiny, np.eye(9), rtol=0, atol=1e-299)
 
 
@@ -210,7 +224,7 @@ def test_displacement_blocks_are_bitwise_the_per_beta_builds(dim, n_cols, n_beta
     for beta, block in zip(betas, blocks):
         want = _per_beta_columns(beta, dim, n_cols).tobytes()
         assert block.tobytes() == want
-        assert _displacement_columns(beta, dim, n_cols).tobytes() == want
+        assert _displacement_blocks((beta,), dim, n_cols)[0].tobytes() == want
 
 
 def test_displacement_matrix_keeps_nothing_after_it_returns():
@@ -479,12 +493,12 @@ def test_non_finite_qubit_coupling_names_the_field(bad):
 
 def test_evolution_preserves_norm_and_energy():
     state = _thermal_state(0.7, 0.4, 0.3, 0.6)
-    e0 = hamiltonian_expectation(state, 0.6, 1.3, 0.8)
+    _, e0 = _trace_and_energy(state, 0.6, 1.3, 0.8)
     for t in (0.7, 2.0, 5.5, 11.0):
         evolved = apply_evolution(state, t, 0.6, 1.3, 0.8)
         for psi in evolved.vectors:
             assert abs(np.vdot(psi, psi) - 1.0) < 1e-10
-        e_t = hamiltonian_expectation(evolved, 0.6, 1.3, 0.8)
+        _, e_t = _trace_and_energy(evolved, 0.6, 1.3, 0.8)
         assert abs(e_t - e0) < 1e-8 * max(1.0, abs(e0))
 
 
@@ -697,11 +711,9 @@ def test_pinned_states_are_what_the_cases_claim(pinned):
 @pytest.mark.parametrize("name", ["mixed", "single"])
 def test_trace_and_energy_match_per_member_loop(pinned, name):
     state = pinned[name]
-    _assert_pinned(state.trace(), _ref_trace(state))
-    _assert_pinned(
-        hamiltonian_expectation(state, _PIN_K, _PIN_RA, _PIN_RB),
-        _ref_hamiltonian_expectation(state, _PIN_K, _PIN_RA, _PIN_RB),
-    )
+    trace, energy = _trace_and_energy(state, _PIN_K, _PIN_RA, _PIN_RB)
+    _assert_pinned(trace, _ref_trace(state))
+    _assert_pinned(energy, _ref_hamiltonian_expectation(state, _PIN_K, _PIN_RA, _PIN_RB))
 
 
 @pytest.mark.parametrize("name", ["mixed", "single"])
@@ -776,15 +788,14 @@ def test_expectations_are_bitwise_the_whole_ensemble_products(pinned, name):
     forms = [(ax, None) for ax in axes] + [((2,), delta)]
     want = [_whole_ensemble_ladder(state, ax, coeff) for ax, coeff in forms]
     occ = _whole_ensemble_numbers(state)
-    assert optomech.oracle._expectations(state, forms, occupations=True) == (want, occ)
-    assert state.trace() == want[0].real
+    assert optomech.oracle._expectations(state, forms) == (want, occ)
     mean, corr, cross = want[1:4], want[4:7], want[7]
     got = moments(state)
     for (pair, (i, j)), c in zip((("AB", (0, 1)), ("AC", (0, 2)), ("BC", (1, 2))), corr):
         m = got[pair]
         assert (m.mean1, m.mean2, m.occ1, m.occ2, m.corr) == (mean[i], mean[j], occ[i], occ[j], c)
-    assert hamiltonian_expectation(state, _PIN_K, _PIN_RA, _PIN_RB) == (
-        _PIN_RA * occ[0] + _PIN_RB * occ[1] + occ[2] - 2.0 * _PIN_K * cross.real
+    assert _trace_and_energy(state, _PIN_K, _PIN_RA, _PIN_RB) == (
+        want[0].real, _PIN_RA * occ[0] + _PIN_RB * occ[1] + occ[2] - 2.0 * _PIN_K * cross.real
     )
 
 
@@ -997,7 +1008,7 @@ def test_ensemble_operations_stay_within_memory_bound():
     blocks_bytes = 2 * (max(na1, nb1) - 1) * nc1 * state.n_cols * 16
     assert _peak_bytes(apply_evolution, state, 2.0, k, r_a, r_b) <= blocks_bytes + member_bytes
     bound = 2.5 * ensemble_bytes
-    peaks = {"hamiltonian_expectation": _peak_bytes(hamiltonian_expectation, evolved, k, r_a, r_b)}
+    peaks = {"_trace_and_energy": _peak_bytes(_trace_and_energy, evolved, k, r_a, r_b)}
     peaks["moments"] = _peak_bytes(moments, evolved)
     for keep in ("C", "AB"):
         peaks[f"partial_trace {keep}"] = _peak_bytes(partial_trace, evolved, keep)
@@ -1019,15 +1030,13 @@ def test_truncation_doubling_check_memory():
         ),
         "_check_conservation": _peak_bytes(certify._check_conservation, np.random.default_rng(1234)),
         "moments": _peak_bytes(moments, evolved),
-        "hamiltonian_expectation": _peak_bytes(hamiltonian_expectation, evolved, 0.5, 1.5, 0.7),
-        "trace": _peak_bytes(evolved.trace),
+        "_trace_and_energy": _peak_bytes(_trace_and_energy, evolved, 0.5, 1.5, 0.7),
     }
     bounds = {
         "_check_truncation_doubling": 0.9,
         "_check_conservation": 0.5,
         "moments": 0.8,
-        "hamiltonian_expectation": 0.8,
-        "trace": 0.25,
+        "_trace_and_energy": 0.8,
     }
     ratios = {name: peak / ensemble_bytes for name, peak in peaks.items()}
     over = {name: ratio for name, ratio in ratios.items() if ratio > bounds[name]}
