@@ -13,6 +13,8 @@ only PYTHONPATH entry. The matrix holds:
   change tree's `perfbench/workloads.py` (`oracle-check` there runs at the
   ten benchmark seeds);
 - the three Duan sweeps over t and over k;
+- `design` with exclusion bands of zero, wide and overlapping width, and
+  with no plateau tolerance;
 - a few inputs that a command must refuse by field name.
 
 For each run it compares the CSV, the design JSON sidecar, stdout, stderr
@@ -58,6 +60,12 @@ EXTRA = [
     ("refuse-sweep-k-stop", "sweep", ("variable=k", "stop=50")),
     ("refuse-fig3-k-period", "fig3", ("k=1e-300",)),
     ("refuse-fig4b-k-period", "fig4b", ("k=1e-300",)),
+    ("refuse-fig3-period-seconds", "fig3", ("omega_m_rad_per_s=1e-3", "k=1e-153", "n_points=50")),
+    ("refuse-fig4b-period-seconds", "fig4b", ("omega_m_rad_per_s=1e-3", "k=1e-153")),
+    ("design-halfwidth-0", "design", ("exclusion_halfwidth=0",)),
+    ("design-halfwidth-0.2-n-max-11", "design", ("exclusion_halfwidth=0.2", "exclusion_n_max=11")),
+    ("design-rtol-0", "design", ("plateau_rtol=0",)),
+    ("refuse-design-all-excluded", "design", ("exclusion_halfwidth=50",)),
 ]
 
 

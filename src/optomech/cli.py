@@ -432,14 +432,19 @@ def _check_qubit_coupling(k: float, field: str) -> None:
         )
 
 
-def _check_regime_period(k: float) -> None:
-    """Refuse, as field 'k', a positive k whose regime period pi / k**2 overflows."""
+def _check_regime_period(k: float, omega_m: float) -> None:
+    """Refuse a positive k whose regime period overflows, scaled or in seconds, by field."""
     if k > 0:
-        # the period regime_report takes, whose k**2 may underflow to 0
+        # the periods regime_report takes, whose k**2 may underflow to 0
         with np.errstate(divide="ignore", over="ignore"):
-            period = entanglement_period(k, 1.0)
+            period, seconds = entanglement_period(k, 1.0), entanglement_period(k, omega_m)
         if not math.isfinite(period):
             raise ValueError(f"field 'k': the regime period pi / k**2 overflows at k = {k!r}")
+        if not math.isfinite(seconds):
+            raise ValueError(
+                "fields 'k' and 'omega_m_rad_per_s': the regime period in seconds overflows "
+                f"at k = {k!r}, omega_m_rad_per_s = {omega_m!r}"
+            )
 
 
 def run_fig2(cfg: RunConfig) -> ResultTable:
@@ -456,7 +461,7 @@ def run_fig2(cfg: RunConfig) -> ResultTable:
 
 def run_fig3(cfg: RunConfig) -> ResultTable:
     v = cfg.values
-    _check_regime_period(v["k"])
+    _check_regime_period(v["k"], v["omega_m_rad_per_s"])
     window, kappa = _scaled_window(v)
     t_max = v["t_max"] if v["t_max"] is not None else window
     if not t_max > v["t_min"]:
@@ -616,7 +621,7 @@ def run_fig4b(cfg: RunConfig) -> ResultTable:
     for lo, hi in (("alpha_min", "alpha_max"), ("beta_min", "beta_max")):
         if not v[hi] > v[lo]:
             raise ValueError(f"field {hi!r}: must exceed {lo}")
-    _check_regime_period(v["k"])
+    _check_regime_period(v["k"], v["omega_m_rad_per_s"])
     window, kappa, r_a, r_b = _witness_window(v)
     _check_window_phases(v, window, r_a + r_b, v["k"], "k")
     omega_m = v["omega_m_rad_per_s"]

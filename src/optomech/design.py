@@ -363,11 +363,12 @@ def _first_index(sqrt_n: np.ndarray, c: np.ndarray, k_turn, test) -> np.ndarray:
     return j
 
 
-def _band_run(sqrt_n: np.ndarray, c: np.ndarray, centre: float, halfwidth: float):
-    """Per row, the index run [lo, hi) where |sqrt_n[j] * c - centre| <= halfwidth."""
-    lo = _first_index(sqrt_n, c, centre - halfwidth, lambda k, rows: k - centre >= -halfwidth)
-    hi = _first_index(sqrt_n, c, centre + halfwidth, lambda k, rows: k - centre > halfwidth)
-    return lo, hi
+def _in_band(k, centre: float, halfwidth: float):
+    """Where |k - centre| <= halfwidth, by the two comparisons that settle a band's run.
+
+    Along a row, where k never falls, it holds on exactly the run [lo, hi).
+    """
+    return (k - centre >= -halfwidth) & ~(k - centre > halfwidth)
 
 
 def optimize_design(search: DesignSearchSpace) -> OptimizeResult:
@@ -381,12 +382,13 @@ def optimize_design(search: DesignSearchSpace) -> OptimizeResult:
     k**2) below the regime boundary, the constant 2 pi/omega_m at and above
     it. A row's minimum is therefore its ratio at its last feasible N, and
     its plateau hits start at the first feasible N at or after the first N
-    whose ratio is within the cutoff. Run bounds and that first N come from
-    np.searchsorted and are then settled with the grid's own predicates,
-    evaluated by the grid's own expressions at the same indices, so the
-    result equals the exhaustive scan's bit for bit. n_evaluated counts the
-    grid points covered. The argmin does not depend on finesse_eval because
-    the objective scales as 1/finesse uniformly.
+    whose ratio is within the cutoff. Only the rows whose current last (then
+    first) N lies inside a band look up its run's bound. Those bounds and
+    that first N come from np.searchsorted and are then settled with the
+    grid's own predicates, evaluated by the grid's own expressions at the
+    same indices, so the result equals the exhaustive scan's bit for bit.
+    n_evaluated counts the grid points covered. The argmin does not depend
+    on finesse_eval because the objective scales as 1/finesse uniformly.
 
     Raises ValueError naming the mirror radius when no length fits below
     2 R_mirror or every coupling lands in an exclusion band.
@@ -424,11 +426,14 @@ def optimize_design(search: DesignSearchSpace) -> OptimizeResult:
     # below every run it lands in; -1 marks a row with no feasible point
     last = np.full(c.size, N_values.size - 1)
     for n in range(n_top, 0, -1):
-        lo, hi = _band_run(sqrt_n, c, math.sqrt(n / 2.0), halfwidth)
-        inside = (lo <= last) & (last < hi)
-        last[inside] = lo[inside] - 1
-        if ((last < 0) | (last >= hi)).all():
-            break  # lower bands end lower still
+        centre = math.sqrt(n / 2.0)
+        rows = np.flatnonzero(last >= 0)
+        k = sqrt_n[last[rows]] * c[rows]
+        if (k - centre > halfwidth).all():
+            break  # every row ends above this band, and lower bands end lower still
+        inside = rows[_in_band(k, centre, halfwidth)]
+        lo = _first_index(sqrt_n, c[inside], centre - halfwidth, lambda k, sel: k - centre >= -halfwidth)
+        last[inside] = lo - 1
     rows = np.flatnonzero(last >= 0)
     row_min = entanglement_period(sqrt_n[last[rows]] * c[rows], omega[rows]) * kappa[rows]
     best = float(row_min.min()) if rows.size else math.inf
@@ -443,13 +448,16 @@ def optimize_design(search: DesignSearchSpace) -> OptimizeResult:
         sqrt_n, c, np.sqrt(math.pi * kappa / (omega * cutoff)),
         lambda k, sel: entanglement_period(k, omega[sel]) * kappa[sel] <= cutoff,
     )
-    # then up past every run it lands in, from the lowest band
+    # then up past every run it lands in, from the lowest band. first never
+    # passes the row's last feasible index, so it stays on the grid
     for n in range(1, n_top + 1):
-        lo, hi = _band_run(sqrt_n, c, math.sqrt(n / 2.0), halfwidth)
-        inside = (lo <= first) & (first < hi)
-        first[inside] = hi[inside]
-        if (first < lo).all():
-            break  # higher bands start higher still
+        centre = math.sqrt(n / 2.0)
+        k = sqrt_n[first] * c
+        if not (k - centre >= -halfwidth).any():
+            break  # every row starts below this band, and higher bands start higher still
+        inside = np.flatnonzero(_in_band(k, centre, halfwidth))
+        hi = _first_index(sqrt_n, c[inside], centre + halfwidth, lambda k, sel: k - centre > halfwidth)
+        first[inside] = hi
     pick = np.lexsort((omega, N_values[first], L_values[L_index]))[0]
     L_opt, N_opt, omega_opt = float(L_values[L_index[pick]]), float(N_values[first[pick]]), float(omega[pick])
 

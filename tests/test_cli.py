@@ -790,6 +790,27 @@ def test_cli_refuses_a_coupling_whose_regime_period_overflows(capsys, command, k
 @pytest.mark.parametrize(
     "command, overrides", [("fig3", ["n_points=50"]), ("fig4b", ["alpha_step=0.5", "beta_step=0.5"])]
 )
+def test_cli_refuses_a_regime_period_that_overflows_in_seconds(capsys, command, overrides):
+    # the scaled period pi / k**2 is finite here, but the period in seconds,
+    # pi / (omega_m k**2), overflowed with a RuntimeWarning and exit 0
+    argv = [command]
+    for item in ["omega_m_rad_per_s=1e-3", "k=1e-153", *overrides]:
+        argv += ["--set", item]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: fields 'k' and 'omega_m_rad_per_s': the regime period in seconds overflows "
+        "at k = 1e-153, omega_m_rad_per_s = 0.001\n"
+    )
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, overrides", [("fig3", ["n_points=50"]), ("fig4b", ["alpha_step=0.5", "beta_step=0.5"])]
+)
 def test_cli_keeps_the_smallest_coupling_whose_regime_period_is_finite(command, overrides, tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -27,7 +27,9 @@ from optomech.design import (
     optimize_design,
     proposed_atom_spec,
     proposed_geometry,
-    _band_run,
+    _coupling,
+    _first_index,
+    _in_band,
     _linewidth,
     _mode_volume,
     _waist,
@@ -481,8 +483,9 @@ def test_edge_cases_are_what_their_names_claim():
 @pytest.mark.parametrize("halfwidth", [0.0, 0.02, 0.3, 1.0])
 @pytest.mark.parametrize("n_max", [0, 1, 2, 5, 8, 11])
 def test_k_excluded_matches_band_loop(halfwidth, n_max):
-    # the optimizer's per-band index runs mark exactly the couplings the
-    # band loop marks, on band centres and edges and one ulp either side
+    # the optimizer's in-band predicate marks exactly the couplings the band
+    # loop marks, on band centres and edges and one ulp either side, and
+    # exactly the index runs [lo, hi) its two comparisons settle per row
     rng = np.random.default_rng(1000 * n_max + int(100 * halfwidth))
     centres = np.sqrt(np.arange(0, 14) / 2.0)
     k = np.unique(np.concatenate([
@@ -494,14 +497,125 @@ def test_k_excluded_matches_band_loop(halfwidth, n_max):
     ]))
     k = k[k > 0]
     c = np.array([1.0, 0.75, 1.3])
-    want = _k_excluded_by_band_loop(k[None, :] * c[:, None], halfwidth, n_max)
+    grid = k[None, :] * c[:, None]
+    want = _k_excluded_by_band_loop(grid, halfwidth, n_max)
     got = np.zeros(want.shape, dtype=bool)
     index = np.arange(k.size)
     for n in range(1, n_max + 1):
-        lo, hi = _band_run(k, c, math.sqrt(n / 2.0), halfwidth)
-        got |= (lo[:, None] <= index) & (index < hi[:, None])
+        centre = math.sqrt(n / 2.0)
+        inside = _in_band(grid, centre, halfwidth)
+        lo, hi = _reference_band_run(k, c, centre, halfwidth)
+        assert np.array_equal(inside, (lo[:, None] <= index) & (index < hi[:, None]))
+        got |= inside
     assert np.array_equal(got, want)
     # and the band loop itself is the scalar definition
     for kj in k[::7]:
         scalar = any(abs(kj - math.sqrt(n / 2.0)) <= halfwidth for n in range(1, n_max + 1))
         assert _k_excluded_by_band_loop(kj, halfwidth, n_max) == scalar
+
+
+def _reference_band_run(sqrt_n, c, centre, halfwidth):
+    """Per row, the index run [lo, hi) where |sqrt_n[j] * c - centre| <= halfwidth, on every row."""
+    lo = _first_index(sqrt_n, c, centre - halfwidth, lambda k, rows: k - centre >= -halfwidth)
+    hi = _first_index(sqrt_n, c, centre + halfwidth, lambda k, rows: k - centre > halfwidth)
+    return lo, hi
+
+
+def _reference_optimize(search):
+    """(L, N, omega_m, n_evaluated, report), or the refusal text, by the loops that locate
+    every band's run on every row."""
+    where = f"design search at mirror radius {search.R_mirror} m"
+    L_values = np.arange(search.L_min_m, search.L_max_m + 0.5 * search.L_step_m, search.L_step_m)
+    L_values = L_values[L_values < 2.0 * search.R_mirror]
+    N_values = np.arange(search.N_min, search.N_max + 0.5 * search.N_step, search.N_step)
+    if L_values.size == 0:
+        return f"{where}: empty search grid"
+    halfwidth = search.exclusion_halfwidth
+    omegas = 2.0 * math.pi * np.asarray(search.trap_frequencies_Hz, dtype=float)
+    n_evaluated = omegas.size * L_values.size * N_values.size
+    sqrt_n = np.sqrt(N_values)
+    c = np.concatenate([
+        _coupling(AtomEnsembleSpec(N=1.0, omega_m=omega_m), L_values, search.R_mirror) / omega_m
+        for omega_m in omegas
+    ])
+    omega = np.repeat(omegas, L_values.size)
+    L_index = np.tile(np.arange(L_values.size), omegas.size)
+    kappa = _linewidth(L_values, search.finesse_eval)[L_index]
+    k_max = float(sqrt_n[-1] * c.max())
+    n_top = 0
+    while n_top < search.exclusion_n_max and k_max - math.sqrt((n_top + 1) / 2.0) >= -halfwidth:
+        n_top += 1
+    last = np.full(c.size, N_values.size - 1)
+    for n in range(n_top, 0, -1):
+        lo, hi = _reference_band_run(sqrt_n, c, math.sqrt(n / 2.0), halfwidth)
+        inside = (lo <= last) & (last < hi)
+        last[inside] = lo[inside] - 1
+        if ((last < 0) | (last >= hi)).all():
+            break
+    rows = np.flatnonzero(last >= 0)
+    row_min = entanglement_period(sqrt_n[last[rows]] * c[rows], omega[rows]) * kappa[rows]
+    best = float(row_min.min()) if rows.size else math.inf
+    if not math.isfinite(best):
+        return f"{where}: no feasible design: every coupling lands in an exclusion band"
+    cutoff = best * (1.0 + search.plateau_rtol)
+    rows = rows[row_min <= cutoff]
+    c, omega, kappa, L_index = c[rows], omega[rows], kappa[rows], L_index[rows]
+    first = _first_index(
+        sqrt_n, c, np.sqrt(math.pi * kappa / (omega * cutoff)),
+        lambda k, sel: entanglement_period(k, omega[sel]) * kappa[sel] <= cutoff,
+    )
+    for n in range(1, n_top + 1):
+        lo, hi = _reference_band_run(sqrt_n, c, math.sqrt(n / 2.0), halfwidth)
+        inside = (lo <= first) & (first < hi)
+        first[inside] = hi[inside]
+        if (first < lo).all():
+            break
+    pick = np.lexsort((omega, N_values[first], L_values[L_index]))[0]
+    L_opt, N_opt, omega_opt = float(L_values[L_index[pick]]), float(N_values[first[pick]]), float(omega[pick])
+    spec = AtomEnsembleSpec(N=N_opt, omega_m=omega_opt)
+    geom = CavityGeometry(L=L_opt, R_mirror=search.R_mirror, finesse=search.finesse_eval)
+    return (L_opt, N_opt, omega_opt, n_evaluated, design_report(spec, geom))
+
+
+def _random_search(rng):
+    """A small random search space whose couplings straddle the bands, some all excluded."""
+    L_min = rng.uniform(100e-6, 1500e-6)
+    N_min = rng.uniform(1.0e3, 5.0e5)
+    frequencies = rng.uniform(20.0e3, 150.0e3, rng.integers(1, 9))
+    if rng.random() < 0.2:  # repeated trap frequencies tie whole blocks of rows
+        frequencies[-1] = frequencies[0]
+    return DesignSearchSpace(
+        R_mirror=rng.uniform(0.005, 0.12),
+        L_min_m=L_min,
+        L_max_m=L_min + rng.choice([0.0, rng.uniform(0.0, 600e-6)]),
+        L_step_m=rng.uniform(1e-6, 10e-6),
+        N_min=N_min,
+        N_max=N_min + rng.choice([0.0, rng.uniform(0.0, 6.0e5)]),
+        N_step=rng.uniform(200.0, 2000.0),
+        trap_frequencies_Hz=tuple(frequencies.tolist()),
+        finesse_eval=rng.uniform(1.0e5, 1.0e6),
+        exclusion_halfwidth=rng.choice([0.0, rng.uniform(0.0, 0.05), rng.uniform(0.0, 0.6)]),
+        exclusion_n_max=int(rng.integers(0, 13)),
+        plateau_rtol=rng.choice([0.0, rng.uniform(0.0, 0.1)]),
+    )
+
+
+def _full_outcome(search):
+    """optimize_design's (L, N, omega_m, n_evaluated, report), or the message of its ValueError."""
+    try:
+        result = optimize_design(search)
+    except ValueError as exc:
+        return str(exc)
+    return (result.L, result.N, result.omega_m, result.n_evaluated, result.report)
+
+
+def test_optimizer_matches_the_loops_over_every_row_on_random_searches():
+    # settling each band only on the rows inside it changes no result: the
+    # same optimum and report bit for bit, or the same refusal
+    rng = np.random.default_rng(30)
+    outcomes = [(_full_outcome(search), _reference_optimize(search)) for search in
+                (_random_search(rng) for _ in range(100))]
+    for got, want in outcomes:
+        assert got == want
+    refusals = sum(isinstance(want, str) for _, want in outcomes)
+    assert 0 < refusals < 50
