@@ -15,7 +15,9 @@ only PYTHONPATH entry. The matrix holds:
 - the three Duan sweeps over t and over k;
 - `design` with exclusion bands of zero, wide and overlapping width, and
   with no plateau tolerance;
-- a few inputs that a command must refuse by field name.
+- a few inputs that a command must refuse by field name;
+- the single-field matrix of the change tree's `tests/test_domain.py`:
+  every numeric field at 0, -1, 1e-300 and 1e300, the other grids shrunk.
 
 For each run it compares the CSV, the design JSON sidecar, stdout, stderr
 (with the tree and output paths replaced by placeholders) and the exit
@@ -80,18 +82,30 @@ def extract(revision: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
+def load(path: Path):
+    """The module at path, registered under its file name."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up by name
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 def matrix(tree: Path) -> list:
     """(label, command, overrides) of every run, each distinct run once."""
-    spec = importlib.util.spec_from_file_location("workloads", tree / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up by name
-    sys.modules[spec.name] = workloads
-    spec.loader.exec_module(workloads)
+    workloads = load(tree / "perfbench" / "workloads.py")
     runs = [(f"default-{command}", command, ()) for command in COMMANDS]
     for name, (commands, _) in workloads.WORKLOADS.items():
         for seed in SEEDS:
             runs += [(f"{name}-{seed}-{c.label}", c.command, tuple(c.overrides)) for c in commands(seed)]
     runs += EXTRA
+    # the single-field matrix reads the change tree's command fields
+    sys.path.insert(0, str(tree / "src"))
+    domain = load(tree / "tests" / "test_domain.py")
+    for command, settings in domain.single_field_runs():
+        (field, value), = settings.items()
+        runs.append((f"field-{command}-{field}-{value!r}", command, domain.overrides(command, settings)))
     seen, distinct = set(), []
     for label, command, overrides in runs:
         if (command, overrides) not in seen:

@@ -21,7 +21,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +42,7 @@ from .design import (
 from .duan import (
     _MAX_AMPLITUDE,
     _MAX_COUPLING,
+    _low_regime,
     _scan_grid,
     duan_values,
     entanglement_period,
@@ -378,119 +381,255 @@ def _metadata(cfg: RunConfig, extra: dict | None = None) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# input domains: what each command forms from its fields, refused by field name
+# ---------------------------------------------------------------------------
+
+def _fields(names: str) -> str:
+    """"field 'a'" for one space-separated name, "fields 'a', 'b' and 'c'" for more."""
+    *rest, last = map(repr, names.split())
+    return f"fields {', '.join(rest)} and {last}" if rest else f"field {last}"
+
+
+class _Row(NamedTuple):
+    """A condition "fields: text" on form(d), a quantity the command forms in its own float order from d;
+    key keeps it in d (each item under a tuple of keys), and the row applies where when(d)."""
+
+    spec: str
+    form: object
+    holds: object = math.isfinite
+    key: str | tuple | None = None
+    when: object = None
+
+
+def _domain(command: str, values: dict) -> SimpleNamespace:
+    """values plus the scalars the command's rows derive, once each row that applies holds.
+
+    A failing row refuses with its fields and its text, formatted with the quantity q and d. A row
+    with no text names its fields in front of the refusal of the library its form calls, which owns
+    the condition; a row with no fields either only derives.
+    """
+    d = SimpleNamespace(**values)
+    for row in _DOMAINS[command]:
+        if row.when is not None and not row.when(d):
+            continue
+        fields, _, text = row.spec.partition(": ")
+        if fields and not text:
+            try:
+                q = row.form(d)
+            except ValueError as exc:
+                raise ValueError(f"{_fields(fields)}: {exc}") from None
+        else:
+            q = row.form(d)
+            if text and not row.holds(q):
+                raise ValueError(f"{_fields(fields)}: {text.format(q=q, **vars(d))}")
+        if row.key is not None:
+            vars(d).update(zip(row.key, q) if isinstance(row.key, tuple) else {row.key: q})
+    return d
+
+
+#: above every |eta(t)|**2 the kernels form: 2 (1 - cos t) <= 4, rounded up by a few ulps at most
+_MAX_ETA_SQ = 4.0 + 1e-12
+
+
+def _phases(t: str, k: str, when=None, direct=None) -> tuple:
+    """The carrier phase (r_a + r_b) t, where direct(d) too (an envelope scan never forms it), and
+    2 k**2 t in `duan._coupling`'s order at the largest t and k, under the fields t and k name:
+    where both are finite, every phase is."""
+    return (
+        _Row(f"{t}: the carrier phase (r_a + r_b) t overflows at t = {{t_last!r}}, r_a + r_b = {{fast!r}}",
+             lambda d: d.fast * d.t_last, when=when if direct is None else lambda d: when(d) and direct(d)),
+        _Row(f"{t} {k}: the coupling phase 2 k**2 t overflows at t = {{t_last!r}}, k = {{k_last!r}}",
+             lambda d: 2.0 * (d.k_last ** 2 * d.t_last), when=when),
+    )
+
+
+def _thermal(nbar: str, k: str, when=None) -> tuple:
+    """2 nbar + 1, and k**2 |eta|**2 (2 nbar + 1) in `duan._couple`'s order at the largest k, nbar and
+    |eta|**2, which bounds every thermal exponent as non-negative factors round monotonically."""
+    return (
+        _Row(f"{nbar}: 2 nbar + 1 overflows at nbar = {{nbar!r}}", lambda d: 2.0 * d.nbar + 1.0, when=when),
+        _Row(f"{nbar} {k}: the thermal exponent k**2 |eta|**2 (2 nbar + 1) overflows at k = {{k_last!r}}, "
+             "nbar = {nbar!r}", lambda d: d.k_last ** 2 * _MAX_ETA_SQ * (2.0 * d.nbar + 1.0), when=when),
+    )
+
+
+#: most points one fig4a or fig4b axis may hold, ten times fig4b's default
+#: 101; the largest fig4b grid is then 1001 x 1001 cells
+_MAX_AXIS_POINTS = 1001
+
+
+def _axis(name: str, maximum: float) -> tuple:
+    """The name_min .. name_max axis in name_step steps, refused before it is built if too long or where
+    name_max passes maximum, then built as name_axis and refused where its last point passes maximum."""
+    ends = lambda d: [getattr(d, f"{name}_{end}") for end in ("min", "max", "step")]  # noqa: E731
+    axis = f"{name}_max {name}_step: the {name} axis"
+    return (
+        # floor(span) + 1 points exceed the cap exactly when span does not fall below it (adding 1 is
+        # exact near the cap); a span that overflows to inf is refused the same way
+        _Row(f"{axis} would hold {{q:.6g}} points, more than {_MAX_AXIS_POINTS}",
+             lambda d: (ends(d)[1] - ends(d)[0]) / ends(d)[2] + 1.0, lambda q: q < _MAX_AXIS_POINTS + 1),
+        _Row(f"{name}_max: must be <= {maximum:g}, got {{q!r}}", lambda d: ends(d)[1], lambda q: q <= maximum),
+        # the last point lies up to half a step beyond name_max
+        _Row("", lambda d: np.arange(ends(d)[0], ends(d)[1] + 0.5 * ends(d)[2], ends(d)[2]), key=f"{name}_axis"),
+        _Row(f"{axis} reaches {{q!r}}, above {maximum:g}",
+             lambda d: float(getattr(d, f"{name}_axis")[-1]), lambda q: q <= maximum, key=f"{name}_last"),
+    )
+
+
+#: `entanglement_period` as regime_report takes it, with k**2 free to underflow to 0
+_period = np.errstate(divide="ignore", over="ignore")(entanglement_period)
+
+
+@np.errstate(all="ignore")
+def _feasibility_ratio(d) -> float:
+    """`regime_report`'s low-regime g0**2 / (omega_m 2 pi kappa) in its float order, with g0 a numpy
+    float: an overflow, or a denominator that underflows to 0, gives inf or NaN instead of raising."""
+    g0 = np.float64(d.k) * d.omega_m_rad_per_s
+    return float(g0 ** 2 / (d.omega_m_rad_per_s * (2.0 * math.pi * d.kappa)))
+
+
+def _window_phases(k_field: str) -> tuple:
+    """fig4a's and fig4b's phases, named by window_scaled or by the fields the window defaults from."""
+    direct = lambda d: _scan_grid(d.window, d.fast)[1] == "direct"  # noqa: E731
+    return (*_phases("window_scaled", k_field, lambda d: d.window_scaled is not None, direct),
+            *_phases(_WINDOW, k_field, lambda d: d.window_scaled is None, direct))
+
+
+_WINDOW = "omega_m_rad_per_s cavity_length_m finesse"
+_QUBIT = f"the qubit measures need k <= {_MAX_QUBIT_COUPLING:g}, got {{q!r}}"
+_QUBIT_HOLDS = lambda q: q <= _MAX_QUBIT_COUPLING  # noqa: E731
+_CELL_HOLDS = lambda q: q <= _MAX_COUPLING  # noqa: E731
+_COUPLED = lambda d: d.k > 0  # noqa: E731
+_REGIME_ROWS = (
+    _Row("k: the regime period pi / k**2 overflows at k = {k!r}", lambda d: _period(d.k, 1.0), when=_COUPLED),
+    _Row("k omega_m_rad_per_s: the regime period in seconds overflows at k = {k!r}, omega_m_rad_per_s = "
+         "{omega_m_rad_per_s!r}", lambda d: _period(d.k, d.omega_m_rad_per_s), when=_COUPLED),
+)
+#: kappa in 1/s and tau_p in s; the window, the photon lifetime in scaled time unless window_scaled
+#: overrides it (fig3 has no window_scaled); r_a and r_b, the carriers over omega_m, scaled only here
+_OPERATING_ROWS = (
+    _Row("cavity_length_m mirror_radius_m", key=("kappa", "tau_p"),
+         form=lambda d: cavity_linewidth(CavityGeometry(d.cavity_length_m, d.mirror_radius_m, d.finesse))),
+    _Row(f"{_WINDOW}: the window omega_m tau_p overflows at tau_p = {{tau_p!r}} s",
+         lambda d: getattr(d, "window_scaled", None) or d.omega_m_rad_per_s * d.tau_p, key="window"),
+    _Row("omega_a_rad_per_s: omega_a_rad_per_s / omega_m_rad_per_s = {q!r} must be positive and finite",
+         lambda d: d.omega_a_rad_per_s / d.omega_m_rad_per_s, lambda q: 0.0 < q < math.inf, key="r_a"),
+    _Row("omega_b_rad_per_s: omega_b_rad_per_s / omega_m_rad_per_s = {q!r} must be positive and finite",
+         lambda d: d.omega_b_rad_per_s / d.omega_m_rad_per_s, lambda q: 0.0 < q < math.inf, key="r_b"),
+    _Row("", lambda d: d.r_a + d.r_b, key="fast"),
+)
+_NBAR = _Row("temperature_K", lambda d: thermal_occupation(d.temperature_K, d.omega_m_rad_per_s), key="nbar")
+_RATIO = _Row(
+    "k omega_m_rad_per_s cavity_length_m finesse: the feasibility ratio g0**2 / (omega_m 2 pi kappa) is {q!r} "
+    "at kappa = {kappa!r} 1/s", _feasibility_ratio, when=lambda d: _COUPLED(d) and _low_regime(d.k))
+
+#: command -> the rows of its input domain, in the order they are checked
+_DOMAINS = {
+    "fig2": (
+        _Row(f"k: {_QUBIT}", lambda d: d.k, _QUBIT_HOLDS),
+        _Row("t_max: must exceed t_min={t_min}", lambda d: d.t_max > d.t_min, bool),
+    ),
+    "fig3": (
+        *_REGIME_ROWS,
+        *_OPERATING_ROWS[:2],
+        _Row("", lambda d: d.window if d.t_max is None else d.t_max, key="t_last"),
+        _Row("t_max: must exceed t_min={t_min}", lambda d: d.t_last > d.t_min, bool),
+        *_OPERATING_ROWS[2:],
+        _NBAR,
+        # k through g0 = k omega_m and back, as fig3 has always scaled it: the
+        # quotient differs from k in the last bit for some k (0.8992 among them)
+        _Row(f"k omega_m_rad_per_s: the coupling k omega_m / omega_m is {{q!r}}, above {_MAX_COUPLING:g}",
+             lambda d: (d.k * d.omega_m_rad_per_s) / d.omega_m_rad_per_s, _CELL_HOLDS, key="k_last"),
+        *_phases("t_max", ""),
+        *_thermal("temperature_K omega_m_rad_per_s", "k"),
+        _RATIO,
+    ),
+    "fig4a": (
+        _Row("k_max: must exceed k_min", lambda d: d.k_max > d.k_min, bool),
+        *_OPERATING_ROWS,
+        *_axis("k", _MAX_COUPLING),
+        _Row("", lambda d: d.window, key="t_last"),
+        *_window_phases("k_max"),
+        _Row("temperatures_K", lambda d: [thermal_occupation(T, d.omega_m_rad_per_s) for T in d.temperatures_K],
+             key="nbars"),
+        _Row("", lambda d: max(d.nbars), key="nbar"),
+        *_thermal("temperatures_K omega_m_rad_per_s", "k_max"),
+    ),
+    "fig4b": (
+        _Row("alpha_max: must exceed alpha_min", lambda d: d.alpha_max > d.alpha_min, bool),
+        _Row("beta_max: must exceed beta_min", lambda d: d.beta_max > d.beta_min, bool),
+        *_REGIME_ROWS,
+        *_OPERATING_ROWS,
+        _Row("", lambda d: (d.window, d.k), key=("t_last", "k_last")),
+        *_window_phases("k"),
+        _NBAR,
+        *_thermal("temperature_K omega_m_rad_per_s", "k"),
+        _RATIO,
+        *_axis("alpha", _MAX_AMPLITUDE),
+        *_axis("beta", _MAX_AMPLITUDE),
+    ),
+    "design": (
+        # DesignSearchSpace names each field it refuses itself; optimize_design's lengths start at
+        # L_min_m and lie below 2 R_mirror; and only the search tells if every coupling lands in a band
+        _Row("", key="searches", form=lambda d: [
+            DesignSearchSpace(r, **{f: getattr(d, f) for f in _SEARCH_FIELDS}) for r in d.radii_m]),
+        _Row("radii_m L_min_m: design search at mirror radius {q} m: empty search grid",
+             lambda d: next((r for r in d.radii_m if not d.L_min_m < 2.0 * r), None), lambda q: q is None),
+        _Row("exclusion_halfwidth exclusion_n_max", lambda d: [*map(optimize_design, d.searches)],
+             key="results"),
+    ),
+    "sweep": (
+        _Row("stop: must exceed start", lambda d: d.stop > d.start, bool),
+        _Row(f"stop: a k sweep must stop at most {_MAX_COUPLING:g}, got {{q!r}}", lambda d: d.stop, _CELL_HOLDS,
+             when=lambda d: d.variable == "k"),
+        # the largest t and k: stop, and t_fixed or k
+        _Row("", key=("duan", "fast", "t_last", "k_last"), form=lambda d: (
+            d.quantity.startswith("duan"), d.r_a + d.r_b,
+            *((d.stop, d.k) if d.variable == "t" else (d.t_fixed, d.stop)))),
+        _Row("r_a r_b: must be positive for Duan sweeps", lambda d: d.r_a > 0 and d.r_b > 0, bool,
+             when=lambda d: d.duan),
+        *_phases("stop", "", lambda d: d.duan and d.variable == "t"),
+        *_phases("t_fixed", "stop", lambda d: d.duan and d.variable == "k"),
+        *_thermal("nbar", "k", lambda d: d.duan and d.variable == "t"),
+        *_thermal("nbar", "stop", lambda d: d.duan and d.variable == "k"),
+        _Row(f"stop: {_QUBIT}", lambda d: d.stop, _QUBIT_HOLDS, when=lambda d: not d.duan and d.variable == "k"),
+        _Row(f"k: {_QUBIT}", lambda d: d.k, _QUBIT_HOLDS, when=lambda d: not d.duan and d.variable == "t"),
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
 # command implementations
 # ---------------------------------------------------------------------------
 
-def _scaled_window(values: dict) -> tuple[float, float]:
-    """(window in scaled time, kappa in 1/s) from the cavity geometry fields."""
-    try:
-        geom = CavityGeometry(
-            L=values["cavity_length_m"],
-            R_mirror=values["mirror_radius_m"],
-            finesse=values["finesse"],
-        )
-    except ValueError as exc:
-        # the finesse field is checked by its validator, so only L < 2 R_mirror fails here
-        raise ValueError(f"fields 'cavity_length_m' and 'mirror_radius_m': {exc}") from None
-    kappa, tau_p = cavity_linewidth(geom)
-    return values["omega_m_rad_per_s"] * tau_p, kappa
-
-
-def _fields(names: tuple[str, ...]) -> str:
-    """"field 'a'" for one name, "fields 'a', 'b' and 'c'" for more."""
-    quoted = [repr(name) for name in names]
-    if len(quoted) == 1:
-        return f"field {quoted[0]}"
-    return f"fields {', '.join(quoted[:-1])} and {quoted[-1]}"
-
-
-def _check_phases(
-    t: float, k: float, fast: float | None, t_fields: tuple[str, ...], k_field: str | None = None
-) -> None:
-    """Refuse, by field name, a largest time t at which a phase of the witness overflows.
-
-    The carrier phase fast t, fast = r_a + r_b, is refused under t_fields
-    (unless fast is None: the witness never forms it), and 2 k**2 t, formed
-    in `duan._coupling`'s order, under t_fields and, where k is swept,
-    k_field. Where both are finite, every phase of the closed forms is.
-    """
-    if fast is not None and not math.isfinite(fast * t):
-        raise ValueError(
-            f"{_fields(t_fields)}: the carrier phase (r_a + r_b) t overflows at t = {t!r}, "
-            f"r_a + r_b = {fast!r}"
-        )
-    if not math.isfinite(2.0 * (k ** 2 * t)):
-        fields = _fields(t_fields + (() if k_field is None else (k_field,)))
-        raise ValueError(f"{fields}: the coupling phase 2 k**2 t overflows at t = {t!r}, k = {k!r}")
-
-
-def _check_qubit_coupling(k: float, field: str) -> None:
-    """Refuse, under field, a k above `_MAX_QUBIT_COUPLING`."""
-    if k > _MAX_QUBIT_COUPLING:
-        raise ValueError(
-            f"field {field!r}: the qubit measures need k <= {_MAX_QUBIT_COUPLING:g}, got {k!r}"
-        )
-
-
-def _check_regime_period(k: float, omega_m: float) -> None:
-    """Refuse a positive k whose regime period overflows, scaled or in seconds, by field."""
-    if k > 0:
-        # the periods regime_report takes, whose k**2 may underflow to 0
-        with np.errstate(divide="ignore", over="ignore"):
-            period, seconds = entanglement_period(k, 1.0), entanglement_period(k, omega_m)
-        if not math.isfinite(period):
-            raise ValueError(f"field 'k': the regime period pi / k**2 overflows at k = {k!r}")
-        if not math.isfinite(seconds):
-            raise ValueError(
-                "fields 'k' and 'omega_m_rad_per_s': the regime period in seconds overflows "
-                f"at k = {k!r}, omega_m_rad_per_s = {omega_m!r}"
-            )
-
-
 def run_fig2(cfg: RunConfig) -> ResultTable:
-    v = cfg.values
-    _check_qubit_coupling(v["k"], "k")
-    if not v["t_max"] > v["t_min"]:
-        raise ValueError(f"field 't_max': must exceed t_min={v['t_min']}")
-    grid = np.linspace(v["t_min"], v["t_max"], v["n_points"])
+    d = _domain("fig2", cfg.values)
+    grid = np.linspace(d.t_min, d.t_max, d.n_points)
     # one stack of states serves both measures
-    rhos = reduced_rho_ab(grid, v["k"])
+    rhos = reduced_rho_ab(grid, d.k)
     columns = {"t": grid, "concurrence": concurrence(rhos), "entropy": von_neumann_entropy(rhos)}
     return ResultTable(columns, _metadata(cfg))
 
 
 def run_fig3(cfg: RunConfig) -> ResultTable:
-    v = cfg.values
-    _check_regime_period(v["k"], v["omega_m_rad_per_s"])
-    window, kappa = _scaled_window(v)
-    t_max = v["t_max"] if v["t_max"] is not None else window
-    if not t_max > v["t_min"]:
-        raise ValueError(f"field 't_max': must exceed t_min={v['t_min']}")
-    omega_m = v["omega_m_rad_per_s"]
-    r_a, r_b = _carrier_ratios(v)
-    nbar = _thermal_occupation(v["temperature_K"], omega_m, "temperature_K")
-    # k through g0 = k omega_m and back, as fig3 has always scaled it: the
-    # quotient differs from k in the last bit for some k (0.8992 among them)
-    cell = dict(alpha=v["alpha"], beta=v["beta"], nbar=nbar, k=(v["k"] * omega_m) / omega_m)
-    _check_phases(t_max, cell["k"], r_a + r_b, ("t_max",))
-    grid = np.linspace(v["t_min"], t_max, v["n_points"])
+    d = _domain("fig3", cfg.values)
+    grid = np.linspace(d.t_min, d.t_last, d.n_points)
+    cell = dict(alpha=d.alpha, beta=d.beta, nbar=d.nbar, k=d.k_last)
     columns = {
         "t": grid,
-        **{f"duan_{pair.lower()}": duan_values(grid, pair, r_a, r_b, **cell) for pair in _PAIRS},
+        **{f"duan_{pair.lower()}": duan_values(grid, pair, d.r_a, d.r_b, **cell) for pair in _PAIRS},
         "threshold": np.ones_like(grid),  # the separability threshold
         **{
-            f"duan_{pair.lower()}_lower": duan_values(grid, pair, r_a, r_b, **cell, lower=True)
+            f"duan_{pair.lower()}_lower": duan_values(grid, pair, d.r_a, d.r_b, **cell, lower=True)
             for pair in _PAIRS
         },
     }
-    extra = {"nbar": repr(nbar), "window_scaled": repr(window)}
-    if v["k"] > 0:
-        rep = regime_report(v["k"], omega_m, kappa)
+    extra = {"nbar": repr(d.nbar), "window_scaled": repr(d.window)}
+    if d.k > 0:
+        rep = regime_report(d.k, d.omega_m_rad_per_s, d.kappa)
         extra.update(
-            regime=rep.regime,
-            feasibility_condition=rep.feasibility_condition,
-            feasibility_ratio=repr(rep.feasibility_ratio),
-            envelope_period_scaled=repr(rep.envelope_period),
+            regime=rep.regime, feasibility_condition=rep.feasibility_condition,
+            feasibility_ratio=repr(rep.feasibility_ratio), envelope_period_scaled=repr(rep.envelope_period),
         )
     return ResultTable(columns, _metadata(cfg, extra))
 
@@ -505,134 +644,26 @@ def _minima_metadata(res) -> dict:
     }
 
 
-def _carrier_ratios(values: dict) -> tuple[float, float]:
-    """(r_a, r_b): the optical carriers over omega_m, the only place they are scaled.
-
-    A ratio that overflows or underflows to 0 is refused under its carrier's field.
-    """
-    omega_m = values["omega_m_rad_per_s"]
-    ratios = []
-    for field in ("omega_a_rad_per_s", "omega_b_rad_per_s"):
-        ratio = values[field] / omega_m
-        if not 0.0 < ratio < math.inf:
-            raise ValueError(
-                f"field {field!r}: {field} / omega_m_rad_per_s = {ratio!r} "
-                "must be positive and finite"
-            )
-        ratios.append(ratio)
-    return tuple(ratios)
-
-
-def _thermal_occupation(temperature: float, omega_m: float, field: str) -> float:
-    """`thermal_occupation`, with its refusal named by the temperature's field."""
-    try:
-        return thermal_occupation(temperature, omega_m)
-    except ValueError as exc:
-        raise ValueError(f"field {field!r}: {exc}") from None
-
-
-def _witness_window(values: dict) -> tuple[float, float, float, float]:
-    """(window, kappa, r_a, r_b) for a witness-minimum grid.
-
-    The window is the photon lifetime in scaled time unless window_scaled
-    overrides it; r_a and r_b are `_carrier_ratios`.
-    """
-    window, kappa = _scaled_window(values)
-    if values["window_scaled"] is not None:
-        window = values["window_scaled"]
-    return window, kappa, *_carrier_ratios(values)
-
-
-def _check_window_phases(values: dict, window: float, fast: float, k: float, k_field: str) -> None:
-    """`_check_phases` on a witness-minimum window at its largest k.
-
-    The window is named by window_scaled, or where it defaults by the
-    fields of omega_m times the photon lifetime. An envelope scan never
-    forms the carrier phase (r_a + r_b) t, so that phase is checked only
-    where the window selects direct mode.
-    """
-    if values["window_scaled"] is not None:
-        t_fields = ("window_scaled",)
-    else:
-        t_fields = ("omega_m_rad_per_s", "cavity_length_m", "finesse")
-    direct = _scan_grid(window, fast)[1] == "direct"
-    _check_phases(window, k, fast if direct else None, t_fields, k_field)
-
-
-#: most points one fig4a or fig4b axis may hold, ten times fig4b's default
-#: 101; the largest fig4b grid is then 1001 x 1001 cells
-_MAX_AXIS_POINTS = 1001
-
-
-#: the largest value of each fig4a or fig4b axis, the witness cell's domain
-_AXIS_MAXIMA = {"alpha": _MAX_AMPLITUDE, "beta": _MAX_AMPLITUDE, "k": _MAX_COUPLING}
-
-
-def _axis(values: dict, name: str) -> np.ndarray:
-    """The name_min .. name_max grid in name_step steps, refused before it is allocated if too long.
-
-    A grid that passes the axis's maximum in `_AXIS_MAXIMA` is refused too,
-    also where name_max does not but the last point, up to half a step
-    beyond it, does.
-    """
-    lo, hi, step = (values[f"{name}_{end}"] for end in ("min", "max", "step"))
-    # floor(span) + 1 points, which exceeds the cap exactly when span does not
-    # fall below it; a span that overflows to inf is refused the same way
-    span = (hi - lo) / step
-    if not span < _MAX_AXIS_POINTS:
-        raise ValueError(
-            f"fields '{name}_max' and '{name}_step': the {name} axis would hold {span + 1:.6g} "
-            f"points, more than {_MAX_AXIS_POINTS}"
-        )
-    maximum = _AXIS_MAXIMA[name]
-    if hi > maximum:
-        raise ValueError(f"field '{name}_max': must be <= {maximum:g}, got {hi!r}")
-    axis = np.arange(lo, hi + 0.5 * step, step)
-    if axis[-1] > maximum:
-        raise ValueError(
-            f"fields '{name}_max' and '{name}_step': the {name} axis reaches {float(axis[-1])!r}, "
-            f"above {maximum:g}"
-        )
-    return axis
-
-
 def run_fig4a(cfg: RunConfig) -> ResultTable:
-    v = cfg.values
-    if not v["k_max"] > v["k_min"]:
-        raise ValueError("field 'k_max': must exceed k_min")
-    window, _, r_a, r_b = _witness_window(v)
-    omega_m = v["omega_m_rad_per_s"]
-    ks = _axis(v, "k")
-    _check_window_phases(v, window, r_a + r_b, float(ks[-1]), "k_max")
-    temps = v["temperatures_K"]
-    nbars = [_thermal_occupation(T, omega_m, "temperatures_K") for T in temps]
+    d = _domain("fig4a", cfg.values)
+    ks, temps = d.k_axis, d.temperatures_K
     k_cells, t_cells = np.repeat(ks, len(temps)), np.tile(temps, ks.size)
-    res = window_minima(
-        "AB", window, r_a, r_b, alpha=v["alpha"], beta=v["beta"],
-        nbar=np.tile(nbars, ks.size), k=k_cells,
-    )
+    res = window_minima("AB", d.window, d.r_a, d.r_b, alpha=d.alpha, beta=d.beta,
+                        nbar=np.tile(d.nbars, ks.size), k=k_cells)
     columns = {"k": k_cells, "temperature_K": t_cells, "min_duan_ab": res.d_star}
-    extra = {"window_scaled": repr(window), **_minima_metadata(res)}
+    extra = {"window_scaled": repr(d.window), **_minima_metadata(res)}
     return ResultTable(columns, _metadata(cfg, extra))
 
 
 def run_fig4b(cfg: RunConfig) -> ResultTable:
-    v = cfg.values
-    for lo, hi in (("alpha_min", "alpha_max"), ("beta_min", "beta_max")):
-        if not v[hi] > v[lo]:
-            raise ValueError(f"field {hi!r}: must exceed {lo}")
-    _check_regime_period(v["k"], v["omega_m_rad_per_s"])
-    window, kappa, r_a, r_b = _witness_window(v)
-    _check_window_phases(v, window, r_a + r_b, v["k"], "k")
-    omega_m = v["omega_m_rad_per_s"]
-    nbar = _thermal_occupation(v["temperature_K"], omega_m, "temperature_K")
-    alphas, betas = _axis(v, "alpha"), _axis(v, "beta")
+    d = _domain("fig4b", cfg.values)
+    alphas, betas = d.alpha_axis, d.beta_axis
     a_cells, b_cells = np.repeat(alphas, betas.size), np.tile(betas, alphas.size)
-    res = window_minima("AB", window, r_a, r_b, alpha=a_cells, beta=b_cells, nbar=nbar, k=v["k"])
+    res = window_minima("AB", d.window, d.r_a, d.r_b, alpha=a_cells, beta=b_cells, nbar=d.nbar, k=d.k)
     columns = {"alpha": a_cells, "beta": b_cells, "min_duan_ab": res.d_star}
-    extra = {"nbar": repr(nbar), "window_scaled": repr(window), **_minima_metadata(res)}
-    if v["k"] > 0:
-        rep = regime_report(v["k"], omega_m, kappa)
+    extra = {"nbar": repr(d.nbar), "window_scaled": repr(d.window), **_minima_metadata(res)}
+    if d.k > 0:
+        rep = regime_report(d.k, d.omega_m_rad_per_s, d.kappa)
         extra.update(regime=rep.regime, feasibility_condition=rep.feasibility_condition)
     return ResultTable(columns, _metadata(cfg, extra))
 
@@ -643,44 +674,23 @@ def run_design(cfg: RunConfig) -> tuple[ResultTable, dict]:
         "mirror_radius_m", "cavity_length_m", "atom_number", "trap_frequency_Hz",
         "k", "ratio_at_eval_finesse", "min_finesse_for_unity_ratio",
     ]
-    search = {name: v[name] for name in _SEARCH_FIELDS}
-    optimized = []
-    for radius in v["radii_m"]:
-        result = optimize_design(DesignSearchSpace(R_mirror=radius, **search))
-        entry = {
-            "mirror_radius_m": radius,
-            "cavity_length_m": result.L,
-            "atom_number": result.N,
-            "trap_frequency_Hz": result.omega_m / (2.0 * math.pi),
-            "k": result.report.k,
-            "g0_rad_per_s": result.report.g0,
-            "ratio_at_eval_finesse": result.report.ratio,
+    optimized = [
+        {
+            "mirror_radius_m": radius, "cavity_length_m": result.L, "atom_number": result.N,
+            "trap_frequency_Hz": result.omega_m / (2.0 * math.pi), "k": result.report.k,
+            "g0_rad_per_s": result.report.g0, "ratio_at_eval_finesse": result.report.ratio,
             "min_finesse_for_unity_ratio": result.report.min_finesse_for_unity_ratio,
             "n_evaluated": result.n_evaluated,
         }
-        optimized.append(entry)
-
+        for radius, result in zip(v["radii_m"], _domain("design", v).results)
+    ]
     prop = design_report(proposed_atom_spec(), proposed_geometry(v["report_finesse"]))
-    heating = prop.heating
     report_json = {
         "proposed": {
-            "finesse": v["report_finesse"],
-            "g0_rad_per_s": prop.g0,
-            "k": prop.k,
-            "kappa_per_s": prop.kappa,
-            "tau_p_s": prop.tau_p,
-            "tau_e_s": prop.tau_e,
-            "ratio": prop.ratio,
+            "finesse": v["report_finesse"], "g0_rad_per_s": prop.g0, "k": prop.k, "kappa_per_s": prop.kappa,
+            "tau_p_s": prop.tau_p, "tau_e_s": prop.tau_e, "ratio": prop.ratio,
             "min_finesse_for_unity_ratio": prop.min_finesse_for_unity_ratio,
-            "heating": {
-                "r_fs": heating.r_fs,
-                "r_c": heating.r_c,
-                "energy_ratio": heating.energy_ratio,
-                "r_fs_alt": heating.r_fs_alt,
-                "r_c_alt": heating.r_c_alt,
-                "energy_ratio_alt": heating.energy_ratio_alt,
-                "backaction_dominates": heating.backaction_dominates,
-            },
+            "heating": {**asdict(prop.heating), "backaction_dominates": prop.heating.backaction_dominates},
         },
         "optimized": optimized,
     }
@@ -737,22 +747,8 @@ def _cmd_oracle_check(cfg: RunConfig) -> int:
 
 def run_sweep(cfg: RunConfig) -> ResultTable:
     v = cfg.values
+    _domain("sweep", v)
     quantity = v["quantity"]
-    if not v["stop"] > v["start"]:
-        raise ValueError("field 'stop': must exceed start")
-    if v["variable"] == "k" and v["stop"] > _MAX_COUPLING:
-        raise ValueError(f"field 'stop': a k sweep must stop at most {_MAX_COUPLING:g}, got {v['stop']!r}")
-    if quantity.startswith("duan"):
-        if not (v["r_a"] > 0 and v["r_b"] > 0):
-            raise ValueError("fields 'r_a' and 'r_b': must be positive for Duan sweeps")
-        if v["variable"] == "t":
-            _check_phases(v["stop"], v["k"], v["r_a"] + v["r_b"], ("stop",))
-        else:
-            _check_phases(v["t_fixed"], v["stop"], v["r_a"] + v["r_b"], ("t_fixed",), "stop")
-    elif v["variable"] == "k":
-        _check_qubit_coupling(v["stop"], "stop")
-    else:
-        _check_qubit_coupling(v["k"], "k")
     xs = np.linspace(v["start"], v["stop"], v["n_points"])
     ks = xs if v["variable"] == "k" else v["k"]
     ts = xs if v["variable"] == "t" else v["t_fixed"]

@@ -303,6 +303,8 @@ class DesignSearchSpace:
             need(name, 0 < getattr(self, name) < math.inf, "positive and finite")
         for name in ("exclusion_halfwidth", "plateau_rtol"):
             need(name, 0 <= getattr(self, name) < math.inf, "non-negative and finite")
+        # the mode formulas hold for a standing wave; at 1e-300 m the mode volume underflowed to 0
+        need("L_min_m", self.L_min_m >= 0.5 * RB87_D2_WAVELENGTH_M, "at least half the D2 wavelength")
         need("L_max_m", self.L_min_m <= self.L_max_m < math.inf, "finite and >= L_min_m")
         need("N_min", 1 <= self.N_min < math.inf, "finite and >= 1")
         need("N_max", self.N_min <= self.N_max < math.inf, "finite and >= N_min")

@@ -368,12 +368,13 @@ def test_fig4a_traced_peak_stays_within_a_few_dozen_temporaries():
 
 
 def test_fig4_axis_cap_admits_its_boundary():
-    from optomech.cli import _axis
+    def domain(command, **values):
+        return cli._domain(command, resolve_config(command, overrides=[f"{k}={v!r}" for k, v in values.items()]).values)
 
-    assert _axis({"alpha_min": 0.0, "alpha_max": 2.0, "alpha_step": 0.002}, "alpha").size == 1001
-    assert _axis({"k_min": 0.5, "k_max": 0.5 + 1000 * 0.25, "k_step": 0.25}, "k").size == 1001
+    assert domain("fig4b", alpha_min=0.0, alpha_max=2.0, alpha_step=0.002).alpha_axis.size == 1001
+    assert domain("fig4a", k_min=0.5, k_max=0.5 + 1000 * 0.25, k_step=0.25).k_axis.size == 1001
     with pytest.raises(Exception, match="would hold 1002 points, more than 1001"):
-        _axis({"k_min": 0.5, "k_max": 0.5 + 1001 * 0.25, "k_step": 0.25}, "k")
+        domain("fig4a", k_min=0.5, k_max=0.5 + 1001 * 0.25, k_step=0.25)
 
 
 def test_cli_csv_metadata_lines_use_crlf(tmp_path):
@@ -457,10 +458,11 @@ _WHERE = "design search at mirror radius"
     [
         (
             ["radii_m=[0.05]", "exclusion_halfwidth=50.0"],
+            "fields 'exclusion_halfwidth' and 'exclusion_n_max': "
             f"{_WHERE} 0.05 m: no feasible design: every coupling lands in an exclusion band",
         ),
         # 2 x 0.0001 m is the default L_min_m, so no length fits
-        (["radii_m=[0.0001]"], f"{_WHERE} 0.0001 m: empty search grid"),
+        (["radii_m=[0.0001]"], f"fields 'radii_m' and 'L_min_m': {_WHERE} 0.0001 m: empty search grid"),
     ],
     ids=["all-excluded", "empty-grid"],
 )

@@ -689,8 +689,9 @@ def _fig4b_cells(temperature_K):
     from optomech import cli
 
     v = cli.resolve_config("fig4b", overrides=(f"temperature_K={temperature_K!r}",)).values
-    window, _, r_a, r_b = cli._witness_window(v)
-    alphas, betas = cli._axis(v, "alpha"), cli._axis(v, "beta")
+    d = cli._domain("fig4b", v)
+    window, r_a, r_b = d.window, d.r_a, d.r_b
+    alphas, betas = d.alpha_axis, d.beta_axis
     nbar = thermal_occupation(v["temperature_K"], v["omega_m_rad_per_s"])
     cells = dict(
         alpha=np.repeat(alphas, betas.size), beta=np.tile(betas, alphas.size), nbar=nbar, k=v["k"]
@@ -796,8 +797,9 @@ def _fig4a_cells(*overrides):
     from optomech import cli
 
     v = cli.resolve_config("fig4a", overrides=overrides).values
-    window, _, r_a, r_b = cli._witness_window(v)
-    ks = cli._axis(v, "k")
+    d = cli._domain("fig4a", v)
+    window, r_a, r_b = d.window, d.r_a, d.r_b
+    ks = d.k_axis
     nbars = [thermal_occupation(T, v["omega_m_rad_per_s"]) for T in v["temperatures_K"]]
     cells = dict(
         alpha=v["alpha"], beta=v["beta"], nbar=np.tile(nbars, ks.size), k=np.repeat(ks, len(nbars))
