@@ -391,8 +391,8 @@ def _fields(names: str) -> str:
 
 
 class _Row(NamedTuple):
-    """A condition "fields: text" on form(d), a quantity the command forms in its own float order from d;
-    key keeps it in d (each item under a tuple of keys), and the row applies where when(d)."""
+    """A condition "fields: text" on form(d), a quantity the command forms in its own float order from
+    the values and earlier rows' scalars d; key keeps it in d (a tuple of keys takes each item)."""
 
     spec: str
     form: object
@@ -402,11 +402,11 @@ class _Row(NamedTuple):
 
 
 def _domain(command: str, values: dict) -> SimpleNamespace:
-    """values plus the scalars the command's rows derive, once each row that applies holds.
+    """values plus the scalars the command's rows derive, once each row that applies (when(d)) holds.
 
-    A failing row refuses with its fields and its text, formatted with the quantity q and d. A row
-    with no text names its fields in front of the refusal of the library its form calls, which owns
-    the condition; a row with no fields either only derives.
+    A row whose holds fails on its quantity q refuses with its fields and text, formatted with q and d.
+    A row with no text puts its fields in front of the refusal of the library its form calls, which
+    owns the condition; a row with no fields either only derives.
     """
     d = SimpleNamespace(**values)
     for row in _DOMAINS[command]:
