@@ -68,6 +68,9 @@ EXTRA = [
     ("design-halfwidth-0.2-n-max-11", "design", ("exclusion_halfwidth=0.2", "exclusion_n_max=11")),
     ("design-rtol-0", "design", ("plateau_rtol=0",)),
     ("refuse-design-all-excluded", "design", ("exclusion_halfwidth=50",)),
+    ("refuse-fig3-linewidth", "fig3", ("mirror_radius_m=1e300", "cavity_length_m=1e300", "finesse=1e300")),
+    ("refuse-fig3-k-alpha", "fig3", ("k=1e100", "alpha=1e100", "n_points=50")),
+    ("refuse-design-report-finesse", "design", ("report_finesse=1e300",)),
 ]
 
 

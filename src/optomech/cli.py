@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, certify
-from .core import thermal_occupation
+from .core import C_LIGHT, thermal_occupation
 from .design import (
     TEMPERATURE_K,
     CavityGeometry,
@@ -453,6 +453,15 @@ def _thermal(nbar: str, k: str, when=None) -> tuple:
     )
 
 
+def _correlation(k: str, when=None) -> _Row:
+    """k**2 |eta|**2 (alpha**2 + beta**2) in `duan._ac_base`'s order at the largest k and |eta|**2, under
+    the field k names, alpha and beta: where it is finite, that term of every D_AC and D_BC is, as its
+    non-negative factors round monotonically."""
+    return _Row(f"{k} alpha beta: k**2 |eta|**2 (alpha**2 + beta**2) overflows at k = {{k_last!r}}, alpha = "
+                "{alpha!r}, beta = {beta!r}", lambda d: d.k_last ** 2 * _MAX_ETA_SQ * (d.alpha ** 2 + d.beta ** 2),
+                when=when)
+
+
 #: most points one fig4a or fig4b axis may hold, ten times fig4b's default
 #: 101; the largest fig4b grid is then 1001 x 1001 cells
 _MAX_AXIS_POINTS = 1001
@@ -508,6 +517,9 @@ _REGIME_ROWS = (
 #: kappa in 1/s and tau_p in s; the window, the photon lifetime in scaled time unless window_scaled
 #: overrides it (fig3 has no window_scaled); r_a and r_b, the carriers over omega_m, scaled only here
 _OPERATING_ROWS = (
+    # cavity_linewidth's kappa in its float order: its 1 / kappa divides by zero where kappa underflows
+    _Row("cavity_length_m finesse: the linewidth c / (2 L) / finesse underflows to {q!r} 1/s",
+         lambda d: C_LIGHT / (2.0 * d.cavity_length_m) / d.finesse, lambda q: q > 0.0),
     _Row("cavity_length_m mirror_radius_m", key=("kappa", "tau_p"),
          form=lambda d: cavity_linewidth(CavityGeometry(d.cavity_length_m, d.mirror_radius_m, d.finesse))),
     _Row(f"{_WINDOW}: the window omega_m tau_p overflows at tau_p = {{tau_p!r}} s",
@@ -531,10 +543,10 @@ _DOMAINS = {
     ),
     "fig3": (
         *_REGIME_ROWS,
-        *_OPERATING_ROWS[:2],
+        *_OPERATING_ROWS[:3],
         _Row("", lambda d: d.window if d.t_max is None else d.t_max, key="t_last"),
         _Row("t_max: must exceed t_min={t_min}", lambda d: d.t_last > d.t_min, bool),
-        *_OPERATING_ROWS[2:],
+        *_OPERATING_ROWS[3:],
         _NBAR,
         # k through g0 = k omega_m and back, as fig3 has always scaled it: the
         # quotient differs from k in the last bit for some k (0.8992 among them)
@@ -542,6 +554,7 @@ _DOMAINS = {
              lambda d: (d.k * d.omega_m_rad_per_s) / d.omega_m_rad_per_s, _CELL_HOLDS, key="k_last"),
         *_phases("t_max", ""),
         *_thermal("temperature_K omega_m_rad_per_s", "k"),
+        _correlation("k"),
         _RATIO,
     ),
     "fig4a": (
@@ -569,6 +582,12 @@ _DOMAINS = {
         *_axis("beta", _MAX_AMPLITUDE),
     ),
     "design": (
+        # the proposed design's report, built once; its heating energy ratios grow like finesse**2
+        _Row("report_finesse", lambda d: design_report(proposed_atom_spec(), proposed_geometry(d.report_finesse)),
+             key="proposed"),
+        _Row("report_finesse: the proposed design's {q[0]} is {q[1]!r}", lambda d: next((
+            (name, x) for name, x in [*vars(d.proposed).items(), *vars(d.proposed.heating).items()]
+            if isinstance(x, float) and not math.isfinite(x)), None), lambda q: q is None),
         # DesignSearchSpace names each field it refuses itself; optimize_design's lengths start at
         # L_min_m and lie below 2 R_mirror; and only the search tells if every coupling lands in a band
         _Row("", key="searches", form=lambda d: [
@@ -592,6 +611,8 @@ _DOMAINS = {
         *_phases("t_fixed", "stop", lambda d: d.duan and d.variable == "k"),
         *_thermal("nbar", "k", lambda d: d.duan and d.variable == "t"),
         *_thermal("nbar", "stop", lambda d: d.duan and d.variable == "k"),
+        _correlation("k", lambda d: d.duan and d.quantity != "duan_ab" and d.variable == "t"),
+        _correlation("stop", lambda d: d.duan and d.quantity != "duan_ab" and d.variable == "k"),
         _Row(f"stop: {_QUBIT}", lambda d: d.stop, _QUBIT_HOLDS, when=lambda d: not d.duan and d.variable == "k"),
         _Row(f"k: {_QUBIT}", lambda d: d.k, _QUBIT_HOLDS, when=lambda d: not d.duan and d.variable == "t"),
     ),
@@ -670,6 +691,7 @@ def run_fig4b(cfg: RunConfig) -> ResultTable:
 
 def run_design(cfg: RunConfig) -> tuple[ResultTable, dict]:
     v = cfg.values
+    d = _domain("design", v)
     names = [
         "mirror_radius_m", "cavity_length_m", "atom_number", "trap_frequency_Hz",
         "k", "ratio_at_eval_finesse", "min_finesse_for_unity_ratio",
@@ -682,9 +704,9 @@ def run_design(cfg: RunConfig) -> tuple[ResultTable, dict]:
             "min_finesse_for_unity_ratio": result.report.min_finesse_for_unity_ratio,
             "n_evaluated": result.n_evaluated,
         }
-        for radius, result in zip(v["radii_m"], _domain("design", v).results)
+        for radius, result in zip(v["radii_m"], d.results)
     ]
-    prop = design_report(proposed_atom_spec(), proposed_geometry(v["report_finesse"]))
+    prop = d.proposed
     report_json = {
         "proposed": {
             "finesse": v["report_finesse"], "g0_rad_per_s": prop.g0, "k": prop.k, "kappa_per_s": prop.kappa,

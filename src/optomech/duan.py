@@ -471,18 +471,28 @@ def _trig_bounds(lo, hi):
     return c_lo, c_hi, s_hi
 
 
-def _gather(kern, index):
-    """kern at the grid points an index selects."""
-    return _Kernels(*(a[index] if isinstance(a, np.ndarray) else a for a in kern))
+def _pick(arrays, index):
+    """Each array of arrays at index, and anything else as it is; arrays itself where index is None."""
+    return arrays if index is None else [a[index] if isinstance(a, np.ndarray) else a for a in arrays]
 
 
 def _block_floor(total, cross, bounds):
     """Lower bound of `_ab_lower` over each block, for cells given as (cells, 1) columns.
 
-    total is alpha**2 + beta**2 and cross 2 |alpha beta|, as `_ab_lower`
-    computes them. This is `_ab_lower`'s own expression at the corners of
-    each block that bound it from below; see `window_minima` for why no
-    computed grid value of the block lies lower.
+    total is T = alpha**2 + beta**2 and cross 2 |alpha beta|, as `_ab_lower`
+    computes them; bounds hold a block's extremes (`_block_bounds`). In
+    D_AB = 1 + T (1 - env) - cross sqrt((1 - env cos 2B)**2 + (env sin 2B)**2),
+    env = exp(-2 T (1 - cos 2B) - theta) rises with cos 2B and falls with
+    theta, so D_AB is no lower than with env at its block maximum in
+    T (1 - env) and env |sin 2B|, |sin 2B| at its maximum, and
+    1 - env cos 2B at its maximum: at the smallest cos 2B, with env at
+    either end of its range. The floor is that, in `_ab_lower`'s own order
+    of operations. Correctly rounded arithmetic and sqrt are monotone, so it
+    bounds every computed value of the block too, and it never uses
+    sin**2 + cos**2 = 1, which floats do not keep. exp alone is not
+    guaranteed monotone: its few ulps of env move D_AB by a few
+    1e-15 (1 + T), 1e6 times less than the margin _BOUND_MARGIN (1 + T),
+    and the _TRIG_ERROR allowance moves the floor by about 1e-14 T.
     """
     c_lo, c_hi, s_hi, th_lo, th_hi = bounds
     env_hi = np.exp(-2.0 * total * (1.0 - c_hi) - th_lo)
@@ -490,189 +500,256 @@ def _block_floor(total, cross, bounds):
     return 1.0 + total * (1.0 - env_hi) - cross * np.sqrt(near ** 2 + (env_hi * s_hi) ** 2)
 
 
-def _scan(func, grid, params, m, r_a, r_b):
-    """(best, d_grid, strict, evaluated): each cell's first grid minimum of func.
+class _Witness(NamedTuple):
+    """The curve func on the scan's m distinct cells, whose alpha, beta, nbar and k are each a shared
+    scalar or one value per cell, read for the cells an index selects as `_rows` reads them."""
 
-    Kernels are built once per slab of consecutive points and distinct k,
-    or, where block floors bound the scan, the time kernels once for the
-    whole grid; see `window_minima`.
-    """
-    alpha, beta, nbar, k = params
-    n, fast = grid.size, r_a + r_b
-    best, d_grid = np.full(m, n, dtype=np.intp), np.full(m, np.inf)
+    func: object
+    alpha: object
+    beta: object
+    nbar: object
+    k: object
+    m: int
+    r_a: float
+    r_b: float
 
-    def couple(time, cells):
-        """time coupled to the (k, nbar) of cells, one row per cell."""
-        return _kernels(time, _rows(k, (cells, None)), _rows(nbar, (cells, None)), func, fast)
+    def kernels(self, time, index):
+        """The kernels of the time kernels `time` at the (k, nbar) of the cells index selects."""
+        return _kernels(time, _rows(self.k, index), _rows(self.nbar, index), self.func, self.r_a + self.r_b)
 
-    def values(kern, index):
-        """func on kern for the cells index selects: one row per cell for
-        (cells, None), one column per cell for cells."""
-        return func(kern, _rows(alpha, index), _rows(beta, index), r_a, r_b)
+    def values(self, kern, index):
+        """func on kern at the (alpha, beta) of the cells index selects."""
+        return self.func(kern, _rows(self.alpha, index), _rows(self.beta, index), self.r_a, self.r_b)
 
-    def fold(v, cells, first):
-        """Fold v, one column per cell, into the cells' minima.
 
-        first is the grid index of each column's first row: one for every
-        cell, or one per cell.
+class _Minima:
+    """Each cell's running grid minimum: its value d at grid index best, n and inf before any fold."""
+
+    def __init__(self, m, n):
+        self.best, self.d = np.full(m, n, dtype=np.intp), np.full(m, np.inf)
+
+    def fold(self, v, cells, first):
+        """Fold v, one column per cell of the index array cells, into their minima.
+
+        first is the grid index of each column's first row, one for every
+        cell or one per cell. np.argmin's order decides, whatever the order
+        of the folds: a NaN first, then the lowest value, the earliest index.
         """
         j = np.argmin(v, axis=0)
         d, i = v[j, np.arange(cells.size)], first + j
-        was_d, was_i = d_grid[cells], best[cells]
-        # np.argmin's order: a NaN before any number, the earliest of equal values
-        won = (d < was_d) | ((d == was_d) & (i < was_i)) | (np.isnan(d) & ~np.isnan(was_d))
-        d_grid[cells], best[cells] = np.where(won, d, was_d), np.where(won, i, was_i)
+        was_d, was_i = self.d[cells], self.best[cells]
+        # a NaN ties with a NaN, and beats a number whatever its index
+        nan = np.isnan(d)
+        won = (d < was_d) | (((d == was_d) | nan) & (i < was_i)) | (nan & ~np.isnan(was_d))
+        self.d[cells], self.best[cells] = np.where(won, d, was_d), np.where(won, i, was_i)
 
-    total = alpha ** 2 + beta ** 2
-    # a floor's env reaches at most exp(2 T _TRIG_ERROR), which amplitudes of
-    # about 1e7 or more could overflow; their cells, cells whose 2B or
-    # thermal exponent overflows, and any func but the envelope D_AB scan
-    # every grid value
-    bounded = func is _ab_lower and m > 0 and bool(np.all(_TRIG_ERROR * total < 1.0))
-    if bounded:
-        # only an envelope grid scans _ab_lower, and its at most 4,002 points
-        # fit one temporary, so its time kernels and their block extremes
-        # are built once; _ab_lower never reads the complex eta, so it is
-        # not kept
-        t, unit_b, _, eta_sq = _time_kernels(grid.points(np.arange(n)))
-        time = (t, unit_b, None, eta_sq)
 
-        def extremes(stride):
-            """(min, max) of B(t, 1), then of |eta|**2, over blocks of stride points."""
-            starts = np.arange(0, n, stride)
-            return [op.reduceat(a, starts) for a in (unit_b, eta_sq) for op in (np.minimum, np.maximum)]
+def _slab_scan(w, grid, minima):
+    """Fold every grid value of every cell into minima; returns the count, cells times points.
 
-        u_lo, u_hi, e_lo, e_hi = extremes(_SCAN_BLOCK)
-        # 2B and the thermal exponent are products of non-negative factors,
-        # which round monotonically, so the largest k and nbar bound them all
-        k_sq = np.max(k) ** 2
-        bounded = np.isfinite(2.0 * (k_sq * np.max(np.abs(unit_b)))) and np.isfinite(
-            k_sq * np.max(e_hi) * (2.0 * np.max(nbar) + 1.0)
-        )
+    A slab of consecutive points at a time builds its points (bitwise
+    np.linspace's), time kernels and D_AB carrier at k = 0 once, and what
+    depends only on t and k (cos 2B, sin 2B, k**2 |eta|**2, the D_AB
+    carrier) once per k distinct by bits, the cells batched in order of k
+    (`_k_batches`); only the thermal exponent and what follows is per cell.
+    A slab times a group's cells, or a batch's distinct k, fills at most one
+    temporary, whatever the grid or the number of cells.
+    """
+    n, fast = grid.size, w.r_a + w.r_b
+    batches = _k_batches(w.k, w.m, 8)
+    slab = _TEMP_ELEMENTS // max([cells.size for _, groups in batches for cells, _ in groups], default=1)
+    for start in range(0, n, slab):
+        time = _time_kernels(grid.points(np.arange(start, min(start + slab, n))))
+        drive = _drive(time[0], w.func, fast)
+        for k_rows, groups in batches:
+            coupling = _coupling(time, k_rows, w.func, fast)
+            for cells, local in groups:
+                index = (cells, None)
+                kern = _couple(time, _rows(w.k, index), _rows(w.nbar, index), _pick(coupling, local), drive)
+                minima.fold(w.values(kern, index).reshape(cells.size, -1).T, cells, start)
+    return w.m * n
 
-    if not bounded:
-        batches = _k_batches(k, m, 8)
-        # a whole slab times the largest group of cells fills one temporary,
-        # and so does a slab times the distinct k of a batch; a slab's time
-        # kernels and drive are built once, its k kernels once per batch
-        slab = _TEMP_ELEMENTS // max([cells.size for _, groups in batches for cells, _ in groups], default=1)
-        for start in range(0, n, slab):
-            time = _time_kernels(grid.points(np.arange(start, min(start + slab, n))))
-            drive = _drive(time[0], func, fast)
-            for k_rows, groups in batches:
-                coupling = _coupling(time, k_rows, func, fast)
-                for cells, local in groups:
-                    picked = coupling if local is None else [a if a is None else a[local] for a in coupling]
-                    kern = _couple(time, _rows(k, (cells, None)), _rows(nbar, (cells, None)), picked, drive)
-                    fold(values(kern, (cells, None)).reshape(cells.size, -1).T, cells, start)
-        evaluated = m * n
-    else:
-        total = np.broadcast_to(total, (m,))
-        cross = np.broadcast_to(2.0 * np.abs(alpha * beta), (m,))
-        blocks = u_lo.size
-        evaluated = 2 * m
 
-        def bounds_of(k_rows, u_lo, u_hi, e_lo, e_hi):
-            """Per distinct k and block, the bounds of cos 2B and |sin 2B| and
-            the extremes of the thermal exponent (k**2 |eta|**2) (2 nbar + 1),
-            in `_coupling`'s and `_couple`'s order: every factor is
-            non-negative; a per-cell nbar's factor is left to the caller."""
-            k_sq = k_rows ** 2
-            thermal = (k_sq * e_lo, k_sq * e_hi)
-            if np.ndim(nbar) == 0:
-                thermal = tuple(th * (2.0 * nbar + 1.0) for th in thermal)
-            return (*_trig_bounds(2.0 * (k_sq * u_lo), 2.0 * (k_sq * u_hi)), *thermal)
+def _extremes(time, stride):
+    """(min, max) of B(t, 1), then of |eta|**2, over blocks of stride points of the time kernels time."""
+    starts = np.arange(0, time[0].size, stride)
+    return [op.reduceat(a, starts) for a in (time[1], time[3]) for op in (np.minimum, np.maximum)]
 
-        # with k and nbar shared, the kernels of the whole grid, read a block
-        # at a time, and the bounds of its sub-blocks; else `kernels_at`
-        # builds the kernels only at the points each evaluation reads
-        whole = sub_bounds = None
-        if np.ndim(k) == np.ndim(nbar) == 0:
-            whole = _kernels(time, k, nbar, func, fast)
-            sub_bounds = bounds_of(k, *extremes(_SUB_BLOCK))
-        # sub-floor rows of one block fill one temporary
-        per_block = _SCAN_BLOCK // _SUB_BLOCK
-        sub_rows = _TEMP_ELEMENTS // per_block
-        # floor rows fill one temporary, and so do the blocks of one call;
-        # cells with their own k gather five rows of bounds each beside the
-        # floor's own temporaries, so they take a quarter as many rows
-        rows = max(1, _TEMP_ELEMENTS // max(blocks, _SCAN_BLOCK) // (1 if whole is not None else 4))
-        per_call = _TEMP_ELEMENTS // _SCAN_BLOCK
-        # survivor masks awaiting evaluation, one bit per cell and block, of
-        # at most one temporary's bytes
-        pending, masks = [], max(1, 8 * _TEMP_ELEMENTS // -(-blocks // 8) // rows)
 
-        def kernels_at(index, cells):
-            """The kernels at the grid points index selects, for cells that broadcast against them."""
-            if whole is not None:
-                return _gather(whole, index)
-            picked = tuple(a if a is None else a[index] for a in time)
-            return _kernels(picked, _rows(k, cells), _rows(nbar, cells), func, fast)
+def _block_bounds(k, nbar, extremes):
+    """Per row of k and block: (min cos 2B, max cos 2B, max |sin 2B|, min theta, max theta).
 
-        def sub_survivors(cells, block):
-            """The cells of which a sub-block of block may hold a value at or below the running minimum."""
-            # the last block's missing sub-blocks are not there to keep a cell
-            parts = [b[block * per_block:(block + 1) * per_block] for b in sub_bounds]
+    2B = 2 (k**2 B(t, 1)) and theta = (k**2 |eta|**2) (2 nbar + 1), as the
+    kernels form them, are products of non-negative factors, and rounding is
+    monotone: so every computed 2B of a block lies between its values at the
+    `_extremes` of B(t, 1), where `_trig_bounds` bounds cos and |sin|, and
+    theta's extremes are k**2 and 2 nbar + 1 times those of |eta|**2. A
+    per-cell nbar's factor is left to the caller.
+    """
+    u_lo, u_hi, e_lo, e_hi = extremes
+    k_sq = k ** 2
+    thermal = (k_sq * e_lo, k_sq * e_hi)
+    if np.ndim(nbar) == 0:
+        thermal = tuple(th * (2.0 * nbar + 1.0) for th in thermal)
+    return (*_trig_bounds(2.0 * (k_sq * u_lo), 2.0 * (k_sq * u_hi)), *thermal)
+
+
+class _Floors(NamedTuple):
+    """What a bounded scan reads, built once per scan by `_floors`."""
+
+    time: tuple  # the time kernels of the whole grid, without eta
+    extremes: list  # their `_extremes` over blocks of _SCAN_BLOCK points
+    whole: object  # the kernels of the whole grid where k and nbar are shared, else None
+    sub_bounds: object  # `_block_bounds` of _SUB_BLOCK-point sub-blocks where shared, else None
+    total: np.ndarray  # alpha**2 + beta**2 per cell
+    cross: np.ndarray  # 2 |alpha beta| per cell
+
+
+def _floors(w, grid):
+    """The `_Floors` of a bounded scan of w on grid, or None where no block floor is certified.
+
+    Only the envelope D_AB has floors (`_block_floor`). Its grid of at most
+    4,002 points fits one temporary, so its time kernels are built once.
+    A floor's env reaches exp(2 T _TRIG_ERROR), which amplitudes of about
+    1e7 or more could overflow, so they leave no floor; nor does a largest k
+    or nbar whose 2B or thermal exponent overflows, as it bounds every cell's.
+    """
+    if w.func is not _ab_lower or w.m == 0:
+        return None
+    total = w.alpha ** 2 + w.beta ** 2
+    if not np.all(_TRIG_ERROR * total < 1.0):
+        return None
+    t, unit_b, _, eta_sq = _time_kernels(grid.points(np.arange(grid.size)))
+    time = (t, unit_b, None, eta_sq)
+    extremes = _extremes(time, _SCAN_BLOCK)
+    k_sq = np.max(w.k) ** 2
+    if not (np.isfinite(2.0 * (k_sq * np.max(np.abs(unit_b))))
+            and np.isfinite(k_sq * np.max(extremes[3]) * (2.0 * np.max(w.nbar) + 1.0))):
+        return None
+    total = np.broadcast_to(total, (w.m,))
+    cross = np.broadcast_to(2.0 * np.abs(w.alpha * w.beta), (w.m,))
+    shared = np.ndim(w.k) == np.ndim(w.nbar) == 0
+    whole = _kernels(time, w.k, w.nbar, w.func, w.r_a + w.r_b) if shared else None
+    sub_bounds = _block_bounds(w.k, w.nbar, _extremes(time, _SUB_BLOCK)) if shared else None
+    return _Floors(time, extremes, whole, sub_bounds, total, cross)
+
+
+def _kernels_at(w, floors, index, cells):
+    """The kernels at the grid points index selects, for the cells of the index array cells: read
+    from the whole grid's where k and nbar are shared, else built at those points."""
+    if floors.whole is not None:
+        return _Kernels(*_pick(floors.whole, index))
+    return w.kernels(_pick(floors.time, index), cells)
+
+
+def _bounded_scan(w, grid, minima, floors):
+    """Fold into minima each cell's blocks that may hold its grid minimum; returns the count.
+
+    Per group of cells, each cell's incumbent is the exact minimum of its
+    lowest-floor block, evaluated one column per cell. A block whose floor
+    exceeds the incumbent + _BOUND_MARGIN (1 + T) holds no value at or below
+    the cell's minimum and is skipped; the others are marked, a bit per cell
+    and block, for `_flush`. The count is the values computed, two
+    neighbours per cell included.
+    """
+    n, blocks = grid.size, floors.extremes[0].size
+    # floor rows fill one temporary, and so do the blocks of one call;
+    # cells with their own k gather five rows of bounds each beside the
+    # floor's own temporaries, so they take a quarter as many rows
+    rows = max(1, _TEMP_ELEMENTS // max(blocks, _SCAN_BLOCK) // (1 if floors.whole is not None else 4))
+    # survivor masks awaiting evaluation, one bit per cell and block, of at
+    # most one temporary's bytes
+    pending, masks = [], max(1, 8 * _TEMP_ELEMENTS // -(-blocks // 8) // rows)
+    evaluated = 2 * w.m
+    for k_rows, groups in _k_batches(w.k, w.m, rows):
+        per_k = _block_bounds(k_rows, w.nbar, floors.extremes)
+        for cells, local in groups:
+            bounds = _pick(per_k, local)
+            if np.ndim(w.nbar):
+                weight = 2.0 * w.nbar[cells, None] + 1.0
+                bounds = (*bounds[:3], bounds[3] * weight, bounds[4] * weight)
+            tot = floors.total[cells, None]
+            floor = _block_floor(tot, floors.cross[cells, None], bounds)
+            lowest = np.argmin(floor, axis=1)
+            first = lowest * _SCAN_BLOCK
+            points = np.minimum(first + np.arange(_SCAN_BLOCK)[:, None], n - 1)
+            minima.fold(w.values(_kernels_at(w, floors, points, cells), cells), cells, first)
+            evaluated += int(np.minimum(_SCAN_BLOCK, n - first).sum())
+            survives = floor <= minima.d[cells, None] + _BOUND_MARGIN * (1.0 + tot)
+            survives[np.arange(cells.size), lowest] = False
+            pending.append((cells, np.packbits(survives, axis=1)))
+            if len(pending) == masks:
+                evaluated += _flush(w, grid, minima, floors, pending)
+                pending = []
+    if pending:
+        evaluated += _flush(w, grid, minima, floors, pending)
+    return evaluated
+
+
+def _flush(w, grid, minima, floors, pending):
+    """Fold the blocks marked in pending's (cells, mask) pairs into minima; returns the count.
+
+    Each block is evaluated across the cells that keep it, a temporary's
+    worth per call. Where k and nbar are shared, a cell first drops the block
+    if the floors of all its sub-blocks (the last block's missing ones take
+    no part) exceed its running minimum + _BOUND_MARGIN (1 + T): that
+    minimum is a computed value, never below the final one. A cell with its
+    own k keeps one level, since its sub-bounds would take `_trig_bounds`
+    once per group of cells rather than once per scan.
+    """
+    n, per_block = grid.size, _SCAN_BLOCK // _SUB_BLOCK
+    # sub-floor rows of one block, and the points of one call, fill one temporary
+    sub_rows, per_call = _TEMP_ELEMENTS // per_block, _TEMP_ELEMENTS // _SCAN_BLOCK
+    members = np.concatenate([cells for cells, _ in pending])
+    keep = np.concatenate([mask for _, mask in pending])
+    count = 0
+    for block in np.flatnonzero(np.unpackbits(np.bitwise_or.reduce(keep, axis=0))):
+        span = (slice(block * _SCAN_BLOCK, (block + 1) * _SCAN_BLOCK), None)
+        cells = members[(keep[:, block >> 3] & (128 >> (block & 7))) != 0]
+        if floors.sub_bounds is not None:
+            parts = [b[block * per_block:(block + 1) * per_block] for b in floors.sub_bounds]
             kept = []
             for lo in range(0, cells.size, sub_rows):
                 c = cells[lo:lo + sub_rows, None]
-                floor = _block_floor(total[c], cross[c], parts)
-                kept.append(c[np.any(floor <= d_grid[c] + _BOUND_MARGIN * (1.0 + total[c]), axis=1), 0])
-            return np.concatenate(kept)
+                floor = _block_floor(floors.total[c], floors.cross[c], parts)
+                kept.append(c[np.any(floor <= minima.d[c] + _BOUND_MARGIN * (1.0 + floors.total[c]), axis=1), 0])
+            cells = np.concatenate(kept)
+        for lo in range(0, cells.size, per_call):
+            sub = cells[lo:lo + per_call]
+            v = w.values(_kernels_at(w, floors, span, sub), sub)
+            minima.fold(v.reshape(-1, sub.size), sub, block * _SCAN_BLOCK)
+        count += cells.size * min(_SCAN_BLOCK, n - block * _SCAN_BLOCK)
+    return count
 
-        def flush():
-            """Evaluate the pending survivors a block at a time, across their cells."""
-            members = np.concatenate([cells for cells, _ in pending])
-            keep = np.concatenate([mask for _, mask in pending])
-            pending.clear()
-            count = 0
-            for block in np.flatnonzero(np.unpackbits(np.bitwise_or.reduce(keep, axis=0))):
-                span = (slice(block * _SCAN_BLOCK, (block + 1) * _SCAN_BLOCK), None)
-                cells = members[(keep[:, block >> 3] & (128 >> (block & 7))) != 0]
-                if sub_bounds is not None:
-                    cells = sub_survivors(cells, block)
-                for lo in range(0, cells.size, per_call):
-                    sub = cells[lo:lo + per_call]
-                    fold(values(kernels_at(span, sub), sub).reshape(-1, sub.size), sub, block * _SCAN_BLOCK)
-                count += cells.size * min(_SCAN_BLOCK, n - block * _SCAN_BLOCK)
-            return count
 
-        for k_rows, groups in _k_batches(k, m, rows):
-            # a per-cell nbar's factor is applied per group
-            per_k = bounds_of(k_rows, u_lo, u_hi, e_lo, e_hi)
-            for cells, local in groups:
-                bounds = per_k if local is None else [b[local] for b in per_k]
-                if np.ndim(nbar):
-                    weight = 2.0 * nbar[cells, None] + 1.0
-                    bounds = (*bounds[:3], bounds[3] * weight, bounds[4] * weight)
-                tot = total[cells, None]
-                floor = _block_floor(tot, cross[cells, None], bounds)
-                # each cell's incumbent: the exact minimum of its lowest-bound
-                # block, evaluated one column per cell so that the inner loops
-                # run across the cells
-                lowest = np.argmin(floor, axis=1)
-                first = lowest * _SCAN_BLOCK
-                points = np.minimum(first + np.arange(_SCAN_BLOCK)[:, None], n - 1)
-                fold(values(kernels_at(points, cells), cells), cells, first)
-                evaluated += int(np.minimum(_SCAN_BLOCK, n - first).sum())
-                survives = floor <= d_grid[cells, None] + _BOUND_MARGIN * (1.0 + tot)
-                survives[np.arange(cells.size), lowest] = False
-                pending.append((cells, np.packbits(survives, axis=1)))
-                if len(pending) == masks:
-                    evaluated += flush()
-        if pending:
-            evaluated += flush()
+def _strict_interior(w, grid, minima):
+    """Where each cell's grid minimum lies strictly below both its grid neighbours, off the grid's ends.
 
-    # both grid neighbours of each minimum, evaluated exactly
-    strict = np.empty(m, dtype=bool)
-    for lo in range(0, m, _TEMP_ELEMENTS // 2):
-        cells = np.arange(lo, min(lo + _TEMP_ELEMENTS // 2, m))
-        i = best[cells]
-        around = grid.points(np.clip(i[:, None] + np.array([-1, 1]), 0, n - 1))
-        around = values(couple(_time_kernels(around), cells), (cells, None)).reshape(cells.size, 2)
-        d = d_grid[cells]
+    Both neighbours are evaluated exactly, half a temporary's worth of cells
+    at a time; `window_minima` refines the cells where this holds.
+    """
+    n, strict = grid.size, np.empty(w.m, dtype=bool)
+    for lo in range(0, w.m, _TEMP_ELEMENTS // 2):
+        cells = np.arange(lo, min(lo + _TEMP_ELEMENTS // 2, w.m))
+        i, index = minima.best[cells], (cells, None)
+        around = _time_kernels(grid.points(np.clip(i[:, None] + np.array([-1, 1]), 0, n - 1)))
+        around = w.values(w.kernels(around, index), index).reshape(cells.size, 2)
+        d = minima.d[cells]
         strict[cells] = (i > 0) & (i < n - 1) & (d < around[:, 0]) & (d < around[:, 1])
-    return best, d_grid, strict, evaluated
+    return strict
+
+
+def _scan(func, grid, params, m, r_a, r_b):
+    """(best, d_grid, strict, evaluated): each cell's first grid minimum of func.
+
+    `_bounded_scan` where `_floors` certifies block floors, else `_slab_scan`;
+    strict is `_strict_interior`'s test, evaluated the grid values computed.
+    """
+    w = _Witness(func, *params, m, r_a, r_b)
+    minima = _Minima(m, grid.size)
+    floors = _floors(w, grid)
+    evaluated = _slab_scan(w, grid, minima) if floors is None else _bounded_scan(w, grid, minima, floors)
+    return minima.best, minima.d, _strict_interior(w, grid, minima), evaluated
 
 
 def window_minima(
@@ -691,8 +768,8 @@ def window_minima(
     Each cell is one (alpha, beta, nbar, k); the four broadcast together and
     the results take their broadcast shape, so scalars give one cell. The
     window [0, window] in scaled time and the carrier ratios are shared, so
-    every cell is scanned on one grid. The grid and the mode follow from the
-    window and the carriers:
+    every cell is scanned on one grid of at least 65 points, whose mode
+    follows from the window and the carriers:
 
     - "direct", while the window holds at most 1e5 carrier cycles: uniform
       scan of the pointwise expression with step pi / (8 (r_a + r_b)), so
@@ -703,105 +780,26 @@ def window_minima(
       matches the true minimum to O(1 / cycles); at optical carrier
       frequencies this error is ~1e-9.
 
-    Either grid has at least 65 points. Three steps:
+    The cells are reduced to distinct ones, and only those are scanned and
+    refined: D_AB depends on alpha and beta only through alpha**2 + beta**2
+    and alpha beta, so for "AB" the cell (beta, alpha) is the cell
+    (alpha, beta); AC and BC merge only repeated cells. `scanned_cells`
+    counts the distinct cells. `_scan` finds each cell's first grid minimum.
+    Every cell whose grid minimum is a strict interior local minimum is then
+    refined by one golden-section search across those cells, on the bracket
+    of its two grid neighbours, in a common number of steps that narrows
+    every bracket to 1e-12 relative to t (scipy's golden xtol). The refined
+    value replaces the grid value only where it is lower.
 
-    - the cells are reduced to distinct ones, and only those are scanned
-      and refined. D_AB depends on alpha and beta only through
-      alpha**2 + beta**2 and alpha beta, so for "AB" the cell (beta, alpha)
-      is the cell (alpha, beta); AC and BC merge only repeated cells.
-      `scanned_cells` counts the distinct cells;
-    - one scan finds each cell's first grid minimum, in either mode, for
-      every bipartition and for shared or per-cell k and nbar. Without
-      block floors (below) it walks the grid in slabs of consecutive points
-      and builds each slab's points, time kernels and D_AB carrier at k = 0,
-      cos((r_a + r_b) t), once. The arrays that depend only on t and k (cos
-      2B, sin 2B, k**2 |eta|**2 and the D_AB carrier
-      cos((r_a + r_b) t + 2B)) are built once per slab and distinct k,
-      distinct by bits: the cells are batched in order of k, each class of
-      equal k whole, and every cell of a class reads its row; a slab times
-      the largest batch of cells fills one temporary. Only the thermal
-      exponent and what follows from it is computed per cell. Each cell
-      keeps a running minimum with np.argmin's rule: a NaN before any
-      number, then the earliest of equal values. No temporary of the scan
-      holds more than _TEMP_ELEMENTS grid values, whatever the grid or the
-      number of cells. Both grid neighbours of each minimum are then
-      evaluated exactly for the strict-interior test;
-    - every cell whose grid minimum is a strict interior local minimum is
-      refined by one golden-section search across those cells, on the
-      bracket of its two grid neighbours. All those searches step together,
-      a fixed number of times that narrows every bracket to 1e-12 relative
-      to t (scipy's golden xtol). The refined value replaces the grid value
-      only where it is lower.
-
-    Merging cells, sharing k rows and cutting the grid change no bit of any
-    result: the scan is elementwise, each grid point is bitwise
-    np.linspace's, and the refinement's common step count depends only on
-    the distinct brackets.
-
-    Where a certified floor exists, the scan skips blocks of 32 points
-    instead of evaluating every grid value: "AB" in envelope mode, with k
-    and nbar shared by every cell (fig4b) or each cell's own (fig4a). An
-    envelope grid holds at most 4,002 points, within one temporary, so the
-    scan builds the time kernels of the whole grid once, and their block
-    extremes:
-
-    - with T = alpha**2 + beta**2 and
-      S = (1 - env cos 2B)**2 + (env sin 2B)**2, the envelope is
-      D_AB = 1 + T (1 - env) - 2 |alpha beta| sqrt(S), where
-      env = exp(-2 T (1 - cos 2B) - theta) rises with cos 2B and falls
-      with the thermal exponent theta. Over a block, D_AB is thus no lower
-      than the same expression with env at its block maximum in T (1 - env)
-      and in env |sin 2B|, |sin 2B| at its maximum, and 1 - env cos 2B at
-      its maximum, which lies at the smallest cos 2B with env at either end
-      of its range;
-    - theta = (k**2 |eta|**2) (2 nbar + 1) and 2B = 2 (k**2 B(t, 1)) are
-      products of non-negative factors, and correctly rounded products are
-      monotone. So each cell's block extremes of the computed theta are its
-      k**2 and 2 nbar + 1 times the block extremes of |eta|**2, and every
-      computed 2B of a block lies between the values at the block extremes
-      of B(t, 1). Per distinct k and block, cos 2B and |sin 2B| are then
-      bounded by their true extremes over that interval: +-1 where it holds
-      a peak, else their values at its ends. These are widened by 1e-14 for
-      the error of cos and sin, a few ulps; past 2**40 half-turns, where a
-      peak could be missed in rounding, the bounds are [-1, 1];
-    - the floor is computed with `_ab_lower`'s own operations in the same
-      order. Correctly rounded arithmetic and sqrt are monotone, so it also
-      bounds every computed grid value of the block; it never uses
-      sin**2 + cos**2 = 1, which does not hold exactly in floats. Only exp
-      is not guaranteed monotone; its error of a few ulps of env moves D_AB
-      by a few 1e-15 (1 + T), about 1e6 times less than the margin below,
-      and the 1e-14 allowance of cos and sin moves the floor by about
-      1e-14 T;
-    - each cell's incumbent is the exact minimum of its lowest-floor block.
-      A block whose floor exceeds incumbent + 1e-9 (1 + T) holds no grid
-      value at or below the cell's minimum and is skipped; the others are
-      marked, a bit per cell and block, and evaluated a block at a time
-      across the cells that keep it, up to a temporary's worth per call,
-      whether k is shared or each cell's own. The incumbents and the
-      survivors read their kernels from kernels of the whole grid built
-      once where k and nbar are shared; else the kernels are built only
-      at the points evaluated.
-      Amplitudes of about 1e7 or more (T at least 1e14, 1 / _TRIG_ERROR),
-      or couplings large enough to overflow a bound, keep every block;
-    - where k and nbar are shared, the bounds of 8-point sub-blocks are
-      built once too, by the same steps. Just before a marked block is
-      evaluated, each of its cells takes the floors of the block's
-      sub-blocks (the last block's missing ones take no part), a
-      temporary's worth at a time, and drops the block where all of them
-      exceed the cell's running minimum + 1e-9 (1 + T). A sub-floor is
-      `_ab_lower`'s own operations on sub-block extremes, so the argument
-      above carries over unchanged, and the running minimum is a computed
-      grid value, never below the final one. A cell with its own k keeps
-      one level: its sub-bounds would take `_trig_bounds` once per group
-      of cells rather than once.
-
-    So t_star, d_star and refined are bitwise those of a scan of every grid
-    value. At the defaults the scan computes about 6.4% of fig4b's grid and
-    4% of fig4a's. `evaluated_points` counts the grid values of D computed:
-    cells times grid points without a floor; the incumbent blocks,
-    surviving blocks and two neighbours per cell with one. With two levels
-    the count depends on the order in which the running minima fall; it
-    is the same on every run.
+    t_star, d_star and refined are bitwise those of a scan of every grid
+    value at once: the scan is elementwise, each grid point is bitwise
+    np.linspace's, the refinement's step count depends only on the distinct
+    brackets, and a skipped block holds no value at or below the cell's
+    minimum (`_bounded_scan`). `evaluated_points` counts the grid values of
+    D computed: cells times points, or with block floors ("AB" envelope) the
+    incumbent and surviving blocks and two neighbours per cell, about 6.4%
+    of fig4b's grid and 4% of fig4a's at the defaults. With sub-blocks it
+    depends on the order in which the running minima fall, the same each run.
     """
     _check_cell(bipartition, r_a, r_b, alpha, beta, nbar, k)
     if not 0 < window < math.inf:

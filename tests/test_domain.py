@@ -6,7 +6,8 @@ run must exit 0 with every CSV value finite and nothing on stderr, or exit
 fields of the command. The single-field matrix sets each numeric field to
 0, -1, 1e-300 and 1e300 (`scripts/compare_outputs.py` runs it too); the
 pair matrix sets two coupled fields at a time to seven magnitudes from
-1e-300 to 1e300. The other grids are shrunk so the runs stay fast. The
+1e-300 to 1e300, or, where it joins k with an amplitude, to eight up to
+their 1e100 caps. The other grids are shrunk so the runs stay fast. The
 refusal tests pin the texts of the rows that join fields, and the README
 test holds README's refusal table to the domain rows.
 """
@@ -14,6 +15,7 @@ test holds README's refusal table to the domain rows.
 import contextlib
 import io
 import itertools
+import json
 import math
 import re
 import tracemalloc
@@ -44,7 +46,9 @@ _NUMERIC = [
 ]
 _SINGLE_VALUES = (0, -1, 1e-300, 1e300)
 _PAIR_VALUES = (1e-300, 1e-154, 1e-3, 0.5, 1e3, 1e154, 1e300)
-#: (command, fixed settings, first field, second field) of the pair matrix
+#: magnitudes up to the 1e100 caps of k and the amplitudes, for the pairs that join them
+_CAP_VALUES = (1e-300, 1e-3, 0.5, 1e30, 1e50, 1e70, 1e99, 1e100)
+#: (command, fixed settings, first field, second field) of the pair matrix, each at _PAIR_VALUES
 _PAIRS = [
     *(
         (command, {}, first, second)
@@ -64,6 +68,17 @@ _PAIRS = [
     ("sweep", {"quantity": "duan_ac"}, "k", "stop"),
     ("sweep", {"quantity": "duan_ac"}, "r_a", "stop"),
     ("sweep", {"quantity": "duan_bc", "variable": "k"}, "k", "t_fixed"),
+    # a mirror wide enough that every length has a waist, so the linewidth alone can fail
+    *((command, {"mirror_radius_m": 1e300}, "cavity_length_m", "finesse") for command in ("fig3", "fig4a", "fig4b")),
+]
+#: pairs of the matrix at _CAP_VALUES
+_CAP_PAIRS = [
+    ("fig3", {}, "k", "alpha"),
+    ("fig3", {}, "k", "beta"),
+    ("sweep", {"quantity": "duan_ac"}, "k", "alpha"),
+    ("sweep", {"quantity": "duan_bc"}, "k", "beta"),
+    ("sweep", {"quantity": "duan_ac", "variable": "k"}, "stop", "alpha"),
+    ("sweep", {"quantity": "duan_bc", "variable": "k"}, "stop", "beta"),
 ]
 #: the field names a refusal opens with; a list field's item carries its index
 _REFUSAL = re.compile(r"error: fields? ('[^']+'(?:\[\d+\])?(?:(?:, | and )'[^']+')*): ")
@@ -120,10 +135,11 @@ def test_every_numeric_field_alone_computes_or_refuses_by_field():
 def test_every_pair_of_coupled_fields_computes_or_refuses_by_field():
     runs = [
         (command, {**fixed, first: a, second: b})
-        for command, fixed, first, second in _PAIRS
-        for a, b in itertools.product(_PAIR_VALUES, repeat=2)
+        for pairs, values in ((_PAIRS, _PAIR_VALUES), (_CAP_PAIRS, _CAP_VALUES))
+        for command, fixed, first, second in pairs
+        for a, b in itertools.product(values, repeat=2)
     ]
-    assert len(runs) == 784
+    assert len(runs) == 1315
     assert _failures(runs) == []
 
 
@@ -191,6 +207,24 @@ _WINDOW = (
             ["design", "radii_m=[1e-300]"],
             "fields 'radii_m' and 'L_min_m': design search at mirror radius 1e-300 m: empty search grid",
         ),
+        # died with a ZeroDivisionError traceback in cavity_linewidth
+        (
+            ["fig3", "mirror_radius_m=1e300", "cavity_length_m=1e154", "finesse=1e300"],
+            "fields 'cavity_length_m' and 'finesse': the linewidth c / (2 L) / finesse underflows to 0.0 1/s",
+        ),
+        # each warned "overflow encountered in multiply" at duan._ac_base and exited 0
+        (
+            ["fig3", "k=1e100", "alpha=1e70", "n_points=50"],
+            "fields 'k', 'alpha' and 'beta': k**2 |eta|**2 (alpha**2 + beta**2) overflows at k = 1e+100, "
+            "alpha = 1e+70, beta = 0.5",
+        ),
+        (
+            ["sweep", "quantity=duan_bc", "variable=k", "stop=1e99", "beta=1e100"],
+            "fields 'stop', 'alpha' and 'beta': k**2 |eta|**2 (alpha**2 + beta**2) overflows at k = 1e+99, "
+            "alpha = 0.5, beta = 1e+100",
+        ),
+        # exited 0 and wrote Infinity into the JSON sidecar
+        (["design", "report_finesse=1e300"], "field 'report_finesse': the proposed design's energy_ratio is inf"),
     ],
 )
 def test_cli_refuses_a_two_field_fault_by_field_before_any_grid(capsys, argv, message):
@@ -226,6 +260,25 @@ def test_cli_names_the_fields_of_an_infeasible_design_search(capsys):
         "error: fields 'exclusion_halfwidth' and 'exclusion_n_max': design search at mirror radius 0.01 m: "
         "no feasible design: every coupling lands in an exclusion band\n"
     )
+
+
+@pytest.mark.parametrize("report_finesse, refused", [(3e6, False), (1e154, False), (1e160, True), (1e300, True)])
+def test_design_sidecar_is_strict_json_or_refused(tmp_path, capsys, report_finesse, refused):
+    # the proposed design's heating energy ratio grows like finesse**2: 1.3e300 at 1e154, inf at 1e160
+    out = tmp_path / "design.csv"
+    code = main(["design", "--set", f"report_finesse={report_finesse!r}", "--set", "radii_m=[0.05]", "--out", str(out)])
+    err = capsys.readouterr().err
+    if refused:
+        assert code == 1 and err.startswith("error: field 'report_finesse': the proposed design's energy_ratio")
+        assert not out.exists() and not out.with_suffix(".json").exists()
+        return
+
+    def refuse(constant):
+        raise ValueError(f"the sidecar holds {constant}")
+
+    assert code == 0 and err == ""
+    report = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"), parse_constant=refuse)["report"]
+    assert report["proposed"]["finesse"] == report_finesse
 
 
 def _readme_pairs() -> set:

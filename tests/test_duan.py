@@ -1098,6 +1098,52 @@ def test_bounded_scan_on_equal_grid_values(monkeypatch, layout):
             assert scan[3] == lower == 2 * (64 + 2) < upper
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("per_cell", [False, True], ids=["one-first", "first-per-cell"])
+def test_running_minimum_is_argmin_over_its_folds(seed, per_cell):
+    # three levels and NaN, so ties and NaNs meet across chunk edges; cell 0
+    # is one tie, cell 1 all NaN, and cell 2 has its one NaN at the end
+    rng = np.random.default_rng(seed)
+    m, n = 9, 48
+    values = rng.choice([0.0, 0.5, 1.0, np.nan], size=(m, n), p=[0.3, 0.3, 0.3, 0.1])
+    values[0], values[1], values[2, :-1], values[2, -1] = 0.5, np.nan, 1.0, np.nan
+    minima = duan_module._Minima(m, n)
+    if per_cell:
+        # every cell folds 8-point chunks at once, each cell in its own order
+        starts = np.array([rng.permutation(np.arange(0, n, 8)) for _ in range(m)]).T
+        for first in starts:
+            v = values[np.arange(m), first + np.arange(8)[:, None]]
+            minima.fold(v, np.arange(m), first)
+    else:
+        # uneven chunks in random order, each folded for the cells in two groups
+        edges = np.concatenate([[0], np.sort(rng.choice(np.arange(1, n), 5, replace=False)), [n]])
+        for lo, hi in rng.permutation(np.stack([edges[:-1], edges[1:]], axis=1)):
+            for cells in np.array_split(rng.permutation(m), 2):
+                minima.fold(values[cells, lo:hi].T, cells, lo)
+    want = np.argmin(values, axis=1)
+    assert _same_bits(minima.best, want.astype(np.intp))
+    assert _same_bits(minima.d, values[np.arange(m), want])
+    assert list(want[:3]) == [0, 0, n - 1]
+
+
+def test_strict_interior_on_a_hand_built_grid(monkeypatch):
+    # with beta = 0, D_AB falls as cos 2B rises: an edge minimum at each end,
+    # a plateau at 40-41, a strict dip at 70 and its higher neighbour 69
+    cos, theta = np.full(96, 0.2), np.full(96, 0.3)
+    cos[[0, 95]], cos[40:42], cos[70] = 0.9, 0.5, 0.7
+    grid = _synthetic_grid(monkeypatch, cos, theta)
+    points = np.array([0, 95, 40, 41, 70, 69])
+    w = duan_module._Witness(duan_module._ab_lower, 1.0, 0.0, 0.0, 0.5, points.size, 1.0, 1.0)
+    time = duan_module._time_kernels(np.linspace(0.0, 1.0, grid.size))
+    values = w.values(w.kernels(time, None), None)
+    assert values[40] == values[41] and values[70] < values[69] == values[71]
+    minima = duan_module._Minima(points.size, grid.size)
+    minima.fold(values[points][None, :], np.arange(points.size), points)
+    assert list(minima.best) == list(points)
+    strict = duan_module._strict_interior(w, grid, minima)
+    assert list(strict) == [False, False, False, False, True, False]
+
+
 @pytest.mark.parametrize(
     "cells",
     [
