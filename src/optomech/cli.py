@@ -27,8 +27,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__, certify
-from .core import C_LIGHT, thermal_occupation
+# the modules every command needs; duan and certify are imported in the functions that run them, so
+# the qubit and design commands never load the witness, the oracle or the certification
+from . import __version__
+from .core import C_LIGHT, _MAX_AMPLITUDE, _MAX_COUPLING, _low_regime, entanglement_period, thermal_occupation
 from .design import (
     TEMPERATURE_K,
     CavityGeometry,
@@ -38,16 +40,6 @@ from .design import (
     optimize_design,
     proposed_atom_spec,
     proposed_geometry,
-)
-from .duan import (
-    _MAX_AMPLITUDE,
-    _MAX_COUPLING,
-    _low_regime,
-    _scan_grid,
-    duan_values,
-    entanglement_period,
-    regime_report,
-    window_minima,
 )
 from .qubit import concurrence, reduced_rho_ab, von_neumann_entropy
 
@@ -497,11 +489,17 @@ def _feasibility_ratio(d) -> float:
     return float(g0 ** 2 / (d.omega_m_rad_per_s * (2.0 * math.pi * d.kappa)))
 
 
+def _direct(d) -> bool:
+    """Whether `window_minima` scans d.window at the carrier phase itself, not through the envelope."""
+    from .duan import _scan_grid
+
+    return _scan_grid(d.window, d.fast)[1] == "direct"
+
+
 def _window_phases(k_field: str) -> tuple:
     """fig4a's and fig4b's phases, named by window_scaled or by the fields the window defaults from."""
-    direct = lambda d: _scan_grid(d.window, d.fast)[1] == "direct"  # noqa: E731
-    return (*_phases("window_scaled", k_field, lambda d: d.window_scaled is not None, direct),
-            *_phases(_WINDOW, k_field, lambda d: d.window_scaled is None, direct))
+    return (*_phases("window_scaled", k_field, lambda d: d.window_scaled is not None, _direct),
+            *_phases(_WINDOW, k_field, lambda d: d.window_scaled is None, _direct))
 
 
 _WINDOW = "omega_m_rad_per_s cavity_length_m finesse"
@@ -633,6 +631,8 @@ def run_fig2(cfg: RunConfig) -> ResultTable:
 
 
 def run_fig3(cfg: RunConfig) -> ResultTable:
+    from .duan import duan_values, regime_report
+
     d = _domain("fig3", cfg.values)
     grid = np.linspace(d.t_min, d.t_last, d.n_points)
     cell = dict(alpha=d.alpha, beta=d.beta, nbar=d.nbar, k=d.k_last)
@@ -666,6 +666,8 @@ def _minima_metadata(res) -> dict:
 
 
 def run_fig4a(cfg: RunConfig) -> ResultTable:
+    from .duan import window_minima
+
     d = _domain("fig4a", cfg.values)
     ks, temps = d.k_axis, d.temperatures_K
     k_cells, t_cells = np.repeat(ks, len(temps)), np.tile(temps, ks.size)
@@ -677,6 +679,8 @@ def run_fig4a(cfg: RunConfig) -> ResultTable:
 
 
 def run_fig4b(cfg: RunConfig) -> ResultTable:
+    from .duan import regime_report, window_minima
+
     d = _domain("fig4b", cfg.values)
     alphas, betas = d.alpha_axis, d.beta_axis
     a_cells, b_cells = np.repeat(alphas, betas.size), np.tile(betas, alphas.size)
@@ -743,6 +747,8 @@ def _cmd_design(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def run_oracle_check(cfg: RunConfig) -> tuple[ResultTable, int]:
+    from . import certify
+
     names, deviations, tols = zip(*certify.run(cfg.values["seed"]))
     passed = np.less(deviations, tols)
     failures = np.count_nonzero(~passed)
@@ -778,10 +784,15 @@ def run_sweep(cfg: RunConfig) -> ResultTable:
         measure = concurrence if quantity == "concurrence" else von_neumann_entropy
         values = measure(reduced_rho_ab(ts, ks))
     else:
+        from .duan import _check_cell, _evaluate
+
         pair = quantity.removeprefix("duan_").upper()
-        state = dict(alpha=v["alpha"], beta=v["beta"], nbar=v["nbar"])
+        cell = (v["alpha"], v["beta"], v["nbar"])
+        # the cell once, with k the whole axis of a k sweep; then `duan_values` point by point, in
+        # Python floats, as one batched call would round some rows differently
+        _check_cell(pair, v["r_a"], v["r_b"], *cell, ks)
         points = zip(*(axis.tolist() for axis in np.broadcast_arrays(ts, ks)))
-        values = [duan_values(t, pair, v["r_a"], v["r_b"], **state, k=k) for t, k in points]
+        values = [_evaluate(t, pair, v["r_a"], v["r_b"], *cell, k, lower=False) for t, k in points]
     return ResultTable({v["variable"]: xs, quantity: values}, _metadata(cfg))
 
 

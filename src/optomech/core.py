@@ -1,4 +1,4 @@
-"""Dimensionless reductions, special time functions and thermal statistics.
+"""Dimensionless reductions, special time functions, thermal statistics and the regime rule.
 
 Every dynamics routine in this package works in scaled units: time is
 measured in units of 1/omega_m (so the scaled time is omega_m * t_physical)
@@ -13,6 +13,11 @@ The three special functions of scaled time used throughout are
     xi(t)    = exp(i t) * eta(t) = -conj(eta(t))
 
 All three accept numpy arrays as well as scalars.
+
+The coupling-regime rule (`entanglement_period`, `K_REGIME_BOUNDARY`) and
+the limits of a witness cell live here too: the witness module, the
+experiment designer and the command line all read them, and the commands
+that never evaluate a witness then load no witness module.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ __all__ = [
     "xi",
     "thermal_occupation",
     "energy_eigenvalue_scaled",
+    "K_REGIME_BOUNDARY",
+    "entanglement_period",
 ]
 
 # SI constants, CODATA 2018 values
@@ -38,6 +45,20 @@ HBAR = 1.054571817e-34        # J s
 K_B = 1.380649e-23            # J / K
 C_LIGHT = 299792458.0         # m / s
 EPSILON_0 = 8.8541878128e-12  # F / m
+
+#: boundary between the low and high coupling regimes; the boundary itself
+#: is classified as high
+K_REGIME_BOUNDARY = 1.0 / math.sqrt(2.0)
+
+#: largest |alpha| and |beta| a witness cell may hold. The AC and BC
+#: correlations grow like alpha**3, which here stays below 1e300; every
+#: output of the CLI at its defaults stays finite up to 1e113, and at 1e114
+#: a sweep of D_AC holds an inf
+_MAX_AMPLITUDE = 1e100
+#: largest k a witness cell may hold. The kernels square it: 1e100 squares to
+#: 1e200, which leaves 1e108 of headroom for the times and occupations that
+#: k**2 multiplies, where 1e200 overflowed k**2 itself
+_MAX_COUPLING = 1e100
 
 
 def eta(t):
@@ -95,3 +116,24 @@ def energy_eigenvalue_scaled(n: int, m: int, l: int, k: float, r_a: float, r_b: 
         raise ValueError(f"quantum numbers must be non-negative, got {(n, m, l)}")
     return r_a * n + r_b * m + l - k ** 2 * (n - m) ** 2
 
+
+
+def _low_regime(k):
+    """True where k lies below K_REGIME_BOUNDARY; works elementwise on arrays."""
+    return k < K_REGIME_BOUNDARY
+
+
+def entanglement_period(k, omega_m):
+    """Time to the first entanglement-envelope recurrence.
+
+    pi/(omega_m k**2) below the regime boundary k = 1/sqrt 2, 2 pi/omega_m at
+    and above it. With omega_m = 1 this is the period in scaled time, with
+    omega_m in rad/s the period in seconds. k and omega_m broadcast together;
+    scalars give a float, arrays an array.
+    """
+    k, omega_m = np.asarray(k, dtype=float), np.asarray(omega_m, dtype=float)
+    for name, value in (("k", k), ("omega_m", omega_m)):
+        if not np.all(value > 0):
+            raise ValueError(f"{name} must be positive, got {float(value[~(value > 0)].flat[0])!r}")
+    period = np.where(_low_regime(k), math.pi / (omega_m * k ** 2), 2.0 * math.pi / omega_m)
+    return float(period) if period.ndim == 0 else period

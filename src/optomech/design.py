@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import C_LIGHT, EPSILON_0, HBAR, K_B
-from .duan import entanglement_period
+from .core import C_LIGHT, EPSILON_0, HBAR, K_B, entanglement_period
 
 __all__ = [
     "CavityGeometry",

@@ -27,7 +27,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import big_b, eta
+# the regime rule and the cell limits live in core, which the qubit and design commands load without
+# this module; K_REGIME_BOUNDARY and entanglement_period are re-exported from here
+from .core import (
+    K_REGIME_BOUNDARY,
+    _MAX_AMPLITUDE,
+    _MAX_COUPLING,
+    _low_regime,
+    big_b,
+    entanglement_period,
+    eta,
+)
 
 __all__ = [
     "RegimeReport",
@@ -38,31 +48,6 @@ __all__ = [
     "entanglement_period",
     "regime_report",
 ]
-
-#: boundary between the low and high coupling regimes; the boundary itself
-#: is classified as high
-K_REGIME_BOUNDARY = 1.0 / math.sqrt(2.0)
-
-
-def _low_regime(k):
-    """True where k lies below K_REGIME_BOUNDARY; works elementwise on arrays."""
-    return k < K_REGIME_BOUNDARY
-
-
-def entanglement_period(k, omega_m):
-    """Time to the first entanglement-envelope recurrence.
-
-    pi/(omega_m k**2) below the regime boundary k = 1/sqrt 2, 2 pi/omega_m at
-    and above it. With omega_m = 1 this is the period in scaled time, with
-    omega_m in rad/s the period in seconds. k and omega_m broadcast together;
-    scalars give a float, arrays an array.
-    """
-    k, omega_m = np.asarray(k, dtype=float), np.asarray(omega_m, dtype=float)
-    for name, value in (("k", k), ("omega_m", omega_m)):
-        if not np.all(value > 0):
-            raise ValueError(f"{name} must be positive, got {float(value[~(value > 0)].flat[0])!r}")
-    period = np.where(_low_regime(k), math.pi / (omega_m * k ** 2), 2.0 * math.pi / omega_m)
-    return float(period) if period.ndim == 0 else period
 
 
 @dataclass(frozen=True)
@@ -231,15 +216,6 @@ def _bc_lower(kern, alpha, beta, r_a, r_b):
 
 _VALUES = {"AB": _ab_values, "AC": _ac_values, "BC": _bc_values}
 _LOWER = {"AB": _ab_lower, "AC": _ac_lower, "BC": _bc_lower}
-#: largest |alpha| and |beta| a witness cell may hold. The AC and BC
-#: correlations grow like alpha**3, which here stays below 1e300; every
-#: output of the CLI at its defaults stays finite up to 1e113, and at 1e114
-#: a sweep of D_AC holds an inf
-_MAX_AMPLITUDE = 1e100
-#: largest k a witness cell may hold. The kernels square it: 1e100 squares to
-#: 1e200, which leaves 1e108 of headroom for the times and occupations that
-#: k**2 multiplies, where 1e200 overflowed k**2 itself
-_MAX_COUPLING = 1e100
 
 
 def _check_cell(bipartition, r_a, r_b, alpha, beta, nbar, k) -> None:
@@ -289,6 +265,11 @@ def duan_values(t, bipartition: str, r_a: float, r_b: float, *, alpha, beta, nba
     carrier phase instead: (r_a + r_b) t for AB, r_a t for AC, r_b t for BC.
     """
     _check_cell(bipartition, r_a, r_b, alpha, beta, nbar, k)
+    return _evaluate(t, bipartition, r_a, r_b, alpha, beta, nbar, k, lower)
+
+
+def _evaluate(t, bipartition, r_a, r_b, alpha, beta, nbar, k, lower):
+    """`duan_values` on a cell `_check_cell` has passed; a sweep checks its cell once and calls this per point."""
     func = (_LOWER if lower else _VALUES)[bipartition]
     kern = _kernels(_time_kernels(t), k, nbar, func, r_a + r_b)
     return func(kern, alpha, beta, r_a, r_b)

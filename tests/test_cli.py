@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from optomech import cli
+from optomech import certify, cli
 from optomech.cli import (
     ResultTable,
     _write_csv,
@@ -24,6 +24,7 @@ from optomech.cli import (
     run_fig4b,
 )
 from optomech.core import thermal_occupation
+import optomech.duan as duan_module
 from optomech.duan import duan_values
 
 
@@ -873,6 +874,28 @@ def test_cli_sweep_runs(tmp_path):
     assert len(lines) == 41
 
 
+@pytest.mark.parametrize("variable", ["t", "k"])
+@pytest.mark.parametrize("quantity", ["duan_ab", "duan_ac", "duan_bc"])
+def test_duan_sweep_checks_its_cell_once_and_keeps_each_point_bitwise(monkeypatch, quantity, variable):
+    # the rows are duan_values point by point, at the same Python floats
+    calls = []
+    check = duan_module._check_cell
+    monkeypatch.setattr(duan_module, "_check_cell", lambda *args: calls.append(args) or check(*args))
+    cfg = resolve_config("sweep", overrides=(f"quantity={quantity}", f"variable={variable}", "stop=1.5",
+                                             "n_points=50", "nbar=0.2", "r_a=3.0", "r_b=5.0"))
+    table = cli.run_sweep(cfg)
+    assert len(calls) == 1
+    v = cfg.values
+    xs = np.linspace(v["start"], v["stop"], v["n_points"]).tolist()
+    points = [(x, v["k"]) for x in xs] if variable == "t" else [(v["t_fixed"], x) for x in xs]
+    pair = quantity.removeprefix("duan_").upper()
+    want = [
+        duan_values(t, pair, v["r_a"], v["r_b"], alpha=v["alpha"], beta=v["beta"], nbar=v["nbar"], k=k)
+        for t, k in points
+    ]
+    assert list(map(float.hex, table.cells[1])) == [float(x).hex() for x in want]
+
+
 def test_cli_sweep_requires_carrier_for_duan_quantities(capsys):
     code = main(["sweep", "--set", "quantity=duan_ab", "--set", "r_a=0.0"])
     captured = capsys.readouterr()
@@ -882,13 +905,13 @@ def test_cli_sweep_requires_carrier_for_duan_quantities(capsys):
 
 def test_cli_oracle_check_detects_corruption(monkeypatch, capsys):
     # one check pushed over its tolerance must make the suite report failure
-    run = cli.certify.run
+    run = certify.run
 
     def corrupted(seed):
         (name, _, tolerance), *rest = run(seed)
         return [(name, 10.0 * tolerance, tolerance), *rest]
 
-    monkeypatch.setattr(cli.certify, "run", corrupted)
+    monkeypatch.setattr(certify, "run", corrupted)
     code = main(["oracle-check"])
     captured = capsys.readouterr()
     assert code == 2
@@ -955,6 +978,43 @@ def test_cli_import_leaves_out_scipy_stats_linalg_and_special():
     lines = proc.stdout.strip().splitlines()
     assert lines[0] == "[]"
     assert lines[-1] == "0 []"
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # the qubit and design commands never load the witness, the oracle or the
+    # certification; fig3 adds duan alone, oracle-check all three
+    code = (
+        "import json, sys\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'optomech')\n"
+        "out = sys.argv[1]\n"
+        "import optomech\n"
+        "seen = [loaded()]\n"
+        "import optomech.cli as cli\n"
+        "for command in cli.COMMANDS:\n"
+        "    cli.resolve_config(command)\n"
+        "seen.append(loaded())\n"
+        "for argv in (['fig2', '--set', 'n_points=64'],\n"
+        "             ['sweep', '--set', 'n_points=16'],\n"
+        "             ['sweep', '--set', 'quantity=entropy', '--set', 'variable=k', '--set', 'stop=1.5',\n"
+        "              '--set', 'n_points=16'],\n"
+        "             ['design'], ['fig3', '--set', 'n_points=64'], ['oracle-check']):\n"
+        "    assert cli.main([*argv, '--out', out]) == 0, argv\n"
+        "    seen.append(loaded())\n"
+        "print(json.dumps(seen))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "out.csv")],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    package, configs, fig2, concurrence, entropy, design, fig3, oracle = json.loads(proc.stdout.splitlines()[-1])
+    base = ["optomech", "optomech.cli", "optomech.core", "optomech.design", "optomech.qubit"]
+    assert package == ["optomech"]
+    assert configs == fig2 == concurrence == entropy == design == base
+    assert fig3 == sorted([*base, "optomech.duan"])
+    assert oracle == sorted([*base, "optomech.certify", "optomech.duan", "optomech.oracle"])
 
 
 def test_cli_error_text_goes_to_stderr(capsys):

@@ -2,6 +2,7 @@ import ast
 import importlib
 import pathlib
 import pkgutil
+import sys
 
 import pytest
 
@@ -21,6 +22,23 @@ def test_every_exported_name_resolves(module_name):
     missing = [name for name in exported if not hasattr(module, name)]
     assert not missing, f"{module_name}.__all__ names missing attributes: {missing}"
     assert len(set(exported)) == len(exported)
+
+
+@pytest.mark.parametrize("name", sorted(set(optomech.__all__) - {"__version__"}))
+def test_each_public_name_is_its_home_modules_object(name):
+    # `import optomech` resolves a name on first access, from the module that defines it
+    value = getattr(optomech, name)
+    assert getattr(sys.modules[value.__module__], name) is value
+
+
+def test_lazy_namespace_lists_and_binds_every_public_name():
+    assert set(optomech.__all__) <= set(dir(optomech))
+    namespace = {}
+    exec("from optomech import *", namespace)
+    assert set(optomech.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(optomech, name) for name in optomech.__all__)
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        optomech.no_such_name
 
 
 def test_every_submodule_declares_its_exports():
