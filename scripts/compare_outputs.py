@@ -15,7 +15,8 @@ only PYTHONPATH entry. The matrix holds:
 - the three Duan sweeps over t and over k;
 - `design` with exclusion bands of zero, wide and overlapping width, and
   with no plateau tolerance;
-- a few inputs that a command must refuse by field name;
+- a few inputs that a command must refuse by field name, and a few where
+  only a regime value the command does not write overflows;
 - the single-field matrix of the change tree's `tests/test_domain.py`:
   every numeric field at 0, -1, 1e-300 and 1e300, the other grids shrunk.
 
@@ -61,9 +62,11 @@ EXTRA = [
     ("refuse-fig2-k", "fig2", ("k=50",)),
     ("refuse-sweep-k-stop", "sweep", ("variable=k", "stop=50")),
     ("refuse-fig3-k-period", "fig3", ("k=1e-300",)),
-    ("refuse-fig4b-k-period", "fig4b", ("k=1e-300",)),
-    ("refuse-fig3-period-seconds", "fig3", ("omega_m_rad_per_s=1e-3", "k=1e-153", "n_points=50")),
-    ("refuse-fig4b-period-seconds", "fig4b", ("omega_m_rad_per_s=1e-3", "k=1e-153")),
+    # regime values that overflow where the command does not write them
+    ("fig4b-k-period", "fig4b", ("k=1e-300",)),
+    ("fig3-period-seconds", "fig3", ("omega_m_rad_per_s=1e-3", "k=1e-153", "n_points=50")),
+    ("fig4b-period-seconds", "fig4b", ("omega_m_rad_per_s=1e-3", "k=1e-153")),
+    ("fig4b-k-omega-m-ratio", "fig4b", ("k=0.001", "omega_m_rad_per_s=1e300")),
     ("design-halfwidth-0", "design", ("exclusion_halfwidth=0",)),
     ("design-halfwidth-0.2-n-max-11", "design", ("exclusion_halfwidth=0.2", "exclusion_n_max=11")),
     ("design-rtol-0", "design", ("plateau_rtol=0",)),

@@ -22,9 +22,12 @@ __version__ = "0.1.0"
 
 #: home module -> the public names `import optomech` resolves from it
 _EXPORTS = {
-    "core": ("eta", "big_b", "xi", "thermal_occupation", "energy_eigenvalue_scaled", "entanglement_period"),
+    "core": (
+        "eta", "big_b", "xi", "thermal_occupation", "energy_eigenvalue_scaled", "entanglement_period",
+        "RegimeReport", "regime_report",
+    ),
     "qubit": ("reduced_rho_ab", "concurrence", "von_neumann_entropy"),
-    "duan": ("RegimeReport", "duan_from_moments", "duan_values", "window_minima", "regime_report"),
+    "duan": ("duan_from_moments", "duan_values", "window_minima"),
     "oracle": (
         "FockConfig", "TriModeState", "ModePairMoments", "displacement_matrix", "qubit_state",
         "coherent_thermal_state", "apply_evolution", "partial_trace", "moments",

@@ -30,11 +30,12 @@ import numpy as np
 # the modules every command needs; duan and certify are imported in the functions that run them, so
 # the qubit and design commands never load the witness, the oracle or the certification
 from . import __version__
-from .core import C_LIGHT, _MAX_AMPLITUDE, _MAX_COUPLING, _low_regime, entanglement_period, thermal_occupation
+from .core import _MAX_AMPLITUDE, _MAX_COUPLING, regime_report, thermal_occupation
 from .design import (
     TEMPERATURE_K,
     CavityGeometry,
     DesignSearchSpace,
+    _linewidth,
     cavity_linewidth,
     design_report,
     optimize_design,
@@ -446,7 +447,7 @@ def _thermal(nbar: str, k: str, when=None) -> tuple:
 
 
 def _correlation(k: str, when=None) -> _Row:
-    """k**2 |eta|**2 (alpha**2 + beta**2) in `duan._ac_base`'s order at the largest k and |eta|**2, under
+    """k**2 |eta|**2 (alpha**2 + beta**2) in `duan._c_curve`'s order at the largest k and |eta|**2, under
     the field k names, alpha and beta: where it is finite, that term of every D_AC and D_BC is, as its
     non-negative factors round monotonically."""
     return _Row(f"{k} alpha beta: k**2 |eta|**2 (alpha**2 + beta**2) overflows at k = {{k_last!r}}, alpha = "
@@ -477,18 +478,6 @@ def _axis(name: str, maximum: float) -> tuple:
     )
 
 
-#: `entanglement_period` as regime_report takes it, with k**2 free to underflow to 0
-_period = np.errstate(divide="ignore", over="ignore")(entanglement_period)
-
-
-@np.errstate(all="ignore")
-def _feasibility_ratio(d) -> float:
-    """`regime_report`'s low-regime g0**2 / (omega_m 2 pi kappa) in its float order, with g0 a numpy
-    float: an overflow, or a denominator that underflows to 0, gives inf or NaN instead of raising."""
-    g0 = np.float64(d.k) * d.omega_m_rad_per_s
-    return float(g0 ** 2 / (d.omega_m_rad_per_s * (2.0 * math.pi * d.kappa)))
-
-
 def _direct(d) -> bool:
     """Whether `window_minima` scans d.window at the carrier phase itself, not through the envelope."""
     from .duan import _scan_grid
@@ -506,18 +495,12 @@ _WINDOW = "omega_m_rad_per_s cavity_length_m finesse"
 _QUBIT = f"the qubit measures need k <= {_MAX_QUBIT_COUPLING:g}, got {{q!r}}"
 _QUBIT_HOLDS = lambda q: q <= _MAX_QUBIT_COUPLING  # noqa: E731
 _CELL_HOLDS = lambda q: q <= _MAX_COUPLING  # noqa: E731
-_COUPLED = lambda d: d.k > 0  # noqa: E731
-_REGIME_ROWS = (
-    _Row("k: the regime period pi / k**2 overflows at k = {k!r}", lambda d: _period(d.k, 1.0), when=_COUPLED),
-    _Row("k omega_m_rad_per_s: the regime period in seconds overflows at k = {k!r}, omega_m_rad_per_s = "
-         "{omega_m_rad_per_s!r}", lambda d: _period(d.k, d.omega_m_rad_per_s), when=_COUPLED),
-)
 #: kappa in 1/s and tau_p in s; the window, the photon lifetime in scaled time unless window_scaled
 #: overrides it (fig3 has no window_scaled); r_a and r_b, the carriers over omega_m, scaled only here
 _OPERATING_ROWS = (
-    # cavity_linewidth's kappa in its float order: its 1 / kappa divides by zero where kappa underflows
+    # cavity_linewidth's kappa: its 1 / kappa divides by zero where kappa underflows
     _Row("cavity_length_m finesse: the linewidth c / (2 L) / finesse underflows to {q!r} 1/s",
-         lambda d: C_LIGHT / (2.0 * d.cavity_length_m) / d.finesse, lambda q: q > 0.0),
+         lambda d: _linewidth(d.cavity_length_m, d.finesse), lambda q: q > 0.0),
     _Row("cavity_length_m mirror_radius_m", key=("kappa", "tau_p"),
          form=lambda d: cavity_linewidth(CavityGeometry(d.cavity_length_m, d.mirror_radius_m, d.finesse))),
     _Row(f"{_WINDOW}: the window omega_m tau_p overflows at tau_p = {{tau_p!r}} s",
@@ -528,10 +511,10 @@ _OPERATING_ROWS = (
          lambda d: d.omega_b_rad_per_s / d.omega_m_rad_per_s, lambda q: 0.0 < q < math.inf, key="r_b"),
     _Row("", lambda d: d.r_a + d.r_b, key="fast"),
 )
+#: the regime report fig3 and fig4b write, built once where k > 0 (else None); it follows kappa
+_REGIME = _Row("", lambda d: regime_report(d.k, d.omega_m_rad_per_s, d.kappa) if d.k > 0 else None, key="regime")
+_REPORTED = lambda d: d.regime is not None  # noqa: E731
 _NBAR = _Row("temperature_K", lambda d: thermal_occupation(d.temperature_K, d.omega_m_rad_per_s), key="nbar")
-_RATIO = _Row(
-    "k omega_m_rad_per_s cavity_length_m finesse: the feasibility ratio g0**2 / (omega_m 2 pi kappa) is {q!r} "
-    "at kappa = {kappa!r} 1/s", _feasibility_ratio, when=lambda d: _COUPLED(d) and _low_regime(d.k))
 
 #: command -> the rows of its input domain, in the order they are checked
 _DOMAINS = {
@@ -540,8 +523,11 @@ _DOMAINS = {
         _Row("t_max: must exceed t_min={t_min}", lambda d: d.t_max > d.t_min, bool),
     ),
     "fig3": (
-        *_REGIME_ROWS,
-        *_OPERATING_ROWS[:3],
+        *_OPERATING_ROWS[:2],
+        _REGIME,
+        _Row("k: the regime period pi / k**2 overflows at k = {k!r}", lambda d: d.regime.envelope_period,
+             when=_REPORTED),
+        _OPERATING_ROWS[2],
         _Row("", lambda d: d.window if d.t_max is None else d.t_max, key="t_last"),
         _Row("t_max: must exceed t_min={t_min}", lambda d: d.t_last > d.t_min, bool),
         *_OPERATING_ROWS[3:],
@@ -553,7 +539,9 @@ _DOMAINS = {
         *_phases("t_max", ""),
         *_thermal("temperature_K omega_m_rad_per_s", "k"),
         _correlation("k"),
-        _RATIO,
+        _Row("k omega_m_rad_per_s cavity_length_m finesse: the feasibility ratio g0**2 / (omega_m 2 pi kappa) is "
+             "{q!r} at kappa = {kappa!r} 1/s", lambda d: d.regime.feasibility_ratio,
+             when=lambda d: _REPORTED(d) and d.regime.regime == "low"),
     ),
     "fig4a": (
         _Row("k_max: must exceed k_min", lambda d: d.k_max > d.k_min, bool),
@@ -569,13 +557,13 @@ _DOMAINS = {
     "fig4b": (
         _Row("alpha_max: must exceed alpha_min", lambda d: d.alpha_max > d.alpha_min, bool),
         _Row("beta_max: must exceed beta_min", lambda d: d.beta_max > d.beta_min, bool),
-        *_REGIME_ROWS,
-        *_OPERATING_ROWS,
+        *_OPERATING_ROWS[:2],
+        _REGIME,
+        *_OPERATING_ROWS[2:],
         _Row("", lambda d: (d.window, d.k), key=("t_last", "k_last")),
         *_window_phases("k"),
         _NBAR,
         *_thermal("temperature_K omega_m_rad_per_s", "k"),
-        _RATIO,
         *_axis("alpha", _MAX_AMPLITUDE),
         *_axis("beta", _MAX_AMPLITUDE),
     ),
@@ -631,7 +619,7 @@ def run_fig2(cfg: RunConfig) -> ResultTable:
 
 
 def run_fig3(cfg: RunConfig) -> ResultTable:
-    from .duan import duan_values, regime_report
+    from .duan import duan_values
 
     d = _domain("fig3", cfg.values)
     grid = np.linspace(d.t_min, d.t_last, d.n_points)
@@ -646,8 +634,8 @@ def run_fig3(cfg: RunConfig) -> ResultTable:
         },
     }
     extra = {"nbar": repr(d.nbar), "window_scaled": repr(d.window)}
-    if d.k > 0:
-        rep = regime_report(d.k, d.omega_m_rad_per_s, d.kappa)
+    rep = d.regime
+    if rep is not None:
         extra.update(
             regime=rep.regime, feasibility_condition=rep.feasibility_condition,
             feasibility_ratio=repr(rep.feasibility_ratio), envelope_period_scaled=repr(rep.envelope_period),
@@ -679,7 +667,7 @@ def run_fig4a(cfg: RunConfig) -> ResultTable:
 
 
 def run_fig4b(cfg: RunConfig) -> ResultTable:
-    from .duan import regime_report, window_minima
+    from .duan import window_minima
 
     d = _domain("fig4b", cfg.values)
     alphas, betas = d.alpha_axis, d.beta_axis
@@ -687,8 +675,8 @@ def run_fig4b(cfg: RunConfig) -> ResultTable:
     res = window_minima("AB", d.window, d.r_a, d.r_b, alpha=a_cells, beta=b_cells, nbar=d.nbar, k=d.k)
     columns = {"alpha": a_cells, "beta": b_cells, "min_duan_ab": res.d_star}
     extra = {"nbar": repr(d.nbar), "window_scaled": repr(d.window), **_minima_metadata(res)}
-    if d.k > 0:
-        rep = regime_report(d.k, d.omega_m_rad_per_s, d.kappa)
+    rep = d.regime
+    if rep is not None:
         extra.update(regime=rep.regime, feasibility_condition=rep.feasibility_condition)
     return ResultTable(columns, _metadata(cfg, extra))
 
@@ -728,6 +716,12 @@ def run_design(cfg: RunConfig) -> tuple[ResultTable, dict]:
 
 
 def _cmd_design(cfg: RunConfig) -> int:
+    # the sidecar takes the --out path with a .json extension, which would overwrite the CSV itself
+    if cfg.out is not None and os.path.splitext(cfg.out)[1].lower() == ".json":
+        raise ValueError(
+            f"--out {cfg.out}: design writes its JSON sidecar at this path with a .json extension, "
+            "so the CSV path must not end in .json"
+        )
     table, report_json = run_design(cfg)
     _emit(table, cfg.out)
     if cfg.out is not None:

@@ -1,4 +1,4 @@
-"""Dimensionless reductions, special time functions, thermal statistics and the regime rule.
+"""Dimensionless reductions, special time functions, thermal statistics and the regime rule and report.
 
 Every dynamics routine in this package works in scaled units: time is
 measured in units of 1/omega_m (so the scaled time is omega_m * t_physical)
@@ -14,15 +14,17 @@ The three special functions of scaled time used throughout are
 
 All three accept numpy arrays as well as scalars.
 
-The coupling-regime rule (`entanglement_period`, `K_REGIME_BOUNDARY`) and
-the limits of a witness cell live here too: the witness module, the
-experiment designer and the command line all read them, and the commands
-that never evaluate a witness then load no witness module.
+The coupling-regime rule (`entanglement_period`, `K_REGIME_BOUNDARY`), the
+report built from it (`regime_report`) and the limits of a witness cell
+live here too: the witness module, the experiment designer and the command
+line all read them, and the commands that never evaluate a witness then
+load no witness module.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +40,8 @@ __all__ = [
     "energy_eigenvalue_scaled",
     "K_REGIME_BOUNDARY",
     "entanglement_period",
+    "RegimeReport",
+    "regime_report",
 ]
 
 # SI constants, CODATA 2018 values
@@ -137,3 +141,43 @@ def entanglement_period(k, omega_m):
             raise ValueError(f"{name} must be positive, got {float(value[~(value > 0)].flat[0])!r}")
     period = np.where(_low_regime(k), math.pi / (omega_m * k ** 2), 2.0 * math.pi / omega_m)
     return float(period) if period.ndim == 0 else period
+
+
+@dataclass(frozen=True)
+class RegimeReport:
+    """Coupling-regime classification and the matching feasibility inequality."""
+
+    regime: str
+    feasibility_condition: str
+    feasibility_ratio: float
+    #: `entanglement_period` in scaled time
+    envelope_period: float
+
+
+@np.errstate(all="ignore")
+def regime_report(k: float, omega_m: float, kappa: float) -> RegimeReport:
+    """Classify the coupling regime and report the matching feasibility ratio.
+
+    omega_m is the mechanical frequency in rad/s and kappa the photon decay
+    rate in 1/s (the inverse photon lifetime). Low regime (k < 1/sqrt 2):
+    feasibility needs photon blockade g0**2/(omega_m kappa) >> 1. High
+    regime (including the boundary): feasibility needs resolved sidebands
+    omega_m >> kappa. Ratios compare angular rates, so kappa is multiplied
+    by 2 pi. Raises on a non-positive k, omega_m or kappa. The arithmetic is
+    in Python's float order, with g0 a numpy float, which squares through
+    pow() as a Python float does: a period or ratio that overflows is inf,
+    or NaN where both sides of its quotient overflow or underflow, without
+    an OverflowError or a warning.
+    """
+    for name, value in (("k", k), ("omega_m", omega_m), ("kappa", kappa)):
+        if not (value > 0):
+            raise ValueError(f"{name} must be positive, got {value!r}")
+    kappa_angular = 2.0 * math.pi * kappa
+    if _low_regime(k):
+        regime, condition = "low", "photon_blockade"
+        g0 = np.float64(k) * omega_m
+        ratio = g0 ** 2 / (omega_m * kappa_angular)
+    else:
+        regime, condition = "high", "resolved_sideband"
+        ratio = omega_m / kappa_angular
+    return RegimeReport(regime, condition, float(ratio), entanglement_period(k, 1.0))

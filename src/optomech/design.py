@@ -40,7 +40,6 @@ __all__ = [
     "CALIBRATION_REFERENCE",
     "cavity_linewidth",
     "atom_coupling",
-    "entanglement_period",
     "heating_budget",
     "design_report",
     "optimize_design",

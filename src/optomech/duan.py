@@ -21,45 +21,22 @@ more than 1e5 carrier cycles.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-# the regime rule and the cell limits live in core, which the qubit and design commands load without
-# this module; K_REGIME_BOUNDARY and entanglement_period are re-exported from here
-from .core import (
-    K_REGIME_BOUNDARY,
-    _MAX_AMPLITUDE,
-    _MAX_COUPLING,
-    _low_regime,
-    big_b,
-    entanglement_period,
-    eta,
-)
+# the cell limits live in core, which the qubit and design commands load without this module
+from .core import _MAX_AMPLITUDE, _MAX_COUPLING, big_b, eta
 
 __all__ = [
-    "RegimeReport",
     "duan_from_moments",
     "duan_values",
     "WindowMinima",
     "window_minima",
-    "entanglement_period",
-    "regime_report",
 ]
-
-
-@dataclass(frozen=True)
-class RegimeReport:
-    """Coupling-regime classification and the matching feasibility inequality."""
-
-    k: float
-    regime: str
-    envelope_period: float
-    envelope_period_seconds: float
-    feasibility_condition: str
-    feasibility_ratio: float
 
 
 #: how far <n> may fall below |<a>|**2 before duan_from_moments rejects the moments
@@ -166,56 +143,35 @@ def _ab_lower(kern, alpha, beta, r_a, r_b):
     return 1.0 + total * (1.0 - env) - 2.0 * np.abs(alpha * beta) * swing
 
 
-def _r_correlation(kern, alpha, beta, k, r_fast):
-    """Connected <a c> correlation for the optical mode with amplitude alpha.
+def _c_curve(kern, alpha, beta, r_a, r_b, *, mode, lower):
+    """D_AC for mode "A", or D_BC for mode "B", pointwise or (lower) its lower envelope.
 
-    r_fast is that mode's frequency ratio (r_a for mode A) and k its signed
-    coupling. The a <-> b relabeling enters through the argument order and
-    the sign of k.
+    D_BC is D_AC with the optical modes relabeled: alpha <-> beta,
+    r_a <-> r_b and k -> -k, since a photon in mode B kicks the mirror the
+    other way. The connected <a c> correlation R is the mode's amplitude
+    times k eta e^{-i (r t + B)}, with r its carrier ratio, times coherent
+    and thermal envelopes; D_C is 1 + alpha**2 + nbar + k**2 |eta|**2
+    (alpha**2 + beta**2) - alpha**2 env + 2 Re R, and its lower envelope
+    over the carrier phase r t puts -2 |R| for 2 Re R.
     """
+    k = kern.k
+    if mode == "B":
+        alpha, beta, r_a, k = beta, alpha, r_b, -k
+    total = alpha ** 2 + beta ** 2
+    env = _envelope_factor(kern, total)
+    base = 1.0 + alpha ** 2 + kern.nbar + kern.k ** 2 * kern.eta_sq * total - (alpha ** 2) * env
     bt = k ** 2 * kern.unit_b
     e_m = 1.0 - np.exp(-2j * bt)
     e_p = 1.0 - np.exp(+2j * bt)
     coherent_env = np.exp(-(alpha ** 2) * e_m - (beta ** 2) * e_p)
     thermal_env = np.exp(-(k ** 2) * kern.eta_sq * (kern.nbar + 0.5))
     bracket = (kern.nbar + 1.0) - alpha ** 2 * e_m + beta ** 2 * e_p
-    return (
-        alpha
-        * k
-        * kern.eta
-        * np.exp(-1j * (r_fast * kern.t + bt))
-        * coherent_env
-        * bracket
-        * thermal_env
-    )
+    r = alpha * k * kern.eta * np.exp(-1j * (r_a * kern.t + bt)) * coherent_env * bracket * thermal_env
+    return base - 2.0 * np.abs(r) if lower else base + 2.0 * r.real
 
 
-def _ac_base(kern, alpha, beta):
-    """D_AC minus its 2 Re R term."""
-    total = alpha ** 2 + beta ** 2
-    env = _envelope_factor(kern, total)
-    return 1.0 + alpha ** 2 + kern.nbar + kern.k ** 2 * kern.eta_sq * total - (alpha ** 2) * env
-
-
-def _ac_values(kern, alpha, beta, r_a, r_b):
-    return _ac_base(kern, alpha, beta) + 2.0 * _r_correlation(kern, alpha, beta, kern.k, r_a).real
-
-
-def _ac_lower(kern, alpha, beta, r_a, r_b):
-    return _ac_base(kern, alpha, beta) - 2.0 * np.abs(_r_correlation(kern, alpha, beta, kern.k, r_a))
-
-
-def _bc_values(kern, alpha, beta, r_a, r_b):
-    """D_BC via the a <-> b relabeling (alpha <-> beta, r_a <-> r_b, k -> -k)."""
-    return _ac_base(kern, beta, alpha) + 2.0 * _r_correlation(kern, beta, alpha, -kern.k, r_b).real
-
-
-def _bc_lower(kern, alpha, beta, r_a, r_b):
-    return _ac_base(kern, beta, alpha) - 2.0 * np.abs(_r_correlation(kern, beta, alpha, -kern.k, r_b))
-
-
-_VALUES = {"AB": _ab_values, "AC": _ac_values, "BC": _bc_values}
-_LOWER = {"AB": _ab_lower, "AC": _ac_lower, "BC": _bc_lower}
+_VALUES = {"AB": _ab_values, **{f"{m}C": functools.partial(_c_curve, mode=m, lower=False) for m in "AB"}}
+_LOWER = {"AB": _ab_lower, **{f"{m}C": functools.partial(_c_curve, mode=m, lower=True) for m in "AB"}}
 
 
 def _check_cell(bipartition, r_a, r_b, alpha, beta, nbar, k) -> None:
@@ -826,38 +782,3 @@ def window_minima(
         evaluated_points=evaluated,
     )
 
-
-def regime_report(k: float, omega_m: float, kappa: float) -> RegimeReport:
-    """Classify the coupling regime and report the matching feasibility ratio.
-
-    omega_m is the mechanical frequency in rad/s and kappa the photon decay
-    rate in 1/s (the inverse photon lifetime). Low regime (k < 1/sqrt 2):
-    feasibility needs photon blockade g0**2/(omega_m kappa) >> 1. High
-    regime (including the boundary): feasibility needs resolved sidebands
-    omega_m >> kappa. Ratios compare angular rates, so kappa is multiplied
-    by 2 pi. The envelope period is `entanglement_period` in scaled time and
-    in seconds.
-    """
-    # entanglement_period rejects k <= 0 and omega_m <= 0
-    period = entanglement_period(k, 1.0)
-    period_seconds = entanglement_period(k, omega_m)
-    if not (kappa > 0):
-        raise ValueError(f"kappa must be positive, got {kappa!r}")
-    kappa_angular = 2.0 * math.pi * kappa
-    if _low_regime(k):
-        regime = "low"
-        condition = "photon_blockade"
-        g0 = k * omega_m
-        ratio = g0 ** 2 / (omega_m * kappa_angular)
-    else:
-        regime = "high"
-        condition = "resolved_sideband"
-        ratio = omega_m / kappa_angular
-    return RegimeReport(
-        k=k,
-        regime=regime,
-        envelope_period=period,
-        envelope_period_seconds=period_seconds,
-        feasibility_condition=condition,
-        feasibility_ratio=ratio,
-    )

@@ -23,7 +23,7 @@ from optomech.cli import (
     run_fig4a,
     run_fig4b,
 )
-from optomech.core import thermal_occupation
+from optomech.core import regime_report, thermal_occupation
 import optomech.duan as duan_module
 from optomech.duan import duan_values
 
@@ -433,6 +433,20 @@ def test_cli_design_writes_json_sidecar(tmp_path):
     assert payload["metadata"]["command"] == "design"
 
 
+@pytest.mark.parametrize("name", ["design.json", "design.JSON"])
+def test_cli_design_refuses_an_out_path_its_sidecar_would_overwrite(monkeypatch, capsys, tmp_path, name):
+    # the CSV went to design.json, then the sidecar replaced it, and the run exited 0
+    searches = []
+    monkeypatch.setattr(cli, "optimize_design", lambda *args: searches.append(args))
+    code, out = _run_cli(["design", "--set", "radii_m=[0.05]"], tmp_path, name)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: --out {out}: design writes its JSON sidecar at this path with a .json extension, "
+        "so the CSV path must not end in .json\n"
+    )
+    assert searches == [] and list(tmp_path.iterdir()) == []
+
+
 def test_cli_design_metadata_counts_grid_points_per_radius(tmp_path):
     argv = ["design", "--set", "radii_m=[0.01, 0.05]", "--set", "trap_frequencies_Hz=[40000.0, 95000.0]"]
     code_a, out_a = _run_cli(argv, tmp_path, "a.csv")
@@ -770,7 +784,8 @@ def test_cli_keeps_the_largest_qubit_coupling(command, overrides, field, tmp_pat
     assert rows and all(math.isfinite(float(value)) for row in rows for value in row.split(","))
 
 
-@pytest.mark.parametrize("command", ["fig3", "fig4b"])
+# fig4b writes the regime but not the period or the ratio, so only fig3 refuses them
+@pytest.mark.parametrize("command", ["fig3"])
 @pytest.mark.parametrize("k", ["1e-300", "1.32e-154"])
 def test_cli_refuses_a_coupling_whose_regime_period_overflows(capsys, command, k):
     # fig3 at k = 1e-300 warned of a division by zero and wrote
@@ -791,24 +806,42 @@ def test_cli_refuses_a_coupling_whose_regime_period_overflows(capsys, command, k
 
 
 @pytest.mark.parametrize(
-    "command, overrides", [("fig3", ["n_points=50"]), ("fig4b", ["alpha_step=0.5", "beta_step=0.5"])]
+    "command, overrides",
+    [
+        # the period in seconds, pi / (omega_m k**2), overflowed; no command writes it
+        ("fig3", ["omega_m_rad_per_s=1e-3", "k=1e-153", "n_points=50"]),
+        ("fig4b", ["omega_m_rad_per_s=1e-3", "k=1e-153"]),
+        # the scaled period overflowed; fig4b does not write it
+        ("fig4b", ["k=1e-300"]),
+        ("fig4b", ["k=1.32e-154"]),
+        # the feasibility ratio overflowed; fig4b does not write it
+        ("fig4b", ["k=0.001", "omega_m_rad_per_s=1e300"]),
+    ],
 )
-def test_cli_refuses_a_regime_period_that_overflows_in_seconds(capsys, command, overrides):
-    # the scaled period pi / k**2 is finite here, but the period in seconds,
-    # pi / (omega_m k**2), overflowed with a RuntimeWarning and exit 0
-    argv = [command]
-    for item in ["omega_m_rad_per_s=1e-3", "k=1e-153", *overrides]:
-        argv += ["--set", item]
+def test_cli_computes_where_only_an_unwritten_regime_value_overflows(command, overrides, tmp_path):
+    if command == "fig4b":
+        overrides = [*overrides, "alpha_step=0.5", "beta_step=0.5"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: fields 'k' and 'omega_m_rad_per_s': the regime period in seconds overflows "
-        "at k = 1e-153, omega_m_rad_per_s = 0.001\n"
-    )
-    assert "Traceback" not in captured.err
+        code, out = _run_cli(_argv(command, overrides), tmp_path, "r.csv")
+    assert code == 0
+    text = out.read_text()
+    rows = [line for line in text.splitlines() if not line.startswith("#")][1:]
+    assert rows and all(math.isfinite(float(value)) for row in rows for value in row.split(","))
+    assert "# regime: low" in text
+
+
+@pytest.mark.parametrize(
+    "command, overrides", [("fig3", ["n_points=50"]), ("fig4b", ["alpha_step=0.5", "beta_step=0.5"])]
+)
+@pytest.mark.parametrize("k", ["0.5", "0.74", "0"])
+def test_cli_builds_the_regime_report_once_per_run(monkeypatch, command, overrides, k, tmp_path):
+    calls = []
+    monkeypatch.setattr(cli, "regime_report", lambda *args: calls.append(args) or regime_report(*args))
+    code, out = _run_cli(_argv(command, [*overrides, f"k={k}"]), tmp_path, "r.csv")
+    assert code == 0
+    assert len(calls) == (0 if k == "0" else 1)
+    assert ("# regime: " in out.read_text()) == (k != "0")
 
 
 @pytest.mark.parametrize(

@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from optomech import duan
-from optomech.core import C_LIGHT, EPSILON_0, HBAR
+from optomech import core, design, duan
+from optomech.core import C_LIGHT, EPSILON_0, HBAR, entanglement_period
 from optomech.design import (
     CALIBRATION_REFERENCE,
     DETUNING_RAD_S,
@@ -22,7 +22,6 @@ from optomech.design import (
     atom_coupling,
     cavity_linewidth,
     design_report,
-    entanglement_period,
     heating_budget,
     optimize_design,
     proposed_atom_spec,
@@ -105,13 +104,15 @@ def test_entanglement_period_by_regime():
 
 
 def test_entanglement_period_is_the_duan_rule():
-    # one regime rule: design re-exports the duan function itself
-    assert entanglement_period is duan.entanglement_period
+    # one regime rule, core's, which the regime report and the design layer both apply; only
+    # core exports it
+    assert entanglement_period is core.entanglement_period
+    assert "entanglement_period" not in design.__all__ + duan.__all__
     assert isinstance(entanglement_period(0.5, 1.0), float)
 
 
 def test_entanglement_period_on_arrays_matches_each_element():
-    boundary = duan.K_REGIME_BOUNDARY
+    boundary = core.K_REGIME_BOUNDARY
     k = np.concatenate([
         np.linspace(0.05, 2.0, 101),
         [boundary, np.nextafter(boundary, 0.0), np.nextafter(boundary, 1.0)],

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import tracemalloc
@@ -9,15 +10,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from optomech import duan as duan_module
-from optomech.core import thermal_occupation
-from optomech.duan import (
+from optomech.core import (
     K_REGIME_BOUNDARY,
-    duan_from_moments,
-    duan_values,
+    RegimeReport,
     entanglement_period,
     regime_report,
-    window_minima,
+    thermal_occupation,
 )
+from optomech.duan import duan_from_moments, duan_values, window_minima
 from optomech.oracle import ModePairMoments
 
 TABLE_OMEGA_M = 2.0 * math.pi * 95e3
@@ -1291,7 +1291,6 @@ class TestRegimeReport:
         assert rr.regime == "high"
         assert rr.feasibility_condition == "resolved_sideband"
         assert rr.envelope_period == pytest.approx(2.0 * math.pi, rel=1e-12)
-        assert rr.envelope_period_seconds == pytest.approx(1.0526315789473684e-05, rel=1e-12)
         assert rr.feasibility_ratio == pytest.approx(1.4887299132788725, rel=1e-9)
 
     def test_low_coupling_operating_point(self):
@@ -1311,9 +1310,9 @@ class TestRegimeReport:
     @pytest.mark.parametrize("k", [0.25, 0.7, K_REGIME_BOUNDARY, 0.74, 1.3])
     @pytest.mark.parametrize("omega_m", [1.0, TABLE_OMEGA_M])
     def test_periods_are_the_entanglement_period(self, k, omega_m):
+        # the period is in scaled time, whatever omega_m
         rr = regime_report(k, omega_m, 63812.78373776075)
         assert rr.envelope_period == entanglement_period(k, 1.0)
-        assert rr.envelope_period_seconds == entanglement_period(k, omega_m)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -1322,3 +1321,38 @@ class TestRegimeReport:
             regime_report(0.5, 1.0, -1.0)
         with pytest.raises(ValueError, match="omega_m"):
             regime_report(0.5, 0.0, 1.0)
+
+    def test_report_holds_what_a_command_writes(self):
+        assert [f.name for f in dataclasses.fields(RegimeReport)] == [
+            "regime", "feasibility_condition", "feasibility_ratio", "envelope_period",
+        ]
+
+    def test_ratio_is_bitwise_the_python_float_arithmetic(self):
+        # g0 is a numpy float, which squares through pow() as a Python float
+        # does; a 0-d array squares as g0 * g0, which differs for some doubles
+        def python_ratio(k, omega_m, kappa):
+            kappa_angular = 2.0 * math.pi * kappa
+            if k < K_REGIME_BOUNDARY:
+                g0 = k * omega_m
+                return g0 ** 2 / (omega_m * kappa_angular)
+            return omega_m / kappa_angular
+
+        rng = np.random.default_rng(7)
+        n = 20_000
+        # three in four below the regime boundary, where the ratio squares g0
+        ks = rng.uniform(1e-3, 0.95, n)
+        omegas = 10.0 ** rng.uniform(-3.0, 12.0, n)
+        kappas = 10.0 ** rng.uniform(-3.0, 12.0, n)
+        points = list(zip(ks.tolist(), omegas.tolist(), kappas.tolist()))
+        uneven = [k * w for k, w, _ in points if k < K_REGIME_BOUNDARY and (k * w) ** 2 != (k * w) * (k * w)]
+        assert len(uneven) >= 5, uneven
+        got = [repr(regime_report(*point).feasibility_ratio) for point in points]
+        assert got == [repr(python_ratio(*point)) for point in points]
+
+    def test_overflow_is_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert regime_report(0.5, 1e300, 1.0).feasibility_ratio == math.inf
+            assert regime_report(1e-300, 1.0, 1.0).envelope_period == math.inf
+            high = regime_report(0.74, 1e300, 1e-300)
+        assert high.regime == "high" and high.feasibility_ratio == math.inf
