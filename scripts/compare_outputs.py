@@ -13,6 +13,8 @@ only PYTHONPATH entry. The matrix holds:
   change tree's `perfbench/workloads.py` (`oracle-check` there runs at the
   ten benchmark seeds);
 - the three Duan sweeps over t and over k;
+- `fig2` and the concurrence and entropy sweeps over t and over k at
+  100,000 and 257 points, and `fig2` at k = 20;
 - `design` with exclusion bands of zero, wide and overlapping width, and
   with no plateau tolerance;
 - a few inputs that a command must refuse by field name, and a few where
@@ -47,6 +49,16 @@ EXTRA = [
         (f"sweep-duan_{pair}-{variable}", "sweep", (f"quantity=duan_{pair}", f"variable={variable}", "stop=1.5"))
         for pair in ("ab", "ac", "bc")
         for variable in ("t", "k")
+    ),
+    # the qubit measures across many slabs, across a slab edge and at the largest k
+    ("fig2-n-100000", "fig2", ("n_points=100000",)),
+    ("fig2-n-257", "fig2", ("n_points=257",)),
+    ("fig2-k-20", "fig2", ("k=20",)),
+    *(
+        (f"sweep-{quantity}-{variable}-n-{n}", "sweep", (f"quantity={quantity}", f"variable={variable}", f"n_points={n}"))
+        for quantity in ("concurrence", "entropy")
+        for variable in ("t", "k")
+        for n in (100000, 257)
     ),
     ("refuse-fig3-cavity-length", "fig3", ("cavity_length_m=1",)),
     ("refuse-fig4a-mirror-radius", "fig4a", ("mirror_radius_m=1e-9",)),

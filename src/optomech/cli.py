@@ -42,7 +42,7 @@ from .design import (
     proposed_atom_spec,
     proposed_geometry,
 )
-from .qubit import concurrence, reduced_rho_ab, von_neumann_entropy
+from .qubit import _measures
 
 __all__ = ["main", "RunConfig", "ResultTable"]
 
@@ -612,9 +612,7 @@ _DOMAINS = {
 def run_fig2(cfg: RunConfig) -> ResultTable:
     d = _domain("fig2", cfg.values)
     grid = np.linspace(d.t_min, d.t_max, d.n_points)
-    # one stack of states serves both measures
-    rhos = reduced_rho_ab(grid, d.k)
-    columns = {"t": grid, "concurrence": concurrence(rhos), "entropy": von_neumann_entropy(rhos)}
+    columns = {"t": grid, **_measures(grid, d.k, ("concurrence", "entropy"))}
     return ResultTable(columns, _metadata(cfg))
 
 
@@ -775,8 +773,7 @@ def run_sweep(cfg: RunConfig) -> ResultTable:
     ks = xs if v["variable"] == "k" else v["k"]
     ts = xs if v["variable"] == "t" else v["t_fixed"]
     if quantity in ("concurrence", "entropy"):
-        measure = concurrence if quantity == "concurrence" else von_neumann_entropy
-        values = measure(reduced_rho_ab(ts, ks))
+        values = _measures(ts, ks, (quantity,))[quantity]
     else:
         from .duan import _check_cell, _evaluate
 

@@ -54,6 +54,11 @@ EPSILON_0 = 8.8541878128e-12  # F / m
 #: is classified as high
 K_REGIME_BOUNDARY = 1.0 / math.sqrt(2.0)
 
+#: bytes per temporary of a slab loop (the witness scan's, the qubit measures'),
+#: which bounds a loop's memory whatever its grid; 128 KiB, glibc's mmap
+#: threshold, took thousands of page faults per fig4a call, 64 KiB none
+_TEMP_BYTES = 2 ** 16
+
 #: largest |alpha| and |beta| a witness cell may hold. The AC and BC
 #: correlations grow like alpha**3, which here stays below 1e300; every
 #: output of the CLI at its defaults stays finite up to 1e113, and at 1e114

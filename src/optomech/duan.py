@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 # the cell limits live in core, which the qubit and design commands load without this module
-from .core import _MAX_AMPLITUDE, _MAX_COUPLING, big_b, eta
+from .core import _MAX_AMPLITUDE, _MAX_COUPLING, _TEMP_BYTES, big_b, eta
 
 __all__ = [
     "duan_from_moments",
@@ -247,10 +247,8 @@ class WindowMinima:
     evaluated_points: int
 
 
-#: most grid values per temporary of the scan (64 KiB of float64), which
-#: bounds the scan's memory whatever the grid; 2**14 (128 KiB, glibc's mmap
-#: threshold) took thousands of page faults per fig4a call, 2**13 none
-_TEMP_ELEMENTS = 2 ** 13
+#: most grid values per temporary of the scan: `_TEMP_BYTES` of float64, 2**13
+_TEMP_ELEMENTS = _TEMP_BYTES // 8
 #: consecutive grid points per block of a bounded scan
 _SCAN_BLOCK = 32
 #: consecutive grid points per sub-block, the second level of a bounded scan

@@ -1,18 +1,27 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from optomech import qubit as qubit_module
 from optomech.core import big_b, xi
 from optomech.qubit import (
     BASIS_ORDER,
-    _checked_spectrum,
     _evolve_qubit_state,
+    _hermitian_part,
+    _measures,
+    _spectrum,
     concurrence,
     reduced_rho_ab,
     von_neumann_entropy,
 )
+
+
+def _validated(rho):
+    """Both halves of the density-matrix checks, in the order the measures run them."""
+    return _spectrum(_hermitian_part(rho), False)
 
 
 def test_basis_order():
@@ -119,18 +128,19 @@ def test_entropy_reference_states():
 
 def test_check_density_matrix_rejects_bad_input():
     good = np.eye(4) / 4.0
-    _checked_spectrum(good)
+    _validated(good)
     with pytest.raises(ValueError, match="trace"):
-        _checked_spectrum(good * 2.0)  # trace 2
+        _hermitian_part(good * 2.0)  # trace 2
     bad = good.astype(complex).copy()
     bad[0, 1] = 0.3j
     with pytest.raises(ValueError, match="Hermitian"):
-        _checked_spectrum(bad)  # not Hermitian
+        _hermitian_part(bad)  # not Hermitian
     neg = np.diag([0.6, 0.6, -0.1, -0.1])
+    assert np.array_equal(_hermitian_part(neg), neg)
     with pytest.raises(ValueError, match="positive semidefinite"):
-        _checked_spectrum(neg)
+        _spectrum(neg, False)
     with pytest.raises(ValueError, match="square"):
-        _checked_spectrum(np.ones((4, 3)) / 4.0)
+        _hermitian_part(np.ones((4, 3)) / 4.0)
 
 
 @given(
@@ -265,7 +275,7 @@ def test_stacks_broadcast_and_single_matrices_give_floats():
             assert isinstance(von_neumann_entropy(rho), float)
             assert concurrence(rho) == conc[i, j]
             assert von_neumann_entropy(rho) == ent[i, j]
-    evals, _ = _checked_spectrum(rhos)
+    evals, _ = _validated(rhos)
     assert evals.shape == (2, 3, 4)
 
 
@@ -295,7 +305,7 @@ def test_concurrence_fallback_runs_only_on_matrices_that_need_it(monkeypatch):
     assert [concurrence(r) for r in stack] == expected
 
 
-@pytest.mark.parametrize("func", [_checked_spectrum, concurrence, von_neumann_entropy])
+@pytest.mark.parametrize("func", [_validated, concurrence, von_neumann_entropy])
 def test_bad_matrix_in_a_stack_is_named_by_index(func):
     good = reduced_rho_ab(np.linspace(0.1, 3.0, 5), 0.5)
     for bad, reason in (
@@ -314,8 +324,72 @@ def test_bad_matrix_in_a_stack_is_named_by_index(func):
 
 @pytest.mark.parametrize("k", [-0.1, np.array([0.2, -0.3, 0.5])])
 def test_negative_coupling_is_rejected(k):
-    for func in (_evolve_qubit_state, reduced_rho_ab):
+    for func in (_evolve_qubit_state, reduced_rho_ab, lambda t, k: _measures(t, k, ("entropy",))):
         with pytest.raises(ValueError, match="k must be non-negative"):
             func(1.0, k)
     with pytest.raises(ValueError, match="k must be non-negative, got -0.3"):
         reduced_rho_ab(np.linspace(0.0, 1.0, 3), np.array([0.2, -0.3, 0.5]))
+
+
+# --- the slab path of fig2 and the qubit sweeps against the whole stack ---
+
+
+def _axis_grid(axis, k, n):
+    """(t, k) of an n-point grid along t at coupling k, or along k up to k at t = pi."""
+    if axis == "t":
+        return np.linspace(0.0, 8.0 * math.pi, n), k
+    return math.pi, np.linspace(0.0, k, n)
+
+
+@pytest.mark.parametrize("k", [0.0, 0.5, 20.0])
+@pytest.mark.parametrize("axis", ["t", "k"])
+def test_slab_measures_are_bitwise_the_whole_stack(monkeypatch, axis, k):
+    checked = set()
+    # the module's slab, then one whose edges fall inside the small grids
+    for slab in (qubit_module._SLAB, 7):
+        monkeypatch.setattr(qubit_module, "_SLAB", slab)
+        for n in (1, slab - 1, slab, slab + 1, 2 * slab + 1, 4000):
+            t, ks = _axis_grid(axis, k, n)
+            both = _measures(t, ks, ("concurrence", "entropy"))
+            rhos = reduced_rho_ab(t, ks)
+            _assert_same_bits(both["concurrence"], concurrence(rhos))
+            _assert_same_bits(both["entropy"], von_neumann_entropy(rhos))
+            for name, values in both.items():
+                _assert_same_bits(_measures(t, ks, (name,))[name], values)
+            if n not in checked:
+                checked.add(n)
+                points = list(zip(*(p.tolist() for p in np.broadcast_arrays(t, ks))))
+                # the per-point path squares k with Python's float pow, which at a
+                # few k (3 of 4000 on [0, 0.5], 10 on [0, 20]) rounds differently
+                # from the k * k that every stack has taken since it replaced that path
+                same = [i for i, (_, kp) in enumerate(points) if kp ** 2 == kp * kp]
+                _assert_matches_reference(
+                    rhos[same], both["concurrence"][same], both["entropy"][same], [points[i] for i in same]
+                )
+
+
+def test_slab_measures_bound_their_memory():
+    grid = np.linspace(0.0, 8.0 * math.pi, 100_000)
+    tracemalloc.start()
+    try:
+        _measures(grid, 0.5, ("concurrence", "entropy"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the two outputs and the broadcast k, 0.8 MB each, plus temporaries of
+    # _SLAB matrices: 2.7 MiB measured. fig2 built the whole stack at once
+    # before it took its measures in slabs, and peaked at 153 MiB here
+    assert peak < 4 * 2**20
+
+
+def test_slab_measures_name_the_whole_stack_index():
+    grid = np.linspace(0.0, 2.0 * math.pi, 4000)
+    # at k = 100 the trace of matrix 465, in the second slab, drifts past 1e-12
+    text = "matrix 465 of the stack: trace deviates from 1 by 1.364e-12"
+    with pytest.raises(ValueError, match=f"^{text}$"):
+        concurrence(reduced_rho_ab(grid, 100.0))
+    with pytest.raises(ValueError, match=f"^{text}$"):
+        _measures(grid, 100.0, ("concurrence", "entropy"))
+    ks = np.array([[0.5], [100.0]])
+    with pytest.raises(ValueError, match=r"^matrix \(1, 465\) of the stack: trace"):
+        _measures(grid, ks, ("entropy",))
