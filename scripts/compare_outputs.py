@@ -8,7 +8,8 @@ directory, and one command matrix runs on each through
 `python -m optomech ... --out <label>.csv`, with the tree's `src` as the
 only PYTHONPATH entry. The matrix holds:
 
-- every command at its defaults;
+- every command at its defaults, the commands read from the change
+  tree's `optomech.cli.COMMANDS`;
 - every command of every benchmark workload at seeds 0-9, read from the
   change tree's `perfbench/workloads.py` (`oracle-check` there runs at the
   ten benchmark seeds);
@@ -41,7 +42,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-COMMANDS = ("fig2", "fig3", "fig4a", "fig4b", "design", "oracle-check", "sweep")
 SEEDS = range(10)
 #: (label, command, overrides) runs beyond the defaults and the workloads
 EXTRA = [
@@ -112,14 +112,15 @@ def load(path: Path):
 
 def matrix(tree: Path) -> list:
     """(label, command, overrides) of every run, each distinct run once."""
+    # the commands and the single-field matrix come from the change tree's command table
+    sys.path.insert(0, str(tree / "src"))
+    cli = importlib.import_module("optomech.cli")
     workloads = load(tree / "perfbench" / "workloads.py")
-    runs = [(f"default-{command}", command, ()) for command in COMMANDS]
+    runs = [(f"default-{command}", command, ()) for command in cli.COMMANDS]
     for name, (commands, _) in workloads.WORKLOADS.items():
         for seed in SEEDS:
             runs += [(f"{name}-{seed}-{c.label}", c.command, tuple(c.overrides)) for c in commands(seed)]
     runs += EXTRA
-    # the single-field matrix reads the change tree's command fields
-    sys.path.insert(0, str(tree / "src"))
     domain = load(tree / "tests" / "test_domain.py")
     for command, settings in domain.single_field_runs():
         (field, value), = settings.items()

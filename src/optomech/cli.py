@@ -1,13 +1,14 @@
 """Command line front end: figure/table data as CSV, design reports as JSON.
 
-Every command resolves its parameters as defaults < config file < --set
-overrides, validates each against its entry in the per-command `FIELDS`
-table, and emits an RFC-4180-style CSV whose leading `#` metadata lines
-include the fully resolved configuration as canonical JSON. Re-running
-with that JSON as the config file reproduces the output byte for byte.
-Dimensional parameters carry the unit in the field name
-(omega_m_rad_per_s, temperature_K, ...); bare names are dimensionless or
-in scaled time units.
+Each command is one record in `_COMMANDS`: its fields, its input domain,
+its run and its emit. Every command resolves its parameters as defaults <
+config file < --set overrides, validates each against its field's
+validator, checks its input domain, and emits an RFC-4180-style CSV whose
+leading `#` metadata lines include the fully resolved configuration as
+canonical JSON. Re-running with that JSON as the config file reproduces
+the output byte for byte. Dimensional parameters carry the unit in the
+field name (omega_m_rad_per_s, temperature_K, ...); bare names are
+dimensionless or in scaled time units.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 oracle-check failure.
 """
@@ -159,78 +160,6 @@ _SEARCH_FIELDS = {
     "plateau_rtol": _NONNEG,
 }
 
-#: command -> field -> (default, validator)
-FIELDS: dict[str, dict[str, tuple]] = {
-    "fig2": {
-        "k": (0.5, _COUPLING),
-        "t_min": (0.0, _NONNEG),
-        "t_max": (8.0 * math.pi, _POS),
-        "n_points": (4000, _N_POINTS),
-    },
-    "fig3": {
-        "k": (0.74, _COUPLING),
-        "alpha": (0.5, _AMPLITUDE),
-        "beta": (0.5, _AMPLITUDE),
-        "temperature_K": (TEMPERATURE_K, _POS),
-        **_OPERATING_POINT,
-        "t_min": (0.0, _NONNEG),
-        "t_max": (None, _optional(_POS)),
-        "n_points": (2000, _N_POINTS),
-    },
-    "fig4a": {
-        "k_min": (0.025, _NONNEG),
-        "k_max": (1.5, _POS),
-        "k_step": (0.025, _POS),
-        "temperatures_K": ([1.0e-7, 4.0e-7, 8.0e-7], _number_list(exclusive_min=0.0)),
-        "alpha": (0.5, _AMPLITUDE),
-        "beta": (0.5, _AMPLITUDE),
-        **_OPERATING_POINT,
-        "window_scaled": (None, _optional(_POS)),
-    },
-    "fig4b": {
-        "alpha_min": (0.0, _NONNEG),
-        "alpha_max": (2.0, _POS),
-        "alpha_step": (0.02, _POS),
-        "beta_min": (0.0, _NONNEG),
-        "beta_max": (2.0, _POS),
-        "beta_step": (0.02, _POS),
-        "k": (0.74, _COUPLING),
-        "temperature_K": (TEMPERATURE_K, _POS),
-        **_OPERATING_POINT,
-        "window_scaled": (None, _optional(_POS)),
-    },
-    "design": {
-        "radii_m": ([1.0e-2, 2.5e-2, 5.0e-2, 10.0e-2], _number_list(exclusive_min=0.0)),
-        "report_finesse": (_GEOMETRY.finesse, _number(exclusive_min=1.0)),
-        # the search defaults are DesignSearchSpace's own
-        **{
-            name: (getattr(DesignSearchSpace, name), check)
-            for name, check in _SEARCH_FIELDS.items()
-        },
-    },
-    "oracle-check": {
-        "seed": (1234, _integer(0)),
-    },
-    "sweep": {
-        "quantity": (
-            "concurrence", _choice("concurrence", "entropy", "duan_ab", "duan_ac", "duan_bc")
-        ),
-        "variable": ("t", _choice("t", "k")),
-        "start": (0.0, _NONNEG),
-        "stop": (4.0 * math.pi, _POS),
-        "n_points": (500, _N_POINTS),
-        "k": (0.5, _COUPLING),
-        "alpha": (0.5, _AMPLITUDE),
-        "beta": (0.5, _AMPLITUDE),
-        "nbar": (0.0, _NONNEG),
-        "r_a": (1.0, _NONNEG),
-        "r_b": (1.0, _NONNEG),
-        "t_fixed": (math.pi, _NONNEG),
-    },
-}
-
-COMMANDS = tuple(FIELDS)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -257,6 +186,8 @@ class ResultTable:
         self.columns = list(columns)
         self.cells = cells
         self.metadata = metadata
+        #: design's report, which `_emit` writes beside the CSV as a JSON sidecar
+        self.report = None
 
     @functools.cached_property
     def rows(self) -> list:
@@ -275,6 +206,9 @@ def _parse_set_item(item: str) -> tuple[str, object]:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    except RecursionError as exc:  # JSON nested past the recursion limit, shown cut to 60 characters
+        shown = item if len(item) <= 60 else item[:60] + "..."
+        raise ValueError(f"--set {shown!r}: {exc}") from None
     return key, value
 
 
@@ -282,12 +216,14 @@ def _load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"config file {path}: {exc}")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path}, line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except RecursionError as exc:  # JSON nested past the recursion limit
+        raise ValueError(f"config file {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"config file {path}: top level must be a JSON object")
     return data
@@ -295,9 +231,9 @@ def _load_config_file(path: str) -> dict:
 
 def resolve_config(command, config_path=None, overrides=(), out=None) -> RunConfig:
     """Merge defaults, config file and --set overrides, then validate."""
-    if command not in FIELDS:
+    if command not in _COMMANDS:
         raise ValueError(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
-    fields = FIELDS[command]
+    fields = _COMMANDS[command].fields
     values = {key: default for key, (default, _) in fields.items()}
 
     def assign(key, value, source):
@@ -346,15 +282,27 @@ def _write_csv(stream, table: ResultTable) -> None:
         writer.writerows(table.rows)
 
 
-def _emit(table: ResultTable, out: str | None) -> None:
+def _emit(table: ResultTable, out: str | None) -> int:
+    """A command's default emit: the CSV at out, or on stdout, and at an out path the table's report, if
+    it has one, as JSON at that path with a .json extension; exit code 0."""
     if out is None:
         _write_csv(sys.stdout, table)
-        return
+        return 0
     try:
         with open(out, "w", newline="", encoding="utf-8") as fh:
             _write_csv(fh, table)
     except OSError as exc:
         raise ValueError(f"cannot write {out}: {exc}")
+    if table.report is not None:
+        json_path = os.path.splitext(out)[0] + ".json"
+        payload = {"metadata": dict(table.metadata), "report": table.report}
+        try:
+            with open(json_path, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {json_path}: {exc}")
+    return 0
 
 
 def _metadata(cfg: RunConfig, extra: dict | None = None) -> dict:
@@ -394,15 +342,15 @@ class _Row(NamedTuple):
     when: object = None
 
 
-def _domain(command: str, values: dict) -> SimpleNamespace:
-    """values plus the scalars the command's rows derive, once each row that applies (when(d)) holds.
+def _domain(cfg: RunConfig) -> SimpleNamespace:
+    """cfg's values and --out path plus the scalars its rows derive, once each row that applies (when(d)) holds.
 
     A row whose holds fails on its quantity q refuses with its fields and text, formatted with q and d.
     A row with no text puts its fields in front of the refusal of the library its form calls, which
-    owns the condition; a row with no fields either only derives.
+    owns the condition; a row with no fields either only derives, or raises its own refusal.
     """
-    d = SimpleNamespace(**values)
-    for row in _DOMAINS[command]:
+    d = SimpleNamespace(**cfg.values, out=cfg.out)
+    for row in _COMMANDS[cfg.command].domain:
         if row.when is not None and not row.when(d):
             continue
         fields, _, text = row.spec.partition(": ")
@@ -491,6 +439,15 @@ def _window_phases(k_field: str) -> tuple:
             *_phases(_WINDOW, k_field, lambda d: d.window_scaled is None, _direct))
 
 
+def _refuse_json_out(d) -> None:
+    """Refuse an --out path ending in .json, where design's JSON sidecar would overwrite the CSV itself."""
+    if d.out is not None and os.path.splitext(d.out)[1].lower() == ".json":
+        raise ValueError(
+            f"--out {d.out}: design writes its JSON sidecar at this path with a .json extension, "
+            "so the CSV path must not end in .json"
+        )
+
+
 _WINDOW = "omega_m_rad_per_s cavity_length_m finesse"
 _QUBIT = f"the qubit measures need k <= {_MAX_QUBIT_COUPLING:g}, got {{q!r}}"
 _QUBIT_HOLDS = lambda q: q <= _MAX_QUBIT_COUPLING  # noqa: E731
@@ -516,110 +473,20 @@ _REGIME = _Row("", lambda d: regime_report(d.k, d.omega_m_rad_per_s, d.kappa) if
 _REPORTED = lambda d: d.regime is not None  # noqa: E731
 _NBAR = _Row("temperature_K", lambda d: thermal_occupation(d.temperature_K, d.omega_m_rad_per_s), key="nbar")
 
-#: command -> the rows of its input domain, in the order they are checked
-_DOMAINS = {
-    "fig2": (
-        _Row(f"k: {_QUBIT}", lambda d: d.k, _QUBIT_HOLDS),
-        _Row("t_max: must exceed t_min={t_min}", lambda d: d.t_max > d.t_min, bool),
-    ),
-    "fig3": (
-        *_OPERATING_ROWS[:2],
-        _REGIME,
-        _Row("k: the regime period pi / k**2 overflows at k = {k!r}", lambda d: d.regime.envelope_period,
-             when=_REPORTED),
-        _OPERATING_ROWS[2],
-        _Row("", lambda d: d.window if d.t_max is None else d.t_max, key="t_last"),
-        _Row("t_max: must exceed t_min={t_min}", lambda d: d.t_last > d.t_min, bool),
-        *_OPERATING_ROWS[3:],
-        _NBAR,
-        # k through g0 = k omega_m and back, as fig3 has always scaled it: the
-        # quotient differs from k in the last bit for some k (0.8992 among them)
-        _Row(f"k omega_m_rad_per_s: the coupling k omega_m / omega_m is {{q!r}}, above {_MAX_COUPLING:g}",
-             lambda d: (d.k * d.omega_m_rad_per_s) / d.omega_m_rad_per_s, _CELL_HOLDS, key="k_last"),
-        *_phases("t_max", ""),
-        *_thermal("temperature_K omega_m_rad_per_s", "k"),
-        _correlation("k"),
-        _Row("k omega_m_rad_per_s cavity_length_m finesse: the feasibility ratio g0**2 / (omega_m 2 pi kappa) is "
-             "{q!r} at kappa = {kappa!r} 1/s", lambda d: d.regime.feasibility_ratio,
-             when=lambda d: _REPORTED(d) and d.regime.regime == "low"),
-    ),
-    "fig4a": (
-        _Row("k_max: must exceed k_min", lambda d: d.k_max > d.k_min, bool),
-        *_OPERATING_ROWS,
-        *_axis("k", _MAX_COUPLING),
-        _Row("", lambda d: d.window, key="t_last"),
-        *_window_phases("k_max"),
-        _Row("temperatures_K", lambda d: [thermal_occupation(T, d.omega_m_rad_per_s) for T in d.temperatures_K],
-             key="nbars"),
-        _Row("", lambda d: max(d.nbars), key="nbar"),
-        *_thermal("temperatures_K omega_m_rad_per_s", "k_max"),
-    ),
-    "fig4b": (
-        _Row("alpha_max: must exceed alpha_min", lambda d: d.alpha_max > d.alpha_min, bool),
-        _Row("beta_max: must exceed beta_min", lambda d: d.beta_max > d.beta_min, bool),
-        *_OPERATING_ROWS[:2],
-        _REGIME,
-        *_OPERATING_ROWS[2:],
-        _Row("", lambda d: (d.window, d.k), key=("t_last", "k_last")),
-        *_window_phases("k"),
-        _NBAR,
-        *_thermal("temperature_K omega_m_rad_per_s", "k"),
-        *_axis("alpha", _MAX_AMPLITUDE),
-        *_axis("beta", _MAX_AMPLITUDE),
-    ),
-    "design": (
-        # the proposed design's report, built once; its heating energy ratios grow like finesse**2
-        _Row("report_finesse", lambda d: design_report(proposed_atom_spec(), proposed_geometry(d.report_finesse)),
-             key="proposed"),
-        _Row("report_finesse: the proposed design's {q[0]} is {q[1]!r}", lambda d: next((
-            (name, x) for name, x in [*vars(d.proposed).items(), *vars(d.proposed.heating).items()]
-            if isinstance(x, float) and not math.isfinite(x)), None), lambda q: q is None),
-        # DesignSearchSpace names each field it refuses itself; optimize_design's lengths start at
-        # L_min_m and lie below 2 R_mirror; and only the search tells if every coupling lands in a band
-        _Row("", key="searches", form=lambda d: [
-            DesignSearchSpace(r, **{f: getattr(d, f) for f in _SEARCH_FIELDS}) for r in d.radii_m]),
-        _Row("radii_m L_min_m: design search at mirror radius {q} m: empty search grid",
-             lambda d: next((r for r in d.radii_m if not d.L_min_m < 2.0 * r), None), lambda q: q is None),
-        _Row("exclusion_halfwidth exclusion_n_max", lambda d: [*map(optimize_design, d.searches)],
-             key="results"),
-    ),
-    "sweep": (
-        _Row("stop: must exceed start", lambda d: d.stop > d.start, bool),
-        _Row(f"stop: a k sweep must stop at most {_MAX_COUPLING:g}, got {{q!r}}", lambda d: d.stop, _CELL_HOLDS,
-             when=lambda d: d.variable == "k"),
-        # the largest t and k: stop, and t_fixed or k
-        _Row("", key=("duan", "fast", "t_last", "k_last"), form=lambda d: (
-            d.quantity.startswith("duan"), d.r_a + d.r_b,
-            *((d.stop, d.k) if d.variable == "t" else (d.t_fixed, d.stop)))),
-        _Row("r_a r_b: must be positive for Duan sweeps", lambda d: d.r_a > 0 and d.r_b > 0, bool,
-             when=lambda d: d.duan),
-        *_phases("stop", "", lambda d: d.duan and d.variable == "t"),
-        *_phases("t_fixed", "stop", lambda d: d.duan and d.variable == "k"),
-        *_thermal("nbar", "k", lambda d: d.duan and d.variable == "t"),
-        *_thermal("nbar", "stop", lambda d: d.duan and d.variable == "k"),
-        _correlation("k", lambda d: d.duan and d.quantity != "duan_ab" and d.variable == "t"),
-        _correlation("stop", lambda d: d.duan and d.quantity != "duan_ab" and d.variable == "k"),
-        _Row(f"stop: {_QUBIT}", lambda d: d.stop, _QUBIT_HOLDS, when=lambda d: not d.duan and d.variable == "k"),
-        _Row(f"k: {_QUBIT}", lambda d: d.k, _QUBIT_HOLDS, when=lambda d: not d.duan and d.variable == "t"),
-    ),
-}
-
 
 # ---------------------------------------------------------------------------
-# command implementations
+# runs: run(cfg, d) builds a command's ResultTable from the namespace its domain returned
 # ---------------------------------------------------------------------------
 
-def run_fig2(cfg: RunConfig) -> ResultTable:
-    d = _domain("fig2", cfg.values)
+def _fig2(cfg: RunConfig, d) -> ResultTable:
     grid = np.linspace(d.t_min, d.t_max, d.n_points)
     columns = {"t": grid, **_measures(grid, d.k, ("concurrence", "entropy"))}
     return ResultTable(columns, _metadata(cfg))
 
 
-def run_fig3(cfg: RunConfig) -> ResultTable:
+def _fig3(cfg: RunConfig, d) -> ResultTable:
     from .duan import duan_values
 
-    d = _domain("fig3", cfg.values)
     grid = np.linspace(d.t_min, d.t_last, d.n_points)
     cell = dict(alpha=d.alpha, beta=d.beta, nbar=d.nbar, k=d.k_last)
     columns = {
@@ -651,10 +518,9 @@ def _minima_metadata(res) -> dict:
     }
 
 
-def run_fig4a(cfg: RunConfig) -> ResultTable:
+def _fig4a(cfg: RunConfig, d) -> ResultTable:
     from .duan import window_minima
 
-    d = _domain("fig4a", cfg.values)
     ks, temps = d.k_axis, d.temperatures_K
     k_cells, t_cells = np.repeat(ks, len(temps)), np.tile(temps, ks.size)
     res = window_minima("AB", d.window, d.r_a, d.r_b, alpha=d.alpha, beta=d.beta,
@@ -664,10 +530,9 @@ def run_fig4a(cfg: RunConfig) -> ResultTable:
     return ResultTable(columns, _metadata(cfg, extra))
 
 
-def run_fig4b(cfg: RunConfig) -> ResultTable:
+def _fig4b(cfg: RunConfig, d) -> ResultTable:
     from .duan import window_minima
 
-    d = _domain("fig4b", cfg.values)
     alphas, betas = d.alpha_axis, d.beta_axis
     a_cells, b_cells = np.repeat(alphas, betas.size), np.tile(betas, alphas.size)
     res = window_minima("AB", d.window, d.r_a, d.r_b, alpha=a_cells, beta=b_cells, nbar=d.nbar, k=d.k)
@@ -679,9 +544,7 @@ def run_fig4b(cfg: RunConfig) -> ResultTable:
     return ResultTable(columns, _metadata(cfg, extra))
 
 
-def run_design(cfg: RunConfig) -> tuple[ResultTable, dict]:
-    v = cfg.values
-    d = _domain("design", v)
+def _design(cfg: RunConfig, d) -> ResultTable:
     names = [
         "mirror_radius_m", "cavity_length_m", "atom_number", "trap_frequency_Hz",
         "k", "ratio_at_eval_finesse", "min_finesse_for_unity_ratio",
@@ -694,97 +557,245 @@ def run_design(cfg: RunConfig) -> tuple[ResultTable, dict]:
             "min_finesse_for_unity_ratio": result.report.min_finesse_for_unity_ratio,
             "n_evaluated": result.n_evaluated,
         }
-        for radius, result in zip(v["radii_m"], d.results)
+        for radius, result in zip(d.radii_m, d.results)
     ]
+    # grid points each radius's search covered, as in the sidecar
+    n_evaluated = json.dumps([entry["n_evaluated"] for entry in optimized])
+    columns = {name: [entry[name] for entry in optimized] for name in names}
+    table = ResultTable(columns, _metadata(cfg, {"n_evaluated": n_evaluated}))
     prop = d.proposed
-    report_json = {
+    table.report = {
         "proposed": {
-            "finesse": v["report_finesse"], "g0_rad_per_s": prop.g0, "k": prop.k, "kappa_per_s": prop.kappa,
+            "finesse": d.report_finesse, "g0_rad_per_s": prop.g0, "k": prop.k, "kappa_per_s": prop.kappa,
             "tau_p_s": prop.tau_p, "tau_e_s": prop.tau_e, "ratio": prop.ratio,
             "min_finesse_for_unity_ratio": prop.min_finesse_for_unity_ratio,
             "heating": {**asdict(prop.heating), "backaction_dominates": prop.heating.backaction_dominates},
         },
         "optimized": optimized,
     }
-    # grid points each radius's search covered, as in the sidecar
-    n_evaluated = json.dumps([entry["n_evaluated"] for entry in optimized])
-    columns = {name: [entry[name] for entry in optimized] for name in names}
-    table = ResultTable(columns, _metadata(cfg, {"n_evaluated": n_evaluated}))
-    return table, report_json
+    return table
 
 
-def _cmd_design(cfg: RunConfig) -> int:
-    # the sidecar takes the --out path with a .json extension, which would overwrite the CSV itself
-    if cfg.out is not None and os.path.splitext(cfg.out)[1].lower() == ".json":
-        raise ValueError(
-            f"--out {cfg.out}: design writes its JSON sidecar at this path with a .json extension, "
-            "so the CSV path must not end in .json"
-        )
-    table, report_json = run_design(cfg)
-    _emit(table, cfg.out)
-    if cfg.out is not None:
-        json_path = os.path.splitext(cfg.out)[0] + ".json"
-        payload = {"metadata": dict(table.metadata), "report": report_json}
-        try:
-            with open(json_path, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            raise ValueError(f"cannot write {json_path}: {exc}")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# oracle certification
-# ---------------------------------------------------------------------------
-
-def run_oracle_check(cfg: RunConfig) -> tuple[ResultTable, int]:
+def _oracle_check(cfg: RunConfig, d) -> ResultTable:
     from . import certify
 
-    names, deviations, tols = zip(*certify.run(cfg.values["seed"]))
+    names, deviations, tols = zip(*certify.run(d.seed))
     passed = np.less(deviations, tols)
-    failures = np.count_nonzero(~passed)
-    extra = {"checks_failed": str(failures), "checks_total": str(len(names))}
+    extra = {"checks_failed": str(np.count_nonzero(~passed)), "checks_total": str(len(names))}
     status = np.where(passed, "PASS", "FAIL")
     columns = {"check": names, "max_deviation": deviations, "tolerance": tols, "status": status}
-    return ResultTable(columns, _metadata(cfg, extra)), (0 if failures == 0 else 2)
+    return ResultTable(columns, _metadata(cfg, extra))
 
 
-def _cmd_oracle_check(cfg: RunConfig) -> int:
-    table, code = run_oracle_check(cfg)
+def _emit_report(table: ResultTable, out: str | None) -> int:
+    """oracle-check's emit: one report line per check on stdout and the CSV at --out only; exit code 2
+    if any check did not pass."""
+    failed = 0
     for name, deviation, tol, status in table.rows:
         print(f"[{status}] {name}: max deviation {deviation:.3e} (tolerance {tol:.1e})")
-    failed = int(table.metadata["checks_failed"])
+        failed += status != "PASS"
     print(f"oracle-check: {len(table.rows) - failed}/{len(table.rows)} checks passed")
-    if cfg.out is not None:
-        _emit(table, cfg.out)
-    return code
+    if out is not None:
+        _emit(table, out)
+    return 0 if failed == 0 else 2
 
 
-# ---------------------------------------------------------------------------
-# generic sweep
-# ---------------------------------------------------------------------------
-
-def run_sweep(cfg: RunConfig) -> ResultTable:
-    v = cfg.values
-    _domain("sweep", v)
-    quantity = v["quantity"]
-    xs = np.linspace(v["start"], v["stop"], v["n_points"])
-    ks = xs if v["variable"] == "k" else v["k"]
-    ts = xs if v["variable"] == "t" else v["t_fixed"]
-    if quantity in ("concurrence", "entropy"):
-        values = _measures(ts, ks, (quantity,))[quantity]
+def _sweep(cfg: RunConfig, d) -> ResultTable:
+    xs = np.linspace(d.start, d.stop, d.n_points)
+    ks = xs if d.variable == "k" else d.k
+    ts = xs if d.variable == "t" else d.t_fixed
+    if not d.duan:
+        values = _measures(ts, ks, (d.quantity,))[d.quantity]
     else:
         from .duan import _check_cell, _evaluate
 
-        pair = quantity.removeprefix("duan_").upper()
-        cell = (v["alpha"], v["beta"], v["nbar"])
+        pair = d.quantity.removeprefix("duan_").upper()
+        cell = (d.alpha, d.beta, d.nbar)
         # the cell once, with k the whole axis of a k sweep; then `duan_values` point by point, in
         # Python floats, as one batched call would round some rows differently
-        _check_cell(pair, v["r_a"], v["r_b"], *cell, ks)
+        _check_cell(pair, d.r_a, d.r_b, *cell, ks)
         points = zip(*(axis.tolist() for axis in np.broadcast_arrays(ts, ks)))
-        values = [_evaluate(t, pair, v["r_a"], v["r_b"], *cell, k, lower=False) for t, k in points]
-    return ResultTable({v["variable"]: xs, quantity: values}, _metadata(cfg))
+        values = [_evaluate(t, pair, d.r_a, d.r_b, *cell, k, lower=False) for t, k in points]
+    return ResultTable({d.variable: xs, d.quantity: values}, _metadata(cfg))
+
+
+# ---------------------------------------------------------------------------
+# the commands
+# ---------------------------------------------------------------------------
+
+class _Command(NamedTuple):
+    """One command: fields maps each field to its (default, validator); domain holds the rows `_domain`
+    checks in order before any grid; run(cfg, d) builds the ResultTable from the namespace the domain
+    returned; emit(table, out) writes it and returns the exit code."""
+
+    fields: dict
+    domain: tuple
+    run: object
+    emit: object = _emit
+
+
+#: command -> its record, in the order the parser and the field ledger list them
+_COMMANDS = {
+    "fig2": _Command(fields={
+        "k": (0.5, _COUPLING),
+        "t_min": (0.0, _NONNEG),
+        "t_max": (8.0 * math.pi, _POS),
+        "n_points": (4000, _N_POINTS),
+    }, domain=(
+        _Row(f"k: {_QUBIT}", lambda d: d.k, _QUBIT_HOLDS),
+        _Row("t_max: must exceed t_min={t_min}", lambda d: d.t_max > d.t_min, bool),
+    ), run=_fig2),
+    "fig3": _Command(fields={
+        "k": (0.74, _COUPLING),
+        "alpha": (0.5, _AMPLITUDE),
+        "beta": (0.5, _AMPLITUDE),
+        "temperature_K": (TEMPERATURE_K, _POS),
+        **_OPERATING_POINT,
+        "t_min": (0.0, _NONNEG),
+        "t_max": (None, _optional(_POS)),
+        "n_points": (2000, _N_POINTS),
+    }, domain=(
+        *_OPERATING_ROWS[:2],
+        _REGIME,
+        _Row("k: the regime period pi / k**2 overflows at k = {k!r}", lambda d: d.regime.envelope_period,
+             when=_REPORTED),
+        _OPERATING_ROWS[2],
+        _Row("", lambda d: d.window if d.t_max is None else d.t_max, key="t_last"),
+        _Row("t_max: must exceed t_min={t_min}", lambda d: d.t_last > d.t_min, bool),
+        *_OPERATING_ROWS[3:],
+        _NBAR,
+        # k through g0 = k omega_m and back, as fig3 has always scaled it: the
+        # quotient differs from k in the last bit for some k (0.8992 among them)
+        _Row(f"k omega_m_rad_per_s: the coupling k omega_m / omega_m is {{q!r}}, above {_MAX_COUPLING:g}",
+             lambda d: (d.k * d.omega_m_rad_per_s) / d.omega_m_rad_per_s, _CELL_HOLDS, key="k_last"),
+        *_phases("t_max", ""),
+        *_thermal("temperature_K omega_m_rad_per_s", "k"),
+        _correlation("k"),
+        _Row("k omega_m_rad_per_s cavity_length_m finesse: the feasibility ratio g0**2 / (omega_m 2 pi kappa) "
+             "is {q!r} at kappa = {kappa!r} 1/s", lambda d: d.regime.feasibility_ratio,
+             when=lambda d: _REPORTED(d) and d.regime.regime == "low"),
+    ), run=_fig3),
+    "fig4a": _Command(fields={
+        "k_min": (0.025, _NONNEG),
+        "k_max": (1.5, _POS),
+        "k_step": (0.025, _POS),
+        "temperatures_K": ([1.0e-7, 4.0e-7, 8.0e-7], _number_list(exclusive_min=0.0)),
+        "alpha": (0.5, _AMPLITUDE),
+        "beta": (0.5, _AMPLITUDE),
+        **_OPERATING_POINT,
+        "window_scaled": (None, _optional(_POS)),
+    }, domain=(
+        _Row("k_max: must exceed k_min", lambda d: d.k_max > d.k_min, bool),
+        *_OPERATING_ROWS,
+        *_axis("k", _MAX_COUPLING),
+        _Row("", lambda d: d.window, key="t_last"),
+        *_window_phases("k_max"),
+        _Row("temperatures_K", lambda d: [thermal_occupation(T, d.omega_m_rad_per_s) for T in d.temperatures_K],
+             key="nbars"),
+        _Row("", lambda d: max(d.nbars), key="nbar"),
+        *_thermal("temperatures_K omega_m_rad_per_s", "k_max"),
+    ), run=_fig4a),
+    "fig4b": _Command(fields={
+        "alpha_min": (0.0, _NONNEG),
+        "alpha_max": (2.0, _POS),
+        "alpha_step": (0.02, _POS),
+        "beta_min": (0.0, _NONNEG),
+        "beta_max": (2.0, _POS),
+        "beta_step": (0.02, _POS),
+        "k": (0.74, _COUPLING),
+        "temperature_K": (TEMPERATURE_K, _POS),
+        **_OPERATING_POINT,
+        "window_scaled": (None, _optional(_POS)),
+    }, domain=(
+        _Row("alpha_max: must exceed alpha_min", lambda d: d.alpha_max > d.alpha_min, bool),
+        _Row("beta_max: must exceed beta_min", lambda d: d.beta_max > d.beta_min, bool),
+        *_OPERATING_ROWS[:2],
+        _REGIME,
+        *_OPERATING_ROWS[2:],
+        _Row("", lambda d: (d.window, d.k), key=("t_last", "k_last")),
+        *_window_phases("k"),
+        _NBAR,
+        *_thermal("temperature_K omega_m_rad_per_s", "k"),
+        *_axis("alpha", _MAX_AMPLITUDE),
+        *_axis("beta", _MAX_AMPLITUDE),
+    ), run=_fig4b),
+    "design": _Command(fields={
+        "radii_m": ([1.0e-2, 2.5e-2, 5.0e-2, 10.0e-2], _number_list(exclusive_min=0.0)),
+        "report_finesse": (_GEOMETRY.finesse, _number(exclusive_min=1.0)),
+        # the search defaults are DesignSearchSpace's own
+        **{name: (getattr(DesignSearchSpace, name), check) for name, check in _SEARCH_FIELDS.items()},
+    }, domain=(
+        _Row("", _refuse_json_out),
+        # the proposed design's report, built once; its heating energy ratios grow like finesse**2
+        _Row("report_finesse", lambda d: design_report(proposed_atom_spec(), proposed_geometry(d.report_finesse)),
+             key="proposed"),
+        _Row("report_finesse: the proposed design's {q[0]} is {q[1]!r}", lambda d: next((
+            (name, x) for name, x in [*vars(d.proposed).items(), *vars(d.proposed.heating).items()]
+            if isinstance(x, float) and not math.isfinite(x)), None), lambda q: q is None),
+        # DesignSearchSpace names each field it refuses itself; optimize_design's lengths start at
+        # L_min_m and lie below 2 R_mirror; and only the search tells if every coupling lands in a band
+        _Row("", key="searches", form=lambda d: [
+            DesignSearchSpace(r, **{f: getattr(d, f) for f in _SEARCH_FIELDS}) for r in d.radii_m]),
+        _Row("radii_m L_min_m: design search at mirror radius {q} m: empty search grid",
+             lambda d: next((r for r in d.radii_m if not d.L_min_m < 2.0 * r), None), lambda q: q is None),
+        _Row("exclusion_halfwidth exclusion_n_max", lambda d: [*map(optimize_design, d.searches)],
+             key="results"),
+    ), run=_design),
+    "oracle-check": _Command(fields={"seed": (1234, _integer(0))}, domain=(), run=_oracle_check, emit=_emit_report),
+    "sweep": _Command(fields={
+        "quantity": (
+            "concurrence", _choice("concurrence", "entropy", "duan_ab", "duan_ac", "duan_bc")
+        ),
+        "variable": ("t", _choice("t", "k")),
+        "start": (0.0, _NONNEG),
+        "stop": (4.0 * math.pi, _POS),
+        "n_points": (500, _N_POINTS),
+        "k": (0.5, _COUPLING),
+        "alpha": (0.5, _AMPLITUDE),
+        "beta": (0.5, _AMPLITUDE),
+        "nbar": (0.0, _NONNEG),
+        "r_a": (1.0, _NONNEG),
+        "r_b": (1.0, _NONNEG),
+        "t_fixed": (math.pi, _NONNEG),
+    }, domain=(
+        _Row("stop: must exceed start", lambda d: d.stop > d.start, bool),
+        _Row(f"stop: a k sweep must stop at most {_MAX_COUPLING:g}, got {{q!r}}", lambda d: d.stop, _CELL_HOLDS,
+             when=lambda d: d.variable == "k"),
+        # the largest t and k: stop, and t_fixed or k
+        _Row("", key=("duan", "fast", "t_last", "k_last"), form=lambda d: (
+            d.quantity.startswith("duan"), d.r_a + d.r_b,
+            *((d.stop, d.k) if d.variable == "t" else (d.t_fixed, d.stop)))),
+        _Row("r_a r_b: must be positive for Duan sweeps", lambda d: d.r_a > 0 and d.r_b > 0, bool,
+             when=lambda d: d.duan),
+        *_phases("stop", "", lambda d: d.duan and d.variable == "t"),
+        *_phases("t_fixed", "stop", lambda d: d.duan and d.variable == "k"),
+        *_thermal("nbar", "k", lambda d: d.duan and d.variable == "t"),
+        *_thermal("nbar", "stop", lambda d: d.duan and d.variable == "k"),
+        _correlation("k", lambda d: d.duan and d.quantity != "duan_ab" and d.variable == "t"),
+        _correlation("stop", lambda d: d.duan and d.quantity != "duan_ab" and d.variable == "k"),
+        _Row(f"stop: {_QUBIT}", lambda d: d.stop, _QUBIT_HOLDS, when=lambda d: not d.duan and d.variable == "k"),
+        _Row(f"k: {_QUBIT}", lambda d: d.k, _QUBIT_HOLDS, when=lambda d: not d.duan and d.variable == "t"),
+    ), run=_sweep),
+}
+
+COMMANDS = tuple(_COMMANDS)
+
+
+def _table(cfg: RunConfig) -> ResultTable:
+    """The ResultTable of a resolved command: its input domain checked, then its run."""
+    return _COMMANDS[cfg.command].run(cfg, _domain(cfg))
+
+
+def _execute(cfg: RunConfig) -> tuple[ResultTable, int]:
+    """Every command's one path after resolve_config: its table, emitted; the table and the exit code."""
+    table = _table(cfg)
+    return table, _COMMANDS[cfg.command].emit(table, cfg.out)
+
+
+# the entry points perfbench/run.py calls, views of the one path until ROADMAP item 1 retargets the
+# harness at it and deletes them
+_TABLE_COMMANDS = dict.fromkeys(("fig2", "fig3", "fig4a", "fig4b", "sweep"), _table)
+_cmd_design = _cmd_oracle_check = lambda cfg: _execute(cfg)[1]  # noqa: E731
 
 
 # ---------------------------------------------------------------------------
@@ -811,15 +822,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_TABLE_COMMANDS = {
-    "fig2": run_fig2,
-    "fig3": run_fig3,
-    "fig4a": run_fig4a,
-    "fig4b": run_fig4b,
-    "sweep": run_sweep,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     # what a closed stdout returns: a table command fails, if at all, before
@@ -831,12 +833,7 @@ def main(argv=None) -> int:
         cfg = resolve_config(
             args.command, config_path=args.config, overrides=args.overrides, out=args.out
         )
-        if cfg.command == "design":
-            code = _cmd_design(cfg)
-        elif cfg.command == "oracle-check":
-            code = _cmd_oracle_check(cfg)
-        else:
-            _emit(_TABLE_COMMANDS[cfg.command](cfg), cfg.out)
+        code = _execute(cfg)[1]
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout early (`optomech fig4b | head -1`); what is

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from optomech.cli import resolve_config, run_fig4a, run_fig4b, run_oracle_check
+from optomech.cli import _execute, _table, resolve_config
 from optomech.core import big_b, eta, thermal_occupation, xi
 from optomech.design import (
     CALIBRATION_REFERENCE,
@@ -224,13 +224,13 @@ def test_acceptance_6_optimizer_reproduces_reference_rows():
 def test_acceptance_7_witness_landscape():
     failures = []
 
-    table_b = run_fig4b(resolve_config("fig4b"))
+    table_b = _table(resolve_config("fig4b"))
     rows = np.array(table_b.rows, dtype=float)
     best = rows[np.argmin(rows[:, 2])]
     if abs(best[0] - 0.91) > 0.05 or abs(best[1] - 0.91) > 0.05:
         failures.append(f"amplitude argmin ({best[0]:.2f}, {best[1]:.2f}) outside 0.91 +- 0.05")
 
-    table_a = run_fig4a(resolve_config("fig4a"))
+    table_a = _table(resolve_config("fig4a"))
     rows_a = np.array(table_a.rows, dtype=float)
     warm = rows_a[np.isclose(rows_a[:, 1], 8e-7)]
     order = np.argsort(warm[:, 0])
@@ -267,7 +267,7 @@ def test_acceptance_8_property_suite():
     # norm drift, energy conservation, stationarity, truncation doubling and
     # k=0 floors all run inside the certification command at the contract
     # tolerances (1e-10, 1e-8, 1e-8, 1e-8, 1e-12 respectively)
-    table, exit_code = run_oracle_check(resolve_config("oracle-check"))
+    table, exit_code = _execute(resolve_config("oracle-check"))
     if exit_code != 0:
         bad = [row for row in table.rows if row[-1] != "PASS"]
         failures.append(f"certification checks failed: {bad}")

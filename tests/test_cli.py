@@ -16,12 +16,9 @@ from optomech import certify, cli
 from optomech.cli import (
     ResultTable,
     _write_csv,
+    _table,
     resolve_config,
     main,
-    run_fig2,
-    run_fig3,
-    run_fig4a,
-    run_fig4b,
 )
 from optomech.core import regime_report, thermal_occupation
 import optomech.duan as duan_module
@@ -125,7 +122,7 @@ def _csv_writer_text(table):
 @pytest.mark.parametrize("command", ["fig2", "fig3", "fig4a", "fig4b", "sweep", "design"])
 def test_csv_is_csv_writers_bytes_at_the_defaults(command):
     cfg = resolve_config(command)
-    table = cli.run_design(cfg)[0] if command == "design" else cli._TABLE_COMMANDS[command](cfg)
+    table = _table(cfg)
     stream = io.StringIO()
     _write_csv(stream, table)
     assert stream.getvalue() == _csv_writer_text(table)
@@ -184,7 +181,7 @@ def test_csv_cells_read_back_the_computed_doubles(tmp_path, monkeypatch, argv):
 
 def test_fig2_table_shape():
     cfg = resolve_config("fig2", overrides=("n_points=200",))
-    table = run_fig2(cfg)
+    table = _table(cfg)
     assert tuple(table.columns) == ("t", "concurrence", "entropy")
     assert len(table.rows) == 200
     assert table.rows[0][0] == 0.0
@@ -194,13 +191,13 @@ def test_fig2_table_shape():
 
 def test_fig2_with_k_zero_shows_no_entanglement():
     cfg = resolve_config("fig2", overrides=("k=0.0", "n_points=150"))
-    table = run_fig2(cfg)
+    table = _table(cfg)
     assert all(row[1] == 0.0 for row in table.rows)
 
 
 def test_fig3_initial_row_floors():
     cfg = resolve_config("fig3", overrides=("n_points=50", "t_max=6.0"))
-    table = run_fig3(cfg)
+    table = _table(cfg)
     first = dict(zip(table.columns, table.rows[0]))
     assert first["t"] == 0.0
     assert first["duan_ab"] == 1.0
@@ -218,7 +215,7 @@ def test_fig3_scales_k_through_the_bare_coupling():
     omega_m = v["omega_m_rad_per_s"]
     quotient = (0.8992 * omega_m) / omega_m
     assert quotient != 0.8992
-    table = run_fig3(cfg)
+    table = _table(cfg)
     grid = np.asarray(table.cells[table.columns.index("t")])
     r_a, r_b = v["omega_a_rad_per_s"] / omega_m, v["omega_b_rad_per_s"] / omega_m
     cell = dict(alpha=v["alpha"], beta=v["beta"], nbar=thermal_occupation(v["temperature_K"], omega_m))
@@ -345,7 +342,7 @@ def test_fig4b_traced_peak_stays_below_the_full_scan():
     cfg = resolve_config("fig4b")
     tracemalloc.start()
     try:
-        run_fig4b(cfg)
+        _table(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -358,10 +355,10 @@ def test_fig4a_traced_peak_stays_within_a_few_dozen_temporaries():
     # about a dozen 64 KiB temporaries; it measured 0.9 MiB, and 1.5 MiB
     # with the floors of 65 cells
     cfg = resolve_config("fig4a")
-    run_fig4a(cfg)
+    _table(cfg)
     tracemalloc.start()
     try:
-        run_fig4a(cfg)
+        _table(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -370,7 +367,7 @@ def test_fig4a_traced_peak_stays_within_a_few_dozen_temporaries():
 
 def test_fig4_axis_cap_admits_its_boundary():
     def domain(command, **values):
-        return cli._domain(command, resolve_config(command, overrides=[f"{k}={v!r}" for k, v in values.items()]).values)
+        return cli._domain(resolve_config(command, overrides=[f"{k}={v!r}" for k, v in values.items()]))
 
     assert domain("fig4b", alpha_min=0.0, alpha_max=2.0, alpha_step=0.002).alpha_axis.size == 1001
     assert domain("fig4a", k_min=0.5, k_max=0.5 + 1000 * 0.25, k_step=0.25).k_axis.size == 1001
@@ -916,7 +913,7 @@ def test_duan_sweep_checks_its_cell_once_and_keeps_each_point_bitwise(monkeypatc
     monkeypatch.setattr(duan_module, "_check_cell", lambda *args: calls.append(args) or check(*args))
     cfg = resolve_config("sweep", overrides=(f"quantity={quantity}", f"variable={variable}", "stop=1.5",
                                              "n_points=50", "nbar=0.2", "r_a=3.0", "r_b=5.0"))
-    table = cli.run_sweep(cfg)
+    table = _table(cfg)
     assert len(calls) == 1
     v = cfg.values
     xs = np.linspace(v["start"], v["stop"], v["n_points"]).tolist()
@@ -1056,3 +1053,31 @@ def test_cli_error_text_goes_to_stderr(capsys):
     assert code == 1
     assert "error:" in captured.err
     assert "bogus" in captured.err
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "config, setting, message",
+    [
+        # named no file
+        (b"\xff\xfe{}", None, "config file {path}: 'utf-8' codec can't decode byte 0xff in position 0"),
+        # each died with a RecursionError traceback
+        (f'{{"k": {_DEEP}}}'.encode(), None, "config file {path}: maximum recursion depth exceeded"),
+        (None, "k=" + "[" * 3000 + "]" * 3000, "--set 'k=" + "[" * 58 + "...': maximum recursion depth exceeded"),
+    ],
+    ids=["not-utf-8", "deep-file", "deep-set"],
+)
+def test_cli_refuses_undecodable_config_input_by_name(tmp_path, capsys, config, setting, message):
+    path = tmp_path / "run.json"
+    argv = ["fig2"]
+    if config is not None:
+        path.write_bytes(config)
+        argv += ["--config", str(path)]
+    if setting is not None:
+        argv += ["--set", setting]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message.format(path=path)}") and captured.err.count("\n") == 1

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from optomech.cli import _DOMAINS, FIELDS, main
+from optomech.cli import _COMMANDS, main
 
 #: settings that shrink each command's grids, overridden by the field under test
 _SMALL = {
@@ -39,8 +39,8 @@ _SMALL = {
 _LIST_FIELDS = {"temperatures_K", "radii_m", "trap_frequencies_Hz"}
 _NUMERIC = [
     (command, field)
-    for command, fields in FIELDS.items()
-    for field, (default, _) in fields.items()
+    for command, spec in _COMMANDS.items()
+    for field, (default, _) in spec.fields.items()
     # oracle-check's one field is an integer seed, which its validator types
     if not isinstance(default, str) and command != "oracle-check"
 ]
@@ -117,7 +117,7 @@ def _failure(command: str, settings: dict):
         return None
     match = _REFUSAL.match(err)
     names = re.findall(r"'([^']+)'", match.group(1)) if match else []
-    if code != 1 or err.count("\n") != 1 or not names or not set(names) <= set(FIELDS[command]):
+    if code != 1 or err.count("\n") != 1 or not names or not set(names) <= set(_COMMANDS[command].fields):
         return f"{' '.join(argv)}: exit {code} with stderr {err!r}"
     return None
 
@@ -295,10 +295,21 @@ def _readme_pairs() -> set:
     return pairs
 
 
-def test_readme_refusal_table_lists_the_domain_rows():
-    rows = {
+def _row_fields() -> set:
+    """(command, fields) of every domain row, fields the names in front of the row's text."""
+    return {
         (command, tuple(row.spec.partition(": ")[0].split()))
-        for command, table in _DOMAINS.items()
-        for row in table
+        for command, spec in _COMMANDS.items()
+        for row in spec.domain
     }
-    assert _readme_pairs() == {(command, fields) for command, fields in rows if fields}
+
+
+def test_readme_refusal_table_lists_the_domain_rows():
+    assert _readme_pairs() == {(command, fields) for command, fields in _row_fields() if fields}
+
+
+def test_each_domain_row_names_only_its_own_commands_fields():
+    # a misspelt row would otherwise show only where a run reaches it
+    named = {(command, name) for command, fields in _row_fields() for name in fields}
+    assert {command for command, _ in named} == set(_COMMANDS) - {"oracle-check"}
+    assert {(command, name) for command, name in named if name not in _COMMANDS[command].fields} == set()

@@ -688,8 +688,8 @@ def _fig4b_cells(temperature_K):
     """window, r_a, r_b and the cells of `optomech fig4b` at a temperature."""
     from optomech import cli
 
-    v = cli.resolve_config("fig4b", overrides=(f"temperature_K={temperature_K!r}",)).values
-    d = cli._domain("fig4b", v)
+    cfg = cli.resolve_config("fig4b", overrides=(f"temperature_K={temperature_K!r}",))
+    v, d = cfg.values, cli._domain(cfg)
     window, r_a, r_b = d.window, d.r_a, d.r_b
     alphas, betas = d.alpha_axis, d.beta_axis
     nbar = thermal_occupation(v["temperature_K"], v["omega_m_rad_per_s"])
@@ -700,9 +700,9 @@ def _fig4b_cells(temperature_K):
 
 
 def test_fig4b_default_temperature_is_the_first_benchmark_one():
-    from optomech.cli import FIELDS
+    from optomech.cli import _COMMANDS
 
-    assert FIELDS["fig4b"]["temperature_K"][0] == _FIG4B_TEMPERATURES[0]
+    assert _COMMANDS["fig4b"].fields["temperature_K"][0] == _FIG4B_TEMPERATURES[0]
 
 
 @pytest.mark.parametrize("temperature_K", _FIG4B_TEMPERATURES)
@@ -796,8 +796,8 @@ def _fig4a_cells(*overrides):
     """window, r_a, r_b and the cells of `optomech fig4a` with the given overrides."""
     from optomech import cli
 
-    v = cli.resolve_config("fig4a", overrides=overrides).values
-    d = cli._domain("fig4a", v)
+    cfg = cli.resolve_config("fig4a", overrides=overrides)
+    v, d = cfg.values, cli._domain(cfg)
     window, r_a, r_b = d.window, d.r_a, d.r_b
     ks = d.k_axis
     nbars = [thermal_occupation(T, v["omega_m_rad_per_s"]) for T in v["temperatures_K"]]
@@ -919,9 +919,10 @@ _FIG4A_DIRECT = tuple(
 
 
 def test_fig4a_default_amplitudes_are_the_first_benchmark_ones():
-    from optomech.cli import FIELDS
+    from optomech.cli import _COMMANDS
 
-    assert (FIELDS["fig4a"]["alpha"][0], FIELDS["fig4a"]["beta"][0]) == _FIG4A_AMPLITUDES[0]
+    fields = _COMMANDS["fig4a"].fields
+    assert (fields["alpha"][0], fields["beta"][0]) == _FIG4A_AMPLITUDES[0]
 
 
 @pytest.mark.parametrize("mode", ["envelope", "direct"])
@@ -1258,7 +1259,7 @@ def test_fig3_lower_envelopes_agree_with_the_oracle():
 
     cfg = cli.resolve_config("fig3")
     v = cfg.values
-    table = cli.run_fig3(cfg)
+    table = cli._table(cfg)
     assert v["k"] == 0.74 and v["omega_a_rad_per_s"] / v["omega_m_rad_per_s"] > 1e9
     nbar = thermal_occupation(v["temperature_K"], v["omega_m_rad_per_s"])
     state = _oracle_state(v["alpha"], v["beta"], nbar, v["k"])

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import optomech
-from optomech.cli import FIELDS
+from optomech.cli import _COMMANDS
 
 # __main__ runs the command line on import
 _SUBMODULES = sorted(
@@ -229,7 +229,7 @@ _CLI_FIELDS = [
 
 
 def test_cli_fields_are_the_listed_ones():
-    assert [f"{command}.{field}" for command in FIELDS for field in sorted(FIELDS[command])] == (
+    assert [f"{command}.{field}" for command, spec in _COMMANDS.items() for field in sorted(spec.fields)] == (
         _CLI_FIELDS
     )
     assert len(_CLI_FIELDS) == 71

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import optomech.oracle
 from optomech import certify
-from optomech.cli import resolve_config, run_oracle_check
+from optomech.cli import _execute, resolve_config
 from optomech.core import big_b, energy_eigenvalue_scaled, eta, xi
 from optomech.duan import duan_from_moments
 from optomech.oracle import (
@@ -1102,8 +1102,8 @@ def test_certification_runs_on_one_blas_thread_and_restores_the_count(monkeypatc
 def test_certification_bits_do_not_depend_on_the_blas_thread_count(monkeypatch, blas_pairs):
     # OpenBLAS splits a product by rows and columns, so each element keeps its k-sum
     cfg = resolve_config("oracle-check", overrides=("seed=1234",))
-    table, code = run_oracle_check(cfg)
+    table, code = _execute(cfg)
     monkeypatch.setattr(certify, "_one_blas_thread", contextlib.nullcontext)
-    other, other_code = run_oracle_check(cfg)
+    other, other_code = _execute(cfg)
     assert code == other_code == 0
     assert repr(table.rows) == repr(other.rows) and table.metadata == other.metadata

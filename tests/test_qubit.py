@@ -345,15 +345,20 @@ def _axis_grid(axis, k, n):
 @pytest.mark.parametrize("axis", ["t", "k"])
 def test_slab_measures_are_bitwise_the_whole_stack(monkeypatch, axis, k):
     checked = set()
+    # the whole stack's states and measures by grid size n (axis and k are this case's); no slab enters them
+    whole = {}
     # the module's slab, then one whose edges fall inside the small grids
     for slab in (qubit_module._SLAB, 7):
         monkeypatch.setattr(qubit_module, "_SLAB", slab)
         for n in (1, slab - 1, slab, slab + 1, 2 * slab + 1, 4000):
             t, ks = _axis_grid(axis, k, n)
             both = _measures(t, ks, ("concurrence", "entropy"))
-            rhos = reduced_rho_ab(t, ks)
-            _assert_same_bits(both["concurrence"], concurrence(rhos))
-            _assert_same_bits(both["entropy"], von_neumann_entropy(rhos))
+            if n not in whole:
+                rhos = reduced_rho_ab(t, ks)
+                whole[n] = rhos, concurrence(rhos), von_neumann_entropy(rhos)
+            rhos, whole_concurrence, whole_entropy = whole[n]
+            _assert_same_bits(both["concurrence"], whole_concurrence)
+            _assert_same_bits(both["entropy"], whole_entropy)
             for name, values in both.items():
                 _assert_same_bits(_measures(t, ks, (name,))[name], values)
             if n not in checked:
